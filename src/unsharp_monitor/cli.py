@@ -6,9 +6,7 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Any
@@ -20,23 +18,16 @@ from .artifacts import ArtifactError
 from .config import (
     ConfigError,
     RunConfig,
+    bool_field,
     build_report,
     derive_seed,
+    drop_retired_engine,
     load_run_config,
     run_config_from_dict,
 )
 from .povm import ParameterError, StateError
-from .spectral import (
-    AnalysisError,
-    main_peak,
-    power_spectrum,
-    synthesize,
-    truncate_series,
-    wiener_filter,
-)
+from .spectral import AnalysisError, main_peak, process_readout
 from .trajectory import simulate_trajectory
-
-THREADS_ENV = "UNSHARP_MONITOR_THREADS"
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -47,28 +38,16 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def _analysis(g2: np.ndarray, dt: float, wiener: bool, truncation: bool):
-    """Spectrum of the readout, filter weights, and the processed sequence."""
-    raw = power_spectrum(g2, dt)
-    filtered = wiener_filter(raw) if wiener else raw
-    truncated = truncate_series(filtered) if truncation else filtered
-    processed = synthesize(truncated)
-    record = replace(raw, wiener_weights=filtered.wiener_weights)
-    return record, processed
-
-
 def _run_simulation(config: RunConfig):
-    record = simulate_trajectory(config.trajectory, engine=config.engine)
-    spectrum, processed = _analysis(
+    record = simulate_trajectory(config.trajectory)
+    spectrum, processed = process_readout(
         record.g2, config.trajectory.delta_t, config.wiener, config.truncation
     )
     return record, spectrum, processed
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = load_run_config(
-        args.config, args.preset, {"seed": args.seed, "engine": args.engine}
-    )
+    config = load_run_config(args.config, args.preset, {"seed": args.seed})
     out_dir = Path(args.out_dir if args.out_dir is not None else config.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     record, spectrum, processed = _run_simulation(config)
@@ -113,15 +92,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     echo, columns = artifacts.read_trajectory_csv(args.csv)
     if echo is not None and "n_per_series" in echo and "tau" in echo:
         dt = echo["n_per_series"] * echo["tau"]
-        wiener = bool(echo.get("wiener", True))
-        truncation = bool(echo.get("truncation", True))
+        wiener = bool_field(echo, "wiener")
+        truncation = bool_field(echo, "truncation")
         t_r = float(echo.get("t_r", 1.0))
     else:
         dt = float(columns["t_over_TR"][0] / columns["m"][0])
         wiener = True
         truncation = True
         t_r = 1.0
-    spectrum, processed = _analysis(columns["g2"], dt, wiener, truncation)
+    spectrum, processed = process_readout(columns["g2"], dt, wiener, truncation)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = artifacts.spectrum_payload(
@@ -215,20 +194,6 @@ def _sweep_point(
     }
 
 
-def _max_workers(n_points: int) -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        cap = min(8, os.cpu_count() or 1)
-    else:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ConfigError(THREADS_ENV, f"must be an integer, got {raw!r}") from exc
-        if cap < 1:
-            raise ConfigError(THREADS_ENV, f"must be >= 1, got {cap}")
-    return max(1, min(cap, n_points))
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec: dict[str, Any] = {}
     if args.config is not None:
@@ -239,15 +204,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"invalid JSON: {exc}") from exc
     grid = _sweep_axes(args, spec)
-    base = dict(spec.get("base", {}))
+    base = drop_retired_engine(dict(spec.get("base", {})))
     if args.m is not None:
         base["m_series"] = args.m
     base.setdefault("m_series", 200)
     base_seed = args.seed if args.seed is not None else int(base.get("seed", 1))
     base.pop("seed", None)
-    if args.engine is not None:
-        base["engine"] = args.engine
-    replicates = args.seeds_per_point or int(spec.get("seeds_per_point", 1))
+    replicates = (
+        args.seeds_per_point
+        if args.seeds_per_point is not None
+        else spec.get("seeds_per_point", 1)
+    )
+    if type(replicates) is not int or replicates < 1:  # bool is no count either
+        raise ConfigError("seeds_per_point", f"must be an integer >= 1, got {replicates!r}")
 
     axes = [grid["p0"], grid["dp"], grid["tau"], grid["n_per_series"]]
     points = [
@@ -255,23 +224,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for p0, dp, tau, n in itertools.product(*axes)
     ]
 
-    def run_point(item: tuple[int, dict[str, Any]]):
-        index, point = item
+    rows = []
+    for index, point in enumerate(points):
         try:
-            return _sweep_point(base, point, index, base_seed, replicates)
+            rows.append(_sweep_point(base, point, index, base_seed, replicates))
         except (ConfigError, ParameterError, StateError) as exc:
             print(f"warning: skipping grid point {index} {point}: {exc}", file=sys.stderr)
-            return None
-
-    workers = _max_workers(len(points))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_point, enumerate(points)))
-    else:
-        results = [run_point(item) for item in enumerate(points)]
-
-    rows = [row for row in results if row is not None]
-    skipped = len(results) - len(rows)
+    skipped = len(points) - len(rows)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     echo = {"grid": grid, "base": base, "seed": base_seed, "seeds_per_point": replicates}
@@ -290,17 +249,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_flags(p: argparse.ArgumentParser, with_engine: bool = True) -> None:
+    def add_config_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON run configuration file")
         p.add_argument("--preset", help="built-in preset: fig1, fig2 or fig3")
         p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-        if with_engine:
-            p.add_argument(
-                "--engine",
-                choices=("povm", "dilation"),
-                default=None,
-                help="measurement implementation route (identical output)",
-            )
         p.add_argument("--out-dir", default=None, help="directory for emitted files")
 
     simulate = sub.add_parser("simulate", help="run one trajectory and emit artifacts")
@@ -311,10 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=_cmd_simulate)
 
     report = sub.add_parser("report", help="derived quantities without simulating")
-    report.add_argument("--config", help="JSON run configuration file")
-    report.add_argument("--preset", help="built-in preset: fig1, fig2 or fig3")
-    report.add_argument("--seed", type=int, default=None)
-    report.add_argument("--out-dir", default=None)
+    add_config_flags(report)
     report.set_defaults(func=_cmd_report)
 
     analyze = sub.add_parser("analyze", help="re-run noise reduction on a trajectory CSV")
@@ -331,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--m", type=int, default=None, help="series per trajectory (default 200)")
     sweep.add_argument("--seeds-per-point", type=int, default=None)
     sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--engine", choices=("povm", "dilation"), default=None)
     sweep.add_argument("--out-dir", default=".")
     sweep.set_defaults(func=_cmd_sweep)
 

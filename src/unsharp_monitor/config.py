@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -11,7 +12,7 @@ from typing import Any
 from .povm import ParameterError, PovmParams, StateError, StateVector
 from .rabi import HamiltonianSpec
 from .spectral import classify_regime
-from .trajectory import ENGINES, TrajectoryConfig
+from .trajectory import TrajectoryConfig
 
 SCHEMA_VERSION = "unsharp-monitor/1"
 DEFAULT_SEED = 1
@@ -39,7 +40,7 @@ PRESETS: dict[str, dict[str, Any]] = {
 
 _ALLOWED_KEYS = {
     "p0", "dp", "p1", "p2", "tau", "n_per_series", "m_series", "initial_state",
-    "seed", "engine", "wiener", "truncation", "f_lo", "f_hi", "t_r",
+    "seed", "wiener", "truncation", "f_lo", "f_hi", "t_r",
     "a1", "a2", "drive_omega", "out_dir",
 }
 
@@ -49,7 +50,6 @@ class RunConfig:
     """Validated bundle of a trajectory config plus analysis settings."""
 
     trajectory: TrajectoryConfig
-    engine: str = "povm"
     wiener: bool = True
     truncation: bool = True
     f_lo: float = 0.3
@@ -57,18 +57,14 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ConfigError("engine", f"must be one of {ENGINES}, got {self.engine!r}")
         if not 0.0 <= self.f_lo <= self.f_hi:
             raise ConfigError("f_lo", f"need 0 <= f_lo <= f_hi, got ({self.f_lo}, {self.f_hi})")
 
     def resolved(self) -> dict[str, Any]:
         """Full configuration echo embedded in every emitted artifact.
 
-        The engine and output directory are deliberately excluded: the
-        engine selects an implementation route with contractually identical
-        output, and paths are volatile, so artifacts from both engines and
-        any directory compare byte-identical.
+        The output directory is deliberately excluded: paths are volatile,
+        so artifacts written to any directory compare byte-identical.
         """
         t = self.trajectory
         state = t.initial_state
@@ -119,8 +115,40 @@ def _parse_params(data: dict[str, Any]) -> PovmParams:
         raise ConfigError("p1/p2" if has_p12 else "p0/dp", str(exc)) from exc
 
 
+def drop_retired_engine(data: dict[str, Any]) -> dict[str, Any]:
+    """Remove the retired ``engine`` field from a config dict.
+
+    Files written for older versions may still carry ``"engine": "povm"``,
+    the only route that remains; it is accepted with a deprecation line on
+    stderr.  Any other value would ask for a route that no longer exists.
+    """
+    if "engine" not in data:
+        return data
+    data = dict(data)
+    engine = data.pop("engine")
+    if engine != "povm":
+        raise ConfigError(
+            "engine", f'the field is retired and only "povm" is accepted, got {engine!r}'
+        )
+    print(
+        "deprecated: config field 'engine' is ignored (one measurement route remains); "
+        "remove it from the file",
+        file=sys.stderr,
+    )
+    return data
+
+
+def bool_field(data: dict[str, Any], name: str) -> bool:
+    """A true/false switch that defaults to true; only a JSON bool is accepted."""
+    value = data.get(name, True)
+    if not isinstance(value, bool):
+        raise ConfigError(name, f"must be true or false, got {value!r}")
+    return value
+
+
 def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
     """Build and validate a RunConfig from a plain dict (the file schema)."""
+    data = drop_retired_engine(data)
     unknown = set(data) - _ALLOWED_KEYS
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown key")
@@ -172,9 +200,8 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
     out_dir = data.get("out_dir")
     return RunConfig(
         trajectory=trajectory,
-        engine=str(data.get("engine", "povm")),
-        wiener=bool(data.get("wiener", True)),
-        truncation=bool(data.get("truncation", True)),
+        wiener=bool_field(data, "wiener"),
+        truncation=bool_field(data, "truncation"),
         f_lo=float(data.get("f_lo", 0.3)),
         f_hi=float(data.get("f_hi", 5.0)),
         out_dir=None if out_dir is None else str(out_dir),

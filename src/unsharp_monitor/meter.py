@@ -5,8 +5,8 @@ second two-level system (the meter) and projecting the meter alone: the
 coupling unitary maps |psi>|Phi(0)> onto a four-component entangled state
 whose meter branches carry exactly the "+" and "-" operations.  This module
 implements that path independently of the direct operator description in
-``povm`` and serves as a cross-validation oracle and as an alternative
-trajectory engine.
+``povm`` and serves as the test oracle that the trajectory kernel is
+checked against; simulations never run through it.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,27 +191,20 @@ def truncate_series(record: SpectrumRecord) -> SpectrumRecord:
     return _build_record(record.dt, coefficients, record.wiener_weights)
 
 
-NoiseFilter = Callable[[SpectrumRecord], SpectrumRecord]
-
-
 def process_readout(
-    g2_sequence,
-    dt: float,
-    noise_filter: NoiseFilter | None = wiener_filter,
-    truncate: bool = True,
-) -> np.ndarray:
-    """Filter and truncate a readout sequence; returns the processed samples.
+    g2_sequence, dt: float, wiener: bool = True, truncation: bool = True
+) -> tuple[SpectrumRecord, np.ndarray]:
+    """The readout pipeline: spectrum of the sequence and processed samples.
 
-    ``noise_filter`` is injectable so other noise models can replace the
-    Wiener form without touching callers; pass None to skip filtering, or
-    ``truncate=False`` to keep the full filtered series.
+    The returned record is the raw spectrum of the readout, carrying the
+    Wiener weights when the filter ran.  The processed samples are the
+    synthesis of the filtered, then truncated coefficients; ``wiener`` and
+    ``truncation`` switch either step off.
     """
-    record = power_spectrum(g2_sequence, dt)
-    if noise_filter is not None:
-        record = noise_filter(record)
-    if truncate:
-        record = truncate_series(record)
-    return synthesize(record)
+    raw = power_spectrum(g2_sequence, dt)
+    filtered = wiener_filter(raw) if wiener else raw
+    truncated = truncate_series(filtered) if truncation else filtered
+    return replace(raw, wiener_weights=filtered.wiener_weights), synthesize(truncated)
 
 
 REGIMES = ("quantum_jump", "intermediate", "rabi")

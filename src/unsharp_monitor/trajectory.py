@@ -10,7 +10,7 @@ RNG contract: a trajectory consumes a single stream seeded from
 ``config.seed`` (numpy default generator).  Evolution consumes nothing;
 every measurement consumes exactly one uniform variate u, compared against
 the "+" probability (u < p_plus reads "+", ties read "-").  Identical seeds
-therefore reproduce identical records bit for bit, for both engines.
+therefore reproduce identical records bit for bit.
 """
 
 from __future__ import annotations
@@ -21,21 +21,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import meter
 from .povm import (
     DegenerateOutcomeError,
     ParameterError,
     PovmParams,
     StateVector,
     LEVEL_ONE,
-    _abs2,
+    _CLAMP_TOL,
     _clamp_probability,
     ensure_normalized,
 )
-from .rabi import HamiltonianSpec, rotation_half_angles, rotate_amplitudes
-from .series import MAX_SERIES_LENGTH, NSeriesOutcome, RegimeParams, evaluate_regime
-
-ENGINES = ("povm", "dilation")
+from .rabi import HamiltonianSpec, rotation_half_angles
+from .series import (
+    MAX_SERIES_LENGTH,
+    NSeriesOutcome,
+    RegimeParams,
+    best_guess,
+    evaluate_regime,
+)
 
 
 class TimeResolutionWarning(UserWarning):
@@ -134,77 +137,81 @@ class TrajectoryRecord:
         return self.config.seed
 
 
-def _draw_step(
-    c1: complex,
-    c2: complex,
-    cos_half: float,
-    sin_half: float,
-    params: PovmParams,
-    uniform,
-    dilation: bool,
-) -> tuple[complex, complex, bool]:
-    """One evolve-and-measure step on raw amplitudes; shared hot path.
+# Series per block of pre-drawn uniforms; bounds the memory a long
+# trajectory holds at once (at most 64 uniforms per series).
+_BLOCK_SERIES = 1024
 
-    The povm engine computes p_plus from the effect expectation, the
-    dilation engine from the meter branch amplitudes; post-measurement
-    amplitudes are formed identically so both engines yield bit-identical
-    states for the same draws.
+
+def _advance(
+    c1: complex, c2: complex, config: TrajectoryConfig, uniforms: list[float]
+) -> tuple[complex, complex, list[float], list[int]]:
+    """The measurement kernel: advance raw amplitudes through N-series.
+
+    ``uniforms`` holds one pre-drawn variate per measurement, a whole
+    number of series of ``config.n_per_series`` each.  Every step evolves
+    for tau and then measures once.  Returns the final amplitudes, |c2|^2
+    after each series and each series' "+" count.
+
+    The arithmetic is that of ``rabi.rotate_amplitudes``,
+    ``povm.outcome_probabilities`` and ``povm.apply_outcome``, inlined with
+    the constants hoisted but in the same operation order, so every step
+    reproduces those functions bit for bit.
     """
-    if sin_half != 0.0:
-        c1, c2 = rotate_amplitudes(c1, c2, cos_half, sin_half)
-    u1p = params.u1_plus
-    u2p = params.u2_plus
-    if dilation:
-        b1 = u1p * c1
-        b2 = u2p * c2
-        p_plus = _clamp_probability(_abs2(b1) + _abs2(b2), "p_plus")
-    else:
-        p_plus = _clamp_probability(
-            params.p1 * _abs2(c1) + params.p2 * _abs2(c2), "p_plus"
-        )
-    plus = uniform() < p_plus
-    if plus:
-        n1 = u1p * c1
-        n2 = u2p * c2
-    else:
-        n1 = params.u1_minus * c1
-        n2 = params.u2_minus * c2
-    norm_sq = _abs2(n1) + _abs2(n2)
-    if norm_sq == 0.0:
-        raise DegenerateOutcomeError(
-            "measurement produced the zero vector (zero-probability branch)"
-        )
-    norm = math.sqrt(norm_sq)
-    return n1 / norm, n2 / norm, plus
-
-
-def _check_engine(engine: str) -> bool:
-    if engine not in ENGINES:
-        raise ParameterError(f"engine = {engine!r} must be one of {ENGINES}")
-    return engine == "dilation"
-
-
-def simulate_step(
-    state: StateVector,
-    config: TrajectoryConfig,
-    rng: np.random.Generator,
-    engine: str = "povm",
-) -> tuple[StateVector, meter.Outcome]:
-    """Evolve for tau, then measure once; returns the new state and outcome."""
-    ensure_normalized(state)
-    dilation = _check_engine(engine)
     cos_half, sin_half = rotation_half_angles(config.tau, config.spec)
-    c1, c2, plus = _draw_step(
-        state.c1, state.c2, cos_half, sin_half, config.params, rng.random, dilation
-    )
-    return StateVector(c1, c2), ("+" if plus else "-")
+    rotate = sin_half != 0.0
+    i_sin = 1.0j * sin_half
+    params = config.params
+    p1, p2 = params.p1, params.p2
+    u1_plus, u2_plus = params.u1_plus, params.u2_plus
+    u1_minus, u2_minus = params.u1_minus, params.u2_minus
+    n = config.n_per_series
+    sqrt = math.sqrt
+
+    c2_sq: list[float] = []
+    n_plus: list[int] = []
+    for start in range(0, len(uniforms), n):
+        count = 0
+        for u in uniforms[start : start + n]:
+            if rotate:
+                c1, c2 = cos_half * c1 - i_sin * c2, cos_half * c2 - i_sin * c1
+            p_plus = p1 * (c1.real * c1.real + c1.imag * c1.imag) + p2 * (
+                c2.real * c2.real + c2.imag * c2.imag
+            )
+            # Clamping float dust cannot change u < p_plus for u in [0, 1),
+            # so only the excursion check runs, and it raises.
+            if not -_CLAMP_TOL <= p_plus <= 1.0 + _CLAMP_TOL:
+                _clamp_probability(p_plus, "p_plus")
+            if u < p_plus:
+                count += 1
+                n1 = u1_plus * c1
+                n2 = u2_plus * c2
+            else:
+                n1 = u1_minus * c1
+                n2 = u2_minus * c2
+            norm_sq = (n1.real * n1.real + n1.imag * n1.imag) + (
+                n2.real * n2.real + n2.imag * n2.imag
+            )
+            if norm_sq == 0.0:
+                raise DegenerateOutcomeError(
+                    "measurement produced the zero vector (zero-probability branch)"
+                )
+            norm = sqrt(norm_sq)
+            c1 = n1 / norm
+            c2 = n2 / norm
+        c2_sq.append(c2.real * c2.real + c2.imag * c2.imag)
+        n_plus.append(count)
+    return c1, c2, c2_sq, n_plus
+
+
+def _best_guess(n_plus: int, n: int, params: PovmParams) -> float:
+    """Best guess from one series' count; NaN when dp = 0 (uninformative)."""
+    return best_guess(n_plus / n, params) if params.dp != 0.0 else math.nan
 
 
 def simulate_nseries(
     state: StateVector,
     config: TrajectoryConfig,
     rng: np.random.Generator,
-    engine: str = "povm",
 ) -> tuple[StateVector, NSeriesOutcome]:
     """Run one N-series from ``state``; the count is accumulated over n steps.
 
@@ -212,59 +219,40 @@ def simulate_nseries(
     post-series state is what callers should sample populations from.
     """
     ensure_normalized(state)
-    dilation = _check_engine(engine)
-    cos_half, sin_half = rotation_half_angles(config.tau, config.spec)
-    params = config.params
-    uniform = rng.random
-    c1, c2 = state.c1, state.c2
     n = config.n_per_series
-    n_plus = 0
-    for _ in range(n):
-        c1, c2, plus = _draw_step(c1, c2, cos_half, sin_half, params, uniform, dilation)
-        if plus:
-            n_plus += 1
-    r = n_plus / n
-    g2 = (r - params.p1) / params.dp if params.dp != 0.0 else math.nan
-    return StateVector(c1, c2), NSeriesOutcome(n_total=n, n_plus=n_plus, r=r, g2=g2)
+    c1, c2, _, (n_plus,) = _advance(state.c1, state.c2, config, rng.random(n).tolist())
+    outcome = NSeriesOutcome(
+        n_total=n, n_plus=n_plus, r=n_plus / n, g2=_best_guess(n_plus, n, config.params)
+    )
+    return StateVector(c1, c2), outcome
 
 
-def simulate_trajectory(config: TrajectoryConfig, engine: str = "povm") -> TrajectoryRecord:
+def simulate_trajectory(config: TrajectoryConfig) -> TrajectoryRecord:
     """Run the full chain of m_series N-series and record the samples.
 
     Deterministic for a given config and seed.  The state is renormalized
     after every measurement, so recorded populations stay in [0, 1] to
     float precision.
     """
-    dilation = _check_engine(engine)
-    params = config.params
-    cos_half, sin_half = rotation_half_angles(config.tau, config.spec)
     rng = np.random.default_rng(config.seed)
-    uniform = rng.random
     n = config.n_per_series
     m_total = config.m_series
-    delta_t = config.delta_t
-    dp = params.dp
-    p1 = params.p1
-
     c1, c2 = config.initial_state.c1, config.initial_state.c2
-    c2_sq = np.empty(m_total, dtype=float)
-    g2 = np.empty(m_total, dtype=float)
-    for m in range(m_total):
-        n_plus = 0
-        for _ in range(n):
-            c1, c2, plus = _draw_step(
-                c1, c2, cos_half, sin_half, params, uniform, dilation
-            )
-            if plus:
-                n_plus += 1
-        c2_sq[m] = _abs2(c2)
-        g2[m] = (n_plus / n - p1) / dp if dp != 0.0 else math.nan
+    c2_sq: list[float] = []
+    n_plus: list[int] = []
+    for start in range(0, m_total, _BLOCK_SERIES):
+        k = min(_BLOCK_SERIES, m_total - start)
+        c1, c2, block_c2_sq, block_plus = _advance(
+            c1, c2, config, rng.random(k * n).tolist()
+        )
+        c2_sq += block_c2_sq
+        n_plus += block_plus
 
     m_index = np.arange(1, m_total + 1)
     return TrajectoryRecord(
         config=config,
         m=m_index,
-        t=m_index * delta_t,
-        c2_sq=c2_sq,
-        g2=g2,
+        t=m_index * config.delta_t,
+        c2_sq=np.array(c2_sq, dtype=float),
+        g2=np.array([_best_guess(k, n, config.params) for k in n_plus], dtype=float),
     )

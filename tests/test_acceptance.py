@@ -192,7 +192,7 @@ def test_criterion_5c_intermediate_regime_readout_tracks_state():
         peak_g2 = um.main_peak(um.power_spectrum(record.g2, dt))
         peak_c2 = um.main_peak(um.power_spectrum(record.c2_sq, dt))
         peak_gaps.append(abs(peak_g2.index - peak_c2.index))
-        processed = um.process_readout(record.g2, dt)
+        _, processed = um.process_readout(record.g2, dt)
         improvements.append(
             _pearson(processed, record.c2_sq) - _pearson(record.g2, record.c2_sq)
         )

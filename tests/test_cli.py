@@ -68,12 +68,29 @@ class TestSimulate:
         for name in ("trajectory.csv", "spectrum.json", "report.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_engines_emit_identical_files(self, tmp_path, small_config):
-        out_a, out_b = tmp_path / "povm", tmp_path / "dilation"
-        run(["simulate", "--config", small_config, "--out-dir", out_a, "--engine", "povm"])
-        run(["simulate", "--config", small_config, "--out-dir", out_b, "--engine", "dilation"])
-        assert (out_a / "trajectory.csv").read_bytes() == (out_b / "trajectory.csv").read_bytes()
-        assert (out_a / "spectrum.json").read_bytes() == (out_b / "spectrum.json").read_bytes()
+    def test_povm_engine_field_is_deprecated(self, tmp_path, small_config, capsys):
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({**SMALL_CONFIG, "engine": "povm"}), encoding="utf-8")
+        assert run(["simulate", "--config", old, "--out-dir", tmp_path / "old"]) == 0
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len([line for line in err_lines if "deprecated" in line]) == 1
+        run(["simulate", "--config", small_config, "--out-dir", tmp_path / "new"])
+        for name in ("trajectory.csv", "spectrum.json", "report.json"):
+            assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+
+    @pytest.mark.parametrize("engine", ["dilation", "exact", True])
+    def test_other_engine_values_rejected(self, tmp_path, capsys, engine):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, "engine": engine}), encoding="utf-8")
+        assert run(["simulate", "--config", bad, "--out-dir", tmp_path]) == 2
+        assert "config field 'engine':" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["wiener", "truncation"])
+    def test_switches_must_be_json_bools(self, tmp_path, capsys, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, field: "false"}), encoding="utf-8")
+        assert run(["simulate", "--config", bad, "--out-dir", tmp_path]) == 2
+        assert f"config field '{field}':" in capsys.readouterr().err
 
     def test_seed_override_wins(self, tmp_path, small_config):
         out = tmp_path / "out"
@@ -185,6 +202,17 @@ class TestAnalyze:
         assert run(["analyze", csv, "--out-dir", tmp_path]) == 2
         assert ":3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["wiener", "truncation"])
+    def test_echoed_switches_must_be_json_bools(self, tmp_path, small_config, capsys, field):
+        out = tmp_path / "out"
+        run(["simulate", "--config", small_config, "--out-dir", out])
+        csv = out / "trajectory.csv"
+        text = csv.read_text(encoding="utf-8")
+        assert f'"{field}":true' in text
+        csv.write_text(text.replace(f'"{field}":true', f'"{field}":"false"'), encoding="utf-8")
+        assert run(["analyze", csv, "--out-dir", tmp_path / "an"]) == 2
+        assert f"config field '{field}':" in capsys.readouterr().err
+
     def test_missing_header_rejected(self, tmp_path, capsys):
         csv = tmp_path / "broken.csv"
         csv.write_text("1,0.05,0.5,1.0,0.0\n", encoding="utf-8")
@@ -255,28 +283,35 @@ class TestSweep:
         assert len(rows) == 1
         assert "skipping grid point" in capsys.readouterr().err
 
-    def test_thread_cap_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("UNSHARP_MONITOR_THREADS", "2")
-        out = tmp_path / "sw"
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_bad_seeds_per_point_flag_rejected(self, tmp_path, capsys, value):
         assert run([
-            "sweep", "--p0", "0.5", "--dp", "0.08,0.3", "--tau", "0.002",
-            "--n", "25", "--m", "48", "--seed", "3", "--out-dir", out,
-        ]) == 0
-        monkeypatch.setenv("UNSHARP_MONITOR_THREADS", "1")
-        out_serial = tmp_path / "sw_serial"
-        run([
-            "sweep", "--p0", "0.5", "--dp", "0.08,0.3", "--tau", "0.002",
-            "--n", "25", "--m", "48", "--seed", "3", "--out-dir", out_serial,
-        ])
-        assert (out / "sweep.csv").read_bytes() == (out_serial / "sweep.csv").read_bytes()
-
-    def test_bad_thread_env_rejected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("UNSHARP_MONITOR_THREADS", "many")
-        assert run([
-            "sweep", "--p0", "0.5", "--dp", "0.08", "--tau", "0.002",
-            "--n", "25", "--m", "48", "--out-dir", tmp_path,
+            "sweep", "--p0", "0.5", "--dp", "0.08", "--tau", "0.002", "--n", "25",
+            "--m", "48", "--seeds-per-point", value, "--out-dir", tmp_path,
         ]) == 2
-        assert "UNSHARP_MONITOR_THREADS" in capsys.readouterr().err
+        assert "config field 'seeds_per_point':" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("value", [0, -2, 1.5, "3"])
+    def test_bad_seeds_per_point_spec_rejected(self, tmp_path, capsys, value):
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps({
+            "grid": {"p0": [0.5], "dp": [0.08], "tau": [0.002], "n_per_series": [25]},
+            "base": {"m_series": 48},
+            "seeds_per_point": value,
+        }), encoding="utf-8")
+        assert run(["sweep", "--config", spec, "--out-dir", tmp_path]) == 2
+        assert "config field 'seeds_per_point':" in capsys.readouterr().err
+
+    def test_spec_base_engine_is_deprecated(self, tmp_path, capsys):
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps({
+            "grid": {"p0": [0.5], "dp": [0.08, 0.3], "tau": [0.002], "n_per_series": [25]},
+            "base": {"m_series": 48, "engine": "povm"},
+        }), encoding="utf-8")
+        assert run(["sweep", "--config", spec, "--out-dir", tmp_path]) == 0
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len([line for line in err_lines if "deprecated" in line]) == 1
 
     def test_grid_spec_file(self, tmp_path):
         spec = tmp_path / "grid.json"

@@ -178,26 +178,31 @@ class TestTruncation:
 class TestProcessReadout:
     def test_constant_input_is_fixed(self):
         with pytest.warns(UserWarning, match="no main peak"):
-            out = process_readout(np.full(16, 0.42), DT)
+            _, out = process_readout(np.full(16, 0.42), DT)
         assert np.max(np.abs(out - 0.42)) < 1e-12
 
     def test_clean_sinusoid_is_fixed(self):
         x = 0.5 + 0.5 * tone(128, 6, phase=0.7)
-        out = process_readout(x, DT)
+        _, out = process_readout(x, DT)
         assert math.sqrt(np.mean((out - x) ** 2)) < 1e-6
 
     def test_output_is_real_and_same_length(self):
         rng = np.random.default_rng(69)
         x = rng.normal(size=51)
-        out = process_readout(x, DT)
+        _, out = process_readout(x, DT)
         assert out.dtype == float
         assert len(out) == 51
 
     def test_toggles(self):
         rng = np.random.default_rng(70)
         x = tone(64, 3) + rng.normal(scale=0.5, size=64)
-        everything_off = process_readout(x, DT, noise_filter=None, truncate=False)
+        record, everything_off = process_readout(x, DT, wiener=False, truncation=False)
         assert np.max(np.abs(everything_off - x)) < 1e-9
+        assert record.wiener_weights is None
+        record, _ = process_readout(x, DT)
+        raw = power_spectrum(x, DT)
+        assert np.array_equal(record.coefficients, raw.coefficients)
+        assert np.array_equal(record.wiener_weights, wiener_filter(raw).wiener_weights)
 
     def test_too_short_rejected(self):
         with pytest.raises(AnalysisError):

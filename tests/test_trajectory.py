@@ -17,13 +17,15 @@ from unsharp_monitor import (
     StateVector,
     TimeResolutionWarning,
     TrajectoryConfig,
+    apply_outcome,
     best_guess,
     evolve,
     main_peak,
+    make_operations,
     nseries_probability,
+    outcome_probabilities,
     power_spectrum,
     simulate_nseries,
-    simulate_step,
     simulate_trajectory,
 )
 
@@ -93,20 +95,22 @@ class TestConfigValidation:
 
 
 class TestSimulateStep:
+    """Single steps: one N-series of length one."""
+
     def test_symmetric_params_reduce_to_pure_evolution(self):
         cfg = quiet_config(
             params=PovmParams(0.3, 0.3), tau=0.01, n_per_series=1, m_series=1
         )
         rng = np.random.default_rng(51)
         state = StateVector(0.6, 0.8j)
-        outcomes = []
+        plus_counts = []
         for _ in range(2000):
-            after, outcome = simulate_step(state, cfg, rng)
+            after, series = simulate_nseries(state, cfg, rng)
             expected = evolve(state, 0.01, HamiltonianSpec())
             assert abs(after.c1 - expected.c1) < 1e-12
             assert abs(after.c2 - expected.c2) < 1e-12
-            outcomes.append(outcome)
-        share = outcomes.count("+") / len(outcomes)
+            plus_counts.append(series.n_plus)
+        share = sum(plus_counts) / len(plus_counts)
         assert abs(share - 0.3) < 4 * math.sqrt(0.3 * 0.7 / 2000)
 
     def test_sharp_eigenstate_is_pinned(self):
@@ -116,8 +120,8 @@ class TestSimulateStep:
         rng = np.random.default_rng(52)
         state = LEVEL_ONE
         for _ in range(100):
-            state, outcome = simulate_step(state, cfg, rng)
-            assert outcome == "+"
+            state, series = simulate_nseries(state, cfg, rng)
+            assert series.n_plus == 1
             assert state.c1 == 1.0 and state.c2 == 0.0
 
     def test_fixed_seed_reproduces_bitwise(self):
@@ -125,25 +129,13 @@ class TestSimulateStep:
         results = []
         for _ in range(2):
             rng = np.random.default_rng(53)
-            state, outcome = simulate_step(StateVector(0.6, 0.8), cfg, rng)
-            results.append((state.c1, state.c2, outcome))
+            state, series = simulate_nseries(StateVector(0.6, 0.8), cfg, rng)
+            results.append((state.c1, state.c2, series.n_plus))
         assert results[0] == results[1]
 
-    def test_engines_agree(self):
-        cfg = quiet_config(params=FIG3_PARAMS, tau=0.002, n_per_series=1, m_series=1)
-        state = StateVector(0.6, 0.8)
-        a = simulate_step(state, cfg, np.random.default_rng(54), engine="povm")
-        b = simulate_step(state, cfg, np.random.default_rng(54), engine="dilation")
-        assert a == b
-
-    def test_unknown_engine_rejected(self):
-        cfg = quiet_config(params=FIG3_PARAMS, tau=0.002, n_per_series=1, m_series=1)
-        with pytest.raises(ParameterError):
-            simulate_step(LEVEL_ONE, cfg, np.random.default_rng(0), engine="exact")
-
     def test_dilation_engine_is_bitwise_the_meter_module(self):
-        # the trajectory hot path inlines the dilation arithmetic; pin it
-        # to the meter module exactly so the two cannot drift apart
+        # the trajectory kernel inlines the measurement arithmetic; pin it
+        # to the meter dilation exactly so the two cannot drift apart
         from unsharp_monitor import dilate, measure_meter
 
         cfg = quiet_config(params=FIG3_PARAMS, tau=0.002, n_per_series=1, m_series=1)
@@ -151,29 +143,32 @@ class TestSimulateStep:
         state = StateVector(0.6, 0.8)
         for _ in range(200):
             draws = rng.bit_generator.state
-            inline_state, inline_outcome = simulate_step(
-                state, cfg, rng, engine="dilation"
-            )
+            kernel_state, series = simulate_nseries(state, cfg, rng)
             replay = np.random.default_rng()
             replay.bit_generator.state = draws
             evolved = evolve(state, cfg.tau, cfg.spec)
             module_outcome, module_state = measure_meter(
                 dilate(evolved, cfg.params), replay
             )
-            assert inline_outcome == module_outcome
-            assert inline_state.c1 == module_state.c1
-            assert inline_state.c2 == module_state.c2
-            state = inline_state
+            assert series.n_plus == (1 if module_outcome == "+" else 0)
+            assert kernel_state.c1 == module_state.c1
+            assert kernel_state.c2 == module_state.c2
+            state = kernel_state
 
 
 class TestSimulateNSeries:
     def test_single_step_reduction(self):
+        # one step is evolve, then the direct operator update, bit for bit
         cfg = quiet_config(params=FIG3_PARAMS, tau=0.002, n_per_series=1, m_series=1)
         state = StateVector(0.6, 0.8)
-        direct_state, outcome = simulate_step(state, cfg, np.random.default_rng(55))
         series_state, series = simulate_nseries(state, cfg, np.random.default_rng(55))
-        assert (series_state.c1, series_state.c2) == (direct_state.c1, direct_state.c2)
-        assert series.n_plus == (1 if outcome == "+" else 0)
+        u = np.random.default_rng(55).random()
+        evolved = evolve(state, cfg.tau, cfg.spec)
+        p_plus, _ = outcome_probabilities(evolved, FIG3_PARAMS)
+        plus_op, minus_op = make_operations(FIG3_PARAMS)
+        expected = apply_outcome(evolved, plus_op if u < p_plus else minus_op)
+        assert (series_state.c1, series_state.c2) == (expected.c1, expected.c2)
+        assert series.n_plus == (1 if u < p_plus else 0)
         assert series.g2 == best_guess(series.r, FIG3_PARAMS)
 
     def test_symmetric_params_keep_exact_rabi_law(self):
@@ -223,12 +218,19 @@ class TestSimulateTrajectory:
         steps = np.diff(record.t)
         assert np.max(np.abs(steps - cfg.delta_t)) < 1e-12
 
-    def test_engines_emit_identical_records(self):
-        cfg = quiet_config(params=FIG3_PARAMS, tau=0.002, n_per_series=25, m_series=80, seed=5)
-        a = simulate_trajectory(cfg, engine="povm")
-        b = simulate_trajectory(cfg, engine="dilation")
-        assert np.array_equal(a.c2_sq, b.c2_sq)
-        assert np.array_equal(a.g2, b.g2)
+    def test_chains_series_like_simulate_nseries(self):
+        # more series than one block of pre-drawn uniforms holds
+        cfg = quiet_config(params=FIG3_PARAMS, tau=0.002, n_per_series=2, m_series=1100, seed=5)
+        record = simulate_trajectory(cfg)
+        rng = np.random.default_rng(5)
+        state = cfg.initial_state
+        c2_sq, g2 = [], []
+        for _ in range(cfg.m_series):
+            state, series = simulate_nseries(state, cfg, rng)
+            c2_sq.append(state.c2_sq)
+            g2.append(series.g2)
+        assert np.array_equal(record.c2_sq, c2_sq)
+        assert np.array_equal(record.g2, g2)
 
     def test_populations_stay_physical_over_long_runs(self):
         # 1e5 measurements with renormalization after each one
