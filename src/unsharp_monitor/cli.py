@@ -22,6 +22,7 @@ from .config import (
     build_report,
     derive_seed,
     drop_retired_engine,
+    int_field,
     load_run_config,
     run_config_from_dict,
 )
@@ -135,7 +136,10 @@ def _sweep_axes(args: argparse.Namespace, spec: dict[str, Any]) -> dict[str, lis
     if args.tau:
         grid["tau"] = _parse_floats(args.tau, "tau")
     if args.n:
-        grid["n_per_series"] = [int(v) for v in _parse_floats(args.n, "n")]
+        counts = _parse_floats(args.n, "n")
+        if not all(v.is_integer() for v in counts):
+            raise ConfigError("n", f"expected whole numbers, got {args.n!r}")
+        grid["n_per_series"] = [int(v) for v in counts]
     missing = [axis for axis in ("p0", "dp", "tau", "n_per_series") if not grid.get(axis)]
     if missing:
         raise ConfigError(missing[0], "sweep axis missing (flag or grid entry required)")
@@ -208,7 +212,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.m is not None:
         base["m_series"] = args.m
     base.setdefault("m_series", 200)
-    base_seed = args.seed if args.seed is not None else int(base.get("seed", 1))
+    base_seed = args.seed if args.seed is not None else int_field(base, "seed", 1)
     base.pop("seed", None)
     replicates = (
         args.seeds_per_point

@@ -146,6 +146,16 @@ def bool_field(data: dict[str, Any], name: str) -> bool:
     return value
 
 
+def int_field(data: dict[str, Any], name: str, default: int) -> int:
+    """An integer entry; integral floats such as 25.0 pass, bools and 25.9 do not."""
+    value = data.get(name, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise ConfigError(name, f"must be an integer, got {value!r}")
+    return value
+
+
 def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
     """Build and validate a RunConfig from a plain dict (the file schema)."""
     data = drop_retired_engine(data)
@@ -177,10 +187,13 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
             _parse_amplitude(state_raw["c2"], "initial_state.c2"),
         )
 
-    tau = float(data.get("tau", math.nan))
-    if not tau > 0.0:
-        raise ConfigError("tau", f"must be > 0, got {data.get('tau')!r}")
-    m_series = int(data.get("m_series", 0))
+    tau = data.get("tau", math.nan)
+    # the upper bound also rejects ints too large for a float
+    is_number = isinstance(tau, (int, float)) and not isinstance(tau, bool)
+    if not (is_number and 0.0 < tau <= sys.float_info.max):
+        raise ConfigError("tau", f"must be a finite number > 0, got {data.get('tau')!r}")
+    tau = float(tau)
+    m_series = int_field(data, "m_series", 0)
     if m_series < 4:
         raise ConfigError("m_series", f"must be >= 4 (spectral analysis needs it), got {m_series}")
 
@@ -188,11 +201,11 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
         trajectory = TrajectoryConfig(
             params=params,
             tau=tau,
-            n_per_series=int(data.get("n_per_series", 0)),
+            n_per_series=int_field(data, "n_per_series", 0),
             m_series=m_series,
             initial_state=initial_state,
             spec=spec,
-            seed=int(data.get("seed", DEFAULT_SEED)),
+            seed=int_field(data, "seed", DEFAULT_SEED),
         )
     except (ParameterError, StateError) as exc:
         raise ConfigError("n_per_series/initial_state/seed", str(exc)) from exc

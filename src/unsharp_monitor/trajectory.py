@@ -6,6 +6,14 @@ upper-level population and the best guess are recorded at t_m = m * n * tau.
 A trajectory chains m_series such series, always continuing from the state
 the previous series left behind.
 
+The kernel holds the two amplitudes as four floats (Re c1, Im c1, Re c2,
+Im c2) and does only float arithmetic.  The drive is a real rotation of
+(c1, i c2), the measurement a real diagonal scaling, and CPython forms
+``float * complex`` and ``complex / float`` as componentwise products and
+quotients, so the real form reproduces the complex reference functions
+bit for bit; at most the signs of zeros differ, and no recorded value
+depends on them.
+
 RNG contract: a trajectory consumes a single stream seeded from
 ``config.seed`` (numpy default generator).  Evolution consumes nothing;
 every measurement consumes exactly one uniform variate u, compared against
@@ -36,7 +44,6 @@ from .series import (
     MAX_SERIES_LENGTH,
     NSeriesOutcome,
     RegimeParams,
-    best_guess,
     evaluate_regime,
 )
 
@@ -152,60 +159,74 @@ def _advance(
     for tau and then measures once.  Returns the final amplitudes, |c2|^2
     after each series and each series' "+" count.
 
-    The arithmetic is that of ``rabi.rotate_amplitudes``,
-    ``povm.outcome_probabilities`` and ``povm.apply_outcome``, inlined with
-    the constants hoisted but in the same operation order, so every step
-    reproduces those functions bit for bit.
+    The step is that of ``rabi.rotate_amplitudes``,
+    ``povm.outcome_probabilities`` and ``povm.apply_outcome`` with the
+    constants hoisted, written on the four real components.  It matches
+    them bit for bit because CPython forms ``float * complex`` and
+    ``complex / float`` componentwise: it promotes the float to
+    ``complex(f, 0.0)``, and every term formed against that zero only adds
+    or subtracts a signed zero.  The propagator's ``-i sin`` term swaps
+    components and flips a sign.  At tau = 0 the rotation by
+    (cos, sin) = (1, 0) is the identity in the same sense, so every step
+    rotates.
     """
-    cos_half, sin_half = rotation_half_angles(config.tau, config.spec)
-    rotate = sin_half != 0.0
-    i_sin = 1.0j * sin_half
+    ch, s = rotation_half_angles(config.tau, config.spec)
     params = config.params
     p1, p2 = params.p1, params.p2
     u1_plus, u2_plus = params.u1_plus, params.u2_plus
     u1_minus, u2_minus = params.u1_minus, params.u2_minus
+    lo, hi = -_CLAMP_TOL, 1.0 + _CLAMP_TOL
     n = config.n_per_series
     sqrt = math.sqrt
+    ar, ai, br, bi = c1.real, c1.imag, c2.real, c2.imag
 
     c2_sq: list[float] = []
     n_plus: list[int] = []
     for start in range(0, len(uniforms), n):
         count = 0
         for u in uniforms[start : start + n]:
-            if rotate:
-                c1, c2 = cos_half * c1 - i_sin * c2, cos_half * c2 - i_sin * c1
-            p_plus = p1 * (c1.real * c1.real + c1.imag * c1.imag) + p2 * (
-                c2.real * c2.real + c2.imag * c2.imag
-            )
+            # rotate; x, y are the new (Re c1, Im c1) while ar, ai still
+            # hold the old ones that the new c2 needs
+            x = ch * ar + s * bi
+            y = ch * ai - s * br
+            br = ch * br + s * ai
+            bi = ch * bi - s * ar
+            p_plus = p1 * (x * x + y * y) + p2 * (br * br + bi * bi)
             # Clamping float dust cannot change u < p_plus for u in [0, 1),
             # so only the excursion check runs, and it raises.
-            if not -_CLAMP_TOL <= p_plus <= 1.0 + _CLAMP_TOL:
+            if not lo <= p_plus <= hi:
                 _clamp_probability(p_plus, "p_plus")
             if u < p_plus:
                 count += 1
-                n1 = u1_plus * c1
-                n2 = u2_plus * c2
+                ar = x * u1_plus
+                ai = y * u1_plus
+                br *= u2_plus
+                bi *= u2_plus
             else:
-                n1 = u1_minus * c1
-                n2 = u2_minus * c2
-            norm_sq = (n1.real * n1.real + n1.imag * n1.imag) + (
-                n2.real * n2.real + n2.imag * n2.imag
-            )
-            if norm_sq == 0.0:
+                ar = x * u1_minus
+                ai = y * u1_minus
+                br *= u2_minus
+                bi *= u2_minus
+            norm = sqrt((ar * ar + ai * ai) + (br * br + bi * bi))
+            if norm == 0.0:
                 raise DegenerateOutcomeError(
                     "measurement produced the zero vector (zero-probability branch)"
                 )
-            norm = sqrt(norm_sq)
-            c1 = n1 / norm
-            c2 = n2 / norm
-        c2_sq.append(c2.real * c2.real + c2.imag * c2.imag)
+            ar /= norm
+            ai /= norm
+            br /= norm
+            bi /= norm
+        c2_sq.append(br * br + bi * bi)
         n_plus.append(count)
-    return c1, c2, c2_sq, n_plus
+    return complex(ar, ai), complex(br, bi), c2_sq, n_plus
 
 
-def _best_guess(n_plus: int, n: int, params: PovmParams) -> float:
-    """Best guess from one series' count; NaN when dp = 0 (uninformative)."""
-    return best_guess(n_plus / n, params) if params.dp != 0.0 else math.nan
+def _best_guesses(n_plus: list[int], n: int, params: PovmParams) -> np.ndarray:
+    """Best guesses (n_plus / n - p1) / dp, one per series; NaN when dp = 0."""
+    dp = params.dp
+    if dp == 0.0:
+        return np.full(len(n_plus), math.nan)
+    return (np.array(n_plus) / n - params.p1) / dp
 
 
 def simulate_nseries(
@@ -220,10 +241,10 @@ def simulate_nseries(
     """
     ensure_normalized(state)
     n = config.n_per_series
-    c1, c2, _, (n_plus,) = _advance(state.c1, state.c2, config, rng.random(n).tolist())
-    outcome = NSeriesOutcome(
-        n_total=n, n_plus=n_plus, r=n_plus / n, g2=_best_guess(n_plus, n, config.params)
-    )
+    c1, c2, _, counts = _advance(state.c1, state.c2, config, rng.random(n).tolist())
+    (n_plus,) = counts
+    (g2,) = _best_guesses(counts, n, config.params).tolist()
+    outcome = NSeriesOutcome(n_total=n, n_plus=n_plus, r=n_plus / n, g2=g2)
     return StateVector(c1, c2), outcome
 
 
@@ -254,5 +275,5 @@ def simulate_trajectory(config: TrajectoryConfig) -> TrajectoryRecord:
         m=m_index,
         t=m_index * config.delta_t,
         c2_sq=np.array(c2_sq, dtype=float),
-        g2=np.array([_best_guess(k, n, config.params) for k in n_plus], dtype=float),
+        g2=_best_guesses(n_plus, n, config.params),
     )

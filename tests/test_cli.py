@@ -112,6 +112,35 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "tau" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tau", math.inf),
+            ("tau", 10**400),
+            ("n_per_series", 25.9),
+            ("m_series", 50.5),
+            ("seed", True),
+        ],
+    )
+    def test_numeric_fields_are_strict(self, tmp_path, capsys, field, value):
+        # no traceback from math.cos(inf), no silent truncation, no bool seed
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, field: value}), encoding="utf-8")
+        assert run(["simulate", "--config", bad, "--out-dir", tmp_path]) == 2
+        assert f"config field '{field}':" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_integral_float_counts_are_accepted(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({**SMALL_CONFIG, "n_per_series": 25.0, "m_series": 48.0}),
+            encoding="utf-8",
+        )
+        assert run(["simulate", "--config", config, "--out-dir", tmp_path]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["n_per_series"] == 25
+        assert report["config"]["m_series"] == 48
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**SMALL_CONFIG, "taus": 0.1}), encoding="utf-8")
@@ -291,6 +320,23 @@ class TestSweep:
         ]) == 2
         assert "config field 'seeds_per_point':" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_fractional_series_length_flag_rejected(self, tmp_path, capsys):
+        assert run([
+            "sweep", "--p0", "0.5", "--dp", "0.08", "--tau", "0.002", "--n", "25.5",
+            "--m", "48", "--out-dir", tmp_path,
+        ]) == 2
+        assert "config field 'n':" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_bool_base_seed_rejected(self, tmp_path, capsys):
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps({
+            "grid": {"p0": [0.5], "dp": [0.08], "tau": [0.002], "n_per_series": [25]},
+            "base": {"m_series": 48, "seed": True},
+        }), encoding="utf-8")
+        assert run(["sweep", "--config", spec, "--out-dir", tmp_path]) == 2
+        assert "config field 'seed':" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [0, -2, 1.5, "3"])
     def test_bad_seeds_per_point_spec_rejected(self, tmp_path, capsys, value):
