@@ -46,6 +46,19 @@ COMPLEX_STATE_DIGESTS = {
     "report.json": "6b27953fa2171116eec2308e925c022f6a8142e4f97bff26e28ee435651d54fe",
 }
 
+# `analyze` re-run on the seed-7 `simulate` output; the echo round-trips, so
+# these equal the simulate pins above, but are recorded from `analyze` itself
+ANALYZE_DIGESTS = {
+    "fig1": {
+        "processed.csv": "ce0a73cc95a02de475583dfb3f70ab062ddd3dc69cfd00c90606f1a33ec26e34",
+        "spectrum.json": "4222e1b3f86e67f74548b87a02c5367223375625eba059ef08703620c128c9c7",
+    },
+    "fig3": {
+        "processed.csv": "079cd697243dc66bdcca98d014c423c0d1834fdcaad63997c5a0810a2a7b0ad1",
+        "spectrum.json": "26bbced43716d678fcb6cea2bf19a25d1ea72e0c34096c8e2640d77645a744ca",
+    },
+}
+
 SWEEP_ARGV = [
     "sweep", "--p0", "0.5", "--dp=-0.3,0.08", "--tau", "0.002", "--n", "5",
     "--m", "48", "--seeds-per-point", "3", "--seed", SEED,
@@ -66,6 +79,15 @@ def test_simulate_preset_artifacts_are_pinned(tmp_path, preset):
     out = tmp_path / preset
     assert main(["simulate", "--preset", preset, "--seed", SEED, "--out-dir", str(out)]) == 0
     assert digests(out) == SIMULATE_DIGESTS[preset]
+
+
+@pytest.mark.parametrize("preset", sorted(ANALYZE_DIGESTS))
+def test_analyze_artifacts_are_pinned(tmp_path, preset):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--preset", preset, "--seed", SEED, "--out-dir", str(sim)]) == 0
+    out = tmp_path / "analyze"
+    assert main(["analyze", str(sim / "trajectory.csv"), "--out-dir", str(out)]) == 0
+    assert {name: sha256(out / name) for name in ANALYZE_DIGESTS[preset]} == ANALYZE_DIGESTS[preset]
 
 
 def test_complex_initial_state_artifacts_are_pinned(tmp_path):
