@@ -4,6 +4,16 @@ All files are UTF-8 with LF line endings.  Floats are emitted with Python's
 shortest round-trip repr, so identical configurations and seeds produce
 byte-identical artifacts.  Every file embeds the schema version and the
 resolved run configuration (CSV files as leading comment lines).
+
+Writing, not analysis, is most of the cost of a readout: one trajectory CSV
+and its spectrum hold some 20k floats.  Each float array is therefore
+formatted once, in bulk (``_float_texts``: one ``tolist`` and one
+``float.__repr__`` per element, the exact text ``fmt`` and ``json`` give a
+finite float), instead of one numpy scalar at a time.  JSON goes through a
+small emitter, ``dump_json``, because ``json.dumps(..., indent=2)`` cannot use
+CPython's C encoder; its output must equal
+``json.dumps(json_safe(payload), indent=2) + "\\n"`` byte for byte, which the
+tests check against that expression.
 """
 
 from __future__ import annotations
@@ -45,6 +55,8 @@ def json_safe(value: Any) -> Any:
         return {k: json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [json_safe(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return json_safe(value.tolist())
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
@@ -62,8 +74,45 @@ def _write_text(path: Path, text: str) -> None:
         handle.write(text)
 
 
-def _dump_json(payload: dict[str, Any]) -> str:
-    return json.dumps(json_safe(payload), indent=2, sort_keys=False) + "\n"
+def _float_texts(values: Any) -> list[str]:
+    """The shortest round-trip repr of each element, formatted in bulk."""
+    return list(map(float.__repr__, np.asarray(values, dtype=float).tolist()))
+
+
+_NON_FINITE_TEXTS = ("nan", "inf", "-inf")
+
+
+def _json_block(brackets: str, items: list[str], newline: str) -> str:
+    if not items:
+        return brackets
+    inner = newline + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+def _json_text(value: Any, newline: str) -> str:
+    """``value`` as ``json.dumps(json_safe(value), indent=2)`` spells it, at the
+    indentation that ``newline`` carries."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError(f"JSON object keys must be str, got {list(value)!r}")
+        items = [f"{json.dumps(key)}: {_json_text(item, inner)}" for key, item in value.items()]
+        return _json_block("{}", items, newline)
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
+        items = _float_texts(value)
+        if not np.isfinite(value).all():  # json_safe writes these as strings
+            items = [f'"{text}"' if text in _NON_FINITE_TEXTS else text for text in items]
+        return _json_block("[]", items, newline)
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return _json_block("[]", [_json_text(item, inner) for item in value], newline)
+    return json.dumps(json_safe(value))
+
+
+def dump_json(payload: Any) -> str:
+    """``json.dumps(json_safe(payload), indent=2) + "\\n"``, float arrays in bulk."""
+    return _json_text(payload, "\n") + "\n"
 
 
 def _comment_header(echo: dict[str, Any]) -> list[str]:
@@ -82,10 +131,9 @@ def write_trajectory_csv(
 ) -> None:
     lines = _comment_header(echo)
     lines.append(",".join(TRAJECTORY_COLUMNS))
-    for i in range(len(m)):
-        lines.append(
-            f"{int(m[i])},{fmt(t[i])},{fmt(c2_sq[i])},{fmt(g2[i])},{fmt(g2_processed[i])}"
-        )
+    index_texts = map(str, map(int, np.asarray(m).tolist()))
+    float_columns = map(_float_texts, (t, c2_sq, g2, g2_processed))
+    lines.extend(map(",".join, zip(index_texts, *float_columns)))
     _write_text(Path(path), "\n".join(lines) + "\n")
 
 
@@ -113,6 +161,10 @@ def read_trajectory_csv(path: str | Path) -> tuple[dict[str, Any] | None, dict[s
                     echo = json.loads(body[len("config:"):])
                 except json.JSONDecodeError as exc:
                     raise ArtifactError(f"{path}:{number}: bad config echo: {exc}") from exc
+                if not isinstance(echo, dict):
+                    raise ArtifactError(
+                        f"{path}:{number}: bad config echo: expected a JSON object, got {echo!r}"
+                    )
             continue
         if not header_seen:
             if line.split(",") != list(TRAJECTORY_COLUMNS):
@@ -159,10 +211,10 @@ def spectrum_payload(
         "config": echo,
         "m": record.m,
         "dt": record.dt,
-        "frequencies_over_omega_r": (record.frequencies / omega_r).tolist(),
-        "coefficients_re": record.coefficients.real.tolist(),
-        "coefficients_im": record.coefficients.imag.tolist(),
-        "power": record.power.tolist(),
+        "frequencies_over_omega_r": record.frequencies / omega_r,
+        "coefficients_re": record.coefficients.real,
+        "coefficients_im": record.coefficients.imag,
+        "power": record.power,
         "main_peak": {
             "index": peak.index,
             "frequency_over_omega_r": (
@@ -172,15 +224,13 @@ def spectrum_payload(
             "significant": peak.significant,
         },
         "noise_floor": record.noise_floor,
-        "wiener_weights": (
-            None if record.wiener_weights is None else record.wiener_weights.tolist()
-        ),
-        "processed_readout": processed.tolist(),
+        "wiener_weights": record.wiener_weights,
+        "processed_readout": processed,
     }
 
 
 def write_json(path: str | Path, payload: dict[str, Any]) -> None:
-    _write_text(Path(path), _dump_json(payload))
+    _write_text(Path(path), dump_json(payload))
 
 
 def write_report_json(path: str | Path, report: dict[str, Any], echo: dict[str, Any]) -> None:

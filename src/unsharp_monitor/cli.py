@@ -22,6 +22,7 @@ from .config import (
     build_report,
     derive_seed,
     drop_retired_engine,
+    float_field,
     int_field,
     load_run_config,
     run_config_from_dict,
@@ -84,18 +85,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
         out_dir = Path(target)
         out_dir.mkdir(parents=True, exist_ok=True)
         artifacts.write_report_json(out_dir / "report.json", report, config.resolved())
-    json.dump(artifacts.json_safe(payload), sys.stdout, indent=2)
-    print()
+    sys.stdout.write(artifacts.dump_json(payload))
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     echo, columns = artifacts.read_trajectory_csv(args.csv)
     if echo is not None and "n_per_series" in echo and "tau" in echo:
-        dt = echo["n_per_series"] * echo["tau"]
+        dt = int_field(echo, "n_per_series", 0) * float_field(echo, "tau")
         wiener = bool_field(echo, "wiener")
         truncation = bool_field(echo, "truncation")
-        t_r = float(echo.get("t_r", 1.0))
+        t_r = float_field(echo, "t_r", 1.0)
+        if t_r <= 0.0:
+            raise ConfigError("t_r", f"must be > 0, got {t_r!r}")
     else:
         dt = float(columns["t_over_TR"][0] / columns["m"][0])
         wiener = True

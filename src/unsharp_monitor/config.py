@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -107,10 +106,8 @@ def _parse_params(data: dict[str, Any]) -> PovmParams:
         raise ConfigError("p0", "give either (p1, p2) or (p0, dp), not both")
     try:
         if has_p12:
-            return PovmParams(float(data["p1"]), float(data["p2"]))
-        return PovmParams.from_p0_dp(float(data["p0"]), float(data["dp"]))
-    except KeyError as exc:
-        raise ConfigError(exc.args[0], "missing") from exc
+            return PovmParams(float_field(data, "p1"), float_field(data, "p2"))
+        return PovmParams.from_p0_dp(float_field(data, "p0"), float_field(data, "dp"))
     except ParameterError as exc:
         raise ConfigError("p1/p2" if has_p12 else "p0/dp", str(exc)) from exc
 
@@ -156,6 +153,20 @@ def int_field(data: dict[str, Any], name: str, default: int) -> int:
     return value
 
 
+def float_field(data: dict[str, Any], name: str, default: float | None = None) -> float:
+    """A finite number (int or float, not a bool); required when there is no default."""
+    if name not in data:
+        if default is None:
+            raise ConfigError(name, "missing")
+        return default
+    value = data[name]
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # the bound also rejects nan and ints too large for a float
+    if not (is_number and abs(value) <= sys.float_info.max):
+        raise ConfigError(name, f"must be a finite number, got {value!r}")
+    return float(value)
+
+
 def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
     """Build and validate a RunConfig from a plain dict (the file schema)."""
     data = drop_retired_engine(data)
@@ -163,12 +174,14 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown key")
     params = _parse_params(data)
-    if params.dp == 0.0:
-        raise ConfigError("dp", "dp = 0 carries no information; the readout is undefined")
+    if 3.0 * params.dp**2 == 0.0:  # also |dp| so small that dp**2 underflows
+        raise ConfigError(
+            "dp", f"dp = {params.dp!r} carries no information; the readout is undefined"
+        )
 
     try:
         spec = HamiltonianSpec(
-            t_r=float(data.get("t_r", 1.0)),
+            t_r=float_field(data, "t_r", 1.0),
             a1=data.get("a1"),
             a2=data.get("a2"),
             drive_omega=data.get("drive_omega"),
@@ -187,12 +200,9 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
             _parse_amplitude(state_raw["c2"], "initial_state.c2"),
         )
 
-    tau = data.get("tau", math.nan)
-    # the upper bound also rejects ints too large for a float
-    is_number = isinstance(tau, (int, float)) and not isinstance(tau, bool)
-    if not (is_number and 0.0 < tau <= sys.float_info.max):
-        raise ConfigError("tau", f"must be a finite number > 0, got {data.get('tau')!r}")
-    tau = float(tau)
+    tau = float_field(data, "tau")
+    if tau <= 0.0:
+        raise ConfigError("tau", f"must be a finite number > 0, got {data['tau']!r}")
     m_series = int_field(data, "m_series", 0)
     if m_series < 4:
         raise ConfigError("m_series", f"must be >= 4 (spectral analysis needs it), got {m_series}")
@@ -215,8 +225,8 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
         trajectory=trajectory,
         wiener=bool_field(data, "wiener"),
         truncation=bool_field(data, "truncation"),
-        f_lo=float(data.get("f_lo", 0.3)),
-        f_hi=float(data.get("f_hi", 5.0)),
+        f_lo=float_field(data, "f_lo", 0.3),
+        f_hi=float_field(data, "f_hi", 5.0),
         out_dir=None if out_dir is None else str(out_dir),
     )
 

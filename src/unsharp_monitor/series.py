@@ -138,6 +138,16 @@ def sigma_g2(state: StateVector, params: PovmParams, n: int) -> float:
     return math.sqrt(variance_r(state, params, n)) / abs(params.dp)
 
 
+def _three_dp_squared(params: PovmParams) -> float:
+    """3 dp^2 for dp != 0; it underflows to 0 for |dp| below about 1e-154."""
+    denominator = 3.0 * params.dp**2
+    if denominator == 0.0:
+        raise ParameterError(
+            f"level resolution is unbounded: 3 dp^2 underflows to 0 at dp = {params.dp!r}"
+        )
+    return denominator
+
+
 def min_n_level_resolution(params: PovmParams) -> int:
     """Smallest series length that resolves the two levels.
 
@@ -150,7 +160,7 @@ def min_n_level_resolution(params: PovmParams) -> int:
         if numerator == 0.0:
             return 1
         raise ParameterError("level resolution is unbounded for p1 == p2 (dp = 0)")
-    return math.ceil(numerator / (3.0 * params.dp**2) + 4.0 / 9.0)
+    return math.ceil(numerator / _three_dp_squared(params) + 4.0 / 9.0)
 
 
 def level_resolution_time(params: PovmParams, tau: float) -> float:
@@ -162,7 +172,7 @@ def level_resolution_time(params: PovmParams, tau: float) -> float:
         if numerator == 0.0:
             return 0.0
         raise ParameterError("level resolution time is unbounded for p1 == p2 (dp = 0)")
-    return tau * numerator / (3.0 * params.dp**2)
+    return tau * numerator / _three_dp_squared(params)
 
 
 def fuzziness(t_lr: float, t_r: float) -> float:

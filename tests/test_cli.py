@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from unsharp_monitor.artifacts import TRAJECTORY_COLUMNS, read_trajectory_csv
+from unsharp_monitor.artifacts import TRAJECTORY_COLUMNS, json_safe, read_trajectory_csv
 from unsharp_monitor.cli import main
+from unsharp_monitor.config import build_report, load_run_config
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -130,6 +131,46 @@ class TestSimulate:
         assert f"config field '{field}':" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dp", True),  # a bool is no number: used to run as dp = 1.0
+            ("f_lo", "abc"),  # a string: used to end in a ValueError traceback
+            ("t_r", None),
+            ("p0", math.nan),
+            ("f_hi", math.inf),
+            ("dp", 10**400),
+            ("p2", [0.5]),
+        ],
+        ids=["bool", "string", "null", "nan", "inf", "huge-int", "list"],
+    )
+    def test_float_fields_are_strict(self, tmp_path, capsys, field, value):
+        data = {**SMALL_CONFIG, field: value}
+        if field in ("p1", "p2"):
+            del data["p0"], data["dp"]
+            data = {"p1": 0.46, "p2": 0.54, **data}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        assert run(["simulate", "--config", bad, "--out-dir", tmp_path]) == 2
+        assert f"config field '{field}': must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_int_float_fields_are_accepted(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "t_r": 1, "f_hi": 5}), encoding="utf-8")
+        assert run(["simulate", "--config", config, "--out-dir", tmp_path]) == 0
+        echo = json.loads((tmp_path / "report.json").read_text())["config"]
+        assert echo["t_r"] == 1.0 and isinstance(echo["t_r"], float)
+        assert echo["f_hi"] == 5.0 and isinstance(echo["f_hi"], float)
+
+    def test_underflowing_split_rejected(self, tmp_path, capsys):
+        # 3 dp^2 underflows to 0: used to end in a ZeroDivisionError traceback
+        data = {key: SMALL_CONFIG[key] for key in ("tau", "n_per_series", "m_series")}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**data, "p1": 0, "p2": 5e-324}), encoding="utf-8")
+        assert run(["simulate", "--config", bad, "--out-dir", tmp_path]) == 2
+        assert "config field 'dp':" in capsys.readouterr().err
+
     def test_integral_float_counts_are_accepted(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(
@@ -171,12 +212,20 @@ class TestSimulate:
 
 
 class TestReport:
-    def test_prints_payload(self, capsys):
-        assert run(["report", "--preset", "fig2"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_prints_payload(self, tmp_path, capsys):
+        assert run(["report", "--preset", "fig2", "--out-dir", tmp_path]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
         assert payload["regime"] == "rabi"
         assert payload["f"] == pytest.approx(62.8, rel=5e-3)
         assert REPORT_KEYS <= set(payload)
+        # the bytes json.dump(json_safe(payload), stdout, indent=2) printed,
+        # and the same text as report.json
+        config = load_run_config(preset="fig2")
+        expected = {"schema": "unsharp-monitor/1", "config": config.resolved()}
+        expected.update(build_report(config))
+        assert out == json.dumps(json_safe(expected), indent=2) + "\n"
+        assert out == (tmp_path / "report.json").read_text(encoding="utf-8")
 
 
 class TestAnalyze:
@@ -241,6 +290,30 @@ class TestAnalyze:
         csv.write_text(text.replace(f'"{field}":true', f'"{field}":"false"'), encoding="utf-8")
         assert run(["analyze", csv, "--out-dir", tmp_path / "an"]) == 2
         assert f"config field '{field}':" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("config echo", lambda echo: 5),
+            ("n_per_series", lambda echo: {**echo, "n_per_series": "25"}),
+            ("tau", lambda echo: {**echo, "tau": None}),
+            ("t_r", lambda echo: {**echo, "t_r": "x"}),
+            ("t_r", lambda echo: {**echo, "t_r": 0.0}),
+        ],
+        ids=["not-an-object", "string-count", "null-tau", "string-t_r", "zero-t_r"],
+    )
+    def test_bad_config_echo_rejected(self, tmp_path, small_config, capsys, field, edit):
+        out = tmp_path / "out"
+        run(["simulate", "--config", small_config, "--out-dir", out])
+        csv = out / "trajectory.csv"
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        assert lines[1].startswith("# config: ")
+        lines[1] = "# config: " + json.dumps(edit(json.loads(lines[1][len("# config: "):])))
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(["analyze", csv, "--out-dir", tmp_path / "an"]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "an" / "spectrum.json").exists()
 
     def test_missing_header_rejected(self, tmp_path, capsys):
         csv = tmp_path / "broken.csv"

@@ -12,6 +12,7 @@ from unsharp_monitor import (
     ParameterError,
     PovmParams,
     StateVector,
+    TrajectoryConfig,
     apply_outcome,
     best_guess,
     evaluate_regime,
@@ -331,6 +332,17 @@ class TestResolutionScales:
         assert level_resolution_time(PovmParams(1.0, 1.0), 0.002) == 0.0
         with pytest.raises(ParameterError):
             level_resolution_time(PovmParams(0.5, 0.5), 0.002)
+
+    @pytest.mark.parametrize("p2", [5e-324, 1e-170])
+    def test_underflowing_split_is_unbounded(self, p2):
+        # 3 dp^2 is 0 although dp is not: used to raise ZeroDivisionError
+        params = PovmParams(0.0, p2)
+        with pytest.raises(ParameterError, match="underflows"):
+            level_resolution_time(params, 0.002)
+        with pytest.raises(ParameterError, match="underflows"):
+            min_n_level_resolution(params)
+        with pytest.raises(ParameterError, match="underflows"):
+            TrajectoryConfig(params=params, tau=0.002, n_per_series=25, m_series=8)
 
     def test_fuzziness_of_published_points(self):
         for dp, expected in ((-0.3, 0.07), (0.01, 62.8), (0.08, 0.98)):
