@@ -92,12 +92,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     echo, columns = artifacts.read_trajectory_csv(args.csv)
     if echo is not None and "n_per_series" in echo and "tau" in echo:
-        dt = int_field(echo, "n_per_series", 0) * float_field(echo, "tau")
+        dt = int_field(echo, "n_per_series", 0) * float_field(echo, "tau", positive=True)
         wiener = bool_field(echo, "wiener")
         truncation = bool_field(echo, "truncation")
-        t_r = float_field(echo, "t_r", 1.0)
-        if t_r <= 0.0:
-            raise ConfigError("t_r", f"must be > 0, got {t_r!r}")
+        t_r = float_field(echo, "t_r", 1.0, positive=True)
     else:
         dt = float(columns["t_over_TR"][0] / columns["m"][0])
         wiener = True

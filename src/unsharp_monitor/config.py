@@ -153,8 +153,13 @@ def int_field(data: dict[str, Any], name: str, default: int) -> int:
     return value
 
 
-def float_field(data: dict[str, Any], name: str, default: float | None = None) -> float:
-    """A finite number (int or float, not a bool); required when there is no default."""
+def float_field(
+    data: dict[str, Any], name: str, default: float | None = None, *, positive: bool = False
+) -> float:
+    """A finite number (int or float, not a bool), above 0 if ``positive``.
+
+    Without a default the entry is required.
+    """
     if name not in data:
         if default is None:
             raise ConfigError(name, "missing")
@@ -164,6 +169,8 @@ def float_field(data: dict[str, Any], name: str, default: float | None = None) -
     # the bound also rejects nan and ints too large for a float
     if not (is_number and abs(value) <= sys.float_info.max):
         raise ConfigError(name, f"must be a finite number, got {value!r}")
+    if positive and value <= 0:
+        raise ConfigError(name, f"must be > 0, got {value!r}")
     return float(value)
 
 
@@ -181,7 +188,7 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
 
     try:
         spec = HamiltonianSpec(
-            t_r=float_field(data, "t_r", 1.0),
+            t_r=float_field(data, "t_r", 1.0, positive=True),
             a1=data.get("a1"),
             a2=data.get("a2"),
             drive_omega=data.get("drive_omega"),
@@ -200,9 +207,7 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
             _parse_amplitude(state_raw["c2"], "initial_state.c2"),
         )
 
-    tau = float_field(data, "tau")
-    if tau <= 0.0:
-        raise ConfigError("tau", f"must be a finite number > 0, got {data['tau']!r}")
+    tau = float_field(data, "tau", positive=True)
     m_series = int_field(data, "m_series", 0)
     if m_series < 4:
         raise ConfigError("m_series", f"must be >= 4 (spectral analysis needs it), got {m_series}")

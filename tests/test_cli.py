@@ -155,6 +155,14 @@ class TestSimulate:
         assert f"config field '{field}': must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("field, value", [("tau", 0), ("t_r", 0.0), ("t_r", -2.0)])
+    def test_times_must_be_positive(self, tmp_path, capsys, field, value):
+        # t_r <= 0 used to be reported as field 'drive_omega'
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, field: value}), encoding="utf-8")
+        assert run(["simulate", "--config", bad, "--out-dir", tmp_path]) == 2
+        assert f"config field '{field}': must be > 0" in capsys.readouterr().err
+
     def test_int_float_fields_are_accepted(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**SMALL_CONFIG, "t_r": 1, "f_hi": 5}), encoding="utf-8")
