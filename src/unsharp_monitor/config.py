@@ -186,13 +186,14 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
             "dp", f"dp = {params.dp!r} carries no information; the readout is undefined"
         )
 
+    # optional lab-frame metadata; null counts as not given
+    lab_frame = {
+        key: float_field(data, key)
+        for key in ("a1", "a2", "drive_omega")
+        if data.get(key) is not None
+    }
     try:
-        spec = HamiltonianSpec(
-            t_r=float_field(data, "t_r", 1.0, positive=True),
-            a1=data.get("a1"),
-            a2=data.get("a2"),
-            drive_omega=data.get("drive_omega"),
-        )
+        spec = HamiltonianSpec(t_r=float_field(data, "t_r", 1.0, positive=True), **lab_frame)
     except ParameterError as exc:
         raise ConfigError("drive_omega", str(exc)) from exc
 

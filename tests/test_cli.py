@@ -141,11 +141,13 @@ class TestSimulate:
             ("f_hi", math.inf),
             ("dp", 10**400),
             ("p2", [0.5]),
+            ("a1", "x"),  # used to end in a TypeError traceback next to a2 and drive_omega
+            ("drive_omega", True),
         ],
-        ids=["bool", "string", "null", "nan", "inf", "huge-int", "list"],
+        ids=["bool", "string", "null", "nan", "inf", "huge-int", "list", "lab-string", "lab-bool"],
     )
     def test_float_fields_are_strict(self, tmp_path, capsys, field, value):
-        data = {**SMALL_CONFIG, field: value}
+        data = {**SMALL_CONFIG, "a1": 0.0, "a2": 1.0, "drive_omega": 1.0, field: value}
         if field in ("p1", "p2"):
             del data["p0"], data["dp"]
             data = {"p1": 0.46, "p2": 0.54, **data}
