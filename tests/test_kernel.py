@@ -80,8 +80,8 @@ def normalized_states(draw):
     seed=st.integers(0, 2**64 - 1),
 )
 def test_single_step_is_bitwise_the_reference(state, p1, p2, tau, seed):
-    # |dp| below ~1e-154 squares to zero and TrajectoryConfig's regime
-    # evaluation divides by it; that is a config defect, not the kernel's
+    # TrajectoryConfig rejects 0 < |dp| below ~1e-154, where 3 dp^2
+    # underflows to 0, so no kernel runs there
     assume(p1 == p2 or abs(p2 - p1) > 1e-150)
     params = PovmParams(p1, p2)
     config = quiet_config(params=params, tau=tau, n_per_series=1, m_series=1)
