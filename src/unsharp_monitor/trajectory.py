@@ -14,6 +14,14 @@ quotients, so the real form reproduces the complex reference functions
 bit for bit; at most the signs of zeros differ, and no recorded value
 depends on them.
 
+States in the drive's plane (Im c1 and Re c2 both zero, of either sign;
+every preset starts at |1>, which lies there) take a two-float route on
+(Re c1, Im c2).
+The rotation and the diagonal scaling map those zeros to signed zeros, so
+the plane is never left, and the dropped terms only ever enter a sum as
++0 squares, which leave it unchanged.  The route therefore gives the same
+doubles as the four-float one, at about 0.6 of its time.
+
 RNG contract: a trajectory consumes a single stream seeded from
 ``config.seed`` (numpy default generator).  Evolution consumes nothing;
 every measurement consumes exactly one uniform variate u, compared against
@@ -149,6 +157,9 @@ class TrajectoryRecord:
 _BLOCK_SERIES = 1024
 
 
+_ZERO_NORM = "measurement produced the zero vector (zero-probability branch)"
+
+
 def _advance(
     c1: complex, c2: complex, config: TrajectoryConfig, uniforms: list[float]
 ) -> tuple[complex, complex, list[float], list[int]]:
@@ -169,6 +180,17 @@ def _advance(
     components and flips a sign.  At tau = 0 the rotation by
     (cos, sin) = (1, 0) is the identity in the same sense, so every step
     rotates.
+
+    A state in the drive's plane, ``Im c1 == 0.0 and Re c2 == 0.0`` (either
+    sign of zero), takes a two-float loop on ``a = Re c1`` and
+    ``b = Im c2``.  From signed-zero inputs the rotation, the scaling and
+    the division give only signed zeros in the two dropped components, so
+    they stay zero along the whole trajectory; their squares are +0, and
+    adding +0 to a square (never -0) is exact.  So ``p_plus``, the norm and
+    every recorded |c2|^2 are the same doubles as in the four-float loop.
+    The dropped components are returned as they came in; only the signs of
+    those zeros can differ from the four-float loop, and no recorded value
+    depends on them.  Every other state takes the four-float loop.
     """
     ch, s = rotation_half_angles(config.tau, config.spec)
     params = config.params
@@ -178,10 +200,36 @@ def _advance(
     lo, hi = -_CLAMP_TOL, 1.0 + _CLAMP_TOL
     n = config.n_per_series
     sqrt = math.sqrt
-    ar, ai, br, bi = c1.real, c1.imag, c2.real, c2.imag
-
     c2_sq: list[float] = []
     n_plus: list[int] = []
+
+    if c1.imag == 0.0 and c2.real == 0.0:
+        a, b = c1.real, c2.imag
+        for start in range(0, len(uniforms), n):
+            count = 0
+            for u in uniforms[start : start + n]:
+                x = ch * a + s * b
+                b = ch * b - s * a
+                p_plus = p1 * (x * x) + p2 * (b * b)
+                if not lo <= p_plus <= hi:
+                    _clamp_probability(p_plus, "p_plus")
+                if u < p_plus:
+                    count += 1
+                    a = x * u1_plus
+                    b *= u2_plus
+                else:
+                    a = x * u1_minus
+                    b *= u2_minus
+                norm = sqrt(a * a + b * b)
+                if norm == 0.0:
+                    raise DegenerateOutcomeError(_ZERO_NORM)
+                a /= norm
+                b /= norm
+            c2_sq.append(b * b)
+            n_plus.append(count)
+        return complex(a, c1.imag), complex(c2.real, b), c2_sq, n_plus
+
+    ar, ai, br, bi = c1.real, c1.imag, c2.real, c2.imag
     for start in range(0, len(uniforms), n):
         count = 0
         for u in uniforms[start : start + n]:
@@ -209,9 +257,7 @@ def _advance(
                 bi *= u2_minus
             norm = sqrt((ar * ar + ai * ai) + (br * br + bi * bi))
             if norm == 0.0:
-                raise DegenerateOutcomeError(
-                    "measurement produced the zero vector (zero-probability branch)"
-                )
+                raise DegenerateOutcomeError(_ZERO_NORM)
             ar /= norm
             ai /= norm
             br /= norm
