@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .povm import ParameterError, PovmParams, StateError, StateVector
+from .povm import ParameterError, PovmParams, StateError, StateVector, ensure_normalized
 from .rabi import HamiltonianSpec
 from .spectral import classify_regime
 from .trajectory import TrajectoryConfig
@@ -91,12 +91,34 @@ class RunConfig:
         return dict(sorted(resolved.items()))
 
 
+def _is_finite_number(value: Any) -> bool:
+    """An int or float (not a bool) that converts to a finite float."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # the bound also rejects nan and ints too large for a float
+    return is_number and abs(value) <= sys.float_info.max
+
+
 def _parse_amplitude(value: Any, field_name: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(field_name, f"expected a number or [re, im] pair, got {value!r}")
+    """A finite number or a [re, im] pair of them, read as ``float_field`` reads one."""
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+    if not all(map(_is_finite_number, parts)):
+        raise ConfigError(
+            field_name, f"expected a finite number or a [re, im] pair of them, got {value!r}"
+        )
+    return complex(float(parts[0]), float(parts[1]))
+
+
+def _parse_initial_state(value: Any) -> StateVector:
+    if not isinstance(value, dict) or set(value) != {"c1", "c2"}:
+        raise ConfigError("initial_state", 'expected {"c1": ..., "c2": ...}')
+    c1 = _parse_amplitude(value["c1"], "initial_state.c1")
+    c2 = _parse_amplitude(value["c2"], "initial_state.c2")
+    try:
+        state = StateVector(c1, c2)
+        ensure_normalized(state, "initial state")
+    except StateError as exc:
+        raise ConfigError("initial_state", str(exc)) from exc
+    return state
 
 
 def _parse_params(data: dict[str, Any]) -> PovmParams:
@@ -165,9 +187,7 @@ def float_field(
             raise ConfigError(name, "missing")
         return default
     value = data[name]
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    # the bound also rejects nan and ints too large for a float
-    if not (is_number and abs(value) <= sys.float_info.max):
+    if not _is_finite_number(value):
         raise ConfigError(name, f"must be a finite number, got {value!r}")
     if positive and value <= 0:
         raise ConfigError(name, f"must be > 0, got {value!r}")
@@ -198,15 +218,7 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
         raise ConfigError("drive_omega", str(exc)) from exc
 
     state_raw = data.get("initial_state")
-    if state_raw is None:
-        initial_state = StateVector(1.0, 0.0)
-    else:
-        if not isinstance(state_raw, dict) or set(state_raw) != {"c1", "c2"}:
-            raise ConfigError("initial_state", 'expected {"c1": ..., "c2": ...}')
-        initial_state = StateVector(
-            _parse_amplitude(state_raw["c1"], "initial_state.c1"),
-            _parse_amplitude(state_raw["c2"], "initial_state.c2"),
-        )
+    initial_state = StateVector(1.0, 0.0) if state_raw is None else _parse_initial_state(state_raw)
 
     tau = float_field(data, "tau", positive=True)
     m_series = int_field(data, "m_series", 0)
@@ -223,8 +235,8 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
             spec=spec,
             seed=int_field(data, "seed", DEFAULT_SEED),
         )
-    except (ParameterError, StateError) as exc:
-        raise ConfigError("n_per_series/initial_state/seed", str(exc)) from exc
+    except ParameterError as exc:
+        raise ConfigError("n_per_series/seed", str(exc)) from exc
 
     out_dir = data.get("out_dir")
     return RunConfig(

@@ -157,6 +157,42 @@ class TestSimulate:
         assert f"config field '{field}': must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize(
+        "state, field",
+        [
+            ('{"c1": ["a", 0], "c2": 0}', "c1"),  # used to end in a ValueError traceback
+            ('{"c1": true, "c2": 0}', "c1"),  # used to run as amplitude 1
+            ('{"c1": 1, "c2": ["nan", 0]}', "c2"),  # used to name n_per_series/initial_state/seed
+            ('{"c1": 1, "c2": [1e400, 0]}', "c2"),  # reads as inf
+            ('{"c1": [0.6], "c2": 0.8}', "c1"),
+        ],
+        ids=["string", "bool", "nan-string", "overflow", "short-pair"],
+    )
+    def test_initial_state_amplitudes_are_strict(self, tmp_path, capsys, state, field):
+        config_text = json.dumps(SMALL_CONFIG)[:-1] + f', "initial_state": {state}}}'
+        bad = tmp_path / "bad.json"
+        bad.write_text(config_text, encoding="utf-8")
+        assert run(["simulate", "--config", bad, "--out-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert f"config field 'initial_state.{field}': expected a finite number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("state", [{"c1": 0, "c2": 0}, {"c1": 2, "c2": 0}])
+    def test_initial_state_must_be_a_unit_vector(self, tmp_path, capsys, state):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, "initial_state": state}), encoding="utf-8")
+        assert run(["simulate", "--config", bad, "--out-dir", tmp_path]) == 2
+        assert "config field 'initial_state':" in capsys.readouterr().err
+
+    def test_initial_state_numbers_and_pairs_are_accepted(self, tmp_path):
+        config = tmp_path / "config.json"
+        state = {"c1": [0.6, 0], "c2": [0, 0.8]}
+        config.write_text(json.dumps({**SMALL_CONFIG, "initial_state": state}), encoding="utf-8")
+        assert run(["simulate", "--config", config, "--out-dir", tmp_path]) == 0
+        echo = json.loads((tmp_path / "report.json").read_text())["config"]
+        assert echo["initial_state"] == [[0.6, 0.0], [0.0, 0.8]]
+
     @pytest.mark.parametrize("field, value", [("tau", 0), ("t_r", 0.0), ("t_r", -2.0)])
     def test_times_must_be_positive(self, tmp_path, capsys, field, value):
         # t_r <= 0 used to be reported as field 'drive_omega'
