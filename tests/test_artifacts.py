@@ -3,6 +3,7 @@
 ``dump_json`` must spell every payload exactly as
 ``json.dumps(json_safe(payload), indent=2) + "\\n"`` does, and
 ``write_trajectory_csv`` every row exactly as one ``fmt`` call per value did.
+``read_trajectory_csv`` must name the line of any malformed data row.
 """
 
 import json
@@ -15,9 +16,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from unsharp_monitor.artifacts import (
+    ArtifactError,
     dump_json,
     fmt,
     json_safe,
+    read_trajectory_csv,
     spectrum_payload,
     write_json,
     write_trajectory_csv,
@@ -93,6 +96,57 @@ def test_trajectory_rows_match_the_per_value_loop(tmp_path_factory, columns):
     m = np.arange(1, len(columns[0]) + 1)
     write_trajectory_csv(path, m, *columns, {"seed": 1})
     assert data_rows(path) == reference_rows(m, *columns)
+
+
+def _is_number_text(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# field texts that float() rejects; no comma or line break, and no leading
+# "#", which would turn the line into a comment
+non_numbers = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters=","),
+    max_size=8,
+).filter(lambda text: not text.startswith("#") and not _is_number_text(text))
+number_texts = st.floats().map(repr) | st.integers(-3, 3).map(str)
+
+
+@st.composite
+def corrupted_rows(draw, fields: list[str], index: int) -> list[str]:
+    """``fields`` of data row ``index`` (1-based) made malformed one way."""
+    fields = list(fields)
+    kind = draw(st.sampled_from(["missing", "extra", "not-a-number", "index"]))
+    if kind == "missing":
+        del fields[draw(st.integers(0, len(fields) - 1))]
+    elif kind == "extra":
+        fields.insert(draw(st.integers(0, len(fields))), draw(number_texts))
+    elif kind == "not-a-number":
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(non_numbers)
+    else:
+        fields[0] = str(draw(st.integers(-3, 60).filter(lambda k: k != index)))
+    return fields
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 8), data=st.data())
+def test_reader_names_the_line_of_a_malformed_row(tmp_path_factory, rows, data):
+    path = tmp_path_factory.mktemp("malformed") / "trajectory.csv"
+    column = np.linspace(0.05, 0.4, rows)
+    write_trajectory_csv(path, np.arange(1, rows + 1), column, column, column, column, {"seed": 1})
+    lines = path.read_text(encoding="utf-8").splitlines()
+    first = len(lines) - rows  # 0-based position of data row 1
+    assert read_trajectory_csv(path)[1]["m"].tolist() == list(range(1, rows + 1))
+    index = data.draw(st.integers(1, rows))
+    position = first + index - 1
+    lines[position] = ",".join(data.draw(corrupted_rows(lines[position].split(","), index)))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ArtifactError) as info:
+        read_trajectory_csv(path)
+    assert f"{path}:{position + 1}: " in str(info.value)
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from unsharp_monitor import (
     DegenerateOutcomeError,
@@ -118,6 +120,23 @@ class TestOutcomeProbabilities:
             p_plus, p_minus = outcome_probabilities(random_state(rng), random_params(rng))
             assert 0.0 <= p_plus <= 1.0
             assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parts=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+        p1=st.floats(0.0, 1.0),
+        p2=st.floats(0.0, 1.0),
+    )
+    def test_probabilities_sum_to_one(self, parts, p1, p2):
+        # p_minus = 1 - p_plus is within half an ulp of the exact difference,
+        # so the sum rounds back to exactly one
+        norm = math.sqrt(sum(x * x for x in parts))
+        assume(norm > 1e-3)
+        state = StateVector(complex(*parts[:2]) / norm, complex(*parts[2:]) / norm)
+        p_plus, p_minus = outcome_probabilities(state, PovmParams(p1, p2))
+        assert 0.0 <= p_plus <= 1.0
+        assert 0.0 <= p_minus <= 1.0
+        assert p_plus + p_minus == 1.0
 
     def test_rejects_unnormalized_state(self):
         with pytest.raises(StateError):

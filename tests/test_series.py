@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unsharp_monitor import (
     LEVEL_ONE,
     LEVEL_TWO,
+    MAX_SERIES_LENGTH,
     ParameterError,
     PovmParams,
     StateVector,
@@ -117,6 +120,18 @@ class TestEffect:
                 [nseries_effect(params, n, k) for k in range(n + 1)], axis=0
             )
             assert totals == pytest.approx((1.0, 1.0), abs=1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p1=st.floats(0.0, 1.0),
+        p2=st.floats(0.0, 1.0),
+        n=st.integers(1, MAX_SERIES_LENGTH),
+    )
+    def test_effects_sum_to_the_identity(self, p1, p2, n):
+        # the diagonal effects of all n + 1 counts form a complete measurement
+        effects = np.array([nseries_effect(PovmParams(p1, p2), n, k) for k in range(n + 1)])
+        assert np.all((effects >= 0.0) & (effects <= 1.0))
+        assert effects.sum(axis=0) == pytest.approx((1.0, 1.0), abs=1e-12)
 
     def test_count_out_of_range_rejected(self):
         with pytest.raises(ParameterError):

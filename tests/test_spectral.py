@@ -1,9 +1,13 @@
 """DFT bookkeeping, Wiener filtering, truncation, and regime classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unsharp_monitor import (
     AnalysisError,
@@ -19,6 +23,8 @@ from unsharp_monitor import (
 
 DT = 0.05
 
+sequences = arrays(np.float64, st.integers(4, 200), elements=st.floats(-1e3, 1e3))
+
 
 def tone(m: int, k: int, amplitude: float = 1.0, phase: float = 0.0) -> np.ndarray:
     grid = np.arange(1, m + 1)
@@ -32,6 +38,12 @@ class TestPowerSpectrum:
             x = rng.normal(size=m) * 10
             back = synthesize(power_spectrum(x, DT))
             assert np.max(np.abs(back - x)) < 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=sequences, dt=st.floats(1e-3, 1e3))
+    def test_synthesis_inverts_the_analysis(self, x, dt):
+        back = synthesize(power_spectrum(x, dt))
+        assert np.max(np.abs(back - x)) <= 1e-10 * max(1.0, float(np.max(np.abs(x))))
 
     def test_constant_sequence_has_only_the_mean_line(self):
         record = power_spectrum(np.full(32, 0.7), DT)
@@ -160,6 +172,19 @@ class TestTruncation:
         once = truncate_series(record)
         twice = truncate_series(once)
         assert np.array_equal(once.coefficients, twice.coefficients)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=sequences, filtered=st.booleans())
+    def test_idempotent_on_random_sequences(self, x, filtered):
+        record = power_spectrum(x, DT)
+        if filtered:
+            record = wiener_filter(record)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a flat spectrum has no peak to cut at
+            once = truncate_series(record)
+            twice = truncate_series(once)
+        assert np.array_equal(once.coefficients, twice.coefficients)
+        assert once.main_peak_index == twice.main_peak_index
 
     def test_no_peak_passes_through_with_warning(self):
         record = power_spectrum(np.full(16, 2.0), DT)
