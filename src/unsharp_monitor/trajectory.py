@@ -19,8 +19,8 @@ every preset starts at |1>, which lies there) take a two-float route on
 (Re c1, Im c2).  The rotation and the diagonal scaling map those zeros
 to signed zeros, so the plane is never left, and the dropped terms only
 ever enter a sum as +0 squares, which leave it unchanged.  The route
-therefore gives the same doubles as the four-float one, in about 0.6 of
-its time.
+therefore gives the same doubles as the four-float one with half the
+arithmetic.
 
 RNG contract: a trajectory consumes a single stream seeded from
 ``config.seed`` (numpy default generator).  Evolution consumes nothing;

@@ -92,6 +92,32 @@ def in_plane(state) -> bool:
     return state.c1.imag == 0.0 and state.c2.real == 0.0
 
 
+def series_against_reference(state, p1, p2, tau, n, seed):
+    """One series through the kernel and the reference on the same uniforms.
+
+    Returns the kernel's state after the series, or None when both sides
+    raise DegenerateOutcomeError.
+    """
+    # TrajectoryConfig rejects 0 < |dp| below ~1e-154, where 3 dp^2
+    # underflows to 0, so no kernel runs there
+    assume(p1 == p2 or abs(p2 - p1) > 1e-150)
+    params = PovmParams(p1, p2)
+    config = quiet_config(params=params, tau=tau, n_per_series=n, m_series=1)
+    uniforms = np.random.default_rng(seed).random(n).tolist()
+    try:
+        expected, count = reference_series(state, config, uniforms)
+    except DegenerateOutcomeError:
+        with pytest.raises(DegenerateOutcomeError):
+            simulate_nseries(state, config, np.random.default_rng(seed))
+        return None
+    after, series = simulate_nseries(state, config, np.random.default_rng(seed))
+    assert series.n_plus == count
+    assert after.c1 == expected.c1
+    assert after.c2 == expected.c2
+    assert same_float(series.g2, reference_g2(count, n, params))
+    return after
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     state=normalized_states(),
@@ -101,23 +127,7 @@ def in_plane(state) -> bool:
     seed=st.integers(0, 2**64 - 1),
 )
 def test_single_step_is_bitwise_the_reference(state, p1, p2, tau, seed):
-    # TrajectoryConfig rejects 0 < |dp| below ~1e-154, where 3 dp^2
-    # underflows to 0, so no kernel runs there
-    assume(p1 == p2 or abs(p2 - p1) > 1e-150)
-    params = PovmParams(p1, p2)
-    config = quiet_config(params=params, tau=tau, n_per_series=1, m_series=1)
-    (u,) = np.random.default_rng(seed).random(1).tolist()
-    try:
-        expected, count = reference_series(state, config, [u])
-    except DegenerateOutcomeError:
-        with pytest.raises(DegenerateOutcomeError):
-            simulate_nseries(state, config, np.random.default_rng(seed))
-        return
-    after, series = simulate_nseries(state, config, np.random.default_rng(seed))
-    assert series.n_plus == count
-    assert after.c1 == expected.c1
-    assert after.c2 == expected.c2
-    assert same_float(series.g2, reference_g2(count, 1, params))
+    series_against_reference(state, p1, p2, tau, 1, seed)
 
 
 def test_series_chain_off_the_plane_is_bitwise_the_reference():
@@ -151,23 +161,8 @@ def test_series_chain_off_the_plane_is_bitwise_the_reference():
     seed=st.integers(0, 2**64 - 1),
 )
 def test_in_plane_series_is_bitwise_the_reference(state, p1, p2, tau, n, seed):
-    # TrajectoryConfig rejects 0 < |dp| below ~1e-154, as above
-    assume(p1 == p2 or abs(p2 - p1) > 1e-150)
-    params = PovmParams(p1, p2)
-    config = quiet_config(params=params, tau=tau, n_per_series=n, m_series=1)
-    uniforms = np.random.default_rng(seed).random(n).tolist()
-    try:
-        expected, count = reference_series(state, config, uniforms)
-    except DegenerateOutcomeError:
-        with pytest.raises(DegenerateOutcomeError):
-            simulate_nseries(state, config, np.random.default_rng(seed))
-        return
-    after, series = simulate_nseries(state, config, np.random.default_rng(seed))
-    assert series.n_plus == count
-    assert after.c1 == expected.c1
-    assert after.c2 == expected.c2
-    assert in_plane(after)
-    assert same_float(series.g2, reference_g2(count, n, params))
+    after = series_against_reference(state, p1, p2, tau, n, seed)
+    assert after is None or in_plane(after)
 
 
 @pytest.mark.parametrize("zero1, zero2", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
