@@ -37,7 +37,7 @@ class TestPowerSpectrum:
     @example(x=np.random.default_rng(61).normal(size=301) * 10, dt=DT)
     def test_round_trip(self, x, dt):
         back = synthesize(power_spectrum(x, dt))
-        assert np.max(np.abs(back - x)) <= 1e-10 * max(1.0, float(np.max(np.abs(x))))
+        assert np.max(np.abs(back - x)) <= 1e-12 * max(1.0, float(np.max(np.abs(x))))
 
     def test_constant_sequence_has_only_the_mean_line(self):
         record = power_spectrum(np.full(32, 0.7), DT)
