@@ -140,8 +140,9 @@ def write_trajectory_csv(
 def read_trajectory_csv(path: str | Path) -> tuple[dict[str, Any] | None, dict[str, np.ndarray]]:
     """Parse a trajectory CSV; returns (config echo, column arrays).
 
-    Raises ArtifactError naming the 1-based line number of the first
-    offending line.
+    Comment lines (``#``) may only precede the header.  Raises
+    ArtifactError naming the 1-based line number of the first offending
+    line.
     """
     path = Path(path)
     try:
@@ -155,6 +156,10 @@ def read_trajectory_csv(path: str | Path) -> tuple[dict[str, Any] | None, dict[s
         if not line.strip():
             continue
         if line.startswith("#"):
+            if header_seen:
+                raise ArtifactError(
+                    f"{path}:{number}: comment after the header (a data row turned comment?)"
+                )
             body = line[1:].strip()
             if body.startswith("config:"):
                 try:

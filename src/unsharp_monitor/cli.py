@@ -17,7 +17,6 @@ from . import artifacts
 from .artifacts import ArtifactError
 from .config import (
     ConfigError,
-    RunConfig,
     bool_field,
     build_report,
     derive_seed,
@@ -28,31 +27,24 @@ from .config import (
     run_config_from_dict,
 )
 from .povm import ParameterError, StateError
-from .spectral import AnalysisError, main_peak, process_readout
+from .spectral import (
+    AnalysisError,
+    main_peak,
+    process_readout,
+    process_readouts,
+    row_correlations,
+)
 from .trajectory import simulate_trajectory
-
-
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.std() == 0.0 or y.std() == 0.0 or np.isnan(x).any() or np.isnan(y).any():
-        return math.nan
-    return float(np.corrcoef(x, y)[0, 1])
-
-
-def _run_simulation(config: RunConfig):
-    record = simulate_trajectory(config.trajectory)
-    spectrum, processed = process_readout(
-        record.g2, config.trajectory.delta_t, config.wiener, config.truncation
-    )
-    return record, spectrum, processed
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.preset, {"seed": args.seed})
     out_dir = Path(args.out_dir if args.out_dir is not None else config.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    record, spectrum, processed = _run_simulation(config)
+    record = simulate_trajectory(config.trajectory)
+    spectrum, processed = process_readout(
+        record.g2, config.trajectory.delta_t, config.wiener, config.truncation
+    )
     echo = config.resolved()
     omega_r = config.trajectory.spec.omega_r
 
@@ -168,19 +160,21 @@ def _sweep_point(
     report = build_report(config)
     omega_r = config.trajectory.spec.omega_r
 
-    errors, significances, corr_raw, corr_processed = [], [], [], []
-    seed = base_seed
-    for replicate in range(replicates):
-        seed = derive_seed(base_seed, index, replicate)
-        run = replace(config, trajectory=replace(config.trajectory, seed=seed))
-        record, spectrum, processed = _run_simulation(run)
-        peak = main_peak(spectrum)
-        errors.append(
-            math.nan if peak.index is None else abs(peak.frequency / omega_r - 1.0)
-        )
-        significances.append(peak.significant)
-        corr_raw.append(_pearson(record.g2, record.c2_sq))
-        corr_processed.append(_pearson(processed, record.c2_sq))
+    seeds = [derive_seed(base_seed, index, replicate) for replicate in range(replicates)]
+    g2 = np.empty((replicates, config.trajectory.m_series))
+    c2_sq = np.empty_like(g2)
+    for row, seed in enumerate(seeds):
+        record = simulate_trajectory(replace(config.trajectory, seed=seed))
+        g2[row], c2_sq[row] = record.g2, record.c2_sq
+    spectra, processed = process_readouts(
+        g2, config.trajectory.delta_t, config.wiener, config.truncation
+    )
+    peaks = [main_peak(spectrum) for spectrum in spectra]
+    errors = [
+        math.nan if peak.index is None else abs(peak.frequency / omega_r - 1.0)
+        for peak in peaks
+    ]
+    significant = sum(peak.significant for peak in peaks)
 
     return {
         "p0": config.trajectory.params.p0,
@@ -188,13 +182,13 @@ def _sweep_point(
         "tau": config.trajectory.tau,
         "n_per_series": config.trajectory.n_per_series,
         "m_series": config.trajectory.m_series,
-        "seed": seed if replicates == 1 else base_seed,
+        "seed": seeds[0] if replicates == 1 else base_seed,
         "f": report["f"],
         "regime": report["regime"],
         "peak_freq_error": float(np.median(errors)),
-        "peak_significant": sum(significances) * 2 >= len(significances),
-        "corr_raw": float(np.median(corr_raw)),
-        "corr_processed": float(np.median(corr_processed)),
+        "peak_significant": significant * 2 >= replicates,
+        "corr_raw": float(np.median(row_correlations(g2, c2_sq))),
+        "corr_processed": float(np.median(row_correlations(processed, c2_sq))),
     }
 
 

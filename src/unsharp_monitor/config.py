@@ -239,13 +239,15 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
         raise ConfigError("n_per_series/seed", str(exc)) from exc
 
     out_dir = data.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError("out_dir", f"must be a path string or null, got {out_dir!r}")
     return RunConfig(
         trajectory=trajectory,
         wiener=bool_field(data, "wiener"),
         truncation=bool_field(data, "truncation"),
         f_lo=float_field(data, "f_lo", 0.3),
         f_hi=float_field(data, "f_hi", 5.0),
-        out_dir=None if out_dir is None else str(out_dir),
+        out_dir=out_dir,
     )
 
 

@@ -107,7 +107,7 @@ def _is_number_text(text: str) -> bool:
 
 
 # field texts that float() rejects; no comma or line break, and no leading
-# "#", which would turn the line into a comment
+# "#" (a row turned comment is a kind of its own)
 non_numbers = st.text(
     st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters=","),
     max_size=8,
@@ -119,15 +119,17 @@ number_texts = st.floats().map(repr) | st.integers(-3, 3).map(str)
 def corrupted_rows(draw, fields: list[str], index: int) -> list[str]:
     """``fields`` of data row ``index`` (1-based) made malformed one way."""
     fields = list(fields)
-    kind = draw(st.sampled_from(["missing", "extra", "not-a-number", "index"]))
+    kind = draw(st.sampled_from(["missing", "extra", "not-a-number", "index", "comment"]))
     if kind == "missing":
         del fields[draw(st.integers(0, len(fields) - 1))]
     elif kind == "extra":
         fields.insert(draw(st.integers(0, len(fields))), draw(number_texts))
     elif kind == "not-a-number":
         fields[draw(st.integers(0, len(fields) - 1))] = draw(non_numbers)
-    else:
+    elif kind == "index":
         fields[0] = str(draw(st.integers(-3, 60).filter(lambda k: k != index)))
+    else:  # a data row turned into a comment, which would drop it silently
+        fields[0] = "#" + draw(st.sampled_from(["", " ", "config: {}"])) + fields[0]
     return fields
 
 

@@ -157,6 +157,24 @@ class TestSimulate:
         assert f"config field '{field}': must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("value", [True, 3, ["runs"]], ids=["bool", "number", "list"])
+    def test_out_dir_must_be_a_string(self, tmp_path, monkeypatch, capsys, value):
+        # true used to write into ./True
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, "out_dir": value}), encoding="utf-8")
+        assert run(["simulate", "--config", bad]) == 2
+        assert "config field 'out_dir': must be a path string or null" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.json"]
+
+    @pytest.mark.parametrize("value, target", [("runs", "runs"), (None, ".")], ids=["string", "null"])
+    def test_out_dir_string_or_null_is_accepted(self, tmp_path, monkeypatch, value, target):
+        monkeypatch.chdir(tmp_path)
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({**SMALL_CONFIG, "out_dir": value}), encoding="utf-8")
+        assert run(["simulate", "--config", good]) == 0
+        assert (tmp_path / target / "trajectory.csv").exists()
+
     @pytest.mark.parametrize(
         "state, field",
         [

@@ -2,10 +2,11 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from unsharp_monitor import (
@@ -147,6 +148,51 @@ class TestOutcomeProbabilities:
             outcome_probabilities(StateVector(c, c), PovmParams(1.0, 1.0))
 
 
+@st.composite
+def unit_states(draw) -> StateVector:
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    norm = math.sqrt(sum(x * x for x in parts))
+    assume(norm > 1e-3)
+    return StateVector(complex(*parts[:2]) / norm, complex(*parts[2:]) / norm)
+
+
+any_params = st.builds(PovmParams, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+def unnormalized_norm_sq(state: StateVector, op: Operation) -> float:
+    """Squared norm before renormalizing; below the normal range it loses digits."""
+    return abs(op.u1 * state.c1) ** 2 + abs(op.u2 * state.c2) ** 2
+
+
+def seed_15_cases() -> list[dict]:
+    """The inputs the example-based relative-phase test drew from seed 15."""
+    rng = np.random.default_rng(15)
+    cases = []
+    for _ in range(200):
+        state = random_state(rng)
+        if abs(state.c1) < 1e-3 or abs(state.c2) < 1e-3:
+            continue
+        params = random_params(rng)
+        plus = bool(rng.uniform() < 0.5)
+        op = make_operations(params)[0 if plus else 1]
+        if op.u1 == 0.0 or op.u2 == 0.0:
+            continue
+        cases.append({"state": state, "params": params, "plus": plus})
+    return cases
+
+
+SEED_15_CASES = seed_15_cases()
+
+
+def with_examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(**case)(test)
+        return test
+
+    return decorate
+
+
 class TestApplyOutcome:
     def test_eigenstates_are_fixed(self):
         rng = np.random.default_rng(14)
@@ -179,20 +225,26 @@ class TestApplyOutcome:
         with pytest.raises(DegenerateOutcomeError):
             apply_outcome(LEVEL_ONE, Operation(0.0, 1.0))
 
-    def test_relative_phase_preserved(self):
-        rng = np.random.default_rng(15)
-        for _ in range(200):
-            state = random_state(rng)
-            if abs(state.c1) < 1e-3 or abs(state.c2) < 1e-3:
-                continue
-            plus, minus = make_operations(random_params(rng))
-            op = plus if rng.uniform() < 0.5 else minus
-            if op.u1 == 0.0 or op.u2 == 0.0:
-                continue
-            before = cmath.phase(state.c1.conjugate() * state.c2)
-            after_state = apply_outcome(state, op)
-            after = cmath.phase(after_state.c1.conjugate() * after_state.c2)
-            assert abs(cmath.exp(1j * before) - cmath.exp(1j * after)) < 1e-12
+    @settings(max_examples=300, deadline=None)
+    @given(state=unit_states(), params=any_params, plus=st.booleans())
+    def test_norm_preserved(self, state, params, plus):
+        op = make_operations(params)[0 if plus else 1]
+        assume(unnormalized_norm_sq(state, op) >= sys.float_info.min)
+        after = apply_outcome(state, op)
+        assert abs(after.norm_sq - 1.0) <= 8 * sys.float_info.epsilon
+
+    @with_examples(SEED_15_CASES)
+    @settings(max_examples=300, deadline=None)
+    @given(state=unit_states(), params=any_params, plus=st.booleans())
+    def test_relative_phase_preserved(self, state, params, plus):
+        assume(abs(state.c1) >= 1e-3 and abs(state.c2) >= 1e-3)
+        op = make_operations(params)[0 if plus else 1]
+        assume(op.u1 > 0.0 and op.u2 > 0.0)
+        assume(unnormalized_norm_sq(state, op) >= sys.float_info.min)
+        before = cmath.phase(state.c1.conjugate() * state.c2)
+        after_state = apply_outcome(state, op)
+        after = cmath.phase(after_state.c1.conjugate() * after_state.c2)
+        assert abs(cmath.exp(1j * before) - cmath.exp(1j * after)) < 1e-12
 
 
 class TestBlochVector:

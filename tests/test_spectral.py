@@ -20,6 +20,7 @@ from unsharp_monitor import (
     truncate_series,
     wiener_filter,
 )
+from unsharp_monitor.spectral import process_readouts, row_correlations
 
 DT = 0.05
 
@@ -221,6 +222,176 @@ class TestProcessReadout:
     def test_too_short_rejected(self):
         with pytest.raises(AnalysisError):
             process_readout([1.0, 2.0], DT)
+
+
+def reference_readout(x, dt, wiener, truncation):
+    """The per-row readout pipeline the batched one replaced, as a reference.
+
+    Returns the raw record's fields, the Wiener weights (or None), the
+    processed samples, and whether truncation found no peak to cut at.
+    """
+    m = len(x)
+
+    def analyzed(coefficients):
+        power = np.abs(coefficients) ** 2
+        searched = power[1 : m // 2 + 1]
+        half = len(searched)
+        floor = float(np.median(searched[half - max(1, half // 4):]))
+        if float(searched.max() - searched.min()) <= 1e-15:
+            return power, None, False, floor
+        index = int(np.argmax(searched)) + 1
+        return power, index, power[index] >= 3.0 * float(np.median(searched)), floor
+
+    twist = np.exp(-2.0j * math.pi * np.arange(m) / m)
+    coefficients = twist * np.fft.fft(x) / m
+    power, index, significant, floor = analyzed(coefficients)
+    kept, kept_index, weights = coefficients, index, None
+    if wiener:
+        top = float(power[1:].max())
+        weights = np.zeros(m, dtype=float)
+        if floor <= 1e-12 * top or top == 0.0:
+            weights[power > 1e-12 * top] = 1.0
+        else:
+            signal = np.maximum(power - floor, 0.0)
+            np.divide(signal, signal + floor, out=weights, where=(signal > 0.0))
+        weights[0] = 1.0
+        kept = coefficients * weights
+        kept_index = analyzed(kept)[1]
+    if truncation and kept_index is not None and 2 * kept_index < (m + 1) // 2:
+        kept = kept.copy()
+        kept[2 * kept_index + 1 : m - 2 * kept_index] = 0.0
+    untwist = np.exp(2.0j * math.pi * np.arange(m) / m)
+    values = np.fft.ifft(kept * untwist) * m
+    scale = max(1.0, float(np.max(np.abs(values.real))))
+    assert not float(np.max(np.abs(values.imag))) > 1e-9 * scale
+    fields = (coefficients, power, index, bool(significant), floor)
+    return fields, weights, values.real, truncation and kept_index is None
+
+
+def reference_pearson(x, y):
+    if x.std() == 0.0 or y.std() == 0.0 or np.isnan(x).any() or np.isnan(y).any():
+        return math.nan
+    return float(np.corrcoef(x, y)[0, 1])
+
+
+def same(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a, b, equal_nan=True)
+
+
+ROW_KINDS = ("noise", "tone", "constant", "nan", "passthrough", "lattice", "tiny")
+
+
+def readout_row(kind: str, m: int, seed: int) -> np.ndarray:
+    """One readout of a given shape; "constant" has no main peak,
+    "passthrough" (a noiseless tone) takes the Wiener passthrough branch,
+    and "tiny" has deviations whose squares underflow, so its std is 0."""
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        return np.full(m, rng.uniform(-1.0, 1.0))
+    if kind == "passthrough":
+        return tone(m, int(rng.integers(1, m // 2 + 1)))
+    if kind == "lattice":  # G2-like values on the grid (k/n - p1) / dp
+        return (rng.integers(0, 26, size=m) / 25 - 0.42) / 0.08
+    x = rng.normal(size=m)
+    if kind == "tiny":
+        return x * 1e-170
+    if kind == "tone":
+        x += tone(m, int(rng.integers(1, m // 2 + 1)), amplitude=rng.uniform(0.1, 3.0))
+    elif kind == "nan":
+        x[rng.integers(m)] = np.nan
+    return x
+
+
+MIXED = [(kind, 100 + i) for i, kind in enumerate(ROW_KINDS)]
+
+
+class TestBatchedReadout:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(4, 2000),
+        rows=st.lists(st.tuples(st.sampled_from(ROW_KINDS), st.integers(0, 2**32)), min_size=1, max_size=64),
+        wiener=st.booleans(),
+        truncation=st.booleans(),
+    )
+    @example(m=200, rows=[("constant", 1)], wiener=True, truncation=True)
+    @example(m=201, rows=[("nan", 2)], wiener=True, truncation=True)
+    @example(m=64, rows=[("passthrough", 3)], wiener=True, truncation=True)
+    @example(m=301, rows=MIXED, wiener=True, truncation=True)
+    @example(m=2000, rows=MIXED * 8, wiener=True, truncation=True)
+    def test_rows_match_the_per_row_pipeline(self, m, rows, wiener, truncation):
+        x = np.array([readout_row(kind, m, seed) for kind, seed in rows])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records, processed = process_readouts(x, DT, wiener, truncation)
+        warned = any("no main peak" in str(w.message) for w in caught)
+        assert processed.shape == x.shape
+        no_peak = False
+        for row, record in enumerate(records):
+            fields, weights, values, skipped = reference_readout(x[row], DT, wiener, truncation)
+            coefficients, power, index, significant, floor = fields
+            no_peak |= skipped
+            assert same(record.coefficients, coefficients)
+            assert same(record.power, power)
+            assert record.main_peak_index == index
+            assert record.peak_significant == significant
+            assert same(record.noise_floor, floor)
+            assert same(record.wiener_weights, weights)
+            assert same(record.frequencies, 2.0 * math.pi * np.arange(m) / (m * DT))
+            assert same(processed[row], values)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                single, single_values = process_readout(x[row], DT, wiener, truncation)
+            assert same(single.coefficients, record.coefficients)
+            assert same(single_values, processed[row])
+        assert warned == no_peak
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(4, 2000),
+        rows=st.lists(
+            st.tuples(st.sampled_from(ROW_KINDS), st.sampled_from(ROW_KINDS), st.integers(0, 2**32)),
+            min_size=1,
+            max_size=64,
+        ),
+    )
+    @example(m=200, rows=[("constant", "noise", 1), ("noise", "constant", 2)])
+    @example(m=301, rows=[("nan", "noise", 3), ("noise", "nan", 4), ("tone", "tone", 5)])
+    @example(m=2000, rows=[(a, b, 6) for a in ROW_KINDS for b in ROW_KINDS])
+    def test_correlations_match_corrcoef(self, m, rows):
+        x = np.array([readout_row(a, m, seed) for a, _, seed in rows])
+        y = np.array([readout_row(b, m, seed + 1) for _, b, seed in rows])
+        r = row_correlations(x, y)
+        assert r.shape == (len(rows),)
+        for row in range(len(rows)):
+            assert same(r[row], reference_pearson(x[row], y[row]))
+
+    def test_no_peak_row_warns_once_per_batch(self):
+        x = np.array([tone(64, 3), np.full(64, 0.5), tone(64, 5)])
+        with pytest.warns(UserWarning, match="no main peak") as caught:
+            records, processed = process_readouts(x, DT)
+        assert len(caught) == 1
+        assert [record.main_peak_index for record in records] == [3, None, 5]
+        assert np.max(np.abs(processed[1] - 0.5)) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(0, 8), (3, 3), (8,), (2, 2, 8)])
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(AnalysisError):
+            process_readouts(np.zeros(shape), DT)
+
+    def test_readout_speed_smoke(self, benchmark):
+        # records the time per readout row; asserts only on the output
+        rng = np.random.default_rng(71)
+        x = 0.5 + 0.5 * tone(200, 6) + rng.normal(scale=0.3, size=(48, 200))
+        records, processed = benchmark.pedantic(
+            process_readouts, args=(x, DT), rounds=3, iterations=1
+        )
+        if benchmark.stats is not None:
+            benchmark.extra_info["us_per_row"] = benchmark.stats.stats.median / 48 * 1e6
+        assert processed.shape == (48, 200)
+        assert [record.main_peak_index for record in records] == [6] * 48
+        assert np.array_equal(processed[17], process_readout(x[17], DT)[1])
 
 
 class TestClassifyRegime:
