@@ -8,139 +8,4 @@ system shows quantum jumps, nearly undisturbed Rabi oscillations, or the
 intermediate regime in which the readout tracks the oscillation.
 """
 
-from .povm import (
-    DegenerateOutcomeError,
-    LEVEL_ONE,
-    LEVEL_TWO,
-    Operation,
-    ParameterError,
-    PovmParams,
-    StateError,
-    StateVector,
-    apply_outcome,
-    bloch_vector,
-    make_operations,
-    outcome_probabilities,
-    unitary_disturbance,
-)
-from .series import (
-    MAX_SERIES_LENGTH,
-    NBoundResult,
-    NSeriesOutcome,
-    RegimeParams,
-    best_guess,
-    evaluate_regime,
-    expectation_r,
-    fidelity,
-    fuzziness,
-    level_resolution_time,
-    min_n_level_resolution,
-    nbound,
-    nseries_effect,
-    nseries_probability,
-    sigma_g2,
-    variance_r,
-)
-from .rabi import HamiltonianSpec, commutator_residual, evolve, propagator
-from .meter import (
-    CompoundState,
-    dilate,
-    measure_meter,
-    meter_outcome_probability,
-    project_onto_meter,
-)
-from .trajectory import (
-    SeriesBoundWarning,
-    TimeResolutionWarning,
-    TrajectoryConfig,
-    TrajectoryRecord,
-    simulate_nseries,
-    simulate_trajectory,
-)
-from .spectral import (
-    AnalysisError,
-    PeakInfo,
-    SpectrumRecord,
-    classify_regime,
-    main_peak,
-    power_spectrum,
-    process_readout,
-    synthesize,
-    truncate_series,
-    wiener_filter,
-)
-from .config import (
-    ConfigError,
-    PRESETS,
-    RunConfig,
-    build_report,
-    derive_seed,
-    load_run_config,
-    run_config_from_dict,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalysisError",
-    "CompoundState",
-    "ConfigError",
-    "DegenerateOutcomeError",
-    "HamiltonianSpec",
-    "LEVEL_ONE",
-    "LEVEL_TWO",
-    "MAX_SERIES_LENGTH",
-    "NBoundResult",
-    "NSeriesOutcome",
-    "Operation",
-    "ParameterError",
-    "PeakInfo",
-    "PovmParams",
-    "PRESETS",
-    "RegimeParams",
-    "RunConfig",
-    "SeriesBoundWarning",
-    "SpectrumRecord",
-    "StateError",
-    "StateVector",
-    "TimeResolutionWarning",
-    "TrajectoryConfig",
-    "TrajectoryRecord",
-    "apply_outcome",
-    "best_guess",
-    "bloch_vector",
-    "build_report",
-    "classify_regime",
-    "commutator_residual",
-    "derive_seed",
-    "dilate",
-    "evaluate_regime",
-    "evolve",
-    "expectation_r",
-    "fidelity",
-    "fuzziness",
-    "level_resolution_time",
-    "load_run_config",
-    "main_peak",
-    "make_operations",
-    "measure_meter",
-    "meter_outcome_probability",
-    "min_n_level_resolution",
-    "nbound",
-    "nseries_effect",
-    "nseries_probability",
-    "outcome_probabilities",
-    "power_spectrum",
-    "process_readout",
-    "project_onto_meter",
-    "propagator",
-    "run_config_from_dict",
-    "sigma_g2",
-    "simulate_nseries",
-    "simulate_trajectory",
-    "synthesize",
-    "truncate_series",
-    "unitary_disturbance",
-    "variance_r",
-    "wiener_filter",
-]

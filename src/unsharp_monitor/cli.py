@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import sys
 from dataclasses import replace
@@ -24,7 +23,9 @@ from .config import (
     float_field,
     int_field,
     load_run_config,
+    read_json_object,
     run_config_from_dict,
+    seed_field,
 )
 from .povm import ParameterError, StateError
 from .spectral import (
@@ -119,8 +120,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _spec_object(spec: dict[str, Any], name: str) -> dict[str, Any]:
+    """A copy of the sweep spec's object entry ``name``; absent means empty."""
+    value = spec.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(name, f"must be a JSON object, got {value!r}")
+    return dict(value)
+
+
 def _sweep_axes(args: argparse.Namespace, spec: dict[str, Any]) -> dict[str, list]:
-    grid = dict(spec.get("grid", {}))
+    grid = _spec_object(spec, "grid")
     if args.p0:
         grid["p0"] = _parse_floats(args.p0, "p0")
     if args.dp:
@@ -132,9 +141,11 @@ def _sweep_axes(args: argparse.Namespace, spec: dict[str, Any]) -> dict[str, lis
         if not all(v.is_integer() for v in counts):
             raise ConfigError("n", f"expected whole numbers, got {args.n!r}")
         grid["n_per_series"] = [int(v) for v in counts]
-    missing = [axis for axis in ("p0", "dp", "tau", "n_per_series") if not grid.get(axis)]
-    if missing:
-        raise ConfigError(missing[0], "sweep axis missing (flag or grid entry required)")
+    for axis in ("p0", "dp", "tau", "n_per_series"):
+        if axis not in grid:
+            raise ConfigError(axis, "sweep axis missing (flag or grid entry required)")
+        if not isinstance(grid[axis], list) or not grid[axis]:
+            raise ConfigError(axis, f"must be a non-empty list of values, got {grid[axis]!r}")
     return grid
 
 
@@ -193,20 +204,15 @@ def _sweep_point(
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec: dict[str, Any] = {}
-    if args.config is not None:
-        try:
-            spec = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise ConfigError("config", f"file not found: {args.config}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError("config", f"invalid JSON: {exc}") from exc
+    spec = read_json_object(args.config) if args.config is not None else {}
     grid = _sweep_axes(args, spec)
-    base = drop_retired_engine(dict(spec.get("base", {})))
+    base = drop_retired_engine(_spec_object(spec, "base"))
     if args.m is not None:
         base["m_series"] = args.m
     base.setdefault("m_series", 200)
-    base_seed = args.seed if args.seed is not None else int_field(base, "seed", 1)
+    if args.seed is not None:
+        base["seed"] = args.seed
+    base_seed = seed_field(base)
     base.pop("seed", None)
     replicates = (
         args.seeds_per_point

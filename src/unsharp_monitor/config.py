@@ -175,6 +175,14 @@ def int_field(data: dict[str, Any], name: str, default: int) -> int:
     return value
 
 
+def seed_field(data: dict[str, Any]) -> int:
+    """The RNG seed, an integer in [0, 2**64); defaults to DEFAULT_SEED."""
+    seed = int_field(data, "seed", DEFAULT_SEED)
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed", f"must lie in [0, 2**64), got {seed!r}")
+    return seed
+
+
 def float_field(
     data: dict[str, Any], name: str, default: float | None = None, *, positive: bool = False
 ) -> float:
@@ -233,10 +241,10 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
             m_series=m_series,
             initial_state=initial_state,
             spec=spec,
-            seed=int_field(data, "seed", DEFAULT_SEED),
+            seed=seed_field(data),
         )
     except ParameterError as exc:
-        raise ConfigError("n_per_series/seed", str(exc)) from exc
+        raise ConfigError("n_per_series", str(exc)) from exc
 
     out_dir = data.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -249,6 +257,19 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
         f_hi=float_field(data, "f_hi", 5.0),
         out_dir=out_dir,
     )
+
+
+def read_json_object(path: str | Path) -> dict[str, Any]:
+    """The top-level JSON object of a config or sweep-spec file."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise ConfigError("config", f"file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config", "top-level JSON value must be an object")
+    return data
 
 
 def load_run_config(
@@ -264,14 +285,7 @@ def load_run_config(
             raise ConfigError("preset", f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
         data = dict(PRESETS[preset])
     else:
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise ConfigError("config", f"file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config", "top-level JSON value must be an object")
+        data = read_json_object(path)
     for key, value in (overrides or {}).items():
         if value is not None:
             data[key] = value

@@ -74,9 +74,6 @@ class StateVector:
         norm = math.sqrt(self.norm_sq)
         return StateVector(self.c1 / norm, self.c2 / norm)
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm_sq - 1.0) <= tol
-
 
 LEVEL_ONE = StateVector(1.0, 0.0)
 LEVEL_TWO = StateVector(0.0, 1.0)
@@ -84,10 +81,10 @@ LEVEL_TWO = StateVector(0.0, 1.0)
 
 def ensure_normalized(state: StateVector, what: str = "state") -> None:
     """Raise StateError unless ``state`` is normalized within NORM_TOL."""
-    if not state.is_normalized():
+    error = abs(state.norm_sq - 1.0)
+    if not error <= NORM_TOL:  # a NaN norm fails too
         raise StateError(
-            f"{what} must be normalized: |norm^2 - 1| = "
-            f"{abs(state.norm_sq - 1.0):.3e} > {NORM_TOL:g}"
+            f"{what} must be normalized: |norm^2 - 1| = {error:.3e} > {NORM_TOL:g}"
         )
 
 
@@ -200,7 +197,7 @@ def outcome_probabilities(state: StateVector, params: PovmParams) -> tuple[float
     return p_plus, 1.0 - p_plus
 
 
-def apply_outcome(state: StateVector, op: Operation, renormalize: bool = True) -> StateVector:
+def apply_outcome(state: StateVector, op: Operation) -> StateVector:
     """Transform a state conditional on one outcome.
 
     Amplitudes are rescaled componentwise, ``c1 -> u1 c1, c2 -> u2 c2``.
@@ -216,10 +213,8 @@ def apply_outcome(state: StateVector, op: Operation, renormalize: bool = True) -
         raise DegenerateOutcomeError(
             "outcome has probability zero on this state (result is the zero vector)"
         )
-    if renormalize:
-        norm = math.sqrt(norm_sq)
-        return StateVector(c1 / norm, c2 / norm)
-    return StateVector(c1, c2)
+    norm = math.sqrt(norm_sq)
+    return StateVector(c1 / norm, c2 / norm)
 
 
 def bloch_vector(state: StateVector) -> tuple[float, float, float]:

@@ -60,20 +60,6 @@ def rotation_half_angles(tau: float, spec: HamiltonianSpec) -> tuple[float, floa
     return math.cos(angle), math.sin(angle)
 
 
-def rotate_amplitudes(
-    c1: complex, c2: complex, cos_half: float, sin_half: float
-) -> tuple[complex, complex]:
-    """Apply the propagator to raw amplitudes.
-
-    Shared by every code path that evolves a state so that identical inputs
-    produce bit-identical outputs.
-    """
-    return (
-        cos_half * c1 - 1.0j * sin_half * c2,
-        cos_half * c2 - 1.0j * sin_half * c1,
-    )
-
-
 def propagator(tau: float, spec: HamiltonianSpec) -> np.ndarray:
     """2x2 unitary for evolving over a time tau; determinant one."""
     if tau < 0.0:
@@ -90,8 +76,11 @@ def evolve(state: StateVector, tau: float, spec: HamiltonianSpec) -> StateVector
     if tau < 0.0:
         raise ParameterError(f"tau = {tau!r} must be >= 0")
     cos_half, sin_half = rotation_half_angles(tau, spec)
-    c1, c2 = rotate_amplitudes(state.c1, state.c2, cos_half, sin_half)
-    return StateVector(c1, c2)
+    c1, c2 = state.c1, state.c2
+    return StateVector(
+        cos_half * c1 - 1.0j * sin_half * c2,
+        cos_half * c2 - 1.0j * sin_half * c1,
+    )
 
 
 def commutator_residual(op: Operation, tau: float, spec: HamiltonianSpec) -> float:

@@ -239,7 +239,6 @@ class RegimeParams:
     n_min: int
     nbound_rhs: float
     nbound_ratio: float
-    nbound_satisfied: bool
 
     @property
     def nbound_tier(self) -> str:
@@ -265,5 +264,4 @@ def evaluate_regime(
         n_min=min_n_level_resolution(params),
         nbound_rhs=bound.rhs,
         nbound_ratio=bound.ratio,
-        nbound_satisfied=bound.satisfied,
     )

@@ -315,9 +315,6 @@ def row_correlations(x, y) -> np.ndarray:
     return r
 
 
-REGIMES = ("quantum_jump", "intermediate", "rabi")
-
-
 def classify_regime(f: float, f_lo: float = 0.3, f_hi: float = 5.0) -> str:
     """Map a fuzziness value onto one of the three measurement regimes.
 

@@ -147,10 +147,6 @@ class TrajectoryRecord:
     c2_sq: np.ndarray
     g2: np.ndarray
 
-    @property
-    def rng_seed(self) -> int:
-        return self.config.seed
-
 
 # Series per block of pre-drawn uniforms; bounds the memory a long
 # trajectory holds at once (at most 64 uniforms per series).
@@ -170,7 +166,7 @@ def _advance(
     for tau and then measures once.  Returns the final amplitudes, |c2|^2
     after each series and each series' "+" count.
 
-    The step is that of ``rabi.rotate_amplitudes``,
+    The step is that of ``rabi.evolve``,
     ``povm.outcome_probabilities`` and ``povm.apply_outcome`` with the
     constants hoisted, written on the four real components.  It matches
     them bit for bit because CPython forms ``float * complex`` and

@@ -13,8 +13,14 @@ import math
 import numpy as np
 import pytest
 
-import unsharp_monitor as um
+import unsharp_monitor.meter as meter
+import unsharp_monitor.povm as povm
+import unsharp_monitor.rabi as rabi
+import unsharp_monitor.series as series
+import unsharp_monitor.spectral as spectral
+import unsharp_monitor.trajectory as trajectory
 from unsharp_monitor.cli import main as cli_main
+from unsharp_monitor.config import PRESETS
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -39,16 +45,16 @@ def criterion(label):
     return decorator
 
 
-def random_state(rng) -> um.StateVector:
-    return um.StateVector(
+def random_state(rng) -> povm.StateVector:
+    return povm.StateVector(
         complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
     ).normalized()
 
 
-def preset_config(name, seed) -> um.TrajectoryConfig:
-    data = um.PRESETS[name]
-    return um.TrajectoryConfig(
-        params=um.PovmParams.from_p0_dp(data["p0"], data["dp"]),
+def preset_config(name, seed) -> trajectory.TrajectoryConfig:
+    data = PRESETS[name]
+    return trajectory.TrajectoryConfig(
+        params=povm.PovmParams.from_p0_dp(data["p0"], data["dp"]),
         tau=data["tau"],
         n_per_series=data["n_per_series"],
         m_series=data["m_series"],
@@ -59,8 +65,8 @@ def preset_config(name, seed) -> um.TrajectoryConfig:
 @criterion("1 fuzziness reproduction")
 def test_criterion_1_fuzziness_of_published_parameter_sets():
     for dp, expected in ((-0.3, 0.07), (0.01, 62.8), (0.08, 0.98)):
-        params = um.PovmParams.from_p0_dp(0.5, dp)
-        f = um.fuzziness(um.level_resolution_time(params, TAU), 1.0)
+        params = povm.PovmParams.from_p0_dp(0.5, dp)
+        f = series.fuzziness(series.level_resolution_time(params, TAU), 1.0)
         assert f == pytest.approx(expected, rel=5e-3)
 
 
@@ -69,23 +75,23 @@ def test_criterion_2_meter_dilation_matches_direct_description():
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         state = random_state(rng)
-        params = um.PovmParams(rng.uniform(), rng.uniform())
-        compound = um.dilate(state, params)
-        p_plus_direct, _ = um.outcome_probabilities(state, params)
-        assert abs(um.meter_outcome_probability(compound) - p_plus_direct) <= 1e-12
-        plus, minus = um.make_operations(params)
+        params = povm.PovmParams(rng.uniform(), rng.uniform())
+        compound = meter.dilate(state, params)
+        p_plus_direct, _ = povm.outcome_probabilities(state, params)
+        assert abs(meter.meter_outcome_probability(compound) - p_plus_direct) <= 1e-12
+        plus, minus = povm.make_operations(params)
         for outcome, op in (("+", plus), ("-", minus)):
             try:
-                direct = um.apply_outcome(state, op)
-            except um.DegenerateOutcomeError:
+                direct = povm.apply_outcome(state, op)
+            except povm.DegenerateOutcomeError:
                 continue
-            via_meter = um.project_onto_meter(compound, outcome)
+            via_meter = meter.project_onto_meter(compound, outcome)
             assert abs(via_meter.c1 - direct.c1) <= 1e-12
             assert abs(via_meter.c2 - direct.c2) <= 1e-12
 
 
 def _enumerate_counts(state, params, n):
-    plus, minus = um.make_operations(params)
+    plus, minus = povm.make_operations(params)
     probabilities = [0.0] * (n + 1)
     for outcomes in itertools.product((True, False), repeat=n):
         c1, c2 = state.c1, state.c2
@@ -117,33 +123,33 @@ def test_criterion_3_ordered_sequences_reproduce_closed_forms():
     rng = np.random.default_rng(333)
     for trial in range(50):
         state = random_state(rng)
-        params = um.PovmParams(rng.uniform(), rng.uniform())
+        params = povm.PovmParams(rng.uniform(), rng.uniform())
         n = 1 + trial % 8
         enumerated = _enumerate_counts(state, params, n)
         for n_plus in range(n + 1):
-            closed = um.nseries_probability(state, params, n, n_plus)
+            closed = series.nseries_probability(state, params, n, n_plus)
             assert abs(closed - enumerated[n_plus]) <= 1e-10
         assert abs(
-            um.fidelity(params, n, state) - _fidelity_from_mixture(params, n, state)
+            series.fidelity(params, n, state) - _fidelity_from_mixture(params, n, state)
         ) <= 1e-10
 
 
 @criterion("4 estimator statistics")
 def test_criterion_4_sampled_moments_match_closed_forms():
-    params = um.PovmParams.from_p0_dp(0.5, 0.08)
-    state = um.StateVector(0.6, 0.8)
+    params = povm.PovmParams.from_p0_dp(0.5, 0.08)
+    state = povm.StateVector(0.6, 0.8)
     n = 25
     reps = 100_000
-    config = um.TrajectoryConfig(
+    config = trajectory.TrajectoryConfig(
         params=params, tau=0.0, n_per_series=n, m_series=1, initial_state=state
     )
     rng = np.random.default_rng(4444)
     values = np.empty(reps)
     for i in range(reps):
-        _, outcome = um.simulate_nseries(state, config, rng)
+        _, outcome = trajectory.simulate_nseries(state, config, rng)
         values[i] = outcome.r
-    expected_mean = um.expectation_r(state, params)
-    expected_var = um.variance_r(state, params, n)
+    expected_mean = series.expectation_r(state, params)
+    expected_var = series.variance_r(state, params, n)
     standard_error = math.sqrt(expected_var / reps)
     assert abs(values.mean() - expected_mean) <= 4 * standard_error
     assert values.var(ddof=1) == pytest.approx(expected_var, rel=0.05)
@@ -163,7 +169,7 @@ def _pearson(x, y):
 def test_criterion_5a_jump_regime_dwell_and_correlation():
     dwell, corr = [], []
     for seed in SEEDS:
-        record = um.simulate_trajectory(preset_config("fig1", seed))
+        record = trajectory.simulate_trajectory(preset_config("fig1", seed))
         dwell.append(float(np.mean((record.c2_sq <= 0.1) | (record.c2_sq >= 0.9))))
         corr.append(_pearson(record.g2, record.c2_sq))
     assert np.median(dwell) >= 0.8
@@ -175,7 +181,7 @@ def test_criterion_5b_rabi_regime_is_undisturbed_but_unreadable():
     deviations, corr = [], []
     for seed in SEEDS:
         config = preset_config("fig2", seed)
-        record = um.simulate_trajectory(config)
+        record = trajectory.simulate_trajectory(config)
         deviations.append(_phase_aligned_max_deviation(record.t, record.c2_sq))
         corr.append(_pearson(record.g2, record.c2_sq))
     assert np.median(deviations) < 0.15
@@ -187,12 +193,12 @@ def test_criterion_5c_intermediate_regime_readout_tracks_state():
     peak_gaps, improvements = [], []
     for seed in SEEDS:
         config = preset_config("fig3", seed)
-        record = um.simulate_trajectory(config)
+        record = trajectory.simulate_trajectory(config)
         dt = config.delta_t
-        peak_g2 = um.main_peak(um.power_spectrum(record.g2, dt))
-        peak_c2 = um.main_peak(um.power_spectrum(record.c2_sq, dt))
+        peak_g2 = spectral.main_peak(spectral.power_spectrum(record.g2, dt))
+        peak_c2 = spectral.main_peak(spectral.power_spectrum(record.c2_sq, dt))
         peak_gaps.append(abs(peak_g2.index - peak_c2.index))
-        _, processed = um.process_readout(record.g2, dt)
+        _, processed = spectral.process_readout(record.g2, dt)
         improvements.append(
             _pearson(processed, record.c2_sq) - _pearson(record.g2, record.c2_sq)
         )
@@ -202,45 +208,45 @@ def test_criterion_5c_intermediate_regime_readout_tracks_state():
 
 @criterion("6 commutator identity and series bound")
 def test_criterion_6_commutator_identity_on_grid_and_bound_value():
-    spec = um.HamiltonianSpec()
+    spec = rabi.HamiltonianSpec()
     p_values = np.linspace(0.025, 0.975, 20)
     tau_values = np.linspace(0.0005, 0.5, 20)
     for p1, tau in itertools.product(p_values, tau_values):
-        plus, minus = um.make_operations(um.PovmParams(float(p1), float(1.0 - p1)))
-        assert um.commutator_residual(plus, float(tau), spec) <= 1e-12
-        assert um.commutator_residual(minus, float(tau), spec) <= 1e-12
-    ratio = um.nbound(um.PovmParams.from_p0_dp(0.5, 0.08), TAU, 1.0, 25).ratio
+        plus, minus = povm.make_operations(povm.PovmParams(float(p1), float(1.0 - p1)))
+        assert rabi.commutator_residual(plus, float(tau), spec) <= 1e-12
+        assert rabi.commutator_residual(minus, float(tau), spec) <= 1e-12
+    ratio = series.nbound(povm.PovmParams.from_p0_dp(0.5, 0.08), TAU, 1.0, 25).ratio
     assert ratio == pytest.approx(0.60, abs=0.01)
 
 
 @criterion("7 measurement keeps the state plane")
 def test_criterion_7_plane_preservation_and_its_breakdown():
     rng = np.random.default_rng(777)
-    spec = um.HamiltonianSpec()
+    spec = rabi.HamiltonianSpec()
     for _ in range(1000):
         alpha = rng.uniform(0.0, 2.0 * math.pi)
         sign = 1 if rng.uniform() < 0.5 else -1
-        state = um.StateVector(
+        state = povm.StateVector(
             math.cos(alpha / 2), sign * 1j * math.sin(alpha / 2)
         )
-        params = um.PovmParams(rng.uniform(), rng.uniform())
-        plus, minus = um.make_operations(params)
+        params = povm.PovmParams(rng.uniform(), rng.uniform())
+        plus, minus = povm.make_operations(params)
         inject_at = int(rng.integers(0, 100))
         injected = False
         for step in range(100):
-            state = um.evolve(state, float(rng.uniform(0.0, 0.05)), spec)
+            state = rabi.evolve(state, float(rng.uniform(0.0, 0.05)), spec)
             op = plus if rng.uniform() < 0.5 else minus
             try:
-                state = um.apply_outcome(state, op)
-            except um.DegenerateOutcomeError:
+                state = povm.apply_outcome(state, op)
+            except povm.DegenerateOutcomeError:
                 break
             if not injected:
-                assert abs(um.bloch_vector(state)[0]) <= 1e-12
+                assert abs(povm.bloch_vector(state)[0]) <= 1e-12
             if step == inject_at and not injected:
-                y_before = um.bloch_vector(state)[1]
-                state = um.unitary_disturbance(state, math.pi / 4)
+                y_before = povm.bloch_vector(state)[1]
+                state = povm.unitary_disturbance(state, math.pi / 4)
                 if abs(y_before) > 0.1:
-                    assert abs(um.bloch_vector(state)[0]) > 1e-3
+                    assert abs(povm.bloch_vector(state)[0]) > 1e-3
                 injected = True
 
 

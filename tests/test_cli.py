@@ -17,6 +17,8 @@ REPORT_KEYS = {
     "nbound_rhs", "nbound_ratio", "regime", "seed",
 }
 
+GRID = {"p0": [0.5], "dp": [0.08], "tau": [0.002], "n_per_series": [25]}
+
 SMALL_CONFIG = {
     "p0": 0.5,
     "dp": 0.08,
@@ -121,6 +123,8 @@ class TestSimulate:
             ("n_per_series", 25.9),
             ("m_series", 50.5),
             ("seed", True),
+            ("seed", -5),
+            ("seed", 2**64),
         ],
     )
     def test_numeric_fields_are_strict(self, tmp_path, capsys, field, value):
@@ -474,6 +478,33 @@ class TestSweep:
         }), encoding="utf-8")
         assert run(["sweep", "--config", spec, "--out-dir", tmp_path]) == 2
         assert "config field 'seed':" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [-5, 2**64, 2**65])
+    def test_out_of_range_seed_flag_rejected(self, tmp_path, capsys, value):
+        assert run([
+            "sweep", "--p0", "0.5", "--dp", "0.08", "--tau", "0.002", "--n", "25",
+            "--m", "48", "--seed", value, "--seeds-per-point", "2", "--out-dir", tmp_path,
+        ]) == 2
+        assert "config field 'seed':" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ([1, 2], "config"),
+            ({"grid": [1]}, "grid"),
+            ({"grid": GRID, "base": [1]}, "base"),
+            ({"grid": {**GRID, "p0": 0.5}}, "p0"),
+            ({"grid": {**GRID, "dp": []}}, "dp"),
+            ({"grid": GRID, "base": {"seed": -3}}, "seed"),
+        ],
+    )
+    def test_malformed_spec_rejected(self, tmp_path, capsys, spec, field):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert run(["sweep", "--config", path, "--out-dir", tmp_path]) == 2
+        assert f"config field '{field}':" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("value", [0, -2, 1.5, "3"])
     def test_bad_seeds_per_point_spec_rejected(self, tmp_path, capsys, value):

@@ -16,16 +16,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from unsharp_monitor import (
+from unsharp_monitor.povm import (
     DegenerateOutcomeError,
-    HamiltonianSpec,
     PovmParams,
     StateVector,
-    TrajectoryConfig,
     apply_outcome,
-    evolve,
     make_operations,
     outcome_probabilities,
+)
+from unsharp_monitor.rabi import HamiltonianSpec, evolve
+from unsharp_monitor.trajectory import (
+    TrajectoryConfig,
     simulate_nseries,
     simulate_trajectory,
 )
@@ -224,7 +225,7 @@ def test_a_tie_reads_minus_on_both_routes(c1):
 GENERAL_STATE = {"c1": [0.6, 0.0], "c2": [0.48, 0.64]}
 
 
-@pytest.mark.filterwarnings("ignore::unsharp_monitor.SeriesBoundWarning")
+@pytest.mark.filterwarnings("ignore::unsharp_monitor.trajectory.SeriesBoundWarning")
 @pytest.mark.parametrize(
     "overrides", [{}, {"initial_state": GENERAL_STATE}], ids=["in-plane", "general"]
 )

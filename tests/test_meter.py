@@ -5,18 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from unsharp_monitor import (
+from unsharp_monitor.meter import (
+    dilate,
+    measure_meter,
+    meter_outcome_probability,
+    project_onto_meter,
+)
+from unsharp_monitor.povm import (
     DegenerateOutcomeError,
     LEVEL_ONE,
     PovmParams,
     StateVector,
     apply_outcome,
-    dilate,
     make_operations,
-    measure_meter,
-    meter_outcome_probability,
     outcome_probabilities,
-    project_onto_meter,
 )
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from unsharp_monitor import (
+from unsharp_monitor.povm import (
     DegenerateOutcomeError,
     LEVEL_ONE,
     LEVEL_TWO,
@@ -215,11 +215,6 @@ class TestApplyOutcome:
         after = apply_outcome(UNIFORM, plus)
         assert after.c1.real == pytest.approx(0.80623, abs=5e-6)
         assert after.c2.real == pytest.approx(0.59161, abs=5e-6)
-
-    def test_renormalize_flag_keeps_raw_amplitudes(self):
-        plus, _ = make_operations(PovmParams(0.65, 0.35))
-        raw = apply_outcome(UNIFORM, plus, renormalize=False)
-        assert raw.norm_sq == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_probability_branch_raises(self):
         with pytest.raises(DegenerateOutcomeError):

@@ -5,17 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from unsharp_monitor import (
-    HamiltonianSpec,
+from unsharp_monitor.povm import (
     LEVEL_ONE,
     Operation,
     ParameterError,
     PovmParams,
     StateVector,
     bloch_vector,
+    make_operations,
+)
+from unsharp_monitor.rabi import (
+    HamiltonianSpec,
     commutator_residual,
     evolve,
-    make_operations,
     propagator,
 )
 

@@ -8,22 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unsharp_monitor import (
+from unsharp_monitor.povm import (
     LEVEL_ONE,
     LEVEL_TWO,
-    MAX_SERIES_LENGTH,
     ParameterError,
     PovmParams,
     StateVector,
-    TrajectoryConfig,
     apply_outcome,
+    make_operations,
+)
+from unsharp_monitor.series import (
+    MAX_SERIES_LENGTH,
     best_guess,
     evaluate_regime,
     expectation_r,
     fidelity,
     fuzziness,
     level_resolution_time,
-    make_operations,
     min_n_level_resolution,
     nbound,
     nseries_effect,
@@ -31,6 +32,7 @@ from unsharp_monitor import (
     sigma_g2,
     variance_r,
 )
+from unsharp_monitor.trajectory import TrajectoryConfig
 
 UNIFORM = StateVector(1 / math.sqrt(2), 1 / math.sqrt(2))
 
@@ -219,7 +221,7 @@ class TestFidelity:
 
 class TestNSeriesOutcome:
     def test_field_validation(self):
-        from unsharp_monitor import NSeriesOutcome
+        from unsharp_monitor.series import NSeriesOutcome
 
         with pytest.raises(ParameterError):
             NSeriesOutcome(n_total=0, n_plus=0, r=0.0, g2=0.0)

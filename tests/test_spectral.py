@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from unsharp_monitor import (
+from unsharp_monitor.povm import ParameterError
+from unsharp_monitor.spectral import (
     AnalysisError,
-    ParameterError,
     classify_regime,
     main_peak,
     power_spectrum,

@@ -7,24 +7,23 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from unsharp_monitor import (
-    HamiltonianSpec,
+from unsharp_monitor.povm import (
     LEVEL_ONE,
     ParameterError,
     PovmParams,
-    SeriesBoundWarning,
     StateError,
     StateVector,
+    apply_outcome,
+    make_operations,
+    outcome_probabilities,
+)
+from unsharp_monitor.rabi import HamiltonianSpec, evolve
+from unsharp_monitor.series import best_guess, nseries_probability
+from unsharp_monitor.spectral import main_peak, power_spectrum
+from unsharp_monitor.trajectory import (
+    SeriesBoundWarning,
     TimeResolutionWarning,
     TrajectoryConfig,
-    apply_outcome,
-    best_guess,
-    evolve,
-    main_peak,
-    make_operations,
-    nseries_probability,
-    outcome_probabilities,
-    power_spectrum,
     simulate_nseries,
     simulate_trajectory,
 )
@@ -55,7 +54,7 @@ class TestConfigValidation:
         with pytest.raises(StateError):
             quiet_config(**{**good, "initial_state": StateVector(1.0, 1.0)})
 
-    @pytest.mark.filterwarnings("ignore::unsharp_monitor.SeriesBoundWarning")
+    @pytest.mark.filterwarnings("ignore::unsharp_monitor.trajectory.SeriesBoundWarning")
     def test_coarse_spacing_warns(self):
         with pytest.warns(TimeResolutionWarning):
             TrajectoryConfig(
@@ -136,7 +135,7 @@ class TestSimulateStep:
     def test_dilation_engine_is_bitwise_the_meter_module(self):
         # the trajectory kernel inlines the measurement arithmetic; pin it
         # to the meter dilation exactly so the two cannot drift apart
-        from unsharp_monitor import dilate, measure_meter
+        from unsharp_monitor.meter import dilate, measure_meter
 
         cfg = quiet_config(params=FIG3_PARAMS, tau=0.002, n_per_series=1, m_series=1)
         rng = np.random.default_rng(58)
@@ -208,7 +207,7 @@ class TestSimulateTrajectory:
         assert np.array_equal(a.c2_sq, b.c2_sq)
         assert np.array_equal(a.g2, b.g2)
         assert np.array_equal(a.t, b.t)
-        assert a.rng_seed == 99
+        assert a.config.seed == 99
 
     def test_sample_grid(self):
         cfg = quiet_config(params=FIG3_PARAMS, tau=0.002, n_per_series=25, m_series=40)
