@@ -6,6 +6,7 @@ import argparse
 import itertools
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Any
@@ -15,11 +16,14 @@ import numpy as np
 from . import artifacts
 from .artifacts import ArtifactError
 from .config import (
+    MAX_REPLICATES,
+    SWEEP_AXES,
+    SWEEP_BASE_KEYS,
     ConfigError,
     bool_field,
     build_report,
+    check_keys,
     derive_seed,
-    drop_retired_engine,
     float_field,
     int_field,
     load_run_config,
@@ -84,22 +88,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     echo, columns = artifacts.read_trajectory_csv(args.csv)
-    if echo is not None and "n_per_series" in echo and "tau" in echo:
+    echo = echo or {}
+    if "n_per_series" in echo and "tau" in echo:
         dt = int_field(echo, "n_per_series", 0) * float_field(echo, "tau", positive=True)
-        wiener = bool_field(echo, "wiener")
-        truncation = bool_field(echo, "truncation")
-        t_r = float_field(echo, "t_r", 1.0, positive=True)
     else:
         dt = float(columns["t_over_TR"][0] / columns["m"][0])
-        wiener = True
-        truncation = True
-        t_r = 1.0
+    wiener = bool_field(echo, "wiener")
+    truncation = bool_field(echo, "truncation")
+    t_r = float_field(echo, "t_r", 1.0, positive=True)
     spectrum, processed = process_readout(columns["g2"], dt, wiener, truncation)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = artifacts.spectrum_payload(
-        spectrum, processed, echo if echo is not None else {}, 2.0 * math.pi / t_r
-    )
+    payload = artifacts.spectrum_payload(spectrum, processed, echo, 2.0 * math.pi / t_r)
     artifacts.write_json(out_dir / "spectrum.json", payload)
     artifacts.write_trajectory_csv(
         out_dir / "processed.csv",
@@ -108,7 +108,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         columns["c2_sq"],
         columns["g2"],
         processed,
-        echo if echo is not None else {},
+        echo,
     )
     peak = payload["main_peak"]
     status = (
@@ -130,6 +130,7 @@ def _spec_object(spec: dict[str, Any], name: str) -> dict[str, Any]:
 
 def _sweep_axes(args: argparse.Namespace, spec: dict[str, Any]) -> dict[str, list]:
     grid = _spec_object(spec, "grid")
+    check_keys(grid, SWEEP_AXES, "grid.")
     if args.p0:
         grid["p0"] = _parse_floats(args.p0, "p0")
     if args.dp:
@@ -141,7 +142,7 @@ def _sweep_axes(args: argparse.Namespace, spec: dict[str, Any]) -> dict[str, lis
         if not all(v.is_integer() for v in counts):
             raise ConfigError("n", f"expected whole numbers, got {args.n!r}")
         grid["n_per_series"] = [int(v) for v in counts]
-    for axis in ("p0", "dp", "tau", "n_per_series"):
+    for axis in SWEEP_AXES:
         if axis not in grid:
             raise ConfigError(axis, "sweep axis missing (flag or grid entry required)")
         if not isinstance(grid[axis], list) or not grid[axis]:
@@ -163,19 +164,20 @@ def _sweep_point(
     base_seed: int,
     replicates: int,
 ) -> dict[str, Any]:
-    data = dict(base)
-    data.pop("p1", None)
-    data.pop("p2", None)
-    data.update(point)
-    config = run_config_from_dict(data)
+    config = run_config_from_dict({**base, **point})
     report = build_report(config)
     omega_r = config.trajectory.spec.omega_r
 
     seeds = [derive_seed(base_seed, index, replicate) for replicate in range(replicates)]
+    # a replicate differs from config.trajectory only in its seed; building
+    # it would repeat the warnings that building config already gave
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        replicas = [replace(config.trajectory, seed=seed) for seed in seeds]
     g2 = np.empty((replicates, config.trajectory.m_series))
     c2_sq = np.empty_like(g2)
-    for row, seed in enumerate(seeds):
-        record = simulate_trajectory(replace(config.trajectory, seed=seed))
+    for row, replica in enumerate(replicas):
+        record = simulate_trajectory(replica)
         g2[row], c2_sq[row] = record.g2, record.c2_sq
     spectra, processed = process_readouts(
         g2, config.trajectory.delta_t, config.wiener, config.truncation
@@ -203,10 +205,16 @@ def _sweep_point(
     }
 
 
+# ConfigError fields that a point's own axis values can raise
+_POINT_FIELDS = {*SWEEP_AXES, "p0/dp"}
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = read_json_object(args.config) if args.config is not None else {}
+    check_keys(spec, ("grid", "base", "seeds_per_point"))
     grid = _sweep_axes(args, spec)
-    base = drop_retired_engine(_spec_object(spec, "base"))
+    base = _spec_object(spec, "base")
+    check_keys(base, SWEEP_BASE_KEYS, "base.")
     if args.m is not None:
         base["m_series"] = args.m
     base.setdefault("m_series", 200)
@@ -214,18 +222,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         base["seed"] = args.seed
     base_seed = seed_field(base)
     base.pop("seed", None)
-    replicates = (
-        args.seeds_per_point
-        if args.seeds_per_point is not None
-        else spec.get("seeds_per_point", 1)
-    )
-    if type(replicates) is not int or replicates < 1:  # bool is no count either
-        raise ConfigError("seeds_per_point", f"must be an integer >= 1, got {replicates!r}")
+    if args.seeds_per_point is not None:
+        spec["seeds_per_point"] = args.seeds_per_point
+    replicates = int_field(spec, "seeds_per_point", 1)
+    if not 1 <= replicates <= MAX_REPLICATES:
+        raise ConfigError(
+            "seeds_per_point", f"must lie in [1, {MAX_REPLICATES}], got {replicates}"
+        )
 
-    axes = [grid["p0"], grid["dp"], grid["tau"], grid["n_per_series"]]
     points = [
-        {"p0": p0, "dp": dp, "tau": tau, "n_per_series": n}
-        for p0, dp, tau, n in itertools.product(*axes)
+        dict(zip(SWEEP_AXES, values))
+        for values in itertools.product(*(grid[axis] for axis in SWEEP_AXES))
     ]
 
     rows = []
@@ -233,6 +240,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             rows.append(_sweep_point(base, point, index, base_seed, replicates))
         except (ConfigError, ParameterError, StateError) as exc:
+            # a point is skipped for its own axis values; any other bad
+            # setting is wrong for every point and stops the sweep
+            if isinstance(exc, ConfigError) and exc.field not in _POINT_FIELDS:
+                raise
             print(f"warning: skipping grid point {index} {point}: {exc}", file=sys.stderr)
     skipped = len(points) - len(rows)
     out_dir = Path(args.out_dir)

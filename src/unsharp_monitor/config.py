@@ -6,7 +6,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .povm import ParameterError, PovmParams, StateError, StateVector, ensure_normalized
 from .rabi import HamiltonianSpec
@@ -39,9 +39,14 @@ PRESETS: dict[str, dict[str, Any]] = {
 
 _ALLOWED_KEYS = {
     "p0", "dp", "p1", "p2", "tau", "n_per_series", "m_series", "initial_state",
-    "seed", "wiener", "truncation", "f_lo", "f_hi", "t_r",
-    "a1", "a2", "drive_omega", "out_dir",
+    "seed", "wiener", "truncation", "f_lo", "f_hi", "t_r", "out_dir",
 }
+
+# A sweep's grid sets these four per point.  Its base may set every other
+# run-config key except p1/p2, which the grid's (p0, dp) always replace,
+# and out_dir: a sweep writes only to its --out-dir.
+SWEEP_AXES = ("p0", "dp", "tau", "n_per_series")
+SWEEP_BASE_KEYS = _ALLOWED_KEYS - {*SWEEP_AXES, "p1", "p2", "out_dir"}
 
 
 @dataclass(frozen=True)
@@ -134,27 +139,13 @@ def _parse_params(data: dict[str, Any]) -> PovmParams:
         raise ConfigError("p1/p2" if has_p12 else "p0/dp", str(exc)) from exc
 
 
-def drop_retired_engine(data: dict[str, Any]) -> dict[str, Any]:
-    """Remove the retired ``engine`` field from a config dict.
-
-    Files written for older versions may still carry ``"engine": "povm"``,
-    the only route that remains; it is accepted with a deprecation line on
-    stderr.  Any other value would ask for a route that no longer exists.
-    """
-    if "engine" not in data:
-        return data
-    data = dict(data)
-    engine = data.pop("engine")
-    if engine != "povm":
+def check_keys(data: dict[str, Any], allowed: Iterable[str], prefix: str = "") -> None:
+    """Reject the first key of ``data``, in sorted order, that ``allowed`` lacks."""
+    unknown = sorted(set(data).difference(allowed))
+    if unknown:
         raise ConfigError(
-            "engine", f'the field is retired and only "povm" is accepted, got {engine!r}'
+            prefix + unknown[0], f"unknown key (allowed: {', '.join(sorted(allowed))})"
         )
-    print(
-        "deprecated: config field 'engine' is ignored (one measurement route remains); "
-        "remove it from the file",
-        file=sys.stderr,
-    )
-    return data
 
 
 def bool_field(data: dict[str, Any], name: str) -> bool:
@@ -204,26 +195,14 @@ def float_field(
 
 def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
     """Build and validate a RunConfig from a plain dict (the file schema)."""
-    data = drop_retired_engine(data)
-    unknown = set(data) - _ALLOWED_KEYS
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown key")
+    check_keys(data, _ALLOWED_KEYS)
     params = _parse_params(data)
     if 3.0 * params.dp**2 == 0.0:  # also |dp| so small that dp**2 underflows
         raise ConfigError(
             "dp", f"dp = {params.dp!r} carries no information; the readout is undefined"
         )
 
-    # optional lab-frame metadata; null counts as not given
-    lab_frame = {
-        key: float_field(data, key)
-        for key in ("a1", "a2", "drive_omega")
-        if data.get(key) is not None
-    }
-    try:
-        spec = HamiltonianSpec(t_r=float_field(data, "t_r", 1.0, positive=True), **lab_frame)
-    except ParameterError as exc:
-        raise ConfigError("drive_omega", str(exc)) from exc
+    spec = HamiltonianSpec(t_r=float_field(data, "t_r", 1.0, positive=True))
 
     state_raw = data.get("initial_state")
     initial_state = StateVector(1.0, 0.0) if state_raw is None else _parse_initial_state(state_raw)
@@ -312,6 +291,8 @@ def build_report(config: RunConfig) -> dict[str, Any]:
 
 
 _MASK64 = (1 << 64) - 1
+# derive_seed packs the replicate number into the low 20 bits of its hash input
+MAX_REPLICATES = 1 << 20
 
 
 def _splitmix64(x: int) -> int:
@@ -327,6 +308,6 @@ def derive_seed(base_seed: int, index: int, replicate: int = 0) -> int:
     Distinct (index, replicate) pairs give independent, reproducible
     streams regardless of execution order.
     """
-    if replicate < 0 or replicate >= (1 << 20):
+    if replicate < 0 or replicate >= MAX_REPLICATES:
         raise ParameterError(f"replicate = {replicate} must lie in [0, 2^20)")
     return (base_seed ^ _splitmix64(((index << 20) | replicate) & _MASK64)) & _MASK64

@@ -17,36 +17,18 @@ import numpy as np
 
 from .povm import Operation, ParameterError, StateVector
 
-_RESONANCE_TOL = 1e-9
-
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Resonantly driven two-level Hamiltonian, reduced to its Rabi period.
-
-    ``a1``, ``a2`` and ``drive_omega`` are optional lab-frame metadata (with
-    hbar = 1); when all three are given the resonance condition
-    drive_omega = a2 - a1 is enforced at construction.  Only ``t_r`` enters
-    the simulated dynamics.
-    """
+    """Resonantly driven two-level Hamiltonian, reduced to its Rabi period."""
 
     t_r: float = 1.0
-    a1: float | None = None
-    a2: float | None = None
-    drive_omega: float | None = None
 
     def __post_init__(self) -> None:
         if self.t_r <= 0.0:
             raise ParameterError(f"t_r = {self.t_r!r} must be > 0")
-        if self.a1 is not None and self.a2 is not None and self.drive_omega is not None:
-            gap = self.a2 - self.a1
-            if abs(self.drive_omega - gap) > _RESONANCE_TOL * max(1.0, abs(gap)):
-                raise ParameterError(
-                    f"off-resonant driving rejected: drive_omega = {self.drive_omega!r} "
-                    f"but a2 - a1 = {gap!r}"
-                )
 
     @property
     def omega_r(self) -> float:

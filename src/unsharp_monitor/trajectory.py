@@ -95,13 +95,15 @@ class TrajectoryConfig:
         if not 0 <= int(self.seed) < 2**64:
             raise ParameterError(f"seed = {self.seed!r} must be a 64-bit unsigned integer")
         ensure_normalized(self.initial_state, "initial state")
+        # stacklevel 3 passes over this method and the generated __init__,
+        # so each warning names the line that built the config
         if self.delta_t >= self.spec.t_r / 10.0:
             warnings.warn(
                 f"series spacing delta_t = {self.delta_t:g} is not small against "
                 f"the Rabi period {self.spec.t_r:g}; readout samples will undersample "
                 "the oscillation",
                 TimeResolutionWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         if self.params.dp != 0.0:
             regime = self.regime
@@ -111,14 +113,14 @@ class TrajectoryConfig:
                     "the best guess is not a controlled approximation of the "
                     "upper-level population",
                     SeriesBoundWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
             elif regime.nbound_tier == "loose":
                 warnings.warn(
                     f"series-length bound only loosely satisfied: "
                     f"ratio = {regime.nbound_ratio:.3g} > 0.25",
                     SeriesBoundWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
 
     @property

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from unsharp_monitor.artifacts import TRAJECTORY_COLUMNS, json_safe, read_trajectory_csv
 from unsharp_monitor.cli import main
 from unsharp_monitor.config import build_report, load_run_config
+from unsharp_monitor.spectral import process_readout
+from unsharp_monitor.trajectory import SeriesBoundWarning
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -71,22 +74,22 @@ class TestSimulate:
         for name in ("trajectory.csv", "spectrum.json", "report.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_povm_engine_field_is_deprecated(self, tmp_path, small_config, capsys):
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps({**SMALL_CONFIG, "engine": "povm"}), encoding="utf-8")
-        assert run(["simulate", "--config", old, "--out-dir", tmp_path / "old"]) == 0
-        err_lines = capsys.readouterr().err.splitlines()
-        assert len([line for line in err_lines if "deprecated" in line]) == 1
-        run(["simulate", "--config", small_config, "--out-dir", tmp_path / "new"])
-        for name in ("trajectory.csv", "spectrum.json", "report.json"):
-            assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
-
-    @pytest.mark.parametrize("engine", ["dilation", "exact", True])
+    @pytest.mark.parametrize("engine", ["dilation", "exact", True, "povm"])
     def test_other_engine_values_rejected(self, tmp_path, capsys, engine):
+        # the retired field is an unknown key now, "povm" included
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**SMALL_CONFIG, "engine": engine}), encoding="utf-8")
         assert run(["simulate", "--config", bad, "--out-dir", tmp_path]) == 2
-        assert "config field 'engine':" in capsys.readouterr().err
+        assert "config field 'engine': unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["a1", "a2", "drive_omega"])
+    def test_lab_frame_keys_rejected(self, tmp_path, capsys, field):
+        # lab-frame metadata never reached an artifact; only t_r drives the model
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, field: 1.0}), encoding="utf-8")
+        assert run(["simulate", "--config", bad, "--out-dir", tmp_path]) == 2
+        assert f"config field '{field}': unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("field", ["wiener", "truncation"])
     def test_switches_must_be_json_bools(self, tmp_path, capsys, field):
@@ -145,13 +148,11 @@ class TestSimulate:
             ("f_hi", math.inf),
             ("dp", 10**400),
             ("p2", [0.5]),
-            ("a1", "x"),  # used to end in a TypeError traceback next to a2 and drive_omega
-            ("drive_omega", True),
         ],
-        ids=["bool", "string", "null", "nan", "inf", "huge-int", "list", "lab-string", "lab-bool"],
+        ids=["bool", "string", "null", "nan", "inf", "huge-int", "list"],
     )
     def test_float_fields_are_strict(self, tmp_path, capsys, field, value):
-        data = {**SMALL_CONFIG, "a1": 0.0, "a2": 1.0, "drive_omega": 1.0, field: value}
+        data = {**SMALL_CONFIG, field: value}
         if field in ("p1", "p2"):
             del data["p0"], data["dp"]
             data = {"p1": 0.46, "p2": 0.54, **data}
@@ -217,7 +218,6 @@ class TestSimulate:
 
     @pytest.mark.parametrize("field, value", [("tau", 0), ("t_r", 0.0), ("t_r", -2.0)])
     def test_times_must_be_positive(self, tmp_path, capsys, field, value):
-        # t_r <= 0 used to be reported as field 'drive_omega'
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**SMALL_CONFIG, field: value}), encoding="utf-8")
         assert run(["simulate", "--config", bad, "--out-dir", tmp_path]) == 2
@@ -383,6 +383,23 @@ class TestAnalyze:
         assert field in err and "Traceback" not in err
         assert not (tmp_path / "an" / "spectrum.json").exists()
 
+    def test_partial_echo_switches_are_read(self, tmp_path, small_config):
+        # the switches used to be read only from an echo with n_per_series and tau
+        out = tmp_path / "out"
+        run(["simulate", "--config", small_config, "--out-dir", out])
+        _, columns = read_trajectory_csv(out / "trajectory.csv")
+        csv = tmp_path / "partial.csv"
+        lines = (out / "trajectory.csv").read_text(encoding="utf-8").splitlines()
+        lines[1] = "# config: " + json.dumps({"wiener": False, "truncation": False})
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(["analyze", csv, "--out-dir", tmp_path / "an"]) == 0
+        payload = json.loads((tmp_path / "an" / "spectrum.json").read_text())
+        assert payload["config"] == {"wiener": False, "truncation": False}
+        assert payload["wiener_weights"] is None
+        dt = float(columns["t_over_TR"][0] / columns["m"][0])
+        _, unfiltered = process_readout(columns["g2"], dt, wiener=False, truncation=False)
+        assert payload["processed_readout"] == unfiltered.tolist()
+
     def test_missing_header_rejected(self, tmp_path, capsys):
         csv = tmp_path / "broken.csv"
         csv.write_text("1,0.05,0.5,1.0,0.0\n", encoding="utf-8")
@@ -497,6 +514,16 @@ class TestSweep:
             ({"grid": {**GRID, "p0": 0.5}}, "p0"),
             ({"grid": {**GRID, "dp": []}}, "dp"),
             ({"grid": GRID, "base": {"seed": -3}}, "seed"),
+            ({"grid": GRID, "extra": 1}, "extra"),
+            ({"grid": {**GRID, "m_series": [64]}}, "grid.m_series"),
+            ({"grid": GRID, "base": {"p1": 0.1, "p2": 0.9, "tau": 0.5}}, "base.p1"),
+            ({"grid": GRID, "base": {"engine": "povm"}}, "base.engine"),
+            ({"grid": GRID, "base": {"tau": 0.5}}, "base.tau"),
+            ({"grid": GRID, "base": {"out_dir": "runs"}}, "base.out_dir"),
+            # not about a point's own axis values, so no point is skipped for it
+            ({"grid": GRID, "base": {"m_series": 2}}, "m_series"),
+            ({"grid": GRID, "base": {"wiener": "no"}}, "wiener"),
+            ({"grid": GRID, "base": {"f_lo": 9.0}}, "f_lo"),
         ],
     )
     def test_malformed_spec_rejected(self, tmp_path, capsys, spec, field):
@@ -506,7 +533,7 @@ class TestSweep:
         assert f"config field '{field}':" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("value", [0, -2, 1.5, "3"])
+    @pytest.mark.parametrize("value", [0, -2, 1.5, "3", 2**20 + 1])
     def test_bad_seeds_per_point_spec_rejected(self, tmp_path, capsys, value):
         spec = tmp_path / "grid.json"
         spec.write_text(json.dumps({
@@ -517,15 +544,27 @@ class TestSweep:
         assert run(["sweep", "--config", spec, "--out-dir", tmp_path]) == 2
         assert "config field 'seeds_per_point':" in capsys.readouterr().err
 
-    def test_spec_base_engine_is_deprecated(self, tmp_path, capsys):
-        spec = tmp_path / "grid.json"
-        spec.write_text(json.dumps({
-            "grid": {"p0": [0.5], "dp": [0.08, 0.3], "tau": [0.002], "n_per_series": [25]},
-            "base": {"m_series": 48, "engine": "povm"},
-        }), encoding="utf-8")
-        assert run(["sweep", "--config", spec, "--out-dir", tmp_path]) == 0
-        err_lines = capsys.readouterr().err.splitlines()
-        assert len([line for line in err_lines if "deprecated" in line]) == 1
+    def test_integral_float_seeds_per_point_is_a_count(self, tmp_path):
+        outputs = []
+        for value in (3, 3.0):
+            spec = tmp_path / "grid.json"
+            spec.write_text(json.dumps({
+                "grid": GRID, "base": {"m_series": 48}, "seeds_per_point": value,
+            }), encoding="utf-8")
+            out = tmp_path / str(value)
+            assert run(["sweep", "--config", spec, "--out-dir", out]) == 0
+            outputs.append((out / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_replicates_repeat_no_warning(self, tmp_path):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert run([
+                "sweep", "--p0", "0.5", "--dp=-0.3", "--tau", "0.002", "--n", "25",
+                "--m", "48", "--seeds-per-point", "3", "--out-dir", tmp_path,
+            ]) == 0
+        assert [w.category for w in record] == [SeriesBoundWarning]
+        assert record[0].filename.endswith("config.py")
 
     def test_grid_spec_file(self, tmp_path):
         spec = tmp_path / "grid.json"

@@ -29,14 +29,6 @@ class TestHamiltonianSpec:
         assert SPEC.omega_r * SPEC.t_r == pytest.approx(2 * math.pi, abs=1e-12)
         assert HamiltonianSpec(t_r=2.5).omega_r == pytest.approx(2 * math.pi / 2.5, abs=1e-12)
 
-    def test_resonant_metadata_accepted(self):
-        spec = HamiltonianSpec(t_r=1.0, a1=0.5, a2=3.5, drive_omega=3.0)
-        assert spec.a2 - spec.a1 == pytest.approx(spec.drive_omega)
-
-    def test_off_resonant_metadata_rejected(self):
-        with pytest.raises(ParameterError):
-            HamiltonianSpec(t_r=1.0, a1=0.5, a2=3.5, drive_omega=2.5)
-
     def test_nonpositive_period_rejected(self):
         with pytest.raises(ParameterError):
             HamiltonianSpec(t_r=0.0)

@@ -77,6 +77,19 @@ class TestConfigValidation:
         with pytest.warns(SeriesBoundWarning, match="loosely"):
             TrajectoryConfig(params=FIG3_PARAMS, tau=0.002, n_per_series=25, m_series=10)
 
+    def test_warnings_name_the_calling_line(self):
+        # both warnings used to point into the dataclass-generated __init__
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            TrajectoryConfig(
+                params=PovmParams.from_p0_dp(0.5, -0.3),
+                tau=0.01,
+                n_per_series=25,
+                m_series=10,
+            )
+        assert {w.category for w in record} == {TimeResolutionWarning, SeriesBoundWarning}
+        assert all(w.filename == __file__ for w in record)
+
     def test_comfortable_bound_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
