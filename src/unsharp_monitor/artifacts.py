@@ -5,23 +5,36 @@ shortest round-trip repr, so identical configurations and seeds produce
 byte-identical artifacts.  Every file embeds the schema version and the
 resolved run configuration (CSV files as leading comment lines).
 
-Writing, not analysis, is most of the cost of a readout: one trajectory CSV
-and its spectrum hold some 20k floats.  Each float array is therefore
-formatted once, in bulk (``_float_texts``: one ``tolist`` and one
-``float.__repr__`` per element, the exact text ``fmt`` and ``json`` give a
-finite float), instead of one numpy scalar at a time.  JSON goes through a
-small emitter, ``dump_json``, because ``json.dumps(..., indent=2)`` cannot use
-CPython's C encoder; its output must equal
-``json.dumps(json_safe(payload), indent=2) + "\\n"`` byte for byte, which the
-tests check against that expression.
+Text I/O, not analysis, is most of the cost of a readout: one trajectory CSV
+and its spectrum hold some 20k floats, and ``analyze`` first parses 10k.
+So floats are formatted and parsed in bulk, never one numpy scalar at a
+time:
+
+- ``_float_texts`` formats an array with one ``tolist`` and one
+  ``float.__repr__`` per element, the exact text ``fmt`` and ``json`` give a
+  finite float.  An array that goes to two files, the processed readout, is
+  formatted once per op as ``FloatTexts`` and both writers take its texts.
+  The readout G2 holds only n + 1 distinct values, so its column formats each
+  distinct bit pattern once.
+- ``read_trajectory_csv`` converts the data rows in blocks, one
+  ``np.fromiter(map(float, texts))`` per block, so every field is read by
+  ``float()`` itself, and checks field counts and the series index on whole
+  columns.  Only when that fails does the per-line check run, to name the
+  first bad line.
+
+JSON goes through a small emitter, ``dump_json``, because
+``json.dumps(..., indent=2)`` cannot use CPython's C encoder; its output must
+equal ``json.dumps(json_safe(payload), indent=2) + "\\n"`` byte for byte,
+which the tests check against that expression.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -51,6 +64,8 @@ def fmt(value: Any) -> str:
 
 def json_safe(value: Any) -> Any:
     """Replace non-finite floats (JSON has no literal for them) by strings."""
+    if isinstance(value, FloatTexts):
+        value = value.values
     if isinstance(value, dict):
         return {k: json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -76,7 +91,38 @@ def _write_text(path: Path, text: str) -> None:
 
 def _float_texts(values: Any) -> list[str]:
     """The shortest round-trip repr of each element, formatted in bulk."""
+    if isinstance(values, FloatTexts):
+        return values.texts
     return list(map(float.__repr__, np.asarray(values, dtype=float).tolist()))
+
+
+def _float_texts_by_value(values: np.ndarray) -> list[str]:
+    """``_float_texts(values)``, formatting each distinct bit pattern once.
+
+    Worth it only for lattice-valued arrays such as the readout G2 (n + 1
+    distinct values); on all-distinct data the lookups cost more than they
+    save.  Keying on bit patterns keeps -0.0 and 0.0 apart.
+    """
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64).tolist()
+    distinct = list(dict.fromkeys(bits))
+    floats = np.array(distinct, dtype=np.int64).view(np.float64)
+    texts = dict(zip(distinct, _float_texts(floats)))
+    return list(map(texts.__getitem__, bits))
+
+
+class FloatTexts:
+    """A 1-d float array and its elements' texts, formatted once.
+
+    Pass one in place of an array that goes to more than one file (the
+    processed readout goes to the trajectory CSV and to ``spectrum.json``);
+    every writer then takes these texts instead of formatting again.
+    """
+
+    __slots__ = ("values", "texts")
+
+    def __init__(self, values: Any) -> None:
+        self.values = np.asarray(values, dtype=float)
+        self.texts = _float_texts(self.values)
 
 
 _NON_FINITE_TEXTS = ("nan", "inf", "-inf")
@@ -99,8 +145,10 @@ def _json_text(value: Any, newline: str) -> str:
         items = [f"{json.dumps(key)}: {_json_text(item, inner)}" for key, item in value.items()]
         return _json_block("{}", items, newline)
     if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
-        items = _float_texts(value)
-        if not np.isfinite(value).all():  # json_safe writes these as strings
+        value = FloatTexts(value)
+    if isinstance(value, FloatTexts):
+        items = value.texts
+        if not np.isfinite(value.values).all():  # json_safe writes these as strings
             items = [f'"{text}"' if text in _NON_FINITE_TEXTS else text for text in items]
         return _json_block("[]", items, newline)
     if isinstance(value, np.ndarray):
@@ -126,86 +174,127 @@ def write_trajectory_csv(
     t: np.ndarray,
     c2_sq: np.ndarray,
     g2: np.ndarray,
-    g2_processed: np.ndarray,
+    g2_processed: np.ndarray | FloatTexts,
     echo: dict[str, Any],
 ) -> None:
     lines = _comment_header(echo)
     lines.append(",".join(TRAJECTORY_COLUMNS))
     index_texts = map(str, map(int, np.asarray(m).tolist()))
-    float_columns = map(_float_texts, (t, c2_sq, g2, g2_processed))
-    lines.extend(map(",".join, zip(index_texts, *float_columns)))
+    # the column texts are freed once the rows are joined, before the file text
+    lines.extend(map(",".join, zip(
+        index_texts,
+        _float_texts(t),
+        _float_texts(c2_sq),
+        _float_texts_by_value(g2),
+        _float_texts(g2_processed),
+    )))
     _write_text(Path(path), "\n".join(lines) + "\n")
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[dict[str, Any] | None, dict[str, np.ndarray]]:
     """Parse a trajectory CSV; returns (config echo, column arrays).
 
-    Comment lines (``#``) may only precede the header.  Raises
-    ArtifactError naming the 1-based line number of the first offending
-    line.
+    Comment lines (``#``) may only precede the header; blank lines are
+    skipped.  Raises ArtifactError naming the 1-based line number of the
+    first offending line.
     """
     path = Path(path)
     try:
         raw_lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ArtifactError(f"cannot read {path}: {exc}") from exc
+    echo, header_number = _read_preamble(path, raw_lines)
+    rows = list(filter(str.strip, raw_lines[header_number:]))
+    if not rows:
+        raise ArtifactError(f"{path}: no data rows")
+    data = _parse_rows(rows)
+    if data is None or not np.array_equal(data[:, 0], np.arange(1, len(rows) + 1)):
+        _raise_first_bad_row(path, raw_lines, header_number)
+    columns = {name: data[:, i] for i, name in enumerate(TRAJECTORY_COLUMNS)}
+    columns["m"] = columns["m"].astype(int)
+    return echo, columns
+
+
+def _read_preamble(path: Path, lines: list[str]) -> tuple[dict[str, Any] | None, int]:
+    """The config echo of the comment lines and the 1-based number of the header."""
     echo: dict[str, Any] | None = None
-    header_seen = False
-    rows: list[list[float]] = []
-    for number, line in enumerate(raw_lines, start=1):
+    for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        if line.startswith("#"):
-            if header_seen:
-                raise ArtifactError(
-                    f"{path}:{number}: comment after the header (a data row turned comment?)"
-                )
-            body = line[1:].strip()
-            if body.startswith("config:"):
-                try:
-                    echo = json.loads(body[len("config:"):])
-                except json.JSONDecodeError as exc:
-                    raise ArtifactError(f"{path}:{number}: bad config echo: {exc}") from exc
-                if not isinstance(echo, dict):
-                    raise ArtifactError(
-                        f"{path}:{number}: bad config echo: expected a JSON object, got {echo!r}"
-                    )
-            continue
-        if not header_seen:
+        if not line.startswith("#"):
             if line.split(",") != list(TRAJECTORY_COLUMNS):
                 raise ArtifactError(
                     f"{path}:{number}: header must be "
                     f"'{','.join(TRAJECTORY_COLUMNS)}', got '{line}'"
                 )
-            header_seen = True
+            return echo, number
+        body = line[1:].strip()
+        if body.startswith("config:"):
+            try:
+                echo = json.loads(body[len("config:"):])
+            except json.JSONDecodeError as exc:
+                raise ArtifactError(f"{path}:{number}: bad config echo: {exc}") from exc
+            if not isinstance(echo, dict):
+                raise ArtifactError(
+                    f"{path}:{number}: bad config echo: expected a JSON object, got {echo!r}"
+                )
+    raise ArtifactError(f"{path}:1: missing header line")
+
+
+# rows converted per fromiter call: bounds the field texts held at once
+_BLOCK_ROWS = 256
+
+
+def _parse_rows(rows: list[str]) -> np.ndarray | None:
+    """The data rows as an M x 5 array, or None if a row is malformed.
+
+    A row turned comment fails ``float()`` too.
+    """
+    width = len(TRAJECTORY_COLUMNS)
+    if set(map(str.count, rows, itertools.repeat(","))) != {width - 1}:
+        return None
+    data = np.empty((len(rows), width))
+    try:
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            texts = ",".join(rows[start:start + _BLOCK_ROWS]).split(",")
+            block = np.fromiter(map(float, texts), dtype=float, count=len(texts))
+            data[start:start + _BLOCK_ROWS] = block.reshape(-1, width)
+    except ValueError:
+        return None
+    return data
+
+
+def _raise_first_bad_row(path: Path, lines: list[str], header_number: int) -> NoReturn:
+    """Raise the ArtifactError of the first malformed data row, line by line."""
+    index = 0
+    for number, line in enumerate(lines[header_number:], start=header_number + 1):
+        if not line.strip():
             continue
+        if line.startswith("#"):
+            raise ArtifactError(
+                f"{path}:{number}: comment after the header (a data row turned comment?)"
+            )
         parts = line.split(",")
         if len(parts) != len(TRAJECTORY_COLUMNS):
             raise ArtifactError(
                 f"{path}:{number}: expected {len(TRAJECTORY_COLUMNS)} fields, got {len(parts)}"
             )
         try:
-            row = [float(part) for part in parts]
+            values = [float(part) for part in parts]
         except ValueError as exc:
             raise ArtifactError(f"{path}:{number}: {exc}") from exc
-        if row[0] != len(rows) + 1:
+        index += 1
+        if values[0] != index:
             raise ArtifactError(
                 f"{path}:{number}: series index must run 1..M, got {parts[0]}"
             )
-        rows.append(row)
-    if not header_seen:
-        raise ArtifactError(f"{path}:1: missing header line")
-    if not rows:
-        raise ArtifactError(f"{path}: no data rows")
-    data = np.array(rows, dtype=float)
-    columns = {name: data[:, i] for i, name in enumerate(TRAJECTORY_COLUMNS)}
-    columns["m"] = columns["m"].astype(int)
-    return echo, columns
+    # unreachable while these checks are the ones _parse_rows makes in bulk
+    raise ArtifactError(f"{path}: malformed data rows")
 
 
 def spectrum_payload(
     record: SpectrumRecord,
-    processed: np.ndarray,
+    processed: np.ndarray | FloatTexts,
     echo: dict[str, Any],
     omega_r: float,
 ) -> dict[str, Any]:

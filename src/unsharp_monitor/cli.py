@@ -17,6 +17,7 @@ from . import artifacts
 from .artifacts import ArtifactError
 from .config import (
     MAX_REPLICATES,
+    PRESETS,
     SWEEP_AXES,
     SWEEP_BASE_KEYS,
     ConfigError,
@@ -50,6 +51,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spectrum, processed = process_readout(
         record.g2, config.trajectory.delta_t, config.wiener, config.truncation
     )
+    processed = artifacts.FloatTexts(processed)  # formatted once for both files
     echo = config.resolved()
     omega_r = config.trajectory.spec.omega_r
 
@@ -97,6 +99,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     truncation = bool_field(echo, "truncation")
     t_r = float_field(echo, "t_r", 1.0, positive=True)
     spectrum, processed = process_readout(columns["g2"], dt, wiener, truncation)
+    processed = artifacts.FloatTexts(processed)  # formatted once for both files
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = artifacts.spectrum_payload(spectrum, processed, echo, 2.0 * math.pi / t_r)
@@ -205,8 +208,8 @@ def _sweep_point(
     }
 
 
-# ConfigError fields that a point's own axis values can raise
-_POINT_FIELDS = {*SWEEP_AXES, "p0/dp"}
+# a valid point (fig3's) to check a sweep's base against before any point runs
+_STAND_IN_POINT = {axis: PRESETS["fig3"][axis] for axis in SWEEP_AXES}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -230,6 +233,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "seeds_per_point", f"must lie in [1, {MAX_REPLICATES}], got {replicates}"
         )
 
+    # a bad base value is wrong for every point: stop on it here, so that a
+    # point is skipped below only for its own axis values
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_config_from_dict({**base, **_STAND_IN_POINT})
+
     points = [
         dict(zip(SWEEP_AXES, values))
         for values in itertools.product(*(grid[axis] for axis in SWEEP_AXES))
@@ -240,10 +249,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             rows.append(_sweep_point(base, point, index, base_seed, replicates))
         except (ConfigError, ParameterError, StateError) as exc:
-            # a point is skipped for its own axis values; any other bad
-            # setting is wrong for every point and stops the sweep
-            if isinstance(exc, ConfigError) and exc.field not in _POINT_FIELDS:
-                raise
             print(f"warning: skipping grid point {index} {point}: {exc}", file=sys.stderr)
     skipped = len(points) - len(rows)
     out_dir = Path(args.out_dir)

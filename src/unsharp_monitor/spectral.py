@@ -92,8 +92,8 @@ def _samples(values, dt: float, ndim: int) -> np.ndarray:
     if x.ndim != ndim or x.shape[-1] < 4 or x.size == 0:
         what = "sequence" if ndim == 1 else "array of readouts, one per row,"
         raise AnalysisError(f"need a {ndim}-d {what} of at least 4 samples, got shape {x.shape}")
-    if dt <= 0.0:
-        raise ParameterError(f"dt = {dt!r} must be > 0")
+    if not 0.0 < dt < math.inf:  # also rejects nan
+        raise ParameterError(f"dt = {dt!r} must be finite and > 0")
     return x
 
 

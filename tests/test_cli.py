@@ -339,6 +339,19 @@ class TestAnalyze:
         assert payload["main_peak"]["significant"] is False
         assert "no significant peak" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("first_t", ["nan", "inf", "0.0", "-0.05"])
+    def test_bad_fallback_dt_rejected(self, tmp_path, capsys, first_t):
+        # with no config echo, dt is the first t_over_TR over its index
+        csv = tmp_path / "plain.csv"
+        self._write_plain_csv(csv, np.linspace(0.1, 0.9, 16))
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].replace(",0.05,", f",{first_t},", 1)
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(["analyze", csv, "--out-dir", tmp_path / "an"]) == 2
+        err = capsys.readouterr().err
+        assert "dt = " in err and "Traceback" not in err
+        assert not (tmp_path / "an" / "spectrum.json").exists()
+
     def test_malformed_csv_reports_line_number(self, tmp_path, capsys):
         csv = tmp_path / "broken.csv"
         csv.write_text(
@@ -469,6 +482,17 @@ class TestSweep:
         assert skipped == 1
         assert len(rows) == 1
         assert "skipping grid point" in capsys.readouterr().err
+
+    def test_bad_base_named_when_every_point_is_skipped(self, tmp_path, capsys):
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps({"base": {"wiener": "no"}}), encoding="utf-8")
+        assert run([
+            "sweep", "--config", spec, "--p0", "0.9", "--dp", "0.3", "--tau", "0.002",
+            "--n", "5", "--out-dir", tmp_path,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'wiener':" in err and "skipping" not in err
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("value", ["-1", "0"])
     def test_bad_seeds_per_point_flag_rejected(self, tmp_path, capsys, value):

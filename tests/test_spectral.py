@@ -223,6 +223,15 @@ class TestProcessReadout:
         with pytest.raises(AnalysisError):
             process_readout([1.0, 2.0], DT)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.0, -DT])
+    def test_non_finite_or_non_positive_dt_rejected(self, dt):
+        # nan used to give all-nan frequencies and inf all-zero ones
+        x = tone(16, 2)
+        with pytest.raises(ParameterError, match="dt"):
+            process_readout(x, dt)
+        with pytest.raises(ParameterError, match="dt"):
+            process_readouts(x[None], dt)
+
 
 def reference_readout(x, dt, wiener, truncation):
     """The per-row readout pipeline the batched one replaced, as a reference.
