@@ -7,7 +7,6 @@ import itertools
 import math
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -40,7 +39,7 @@ from .spectral import (
     process_readouts,
     row_correlations,
 )
-from .trajectory import simulate_trajectory
+from .trajectory import simulate_replicates, simulate_trajectory
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -92,7 +91,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     echo, columns = artifacts.read_trajectory_csv(args.csv)
     echo = echo or {}
     if "n_per_series" in echo and "tau" in echo:
-        dt = int_field(echo, "n_per_series", 0) * float_field(echo, "tau", positive=True)
+        n = int_field(echo, "n_per_series", 0)
+        if n < 1:
+            raise ConfigError("n_per_series", f"must be >= 1, got {n}")
+        dt = n * float_field(echo, "tau", positive=True)
     else:
         dt = float(columns["t_over_TR"][0] / columns["m"][0])
     wiener = bool_field(echo, "wiener")
@@ -172,16 +174,7 @@ def _sweep_point(
     omega_r = config.trajectory.spec.omega_r
 
     seeds = [derive_seed(base_seed, index, replicate) for replicate in range(replicates)]
-    # a replicate differs from config.trajectory only in its seed; building
-    # it would repeat the warnings that building config already gave
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        replicas = [replace(config.trajectory, seed=seed) for seed in seeds]
-    g2 = np.empty((replicates, config.trajectory.m_series))
-    c2_sq = np.empty_like(g2)
-    for row, replica in enumerate(replicas):
-        record = simulate_trajectory(replica)
-        g2[row], c2_sq[row] = record.g2, record.c2_sq
+    c2_sq, g2 = simulate_replicates(config.trajectory, seeds)
     spectra, processed = process_readouts(
         g2, config.trajectory.delta_t, config.wiener, config.truncation
     )

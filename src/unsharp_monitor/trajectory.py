@@ -22,10 +22,16 @@ ever enter a sum as +0 squares, which leave it unchanged.  The route
 therefore gives the same doubles as the four-float one with half the
 arithmetic.
 
-RNG contract: a trajectory consumes a single stream seeded from
-``config.seed`` (numpy default generator).  Evolution consumes nothing;
-every measurement consumes exactly one uniform variate u, compared against
-the "+" probability (u < p_plus reads "+", ties read "-").  Identical seeds
+``simulate_replicates`` runs one config from several seeds and returns
+the recorded arrays with one row per seed; ``simulate_trajectory`` is its
+one-seed call.  Replicates differ only in the seed, so the config is
+built and validated once for all of them.
+
+RNG contract: a trajectory consumes a single stream seeded from its seed
+(``config.seed``, or one entry of ``simulate_replicates``' seeds; numpy
+default generator).  Evolution consumes nothing; every measurement
+consumes exactly one uniform variate u, compared against the "+"
+probability (u < p_plus reads "+", ties read "-").  Identical seeds
 therefore reproduce identical records bit for bit.
 """
 
@@ -54,6 +60,11 @@ from .series import (
     RegimeParams,
     evaluate_regime,
 )
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= int(seed) < 2**64:
+        raise ParameterError(f"seed = {seed!r} must be a 64-bit unsigned integer")
 
 
 class TimeResolutionWarning(UserWarning):
@@ -92,8 +103,7 @@ class TrajectoryConfig:
             )
         if self.m_series < 1:
             raise ParameterError(f"m_series = {self.m_series} must be >= 1")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ParameterError(f"seed = {self.seed!r} must be a 64-bit unsigned integer")
+        _check_seed(self.seed)
         ensure_normalized(self.initial_state, "initial state")
         # stacklevel 3 passes over this method and the generated __init__,
         # so each warning names the line that built the config
@@ -189,6 +199,17 @@ def _advance(
     The dropped components are returned as they came in; only the signs of
     those zeros can differ from the four-float loop, and no recorded value
     depends on them.  Every other state takes the four-float loop.
+
+    Both loops check ``p_plus`` inside the outcome branch, one compare per
+    measurement: a "+" tests ``p_plus > hi`` and a "-" tests
+    ``not p_plus >= lo``.  Since u lies in [0, 1) and hi > 1, a value above
+    hi always reads "+" and one below lo always reads "-", and NaN reads
+    "-" because ``u < nan`` is false; so the two tests reject exactly what
+    ``lo <= p_plus <= hi`` would, and raise ``_clamp_probability``'s
+    error.  Clamping the float dust that passes cannot change
+    ``u < p_plus``, so no clamp runs.  The norm is checked by the first
+    division: a float division raises ZeroDivisionError exactly when the
+    norm is 0.0, which becomes ``DegenerateOutcomeError``.
     """
     ch, s = rotation_half_angles(config.tau, config.spec)
     params = config.params
@@ -209,19 +230,22 @@ def _advance(
                 x = ch * a + s * b
                 b = ch * b - s * a
                 p_plus = p1 * (x * x) + p2 * (b * b)
-                if not lo <= p_plus <= hi:
-                    _clamp_probability(p_plus, "p_plus")
                 if u < p_plus:
+                    if p_plus > hi:
+                        _clamp_probability(p_plus, "p_plus")
                     count += 1
                     a = x * u1_plus
                     b *= u2_plus
                 else:
+                    if not p_plus >= lo:
+                        _clamp_probability(p_plus, "p_plus")
                     a = x * u1_minus
                     b *= u2_minus
                 norm = sqrt(a * a + b * b)
-                if norm == 0.0:
-                    raise DegenerateOutcomeError(_ZERO_NORM)
-                a /= norm
+                try:
+                    a /= norm
+                except ZeroDivisionError:
+                    raise DegenerateOutcomeError(_ZERO_NORM) from None
                 b /= norm
             c2_sq.append(b * b)
             n_plus.append(count)
@@ -238,25 +262,26 @@ def _advance(
             br = ch * br + s * ai
             bi = ch * bi - s * ar
             p_plus = p1 * (x * x + y * y) + p2 * (br * br + bi * bi)
-            # Clamping float dust cannot change u < p_plus for u in [0, 1),
-            # so only the excursion check runs, and it raises.
-            if not lo <= p_plus <= hi:
-                _clamp_probability(p_plus, "p_plus")
             if u < p_plus:
+                if p_plus > hi:
+                    _clamp_probability(p_plus, "p_plus")
                 count += 1
                 ar = x * u1_plus
                 ai = y * u1_plus
                 br *= u2_plus
                 bi *= u2_plus
             else:
+                if not p_plus >= lo:
+                    _clamp_probability(p_plus, "p_plus")
                 ar = x * u1_minus
                 ai = y * u1_minus
                 br *= u2_minus
                 bi *= u2_minus
             norm = sqrt((ar * ar + ai * ai) + (br * br + bi * bi))
-            if norm == 0.0:
-                raise DegenerateOutcomeError(_ZERO_NORM)
-            ar /= norm
+            try:
+                ar /= norm
+            except ZeroDivisionError:
+                raise DegenerateOutcomeError(_ZERO_NORM) from None
             ai /= norm
             br /= norm
             bi /= norm
@@ -265,12 +290,12 @@ def _advance(
     return complex(ar, ai), complex(br, bi), c2_sq, n_plus
 
 
-def _best_guesses(n_plus: list[int], n: int, params: PovmParams) -> np.ndarray:
+def _best_guesses(n_plus: list[int] | np.ndarray, n: int, params: PovmParams) -> np.ndarray:
     """Best guesses (n_plus / n - p1) / dp, one per series; NaN when dp = 0."""
     dp = params.dp
     if dp == 0.0:
-        return np.full(len(n_plus), math.nan)
-    return (np.array(n_plus) / n - params.p1) / dp
+        return np.full(np.shape(n_plus), math.nan)
+    return (np.asarray(n_plus) / n - params.p1) / dp
 
 
 def simulate_nseries(
@@ -292,6 +317,33 @@ def simulate_nseries(
     return StateVector(c1, c2), outcome
 
 
+def simulate_replicates(
+    config: TrajectoryConfig, seeds: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``config``'s trajectory once per seed; returns (c2_sq, g2).
+
+    Both arrays are len(seeds) x m_series, one row per seed, and row i is
+    the trajectory that ``config`` with ``seed = seeds[i]`` records, bit
+    for bit: ``config.seed`` itself is not used.  Replicates share the
+    config, so it is built and validated once however many seeds there are.
+    """
+    for seed in seeds:
+        _check_seed(seed)
+    n = config.n_per_series
+    m_total = config.m_series
+    c2_sq = np.empty((len(seeds), m_total))
+    n_plus = np.empty((len(seeds), m_total), dtype=np.int64)
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        c1, c2 = config.initial_state.c1, config.initial_state.c2
+        for start in range(0, m_total, _BLOCK_SERIES):
+            k = min(_BLOCK_SERIES, m_total - start)
+            c1, c2, c2_sq[row, start : start + k], n_plus[row, start : start + k] = _advance(
+                c1, c2, config, rng.random(k * n).tolist()
+            )
+    return c2_sq, _best_guesses(n_plus, n, config.params)
+
+
 def simulate_trajectory(config: TrajectoryConfig) -> TrajectoryRecord:
     """Run the full chain of m_series N-series and record the samples.
 
@@ -299,25 +351,8 @@ def simulate_trajectory(config: TrajectoryConfig) -> TrajectoryRecord:
     after every measurement, so recorded populations stay in [0, 1] to
     float precision.
     """
-    rng = np.random.default_rng(config.seed)
-    n = config.n_per_series
-    m_total = config.m_series
-    c1, c2 = config.initial_state.c1, config.initial_state.c2
-    c2_sq: list[float] = []
-    n_plus: list[int] = []
-    for start in range(0, m_total, _BLOCK_SERIES):
-        k = min(_BLOCK_SERIES, m_total - start)
-        c1, c2, block_c2_sq, block_plus = _advance(
-            c1, c2, config, rng.random(k * n).tolist()
-        )
-        c2_sq += block_c2_sq
-        n_plus += block_plus
-
-    m_index = np.arange(1, m_total + 1)
+    (c2_sq,), (g2,) = simulate_replicates(config, [config.seed])
+    m_index = np.arange(1, config.m_series + 1)
     return TrajectoryRecord(
-        config=config,
-        m=m_index,
-        t=m_index * config.delta_t,
-        c2_sq=np.array(c2_sq, dtype=float),
-        g2=_best_guesses(n_plus, n, config.params),
+        config=config, m=m_index, t=m_index * config.delta_t, c2_sq=c2_sq, g2=g2
     )

@@ -377,11 +377,16 @@ class TestAnalyze:
         [
             ("config echo", lambda echo: 5),
             ("n_per_series", lambda echo: {**echo, "n_per_series": "25"}),
+            ("n_per_series", lambda echo: {**echo, "n_per_series": 0}),
+            ("n_per_series", lambda echo: {**echo, "n_per_series": -25}),
             ("tau", lambda echo: {**echo, "tau": None}),
             ("t_r", lambda echo: {**echo, "t_r": "x"}),
             ("t_r", lambda echo: {**echo, "t_r": 0.0}),
         ],
-        ids=["not-an-object", "string-count", "null-tau", "string-t_r", "zero-t_r"],
+        ids=[
+            "not-an-object", "string-count", "zero-count", "negative-count",
+            "null-tau", "string-t_r", "zero-t_r",
+        ],
     )
     def test_bad_config_echo_rejected(self, tmp_path, small_config, capsys, field, edit):
         out = tmp_path / "out"

@@ -5,11 +5,15 @@ amplitudes, and on two (Re c1, Im c2) for a state in the drive's plane.
 These tests replay the same uniforms through ``rabi.evolve``,
 ``povm.outcome_probabilities`` and ``povm.apply_outcome`` and demand exact
 equality on both routes, so any change to the kernel's arithmetic fails
-here first.
+here first.  They also drive the kernel's excursion and zero-norm checks
+on both routes, and hold every row of ``simulate_replicates`` to the
+one-seed trajectory.
 """
 
 import math
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +22,9 @@ from hypothesis import strategies as st
 
 from unsharp_monitor.povm import (
     DegenerateOutcomeError,
+    ParameterError,
     PovmParams,
+    StateError,
     StateVector,
     apply_outcome,
     make_operations,
@@ -26,8 +32,11 @@ from unsharp_monitor.povm import (
 )
 from unsharp_monitor.rabi import HamiltonianSpec, evolve
 from unsharp_monitor.trajectory import (
+    _ZERO_NORM,
     TrajectoryConfig,
+    _advance,
     simulate_nseries,
+    simulate_replicates,
     simulate_trajectory,
 )
 from unsharp_monitor.config import load_run_config
@@ -242,3 +251,66 @@ def test_kernel_speed_smoke(benchmark, overrides):
         )
     assert record.c2_sq.shape == record.g2.shape == (200,)
     assert np.array_equal(record.g2, simulate_trajectory(config).g2)
+
+
+def one_step(c1, c2, p1, p2):
+    """One measurement from raw amplitudes: tau = 0, one series of one, u = 0.3."""
+    config = quiet_config(params=PovmParams(p1, p2), tau=0.0, n_per_series=1, m_series=1)
+    return _advance(complex(c1), complex(c2), config, [0.3])
+
+
+# (c1, c2) pairs: the first of each is in the drive's plane, the second off it
+@pytest.mark.parametrize(
+    "c1, c2, shown",
+    [(2.0, 0.0, "2.0"), (2 + 1e-3j, 1e-3, "2.000001"),
+     (math.nan, 0.0, "nan"), (math.nan, 0.5 + 0.5j, "nan")],
+    ids=["above-in-plane", "above-general", "nan-in-plane", "nan-general"],
+)
+def test_probability_excursions_raise(c1, c2, shown):
+    # p_plus above 1 reads "+" and NaN reads "-" against u = 0.3, so this
+    # reaches the check in each outcome branch
+    message = rf"^p_plus = {shown} lies outside \[0, 1\] beyond float slack$"
+    with pytest.raises(StateError, match=message):
+        one_step(c1, c2, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("c1", [1e-200, 1e-200 + 1e-200j], ids=["in-plane", "general"])
+def test_zero_norm_raises_degenerate_outcome(c1):
+    # |c1|^2 underflows, so p_plus = 0 reads "-", and sqrt(1 - p1) = 0
+    # scales the state to the zero vector
+    with pytest.raises(DegenerateOutcomeError, match=rf"^{re.escape(_ZERO_NORM)}$"):
+        one_step(c1, 0.0, 1.0, 0.5)
+
+
+@pytest.mark.filterwarnings("ignore::unsharp_monitor.trajectory.SeriesBoundWarning")
+@pytest.mark.parametrize(
+    "overrides", [{}, {"initial_state": GENERAL_STATE}], ids=["in-plane", "general"]
+)
+def test_replicates_are_the_one_seed_trajectories(overrides):
+    # 1100 series cross the 1024-series block boundary of the uniform draws
+    config = load_run_config(
+        preset="fig3", overrides={"m_series": 1100, **overrides}
+    ).trajectory
+    seeds = [11, 0, 2**64 - 1]
+    c2_sq, g2 = simulate_replicates(config, seeds)
+    assert c2_sq.shape == g2.shape == (len(seeds), config.m_series)
+    n = config.n_per_series
+    for row, seed in enumerate(seeds):
+        record = simulate_trajectory(replace(config, seed=seed))
+        assert np.array_equal(c2_sq[row], record.c2_sq)
+        assert np.array_equal(g2[row], record.g2)
+        # the whole row in one kernel call, without blocks
+        state = config.initial_state
+        uniforms = np.random.default_rng(seed).random(config.m_series * n).tolist()
+        _, _, whole_c2_sq, whole_plus = _advance(state.c1, state.c2, config, uniforms)
+        assert c2_sq[row].tolist() == whole_c2_sq
+        assert g2[row].tolist() == [
+            reference_g2(count, n, config.params) for count in whole_plus
+        ]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_replicates_reject_seeds_outside_64_bits(seed):
+    config = quiet_config(params=PovmParams(0.5, 0.5), tau=0.0, n_per_series=1, m_series=1)
+    with pytest.raises(ParameterError, match=rf"^seed = {seed} must be a 64-bit unsigned"):
+        simulate_replicates(config, [0, seed])
