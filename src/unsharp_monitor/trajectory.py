@@ -12,15 +12,9 @@ Im c2) and does only float arithmetic.  The drive is a real rotation of
 ``float * complex`` and ``complex / float`` as componentwise products and
 quotients, so the real form reproduces the complex reference functions
 bit for bit; at most the signs of zeros differ, and no recorded value
-depends on them.
-
-States in the drive's plane (Im c1 and Re c2 both zero, of either sign;
-every preset starts at |1>, which lies there) take a two-float route on
-(Re c1, Im c2).  The rotation and the diagonal scaling map those zeros
-to signed zeros, so the plane is never left, and the dropped terms only
-ever enter a sum as +0 squares, which leave it unchanged.  The route
-therefore gives the same doubles as the four-float one with half the
-arithmetic.
+depends on them.  The loop runs compiled from ``_kernel.c`` (built and
+cached by ``_kernel.py``) in the same operation order, so it gives the
+same doubles; without a C compiler the Python loop runs instead.
 
 ``simulate_replicates`` runs one config from several seeds and returns
 the recorded arrays with one row per seed; ``simulate_trajectory`` is its
@@ -37,12 +31,14 @@ therefore reproduce identical records bit for bit.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernel
 from .povm import (
     DegenerateOutcomeError,
     ParameterError,
@@ -168,15 +164,35 @@ _BLOCK_SERIES = 1024
 _ZERO_NORM = "measurement produced the zero vector (zero-probability branch)"
 
 
-def _advance(
-    c1: complex, c2: complex, config: TrajectoryConfig, uniforms: list[float]
-) -> tuple[complex, complex, list[float], list[int]]:
+def _constants(config: TrajectoryConfig) -> np.ndarray:
+    """The step's hoisted constants, in the order ``_kernel.c`` reads them."""
+    ch, s = rotation_half_angles(config.tau, config.spec)
+    params = config.params
+    return np.array([
+        ch, s, params.p1, params.p2, params.u1_plus, params.u2_plus,
+        params.u1_minus, params.u2_minus, -_CLAMP_TOL, 1.0 + _CLAMP_TOL,
+    ])
+
+
+def _python_advance(
+    state: np.ndarray,
+    constants: np.ndarray,
+    n: int,
+    uniforms: np.ndarray,
+    c2_sq: np.ndarray,
+    n_plus: np.ndarray,
+) -> None:
     """The measurement kernel: advance raw amplitudes through N-series.
 
-    ``uniforms`` holds one pre-drawn variate per measurement, a whole
-    number of series of ``config.n_per_series`` each.  Every step evolves
-    for tau and then measures once.  Returns the final amplitudes, |c2|^2
-    after each series and each series' "+" count.
+    ``state`` holds (Re c1, Im c1, Re c2, Im c2) and is advanced in place;
+    ``constants`` comes from ``_constants``; ``uniforms`` holds one
+    pre-drawn variate per measurement, ``n`` per series for
+    ``len(c2_sq)`` series.  Every step evolves for tau and then measures
+    once.  Writes |c2|^2 after each series into ``c2_sq`` and each
+    series' "+" count into ``n_plus``.
+
+    This loop is the readable reference and the portable fallback;
+    ``_compiled_advance`` runs the same lines compiled from ``_kernel.c``.
 
     The step is that of ``rabi.evolve``,
     ``povm.outcome_probabilities`` and ``povm.apply_outcome`` with the
@@ -189,18 +205,7 @@ def _advance(
     (cos, sin) = (1, 0) is the identity in the same sense, so every step
     rotates.
 
-    A state in the drive's plane, ``Im c1 == 0.0 and Re c2 == 0.0`` (either
-    sign of zero), takes a two-float loop on ``a = Re c1`` and
-    ``b = Im c2``.  From signed-zero inputs the rotation, the scaling and
-    the division give only signed zeros in the two dropped components, so
-    they stay zero along the whole trajectory; their squares are +0, and
-    adding +0 to a square (never -0) is exact.  So ``p_plus``, the norm and
-    every recorded |c2|^2 are the same doubles as in the four-float loop.
-    The dropped components are returned as they came in; only the signs of
-    those zeros can differ from the four-float loop, and no recorded value
-    depends on them.  Every other state takes the four-float loop.
-
-    Both loops check ``p_plus`` inside the outcome branch, one compare per
+    ``p_plus`` is checked inside the outcome branch, one compare per
     measurement: a "+" tests ``p_plus > hi`` and a "-" tests
     ``not p_plus >= lo``.  Since u lies in [0, 1) and hi > 1, a value above
     hi always reads "+" and one below lo always reads "-", and NaN reads
@@ -211,50 +216,13 @@ def _advance(
     division: a float division raises ZeroDivisionError exactly when the
     norm is 0.0, which becomes ``DegenerateOutcomeError``.
     """
-    ch, s = rotation_half_angles(config.tau, config.spec)
-    params = config.params
-    p1, p2 = params.p1, params.p2
-    u1_plus, u2_plus = params.u1_plus, params.u2_plus
-    u1_minus, u2_minus = params.u1_minus, params.u2_minus
-    lo, hi = -_CLAMP_TOL, 1.0 + _CLAMP_TOL
-    n = config.n_per_series
+    ch, s, p1, p2, u1_plus, u2_plus, u1_minus, u2_minus, lo, hi = constants.tolist()
+    ar, ai, br, bi = state.tolist()
     sqrt = math.sqrt
-    c2_sq: list[float] = []
-    n_plus: list[int] = []
-
-    if c1.imag == 0.0 and c2.real == 0.0:
-        a, b = c1.real, c2.imag
-        for start in range(0, len(uniforms), n):
-            count = 0
-            for u in uniforms[start : start + n]:
-                x = ch * a + s * b
-                b = ch * b - s * a
-                p_plus = p1 * (x * x) + p2 * (b * b)
-                if u < p_plus:
-                    if p_plus > hi:
-                        _clamp_probability(p_plus, "p_plus")
-                    count += 1
-                    a = x * u1_plus
-                    b *= u2_plus
-                else:
-                    if not p_plus >= lo:
-                        _clamp_probability(p_plus, "p_plus")
-                    a = x * u1_minus
-                    b *= u2_minus
-                norm = sqrt(a * a + b * b)
-                try:
-                    a /= norm
-                except ZeroDivisionError:
-                    raise DegenerateOutcomeError(_ZERO_NORM) from None
-                b /= norm
-            c2_sq.append(b * b)
-            n_plus.append(count)
-        return complex(a, c1.imag), complex(c2.real, b), c2_sq, n_plus
-
-    ar, ai, br, bi = c1.real, c1.imag, c2.real, c2.imag
-    for start in range(0, len(uniforms), n):
+    uniforms = uniforms.tolist()
+    for m in range(len(c2_sq)):
         count = 0
-        for u in uniforms[start : start + n]:
+        for u in uniforms[m * n : (m + 1) * n]:
             # rotate; x, y are the new (Re c1, Im c1) while ar, ai still
             # hold the old ones that the new c2 needs
             x = ch * ar + s * bi
@@ -285,17 +253,63 @@ def _advance(
             ai /= norm
             br /= norm
             bi /= norm
-        c2_sq.append(br * br + bi * bi)
-        n_plus.append(count)
-    return complex(ar, ai), complex(br, bi), c2_sq, n_plus
+        c2_sq[m] = br * br + bi * bi
+        n_plus[m] = count
+    state[:] = (ar, ai, br, bi)
 
 
-def _best_guesses(n_plus: list[int] | np.ndarray, n: int, params: PovmParams) -> np.ndarray:
+_KERNEL = _kernel.load()
+_FLOAT64, _INT64 = np.dtype(np.float64), np.dtype(np.int64)
+
+
+def _compiled_advance(
+    state: np.ndarray,
+    constants: np.ndarray,
+    n: int,
+    uniforms: np.ndarray,
+    c2_sq: np.ndarray,
+    n_plus: np.ndarray,
+) -> None:
+    """``_python_advance`` compiled from ``_kernel.c``, with the same doubles and errors.
+
+    The kernel reads and writes the buffers through raw pointers, so their
+    shapes and dtypes are checked here, and ``from_buffer`` refuses any
+    buffer that is not C-contiguous and writable.  The kernel reports an
+    excursion or a zero norm by a status code, raised here as the Python
+    loop raises it.
+    """
+    series = len(c2_sq)
+    if not (
+        state.shape == (4,) and constants.shape == (10,)
+        and uniforms.shape == (n * series,)
+        and c2_sq.shape == n_plus.shape == (series,)
+        and state.dtype == constants.dtype == uniforms.dtype == c2_sq.dtype == _FLOAT64
+        and n_plus.dtype == _INT64
+    ):
+        raise ValueError("kernel buffers do not match the series: shapes or dtypes differ")
+    double, int64 = ctypes.c_double, ctypes.c_int64
+    excursion = double()
+    status = _KERNEL(
+        double.from_buffer(state), double.from_buffer(constants), n, series,
+        double.from_buffer(uniforms), double.from_buffer(c2_sq), int64.from_buffer(n_plus),
+        excursion,
+    )
+    if status == _kernel.EXCURSION:
+        # the kernel reports only values outside [lo, hi], so this raises
+        _clamp_probability(excursion.value, "p_plus")
+    elif status == _kernel.ZERO_NORM:
+        raise DegenerateOutcomeError(_ZERO_NORM)
+
+
+_advance = _python_advance if _KERNEL is None else _compiled_advance
+
+
+def _best_guesses(n_plus: np.ndarray, n: int, params: PovmParams) -> np.ndarray:
     """Best guesses (n_plus / n - p1) / dp, one per series; NaN when dp = 0."""
     dp = params.dp
     if dp == 0.0:
-        return np.full(np.shape(n_plus), math.nan)
-    return (np.asarray(n_plus) / n - params.p1) / dp
+        return np.full(n_plus.shape, math.nan)
+    return (n_plus / n - params.p1) / dp
 
 
 def simulate_nseries(
@@ -310,11 +324,14 @@ def simulate_nseries(
     """
     ensure_normalized(state)
     n = config.n_per_series
-    c1, c2, _, counts = _advance(state.c1, state.c2, config, rng.random(n).tolist())
-    (n_plus,) = counts
+    amplitudes = np.array([state.c1.real, state.c1.imag, state.c2.real, state.c2.imag])
+    counts = np.empty(1, dtype=np.int64)
+    _advance(amplitudes, _constants(config), n, rng.random(n), np.empty(1), counts)
+    ar, ai, br, bi = amplitudes.tolist()
+    n_plus = int(counts[0])
     (g2,) = _best_guesses(counts, n, config.params).tolist()
     outcome = NSeriesOutcome(n_total=n, n_plus=n_plus, r=n_plus / n, g2=g2)
-    return StateVector(c1, c2), outcome
+    return StateVector(complex(ar, ai), complex(br, bi)), outcome
 
 
 def simulate_replicates(
@@ -333,13 +350,17 @@ def simulate_replicates(
     m_total = config.m_series
     c2_sq = np.empty((len(seeds), m_total))
     n_plus = np.empty((len(seeds), m_total), dtype=np.int64)
+    constants = _constants(config)
+    c1, c2 = config.initial_state.c1, config.initial_state.c2
+    amplitudes = np.empty(4)
     for row, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        c1, c2 = config.initial_state.c1, config.initial_state.c2
+        amplitudes[:] = (c1.real, c1.imag, c2.real, c2.imag)
         for start in range(0, m_total, _BLOCK_SERIES):
-            k = min(_BLOCK_SERIES, m_total - start)
-            c1, c2, c2_sq[row, start : start + k], n_plus[row, start : start + k] = _advance(
-                c1, c2, config, rng.random(k * n).tolist()
+            stop = min(start + _BLOCK_SERIES, m_total)
+            _advance(
+                amplitudes, constants, n, rng.random((stop - start) * n),
+                c2_sq[row, start:stop], n_plus[row, start:stop],
             )
     return c2_sq, _best_guesses(n_plus, n, config.params)
 

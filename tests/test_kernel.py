@@ -1,25 +1,36 @@
 """The measurement kernel against the reference functions, bit for bit, and its speed.
 
-``trajectory._advance`` steps on four real components instead of complex
-amplitudes, and on two (Re c1, Im c2) for a state in the drive's plane.
-These tests replay the same uniforms through ``rabi.evolve``,
-``povm.outcome_probabilities`` and ``povm.apply_outcome`` and demand exact
-equality on both routes, so any change to the kernel's arithmetic fails
-here first.  They also drive the kernel's excursion and zero-norm checks
-on both routes, and hold every row of ``simulate_replicates`` to the
-one-seed trajectory.
+``trajectory._python_advance`` steps on four real components instead of
+complex amplitudes, and ``trajectory._compiled_advance`` runs the same
+loop compiled from ``_kernel.c``.  These tests replay the same uniforms
+through both kernels and through ``rabi.evolve``,
+``povm.outcome_probabilities`` and ``povm.apply_outcome`` and demand
+exact equality, so any change to either kernel's arithmetic fails here
+first.  They also drive the excursion and zero-norm checks of both
+kernels, hold every row of ``simulate_replicates`` to the one-seed
+trajectory, and check that the compiled kernel is built once, cached,
+and in use wherever a C compiler is.
 """
 
+import json
 import math
+import os
 import re
+import shutil
+import subprocess
+import sys
+import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import unsharp_monitor
+from unsharp_monitor import _kernel, trajectory
 from unsharp_monitor.povm import (
     DegenerateOutcomeError,
     ParameterError,
@@ -34,12 +45,27 @@ from unsharp_monitor.rabi import HamiltonianSpec, evolve
 from unsharp_monitor.trajectory import (
     _ZERO_NORM,
     TrajectoryConfig,
-    _advance,
+    _compiled_advance,
+    _constants,
+    _python_advance,
     simulate_nseries,
     simulate_replicates,
     simulate_trajectory,
 )
 from unsharp_monitor.config import load_run_config
+
+# the compiled kernel joins every comparison wherever it loaded;
+# test_compiled_kernel_is_in_use fails when a compiler is there and it did not
+KERNELS = {"python": _python_advance}
+if trajectory._KERNEL is not None:
+    KERNELS["compiled"] = _compiled_advance
+
+CC = _kernel.compiler()
+HAVE_CC = bool(CC) and shutil.which(CC[0]) is not None
+needs_cc = pytest.mark.skipif(
+    not HAVE_CC,
+    reason=f"no C compiler: {CC[0]!r} is not on PATH" if CC else "no C compiler: sysconfig names none",
+)
 
 
 def quiet_config(**kwargs) -> TrajectoryConfig:
@@ -59,6 +85,48 @@ def reference_series(state, config, uniforms):
             count += 1
         state = apply_outcome(state, plus_op if u < p_plus else minus_op)
     return state, count
+
+
+def reference_chain(state, config, uniforms):
+    """Whole series through the reference functions: (c1, c2, c2_sq list, n_plus list)."""
+    n = config.n_per_series
+    c2_sq, n_plus = [], []
+    for start in range(0, len(uniforms), n):
+        state, count = reference_series(state, config, uniforms[start : start + n])
+        c2_sq.append(state.c2_sq)
+        n_plus.append(count)
+    return state.c1, state.c2, c2_sq, n_plus
+
+
+def run_kernel(kernel, c1, c2, config, uniforms):
+    """Whole series through ``kernel`` from raw amplitudes: (c1, c2, c2_sq list, n_plus list)."""
+    amplitudes = np.array([c1.real, c1.imag, c2.real, c2.imag], dtype=float)
+    series = len(uniforms) // config.n_per_series
+    c2_sq, n_plus = np.empty(series), np.empty(series, dtype=np.int64)
+    kernel(
+        amplitudes, _constants(config), config.n_per_series,
+        np.asarray(uniforms, dtype=float), c2_sq, n_plus,
+    )
+    ar, ai, br, bi = amplitudes.tolist()
+    return complex(ar, ai), complex(br, bi), c2_sq.tolist(), n_plus.tolist()
+
+
+def chain_against_reference(state, config, uniforms):
+    """Every kernel and the reference over the same uniforms.
+
+    Returns the common (c1, c2, c2_sq, n_plus), or None when the
+    reference and every kernel raise DegenerateOutcomeError.
+    """
+    try:
+        expected = reference_chain(state, config, uniforms)
+    except DegenerateOutcomeError:
+        for kernel in KERNELS.values():
+            with pytest.raises(DegenerateOutcomeError, match=rf"^{re.escape(_ZERO_NORM)}$"):
+                run_kernel(kernel, state.c1, state.c2, config, uniforms)
+        return None
+    for kernel in KERNELS.values():
+        assert run_kernel(kernel, state.c1, state.c2, config, uniforms) == expected
+    return expected
 
 
 def reference_g2(count, n, params):
@@ -89,7 +157,7 @@ signed_zero = st.sampled_from([0.0, -0.0])
 
 @st.composite
 def in_plane_states(draw):
-    """Im c1 and Re c2 exactly zero, of either sign: the two-float route's states."""
+    """Im c1 and Re c2 exactly zero, of either sign: the drive's plane."""
     a, b = draw(component), draw(component)
     norm = math.sqrt(a * a + b * b)
     assume(norm > 1e-3)
@@ -102,29 +170,33 @@ def in_plane(state) -> bool:
     return state.c1.imag == 0.0 and state.c2.real == 0.0
 
 
-def series_against_reference(state, p1, p2, tau, n, seed):
-    """One series through the kernel and the reference on the same uniforms.
-
-    Returns the kernel's state after the series, or None when both sides
-    raise DegenerateOutcomeError.
-    """
+def chain_config(p1, p2, tau, n, m_series=1):
     # TrajectoryConfig rejects 0 < |dp| below ~1e-154, where 3 dp^2
     # underflows to 0, so no kernel runs there
     assume(p1 == p2 or abs(p2 - p1) > 1e-150)
-    params = PovmParams(p1, p2)
-    config = quiet_config(params=params, tau=tau, n_per_series=n, m_series=1)
+    return quiet_config(params=PovmParams(p1, p2), tau=tau, n_per_series=n, m_series=m_series)
+
+
+def series_against_reference(state, p1, p2, tau, n, seed):
+    """One series through both kernels, ``simulate_nseries`` and the reference.
+
+    All run on the same uniforms.  Returns ``simulate_nseries``' state
+    after the series, or None when every side raises
+    DegenerateOutcomeError.
+    """
+    config = chain_config(p1, p2, tau, n)
     uniforms = np.random.default_rng(seed).random(n).tolist()
-    try:
-        expected, count = reference_series(state, config, uniforms)
-    except DegenerateOutcomeError:
+    expected = chain_against_reference(state, config, uniforms)
+    if expected is None:
         with pytest.raises(DegenerateOutcomeError):
             simulate_nseries(state, config, np.random.default_rng(seed))
         return None
+    c1, c2, _, (count,) = expected
     after, series = simulate_nseries(state, config, np.random.default_rng(seed))
     assert series.n_plus == count
-    assert after.c1 == expected.c1
-    assert after.c2 == expected.c2
-    assert same_float(series.g2, reference_g2(count, n, params))
+    assert after.c1 == c1
+    assert after.c2 == c2
+    assert same_float(series.g2, reference_g2(count, n, config.params))
     return after
 
 
@@ -133,11 +205,31 @@ def series_against_reference(state, p1, p2, tau, n, seed):
     state=normalized_states(),
     p1=probability,
     p2=probability,
+    equal=st.booleans(),
     tau=tau_value,
     seed=st.integers(0, 2**64 - 1),
 )
-def test_single_step_is_bitwise_the_reference(state, p1, p2, tau, seed):
-    series_against_reference(state, p1, p2, tau, 1, seed)
+def test_single_step_is_bitwise_the_reference(state, p1, p2, equal, tau, seed):
+    series_against_reference(state, p1, p1 if equal else p2, tau, 1, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    state=st.one_of(normalized_states(), in_plane_states()),
+    p1=probability,
+    p2=probability,
+    equal=st.booleans(),
+    tau=tau_value,
+    n=st.integers(1, 64),
+    m_series=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_series_chains_are_bitwise_the_reference(state, p1, p2, equal, tau, n, m_series, seed):
+    # several series from one block of uniforms, as simulate_replicates
+    # hands them to a kernel
+    config = chain_config(p1, p1 if equal else p2, tau, n, m_series)
+    uniforms = np.random.default_rng(seed).random(n * m_series).tolist()
+    chain_against_reference(state, config, uniforms)
 
 
 def test_series_chain_off_the_plane_is_bitwise_the_reference():
@@ -149,16 +241,14 @@ def test_series_chain_off_the_plane_is_bitwise_the_reference():
     coherence = state.c1.conjugate() * state.c2
     assert abs(2.0 * coherence.real) > 0.5
     kernel_rng = np.random.default_rng(2024)
-    replay_rng = np.random.default_rng(2024)
-    expected = state
-    for _ in range(8):
+    uniforms = np.random.default_rng(2024).random(8 * config.n_per_series).tolist()
+    c1, c2, c2_sq, n_plus = chain_against_reference(state, config, uniforms)
+    for m in range(8):
         state, series = simulate_nseries(state, config, kernel_rng)
-        expected, count = reference_series(
-            expected, config, replay_rng.random(config.n_per_series).tolist()
-        )
-        assert series.n_plus == count
-        assert (state.c1, state.c2) == (expected.c1, expected.c2)
-        assert series.g2 == reference_g2(count, config.n_per_series, params)
+        assert series.n_plus == n_plus[m]
+        assert state.c2_sq == c2_sq[m]
+        assert series.g2 == reference_g2(n_plus[m], config.n_per_series, params)
+    assert (state.c1, state.c2) == (c1, c2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -166,12 +256,13 @@ def test_series_chain_off_the_plane_is_bitwise_the_reference():
     state=in_plane_states(),
     p1=probability,
     p2=probability,
+    equal=st.booleans(),
     tau=tau_value,
-    n=st.integers(1, 40),
+    n=st.integers(1, 64),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_in_plane_series_is_bitwise_the_reference(state, p1, p2, tau, n, seed):
-    after = series_against_reference(state, p1, p2, tau, n, seed)
+def test_in_plane_series_is_bitwise_the_reference(state, p1, p2, equal, tau, n, seed):
+    after = series_against_reference(state, p1, p1 if equal else p2, tau, n, seed)
     assert after is None or in_plane(after)
 
 
@@ -185,14 +276,10 @@ def test_in_plane_trajectory_is_bitwise_the_reference(zero1, zero2):
         params=params, tau=0.013, n_per_series=25, m_series=12, initial_state=state, seed=99
     )
     record = simulate_trajectory(config)
-    replay_rng = np.random.default_rng(config.seed)
-    expected = state
-    for m in range(config.m_series):
-        expected, count = reference_series(
-            expected, config, replay_rng.random(config.n_per_series).tolist()
-        )
-        assert record.c2_sq[m] == expected.c2_sq
-        assert record.g2[m] == reference_g2(count, config.n_per_series, params)
+    uniforms = np.random.default_rng(config.seed).random(12 * 25).tolist()
+    _, _, c2_sq, n_plus = chain_against_reference(state, config, uniforms)
+    assert record.c2_sq.tolist() == c2_sq
+    assert record.g2.tolist() == [reference_g2(count, 25, params) for count in n_plus]
 
 
 @settings(max_examples=200, deadline=None)
@@ -204,7 +291,7 @@ def test_in_plane_trajectory_is_bitwise_the_reference(zero1, zero2):
     seed=st.integers(0, 2**64 - 1),
 )
 def test_evolution_and_outcomes_keep_the_plane_components_zero(state, p1, p2, tau, seed):
-    # the invariant the two-float route relies on: exact zeros, not small ones
+    """Driving and measuring keep Im c1 and Re c2 exact zeros, not small ones."""
     params = PovmParams(p1, p2)
     plus_op, minus_op = make_operations(params)
     spec = HamiltonianSpec()
@@ -228,9 +315,11 @@ def test_a_tie_reads_minus_on_both_routes(c1):
     state = StateVector(c1, 0.0)
     _, series = simulate_nseries(state, config, np.random.default_rng(5))
     assert series.n_plus == reference_series(state, config, [u])[1] == 0
+    for kernel in KERNELS.values():
+        assert run_kernel(kernel, state.c1, state.c2, config, [u])[3] == [0]
 
 
-# the golden test's complex initial state: off the plane, so the four-float route
+# the golden test's complex initial state, off the drive's plane
 GENERAL_STATE = {"c1": [0.6, 0.0], "c2": [0.48, 0.64]}
 
 
@@ -239,7 +328,8 @@ GENERAL_STATE = {"c1": [0.6, 0.0], "c2": [0.48, 0.64]}
     "overrides", [{}, {"initial_state": GENERAL_STATE}], ids=["in-plane", "general"]
 )
 def test_kernel_speed_smoke(benchmark, overrides):
-    # records the time per measurement; asserts only on the record
+    # records the time per measurement of the trajectory and of each
+    # kernel on its own; asserts only on the records
     config = load_run_config(
         preset="fig3", overrides={"m_series": 200, **overrides}
     ).trajectory
@@ -249,14 +339,26 @@ def test_kernel_speed_smoke(benchmark, overrides):
         benchmark.extra_info["ns_per_measurement"] = (
             benchmark.stats.stats.median / measurements * 1e9
         )
+    uniforms = np.random.default_rng(config.seed).random(measurements)
+    state = config.initial_state
+    for name, kernel in KERNELS.items():
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            _, _, c2_sq, _ = run_kernel(kernel, state.c1, state.c2, config, uniforms)
+            seconds.append(time.perf_counter() - start)
+        benchmark.extra_info[f"ns_per_measurement_{name}"] = (
+            sorted(seconds)[1] / measurements * 1e9
+        )
+        assert c2_sq == record.c2_sq.tolist()
     assert record.c2_sq.shape == record.g2.shape == (200,)
     assert np.array_equal(record.g2, simulate_trajectory(config).g2)
 
 
-def one_step(c1, c2, p1, p2):
+def one_step(kernel, c1, c2, p1, p2):
     """One measurement from raw amplitudes: tau = 0, one series of one, u = 0.3."""
     config = quiet_config(params=PovmParams(p1, p2), tau=0.0, n_per_series=1, m_series=1)
-    return _advance(complex(c1), complex(c2), config, [0.3])
+    return run_kernel(kernel, complex(c1), complex(c2), config, [0.3])
 
 
 # (c1, c2) pairs: the first of each is in the drive's plane, the second off it
@@ -270,16 +372,40 @@ def test_probability_excursions_raise(c1, c2, shown):
     # p_plus above 1 reads "+" and NaN reads "-" against u = 0.3, so this
     # reaches the check in each outcome branch
     message = rf"^p_plus = {shown} lies outside \[0, 1\] beyond float slack$"
-    with pytest.raises(StateError, match=message):
-        one_step(c1, c2, 0.5, 0.5)
+    for kernel in KERNELS.values():
+        with pytest.raises(StateError, match=message):
+            one_step(kernel, c1, c2, 0.5, 0.5)
 
 
 @pytest.mark.parametrize("c1", [1e-200, 1e-200 + 1e-200j], ids=["in-plane", "general"])
 def test_zero_norm_raises_degenerate_outcome(c1):
     # |c1|^2 underflows, so p_plus = 0 reads "-", and sqrt(1 - p1) = 0
     # scales the state to the zero vector
-    with pytest.raises(DegenerateOutcomeError, match=rf"^{re.escape(_ZERO_NORM)}$"):
-        one_step(c1, 0.0, 1.0, 0.5)
+    for kernel in KERNELS.values():
+        with pytest.raises(DegenerateOutcomeError, match=rf"^{re.escape(_ZERO_NORM)}$"):
+            one_step(kernel, c1, 0.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "changed, error",
+    [({"uniforms": np.zeros(5)}, ValueError),
+     ({"uniforms": np.zeros(6, dtype=np.float32)}, ValueError),
+     ({"n_plus": np.zeros(2, dtype=np.int32)}, ValueError),
+     ({"state": np.zeros(3)}, ValueError),
+     ({"c2_sq": np.zeros(4)[::2]}, TypeError)],
+    ids=["short-uniforms", "float32-uniforms", "int32-counts", "short-state", "strided-output"],
+)
+def test_compiled_kernel_checks_its_buffers(changed, error):
+    # the C loop trusts its pointers, so a buffer of the wrong size, dtype
+    # or layout must be refused before the call
+    config = quiet_config(params=PovmParams(0.5, 0.5), tau=0.0, n_per_series=3, m_series=2)
+    buffers = {
+        "state": np.array([1.0, 0.0, 0.0, 0.0]), "constants": _constants(config),
+        "uniforms": np.zeros(6), "c2_sq": np.zeros(2), "n_plus": np.zeros(2, dtype=np.int64),
+    }
+    buffers.update(changed)
+    with pytest.raises(error):
+        _compiled_advance(n=3, **buffers)
 
 
 @pytest.mark.filterwarnings("ignore::unsharp_monitor.trajectory.SeriesBoundWarning")
@@ -295,14 +421,20 @@ def test_replicates_are_the_one_seed_trajectories(overrides):
     c2_sq, g2 = simulate_replicates(config, seeds)
     assert c2_sq.shape == g2.shape == (len(seeds), config.m_series)
     n = config.n_per_series
+    state = config.initial_state
     for row, seed in enumerate(seeds):
         record = simulate_trajectory(replace(config, seed=seed))
         assert np.array_equal(c2_sq[row], record.c2_sq)
         assert np.array_equal(g2[row], record.g2)
-        # the whole row in one kernel call, without blocks
-        state = config.initial_state
+        # the whole row in one call of each kernel, without blocks, and for
+        # the first seed through the reference functions too
         uniforms = np.random.default_rng(seed).random(config.m_series * n).tolist()
-        _, _, whole_c2_sq, whole_plus = _advance(state.c1, state.c2, config, uniforms)
+        if row == 0:
+            _, _, whole_c2_sq, whole_plus = chain_against_reference(state, config, uniforms)
+        else:
+            whole = [run_kernel(k, state.c1, state.c2, config, uniforms) for k in KERNELS.values()]
+            assert all(result == whole[0] for result in whole)
+            _, _, whole_c2_sq, whole_plus = whole[0]
         assert c2_sq[row].tolist() == whole_c2_sq
         assert g2[row].tolist() == [
             reference_g2(count, n, config.params) for count in whole_plus
@@ -314,3 +446,86 @@ def test_replicates_reject_seeds_outside_64_bits(seed):
     config = quiet_config(params=PovmParams(0.5, 0.5), tau=0.0, n_per_series=1, m_series=1)
     with pytest.raises(ParameterError, match=rf"^seed = {seed} must be a 64-bit unsigned"):
         simulate_replicates(config, [0, seed])
+
+
+@needs_cc
+def test_compiled_kernel_is_in_use():
+    # with a compiler on PATH, a fallback to the Python loop is a failure
+    assert trajectory._KERNEL is not None
+    assert trajectory._advance is _compiled_advance
+    assert _kernel.library_path().is_file()
+
+
+# prints whether the compiled kernel is in use, the cached library's path,
+# and the fig1 preset's first |c2|^2 values
+PROBE = """
+import json, sys, sysconfig, warnings
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2] == "no-compiler":
+    sysconfig.get_config_vars()["CC"] = "no-such-c-compiler"
+from unsharp_monitor import _kernel, trajectory
+from unsharp_monitor.config import load_run_config
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    config = load_run_config(preset="fig1", overrides={"m_series": 50}).trajectory
+print(json.dumps({
+    "package": trajectory.__file__,
+    "compiled": trajectory._advance is trajectory._compiled_advance,
+    "library": str(_kernel.library_path()),
+    "c2_sq": trajectory.simulate_trajectory(config).c2_sq.tolist(),
+}))
+"""
+
+
+def probe(root: Path, case: str = "") -> dict:
+    """Run PROBE in a fresh interpreter on the package copy under ``root``."""
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", PROBE, str(root), case],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert Path(result["package"]).parent == root / "unsharp_monitor"
+    return result
+
+
+def package_copy(tmp_path: Path) -> Path:
+    source = Path(unsharp_monitor.__file__).parent
+    shutil.copytree(source, tmp_path / "unsharp_monitor", ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp_path
+
+
+def fig1_c2_sq() -> list[float]:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config = load_run_config(preset="fig1", overrides={"m_series": 50}).trajectory
+    return simulate_trajectory(config).c2_sq.tolist()
+
+
+@needs_cc
+def test_a_second_interpreter_loads_the_cached_library(tmp_path):
+    root = package_copy(tmp_path)
+    cache = root / "unsharp_monitor" / "__pycache__"
+    first = probe(root)
+    assert first["compiled"]
+    library = Path(first["library"])
+    assert library.parent == cache
+    built = library.stat()
+    second = probe(root)
+    assert second["compiled"] and second["library"] == first["library"]
+    again = library.stat()
+    assert (again.st_ino, again.st_mtime_ns) == (built.st_ino, built.st_mtime_ns)
+    # no temporary file is left beside the library
+    assert os.listdir(cache) == [library.name]
+    assert first["c2_sq"] == second["c2_sq"] == fig1_c2_sq()
+
+
+@pytest.mark.parametrize("case", ["unwritable-cache", "no-compiler"])
+def test_without_a_build_the_python_loop_runs(tmp_path, case):
+    root = package_copy(tmp_path)
+    if case == "unwritable-cache":
+        # a file where the cache directory should be: nothing can be written there
+        (root / "unsharp_monitor" / "__pycache__").write_text("")
+    result = probe(root, case)
+    assert not result["compiled"]
+    assert not Path(result["library"]).is_file()
+    assert result["c2_sq"] == fig1_c2_sq()
