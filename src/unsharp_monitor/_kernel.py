@@ -7,6 +7,7 @@ processes load it without compiling.  The compiler writes a temporary
 file that ``os.replace`` then moves into place, so a process never loads
 a half-written library, however many build it at once.
 
+A build deletes the libraries that older sources left in the cache.
 ``load`` returns None when there is no compiler, the build fails or the
 cache directory cannot be written; ``trajectory`` then runs its Python
 loop, which gives the same doubles.
@@ -43,8 +44,11 @@ def library_path() -> Path:
     # the key only tells versions of one file apart, so CRC-32 will do;
     # hashlib would load OpenSSL, ~4 MB and ~4 ms, into every process
     key = f"{zlib.crc32(SOURCE.read_bytes() + ' '.join(FLAGS).encode()):08x}"
-    platform = sysconfig.get_platform().replace("-", "_").replace(".", "_")
-    return SOURCE.parent / "__pycache__" / f"_kernel.{key}.{platform}.so"
+    return SOURCE.parent / "__pycache__" / f"_kernel.{key}.{_platform()}.so"
+
+
+def _platform() -> str:
+    return sysconfig.get_platform().replace("-", "_").replace(".", "_")
 
 
 def _build(path: Path) -> None:
@@ -69,6 +73,14 @@ def _build(path: Path) -> None:
     finally:
         if os.path.exists(temp):
             os.remove(temp)
+    # libraries built from older sources are never loaded again; a temporary
+    # name ends in mkstemp's random suffix, not ".so", so none is matched
+    for stale in path.parent.glob(f"_kernel.*.{_platform()}.so"):
+        if stale != path:
+            try:
+                stale.unlink()
+            except FileNotFoundError:  # another process pruned it first
+                pass
 
 
 def load():

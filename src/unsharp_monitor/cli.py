@@ -56,7 +56,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     csv_path = out_dir / "trajectory.csv"
     artifacts.write_trajectory_csv(
-        csv_path, record.m, record.t, record.c2_sq, record.g2, processed, echo
+        csv_path, record.m, record.t / config.trajectory.spec.t_r,
+        record.c2_sq, record.g2, processed, echo,
     )
     artifacts.write_json(
         out_dir / "spectrum.json",
@@ -90,16 +91,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     echo, columns = artifacts.read_trajectory_csv(args.csv)
     echo = echo or {}
+    t_r = float_field(echo, "t_r", 1.0, positive=True)
     if "n_per_series" in echo and "tau" in echo:
         n = int_field(echo, "n_per_series", 0)
         if n < 1:
             raise ConfigError("n_per_series", f"must be >= 1, got {n}")
         dt = n * float_field(echo, "tau", positive=True)
     else:
-        dt = float(columns["t_over_TR"][0] / columns["m"][0])
+        dt = float(columns["t_over_TR"][0] / columns["m"][0]) * t_r
     wiener = bool_field(echo, "wiener")
     truncation = bool_field(echo, "truncation")
-    t_r = float_field(echo, "t_r", 1.0, positive=True)
     spectrum, processed = process_readout(columns["g2"], dt, wiener, truncation)
     processed = artifacts.FloatTexts(processed)  # formatted once for both files
     out_dir = Path(args.out_dir)

@@ -37,6 +37,10 @@ PRESETS: dict[str, dict[str, Any]] = {
     "fig3": {"p0": 0.5, "dp": 0.08, "tau": 0.002, "n_per_series": 25, "m_series": 2000},
 }
 
+# The most series one run may record: 500 times the longest preset, and
+# small enough that a trajectory's arrays (16 bytes a series) always fit.
+MAX_M_SERIES = 10**6
+
 _ALLOWED_KEYS = {
     "p0", "dp", "p1", "p2", "tau", "n_per_series", "m_series", "initial_state",
     "seed", "wiener", "truncation", "f_lo", "f_hi", "t_r", "out_dir",
@@ -211,6 +215,8 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
     m_series = int_field(data, "m_series", 0)
     if m_series < 4:
         raise ConfigError("m_series", f"must be >= 4 (spectral analysis needs it), got {m_series}")
+    if m_series > MAX_M_SERIES:
+        raise ConfigError("m_series", f"must be <= {MAX_M_SERIES}, got {m_series}")
 
     try:
         trajectory = TrajectoryConfig(

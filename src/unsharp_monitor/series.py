@@ -21,29 +21,6 @@ from .povm import ParameterError, PovmParams, StateVector, _abs2, ensure_normali
 MAX_SERIES_LENGTH = 64
 
 
-@dataclass(frozen=True)
-class NSeriesOutcome:
-    """Result of one N-series: counts, relative frequency, best guess.
-
-    ``g2`` is the linear estimate of the upper-level population; it is NaN
-    when p1 == p2 (the estimator is undefined for an uninformative
-    measurement) and is deliberately not clamped to [0, 1].
-    """
-
-    n_total: int
-    n_plus: int
-    r: float
-    g2: float
-
-    def __post_init__(self) -> None:
-        if self.n_total < 1:
-            raise ParameterError(f"n_total = {self.n_total} must be >= 1")
-        if not 0 <= self.n_plus <= self.n_total:
-            raise ParameterError(
-                f"n_plus = {self.n_plus} must lie in [0, {self.n_total}]"
-            )
-
-
 def _validate_series_args(n: int, n_plus: int | None = None) -> None:
     if not 1 <= n <= MAX_SERIES_LENGTH:
         raise ParameterError(

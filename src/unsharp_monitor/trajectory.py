@@ -52,7 +52,6 @@ from .povm import (
 from .rabi import HamiltonianSpec, rotation_half_angles
 from .series import (
     MAX_SERIES_LENGTH,
-    NSeriesOutcome,
     RegimeParams,
     evaluate_regime,
 )
@@ -310,28 +309,6 @@ def _best_guesses(n_plus: np.ndarray, n: int, params: PovmParams) -> np.ndarray:
     if dp == 0.0:
         return np.full(n_plus.shape, math.nan)
     return (n_plus / n - params.p1) / dp
-
-
-def simulate_nseries(
-    state: StateVector,
-    config: TrajectoryConfig,
-    rng: np.random.Generator,
-) -> tuple[StateVector, NSeriesOutcome]:
-    """Run one N-series from ``state``; the count is accumulated over n steps.
-
-    The best guess is NaN when dp = 0 (uninformative measurement); the
-    post-series state is what callers should sample populations from.
-    """
-    ensure_normalized(state)
-    n = config.n_per_series
-    amplitudes = np.array([state.c1.real, state.c1.imag, state.c2.real, state.c2.imag])
-    counts = np.empty(1, dtype=np.int64)
-    _advance(amplitudes, _constants(config), n, rng.random(n), np.empty(1), counts)
-    ar, ai, br, bi = amplitudes.tolist()
-    n_plus = int(counts[0])
-    (g2,) = _best_guesses(counts, n, config.params).tolist()
-    outcome = NSeriesOutcome(n_total=n, n_plus=n_plus, r=n_plus / n, g2=g2)
-    return StateVector(complex(ar, ai), complex(br, bi)), outcome
 
 
 def simulate_replicates(

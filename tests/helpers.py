@@ -1,0 +1,136 @@
+"""Helpers shared by the test modules: random inputs and drivers of the measurement kernel.
+
+``run_kernel`` and ``chain_against_reference`` run a kernel from raw
+amplitudes and hand back the state it leaves behind, which the public
+``simulate_replicates`` does not; ``restarted_series`` runs many series
+from one fixed state, as the statistical tests sample them.
+"""
+
+import math
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+from unsharp_monitor import trajectory
+from unsharp_monitor.povm import (
+    DegenerateOutcomeError,
+    PovmParams,
+    StateVector,
+    apply_outcome,
+    make_operations,
+    outcome_probabilities,
+)
+from unsharp_monitor.rabi import evolve
+from unsharp_monitor.trajectory import (
+    _ZERO_NORM,
+    TrajectoryConfig,
+    _compiled_advance,
+    _constants,
+    _python_advance,
+)
+
+# the compiled kernel joins every comparison wherever it loaded;
+# test_compiled_kernel_is_in_use fails when a compiler is there and it did not
+KERNELS = {"python": _python_advance}
+if trajectory._KERNEL is not None:
+    KERNELS["compiled"] = _compiled_advance
+
+
+def quiet_config(**kwargs) -> TrajectoryConfig:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return TrajectoryConfig(**kwargs)
+
+
+def random_state(rng) -> StateVector:
+    return StateVector(
+        complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
+    ).normalized()
+
+
+def random_params(rng) -> PovmParams:
+    return PovmParams(rng.uniform(), rng.uniform())
+
+
+def reference_series(state, config, uniforms):
+    """One N-series through the reference functions: (state, "+" count)."""
+    plus_op, minus_op = make_operations(config.params)
+    count = 0
+    for u in uniforms:
+        state = evolve(state, config.tau, config.spec)
+        p_plus, _ = outcome_probabilities(state, config.params)
+        if u < p_plus:
+            count += 1
+        state = apply_outcome(state, plus_op if u < p_plus else minus_op)
+    return state, count
+
+
+def reference_chain(state, config, uniforms):
+    """Whole series through the reference functions: (c1, c2, c2_sq list, n_plus list)."""
+    n = config.n_per_series
+    c2_sq, n_plus = [], []
+    for start in range(0, len(uniforms), n):
+        state, count = reference_series(state, config, uniforms[start : start + n])
+        c2_sq.append(state.c2_sq)
+        n_plus.append(count)
+    return state.c1, state.c2, c2_sq, n_plus
+
+
+def reference_g2(count, n, params):
+    return (count / n - params.p1) / params.dp if params.dp != 0.0 else math.nan
+
+
+def run_kernel(kernel, c1, c2, config, uniforms):
+    """Whole series through ``kernel`` from raw amplitudes: (c1, c2, c2_sq list, n_plus list)."""
+    amplitudes = np.array([c1.real, c1.imag, c2.real, c2.imag], dtype=float)
+    series = len(uniforms) // config.n_per_series
+    c2_sq, n_plus = np.empty(series), np.empty(series, dtype=np.int64)
+    kernel(
+        amplitudes, _constants(config), config.n_per_series,
+        np.asarray(uniforms, dtype=float), c2_sq, n_plus,
+    )
+    ar, ai, br, bi = amplitudes.tolist()
+    return complex(ar, ai), complex(br, bi), c2_sq.tolist(), n_plus.tolist()
+
+
+def chain_against_reference(state, config, uniforms):
+    """Every kernel and the reference over the same uniforms.
+
+    Returns the common (c1, c2, c2_sq, n_plus), or None when the
+    reference and every kernel raise DegenerateOutcomeError.
+    """
+    try:
+        expected = reference_chain(state, config, uniforms)
+    except DegenerateOutcomeError:
+        for kernel in KERNELS.values():
+            with pytest.raises(DegenerateOutcomeError, match=rf"^{re.escape(_ZERO_NORM)}$"):
+                run_kernel(kernel, state.c1, state.c2, config, uniforms)
+        return None
+    for kernel in KERNELS.values():
+        assert run_kernel(kernel, state.c1, state.c2, config, uniforms) == expected
+    return expected
+
+
+def restarted_series(state, config, uniforms):
+    """Series after series through the kernel in use, each one from ``state``.
+
+    Series i reads ``uniforms[i * n : (i + 1) * n]``, so one
+    ``rng.random(n * reps)`` gives the draws of ``reps`` successive
+    ``rng.random(n)`` calls.  Returns the amplitudes (Re c1, Im c1, Re c2,
+    Im c2) each series leaves behind, one row per series, and the "+"
+    counts.
+    """
+    n = config.n_per_series
+    series = len(uniforms) // n
+    constants = _constants(config)
+    amplitudes = np.empty((series, 4))
+    amplitudes[:] = (state.c1.real, state.c1.imag, state.c2.real, state.c2.imag)
+    c2_sq, n_plus = np.empty(series), np.empty(series, dtype=np.int64)
+    for i in range(series):
+        trajectory._advance(
+            amplitudes[i], constants, n, uniforms[i * n : (i + 1) * n],
+            c2_sq[i : i + 1], n_plus[i : i + 1],
+        )
+    return amplitudes, n_plus

@@ -22,6 +22,8 @@ import unsharp_monitor.trajectory as trajectory
 from unsharp_monitor.cli import main as cli_main
 from unsharp_monitor.config import PRESETS
 
+from helpers import random_state, restarted_series
+
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 SEEDS = range(10)
@@ -43,12 +45,6 @@ def criterion(label):
         return wrapper
 
     return decorator
-
-
-def random_state(rng) -> povm.StateVector:
-    return povm.StateVector(
-        complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
-    ).normalized()
 
 
 def preset_config(name, seed) -> trajectory.TrajectoryConfig:
@@ -143,11 +139,9 @@ def test_criterion_4_sampled_moments_match_closed_forms():
     config = trajectory.TrajectoryConfig(
         params=params, tau=0.0, n_per_series=n, m_series=1, initial_state=state
     )
-    rng = np.random.default_rng(4444)
-    values = np.empty(reps)
-    for i in range(reps):
-        _, outcome = trajectory.simulate_nseries(state, config, rng)
-        values[i] = outcome.r
+    uniforms = np.random.default_rng(4444).random(n * reps)
+    _, n_plus = restarted_series(state, config, uniforms)
+    values = n_plus / n
     expected_mean = series.expectation_r(state, params)
     expected_var = series.variance_r(state, params, n)
     standard_error = math.sqrt(expected_var / reps)

@@ -9,7 +9,7 @@ import pytest
 
 from unsharp_monitor.artifacts import TRAJECTORY_COLUMNS, json_safe, read_trajectory_csv
 from unsharp_monitor.cli import main
-from unsharp_monitor.config import build_report, load_run_config
+from unsharp_monitor.config import MAX_M_SERIES, build_report, load_run_config
 from unsharp_monitor.spectral import process_readout
 from unsharp_monitor.trajectory import SeriesBoundWarning
 
@@ -136,6 +136,16 @@ class TestSimulate:
         bad.write_text(json.dumps({**SMALL_CONFIG, field: value}), encoding="utf-8")
         assert run(["simulate", "--config", bad, "--out-dir", tmp_path]) == 2
         assert f"config field '{field}':" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("value", [MAX_M_SERIES + 1, 10**20])
+    def test_oversized_run_rejected(self, tmp_path, capsys, value):
+        # used to end in numpy's "Maximum allowed dimension exceeded"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, "m_series": value}), encoding="utf-8")
+        assert run(["simulate", "--config", bad, "--out-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert f"config field 'm_series': must be <= {MAX_M_SERIES}, got {value}" in err
         assert not (tmp_path / "trajectory.csv").exists()
 
     @pytest.mark.parametrize(
@@ -418,6 +428,32 @@ class TestAnalyze:
         _, unfiltered = process_readout(columns["g2"], dt, wiener=False, truncation=False)
         assert payload["processed_readout"] == unfiltered.tolist()
 
+    def test_time_column_is_in_rabi_periods(self, tmp_path):
+        # at t_r = 2 the column holds t_m / T_R, and analyze recovers the
+        # spacing n * tau from it when the echo lacks n_per_series and tau
+        config = {**SMALL_CONFIG, "tau": 0.004, "m_series": 8, "t_r": 2.0}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", path, "--out-dir", out]) == 0
+        echo, columns = read_trajectory_csv(out / "trajectory.csv")
+        assert np.array_equal(columns["t_over_TR"], np.arange(1, 9) * (25 * 0.004) / 2.0)
+        assert columns["t_over_TR"][0] == pytest.approx(0.05, rel=1e-12)
+
+        partial = tmp_path / "partial.csv"
+        lines = (out / "trajectory.csv").read_text(encoding="utf-8").splitlines()
+        del echo["n_per_series"], echo["tau"]
+        lines[1] = "# config: " + json.dumps(echo)
+        partial.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        payloads = []
+        for csv, target in ((out / "trajectory.csv", "full"), (partial, "partial")):
+            assert run(["analyze", csv, "--out-dir", tmp_path / target]) == 0
+            payload = json.loads((tmp_path / target / "spectrum.json").read_text())
+            del payload["config"]
+            payloads.append(payload)
+        assert payloads[0]["dt"] == 25 * 0.004
+        assert payloads[0] == payloads[1]
+
     def test_missing_header_rejected(self, tmp_path, capsys):
         csv = tmp_path / "broken.csv"
         csv.write_text("1,0.05,0.5,1.0,0.0\n", encoding="utf-8")
@@ -514,6 +550,16 @@ class TestSweep:
             "--m", "48", "--out-dir", tmp_path,
         ]) == 2
         assert "config field 'n':" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("value", [MAX_M_SERIES + 1, 10**20])
+    def test_oversized_run_flag_rejected(self, tmp_path, capsys, value):
+        assert run([
+            "sweep", "--p0", "0.5", "--dp", "0.1", "--tau", "0.002", "--n", "25",
+            "--m", value, "--out-dir", tmp_path,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'm_series':" in err and "skipping" not in err
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_bool_base_seed_rejected(self, tmp_path, capsys):

@@ -44,21 +44,21 @@ from unsharp_monitor.povm import (
 from unsharp_monitor.rabi import HamiltonianSpec, evolve
 from unsharp_monitor.trajectory import (
     _ZERO_NORM,
-    TrajectoryConfig,
     _compiled_advance,
     _constants,
-    _python_advance,
-    simulate_nseries,
     simulate_replicates,
     simulate_trajectory,
 )
 from unsharp_monitor.config import load_run_config
 
-# the compiled kernel joins every comparison wherever it loaded;
-# test_compiled_kernel_is_in_use fails when a compiler is there and it did not
-KERNELS = {"python": _python_advance}
-if trajectory._KERNEL is not None:
-    KERNELS["compiled"] = _compiled_advance
+from helpers import (
+    KERNELS,
+    chain_against_reference,
+    quiet_config,
+    reference_g2,
+    reference_series,
+    run_kernel,
+)
 
 CC = _kernel.compiler()
 HAVE_CC = bool(CC) and shutil.which(CC[0]) is not None
@@ -66,71 +66,6 @@ needs_cc = pytest.mark.skipif(
     not HAVE_CC,
     reason=f"no C compiler: {CC[0]!r} is not on PATH" if CC else "no C compiler: sysconfig names none",
 )
-
-
-def quiet_config(**kwargs) -> TrajectoryConfig:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return TrajectoryConfig(**kwargs)
-
-
-def reference_series(state, config, uniforms):
-    """One N-series through the reference functions: (state, "+" count)."""
-    plus_op, minus_op = make_operations(config.params)
-    count = 0
-    for u in uniforms:
-        state = evolve(state, config.tau, config.spec)
-        p_plus, _ = outcome_probabilities(state, config.params)
-        if u < p_plus:
-            count += 1
-        state = apply_outcome(state, plus_op if u < p_plus else minus_op)
-    return state, count
-
-
-def reference_chain(state, config, uniforms):
-    """Whole series through the reference functions: (c1, c2, c2_sq list, n_plus list)."""
-    n = config.n_per_series
-    c2_sq, n_plus = [], []
-    for start in range(0, len(uniforms), n):
-        state, count = reference_series(state, config, uniforms[start : start + n])
-        c2_sq.append(state.c2_sq)
-        n_plus.append(count)
-    return state.c1, state.c2, c2_sq, n_plus
-
-
-def run_kernel(kernel, c1, c2, config, uniforms):
-    """Whole series through ``kernel`` from raw amplitudes: (c1, c2, c2_sq list, n_plus list)."""
-    amplitudes = np.array([c1.real, c1.imag, c2.real, c2.imag], dtype=float)
-    series = len(uniforms) // config.n_per_series
-    c2_sq, n_plus = np.empty(series), np.empty(series, dtype=np.int64)
-    kernel(
-        amplitudes, _constants(config), config.n_per_series,
-        np.asarray(uniforms, dtype=float), c2_sq, n_plus,
-    )
-    ar, ai, br, bi = amplitudes.tolist()
-    return complex(ar, ai), complex(br, bi), c2_sq.tolist(), n_plus.tolist()
-
-
-def chain_against_reference(state, config, uniforms):
-    """Every kernel and the reference over the same uniforms.
-
-    Returns the common (c1, c2, c2_sq, n_plus), or None when the
-    reference and every kernel raise DegenerateOutcomeError.
-    """
-    try:
-        expected = reference_chain(state, config, uniforms)
-    except DegenerateOutcomeError:
-        for kernel in KERNELS.values():
-            with pytest.raises(DegenerateOutcomeError, match=rf"^{re.escape(_ZERO_NORM)}$"):
-                run_kernel(kernel, state.c1, state.c2, config, uniforms)
-        return None
-    for kernel in KERNELS.values():
-        assert run_kernel(kernel, state.c1, state.c2, config, uniforms) == expected
-    return expected
-
-
-def reference_g2(count, n, params):
-    return (count / n - params.p1) / params.dp if params.dp != 0.0 else math.nan
 
 
 def same_float(a, b):
@@ -170,34 +105,33 @@ def in_plane(state) -> bool:
     return state.c1.imag == 0.0 and state.c2.real == 0.0
 
 
-def chain_config(p1, p2, tau, n, m_series=1):
+def chain_config(p1, p2, tau, n, m_series=1, **kwargs):
     # TrajectoryConfig rejects 0 < |dp| below ~1e-154, where 3 dp^2
     # underflows to 0, so no kernel runs there
     assume(p1 == p2 or abs(p2 - p1) > 1e-150)
-    return quiet_config(params=PovmParams(p1, p2), tau=tau, n_per_series=n, m_series=m_series)
+    return quiet_config(
+        params=PovmParams(p1, p2), tau=tau, n_per_series=n, m_series=m_series, **kwargs
+    )
 
 
 def series_against_reference(state, p1, p2, tau, n, seed):
-    """One series through both kernels, ``simulate_nseries`` and the reference.
+    """One series through both kernels, ``simulate_replicates`` and the reference.
 
-    All run on the same uniforms.  Returns ``simulate_nseries``' state
-    after the series, or None when every side raises
-    DegenerateOutcomeError.
+    All run on the same uniforms.  Returns the state the series leaves
+    behind, or None when every side raises DegenerateOutcomeError.
     """
-    config = chain_config(p1, p2, tau, n)
+    config = chain_config(p1, p2, tau, n, initial_state=state)
     uniforms = np.random.default_rng(seed).random(n).tolist()
     expected = chain_against_reference(state, config, uniforms)
     if expected is None:
         with pytest.raises(DegenerateOutcomeError):
-            simulate_nseries(state, config, np.random.default_rng(seed))
+            simulate_replicates(config, [seed])
         return None
-    c1, c2, _, (count,) = expected
-    after, series = simulate_nseries(state, config, np.random.default_rng(seed))
-    assert series.n_plus == count
-    assert after.c1 == c1
-    assert after.c2 == c2
-    assert same_float(series.g2, reference_g2(count, n, config.params))
-    return after
+    c1, c2, (after_c2_sq,), (count,) = expected
+    c2_sq, g2 = simulate_replicates(config, [seed])
+    assert c2_sq.tolist() == [[after_c2_sq]]
+    assert same_float(g2[0, 0], reference_g2(count, n, config.params))
+    return StateVector(c1, c2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -236,19 +170,19 @@ def test_series_chain_off_the_plane_is_bitwise_the_reference():
     # a general complex state (Bloch x far from 0) through several long
     # series, so every rotation and outcome branch is exercised
     params = PovmParams.from_p0_dp(0.5, 0.08)
-    config = quiet_config(params=params, tau=0.013, n_per_series=25, m_series=1)
     state = StateVector(0.6, 0.8 * complex(math.cos(0.4), math.sin(0.4)))
+    config = quiet_config(
+        params=params, tau=0.013, n_per_series=25, m_series=8, initial_state=state, seed=2024
+    )
     coherence = state.c1.conjugate() * state.c2
     assert abs(2.0 * coherence.real) > 0.5
-    kernel_rng = np.random.default_rng(2024)
     uniforms = np.random.default_rng(2024).random(8 * config.n_per_series).tolist()
-    c1, c2, c2_sq, n_plus = chain_against_reference(state, config, uniforms)
-    for m in range(8):
-        state, series = simulate_nseries(state, config, kernel_rng)
-        assert series.n_plus == n_plus[m]
-        assert state.c2_sq == c2_sq[m]
-        assert series.g2 == reference_g2(n_plus[m], config.n_per_series, params)
-    assert (state.c1, state.c2) == (c1, c2)
+    _, _, c2_sq, n_plus = chain_against_reference(state, config, uniforms)
+    record = simulate_trajectory(config)
+    assert record.c2_sq.tolist() == c2_sq
+    assert record.g2.tolist() == [
+        reference_g2(count, config.n_per_series, params) for count in n_plus
+    ]
 
 
 @settings(max_examples=300, deadline=None)
@@ -311,10 +245,13 @@ def test_a_tie_reads_minus_on_both_routes(c1):
     # at tau = 0 the state |c1|^2 = 1 gives p_plus == p1 exactly; set p1 to
     # the uniform the kernel will draw, so u < p_plus is false by a tie
     (u,) = np.random.default_rng(5).random(1).tolist()
-    config = quiet_config(params=PovmParams(u, 0.9), tau=0.0, n_per_series=1, m_series=1)
     state = StateVector(c1, 0.0)
-    _, series = simulate_nseries(state, config, np.random.default_rng(5))
-    assert series.n_plus == reference_series(state, config, [u])[1] == 0
+    config = quiet_config(
+        params=PovmParams(u, 0.9), tau=0.0, n_per_series=1, m_series=1, initial_state=state, seed=5
+    )
+    record = simulate_trajectory(config)
+    assert reference_series(state, config, [u])[1] == 0
+    assert record.g2.tolist() == [reference_g2(0, 1, config.params)]
     for kernel in KERNELS.values():
         assert run_kernel(kernel, state.c1, state.c2, config, [u])[3] == [0]
 
@@ -517,6 +454,19 @@ def test_a_second_interpreter_loads_the_cached_library(tmp_path):
     # no temporary file is left beside the library
     assert os.listdir(cache) == [library.name]
     assert first["c2_sq"] == second["c2_sq"] == fig1_c2_sq()
+
+
+@needs_cc
+def test_a_build_prunes_libraries_of_older_sources(tmp_path):
+    root = package_copy(tmp_path)
+    cache = root / "unsharp_monitor" / "__pycache__"
+    old = probe(root)["library"]
+    with open(root / "unsharp_monitor" / "_kernel.c", "a", encoding="utf-8") as source:
+        source.write("/* an edit */\n")
+    new = probe(root)
+    assert new["compiled"] and new["library"] != old
+    assert os.listdir(cache) == [Path(new["library"]).name]
+    assert new["c2_sq"] == fig1_c2_sq()
 
 
 @pytest.mark.parametrize("case", ["unwritable-cache", "no-compiler"])

@@ -21,11 +21,7 @@ from unsharp_monitor.povm import (
     outcome_probabilities,
 )
 
-
-def random_state(rng) -> StateVector:
-    return StateVector(
-        complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
-    ).normalized()
+from helpers import random_state
 
 
 class TestDilate:

@@ -25,15 +25,7 @@ from unsharp_monitor.povm import (
     unitary_disturbance,
 )
 
-
-def random_state(rng) -> StateVector:
-    c1 = complex(rng.normal(), rng.normal())
-    c2 = complex(rng.normal(), rng.normal())
-    return StateVector(c1, c2).normalized()
-
-
-def random_params(rng) -> PovmParams:
-    return PovmParams(rng.uniform(), rng.uniform())
+from helpers import random_params, random_state
 
 
 UNIFORM = StateVector(1 / math.sqrt(2), 1 / math.sqrt(2))

@@ -34,17 +34,9 @@ from unsharp_monitor.series import (
 )
 from unsharp_monitor.trajectory import TrajectoryConfig
 
+from helpers import random_params, random_state
+
 UNIFORM = StateVector(1 / math.sqrt(2), 1 / math.sqrt(2))
-
-
-def random_state(rng) -> StateVector:
-    return StateVector(
-        complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
-    ).normalized()
-
-
-def random_params(rng) -> PovmParams:
-    return PovmParams(rng.uniform(), rng.uniform())
 
 
 def enumerate_count_distribution(state, params, n):
@@ -217,16 +209,6 @@ class TestFidelity:
         while n < 10_000 and abs(fidelity(params, n, UNIFORM) - limit) >= 1e-6:
             n *= 2
         assert abs(fidelity(params, n, UNIFORM) - limit) < 1e-6
-
-
-class TestNSeriesOutcome:
-    def test_field_validation(self):
-        from unsharp_monitor.series import NSeriesOutcome
-
-        with pytest.raises(ParameterError):
-            NSeriesOutcome(n_total=0, n_plus=0, r=0.0, g2=0.0)
-        with pytest.raises(ParameterError):
-            NSeriesOutcome(n_total=4, n_plus=5, r=1.25, g2=0.0)
 
 
 class TestBestGuess:

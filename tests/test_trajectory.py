@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from unsharp_monitor import trajectory
 from unsharp_monitor.povm import (
     LEVEL_ONE,
     ParameterError,
@@ -24,15 +25,18 @@ from unsharp_monitor.trajectory import (
     SeriesBoundWarning,
     TimeResolutionWarning,
     TrajectoryConfig,
-    simulate_nseries,
+    simulate_replicates,
     simulate_trajectory,
 )
 
-
-def quiet_config(**kwargs) -> TrajectoryConfig:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return TrajectoryConfig(**kwargs)
+from helpers import (
+    KERNELS,
+    chain_against_reference,
+    quiet_config,
+    reference_g2,
+    restarted_series,
+    run_kernel,
+)
 
 
 FIG3_PARAMS = PovmParams.from_p0_dp(0.5, 0.08)
@@ -113,37 +117,41 @@ class TestSimulateStep:
         cfg = quiet_config(
             params=PovmParams(0.3, 0.3), tau=0.01, n_per_series=1, m_series=1
         )
-        rng = np.random.default_rng(51)
         state = StateVector(0.6, 0.8j)
-        plus_counts = []
-        for _ in range(2000):
-            after, series = simulate_nseries(state, cfg, rng)
-            expected = evolve(state, 0.01, HamiltonianSpec())
-            assert abs(after.c1 - expected.c1) < 1e-12
-            assert abs(after.c2 - expected.c2) < 1e-12
-            plus_counts.append(series.n_plus)
-        share = sum(plus_counts) / len(plus_counts)
+        uniforms = np.random.default_rng(51).random(2000)
+        after, plus_counts = restarted_series(state, cfg, uniforms)
+        expected = evolve(state, 0.01, HamiltonianSpec())
+        assert np.all(np.abs(after[:, 0] + 1j * after[:, 1] - expected.c1) < 1e-12)
+        assert np.all(np.abs(after[:, 2] + 1j * after[:, 3] - expected.c2) < 1e-12)
+        share = plus_counts.sum() / len(plus_counts)
         assert abs(share - 0.3) < 4 * math.sqrt(0.3 * 0.7 / 2000)
 
     def test_sharp_eigenstate_is_pinned(self):
         cfg = quiet_config(
             params=PovmParams(1.0, 0.0), tau=0.0, n_per_series=1, m_series=1
         )
-        rng = np.random.default_rng(52)
-        state = LEVEL_ONE
-        for _ in range(100):
-            state, series = simulate_nseries(state, cfg, rng)
-            assert series.n_plus == 1
-            assert state.c1 == 1.0 and state.c2 == 0.0
+        uniforms = np.random.default_rng(52).random(100)
+        for kernel in KERNELS.values():
+            c1, c2 = LEVEL_ONE.c1, LEVEL_ONE.c2
+            for u in uniforms:
+                c1, c2, _, n_plus = run_kernel(kernel, c1, c2, cfg, [u])
+                assert n_plus == [1]
+                assert c1 == 1.0 and c2 == 0.0
 
     def test_fixed_seed_reproduces_bitwise(self):
-        cfg = quiet_config(params=FIG3_PARAMS, tau=0.002, n_per_series=1, m_series=1)
-        results = []
-        for _ in range(2):
-            rng = np.random.default_rng(53)
-            state, series = simulate_nseries(StateVector(0.6, 0.8), cfg, rng)
-            results.append((state.c1, state.c2, series.n_plus))
-        assert results[0] == results[1]
+        state = StateVector(0.6, 0.8)
+        cfg = quiet_config(
+            params=FIG3_PARAMS, tau=0.002, n_per_series=1, m_series=1, initial_state=state
+        )
+        c2_sq, g2 = simulate_replicates(cfg, [53, 53])
+        assert np.array_equal(c2_sq[0], c2_sq[1]) and np.array_equal(g2[0], g2[1])
+        # the state the step leaves behind, which no public run returns
+        runs = [
+            run_kernel(trajectory._advance, state.c1, state.c2, cfg,
+                       np.random.default_rng(53).random(1))
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
 
     def test_dilation_engine_is_bitwise_the_meter_module(self):
         # the trajectory kernel inlines the measurement arithmetic; pin it
@@ -155,42 +163,50 @@ class TestSimulateStep:
         state = StateVector(0.6, 0.8)
         for _ in range(200):
             draws = rng.bit_generator.state
-            kernel_state, series = simulate_nseries(state, cfg, rng)
+            u = rng.random(1)
             replay = np.random.default_rng()
             replay.bit_generator.state = draws
             evolved = evolve(state, cfg.tau, cfg.spec)
             module_outcome, module_state = measure_meter(
                 dilate(evolved, cfg.params), replay
             )
-            assert series.n_plus == (1 if module_outcome == "+" else 0)
-            assert kernel_state.c1 == module_state.c1
-            assert kernel_state.c2 == module_state.c2
-            state = kernel_state
+            for kernel in KERNELS.values():
+                c1, c2, _, n_plus = run_kernel(kernel, state.c1, state.c2, cfg, u)
+                assert n_plus == [1 if module_outcome == "+" else 0]
+                assert c1 == module_state.c1
+                assert c2 == module_state.c2
+            state = module_state
 
 
 class TestSimulateNSeries:
     def test_single_step_reduction(self):
         # one step is evolve, then the direct operator update, bit for bit
-        cfg = quiet_config(params=FIG3_PARAMS, tau=0.002, n_per_series=1, m_series=1)
         state = StateVector(0.6, 0.8)
-        series_state, series = simulate_nseries(state, cfg, np.random.default_rng(55))
+        cfg = quiet_config(
+            params=FIG3_PARAMS, tau=0.002, n_per_series=1, m_series=1,
+            initial_state=state, seed=55,
+        )
         u = np.random.default_rng(55).random()
         evolved = evolve(state, cfg.tau, cfg.spec)
         p_plus, _ = outcome_probabilities(evolved, FIG3_PARAMS)
         plus_op, minus_op = make_operations(FIG3_PARAMS)
         expected = apply_outcome(evolved, plus_op if u < p_plus else minus_op)
-        assert (series_state.c1, series_state.c2) == (expected.c1, expected.c2)
-        assert series.n_plus == (1 if u < p_plus else 0)
-        assert series.g2 == best_guess(series.r, FIG3_PARAMS)
+        count = 1 if u < p_plus else 0
+        for kernel in KERNELS.values():
+            c1, c2, _, n_plus = run_kernel(kernel, state.c1, state.c2, cfg, [u])
+            assert (c1, c2) == (expected.c1, expected.c2)
+            assert n_plus == [count]
+        record = simulate_trajectory(cfg)
+        assert record.c2_sq[0] == expected.c2_sq
+        assert record.g2[0] == best_guess(count / cfg.n_per_series, FIG3_PARAMS)
 
     def test_symmetric_params_keep_exact_rabi_law(self):
         cfg = quiet_config(
-            params=PovmParams(0.5, 0.5), tau=0.002, n_per_series=25, m_series=1
+            params=PovmParams(0.5, 0.5), tau=0.002, n_per_series=25, m_series=1, seed=56
         )
-        rng = np.random.default_rng(56)
-        state, series = simulate_nseries(LEVEL_ONE, cfg, rng)
-        assert state.c2_sq == pytest.approx(math.sin(math.pi * 0.05) ** 2, abs=1e-12)
-        assert math.isnan(series.g2)
+        record = simulate_trajectory(cfg)
+        assert record.c2_sq[0] == pytest.approx(math.sin(math.pi * 0.05) ** 2, abs=1e-12)
+        assert math.isnan(record.g2[0])
 
     def test_plus_counts_follow_closed_form(self):
         # immediate succession (tau = 0) from a fixed state: the count
@@ -199,12 +215,9 @@ class TestSimulateNSeries:
         state = StateVector(0.6, 0.8)
         n = 6
         cfg = quiet_config(params=params, tau=0.0, n_per_series=n, m_series=1)
-        rng = np.random.default_rng(57)
         reps = 20_000
-        counts = np.zeros(n + 1, dtype=int)
-        for _ in range(reps):
-            _, series = simulate_nseries(state, cfg, rng)
-            counts[series.n_plus] += 1
+        _, n_plus = restarted_series(state, cfg, np.random.default_rng(57).random(n * reps))
+        counts = np.bincount(n_plus, minlength=n + 1)
         expected = np.array(
             [nseries_probability(state, params, n, k) for k in range(n + 1)]
         )
@@ -230,19 +243,17 @@ class TestSimulateTrajectory:
         steps = np.diff(record.t)
         assert np.max(np.abs(steps - cfg.delta_t)) < 1e-12
 
-    def test_chains_series_like_simulate_nseries(self):
-        # more series than one block of pre-drawn uniforms holds
+    def test_chains_series_across_the_block_boundary(self):
+        # more series than one block of pre-drawn uniforms holds, against
+        # the whole chain in one kernel call
         cfg = quiet_config(params=FIG3_PARAMS, tau=0.002, n_per_series=2, m_series=1100, seed=5)
         record = simulate_trajectory(cfg)
-        rng = np.random.default_rng(5)
-        state = cfg.initial_state
-        c2_sq, g2 = [], []
-        for _ in range(cfg.m_series):
-            state, series = simulate_nseries(state, cfg, rng)
-            c2_sq.append(state.c2_sq)
-            g2.append(series.g2)
+        uniforms = np.random.default_rng(5).random(cfg.m_series * 2).tolist()
+        _, _, c2_sq, n_plus = chain_against_reference(cfg.initial_state, cfg, uniforms)
         assert np.array_equal(record.c2_sq, c2_sq)
-        assert np.array_equal(record.g2, g2)
+        assert np.array_equal(
+            record.g2, [reference_g2(count, 2, FIG3_PARAMS) for count in n_plus]
+        )
 
     def test_populations_stay_physical_over_long_runs(self):
         # 1e5 measurements with renormalization after each one
@@ -261,11 +272,12 @@ class TestSimulateTrajectory:
         cfg = quiet_config(
             params=FIG3_PARAMS, tau=0.002, n_per_series=50, m_series=1, seed=0
         )
-        rng = np.random.default_rng(12)
-        state = LEVEL_ONE
-        for _ in range(2000):  # 1e5 measurements in total
-            state, _ = simulate_nseries(state, cfg, rng)
-            assert abs(state.norm_sq - 1.0) <= 1e-9
+        uniforms = np.random.default_rng(12).random(2000 * 50)  # 1e5 measurements
+        c1, c2 = LEVEL_ONE.c1, LEVEL_ONE.c2
+        for start in range(0, len(uniforms), 50):
+            series = uniforms[start : start + 50]
+            c1, c2, _, _ = run_kernel(trajectory._advance, c1, c2, cfg, series)
+            assert abs(StateVector(c1, c2).norm_sq - 1.0) <= 1e-9
 
     def test_zeno_pinning_with_projective_measurements(self):
         # sharp measurements at tau = 0.002 freeze the ground state: the
