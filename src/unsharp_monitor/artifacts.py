@@ -10,12 +10,13 @@ and its spectrum hold some 20k floats, and ``analyze`` first parses 10k.
 So floats are formatted and parsed in bulk, never one numpy scalar at a
 time:
 
-- ``_float_texts`` formats an array with one ``tolist`` and one
-  ``float.__repr__`` per element, the exact text ``fmt`` and ``json`` give a
-  finite float.  An array that goes to two files, the processed readout, is
-  formatted once per op as ``FloatTexts`` and both writers take its texts.
-  The readout G2 holds only n + 1 distinct values, so its column formats each
-  distinct bit pattern once.
+- ``_float_texts`` formats a whole array in one call into the compiled
+  library (``um_repr`` in ``_repr.c``), which writes ``float.__repr__``'s
+  exact text for each element, the text ``fmt`` and ``json`` give a finite
+  float, at about a tenth of its cost.  Without the library it calls
+  ``float.__repr__`` once per element, which gives the same bytes.  An
+  array that goes to two files, the processed readout, is formatted once
+  per op as ``FloatTexts`` and both writers take its texts.
 - ``read_trajectory_csv`` converts the data rows in blocks, one
   ``np.fromiter(map(float, texts))`` per block, so every field is read by
   ``float()`` itself, and checks field counts and the series index on whole
@@ -30,6 +31,7 @@ which the tests check against that expression.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import json
 import math
@@ -38,6 +40,7 @@ from typing import Any, NoReturn
 
 import numpy as np
 
+from . import _kernel
 from .config import SCHEMA_VERSION
 from .spectral import SpectrumRecord, main_peak
 
@@ -89,25 +92,33 @@ def _write_text(path: Path, text: str) -> None:
         handle.write(text)
 
 
+def _python_texts(values: np.ndarray) -> list[str]:
+    """``float.__repr__`` of each element of a 1-d array."""
+    return list(map(float.__repr__, values.tolist()))
+
+
+def _compiled_texts(values: np.ndarray) -> list[str]:
+    """``_python_texts(values)``, written by one ``um_repr`` call."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 1:  # um_repr reads len(values) doubles from the pointer
+        raise ValueError(f"expected a 1-d array, got shape {values.shape}")
+    if not len(values):
+        return []
+    out = ctypes.create_string_buffer(_kernel.REPR_STRIDE * len(values))
+    size = _REPR(values.ctypes.data, len(values), out, len(out))
+    return ctypes.string_at(out, size).decode("ascii").split(",")
+
+
+_LIBRARY = _kernel.load()
+_REPR = None if _LIBRARY is None else _LIBRARY.um_repr
+_texts = _python_texts if _REPR is None else _compiled_texts
+
+
 def _float_texts(values: Any) -> list[str]:
     """The shortest round-trip repr of each element, formatted in bulk."""
     if isinstance(values, FloatTexts):
         return values.texts
-    return list(map(float.__repr__, np.asarray(values, dtype=float).tolist()))
-
-
-def _float_texts_by_value(values: np.ndarray) -> list[str]:
-    """``_float_texts(values)``, formatting each distinct bit pattern once.
-
-    Worth it only for lattice-valued arrays such as the readout G2 (n + 1
-    distinct values); on all-distinct data the lookups cost more than they
-    save.  Keying on bit patterns keeps -0.0 and 0.0 apart.
-    """
-    bits = np.ascontiguousarray(values, dtype=float).view(np.int64).tolist()
-    distinct = list(dict.fromkeys(bits))
-    floats = np.array(distinct, dtype=np.int64).view(np.float64)
-    texts = dict(zip(distinct, _float_texts(floats)))
-    return list(map(texts.__getitem__, bits))
+    return _texts(np.asarray(values, dtype=float))
 
 
 class FloatTexts:
@@ -185,7 +196,7 @@ def write_trajectory_csv(
         index_texts,
         _float_texts(t),
         _float_texts(c2_sq),
-        _float_texts_by_value(g2),
+        _float_texts(g2),
         _float_texts(g2_processed),
     )))
     _write_text(Path(path), "\n".join(lines) + "\n")

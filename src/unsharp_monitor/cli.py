@@ -90,6 +90,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     echo, columns = artifacts.read_trajectory_csv(args.csv)
+    finite = np.isfinite(columns["g2"])
+    if not finite.all():
+        # one non-finite G2 would turn the whole processed readout into NaN
+        first = int(np.argmin(finite))
+        raise ArtifactError(
+            f"{args.csv}: g2 must be finite, got {float(columns['g2'][first])!r}"
+            f" in series m = {columns['m'][first]}"
+        )
     echo = echo or {}
     t_r = float_field(echo, "t_r", 1.0, positive=True)
     if "n_per_series" in echo and "tau" in echo:

@@ -257,7 +257,8 @@ def _python_advance(
     state[:] = (ar, ai, br, bi)
 
 
-_KERNEL = _kernel.load()
+_LIBRARY = _kernel.load()
+_KERNEL = None if _LIBRARY is None else _LIBRARY.um_advance
 _FLOAT64, _INT64 = np.dtype(np.float64), np.dtype(np.int64)
 
 

@@ -1,4 +1,5 @@
-"""Helpers shared by the test modules: random inputs and drivers of the measurement kernel.
+"""Helpers shared by the test modules: random inputs, drivers of the measurement
+kernel, and ``needs_cc`` for tests that expect the compiled library.
 
 ``run_kernel`` and ``chain_against_reference`` run a kernel from raw
 amplitudes and hand back the state it leaves behind, which the public
@@ -8,12 +9,13 @@ from one fixed state, as the statistical tests sample them.
 
 import math
 import re
+import shutil
 import warnings
 
 import numpy as np
 import pytest
 
-from unsharp_monitor import trajectory
+from unsharp_monitor import _kernel, trajectory
 from unsharp_monitor.povm import (
     DegenerateOutcomeError,
     PovmParams,
@@ -29,6 +31,12 @@ from unsharp_monitor.trajectory import (
     _compiled_advance,
     _constants,
     _python_advance,
+)
+
+CC = _kernel.compiler()
+needs_cc = pytest.mark.skipif(
+    not (CC and shutil.which(CC[0])),
+    reason=f"no C compiler: {CC[0]!r} is not on PATH" if CC else "no C compiler: sysconfig names none",
 )
 
 # the compiled kernel joins every comparison wherever it loaded;

@@ -6,10 +6,13 @@
 ``read_trajectory_csv`` must return exactly the arrays of the per-line
 ``float()`` loop it replaced, which this file keeps as ``reference_read``,
 and raise the same error naming the same line for any malformed file.
+The compiled float formatter must give ``float.__repr__``'s text for every
+double, wherever the library loaded.
 """
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from unsharp_monitor import artifacts
 from unsharp_monitor.artifacts import (
     TRAJECTORY_COLUMNS,
     ArtifactError,
@@ -32,6 +36,8 @@ from unsharp_monitor.artifacts import (
 from unsharp_monitor.config import load_run_config
 from unsharp_monitor.spectral import process_readout
 from unsharp_monitor.trajectory import simulate_trajectory
+
+from helpers import needs_cc
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -92,7 +98,7 @@ def data_rows(path) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines()[3:]
 
 
-# the readout G2 takes n + 1 values; the writer formats each bit pattern once
+# the readout G2 takes n + 1 values
 LATTICE = [-0.25, 1.25, 0.0, -0.0, math.nan, -0.25000000000000017, 1e16]
 
 
@@ -430,3 +436,67 @@ def test_artifact_write_speed_smoke(benchmark, tmp_path, fig3_artifacts):
     assert data_rows(csv_path) == reference_rows(
         record.m, record.t, record.c2_sq, record.g2, processed
     )
+
+
+def as_double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def repr_texts(values: np.ndarray) -> list[str]:
+    """The oracle: one ``float.__repr__`` per element."""
+    return list(map(float.__repr__, values.tolist()))
+
+
+# the two routes are compared only where the library loaded;
+# test_compiled_formatter_is_in_use fails when a compiler is there and it did not
+needs_library = pytest.mark.skipif(
+    artifacts._REPR is None, reason="the compiled library did not load"
+)
+
+EDGE_DOUBLES = [
+    0.0, -0.0,
+    math.nan, -math.nan, as_double(0x7FF0000000000001), as_double(0xFFF8000000000123),
+    math.inf, -math.inf,
+    5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308, 1.7976931348623157e308,
+    1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 0.1 + 0.2, 2.0**53 + 2,
+]
+
+
+@needs_cc
+def test_compiled_formatter_is_in_use():
+    # with a compiler on PATH, a fallback to float.__repr__ is a failure
+    assert artifacts._REPR is not None
+    assert artifacts._texts is artifacts._compiled_texts
+
+
+@needs_library
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1).map(as_double) | st.floats(), max_size=50))
+@example(EDGE_DOUBLES)
+@example([])
+def test_compiled_texts_are_float_repr(values):
+    array = np.array(values, dtype=float)
+    assert artifacts._compiled_texts(array) == repr_texts(array)
+
+
+@needs_library
+def test_compiled_texts_match_float_repr_at_every_binary_exponent():
+    powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
+    powers_of_ten = np.array([float(f"1e{k}") for k in range(-323, 309)]).view(np.int64)
+    near_powers_of_ten = np.concatenate(
+        [(powers_of_ten + ulps).view(np.float64) for ulps in (-3, -2, -1, 0, 1, 2, 3)]
+    )
+    patterns = np.random.default_rng(20261018).integers(0, 2**64, 200_000, dtype=np.uint64)
+    values = np.concatenate([powers_of_two, near_powers_of_ten])
+    values = np.concatenate([values, -values, patterns.view(np.float64)])
+    assert artifacts._compiled_texts(values) == repr_texts(values)
+
+
+@needs_library
+def test_compiled_texts_copy_what_the_pointer_cannot_read():
+    values = np.arange(12.0).reshape(3, 4) / 7
+    assert artifacts._float_texts(values[:, 1]) == repr_texts(values[:, 1])
+    swapped = values.ravel().astype(">f8")
+    assert artifacts._float_texts(swapped) == repr_texts(values.ravel())
+    with pytest.raises(ValueError, match=r"expected a 1-d array, got shape \(3, 4\)"):
+        artifacts._compiled_texts(values)

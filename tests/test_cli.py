@@ -460,6 +460,23 @@ class TestAnalyze:
         assert run(["analyze", csv, "--out-dir", tmp_path]) == 2
         assert "header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_g2_rejected(self, tmp_path, capsys, value):
+        # one such field used to turn the whole processed readout into NaN, exit 0
+        out = tmp_path / "out"
+        assert run(["simulate", "--preset", "fig3", "--seed", "7", "--out-dir", out]) == 0
+        csv = out / "trajectory.csv"
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("7,"))
+        fields = lines[row].split(",")
+        fields[TRAJECTORY_COLUMNS.index("g2")] = value
+        lines[row] = ",".join(fields)
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(["analyze", csv, "--out-dir", tmp_path / "an"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {csv}: g2 must be finite, got {value} in series m = 7\n"
+        assert not (tmp_path / "an").exists()
+
 
 def read_sweep(path):
     header = None

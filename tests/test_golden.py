@@ -2,7 +2,8 @@
 
 Rerun-vs-rerun tests cannot see a change that shifts a float in every run
 alike; these digests can.  A change to the simulation or analysis code
-must leave them untouched.
+must leave them untouched.  The preset pins hold for both float
+formatters, the compiled one and ``float.__repr__``.
 
 The digests of ``spectrum.json`` and of the processed readout columns
 depend on numpy's FFT output, so a numpy upgrade that changes the FFT's
@@ -15,6 +16,7 @@ import json
 
 import pytest
 
+from unsharp_monitor import artifacts
 from unsharp_monitor.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -76,6 +78,14 @@ def digests(out_dir) -> dict[str, str]:
 
 @pytest.mark.parametrize("preset", sorted(SIMULATE_DIGESTS))
 def test_simulate_preset_artifacts_are_pinned(tmp_path, preset):
+    out = tmp_path / preset
+    assert main(["simulate", "--preset", preset, "--seed", SEED, "--out-dir", str(out)]) == 0
+    assert digests(out) == SIMULATE_DIGESTS[preset]
+
+
+@pytest.mark.parametrize("preset", sorted(SIMULATE_DIGESTS))
+def test_simulate_preset_artifacts_are_pinned_with_float_repr(tmp_path, monkeypatch, preset):
+    monkeypatch.setattr(artifacts, "_texts", artifacts._python_texts)
     out = tmp_path / preset
     assert main(["simulate", "--preset", preset, "--seed", SEED, "--out-dir", str(out)]) == 0
     assert digests(out) == SIMULATE_DIGESTS[preset]

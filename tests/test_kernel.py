@@ -54,17 +54,11 @@ from unsharp_monitor.config import load_run_config
 from helpers import (
     KERNELS,
     chain_against_reference,
+    needs_cc,
     quiet_config,
     reference_g2,
     reference_series,
     run_kernel,
-)
-
-CC = _kernel.compiler()
-HAVE_CC = bool(CC) and shutil.which(CC[0]) is not None
-needs_cc = pytest.mark.skipif(
-    not HAVE_CC,
-    reason=f"no C compiler: {CC[0]!r} is not on PATH" if CC else "no C compiler: sysconfig names none",
 )
 
 
@@ -393,23 +387,27 @@ def test_compiled_kernel_is_in_use():
     assert _kernel.library_path().is_file()
 
 
-# prints whether the compiled kernel is in use, the cached library's path,
-# and the fig1 preset's first |c2|^2 values
+# prints whether the compiled kernel is in use, whether the artifact floats
+# are formatted by float.__repr__, the cached library's path, the fig1
+# preset's first |c2|^2 values and their artifact texts
 PROBE = """
 import json, sys, sysconfig, warnings
 sys.path.insert(0, sys.argv[1])
 if sys.argv[2] == "no-compiler":
     sysconfig.get_config_vars()["CC"] = "no-such-c-compiler"
-from unsharp_monitor import _kernel, trajectory
+from unsharp_monitor import _kernel, artifacts, trajectory
 from unsharp_monitor.config import load_run_config
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     config = load_run_config(preset="fig1", overrides={"m_series": 50}).trajectory
+c2_sq = trajectory.simulate_trajectory(config).c2_sq
 print(json.dumps({
     "package": trajectory.__file__,
     "compiled": trajectory._advance is trajectory._compiled_advance,
+    "python_texts": artifacts._texts is artifacts._python_texts,
     "library": str(_kernel.library_path()),
-    "c2_sq": trajectory.simulate_trajectory(config).c2_sq.tolist(),
+    "c2_sq": c2_sq.tolist(),
+    "texts": artifacts._float_texts(c2_sq),
 }))
 """
 
@@ -443,7 +441,7 @@ def test_a_second_interpreter_loads_the_cached_library(tmp_path):
     root = package_copy(tmp_path)
     cache = root / "unsharp_monitor" / "__pycache__"
     first = probe(root)
-    assert first["compiled"]
+    assert first["compiled"] and not first["python_texts"]
     library = Path(first["library"])
     assert library.parent == cache
     built = library.stat()
@@ -454,6 +452,7 @@ def test_a_second_interpreter_loads_the_cached_library(tmp_path):
     # no temporary file is left beside the library
     assert os.listdir(cache) == [library.name]
     assert first["c2_sq"] == second["c2_sq"] == fig1_c2_sq()
+    assert first["texts"] == second["texts"] == list(map(float.__repr__, first["c2_sq"]))
 
 
 @needs_cc
@@ -477,5 +476,7 @@ def test_without_a_build_the_python_loop_runs(tmp_path, case):
         (root / "unsharp_monitor" / "__pycache__").write_text("")
     result = probe(root, case)
     assert not result["compiled"]
+    assert result["python_texts"]
     assert not Path(result["library"]).is_file()
     assert result["c2_sq"] == fig1_c2_sq()
+    assert result["texts"] == list(map(float.__repr__, result["c2_sq"]))
