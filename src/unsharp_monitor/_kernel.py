@@ -10,10 +10,12 @@ writes a temporary file that ``os.replace`` then moves into place, so a
 process never loads a half-written library, however many build it at once.
 
 A build deletes the libraries that older sources left in the cache.
-``load`` returns None when there is no compiler, the build fails or the
-cache directory cannot be written; ``trajectory`` then runs its Python
-loop, which gives the same doubles, and ``artifacts`` formats with
-``float.__repr__``, which gives the same text.
+``load`` returns None when there is no compiler, the build fails, the
+cache directory cannot be written or the library refuses the formatter's
+power-of-5 tables, which ``load`` computes with Python integers
+(``pow5_tables``); ``trajectory`` then runs its Python loop, which gives
+the same doubles, and ``artifacts`` formats with ``float.__repr__``,
+which gives the same text.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import ctypes
 import functools
 import os
 import shlex
+import struct
 import sysconfig
 import tempfile
 import zlib
@@ -32,11 +35,14 @@ SOURCES = tuple(Path(__file__).with_name(name) for name in ("_kernel.c", "_repr.
 # does; -ffast-math, never passed, would also let the compiler regroup sums
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120
+_PLATFORM = sysconfig.get_platform().replace("-", "_").replace(".", "_")
 
 # um_advance returns 0, or one of these when it stops early
 EXCURSION, ZERO_NORM = 1, 2
 # um_repr's output bytes per value: the longest text, 24 chars, and a ','
 REPR_STRIDE = 25
+# _repr.c's tables: 125-bit entries for 5^i, i < 326, and 5^-q, q < 291
+POW5_BITS, POW5_COUNT, POW5_INV_COUNT = 125, 326, 291
 
 
 def compiler() -> list[str] | None:
@@ -51,11 +57,7 @@ def library_path() -> Path:
     # hashlib would load OpenSSL, ~4 MB and ~4 ms, into every process
     text = b"".join(source.read_bytes() for source in SOURCES) + " ".join(FLAGS).encode()
     key = f"{zlib.crc32(text):08x}"
-    return SOURCES[0].parent / "__pycache__" / f"_kernel.{key}.{_platform()}.so"
-
-
-def _platform() -> str:
-    return sysconfig.get_platform().replace("-", "_").replace(".", "_")
+    return SOURCES[0].parent / "__pycache__" / f"_kernel.{key}.{_PLATFORM}.so"
 
 
 def _build(path: Path) -> None:
@@ -82,17 +84,29 @@ def _build(path: Path) -> None:
             os.remove(temp)
     # libraries built from older sources are never loaded again; a temporary
     # name ends in mkstemp's random suffix, not ".so", so none is matched
-    for stale in path.parent.glob(f"_kernel.*.{_platform()}.so"):
+    for stale in path.parent.glob(f"_kernel.*.{_PLATFORM}.so"):
         if stale != path:
-            try:
-                stale.unlink()
-            except FileNotFoundError:  # another process pruned it first
-                pass
+            stale.unlink(missing_ok=True)  # another process may prune it first
+
+
+def pow5_tables() -> tuple[bytes, int, bytes, int]:
+    """``_repr.c``'s tables as ``um_install_tables`` takes them: each one's
+    {low, high} 64-bit words, in the machine's byte order, and its length.
+    ``POW5[i]`` is 5^i shifted to 125 bits and ``POW5_INV[q]`` is
+    2^(bits(5^q) + 124) // 5^q + 1, both exact."""
+    powers = [5**i for i in range(POW5_COUNT)]
+    pow5 = [p << POW5_BITS >> p.bit_length() for p in powers]
+    pow5_inv = [(1 << (p.bit_length() + POW5_BITS - 1)) // p + 1 for p in powers[:POW5_INV_COUNT]]
+    tables = ()
+    for table in (pow5, pow5_inv):
+        words = [word for value in table for word in (value % 2**64, value >> 64)]
+        tables += struct.pack(f"={2 * len(table)}Q", *words), len(table)
+    return tables
 
 
 @functools.cache
 def load() -> ctypes.CDLL | None:
-    """The cached library with its functions typed, built first if need be; None if unavailable.
+    """The cached library, typed and its tables in, built first if need be; None if unavailable.
 
     Cached, so each process loads the library once, however many modules use it.
     """
@@ -122,4 +136,6 @@ def load() -> ctypes.CDLL | None:
         ctypes.c_char_p,  # out
         ctypes.c_int64,  # capacity, at least REPR_STRIDE * n
     )
-    return library
+    library.um_install_tables.restype = ctypes.c_int
+    library.um_install_tables.argtypes = (ctypes.c_char_p, ctypes.c_int64) * 2  # pow5_tables()
+    return None if library.um_install_tables(*pow5_tables()) else library

@@ -12,9 +12,9 @@
  * integral value; "inf", "-inf" and "nan" for every NaN.
  *
  * Ryu multiplies the binary significand by a 125-bit approximation of
- * 5^i or 5^-q.  The two tables of them are built exactly from big
- * integers once, when the library is loaded.  Only 64-bit integer
- * arithmetic is used; umul128 is the one 64x64 -> 128-bit product.
+ * 5^i or 5^-q.  _kernel.py computes both tables exactly from Python
+ * integers and installs them; um_repr formats nothing before.  Only 64-bit
+ * integer arithmetic is used; umul128 is the one 64x64 -> 128-bit product.
  */
 
 #include <stdint.h>
@@ -29,12 +29,11 @@ enum { REPR_MAX = 24, REPR_STRIDE = REPR_MAX + 1 };
 /* a double needs 5^i for i <= 325 and 5^-q for q <= 290 */
 #define POW5_COUNT 326
 #define POW5_INV_COUNT 291
-/* 64-bit limbs, enough for 2 * 5^325 (756 bits) */
-#define LIMBS 12
 
 /* {low, high}: 5^i >> (bits(5^i) - 125), and 2^(bits(5^q) - 1 + 125) / 5^q + 1 */
 static uint64_t POW5[POW5_COUNT][2];
 static uint64_t POW5_INV[POW5_INV_COUNT][2];
+static int tables_installed;
 
 /* floor(log10(2^e)) and floor(log10(5^e)) for 0 <= e <= 1650; ceil(log2(5^e)) or 1 */
 static int log10_pow2(int e) { return (int)(((uint32_t)e * 78913) >> 18); }
@@ -49,94 +48,6 @@ static uint64_t umul128(uint64_t a, uint64_t b, uint64_t *high)
     const uint64_t middle = (p00 >> 32) + (uint32_t)p01 + (uint32_t)p10;
     *high = p11 + (p01 >> 32) + (p10 >> 32) + (middle >> 32);
     return middle << 32 | (uint32_t)p00;
-}
-
-/* the 64 bits of a from bit `low` up; bits below 0 read as zero */
-static uint64_t word_at(const uint64_t *a, int low)
-{
-    if (low <= -64)
-        return 0;
-    if (low < 0)
-        return a[0] << -low;
-    const int k = low / 64, shift = low % 64;
-    return shift == 0 ? a[k] : a[k] >> shift | a[k + 1] << (64 - shift);
-}
-
-static int at_least(const uint64_t *a, const uint64_t *b)
-{
-    for (int k = LIMBS - 1; k >= 0; k--)
-        if (a[k] != b[k])
-            return a[k] > b[k];
-    return 1;
-}
-
-static void add(uint64_t *a, const uint64_t *b)
-{
-    uint64_t carry = 0;
-    for (int k = 0; k < LIMBS; k++) {
-        const uint64_t sum = a[k] + carry;
-        carry = sum < carry;
-        a[k] = sum + b[k];
-        carry += a[k] < sum;
-    }
-}
-
-static void subtract(uint64_t *a, const uint64_t *b)
-{
-    uint64_t borrow = 0;
-    for (int k = 0; k < LIMBS; k++) {
-        const uint64_t x = a[k], y = b[k];
-        a[k] = x - y - borrow;
-        borrow = x < y || (x == y && borrow);
-    }
-}
-
-/* Runs when the library is loaded, before any thread can call um_repr.
- *
- * POW5[i] is read off the big integer 5^i.  POW5_INV[q] is Q + 1 for
- * Q = 2^j / 5^q, j = bits(5^q) - 1 + 125, kept with its remainder R from
- * one q to the next: with s = bits(5^(q+1)) - bits(5^q) and 2^s Q = 5a + b,
- * 2^(j+s) = a 5^(q+1) + T for T = b 5^q + 2^s R < 12 5^q, so the next
- * quotient is a + T / 5^(q+1), at most a + 2. */
-__attribute__((constructor)) static void build_tables(void)
-{
-    uint64_t pow5[LIMBS] = {1}, next[LIMBS], r[LIMBS] = {0};
-    uint64_t q_low = 0, q_high = (uint64_t)1 << (POW5_BITS - 64);  /* 2^125 / 5^0 */
-    for (int i = 0; i < POW5_COUNT; i++) {
-        const int bits = pow5_bits(i), s = pow5_bits(i + 1) - bits;
-        POW5[i][0] = word_at(pow5, bits - POW5_BITS);
-        POW5[i][1] = word_at(pow5, bits - POW5_BITS + 64);
-        uint64_t carry = 0;
-        for (int k = 0; k < LIMBS; k++) {
-            uint64_t high;
-            next[k] = umul128(pow5[k], 5, &high) + carry;
-            carry = high + (next[k] < carry);
-        }
-        if (i < POW5_INV_COUNT) {
-            POW5_INV[i][0] = q_low + 1;
-            POW5_INV[i][1] = q_high + (q_low + 1 == 0);
-            /* a, b = divmod(2^s Q, 5), 32 bits at a time; 2^s Q < 2^128 */
-            q_high = q_high << s | q_low >> (64 - s);
-            q_low <<= s;
-            const uint64_t top = q_high / 5, mid = (q_high % 5) << 32 | q_low >> 32;
-            const uint64_t bottom = (mid % 5) << 32 | (uint32_t)q_low;
-            const uint64_t b = bottom % 5;
-            q_high = top;
-            q_low = (mid / 5) << 32 | bottom / 5;
-            /* T = b 5^q + 2^s R, then R = T mod 5^(q+1) */
-            for (int k = LIMBS - 1; k > 0; k--)
-                r[k] = r[k] << s | r[k - 1] >> (64 - s);
-            r[0] <<= s;
-            for (uint64_t n = 0; n < b; n++)
-                add(r, pow5);
-            while (at_least(r, next)) {
-                subtract(r, next);
-                q_low++;
-                q_high += q_low == 0;
-            }
-        }
-        memcpy(pow5, next, sizeof pow5);
-    }
 }
 
 /* the top bits of the 192-bit hi:mid:lo >> s, for 64 < s < 128 */
@@ -379,11 +290,24 @@ static char *write_repr(double x, char *p)
     return p;
 }
 
+/* Copies in the two tables, {low, high} per entry; returns 0, or -1
+ * (copying nothing) when a count is not its table's. */
+int um_install_tables(const uint64_t *pow5, int64_t pow5_count,
+                      const uint64_t *pow5_inv, int64_t pow5_inv_count)
+{
+    if (pow5_count != POW5_COUNT || pow5_inv_count != POW5_INV_COUNT)
+        return -1;
+    memcpy(POW5, pow5, sizeof POW5);
+    memcpy(POW5_INV, pow5_inv, sizeof POW5_INV);
+    tables_installed = 1;
+    return 0;
+}
+
 /* The texts of x[0..n) joined by ',' into out; returns their length, or -1
- * (writing nothing) when capacity is below REPR_STRIDE * n. */
+ * (writing nothing) without the tables or when capacity < REPR_STRIDE * n. */
 int64_t um_repr(const double *x, int64_t n, char *out, int64_t capacity)
 {
-    if (n < 0 || capacity / REPR_STRIDE < n)
+    if (!tables_installed || n < 0 || capacity / REPR_STRIDE < n)
         return -1;
     char *p = out;
     for (int64_t k = 0; k < n; k++) {

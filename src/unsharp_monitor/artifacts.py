@@ -106,6 +106,8 @@ def _compiled_texts(values: np.ndarray) -> list[str]:
         return []
     out = ctypes.create_string_buffer(_kernel.REPR_STRIDE * len(values))
     size = _REPR(values.ctypes.data, len(values), out, len(out))
+    if size < 0:  # the capacity is right, so the library has no tables
+        raise RuntimeError("um_repr wrote nothing: its power-of-5 tables are not installed")
     return ctypes.string_at(out, size).decode("ascii").split(",")
 
 

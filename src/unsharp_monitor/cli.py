@@ -22,6 +22,7 @@ from .config import (
     ConfigError,
     bool_field,
     build_report,
+    check_frequency_axis,
     check_keys,
     derive_seed,
     float_field,
@@ -105,10 +106,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if n < 1:
             raise ConfigError("n_per_series", f"must be >= 1, got {n}")
         dt = n * float_field(echo, "tau", positive=True)
+        spacing = "tau"
     else:
         dt = float(columns["t_over_TR"][0] / columns["m"][0]) * t_r
+        spacing = "t_over_TR"
     wiener = bool_field(echo, "wiener")
     truncation = bool_field(echo, "truncation")
+    check_frequency_axis(len(columns["g2"]), dt, t_r, spacing)
     spectrum, processed = process_readout(columns["g2"], dt, wiener, truncation)
     processed = artifacts.FloatTexts(processed)  # formatted once for both files
     out_dir = Path(args.out_dir)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -197,6 +198,28 @@ def float_field(
     return float(value)
 
 
+def check_frequency_axis(m: int, dt: float, t_r: float, spacing: str = "tau") -> None:
+    """Reject a readout whose frequency axis w_l = 2 pi l / (m dt), l < m,
+    or whose w_l / omega_r, omega_r = 2 pi / t_r, is not finite.
+
+    ``spacing`` names the field ``dt`` comes from.  The top bin is computed
+    as ``spectral`` computes the axis, and both quotients grow with l, so
+    the check holds exactly when every value written does.
+    """
+    omega_r = 2.0 * math.pi / t_r
+    top = 2.0 * math.pi * (m - 1) / (m * dt) if 0.0 < dt and m * dt < math.inf else math.inf
+    if omega_r < math.inf and not top < math.inf:
+        raise ConfigError(
+            spacing, f"M = {m} samples at dt = {dt!r} give no finite frequency axis 2 pi l / (M dt)"
+        )
+    if not (omega_r < math.inf and top / omega_r < math.inf):  # 0 / inf is nan
+        raise ConfigError(
+            "t_r",
+            f"t_r = {t_r!r} leaves no finite frequency in units of omega_r = 2 pi / t_r"
+            f" at M = {m}, dt = {dt!r}",
+        )
+
+
 def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
     """Build and validate a RunConfig from a plain dict (the file schema)."""
     check_keys(data, _ALLOWED_KEYS)
@@ -230,6 +253,7 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
         )
     except ParameterError as exc:
         raise ConfigError("n_per_series", str(exc)) from exc
+    check_frequency_axis(m_series, trajectory.delta_t, spec.t_r)
 
     out_dir = data.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):

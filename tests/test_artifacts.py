@@ -7,11 +7,14 @@
 ``float()`` loop it replaced, which this file keeps as ``reference_read``,
 and raise the same error naming the same line for any malformed file.
 The compiled float formatter must give ``float.__repr__``'s text for every
-double, wherever the library loaded.
+double, wherever the library loaded, and format nothing before its tables
+are installed.
 """
 
+import ctypes
 import json
 import math
+import shutil
 import struct
 
 import numpy as np
@@ -20,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from unsharp_monitor import artifacts
+from unsharp_monitor import _kernel, artifacts
 from unsharp_monitor.artifacts import (
     TRAJECTORY_COLUMNS,
     ArtifactError,
@@ -467,6 +470,30 @@ def test_compiled_formatter_is_in_use():
     # with a compiler on PATH, a fallback to float.__repr__ is a failure
     assert artifacts._REPR is not None
     assert artifacts._texts is artifacts._compiled_texts
+
+
+@needs_library
+def test_the_formatter_needs_tables_of_the_right_length(tmp_path, monkeypatch):
+    # a second copy of the library has statics of its own: no tables in yet
+    shutil.copy(_kernel.library_path(), tmp_path / "copy.so")
+    library = ctypes.CDLL(str(tmp_path / "copy.so"))
+    for name in ("um_repr", "um_install_tables"):
+        typed = getattr(artifacts._LIBRARY, name)
+        getattr(library, name).argtypes = typed.argtypes
+        getattr(library, name).restype = typed.restype
+    values = np.array(EDGE_DOUBLES)
+    out = ctypes.create_string_buffer(_kernel.REPR_STRIDE * len(values))
+    assert library.um_repr(values.ctypes.data, len(values), out, len(out)) == -1
+    monkeypatch.setattr(artifacts, "_REPR", library.um_repr)
+    with pytest.raises(RuntimeError, match="tables are not installed"):
+        artifacts._compiled_texts(values)
+
+    pow5, n, pow5_inv, n_inv = _kernel.pow5_tables()
+    for counts in [(n - 1, n_inv), (n + 1, n_inv), (n, n_inv - 1), (n, n_inv + 1)]:
+        assert library.um_install_tables(pow5, counts[0], pow5_inv, counts[1]) == -1
+        assert library.um_repr(values.ctypes.data, len(values), out, len(out)) == -1
+    assert library.um_install_tables(pow5, n, pow5_inv, n_inv) == 0
+    assert artifacts._compiled_texts(values) == repr_texts(values)
 
 
 @needs_library

@@ -233,6 +233,20 @@ class TestSimulate:
         assert run(["simulate", "--config", bad, "--out-dir", tmp_path]) == 2
         assert f"config field '{field}': must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [("t_r", {"t_r": 1e308}), ("t_r", {"t_r": 1e-320}), ("tau", {"tau": 1e-320})],
+        ids=["huge-t_r", "tiny-t_r", "tiny-tau"],
+    )
+    def test_non_finite_frequency_axis_rejected(self, tmp_path, capsys, field, overrides):
+        # these used to write "inf" frequencies with exit 0, or end in a traceback
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, "m_series": 8, **overrides}), encoding="utf-8")
+        assert run(["simulate", "--config", path, "--out-dir", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{field}':" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_int_float_fields_are_accepted(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**SMALL_CONFIG, "t_r": 1, "f_hi": 5}), encoding="utf-8")
@@ -325,8 +339,10 @@ class TestAnalyze:
         _, second = read_trajectory_csv(tmp_path / "an2" / "processed.csv")
         assert np.array_equal(first["g2_processed"], second["g2_processed"])
 
-    def _write_plain_csv(self, path, values, dt=0.05):
+    def _write_plain_csv(self, path, values, dt=0.05, echo=None):
         lines = [",".join(TRAJECTORY_COLUMNS)]
+        if echo is not None:
+            lines.insert(0, "# config: " + json.dumps(echo))
         for i, value in enumerate(values, start=1):
             lines.append(f"{i},{i * dt!r},0.5,{float(value)!r},0.0")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -361,6 +377,20 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "dt = " in err and "Traceback" not in err
         assert not (tmp_path / "an" / "spectrum.json").exists()
+
+    @pytest.mark.parametrize(
+        "field, echo",
+        [("tau", {"n_per_series": 25, "tau": 1e-320}), ("t_r", {"t_r": 1e-320})],
+        ids=["tiny-tau", "tiny-t_r"],
+    )
+    def test_non_finite_frequency_axis_rejected(self, tmp_path, capsys, field, echo):
+        # these used to write "inf" or "nan" frequencies with exit 0
+        csv = tmp_path / "plain.csv"
+        self._write_plain_csv(csv, [0.1, 0.9, 0.1, 0.9], echo=echo)
+        assert run(["analyze", csv, "--out-dir", tmp_path / "an"]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{field}':" in err and "Traceback" not in err
+        assert not (tmp_path / "an").exists()
 
     def test_malformed_csv_reports_line_number(self, tmp_path, capsys):
         csv = tmp_path / "broken.csv"
@@ -551,6 +581,22 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "config field 'wiener':" in err and "skipping" not in err
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_non_finite_frequency_axis_stops_or_skips(self, tmp_path, capsys):
+        # a base t_r that overflows the axis ratio used to write peak_freq_error inf
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps({"base": {"t_r": 1e308, "m_series": 16}}), encoding="utf-8")
+        argv = ["sweep", "--config", spec, "--p0", "0.5", "--dp", "0.08", "--n", "25"]
+        assert run([*argv, "--tau", "0.002", "--out-dir", tmp_path / "base"]) == 2
+        err = capsys.readouterr().err
+        assert "config field 't_r':" in err and "skipping" not in err
+        assert not (tmp_path / "base").exists()
+        # a point's own tau: skipped, the others run
+        spec.write_text(json.dumps({"base": {"m_series": 16}}), encoding="utf-8")
+        assert run([*argv, "--tau", "1e-320,0.002", "--out-dir", tmp_path / "point"]) == 0
+        rows, skipped = read_sweep(tmp_path / "point" / "sweep.csv")
+        assert (len(rows), skipped) == (1, 1)
+        assert "config field 'tau':" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["-1", "0"])
     def test_bad_seeds_per_point_flag_rejected(self, tmp_path, capsys, value):

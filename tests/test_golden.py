@@ -3,7 +3,8 @@
 Rerun-vs-rerun tests cannot see a change that shifts a float in every run
 alike; these digests can.  A change to the simulation or analysis code
 must leave them untouched.  The preset pins hold for both float
-formatters, the compiled one and ``float.__repr__``.
+formatters, the compiled one and ``float.__repr__``, and for both step
+loops, the compiled one and ``trajectory._python_advance``.
 
 The digests of ``spectrum.json`` and of the processed readout columns
 depend on numpy's FFT output, so a numpy upgrade that changes the FFT's
@@ -16,7 +17,7 @@ import json
 
 import pytest
 
-from unsharp_monitor import artifacts
+from unsharp_monitor import artifacts, trajectory
 from unsharp_monitor.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -86,6 +87,14 @@ def test_simulate_preset_artifacts_are_pinned(tmp_path, preset):
 @pytest.mark.parametrize("preset", sorted(SIMULATE_DIGESTS))
 def test_simulate_preset_artifacts_are_pinned_with_float_repr(tmp_path, monkeypatch, preset):
     monkeypatch.setattr(artifacts, "_texts", artifacts._python_texts)
+    out = tmp_path / preset
+    assert main(["simulate", "--preset", preset, "--seed", SEED, "--out-dir", str(out)]) == 0
+    assert digests(out) == SIMULATE_DIGESTS[preset]
+
+
+@pytest.mark.parametrize("preset", sorted(SIMULATE_DIGESTS))
+def test_simulate_preset_artifacts_are_pinned_with_the_python_loop(tmp_path, monkeypatch, preset):
+    monkeypatch.setattr(trajectory, "_advance", trajectory._python_advance)
     out = tmp_path / preset
     assert main(["simulate", "--preset", preset, "--seed", SEED, "--out-dir", str(out)]) == 0
     assert digests(out) == SIMULATE_DIGESTS[preset]

@@ -395,7 +395,10 @@ import json, sys, sysconfig, warnings
 sys.path.insert(0, sys.argv[1])
 if sys.argv[2] == "no-compiler":
     sysconfig.get_config_vars()["CC"] = "no-such-c-compiler"
-from unsharp_monitor import _kernel, artifacts, trajectory
+from unsharp_monitor import _kernel
+if sys.argv[2] == "refused-tables":
+    _kernel.POW5_COUNT -= 1  # one entry short: the library refuses the tables
+from unsharp_monitor import artifacts, trajectory
 from unsharp_monitor.config import load_run_config
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
@@ -468,7 +471,9 @@ def test_a_build_prunes_libraries_of_older_sources(tmp_path):
     assert new["c2_sq"] == fig1_c2_sq()
 
 
-@pytest.mark.parametrize("case", ["unwritable-cache", "no-compiler"])
+@pytest.mark.parametrize(
+    "case", ["unwritable-cache", "no-compiler", pytest.param("refused-tables", marks=needs_cc)]
+)
 def test_without_a_build_the_python_loop_runs(tmp_path, case):
     root = package_copy(tmp_path)
     if case == "unwritable-cache":
@@ -477,6 +482,7 @@ def test_without_a_build_the_python_loop_runs(tmp_path, case):
     result = probe(root, case)
     assert not result["compiled"]
     assert result["python_texts"]
-    assert not Path(result["library"]).is_file()
+    # a refused table install happens after the build
+    assert Path(result["library"]).is_file() == (case == "refused-tables")
     assert result["c2_sq"] == fig1_c2_sq()
     assert result["texts"] == list(map(float.__repr__, result["c2_sq"]))
