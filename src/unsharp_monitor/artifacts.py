@@ -17,11 +17,17 @@ time:
   ``float.__repr__`` once per element, which gives the same bytes.  An
   array that goes to two files, the processed readout, is formatted once
   per op as ``FloatTexts`` and both writers take its texts.
-- ``read_trajectory_csv`` converts the data rows in blocks, one
-  ``np.fromiter(map(float, texts))`` per block, so every field is read by
-  ``float()`` itself, and checks field counts and the series index on whole
-  columns.  Only when that fails does the per-line check run, to name the
-  first bad line.
+- ``read_trajectory_csv`` reads the file once as bytes and decodes only
+  the lines up to the header.  The data rows after it go to one call into
+  the compiled library (``um_parse_rows`` in ``_read.c``), which reads
+  exactly the rows ``write_trajectory_csv`` writes (five fields in
+  ``repr``'s spelling, ``\\n`` endings) into the doubles ``float()`` gives,
+  and declines everything else as a whole.  Where it declines, or no
+  library loaded, the whole file is decoded and its rows are converted in
+  blocks, one ``np.fromiter(map(float, texts))`` per block, so every field
+  is read by ``float()`` itself.  The series index is checked on the whole
+  column either way.  Only when a check fails does the per-line check run,
+  to name the first bad line, so every error text is ``float()``'s.
 
 JSON goes through a small emitter, ``dump_json``, because
 ``json.dumps(..., indent=2)`` cannot use CPython's C encoder; its output must
@@ -88,8 +94,11 @@ def json_safe(value: Any) -> Any:
 
 
 def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:  # a directory in the way, say
+        raise ArtifactError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _python_texts(values: np.ndarray) -> list[str]:
@@ -113,6 +122,7 @@ def _compiled_texts(values: np.ndarray) -> list[str]:
 
 _LIBRARY = _kernel.load()
 _REPR = None if _LIBRARY is None else _LIBRARY.um_repr
+_PARSE = None if _LIBRARY is None else _LIBRARY.um_parse_rows
 _texts = _python_texts if _REPR is None else _compiled_texts
 
 
@@ -213,19 +223,91 @@ def read_trajectory_csv(path: str | Path) -> tuple[dict[str, Any] | None, dict[s
     """
     path = Path(path)
     try:
-        raw_lines = path.read_text(encoding="utf-8").splitlines()
+        raw = path.read_bytes()
     except OSError as exc:
         raise ArtifactError(f"cannot read {path}: {exc}") from exc
+    read = _read_compiled(path, raw)
+    if read is not None:
+        return read
+    text = _decoded(path, raw)
+    del raw  # never the file as bytes, text and lines at once
+    raw_lines = text.splitlines()
+    del text
     echo, header_number = _read_preamble(path, raw_lines)
     rows = list(filter(str.strip, raw_lines[header_number:]))
     if not rows:
         raise ArtifactError(f"{path}: no data rows")
     data = _parse_rows(rows)
-    if data is None or not np.array_equal(data[:, 0], np.arange(1, len(rows) + 1)):
+    if data is None or not _index_runs_from_1(data):
         _raise_first_bad_row(path, raw_lines, header_number)
+    return echo, _columns(data)
+
+
+def _decoded(path: Path, raw: bytes) -> str:
+    """``raw`` as UTF-8 text; ArtifactError naming ``path`` where it is not."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ArtifactError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _index_runs_from_1(data: np.ndarray) -> bool:
+    return np.array_equal(data[:, 0], np.arange(1, len(data) + 1))
+
+
+def _columns(data: np.ndarray) -> dict[str, np.ndarray]:
     columns = {name: data[:, i] for i, name in enumerate(TRAJECTORY_COLUMNS)}
     columns["m"] = columns["m"].astype(int)
-    return echo, columns
+    return columns
+
+
+_HEADER = (",".join(TRAJECTORY_COLUMNS) + "\n").encode()
+
+
+def _read_compiled(
+    path: Path, raw: bytes
+) -> tuple[dict[str, Any] | None, dict[str, np.ndarray]] | None:
+    """``read_trajectory_csv``'s result from the file's bytes by one
+    ``um_parse_rows`` call, or None where that declines or no library loaded.
+
+    Only the lines up to the first ``\\n``-ended header are decoded.  It
+    raises nothing: where those lines hold an error, or their last line is
+    not the header, the whole file is read the other way, which raises the
+    first error of the whole file.
+    """
+    if _PARSE is None:
+        return None
+    if raw.startswith(_HEADER):
+        start = len(_HEADER)
+    else:
+        at = raw.find(b"\n" + _HEADER)
+        if at < 0:
+            return None
+        start = at + 1 + len(_HEADER)
+    try:
+        preamble = _decoded(path, raw[:start]).splitlines()
+        echo, header_number = _read_preamble(path, preamble)
+    except ArtifactError:
+        return None
+    if header_number != len(preamble):
+        return None  # another line break made an earlier line the header
+    data = _compiled_rows(raw, start)
+    if data is None or not _index_runs_from_1(data):
+        return None
+    return echo, _columns(data)
+
+
+def _compiled_rows(raw: bytes, start: int = 0) -> np.ndarray | None:
+    """The rows of ``raw[start:]`` as an M x 5 array by one ``um_parse_rows``
+    call, or None where it declines (no rows among them)."""
+    rows = raw.count(b"\n", start)
+    if not rows:
+        return None
+    data = np.empty((rows, len(TRAJECTORY_COLUMNS)))
+    rows_bytes = np.frombuffer(raw, dtype=np.uint8, offset=start)  # no copy
+    if _PARSE(rows_bytes.ctypes.data, len(rows_bytes), data.ctypes.data, data.size) != rows:
+        return None
+    return data
 
 
 def _read_preamble(path: Path, lines: list[str]) -> tuple[dict[str, Any] | None, int]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -43,10 +44,20 @@ from .spectral import (
 from .trajectory import simulate_replicates, simulate_trajectory
 
 
+def _out_dir(target: str) -> Path:
+    """The output directory ``target``, made with its parents if need be."""
+    out_dir = Path(target)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, say
+        message = f"cannot make directory {out_dir}: {exc.strerror or exc}"
+        raise ConfigError("out_dir", message) from exc
+    return out_dir
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.preset, {"seed": args.seed})
-    out_dir = Path(args.out_dir if args.out_dir is not None else config.out_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir if args.out_dir is not None else config.out_dir or ".")
     record = simulate_trajectory(config.trajectory)
     spectrum, processed = process_readout(
         record.g2, config.trajectory.delta_t, config.wiener, config.truncation
@@ -82,8 +93,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     payload.update(report)
     target = args.out_dir if args.out_dir is not None else config.out_dir
     if target is not None:
-        out_dir = Path(target)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _out_dir(target)
         artifacts.write_report_json(out_dir / "report.json", report, config.resolved())
     sys.stdout.write(artifacts.dump_json(payload))
     return 0
@@ -115,8 +125,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     check_frequency_axis(len(columns["g2"]), dt, t_r, spacing)
     spectrum, processed = process_readout(columns["g2"], dt, wiener, truncation)
     processed = artifacts.FloatTexts(processed)  # formatted once for both files
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir)
     payload = artifacts.spectrum_payload(spectrum, processed, echo, 2.0 * math.pi / t_r)
     artifacts.write_json(out_dir / "spectrum.json", payload)
     artifacts.write_trajectory_csv(
@@ -257,15 +266,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except (ConfigError, ParameterError, StateError) as exc:
             print(f"warning: skipping grid point {index} {point}: {exc}", file=sys.stderr)
     skipped = len(points) - len(rows)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir)
     echo = {"grid": grid, "base": base, "seed": base_seed, "seeds_per_point": replicates}
     artifacts.write_sweep_csv(out_dir / "sweep.csv", rows, skipped, echo)
     print(f"wrote sweep.csv ({len(rows)} rows, {skipped} skipped)")
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call; ``parse_args`` leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="unsharp-monitor",
         description=(

@@ -274,6 +274,10 @@ def read_json_object(path: str | Path) -> dict[str, Any]:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError("config", f"file not found: {path}") from exc
+    except OSError as exc:  # a directory, say
+        raise ConfigError("config", f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config", f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):

@@ -8,7 +8,9 @@
 and raise the same error naming the same line for any malformed file.
 The compiled float formatter must give ``float.__repr__``'s text for every
 double, wherever the library loaded, and format nothing before its tables
-are installed.
+are installed.  The compiled row parse must give ``float()``'s double for
+every field it reads, decline every text ``repr`` never writes, and read
+nothing before its table is installed.
 """
 
 import ctypes
@@ -230,23 +232,51 @@ def index_text(draw, index: int) -> str:
 
 @st.composite
 def trajectory_files(draw) -> list[str]:
-    """The lines of a valid trajectory CSV, blank lines anywhere."""
+    """The lines of a valid trajectory CSV, blank lines anywhere; or, in
+    about half the files, one written as ``write_trajectory_csv`` writes
+    it, which the compiled parse reads where the library loaded."""
+    as_written = draw(st.booleans())
+    blanks = st.just([]) if as_written else blank_lines
+    fields = floats.map(repr) if as_written else number_fields
     lines = ["# schema: unsharp-monitor/1"]
-    lines += draw(blank_lines)
+    lines += draw(blanks)
     if draw(st.booleans()):
         lines.append("# config: " + json.dumps({"seed": draw(st.integers(0, 9))}))
-    lines += draw(blank_lines)
+    lines += draw(blanks)
     lines.append(",".join(TRAJECTORY_COLUMNS))
     for index in range(1, draw(st.integers(1, 40)) + 1):
-        fields = [draw(index_text(index))] + [draw(number_fields) for _ in range(4)]
-        lines.append(",".join(fields))
-        lines += draw(blank_lines)
+        first = str(index) if as_written else draw(index_text(index))
+        lines.append(",".join([first] + [draw(fields) for _ in range(4)]))
+        lines += draw(blanks)
     return lines
+
+
+# texts float() reads that the compiled parse must decline, float() then
+# reading the whole file: a sign on NaN or a leading "+", padding,
+# underscores, 20 significant digits, and decimals whose double overflows
+# or is subnormal
+DECLINED_TEXTS = [
+    "-nan", "+1", " 1", "1_0", "12345678901234567890", "1e500", "4.9e-324",
+    "2.2250738585072011e-308",
+]
+
+
+def one_row_file(text: str) -> list[str]:
+    return [",".join(TRAJECTORY_COLUMNS), f"1,{text},0.5,-0.5,1e-05"]
 
 
 @settings(max_examples=300, deadline=None)
 @given(trajectory_files())
 @example([",".join(TRAJECTORY_COLUMNS), "1,-0.0,nan,-inf,5e-324", "", " ", "2,0.0,-nan,inf,-5e-324"])
+@example(one_row_file("-nan"))
+@example(one_row_file("+1"))
+@example(one_row_file(" 1"))
+@example(one_row_file("1_0"))
+@example([",".join(TRAJECTORY_COLUMNS), "1,0.5,0.5,0.5,0.5\r", "2,0.5,0.5,0.5,0.5\r"])  # CRLF rows
+@example(one_row_file("12345678901234567890"))
+@example(one_row_file("1e500"))
+@example(one_row_file("4.9e-324"))
+@example(one_row_file("2.2250738585072011e-308"))
 def test_reader_matches_the_per_line_loop(tmp_path_factory, lines):
     path = tmp_path_factory.mktemp("parity") / "trajectory.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -331,6 +361,31 @@ def test_rows_short_and_long_by_one_field_are_rejected(tmp_path):
     path.write_text(f"{header}\n1,0.1,0.2,0.3\n2,2,0.5,0.6,0.7,0.8\n", encoding="utf-8")
     message, expected = reader_errors(path)
     assert message == expected == f"{path}:2: expected 5 fields, got 4"
+
+
+def test_a_header_ended_by_another_line_break_comes_first(tmp_path):
+    # "\r" ends the first header line, so the "\n"-ended one after it is a bad row
+    path = tmp_path / "trajectory.csv"
+    header = ",".join(TRAJECTORY_COLUMNS)
+    path.write_bytes(f"{header}\r1,0.5,0.5,0.5,0.5\n{header}\n1,0.5,0.5,0.5,0.5\n".encode())
+    message, expected = reader_errors(path)
+    assert message == expected == f"{path}:3: could not convert string to float: 'm'"
+
+
+@pytest.mark.parametrize("bad_row", [b"1,0.5,0.5,0.5,0.5\xff", b"1,0.5,0.5,0.5,0.5"])
+def test_a_file_raises_one_error_whichever_route_reads_it(tmp_path, monkeypatch, bad_row):
+    # a bad config echo before the header, and maybe a byte that is not UTF-8 after it
+    path = tmp_path / "trajectory.csv"
+    path.write_bytes(b"# config: [1]\n" + artifacts._HEADER + bad_row + b"\n")
+    messages = []
+    for parse in (artifacts._PARSE, None):
+        monkeypatch.setattr(artifacts, "_PARSE", parse)
+        with pytest.raises(ArtifactError) as info:
+            read_trajectory_csv(path)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    expected = "not UTF-8 text" if b"\xff" in bad_row else "bad config echo"
+    assert expected in messages[0]
 
 
 # a column name starting with "#" could make the header line a comment
@@ -527,3 +582,167 @@ def test_compiled_texts_copy_what_the_pointer_cannot_read():
     assert artifacts._float_texts(swapped) == repr_texts(values.ravel())
     with pytest.raises(ValueError, match=r"expected a 1-d array, got shape \(3, 4\)"):
         artifacts._compiled_texts(values)
+
+
+@needs_library
+def test_the_reader_needs_a_table_of_the_right_length(tmp_path):
+    # a second copy of the library has statics of its own: no table in yet
+    shutil.copy(_kernel.library_path(), tmp_path / "copy.so")
+    library = ctypes.CDLL(str(tmp_path / "copy.so"))
+    for name in ("um_parse_rows", "um_install_parse_table"):
+        typed = getattr(artifacts._LIBRARY, name)
+        getattr(library, name).argtypes = typed.argtypes
+        getattr(library, name).restype = typed.restype
+    text = np.frombuffer(b"1,0.5,-0.0,nan,-inf\n2,1e-05,1e+16,123.0,0.1\n", dtype=np.uint8)
+    out = np.zeros((2, 5))
+
+    def parse():
+        return library.um_parse_rows(text.ctypes.data, len(text), out.ctypes.data, out.size)
+
+    assert parse() == -1
+    table, n = _kernel.parse_table()
+    for count in (n - 1, n + 1):
+        assert library.um_install_parse_table(table, count) == -1
+        assert parse() == -1
+    assert library.um_install_parse_table(table, n) == 0
+    assert parse() == 2
+    expected = [[1.0, 0.5, -0.0, math.nan, -math.inf], [2.0, 1e-05, 1e16, 123.0, 0.1]]
+    assert np.array_equal(out, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+
+# data rows that float() reads and the compiled parse declines as a whole
+DECLINED_ROWS = [f"1,{text},0.5,-0.5,1e-05\n" for text in DECLINED_TEXTS] + [
+    "1,0.5,0.5,0.5,0.5\r\n",  # CRLF
+    "1,0.5,0.5,0.5,0.5",  # no final line break
+    "1,0.5,0.5,0.5,0.5\n\n",  # a blank line
+    "1,0.5,0.5,0.5,0.5\n \n",
+    "1,0.5,0.5,0.5,0.5,\n",  # six fields, four, a comment
+    "1,0.5,0.5,0.5\n",
+    "#1,0.5,0.5,0.5,0.5\n",
+    "1,1e5,0.5,0.5,0.5\n",  # repr signs every exponent
+    "1,.5,0.5,0.5,0.5\n",
+    "1,5.,0.5,0.5,0.5\n",
+    "1,Infinity,0.5,0.5,0.5\n",
+    "1,NaN,0.5,0.5,0.5\n",
+    "1,1E+16,0.5,0.5,0.5\n",
+    "1,-1e-400,0.5,0.5,0.5\n",  # underflows to -0.0
+    "1,5e-324,0.5,0.5,0.5\n",  # subnormal
+    "1,1.7976931348623159e+308,0.5,0.5,0.5\n",  # rounds up to inf
+    "1,\u0661,0.5,0.5,0.5\n",  # an Arabic-Indic digit
+    "",
+]
+
+
+@needs_library
+@pytest.mark.parametrize("rows", DECLINED_ROWS)
+def test_compiled_parse_declines_what_repr_never_writes(rows):
+    assert artifacts._compiled_rows(rows.encode()) is None
+    # the same call reads a row as repr writes it
+    good = artifacts._compiled_rows(b"1,0.5,1.7976931348623157e+308,2.2250738585072014e-308,-0\n")
+    assert good.tolist() == [[1.0, 0.5, 1.7976931348623157e308, 2.2250738585072014e-308, -0.0]]
+
+
+def decimal_text(sign: str, w: int, point: int, exponent: int | None) -> str:
+    """The digits of w, a point after ``point`` of them if that leaves
+    digits on both sides, and an exponent if one is given."""
+    digits = str(w)
+    if 0 < point < len(digits):
+        digits = digits[:point] + "." + digits[point:]
+    return sign + digits + ("" if exponent is None else f"e{exponent:+d}")
+
+
+# exact ties, each read as the even one of its two doubles, and texts next to
+# the largest, the smallest normal and 0.1 + 0.2
+TIES_AND_EDGES = [
+    "9007199254740993", "9007199254740995", "4503599627370496.5", "4503599627370497.5",
+    "1152921504606847104", "2444664592301558.25", "890678044507404.0625",
+    "1.7976931348623157e+308", "1.797693134862315799e+308", "2.2250738585072014e-308",
+    "2.225073858507201400e-308", "0.30000000000000004", "0.3000000000000000444",
+    "9999999999999999999", "0.000000000000000000000000000000001", "-0e+999", "0001.5000",
+]
+
+
+decimal_texts = st.builds(
+    decimal_text,
+    st.sampled_from(["", "-"]),
+    st.integers(0, 10**19 - 1),
+    st.integers(0, 19),
+    st.none() | st.integers(-345, 310),
+)
+
+
+@needs_library
+@settings(max_examples=300, deadline=None)
+@given(st.lists(decimal_texts, min_size=1, max_size=5))
+@example(TIES_AND_EDGES)
+def test_compiled_parse_reads_decimals_as_float_does(texts):
+    # a decimal of at most 19 digits is read, as float() reads it, unless its
+    # digits are not all 0 and its double is not normal
+    for text in texts:
+        expected = float(text)
+        data = artifacts._compiled_rows(f"1,{text},0.5,0.5,0.5\n".encode())
+        if data is None:
+            assert float(text.split("e")[0]) != 0, text
+            assert not 2.2250738585072014e-308 < abs(expected) < math.inf, text
+        else:
+            assert data[0, 1] == expected, text
+            assert math.copysign(1, data[0, 1]) == math.copysign(1, expected), text
+
+
+@needs_library
+def test_compiled_reader_reads_back_every_binary_exponent(tmp_path, monkeypatch):
+    # every double written by write_trajectory_csv reads back as float() reads
+    # its text; a file with a subnormal is read by float() as a whole
+    powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
+    powers_of_ten = np.array([float(f"1e{k}") for k in range(-323, 309)]).view(np.int64)
+    near_powers_of_ten = np.concatenate(
+        [(powers_of_ten + ulps).view(np.float64) for ulps in (-3, -2, -1, 0, 1, 2, 3)]
+    )
+    patterns = np.random.default_rng(20261019).integers(0, 2**64, 200_000, dtype=np.uint64)
+    values = np.concatenate([powers_of_two, near_powers_of_ten, [0.0, math.nan, math.inf]])
+    values = np.concatenate([values, -values, patterns.view(np.float64)])
+    subnormal = (values != 0) & (np.abs(values) < 2.2250738585072014e-308)
+    fallbacks = []
+    parse_rows = artifacts._parse_rows
+
+    def spy(rows):
+        fallbacks.append(1)
+        return parse_rows(rows)
+
+    monkeypatch.setattr(artifacts, "_parse_rows", spy)
+    for part, compiled in ((values[~subnormal], True), (values[subnormal], False)):
+        part = np.concatenate([part, np.zeros(-len(part) % 4)]).reshape(4, -1)
+        path = tmp_path / f"compiled-{compiled}.csv"
+        m = np.arange(1, part.shape[1] + 1)
+        write_trajectory_csv(path, m, *part, {"seed": 1})
+        fallbacks.clear()
+        _, columns = read_trajectory_csv(path)
+        assert fallbacks == ([] if compiled else [1])
+        assert columns["m"].tolist() == m.tolist()
+        for name, written in zip(TRAJECTORY_COLUMNS[1:], part):
+            expected = np.array([float(text) for text in repr_texts(written)])
+            assert np.array_equal(columns[name], expected, equal_nan=True), name
+            assert np.array_equal(np.signbit(columns[name]), np.signbit(expected)), name
+
+
+@needs_cc
+def test_a_fig3_file_takes_the_compiled_route(tmp_path, monkeypatch, fig3_artifacts):
+    # with a compiler on PATH, a fig3 file read by float() is a failure
+    record, processed, echo, _ = fig3_artifacts
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(path, record.m, record.t, record.c2_sq, record.g2, processed, echo)
+    expected_echo, expected = reference_read(path)
+    calls = []
+    parse = artifacts._PARSE
+    monkeypatch.setattr(artifacts, "_PARSE", lambda *args: calls.append(args) or parse(*args))
+
+    def refuse(*args):
+        raise AssertionError("the float() route ran")
+
+    monkeypatch.setattr(artifacts, "_parse_rows", refuse)
+    monkeypatch.setattr(artifacts, "_raise_first_bad_row", refuse)
+    read_echo, columns = read_trajectory_csv(path)
+    assert len(calls) == 1
+    assert read_echo == expected_echo
+    assert_same_columns(columns, expected)

@@ -2,11 +2,13 @@
 
 import json
 import math
+import shutil
 import warnings
 
 import numpy as np
 import pytest
 
+from unsharp_monitor import cli
 from unsharp_monitor.artifacts import TRAJECTORY_COLUMNS, json_safe, read_trajectory_csv
 from unsharp_monitor.cli import main
 from unsharp_monitor.config import MAX_M_SERIES, build_report, load_run_config
@@ -719,3 +721,96 @@ class TestSweep:
     def test_missing_axis_rejected(self, tmp_path, capsys):
         assert run(["sweep", "--p0", "0.5", "--out-dir", tmp_path]) == 2
         assert "dp" in capsys.readouterr().err
+
+
+SMALL_SWEEP = ["--p0", "0.5", "--dp", "0.08", "--tau", "0.002", "--n", "25", "--m", "48"]
+
+
+class TestFileErrors:
+    """An unreadable input or unwritable output exits 2 naming it, no traceback."""
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_config_that_is_a_directory_rejected(self, tmp_path, capsys, command):
+        extra = SMALL_SWEEP if command == "sweep" else []
+        assert run([command, "--config", tmp_path, *extra, "--out-dir", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field 'config': cannot read {tmp_path}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_config_that_is_not_utf8_rejected(self, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"p0": 0.5, "note": "\xff"}')
+        extra = SMALL_SWEEP if command == "sweep" else []
+        assert run([command, "--config", config, *extra, "--out-dir", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field 'config': {config} is not UTF-8 text: ")
+
+    @pytest.mark.parametrize("where", ["preamble", "data-row"])
+    def test_csv_that_is_not_utf8_rejected(self, tmp_path, capsys, small_config, where):
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", small_config, "--out-dir", out]) == 0
+        csv = out / "trajectory.csv"
+        lines = csv.read_bytes().split(b"\n")
+        row = 0 if where == "preamble" else 7
+        lines[row] += b"\xff"
+        csv.write_bytes(b"\n".join(lines))
+        assert run(["analyze", csv, "--out-dir", tmp_path / "an"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {csv}: not UTF-8 text: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "report", "sweep", "analyze"])
+    def test_out_dir_that_is_a_file_rejected(self, tmp_path, capsys, small_config, command):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        argv = {
+            "simulate": ["simulate", "--config", small_config],
+            "report": ["report", "--config", small_config],
+            "sweep": ["sweep", *SMALL_SWEEP],
+            "analyze": ["analyze", tmp_path / "sim" / "trajectory.csv"],
+        }[command]
+        assert run(["simulate", "--config", small_config, "--out-dir", tmp_path / "sim"]) == 0
+        capsys.readouterr()
+        assert run([*argv, "--out-dir", taken]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config field 'out_dir': cannot make directory {taken}: File exists\n"
+
+    def test_artifact_that_cannot_be_written_rejected(self, tmp_path, capsys, small_config):
+        (tmp_path / "out" / "trajectory.csv").mkdir(parents=True)
+        assert run(["simulate", "--config", small_config, "--out-dir", tmp_path / "out"]) == 2
+        target = tmp_path / "out" / "trajectory.csv"
+        assert capsys.readouterr().err == f"error: cannot write {target}: Is a directory\n"
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch, small_config):
+    # main builds its parser once per process; each call, whatever the
+    # command before it, must parse and run as with a parser of its own
+    out = tmp_path / "out"
+    argvs = [
+        ["report", "--preset", "fig2", "--seed", "3"],
+        ["simulate", "--config", small_config, "--out-dir", out / "sim"],
+        ["analyze", out / "sim" / "trajectory.csv", "--out-dir", out / "an"],
+        ["sweep", *SMALL_SWEEP, "--seed", "5", "--out-dir", out / "sweep"],
+        ["report", "--preset", "fig1"],
+    ]
+    argvs = [[str(arg) for arg in argv] for argv in argvs]
+    fresh_parser = cli._build_parser.__wrapped__
+
+    def run_all() -> list:
+        shutil.rmtree(out, ignore_errors=True)
+        results = []
+        for argv in argvs:
+            code = main(argv)
+            files = {path.relative_to(out): path.read_bytes() for path in out.rglob("*.*")}
+            results.append((code, capsys.readouterr(), files))
+        return results
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_build_parser", fresh_parser)
+        fresh = run_all()
+    cli._build_parser.cache_clear()
+    cached = run_all()
+    assert cli._build_parser.cache_info().misses == 1
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0] * len(argvs)
+    for argv in argvs:
+        assert cli._build_parser().parse_args(argv) == fresh_parser().parse_args(argv)

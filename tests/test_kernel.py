@@ -388,8 +388,9 @@ def test_compiled_kernel_is_in_use():
 
 
 # prints whether the compiled kernel is in use, whether the artifact floats
-# are formatted by float.__repr__, the cached library's path, the fig1
-# preset's first |c2|^2 values and their artifact texts
+# are formatted by float.__repr__ and parsed by float(), the cached
+# library's path, the fig1 preset's first |c2|^2 values and their artifact
+# texts
 PROBE = """
 import json, sys, sysconfig, warnings
 sys.path.insert(0, sys.argv[1])
@@ -398,6 +399,8 @@ if sys.argv[2] == "no-compiler":
 from unsharp_monitor import _kernel
 if sys.argv[2] == "refused-tables":
     _kernel.POW5_COUNT -= 1  # one entry short: the library refuses the tables
+if sys.argv[2] == "refused-parse-table":
+    _kernel.PARSE_MAX_Q -= 1  # one entry short: the library refuses the table
 from unsharp_monitor import artifacts, trajectory
 from unsharp_monitor.config import load_run_config
 with warnings.catch_warnings():
@@ -408,6 +411,7 @@ print(json.dumps({
     "package": trajectory.__file__,
     "compiled": trajectory._advance is trajectory._compiled_advance,
     "python_texts": artifacts._texts is artifacts._python_texts,
+    "python_rows": artifacts._PARSE is None,
     "library": str(_kernel.library_path()),
     "c2_sq": c2_sq.tolist(),
     "texts": artifacts._float_texts(c2_sq),
@@ -444,7 +448,7 @@ def test_a_second_interpreter_loads_the_cached_library(tmp_path):
     root = package_copy(tmp_path)
     cache = root / "unsharp_monitor" / "__pycache__"
     first = probe(root)
-    assert first["compiled"] and not first["python_texts"]
+    assert first["compiled"] and not first["python_texts"] and not first["python_rows"]
     library = Path(first["library"])
     assert library.parent == cache
     built = library.stat()
@@ -472,7 +476,13 @@ def test_a_build_prunes_libraries_of_older_sources(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "case", ["unwritable-cache", "no-compiler", pytest.param("refused-tables", marks=needs_cc)]
+    "case",
+    [
+        "unwritable-cache",
+        "no-compiler",
+        pytest.param("refused-tables", marks=needs_cc),
+        pytest.param("refused-parse-table", marks=needs_cc),
+    ],
 )
 def test_without_a_build_the_python_loop_runs(tmp_path, case):
     root = package_copy(tmp_path)
@@ -481,8 +491,8 @@ def test_without_a_build_the_python_loop_runs(tmp_path, case):
         (root / "unsharp_monitor" / "__pycache__").write_text("")
     result = probe(root, case)
     assert not result["compiled"]
-    assert result["python_texts"]
+    assert result["python_texts"] and result["python_rows"]
     # a refused table install happens after the build
-    assert Path(result["library"]).is_file() == (case == "refused-tables")
+    assert Path(result["library"]).is_file() == case.startswith("refused-")
     assert result["c2_sq"] == fig1_c2_sq()
     assert result["texts"] == list(map(float.__repr__, result["c2_sq"]))
