@@ -1,14 +1,15 @@
 """Build, cache and load the compiled library of ``SOURCES``.
 
 The library holds the measurement kernel (``um_advance`` in ``_kernel.c``,
-which ``trajectory`` runs), the artifact float formatter (``um_repr`` in
-``_repr.c``) and the trajectory-CSV row parser (``um_parse_rows`` in
-``_read.c``), which ``artifacts`` runs.  It is built on first use with the
-interpreter's C compiler (``sysconfig``'s ``CC``) and cached in this package's
-``__pycache__/`` under a name keyed on the sources, the flags and the
-platform, so later processes load it without compiling.  The compiler
-writes a temporary file that ``os.replace`` then moves into place, so a
-process never loads a half-written library, however many build it at once.
+which ``trajectory`` runs), the artifact float writer (``um_repr_rows`` and
+``um_repr_join`` in ``_repr.c``) and the trajectory-CSV row parser
+(``um_parse_rows`` in ``_read.c``), which ``artifacts`` runs.  It is built
+on first use with the interpreter's C compiler (``sysconfig``'s ``CC``) and
+cached in this package's ``__pycache__/`` under a name keyed on the
+sources, the flags and the platform, so later processes load it without
+compiling.  The compiler writes a temporary file that ``os.replace`` then
+moves into place, so a process never loads a half-written library, however
+many build it at once.
 
 A build deletes the libraries that older sources left in the cache.
 ``load`` returns None when there is no compiler, the build fails, the
@@ -41,8 +42,8 @@ _PLATFORM = sysconfig.get_platform().replace("-", "_").replace(".", "_")
 
 # um_advance returns 0, or one of these when it stops early
 EXCURSION, ZERO_NORM = 1, 2
-# um_repr's output bytes per value: the longest text, 24 chars, and a ','
-REPR_STRIDE = 25
+# the longest float text _repr.c writes, and the longest index
+REPR_MAX, INDEX_MAX = 24, 20
 # _repr.c's tables: 125-bit entries for 5^i, i < 326, and 5^-q, q < 291
 POW5_BITS, POW5_COUNT, POW5_INV_COUNT = 125, 326, 291
 # _read.c's table: 128-bit entries for 5^q, PARSE_MIN_Q <= q <= PARSE_MAX_Q
@@ -169,12 +170,23 @@ def load() -> ctypes.CDLL | None:
         int64_p,  # n_plus
         double_p,  # excursion
     )
-    library.um_repr.restype = ctypes.c_int64
-    library.um_repr.argtypes = (
+    library.um_repr_join.restype = ctypes.c_int64
+    library.um_repr_join.argtypes = (
         ctypes.c_void_p,  # x, C-contiguous doubles
         ctypes.c_int64,  # n
-        ctypes.c_char_p,  # out
-        ctypes.c_int64,  # capacity, at least REPR_STRIDE * n
+        ctypes.c_char_p,  # sep
+        ctypes.c_int64,  # sep_len
+        ctypes.c_void_p,  # out
+        ctypes.c_int64,  # capacity, at least (REPR_MAX + sep_len) * n
+    )
+    library.um_repr_rows.restype = ctypes.c_int64
+    library.um_repr_rows.argtypes = (
+        ctypes.c_void_p,  # index, C-contiguous int64
+        ctypes.c_void_p,  # columns, width x n C-contiguous doubles
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # width
+        ctypes.c_void_p,  # out
+        ctypes.c_int64,  # capacity, at least (INDEX_MAX + 1 + width * (REPR_MAX + 1)) * n
     )
     library.um_parse_rows.restype = ctypes.c_int64
     library.um_parse_rows.argtypes = (

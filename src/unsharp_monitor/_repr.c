@@ -1,27 +1,34 @@
 /* Python's repr of a double, in bulk: the artifact writer's float text.
  *
- * um_repr writes float.__repr__'s exact text for each of n doubles,
- * separated by one ',' byte.  The digits are the shortest that read back
- * to the same double, the nearest to it when several are that short, an
- * exact tie going to the even one: the Ryu algorithm (Ulf Adams, "Ryu:
- * fast float-to-string conversion", PLDI 2018), which gives the digits of
- * CPython's dtoa in mode 0.  The layout is CPython's 'r' format with
- * Py_DTSF_ADD_DOT_0 (Python/pystrtod.c): exponent form when the decimal
- * point lies more than 16 places right or 4 places left of the first
- * digit, a signed exponent of at least two digits, and ".0" after an
- * integral value; "inf", "-inf" and "nan" for every NaN.
+ * The two entry points write whole artifact bodies.  um_repr_join writes
+ * float.__repr__'s exact text for each of n doubles, joined by a given
+ * separator: with ",\n    " it is the body of a JSON float array at that
+ * indentation.  um_repr_rows writes the rows of a CSV file, an int64 index
+ * and then the float columns, joined by ',' and ended by '\n'.
+ *
+ * The digits are the shortest that read back to the same double, the
+ * nearest to it when several are that short, an exact tie going to the
+ * even one: the Ryu algorithm (Ulf Adams, "Ryu: fast float-to-string
+ * conversion", PLDI 2018), which gives the digits of CPython's dtoa in
+ * mode 0.  The layout is CPython's 'r' format with Py_DTSF_ADD_DOT_0
+ * (Python/pystrtod.c): exponent form when the decimal point lies more than
+ * 16 places right or 4 places left of the first digit, a signed exponent
+ * of at least two digits, and ".0" after an integral value; "inf", "-inf"
+ * and "nan" for every NaN.
  *
  * Ryu multiplies the binary significand by a 125-bit approximation of
  * 5^i or 5^-q.  _kernel.py computes both tables exactly from Python
- * integers and installs them; um_repr formats nothing before.  Only 64-bit
- * integer arithmetic is used; umul128 is the one 64x64 -> 128-bit product.
+ * integers and installs them; neither entry point writes anything before.
+ * Only 64-bit integer arithmetic is used; umul128 is the one 64x64 -> 128-bit
+ * product.
  */
 
 #include <stdint.h>
 #include <string.h>
 
-/* "-2.2250738585072014e-308" is the longest text; one byte more for ',' */
-enum { REPR_MAX = 24, REPR_STRIDE = REPR_MAX + 1 };
+/* "-2.2250738585072014e-308" is the longest float text and
+   "-9223372036854775808" the longest index */
+enum { REPR_MAX = 24, INDEX_MAX = 20 };
 
 #define MANTISSA_BITS 52
 #define EXPONENT_BIAS 1023
@@ -208,6 +215,24 @@ static const char PAIRS[] =
     "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
     "8081828384858687888990919293949596979899";
 
+/* the decimal digits of value, two at a time, right to left, ending at
+   end; returns the first */
+static char *decimal(uint64_t value, char *end)
+{
+    char *first = end;
+    for (; value >= 100; value /= 100) {
+        first -= 2;
+        memcpy(first, PAIRS + 2 * (value % 100), 2);
+    }
+    if (value >= 10) {
+        first -= 2;
+        memcpy(first, PAIRS + 2 * value, 2);
+    } else {
+        *--first = (char)('0' + value);
+    }
+    return first;
+}
+
 /* float.__repr__(x) at p; returns the end of the text */
 static char *write_repr(double x, char *p)
 {
@@ -232,18 +257,8 @@ static char *write_repr(double x, char *p)
 
     uint64_t value;
     const int last = shortest(mantissa, exponent, &value);
-    /* the digits, two at a time, right to left */
-    char digits[20], *first = digits + sizeof digits;
-    for (; value >= 100; value /= 100) {
-        first -= 2;
-        memcpy(first, PAIRS + 2 * (value % 100), 2);
-    }
-    if (value >= 10) {
-        first -= 2;
-        memcpy(first, PAIRS + 2 * value, 2);
-    } else {
-        *--first = (char)('0' + value);
-    }
+    char digits[20];
+    const char *first = decimal(value, digits + sizeof digits);
     const int n = (int)(digits + sizeof digits - first);
     /* the decimal point comes after `point` digits */
     const int point = last + n;
@@ -303,17 +318,61 @@ int um_install_tables(const uint64_t *pow5, int64_t pow5_count,
     return 0;
 }
 
-/* The texts of x[0..n) joined by ',' into out; returns their length, or -1
- * (writing nothing) without the tables or when capacity < REPR_STRIDE * n. */
-int64_t um_repr(const double *x, int64_t n, char *out, int64_t capacity)
+/* str(i) at p; returns the end of the text */
+static char *write_index(int64_t i, char *p)
 {
-    if (!tables_installed || n < 0 || capacity / REPR_STRIDE < n)
+    uint64_t value = (uint64_t)i;
+    if (i < 0) {
+        *p++ = '-';
+        value = 0 - value;
+    }
+    char digits[20];
+    const char *first = decimal(value, digits + sizeof digits);
+    memcpy(p, first, digits + sizeof digits - first);
+    return p + (digits + sizeof digits - first);
+}
+
+/* The texts of x[0..n) joined by sep[0..sep_len) into out; returns their
+ * length, or -1 (writing nothing) without the tables or when
+ * capacity < (REPR_MAX + sep_len) * n. */
+int64_t um_repr_join(const double *x, int64_t n, const char *sep, int64_t sep_len,
+                     char *out, int64_t capacity)
+{
+    if (!tables_installed || n < 0 || sep_len < 0 || sep_len > INT64_MAX - REPR_MAX
+        || capacity < 0 || capacity / (REPR_MAX + sep_len) < n)
         return -1;
     char *p = out;
     for (int64_t k = 0; k < n; k++) {
-        if (k > 0)
-            *p++ = ',';
+        if (k > 0) {
+            memcpy(p, sep, sep_len);
+            p += sep_len;
+        }
         p = write_repr(x[k], p);
+    }
+    return p - out;
+}
+
+/* n CSV rows into out, row r being index[r] and then columns[k * n + r]
+ * for k < width (the columns one after another), joined by ',' and ended
+ * by '\n'; returns their length, or -1 (writing nothing) without the
+ * tables or when capacity < (INDEX_MAX + 1 + width * (REPR_MAX + 1)) * n. */
+int64_t um_repr_rows(const int64_t *index, const double *columns, int64_t n, int64_t width,
+                     char *out, int64_t capacity)
+{
+    if (!tables_installed || n < 0 || width < 0
+        || width > (INT64_MAX - INDEX_MAX - 1) / (REPR_MAX + 1))
+        return -1;
+    const int64_t row_max = INDEX_MAX + 1 + width * (REPR_MAX + 1);
+    if (capacity < 0 || capacity / row_max < n)
+        return -1;
+    char *p = out;
+    for (int64_t r = 0; r < n; r++) {
+        p = write_index(index[r], p);
+        for (int64_t k = 0; k < width; k++) {
+            *p++ = ',';
+            p = write_repr(columns[k * n + r], p);
+        }
+        *p++ = '\n';
     }
     return p - out;
 }

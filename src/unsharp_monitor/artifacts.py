@@ -10,13 +10,17 @@ and its spectrum hold some 20k floats, and ``analyze`` first parses 10k.
 So floats are formatted and parsed in bulk, never one numpy scalar at a
 time:
 
-- ``_float_texts`` formats a whole array in one call into the compiled
-  library (``um_repr`` in ``_repr.c``), which writes ``float.__repr__``'s
-  exact text for each element, the text ``fmt`` and ``json`` give a finite
-  float, at about a tenth of its cost.  Without the library it calls
-  ``float.__repr__`` once per element, which gives the same bytes.  An
-  array that goes to two files, the processed readout, is formatted once
-  per op as ``FloatTexts`` and both writers take its texts.
+- The compiled library (``_repr.c``) writes whole bodies, each in one
+  call: ``_csv_rows`` the data rows of a trajectory CSV (``um_repr_rows``)
+  and ``_joined`` a float array's texts joined by a separator
+  (``um_repr_join``), which ``dump_json`` calls with the separator of the
+  array's indentation.  Each float is ``float.__repr__``'s exact text, the
+  text ``fmt`` and ``json`` give a finite float; the ASCII result is decoded
+  once, with no Python object per float.  A float array that holds a
+  non-finite value goes to ``dump_json``'s per-item route, which quotes
+  those values as ``json_safe`` does.  Where ``_WRITER`` is None (no
+  library loaded) both bodies are joined from one ``float.__repr__`` call
+  per float, which gives the same bytes.
 - ``read_trajectory_csv`` reads the file once as bytes and decodes only
   the lines up to the header.  The data rows after it go to one call into
   the compiled library (``um_parse_rows`` in ``_read.c``), which reads
@@ -37,10 +41,10 @@ which the tests check against that expression.
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 import json
 import math
+import stat
 from pathlib import Path
 from typing import Any, NoReturn
 
@@ -73,8 +77,6 @@ def fmt(value: Any) -> str:
 
 def json_safe(value: Any) -> Any:
     """Replace non-finite floats (JSON has no literal for them) by strings."""
-    if isinstance(value, FloatTexts):
-        value = value.values
     if isinstance(value, dict):
         return {k: json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -93,6 +95,23 @@ def json_safe(value: Any) -> Any:
     return value
 
 
+def check_targets(paths: list[Path]) -> None:
+    """Raise the ArtifactError of the first of ``paths`` that exists and is
+    not a regular file, a directory say, before any of them is written.
+
+    A command calls this with all its targets first, so that a target in
+    the way leaves no file of that command behind.
+    """
+    for path in paths:
+        try:
+            mode = path.stat().st_mode
+        except OSError:
+            continue  # absent, say; where it cannot be written, the write reports why
+        if not stat.S_ISREG(mode):
+            reason = "Is a directory" if stat.S_ISDIR(mode) else "not a regular file"
+            raise ArtifactError(f"cannot write {path}: {reason}")
+
+
 def _write_text(path: Path, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -101,54 +120,54 @@ def _write_text(path: Path, text: str) -> None:
         raise ArtifactError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _python_texts(values: np.ndarray) -> list[str]:
-    """``float.__repr__`` of each element of a 1-d array."""
-    return list(map(float.__repr__, values.tolist()))
-
-
-def _compiled_texts(values: np.ndarray) -> list[str]:
-    """``_python_texts(values)``, written by one ``um_repr`` call."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.ndim != 1:  # um_repr reads len(values) doubles from the pointer
-        raise ValueError(f"expected a 1-d array, got shape {values.shape}")
-    if not len(values):
-        return []
-    out = ctypes.create_string_buffer(_kernel.REPR_STRIDE * len(values))
-    size = _REPR(values.ctypes.data, len(values), out, len(out))
-    if size < 0:  # the capacity is right, so the library has no tables
-        raise RuntimeError("um_repr wrote nothing: its power-of-5 tables are not installed")
-    return ctypes.string_at(out, size).decode("ascii").split(",")
-
-
 _LIBRARY = _kernel.load()
-_REPR = None if _LIBRARY is None else _LIBRARY.um_repr
 _PARSE = None if _LIBRARY is None else _LIBRARY.um_parse_rows
-_texts = _python_texts if _REPR is None else _compiled_texts
+# writes the float rows and arrays: the compiled library, or float.__repr__ where None
+_WRITER = _LIBRARY
 
 
-def _float_texts(values: Any) -> list[str]:
-    """The shortest round-trip repr of each element, formatted in bulk."""
-    if isinstance(values, FloatTexts):
-        return values.texts
-    return _texts(np.asarray(values, dtype=float))
+def _decoded_body(out: np.ndarray, size: int) -> str:
+    """The ``size`` ASCII bytes a compiled writer put at the start of ``out``."""
+    if size < 0:  # the capacity is right, so the library has no tables
+        raise RuntimeError(
+            "the float writer wrote nothing: its power-of-5 tables are not installed"
+        )
+    return str(out[:size], "ascii")
 
 
-class FloatTexts:
-    """A 1-d float array and its elements' texts, formatted once.
+def _joined(values: Any, separator: str) -> str:
+    """The ``float.__repr__`` text of each element of a 1-d array, joined by ``separator``."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 1:  # the library reads len(values) doubles from the pointer
+        raise ValueError(f"expected a 1-d array, got shape {values.shape}")
+    if _WRITER is None:
+        return separator.join(map(float.__repr__, values.tolist()))
+    sep = separator.encode("ascii")
+    out = np.empty((_kernel.REPR_MAX + len(sep)) * len(values), dtype=np.uint8)
+    size = _WRITER.um_repr_join(
+        values.ctypes.data, len(values), sep, len(sep), out.ctypes.data, out.size
+    )
+    return _decoded_body(out, size)
 
-    Pass one in place of an array that goes to more than one file (the
-    processed readout goes to the trajectory CSV and to ``spectrum.json``);
-    every writer then takes these texts instead of formatting again.
-    """
 
-    __slots__ = ("values", "texts")
-
-    def __init__(self, values: Any) -> None:
-        self.values = np.asarray(values, dtype=float)
-        self.texts = _float_texts(self.values)
-
-
-_NON_FINITE_TEXTS = ("nan", "inf", "-inf")
+def _csv_rows(index: Any, *columns: Any) -> str:
+    """The CSV rows ``index,v1,...,vk\\n``: ``str`` of each integer of ``index``
+    and ``float.__repr__`` of the values in ``columns`` beside it."""
+    index = np.ascontiguousarray(index, dtype=np.int64)
+    values = np.array(columns, dtype=np.float64)  # C-contiguous, a column per row
+    if index.ndim != 1 or values.shape != (len(columns), len(index)):
+        raise ValueError(
+            f"expected 1-d columns of one length, got shapes {index.shape} and {values.shape}"
+        )
+    if _WRITER is None:
+        texts = zip(map(str, index.tolist()), *(map(float.__repr__, v) for v in values.tolist()))
+        return "".join([",".join(row) + "\n" for row in texts])
+    row_max = _kernel.INDEX_MAX + 1 + (_kernel.REPR_MAX + 1) * len(columns)
+    out = np.empty(row_max * len(index), dtype=np.uint8)
+    size = _WRITER.um_repr_rows(
+        index.ctypes.data, values.ctypes.data, len(index), len(columns), out.ctypes.data, out.size
+    )
+    return _decoded_body(out, size)
 
 
 def _json_block(brackets: str, items: list[str], newline: str) -> str:
@@ -167,15 +186,10 @@ def _json_text(value: Any, newline: str) -> str:
             raise TypeError(f"JSON object keys must be str, got {list(value)!r}")
         items = [f"{json.dumps(key)}: {_json_text(item, inner)}" for key, item in value.items()]
         return _json_block("{}", items, newline)
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
-        value = FloatTexts(value)
-    if isinstance(value, FloatTexts):
-        items = value.texts
-        if not np.isfinite(value.values).all():  # json_safe writes these as strings
-            items = [f'"{text}"' if text in _NON_FINITE_TEXTS else text for text in items]
-        return _json_block("[]", items, newline)
     if isinstance(value, np.ndarray):
-        value = value.tolist()
+        if value.ndim == 1 and value.dtype.kind == "f" and len(value) and np.isfinite(value).all():
+            return "[" + inner + _joined(value, "," + inner) + newline + "]"
+        value = value.tolist()  # item by item, so that json_safe quotes a non-finite float
     if isinstance(value, (list, tuple)):
         return _json_block("[]", [_json_text(item, inner) for item in value], newline)
     return json.dumps(json_safe(value))
@@ -197,21 +211,13 @@ def write_trajectory_csv(
     t: np.ndarray,
     c2_sq: np.ndarray,
     g2: np.ndarray,
-    g2_processed: np.ndarray | FloatTexts,
+    g2_processed: np.ndarray,
     echo: dict[str, Any],
 ) -> None:
     lines = _comment_header(echo)
     lines.append(",".join(TRAJECTORY_COLUMNS))
-    index_texts = map(str, map(int, np.asarray(m).tolist()))
-    # the column texts are freed once the rows are joined, before the file text
-    lines.extend(map(",".join, zip(
-        index_texts,
-        _float_texts(t),
-        _float_texts(c2_sq),
-        _float_texts(g2),
-        _float_texts(g2_processed),
-    )))
-    _write_text(Path(path), "\n".join(lines) + "\n")
+    rows = _csv_rows(m, t, c2_sq, g2, g2_processed)
+    _write_text(Path(path), "\n".join(lines) + "\n" + rows)
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[dict[str, Any] | None, dict[str, np.ndarray]]:
@@ -389,7 +395,7 @@ def _raise_first_bad_row(path: Path, lines: list[str], header_number: int) -> No
 
 def spectrum_payload(
     record: SpectrumRecord,
-    processed: np.ndarray | FloatTexts,
+    processed: np.ndarray,
     echo: dict[str, Any],
     omega_r: float,
 ) -> dict[str, Any]:

@@ -62,23 +62,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spectrum, processed = process_readout(
         record.g2, config.trajectory.delta_t, config.wiener, config.truncation
     )
-    processed = artifacts.FloatTexts(processed)  # formatted once for both files
     echo = config.resolved()
     omega_r = config.trajectory.spec.omega_r
+    payload = artifacts.spectrum_payload(spectrum, processed, echo, omega_r)
+    report = build_report(config)
 
-    csv_path = out_dir / "trajectory.csv"
+    csv_path, plot_path = out_dir / "trajectory.csv", out_dir / "plot.gp"
+    artifacts.check_targets([
+        csv_path, out_dir / "spectrum.json", out_dir / "report.json",
+        *([plot_path] if args.gnuplot else []),
+    ])
     artifacts.write_trajectory_csv(
         csv_path, record.m, record.t / config.trajectory.spec.t_r,
         record.c2_sq, record.g2, processed, echo,
     )
-    artifacts.write_json(
-        out_dir / "spectrum.json",
-        artifacts.spectrum_payload(spectrum, processed, echo, omega_r),
-    )
-    report = build_report(config)
+    artifacts.write_json(out_dir / "spectrum.json", payload)
     artifacts.write_report_json(out_dir / "report.json", report, echo)
     if args.gnuplot:
-        artifacts.write_gnuplot_script(out_dir / "plot.gp", csv_path.name)
+        artifacts.write_gnuplot_script(plot_path, csv_path.name)
     print(
         f"wrote {csv_path} ({len(record.m)} series), spectrum.json, report.json"
         f" [f={report['f']:.4g}, regime={report['regime']}]"
@@ -124,9 +125,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     truncation = bool_field(echo, "truncation")
     check_frequency_axis(len(columns["g2"]), dt, t_r, spacing)
     spectrum, processed = process_readout(columns["g2"], dt, wiener, truncation)
-    processed = artifacts.FloatTexts(processed)  # formatted once for both files
     out_dir = _out_dir(args.out_dir)
     payload = artifacts.spectrum_payload(spectrum, processed, echo, 2.0 * math.pi / t_r)
+    artifacts.check_targets([out_dir / "spectrum.json", out_dir / "processed.csv"])
     artifacts.write_json(out_dir / "spectrum.json", payload)
     artifacts.write_trajectory_csv(
         out_dir / "processed.csv",

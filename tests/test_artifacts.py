@@ -6,13 +6,16 @@
 ``read_trajectory_csv`` must return exactly the arrays of the per-line
 ``float()`` loop it replaced, which this file keeps as ``reference_read``,
 and raise the same error naming the same line for any malformed file.
-The compiled float formatter must give ``float.__repr__``'s text for every
-double, wherever the library loaded, and format nothing before its tables
-are installed.  The compiled row parse must give ``float()``'s double for
-every field it reads, decline every text ``repr`` never writes, and read
-nothing before its table is installed.
+The compiled float writer must write the Python route's bytes, one
+``float.__repr__`` text per double, in its CSV rows and joined arrays,
+wherever the library loaded, and write nothing before its tables are
+installed or into a buffer too small for the worst case.  The compiled row
+parse must give ``float()``'s double for every field it reads, decline
+every text ``repr`` never writes, and read nothing before its table is
+installed.
 """
 
+import contextlib
 import ctypes
 import json
 import math
@@ -29,7 +32,6 @@ from unsharp_monitor import _kernel, artifacts
 from unsharp_monitor.artifacts import (
     TRAJECTORY_COLUMNS,
     ArtifactError,
-    FloatTexts,
     dump_json,
     fmt,
     json_safe,
@@ -62,7 +64,7 @@ scalars = (
     | st.booleans().map(np.bool_)
 )
 payloads = st.recursive(
-    scalars | float_arrays | float_arrays.map(FloatTexts),
+    scalars | float_arrays,
     lambda children: (
         st.lists(children, max_size=4)
         | st.lists(children, max_size=3).map(tuple)
@@ -81,7 +83,7 @@ def reference_json(payload) -> str:
 @example({"a": np.array([]), "b": [], "c": {}, "d": np.array([-0.0, math.nan, -math.inf])})
 @example(np.array([[1.0, 2.0], [3.0, math.inf]]))
 @example({"n": np.arange(3), "x": np.float64(0.5)})
-@example({"p": FloatTexts([0.1, -0.0, math.nan, math.inf]), "q": FloatTexts([])})
+@example({"p": np.array([0.1, -0.0, math.nan, math.inf]), "q": np.array([0.1, 1e-05])})
 def test_dump_json_is_the_json_module_text(payload):
     assert dump_json(payload) == reference_json(payload)
 
@@ -115,18 +117,15 @@ def column_sets(n: int):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 30).flatmap(column_sets), st.booleans())
+@given(st.integers(0, 30).flatmap(column_sets))
 @example((np.array([-0.0, math.nan]), np.array([0.0, -0.0]),
-          np.array([math.nan, 1e16]), np.array([5e-324, -math.inf])), False)
+          np.array([math.nan, 1e16]), np.array([5e-324, -math.inf])))
 @example((np.zeros(6), np.zeros(6), np.array([0.0, -0.0, math.nan, -0.0, 0.0, math.nan]),
-          np.ones(6)), True)
-def test_trajectory_rows_match_the_per_value_loop(tmp_path_factory, columns, preformatted):
+          np.ones(6)))
+def test_trajectory_rows_match_the_per_value_loop(tmp_path_factory, columns):
     path = tmp_path_factory.mktemp("rows") / "trajectory.csv"
     m = np.arange(1, len(columns[0]) + 1)
-    t, c2_sq, g2, processed = columns
-    if preformatted:  # as simulate and analyze pass it
-        processed = FloatTexts(processed)
-    write_trajectory_csv(path, m, t, c2_sq, g2, processed, {"seed": 1})
+    write_trajectory_csv(path, m, *columns, {"seed": 1})
     assert data_rows(path) == reference_rows(m, *columns)
 
 
@@ -505,10 +504,20 @@ def repr_texts(values: np.ndarray) -> list[str]:
     return list(map(float.__repr__, values.tolist()))
 
 
+@contextlib.contextmanager
+def python_writer():
+    """Within the block, float rows and arrays take the ``float.__repr__`` route."""
+    saved, artifacts._WRITER = artifacts._WRITER, None
+    try:
+        yield
+    finally:
+        artifacts._WRITER = saved
+
+
 # the two routes are compared only where the library loaded;
 # test_compiled_formatter_is_in_use fails when a compiler is there and it did not
 needs_library = pytest.mark.skipif(
-    artifacts._REPR is None, reason="the compiled library did not load"
+    artifacts._LIBRARY is None, reason="the compiled library did not load"
 )
 
 EDGE_DOUBLES = [
@@ -518,13 +527,57 @@ EDGE_DOUBLES = [
     5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308, 1.7976931348623157e308,
     1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 0.1 + 0.2, 2.0**53 + 2,
 ]
+# the separators between the items of a JSON float array at two indentations
+JSON_SEPARATORS = (",\n  ", ",\n    ")
 
 
 @needs_cc
 def test_compiled_formatter_is_in_use():
     # with a compiler on PATH, a fallback to float.__repr__ is a failure
-    assert artifacts._REPR is not None
-    assert artifacts._texts is artifacts._compiled_texts
+    assert artifacts._LIBRARY is not None
+    assert artifacts._WRITER is artifacts._LIBRARY
+
+
+# a byte no entry point writes, and the bytes kept free past the capacity passed
+UNWRITTEN, SLACK = 0xA5, 8
+
+
+def written(out: np.ndarray, size: int) -> str | None:
+    """The text of a raw call's ``size`` bytes, or None for -1; either way
+    asserts that no other byte of ``out`` was written."""
+    if size < 0:
+        assert size == -1 and (out == UNWRITTEN).all()
+        return None
+    assert (out[size:] == UNWRITTEN).all()
+    return out[:size].tobytes().decode("ascii")
+
+
+def raw_join(library, values: np.ndarray, separator: str, short: int = 0) -> str | None:
+    """``um_repr_join`` into a capacity ``short`` bytes below its worst case."""
+    sep = separator.encode("ascii")
+    capacity = (_kernel.REPR_MAX + len(sep)) * len(values) - short
+    out = np.full(max(capacity, 0) + SLACK, UNWRITTEN, dtype=np.uint8)
+    size = library.um_repr_join(
+        values.ctypes.data, len(values), sep, len(sep), out.ctypes.data, capacity
+    )
+    return written(out, size)
+
+
+def raw_rows(library, index: np.ndarray, columns: np.ndarray, short: int = 0) -> str | None:
+    """``um_repr_rows`` into a capacity ``short`` bytes below its worst case."""
+    width, n = columns.shape
+    capacity = (_kernel.INDEX_MAX + 1 + (_kernel.REPR_MAX + 1) * width) * n - short
+    out = np.full(max(capacity, 0) + SLACK, UNWRITTEN, dtype=np.uint8)
+    size = library.um_repr_rows(
+        index.ctypes.data, columns.ctypes.data, n, width, out.ctypes.data, capacity
+    )
+    return written(out, size)
+
+
+def writer_inputs(values: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The values, an index 1..n, and two columns of them for ``um_repr_rows``."""
+    array = np.array(values, dtype=float)
+    return array, np.arange(1, len(array) + 1), np.array([array, -array[::-1]])
 
 
 @needs_library
@@ -532,33 +585,87 @@ def test_the_formatter_needs_tables_of_the_right_length(tmp_path, monkeypatch):
     # a second copy of the library has statics of its own: no tables in yet
     shutil.copy(_kernel.library_path(), tmp_path / "copy.so")
     library = ctypes.CDLL(str(tmp_path / "copy.so"))
-    for name in ("um_repr", "um_install_tables"):
+    for name in ("um_repr_join", "um_repr_rows", "um_install_tables"):
         typed = getattr(artifacts._LIBRARY, name)
         getattr(library, name).argtypes = typed.argtypes
         getattr(library, name).restype = typed.restype
-    values = np.array(EDGE_DOUBLES)
-    out = ctypes.create_string_buffer(_kernel.REPR_STRIDE * len(values))
-    assert library.um_repr(values.ctypes.data, len(values), out, len(out)) == -1
-    monkeypatch.setattr(artifacts, "_REPR", library.um_repr)
-    with pytest.raises(RuntimeError, match="tables are not installed"):
-        artifacts._compiled_texts(values)
+    values, index, columns = writer_inputs(EDGE_DOUBLES)
+
+    def writes():
+        return raw_join(library, values, ","), raw_rows(library, index, columns)
+
+    assert writes() == (None, None)
+    monkeypatch.setattr(artifacts, "_WRITER", library)
+    with pytest.raises(RuntimeError, match="tables are not in"):
+        artifacts._joined(values, ",")
+    with pytest.raises(RuntimeError, match="tables are not in"):
+        artifacts._csv_rows(index, *columns)
 
     pow5, n, pow5_inv, n_inv = _kernel.pow5_tables()
     for counts in [(n - 1, n_inv), (n + 1, n_inv), (n, n_inv - 1), (n, n_inv + 1)]:
         assert library.um_install_tables(pow5, counts[0], pow5_inv, counts[1]) == -1
-        assert library.um_repr(values.ctypes.data, len(values), out, len(out)) == -1
+        assert writes() == (None, None)
     assert library.um_install_tables(pow5, n, pow5_inv, n_inv) == 0
-    assert artifacts._compiled_texts(values) == repr_texts(values)
+    compiled = artifacts._joined(values, ","), artifacts._csv_rows(index, *columns)
+    assert writes() == compiled
+    with python_writer():
+        assert compiled == (artifacts._joined(values, ","), artifacts._csv_rows(index, *columns))
+
+
+@needs_library
+@pytest.mark.parametrize("values", [[], [0.1], EDGE_DOUBLES], ids=["empty", "one", "edges"])
+def test_the_writer_needs_room_for_the_worst_case(values):
+    library = artifacts._LIBRARY
+    values, index, columns = writer_inputs(values)
+    for separator in (",", *JSON_SEPARATORS):
+        assert raw_join(library, values, separator) == artifacts._joined(values, separator)
+        assert raw_join(library, values, separator, short=1) is None
+    assert raw_rows(library, index, columns) == artifacts._csv_rows(index, *columns)
+    assert raw_rows(library, index, columns, short=1) is None
+
+
+@needs_library
+def test_the_writer_checks_its_sizes_without_overflow():
+    # sizes whose worst case overflows int64 are refused before a byte is read
+    library = artifacts._LIBRARY
+    value, out = np.array([0.5]), np.full(SLACK, UNWRITTEN, dtype=np.uint8)
+    huge, top = 2**62, 2**63 - 1
+    index = np.array([1])
+    for n, sep_len in [(-1, 1), (1, -1), (1, top), (huge, 100), (top, 1)]:
+        size = library.um_repr_join(value.ctypes.data, n, b",", sep_len, out.ctypes.data, top)
+        assert size == -1, (n, sep_len)
+    for n, width in [(-1, 1), (1, -1), (1, top // 4), (huge, 4), (top, 1)]:
+        size = library.um_repr_rows(
+            index.ctypes.data, value.ctypes.data, n, width, out.ctypes.data, top
+        )
+        assert size == -1, (n, width)
+    assert library.um_repr_join(value.ctypes.data, 1, b",", 1, out.ctypes.data, -1) == -1
+    assert (out == UNWRITTEN).all()
+
+
+bit_patterns = st.integers(0, 2**64 - 1).map(as_double) | st.floats()
 
 
 @needs_library
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 2**64 - 1).map(as_double) | st.floats(), max_size=50))
-@example(EDGE_DOUBLES)
-@example([])
-def test_compiled_texts_are_float_repr(values):
+@given(st.lists(bit_patterns, max_size=50), st.integers(0, 10**6 - 50))
+@example(EDGE_DOUBLES, 10**6 - len(EDGE_DOUBLES) + 1)
+@example([], 1)
+@example([0.1], 10**6)
+def test_compiled_texts_are_float_repr(values, first):
+    # the index runs up to 10^6 at most
     array = np.array(values, dtype=float)
-    assert artifacts._compiled_texts(array) == repr_texts(array)
+    texts = repr_texts(array)
+    for separator in (",", *JSON_SEPARATORS):
+        assert artifacts._joined(array, separator) == separator.join(texts)
+    index = np.arange(first, first + len(array))
+    columns = (array, -array, array[::-1], np.roll(array, 1))
+    payload = {"array": array, "nested": [array]}  # at two indentations
+    rows, text = artifacts._csv_rows(index, *columns), dump_json(payload)
+    with python_writer():
+        assert rows == artifacts._csv_rows(index, *columns)
+        assert text == dump_json(payload)
+    assert text == reference_json(payload)
 
 
 @needs_library
@@ -569,19 +676,46 @@ def test_compiled_texts_match_float_repr_at_every_binary_exponent():
         [(powers_of_ten + ulps).view(np.float64) for ulps in (-3, -2, -1, 0, 1, 2, 3)]
     )
     patterns = np.random.default_rng(20261018).integers(0, 2**64, 200_000, dtype=np.uint64)
-    values = np.concatenate([powers_of_two, near_powers_of_ten])
-    values = np.concatenate([values, -values, patterns.view(np.float64)])
-    assert artifacts._compiled_texts(values) == repr_texts(values)
+    exponents = np.concatenate([powers_of_two, near_powers_of_ten])
+    values = np.concatenate([exponents, -exponents, patterns.view(np.float64)])
+    assert artifacts._joined(values, ",") == ",".join(repr_texts(values))
+    columns = exponents.reshape(2, -1)
+    rows = artifacts._csv_rows(np.arange(1, columns.shape[1] + 1), *columns, *-columns)
+    with python_writer():
+        assert rows == artifacts._csv_rows(np.arange(1, columns.shape[1] + 1), *columns, *-columns)
 
 
 @needs_library
 def test_compiled_texts_copy_what_the_pointer_cannot_read():
     values = np.arange(12.0).reshape(3, 4) / 7
-    assert artifacts._float_texts(values[:, 1]) == repr_texts(values[:, 1])
+    assert artifacts._joined(values[:, 1], ",") == ",".join(repr_texts(values[:, 1]))
     swapped = values.ravel().astype(">f8")
-    assert artifacts._float_texts(swapped) == repr_texts(values.ravel())
+    assert artifacts._joined(swapped, ",") == ",".join(repr_texts(values.ravel()))
+    index = np.arange(3.0)[::-1]  # floats, strided
+    rows = artifacts._csv_rows(index, values[:, 1], swapped[:3], values[0, :3].astype(">f8"))
+    with python_writer():
+        expected = artifacts._csv_rows(index, values[:, 1], swapped[:3], values[0, :3])
+    assert rows == expected
     with pytest.raises(ValueError, match=r"expected a 1-d array, got shape \(3, 4\)"):
-        artifacts._compiled_texts(values)
+        artifacts._joined(values, ",")
+    with pytest.raises(ValueError, match="columns of one length"):
+        artifacts._csv_rows(np.arange(3), np.arange(4.0))
+    with pytest.raises(ValueError, match="columns of one length"):
+        artifacts._csv_rows(np.arange(12).reshape(3, 4), values)
+
+
+def test_a_non_finite_float_array_is_quoted_as_json_safe_quotes_it():
+    payload = {
+        "a": np.array([0.1, math.nan, -0.0, math.inf, -math.inf]),
+        "b": [np.array([math.nan])],
+    }
+    expected = reference_json(payload)
+    assert '"nan"' in expected and '"-inf"' in expected
+    assert dump_json(payload) == expected
+    with python_writer():
+        assert dump_json(payload) == expected
+
+
 
 
 @needs_library

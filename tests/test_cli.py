@@ -2,14 +2,21 @@
 
 import json
 import math
+import os
+import re
 import shutil
 import warnings
 
 import numpy as np
 import pytest
 
-from unsharp_monitor import cli
-from unsharp_monitor.artifacts import TRAJECTORY_COLUMNS, json_safe, read_trajectory_csv
+from unsharp_monitor import artifacts, cli
+from unsharp_monitor.artifacts import (
+    TRAJECTORY_COLUMNS,
+    ArtifactError,
+    json_safe,
+    read_trajectory_csv,
+)
 from unsharp_monitor.cli import main
 from unsharp_monitor.config import MAX_M_SERIES, build_report, load_run_config
 from unsharp_monitor.spectral import process_readout
@@ -779,6 +786,32 @@ class TestFileErrors:
         assert run(["simulate", "--config", small_config, "--out-dir", tmp_path / "out"]) == 2
         target = tmp_path / "out" / "trajectory.csv"
         assert capsys.readouterr().err == f"error: cannot write {target}: Is a directory\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_an_artifact_in_the_way_leaves_no_file_behind(
+        self, tmp_path, capsys, small_config, command
+    ):
+        # the blocked path is the command's last artifact: none is written
+        assert run(["simulate", "--config", small_config, "--out-dir", tmp_path / "sim"]) == 0
+        out = tmp_path / "an"
+        argv, blocked = {
+            "simulate": (["simulate", "--config", small_config, "--gnuplot"], out / "plot.gp"),
+            "analyze": (["analyze", tmp_path / "sim" / "trajectory.csv"], out / "processed.csv"),
+        }[command]
+        blocked.mkdir(parents=True)
+        capsys.readouterr()
+        assert run([*argv, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {blocked}: Is a directory\n"
+        assert list(out.iterdir()) == [blocked]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_a_target_that_is_not_a_regular_file_is_named(self, tmp_path):
+        fifo, absent = tmp_path / "spectrum.json", tmp_path / "processed.csv"
+        os.mkfifo(fifo)
+        message = f"^cannot write {re.escape(str(fifo))}: not a regular file$"
+        with pytest.raises(ArtifactError, match=message):
+            artifacts.check_targets([absent, fifo])
+        artifacts.check_targets([absent, tmp_path / "missing" / "report.json"])
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch, small_config):

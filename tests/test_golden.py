@@ -2,9 +2,9 @@
 
 Rerun-vs-rerun tests cannot see a change that shifts a float in every run
 alike; these digests can.  A change to the simulation or analysis code
-must leave them untouched.  The preset pins hold for both float
-formatters, the compiled one and ``float.__repr__``, and for both step
-loops, the compiled one and ``trajectory._python_advance``.
+must leave them untouched.  The preset and ``analyze`` pins hold for both
+float writers, the compiled one and ``float.__repr__``, and the preset pins
+for both step loops, the compiled one and ``trajectory._python_advance``.
 
 The digests of ``spectrum.json`` and of the processed readout columns
 depend on numpy's FFT output, so a numpy upgrade that changes the FFT's
@@ -84,9 +84,22 @@ def test_simulate_preset_artifacts_are_pinned(tmp_path, preset):
     assert digests(out) == SIMULATE_DIGESTS[preset]
 
 
+def python_writer_only(monkeypatch) -> None:
+    """Route every float row and array through ``float.__repr__``; a call
+    into the compiled writer fails the test."""
+    monkeypatch.setattr(artifacts, "_WRITER", None)
+    if artifacts._LIBRARY is not None:
+        for name in ("um_repr_join", "um_repr_rows"):
+
+            def refuse(*args, name=name):
+                raise AssertionError(f"{name} ran on the float.__repr__ route")
+
+            monkeypatch.setattr(artifacts._LIBRARY, name, refuse)
+
+
 @pytest.mark.parametrize("preset", sorted(SIMULATE_DIGESTS))
 def test_simulate_preset_artifacts_are_pinned_with_float_repr(tmp_path, monkeypatch, preset):
-    monkeypatch.setattr(artifacts, "_texts", artifacts._python_texts)
+    python_writer_only(monkeypatch)
     out = tmp_path / preset
     assert main(["simulate", "--preset", preset, "--seed", SEED, "--out-dir", str(out)]) == 0
     assert digests(out) == SIMULATE_DIGESTS[preset]
@@ -104,6 +117,16 @@ def test_simulate_preset_artifacts_are_pinned_with_the_python_loop(tmp_path, mon
 def test_analyze_artifacts_are_pinned(tmp_path, preset):
     sim = tmp_path / "sim"
     assert main(["simulate", "--preset", preset, "--seed", SEED, "--out-dir", str(sim)]) == 0
+    out = tmp_path / "analyze"
+    assert main(["analyze", str(sim / "trajectory.csv"), "--out-dir", str(out)]) == 0
+    assert {name: sha256(out / name) for name in ANALYZE_DIGESTS[preset]} == ANALYZE_DIGESTS[preset]
+
+
+@pytest.mark.parametrize("preset", sorted(ANALYZE_DIGESTS))
+def test_analyze_artifacts_are_pinned_with_float_repr(tmp_path, monkeypatch, preset):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--preset", preset, "--seed", SEED, "--out-dir", str(sim)]) == 0
+    python_writer_only(monkeypatch)
     out = tmp_path / "analyze"
     assert main(["analyze", str(sim / "trajectory.csv"), "--out-dir", str(out)]) == 0
     assert {name: sha256(out / name) for name in ANALYZE_DIGESTS[preset]} == ANALYZE_DIGESTS[preset]

@@ -388,9 +388,9 @@ def test_compiled_kernel_is_in_use():
 
 
 # prints whether the compiled kernel is in use, whether the artifact floats
-# are formatted by float.__repr__ and parsed by float(), the cached
-# library's path, the fig1 preset's first |c2|^2 values and their artifact
-# texts
+# are written by float.__repr__ and parsed by float(), the cached library's
+# path, the fig1 preset's first |c2|^2 values, and those values as written in
+# a JSON array and in CSV rows
 PROBE = """
 import json, sys, sysconfig, warnings
 sys.path.insert(0, sys.argv[1])
@@ -410,11 +410,12 @@ c2_sq = trajectory.simulate_trajectory(config).c2_sq
 print(json.dumps({
     "package": trajectory.__file__,
     "compiled": trajectory._advance is trajectory._compiled_advance,
-    "python_texts": artifacts._texts is artifacts._python_texts,
+    "python_writer": artifacts._WRITER is None,
     "python_rows": artifacts._PARSE is None,
     "library": str(_kernel.library_path()),
     "c2_sq": c2_sq.tolist(),
-    "texts": artifacts._float_texts(c2_sq),
+    "json": artifacts.dump_json(c2_sq),
+    "rows": artifacts._csv_rows(range(1, len(c2_sq) + 1), c2_sq, -c2_sq),
 }))
 """
 
@@ -428,6 +429,14 @@ def probe(root: Path, case: str = "") -> dict:
     result = json.loads(proc.stdout)
     assert Path(result["package"]).parent == root / "unsharp_monitor"
     return result
+
+
+def expected_json(values: list[float]) -> str:
+    return json.dumps(values, indent=2) + "\n"
+
+
+def expected_rows(values: list[float]) -> str:
+    return "".join(f"{m},{value!r},{-value!r}\n" for m, value in enumerate(values, start=1))
 
 
 def package_copy(tmp_path: Path) -> Path:
@@ -448,7 +457,7 @@ def test_a_second_interpreter_loads_the_cached_library(tmp_path):
     root = package_copy(tmp_path)
     cache = root / "unsharp_monitor" / "__pycache__"
     first = probe(root)
-    assert first["compiled"] and not first["python_texts"] and not first["python_rows"]
+    assert first["compiled"] and not first["python_writer"] and not first["python_rows"]
     library = Path(first["library"])
     assert library.parent == cache
     built = library.stat()
@@ -459,7 +468,8 @@ def test_a_second_interpreter_loads_the_cached_library(tmp_path):
     # no temporary file is left beside the library
     assert os.listdir(cache) == [library.name]
     assert first["c2_sq"] == second["c2_sq"] == fig1_c2_sq()
-    assert first["texts"] == second["texts"] == list(map(float.__repr__, first["c2_sq"]))
+    assert first["json"] == second["json"] == expected_json(first["c2_sq"])
+    assert first["rows"] == second["rows"] == expected_rows(first["c2_sq"])
 
 
 @needs_cc
@@ -491,8 +501,9 @@ def test_without_a_build_the_python_loop_runs(tmp_path, case):
         (root / "unsharp_monitor" / "__pycache__").write_text("")
     result = probe(root, case)
     assert not result["compiled"]
-    assert result["python_texts"] and result["python_rows"]
+    assert result["python_writer"] and result["python_rows"]
     # a refused table install happens after the build
     assert Path(result["library"]).is_file() == case.startswith("refused-")
     assert result["c2_sq"] == fig1_c2_sq()
-    assert result["texts"] == list(map(float.__repr__, result["c2_sq"]))
+    assert result["json"] == expected_json(result["c2_sq"])
+    assert result["rows"] == expected_rows(result["c2_sq"])
