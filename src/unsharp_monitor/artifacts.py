@@ -16,9 +16,9 @@ time:
   (``um_repr_join``), which ``dump_json`` calls with the separator of the
   array's indentation.  Each float is ``float.__repr__``'s exact text, the
   text ``fmt`` and ``json`` give a finite float; the ASCII result is decoded
-  once, with no Python object per float.  A float array that holds a
-  non-finite value goes to ``dump_json``'s per-item route, which quotes
-  those values as ``json_safe`` does.  Where ``_WRITER`` is None (no
+  once, with no Python object per float.  In a float array that holds a
+  non-finite value, ``dump_json`` quotes those values as ``json_safe``
+  does, which the compiled call does not.  Where ``_WRITER`` is None (no
   library loaded) both bodies are joined from one ``float.__repr__`` call
   per float, which gives the same bytes.
 - ``read_trajectory_csv`` reads the file once as bytes and decodes only
@@ -170,6 +170,9 @@ def _csv_rows(index: Any, *columns: Any) -> str:
     return _decoded_body(out, size)
 
 
+_NON_FINITE_TEXTS = ("nan", "inf", "-inf")
+
+
 def _json_block(brackets: str, items: list[str], newline: str) -> str:
     if not items:
         return brackets
@@ -186,10 +189,15 @@ def _json_text(value: Any, newline: str) -> str:
             raise TypeError(f"JSON object keys must be str, got {list(value)!r}")
         items = [f"{json.dumps(key)}: {_json_text(item, inner)}" for key, item in value.items()]
         return _json_block("{}", items, newline)
-    if isinstance(value, np.ndarray):
-        if value.ndim == 1 and value.dtype.kind == "f" and len(value) and np.isfinite(value).all():
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f" and len(value):
+        if np.isfinite(value).all():
             return "[" + inner + _joined(value, "," + inner) + newline + "]"
-        value = value.tolist()  # item by item, so that json_safe quotes a non-finite float
+        # json_safe writes a non-finite float as a string
+        items = [f'"{text}"' if text in _NON_FINITE_TEXTS else text
+                 for text in _joined(value, ",").split(",")]
+        return _json_block("[]", items, newline)
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, (list, tuple)):
         return _json_block("[]", [_json_text(item, inner) for item in value], newline)
     return json.dumps(json_safe(value))
