@@ -1,9 +1,10 @@
 """Build, cache and load the compiled library of ``SOURCES``.
 
-The library holds the measurement kernel (``um_advance`` in ``_kernel.c``,
-which ``trajectory`` runs), the artifact float writer (``um_repr_rows`` and
-``um_repr_join`` in ``_repr.c``) and the trajectory-CSV row parser
-(``um_parse_rows`` in ``_read.c``), which ``artifacts`` runs.  It is built
+The library holds the measurement kernel (``um_advance_rows`` in
+``_kernel.c``, which ``trajectory`` runs), the artifact float writer
+(``um_repr_rows`` and ``um_repr_join`` in ``_repr.c``) and the
+trajectory-CSV row parser (``um_parse_rows`` in ``_read.c``), which
+``artifacts`` runs.  It is built
 on first use with the interpreter's C compiler (``sysconfig``'s ``CC``) and
 cached in this package's ``__pycache__/`` under a name keyed on the
 sources, the flags and the platform, so later processes load it without
@@ -40,7 +41,7 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120
 _PLATFORM = sysconfig.get_platform().replace("-", "_").replace(".", "_")
 
-# um_advance returns 0, or one of these when it stops early
+# um_advance_rows returns 0, or one of these when it stops early
 EXCURSION, ZERO_NORM = 1, 2
 # the longest float text _repr.c writes, and the longest index
 REPR_MAX, INDEX_MAX = 24, 20
@@ -159,15 +160,16 @@ def load() -> ctypes.CDLL | None:
     except OSError:
         return None
     double_p, int64_p = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
-    library.um_advance.restype = ctypes.c_int
-    library.um_advance.argtypes = (
-        double_p,  # state
+    library.um_advance_rows.restype = ctypes.c_int
+    library.um_advance_rows.argtypes = (
+        double_p,  # state, rows x 4
         double_p,  # constants
         ctypes.c_int64,  # n
         ctypes.c_int64,  # series
-        double_p,  # uniforms
-        double_p,  # c2_sq
-        int64_p,  # n_plus
+        ctypes.c_int64,  # rows
+        double_p,  # uniforms, rows x (n * series)
+        double_p,  # c2_sq, rows x series
+        int64_p,  # n_plus, rows x series
         double_p,  # excursion
     )
     library.um_repr_join.restype = ctypes.c_int64

@@ -44,6 +44,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import stat
 from pathlib import Path
 from typing import Any, NoReturn
@@ -113,11 +114,26 @@ def check_targets(paths: list[Path]) -> None:
 
 
 def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all.
+
+    The bytes go to a new file beside the target, which ``os.replace`` then
+    moves onto it, so a write that fails partway leaves the old file (or
+    none) and no temporary file.  A symlinked target is resolved first, so
+    the link keeps pointing at the new bytes.  The file is new, so it gets
+    a new file's mode, and its directory must be writable.
+    """
+    data = text.encode("utf-8")
+    target = os.path.realpath(path)
+    temp = f"{target}.{os.urandom(4).hex()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        with open(temp, "xb") as handle:
+            handle.write(data)
+        os.replace(temp, target)
     except OSError as exc:  # a directory in the way, say
         raise ArtifactError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if os.path.lexists(temp):  # the write or the replace failed
+            os.unlink(temp)
 
 
 _LIBRARY = _kernel.load()
@@ -173,39 +189,47 @@ def _csv_rows(index: Any, *columns: Any) -> str:
 _NON_FINITE_TEXTS = ("nan", "inf", "-inf")
 
 
-def _json_block(brackets: str, items: list[str], newline: str) -> str:
-    if not items:
-        return brackets
+def _json_parts(value: Any, newline: str, parts: list[str]) -> None:
+    """Append ``value``'s text, as ``json.dumps(json_safe(value), indent=2)``
+    spells it at the indentation that ``newline`` carries, to ``parts``."""
     inner = newline + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
-
-
-def _json_text(value: Any, newline: str) -> str:
-    """``value`` as ``json.dumps(json_safe(value), indent=2)`` spells it, at the
-    indentation that ``newline`` carries."""
-    inner = newline + "  "
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f" and len(value):
+        if np.isfinite(value).all():
+            body = _joined(value, "," + inner)
+        else:  # json_safe writes a non-finite float as a string
+            texts = _joined(value, ",").split(",")
+            body = ("," + inner).join(f'"{t}"' if t in _NON_FINITE_TEXTS else t for t in texts)
+        parts += ("[", inner, body, newline, "]")
+        return
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, dict):
         if not all(isinstance(key, str) for key in value):
             raise TypeError(f"JSON object keys must be str, got {list(value)!r}")
-        items = [f"{json.dumps(key)}: {_json_text(item, inner)}" for key, item in value.items()]
-        return _json_block("{}", items, newline)
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f" and len(value):
-        if np.isfinite(value).all():
-            return "[" + inner + _joined(value, "," + inner) + newline + "]"
-        # json_safe writes a non-finite float as a string
-        items = [f'"{text}"' if text in _NON_FINITE_TEXTS else text
-                 for text in _joined(value, ",").split(",")]
-        return _json_block("[]", items, newline)
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, (list, tuple)):
-        return _json_block("[]", [_json_text(item, inner) for item in value], newline)
-    return json.dumps(json_safe(value))
+        brackets, items = "{}", [(json.dumps(key) + ": ", item) for key, item in value.items()]
+    elif isinstance(value, (list, tuple)):
+        brackets, items = "[]", [("", item) for item in value]
+    else:
+        parts.append(json.dumps(json_safe(value)))
+        return
+    if not items:
+        parts.append(brackets)
+        return
+    opener = brackets[0] + inner
+    for key, item in items:
+        parts += (opener, key)
+        _json_parts(item, inner, parts)
+        opener = "," + inner
+    parts.append(newline + brackets[1])
 
 
 def dump_json(payload: Any) -> str:
-    """``json.dumps(json_safe(payload), indent=2) + "\\n"``, float arrays in bulk."""
-    return _json_text(payload, "\n") + "\n"
+    """``json.dumps(json_safe(payload), indent=2) + "\\n"``, float arrays in
+    bulk, joined once from the parts of the text."""
+    parts: list[str] = []
+    _json_parts(payload, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _comment_header(echo: dict[str, Any]) -> list[str]:

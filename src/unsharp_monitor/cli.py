@@ -9,7 +9,7 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .config import (
     SWEEP_AXES,
     SWEEP_BASE_KEYS,
     ConfigError,
+    RunConfig,
     bool_field,
     build_report,
     check_frequency_axis,
@@ -36,7 +37,6 @@ from .config import (
 from .povm import ParameterError, StateError
 from .spectral import (
     AnalysisError,
-    main_peak,
     process_readout,
     process_readouts,
     row_correlations,
@@ -185,44 +185,92 @@ def _parse_floats(text: str, what: str) -> list[float]:
         raise ConfigError(what, f"expected comma-separated numbers, got {text!r}") from exc
 
 
+class _SimulatedPoint(NamedTuple):
+    """A grid point's config and report, and the replicates x m_series
+    arrays of its seeds, the first of which is ``seed``."""
+
+    config: RunConfig
+    report: dict[str, Any]
+    seed: int
+    c2_sq: np.ndarray
+    g2: np.ndarray
+
+
 def _sweep_point(
     base: dict[str, Any],
     point: dict[str, Any],
     index: int,
     base_seed: int,
     replicates: int,
-) -> dict[str, Any]:
+) -> _SimulatedPoint:
     config = run_config_from_dict({**base, **point})
     report = build_report(config)
-    omega_r = config.trajectory.spec.omega_r
-
     seeds = [derive_seed(base_seed, index, replicate) for replicate in range(replicates)]
     c2_sq, g2 = simulate_replicates(config.trajectory, seeds)
-    spectra, processed = process_readouts(
-        g2, config.trajectory.delta_t, config.wiener, config.truncation
-    )
-    peaks = [main_peak(spectrum) for spectrum in spectra]
-    errors = [
-        math.nan if peak.index is None else abs(peak.frequency / omega_r - 1.0)
-        for peak in peaks
-    ]
-    significant = sum(peak.significant for peak in peaks)
+    return _SimulatedPoint(config, report, seeds[0], c2_sq, g2)
 
-    return {
-        "p0": config.trajectory.params.p0,
-        "dp": config.trajectory.params.dp,
-        "tau": config.trajectory.tau,
-        "n_per_series": config.trajectory.n_per_series,
-        "m_series": config.trajectory.m_series,
-        "seed": seeds[0] if replicates == 1 else base_seed,
-        "f": report["f"],
-        "regime": report["regime"],
-        "peak_freq_error": float(np.median(errors)),
-        "peak_significant": significant * 2 >= replicates,
-        "corr_raw": float(np.median(row_correlations(g2, c2_sq))),
-        "corr_processed": float(np.median(row_correlations(processed, c2_sq))),
-    }
 
+def _sweep_rows(
+    points: list[_SimulatedPoint], base_seed: int, replicates: int
+) -> list[dict[str, Any]]:
+    """The sweep.csv rows of the simulated ``points``, read out in one batch.
+
+    The points share the base (m_series, t_r and the readout switches),
+    and the readout of a row does not depend on the rows beside it, so one
+    pipeline call runs every replicate of every point, and one correlation
+    call each the raw and the processed readout; only the frequency axis,
+    which the peak index is read on, differs from point to point.  Each
+    median is taken over a point's replicates.
+    """
+    if not points:
+        return []
+    shared = points[0].config
+    c2_sq = np.concatenate([point.c2_sq for point in points])
+    g2 = np.concatenate([point.g2 for point in points])
+    # the spectra do not depend on dt; each point's own dt is used below
+    spectra, processed = process_readouts(g2, 1.0, shared.wiener, shared.truncation)
+    index = np.array([spectrum.main_peak_index or 0 for spectrum in spectra])
+    dt = np.repeat([point.config.trajectory.delta_t for point in points], replicates)
+    m = g2.shape[1]
+    # the frequency of bin l is 2 pi l / (m dt), the spectrum's own axis
+    frequency = 2.0 * math.pi * index / (m * dt)
+    omega_r = shared.trajectory.spec.omega_r
+    errors = np.where(index > 0, np.abs(frequency / omega_r - 1.0), math.nan)
+    significant = np.array([spectrum.peak_significant for spectrum in spectra])
+
+    def medians(values: np.ndarray) -> list[float]:
+        return np.median(values.reshape(len(points), replicates), axis=1).tolist()
+
+    rows = []
+    for (config, report, seed, _, _), error, count, raw, kept in zip(
+        points,
+        medians(errors),
+        significant.reshape(len(points), replicates).sum(axis=1).tolist(),
+        medians(row_correlations(g2, c2_sq)),
+        medians(row_correlations(processed, c2_sq)),
+    ):
+        rows.append({
+            "p0": config.trajectory.params.p0,
+            "dp": config.trajectory.params.dp,
+            "tau": config.trajectory.tau,
+            "n_per_series": config.trajectory.n_per_series,
+            "m_series": config.trajectory.m_series,
+            "seed": seed if replicates == 1 else base_seed,
+            "f": report["f"],
+            "regime": report["regime"],
+            "peak_freq_error": error,
+            "peak_significant": count * 2 >= replicates,
+            "corr_raw": raw,
+            "corr_processed": kept,
+        })
+    return rows
+
+
+# A sweep reads out the points it has simulated in one batch as soon as
+# they hold this many samples (rows x m_series), and the rest at the end.
+# A batch holds several complex arrays of 16 bytes a sample at once, so
+# this bounds what a large sweep holds; a small one is a single batch.
+_READOUT_SAMPLES = 1 << 16
 
 # a valid point (fig3's) to check a sweep's base against before any point runs
 _STAND_IN_POINT = {axis: PRESETS["fig3"][axis] for axis in SWEEP_AXES}
@@ -260,12 +308,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for values in itertools.product(*(grid[axis] for axis in SWEEP_AXES))
     ]
 
-    rows = []
+    rows, simulated = [], []
     for index, point in enumerate(points):
         try:
-            rows.append(_sweep_point(base, point, index, base_seed, replicates))
+            simulated.append(_sweep_point(base, point, index, base_seed, replicates))
         except (ConfigError, ParameterError, StateError) as exc:
             print(f"warning: skipping grid point {index} {point}: {exc}", file=sys.stderr)
+            continue
+        if len(simulated) * simulated[-1].g2.size >= _READOUT_SAMPLES:
+            rows += _sweep_rows(simulated, base_seed, replicates)
+            simulated = []
+    rows += _sweep_rows(simulated, base_seed, replicates)
     skipped = len(points) - len(rows)
     out_dir = _out_dir(args.out_dir)
     echo = {"grid": grid, "base": base, "seed": base_seed, "seeds_per_point": replicates}

@@ -158,6 +158,9 @@ class TrajectoryRecord:
 # Series per block of pre-drawn uniforms; bounds the memory a long
 # trajectory holds at once (at most 64 uniforms per series).
 _BLOCK_SERIES = 1024
+# Rows per kernel call in simulate_replicates: _kernel.c's LANES, so a
+# group fills the interleaved lanes once
+_LANES = 4
 
 
 _ZERO_NORM = "measurement produced the zero vector (zero-probability branch)"
@@ -181,14 +184,17 @@ def _python_advance(
     c2_sq: np.ndarray,
     n_plus: np.ndarray,
 ) -> None:
-    """The measurement kernel: advance raw amplitudes through N-series.
+    """The measurement kernel: advance rows of raw amplitudes through N-series.
 
-    ``state`` holds (Re c1, Im c1, Re c2, Im c2) and is advanced in place;
-    ``constants`` comes from ``_constants``; ``uniforms`` holds one
-    pre-drawn variate per measurement, ``n`` per series for
-    ``len(c2_sq)`` series.  Every step evolves for tau and then measures
-    once.  Writes |c2|^2 after each series into ``c2_sq`` and each
-    series' "+" count into ``n_plus``.
+    Each row of ``state`` holds one trajectory's (Re c1, Im c1, Re c2,
+    Im c2) and is advanced in place; ``constants`` comes from
+    ``_constants``.  Row i of ``uniforms`` holds one pre-drawn variate per
+    measurement of that trajectory, ``n`` per series for the
+    ``c2_sq.shape[1]`` series of the call.  Every step evolves for tau and
+    then measures once.  Writes |c2|^2 after each series into ``c2_sq`` and
+    each series' "+" count into ``n_plus``, one row per trajectory.  Rows
+    run one after another, so an error stops the call in the first row that
+    raises it, with the rows before it advanced.
 
     This loop is the readable reference and the portable fallback;
     ``_compiled_advance`` runs the same lines compiled from ``_kernel.c``.
@@ -216,49 +222,51 @@ def _python_advance(
     norm is 0.0, which becomes ``DegenerateOutcomeError``.
     """
     ch, s, p1, p2, u1_plus, u2_plus, u1_minus, u2_minus, lo, hi = constants.tolist()
-    ar, ai, br, bi = state.tolist()
     sqrt = math.sqrt
-    uniforms = uniforms.tolist()
-    for m in range(len(c2_sq)):
-        count = 0
-        for u in uniforms[m * n : (m + 1) * n]:
-            # rotate; x, y are the new (Re c1, Im c1) while ar, ai still
-            # hold the old ones that the new c2 needs
-            x = ch * ar + s * bi
-            y = ch * ai - s * br
-            br = ch * br + s * ai
-            bi = ch * bi - s * ar
-            p_plus = p1 * (x * x + y * y) + p2 * (br * br + bi * bi)
-            if u < p_plus:
-                if p_plus > hi:
-                    _clamp_probability(p_plus, "p_plus")
-                count += 1
-                ar = x * u1_plus
-                ai = y * u1_plus
-                br *= u2_plus
-                bi *= u2_plus
-            else:
-                if not p_plus >= lo:
-                    _clamp_probability(p_plus, "p_plus")
-                ar = x * u1_minus
-                ai = y * u1_minus
-                br *= u2_minus
-                bi *= u2_minus
-            norm = sqrt((ar * ar + ai * ai) + (br * br + bi * bi))
-            try:
-                ar /= norm
-            except ZeroDivisionError:
-                raise DegenerateOutcomeError(_ZERO_NORM) from None
-            ai /= norm
-            br /= norm
-            bi /= norm
-        c2_sq[m] = br * br + bi * bi
-        n_plus[m] = count
-    state[:] = (ar, ai, br, bi)
+    series = c2_sq.shape[1]
+    for row in range(len(state)):
+        ar, ai, br, bi = state[row].tolist()
+        row_uniforms = uniforms[row].tolist()
+        for m in range(series):
+            count = 0
+            for u in row_uniforms[m * n : (m + 1) * n]:
+                # rotate; x, y are the new (Re c1, Im c1) while ar, ai still
+                # hold the old ones that the new c2 needs
+                x = ch * ar + s * bi
+                y = ch * ai - s * br
+                br = ch * br + s * ai
+                bi = ch * bi - s * ar
+                p_plus = p1 * (x * x + y * y) + p2 * (br * br + bi * bi)
+                if u < p_plus:
+                    if p_plus > hi:
+                        _clamp_probability(p_plus, "p_plus")
+                    count += 1
+                    ar = x * u1_plus
+                    ai = y * u1_plus
+                    br *= u2_plus
+                    bi *= u2_plus
+                else:
+                    if not p_plus >= lo:
+                        _clamp_probability(p_plus, "p_plus")
+                    ar = x * u1_minus
+                    ai = y * u1_minus
+                    br *= u2_minus
+                    bi *= u2_minus
+                norm = sqrt((ar * ar + ai * ai) + (br * br + bi * bi))
+                try:
+                    ar /= norm
+                except ZeroDivisionError:
+                    raise DegenerateOutcomeError(_ZERO_NORM) from None
+                ai /= norm
+                br /= norm
+                bi /= norm
+            c2_sq[row, m] = br * br + bi * bi
+            n_plus[row, m] = count
+        state[row] = (ar, ai, br, bi)
 
 
 _LIBRARY = _kernel.load()
-_KERNEL = None if _LIBRARY is None else _LIBRARY.um_advance
+_KERNEL = None if _LIBRARY is None else _LIBRARY.um_advance_rows
 _FLOAT64, _INT64 = np.dtype(np.float64), np.dtype(np.int64)
 
 
@@ -272,17 +280,20 @@ def _compiled_advance(
 ) -> None:
     """``_python_advance`` compiled from ``_kernel.c``, with the same doubles and errors.
 
-    The kernel reads and writes the buffers through raw pointers, so their
-    shapes and dtypes are checked here, and ``from_buffer`` refuses any
-    buffer that is not C-contiguous and writable.  The kernel reports an
-    excursion or a zero norm by a status code, raised here as the Python
-    loop raises it.
+    The kernel runs the rows four at a time in interleaved lanes and a
+    tail of fewer rows one at a time; a group of four that meets an
+    excursion or a zero norm is rerun row by row, so the call stops in the
+    row ``_python_advance`` stops in, with its error.  The kernel reads and
+    writes the buffers through raw pointers, so their shapes and dtypes
+    are checked here, and ``from_buffer`` refuses any buffer that is not
+    C-contiguous and writable.  The kernel reports an excursion or a zero
+    norm by a status code, raised here as the Python loop raises it.
     """
-    series = len(c2_sq)
+    # no buffer has a shape of -1 rows, so an output of another rank is refused
+    rows, series = c2_sq.shape if c2_sq.ndim == 2 else (-1, -1)
     if not (
-        state.shape == (4,) and constants.shape == (10,)
-        and uniforms.shape == (n * series,)
-        and c2_sq.shape == n_plus.shape == (series,)
+        state.shape == (rows, 4) and constants.shape == (10,)
+        and uniforms.shape == (rows, n * series) and n_plus.shape == (rows, series)
         and state.dtype == constants.dtype == uniforms.dtype == c2_sq.dtype == _FLOAT64
         and n_plus.dtype == _INT64
     ):
@@ -290,7 +301,7 @@ def _compiled_advance(
     double, int64 = ctypes.c_double, ctypes.c_int64
     excursion = double()
     status = _KERNEL(
-        double.from_buffer(state), double.from_buffer(constants), n, series,
+        double.from_buffer(state), double.from_buffer(constants), n, series, rows,
         double.from_buffer(uniforms), double.from_buffer(c2_sq), int64.from_buffer(n_plus),
         excursion,
     )
@@ -321,6 +332,10 @@ def simulate_replicates(
     the trajectory that ``config`` with ``seed = seeds[i]`` records, bit
     for bit: ``config.seed`` itself is not used.  Replicates share the
     config, so it is built and validated once however many seeds there are.
+
+    The seeds run in groups of ``_LANES``, one kernel call per group and
+    block of series; each row of a group draws its uniforms from its own
+    generator, so a row does not depend on the rows beside it.
     """
     for seed in seeds:
         _check_seed(seed)
@@ -330,16 +345,23 @@ def simulate_replicates(
     n_plus = np.empty((len(seeds), m_total), dtype=np.int64)
     constants = _constants(config)
     c1, c2 = config.initial_state.c1, config.initial_state.c2
-    amplitudes = np.empty(4)
-    for row, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    # one group's block of uniforms at a time, all drawn into this buffer
+    drawn = np.empty(min(_LANES, len(seeds)) * min(_BLOCK_SERIES, m_total) * n)
+    for first in range(0, len(seeds), _LANES):
+        rngs = [np.random.default_rng(seed) for seed in seeds[first : first + _LANES]]
+        rows = slice(first, first + len(rngs))
+        amplitudes = np.empty((len(rngs), 4))
         amplitudes[:] = (c1.real, c1.imag, c2.real, c2.imag)
         for start in range(0, m_total, _BLOCK_SERIES):
             stop = min(start + _BLOCK_SERIES, m_total)
-            _advance(
-                amplitudes, constants, n, rng.random((stop - start) * n),
-                c2_sq[row, start:stop], n_plus[row, start:stop],
-            )
+            uniforms = drawn[: len(rngs) * (stop - start) * n].reshape(len(rngs), -1)
+            for rng, row in zip(rngs, uniforms):
+                rng.random(out=row)
+            block_c2_sq = np.empty((len(rngs), stop - start))
+            block_plus = np.empty((len(rngs), stop - start), dtype=np.int64)
+            _advance(amplitudes, constants, n, uniforms, block_c2_sq, block_plus)
+            c2_sq[rows, start:stop] = block_c2_sq
+            n_plus[rows, start:stop] = block_plus
     return c2_sq, _best_guesses(n_plus, n, config.params)
 
 

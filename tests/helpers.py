@@ -91,16 +91,17 @@ def reference_g2(count, n, params):
 
 
 def run_kernel(kernel, c1, c2, config, uniforms):
-    """Whole series through ``kernel`` from raw amplitudes: (c1, c2, c2_sq list, n_plus list)."""
-    amplitudes = np.array([c1.real, c1.imag, c2.real, c2.imag], dtype=float)
+    """Whole series through ``kernel`` from raw amplitudes, as a one-row call:
+    (c1, c2, c2_sq list, n_plus list)."""
+    amplitudes = np.array([[c1.real, c1.imag, c2.real, c2.imag]], dtype=float)
     series = len(uniforms) // config.n_per_series
-    c2_sq, n_plus = np.empty(series), np.empty(series, dtype=np.int64)
+    c2_sq, n_plus = np.empty((1, series)), np.empty((1, series), dtype=np.int64)
     kernel(
         amplitudes, _constants(config), config.n_per_series,
-        np.asarray(uniforms, dtype=float), c2_sq, n_plus,
+        np.asarray(uniforms, dtype=float)[None], c2_sq, n_plus,
     )
-    ar, ai, br, bi = amplitudes.tolist()
-    return complex(ar, ai), complex(br, bi), c2_sq.tolist(), n_plus.tolist()
+    ar, ai, br, bi = amplitudes[0].tolist()
+    return complex(ar, ai), complex(br, bi), c2_sq[0].tolist(), n_plus[0].tolist()
 
 
 def chain_against_reference(state, config, uniforms):
@@ -126,19 +127,17 @@ def restarted_series(state, config, uniforms):
 
     Series i reads ``uniforms[i * n : (i + 1) * n]``, so one
     ``rng.random(n * reps)`` gives the draws of ``reps`` successive
-    ``rng.random(n)`` calls.  Returns the amplitudes (Re c1, Im c1, Re c2,
-    Im c2) each series leaves behind, one row per series, and the "+"
-    counts.
+    ``rng.random(n)`` calls.  The series are the rows of one kernel call,
+    one series each.  Returns the amplitudes (Re c1, Im c1, Re c2, Im c2)
+    each series leaves behind, one row per series, and the "+" counts.
     """
     n = config.n_per_series
     series = len(uniforms) // n
-    constants = _constants(config)
     amplitudes = np.empty((series, 4))
     amplitudes[:] = (state.c1.real, state.c1.imag, state.c2.real, state.c2.imag)
-    c2_sq, n_plus = np.empty(series), np.empty(series, dtype=np.int64)
-    for i in range(series):
-        trajectory._advance(
-            amplitudes[i], constants, n, uniforms[i * n : (i + 1) * n],
-            c2_sq[i : i + 1], n_plus[i : i + 1],
-        )
-    return amplitudes, n_plus
+    c2_sq, n_plus = np.empty((series, 1)), np.empty((series, 1), dtype=np.int64)
+    trajectory._advance(
+        amplitudes, _constants(config), n, np.reshape(uniforms[: series * n], (series, n)),
+        c2_sq, n_plus,
+    )
+    return amplitudes, n_plus[:, 0]

@@ -19,8 +19,13 @@ import contextlib
 import ctypes
 import json
 import math
+import re
 import shutil
+import signal
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,6 +498,63 @@ def test_artifact_write_speed_smoke(benchmark, tmp_path, fig3_artifacts):
     assert data_rows(csv_path) == reference_rows(
         record.m, record.t, record.c2_sq, record.g2, processed
     )
+
+
+# writes text past a file-size limit of 4096 bytes in a fresh interpreter:
+# the write fails partway, with EFBIG once the limit is reached
+PARTWAY = """
+import resource, signal, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from unsharp_monitor import artifacts
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))
+try:
+    artifacts._write_text(Path(sys.argv[2]), "new " * 10000)
+except artifacts.ArtifactError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file-size limit here")
+@pytest.mark.parametrize("existing", [True, False], ids=["rewrite", "new"])
+def test_a_write_that_fails_partway_leaves_the_old_file(tmp_path, existing):
+    target = tmp_path / "spectrum.json"
+    if existing:
+        target.write_bytes(b"old bytes\n")
+    package = Path(artifacts.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", PARTWAY, str(package), str(target)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout == f"cannot write {target}: File too large\n"
+    assert list(tmp_path.iterdir()) == ([target] if existing else [])
+    if existing:
+        assert target.read_bytes() == b"old bytes\n"
+
+
+def test_a_rewrite_replaces_the_file_and_keeps_a_link(tmp_path):
+    real = tmp_path / "data" / "report.json"
+    real.parent.mkdir()
+    real.write_text("old", encoding="utf-8")
+    link = tmp_path / "report.json"
+    link.symlink_to(real)
+    inode = real.stat().st_ino
+    write_json(link, {"a": [1.5, 2.0]})
+    assert link.is_symlink() and link.resolve() == real
+    assert real.read_text(encoding="utf-8") == '{\n  "a": [\n    1.5,\n    2.0\n  ]\n}\n'
+    assert real.stat().st_ino != inode  # a new file, moved into place
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "report.json", "report.json"]
+
+
+def test_a_directory_in_the_way_leaves_no_temporary_file(tmp_path):
+    # nothing checks a sweep's target first, so the replace itself fails
+    target = tmp_path / "sweep.csv"
+    target.mkdir()
+    with pytest.raises(ArtifactError, match=f"^cannot write {re.escape(str(target))}: Is a directory$"):
+        artifacts.write_sweep_csv(target, [], 0, {})
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def as_double(bits: int) -> float:

@@ -569,6 +569,22 @@ class TestSweep:
         corr = float(np.corrcoef(columns["g2"], columns["c2_sq"])[0, 1])
         assert float(row["corr_raw"]) == pytest.approx(corr, abs=1e-12)
 
+    @pytest.mark.parametrize("budget", [1, 2 * 5 * 40], ids=["per-point", "two-points"])
+    def test_readout_batches_give_the_rows_of_one_batch(self, tmp_path, monkeypatch, budget):
+        # the points differ in dt (tau and n), and one is skipped: a batch
+        # must read each point's peak on that point's own frequency axis
+        argv = [
+            "sweep", "--p0", "0.5", "--dp=-0.3,0.08,1.5", "--tau", "0.002,0.005",
+            "--n", "5,9", "--m", "40", "--seeds-per-point", "5", "--seed", "3",
+        ]
+        assert run([*argv, "--out-dir", tmp_path / "one"]) == 0
+        monkeypatch.setattr(cli, "_READOUT_SAMPLES", budget)
+        assert run([*argv, "--out-dir", tmp_path / "split"]) == 0
+        one = (tmp_path / "one" / "sweep.csv").read_bytes()
+        assert one == (tmp_path / "split" / "sweep.csv").read_bytes()
+        rows, _ = read_sweep(tmp_path / "one" / "sweep.csv")
+        assert len(rows) == 8 and len({row["peak_freq_error"] for row in rows}) > 1
+
     def test_invalid_points_are_skipped_with_footer(self, tmp_path, capsys):
         out = tmp_path / "sw"
         assert run([

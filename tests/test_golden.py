@@ -4,7 +4,8 @@ Rerun-vs-rerun tests cannot see a change that shifts a float in every run
 alike; these digests can.  A change to the simulation or analysis code
 must leave them untouched.  The preset and ``analyze`` pins hold for both
 float writers, the compiled one and ``float.__repr__``, and the preset pins
-for both step loops, the compiled one and ``trajectory._python_advance``.
+and the 9-seed sweep pin for both step loops, the compiled one and
+``trajectory._python_advance``.
 
 The digests of ``spectrum.json`` and of the processed readout columns
 depend on numpy's FFT output, so a numpy upgrade that changes the FFT's
@@ -17,7 +18,7 @@ import json
 
 import pytest
 
-from unsharp_monitor import artifacts, trajectory
+from unsharp_monitor import artifacts, cli, trajectory
 from unsharp_monitor.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -67,6 +68,14 @@ SWEEP_ARGV = [
     "--m", "48", "--seeds-per-point", "3", "--seed", SEED,
 ]
 SWEEP_DIGEST = "1ac43628aa52b23d2b76a8b011486f97321efdce9252ab511de6c00a4db5d3e5"
+
+# 9 seeds per point: two full groups of four lanes and a tail row; dp = 1.5
+# is skipped, so the readout batch holds two points
+SWEEP_9_ARGV = [
+    "sweep", "--p0", "0.5", "--dp=-0.3,0.08,1.5", "--tau", "0.002", "--n", "5",
+    "--m", "48", "--seeds-per-point", "9", "--seed", SEED,
+]
+SWEEP_9_DIGEST = "3b38da4cf964a5a680449eb4215037edd5e9cc8d6bf3bf62a978fdade71356ed"
 
 
 def sha256(path) -> str:
@@ -144,3 +153,17 @@ def test_sweep_csv_is_pinned(tmp_path):
     out = tmp_path / "sweep"
     assert main([*SWEEP_ARGV, "--out-dir", str(out)]) == 0
     assert sha256(out / "sweep.csv") == SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("batch", ["one", "per-point"])
+@pytest.mark.parametrize("loop", ["compiled", "python"])
+def test_sweep_csv_of_lane_groups_is_pinned(tmp_path, monkeypatch, capsys, loop, batch):
+    if loop == "python":
+        monkeypatch.setattr(trajectory, "_advance", trajectory._python_advance)
+    if batch == "per-point":
+        # a budget of one sample reads each point out on its own
+        monkeypatch.setattr(cli, "_READOUT_SAMPLES", 1)
+    out = tmp_path / "sweep"
+    assert main([*SWEEP_9_ARGV, "--out-dir", str(out)]) == 0
+    assert "skipping grid point 2" in capsys.readouterr().err
+    assert sha256(out / "sweep.csv") == SWEEP_9_DIGEST

@@ -7,9 +7,11 @@ through both kernels and through ``rabi.evolve``,
 ``povm.outcome_probabilities`` and ``povm.apply_outcome`` and demand
 exact equality, so any change to either kernel's arithmetic fails here
 first.  They also drive the excursion and zero-norm checks of both
-kernels, hold every row of ``simulate_replicates`` to the one-seed
-trajectory, and check that the compiled kernel is built once, cached,
-and in use wherever a C compiler is.
+kernels, hold every row of a many-row call (the compiled kernel's lanes
+and its scalar tail) to the Python loop and every row of
+``simulate_replicates`` to the one-seed trajectory, stop a call at its
+first failing row, and check that the compiled kernel is built once,
+cached, and in use wherever a C compiler is.
 """
 
 import json
@@ -248,6 +250,9 @@ def test_a_tie_reads_minus_on_both_routes(c1):
     assert record.g2.tolist() == [reference_g2(0, 1, config.params)]
     for kernel in KERNELS.values():
         assert run_kernel(kernel, state.c1, state.c2, config, [u])[3] == [0]
+    # the same tie in every lane of a full group
+    _, g2 = simulate_replicates(config, [5] * 4)
+    assert g2.tolist() == [[reference_g2(0, 1, config.params)]] * 4
 
 
 # the golden test's complex initial state, off the drive's plane
@@ -319,24 +324,143 @@ def test_zero_norm_raises_degenerate_outcome(c1):
 
 @pytest.mark.parametrize(
     "changed, error",
-    [({"uniforms": np.zeros(5)}, ValueError),
-     ({"uniforms": np.zeros(6, dtype=np.float32)}, ValueError),
-     ({"n_plus": np.zeros(2, dtype=np.int32)}, ValueError),
-     ({"state": np.zeros(3)}, ValueError),
-     ({"c2_sq": np.zeros(4)[::2]}, TypeError)],
-    ids=["short-uniforms", "float32-uniforms", "int32-counts", "short-state", "strided-output"],
+    [({"uniforms": np.zeros((1, 5))}, ValueError),
+     ({"uniforms": np.zeros((1, 6), dtype=np.float32)}, ValueError),
+     ({"n_plus": np.zeros((1, 2), dtype=np.int32)}, ValueError),
+     ({"state": np.zeros((1, 3))}, ValueError),
+     ({"state": np.zeros((2, 4))}, ValueError),
+     ({"c2_sq": np.zeros(2), "n_plus": np.zeros(2, dtype=np.int64)}, ValueError),
+     ({"c2_sq": np.zeros((1, 4))[:, ::2]}, TypeError)],
+    ids=["short-uniforms", "float32-uniforms", "int32-counts", "short-state", "more-states",
+         "flat-outputs", "strided-output"],
 )
 def test_compiled_kernel_checks_its_buffers(changed, error):
     # the C loop trusts its pointers, so a buffer of the wrong size, dtype
     # or layout must be refused before the call
     config = quiet_config(params=PovmParams(0.5, 0.5), tau=0.0, n_per_series=3, m_series=2)
     buffers = {
-        "state": np.array([1.0, 0.0, 0.0, 0.0]), "constants": _constants(config),
-        "uniforms": np.zeros(6), "c2_sq": np.zeros(2), "n_plus": np.zeros(2, dtype=np.int64),
+        "state": np.array([[1.0, 0.0, 0.0, 0.0]]), "constants": _constants(config),
+        "uniforms": np.zeros((1, 6)), "c2_sq": np.zeros((1, 2)),
+        "n_plus": np.zeros((1, 2), dtype=np.int64),
     }
     buffers.update(changed)
     with pytest.raises(error):
         _compiled_advance(n=3, **buffers)
+
+
+def run_rows(kernel, states, config, uniforms, constants=None):
+    """Rows of raw amplitudes through one ``kernel`` call: (state list,
+    c2_sq, n_plus), or (state list, error) when the call raises.  Compare
+    two results by ``repr``, which holds a NaN equal to a NaN."""
+    state = np.array([[c.c1.real, c.c1.imag, c.c2.real, c.c2.imag] for c in states])
+    series = uniforms.shape[1] // config.n_per_series
+    c2_sq = np.empty((len(states), series))
+    n_plus = np.empty((len(states), series), dtype=np.int64)
+    if constants is None:
+        constants = _constants(config)
+    try:
+        kernel(state, constants, config.n_per_series, uniforms, c2_sq, n_plus)
+    except (StateError, DegenerateOutcomeError) as error:
+        return state.tolist(), (type(error), str(error))
+    return state.tolist(), c2_sq.tolist(), n_plus.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    states=st.lists(st.one_of(normalized_states(), in_plane_states()), min_size=1, max_size=9),
+    p1=probability,
+    p2=probability,
+    tau=tau_value,
+    n=st.integers(1, 30),
+    m_series=st.integers(1, 4),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_rows_of_a_call_are_bitwise_the_python_loop(states, p1, p2, tau, n, m_series, seed):
+    # every row count from 1 to 9: no lane group, one, two, and tails of
+    # every length; each row starts from its own state
+    config = chain_config(p1, p2, tau, n, m_series)
+    uniforms = np.random.default_rng(seed).random((len(states), n * m_series))
+    results = [run_rows(kernel, states, config, uniforms) for kernel in KERNELS.values()]
+    assert all(repr(result) == repr(results[0]) for result in results)
+    if len(results[0]) == 3:  # no row raised: each row is its one-row call
+        _, c2_sq, n_plus = results[0]
+        for row, state in enumerate(states):
+            alone = run_kernel(KERNELS["python"], state.c1, state.c2, config, uniforms[row].tolist())
+            assert repr(alone[2:]) == repr((c2_sq[row], n_plus[row]))
+
+
+# tau = 0, p1 = 1, p2 = 0: a measurement keeps |1> = (1, 0) on "+" and
+# scales it to the zero vector on "-", which u >= 1 reads; a state of norm
+# 2 gives p_plus = 4 and a NaN state p_plus = NaN, both excursions
+LANE_CONFIG = {"params": PovmParams(1.0, 0.0), "tau": 0.0, "n_per_series": 3, "m_series": 2}
+HEALTHY, LARGE, NOT_A_NUMBER = StateVector(1.0, 0.0), StateVector(2.0, 0.0), StateVector(math.nan, 0.0)
+
+
+@pytest.mark.parametrize("group", [0, 1], ids=["first-group", "second-group"])
+@pytest.mark.parametrize(
+    "lane2, lane3, error, message",
+    [
+        # lane 3 fails at the first step, lane 2 only in the second series:
+        # the row order, not the step, picks the error
+        ("zero-late", "nan", DegenerateOutcomeError, re.escape(_ZERO_NORM)),
+        ("large", "zero-late", StateError, r"p_plus = 4\.0 lies outside"),
+        (None, "nan", StateError, r"p_plus = nan lies outside"),
+        ("zero-late", None, DegenerateOutcomeError, re.escape(_ZERO_NORM)),
+        ("large", None, StateError, r"p_plus = 4\.0 lies outside"),
+    ],
+    ids=["zero-before-nan", "large-before-zero", "nan-in-lane-3", "zero-in-lane-2",
+         "large-in-lane-2"],
+)
+def test_a_failing_lane_raises_the_first_failing_row(group, lane2, lane3, error, message):
+    config = quiet_config(**LANE_CONFIG)
+    states = [HEALTHY] * 8
+    uniforms = np.full((8, 6), 0.3)
+    for lane, kind in ((2, lane2), (3, lane3)):
+        row = 4 * group + lane
+        if kind == "large":
+            states[row] = LARGE
+        elif kind == "nan":
+            states[row] = NOT_A_NUMBER
+        elif kind == "zero-late":
+            # the call's last measurement, so no later step meets the NaN
+            # that dividing by the zero norm leaves
+            uniforms[row, 5] = 1.5
+    results = [run_rows(kernel, states, config, uniforms) for kernel in KERNELS.values()]
+    assert all(repr(result) == repr(results[0]) for result in results)
+    after, (raised, text) = results[0]
+    assert raised is error and re.match(message, text)
+    # the rows before the failing one advanced, the others did not
+    first = 4 * group + 2 if lane2 else 4 * group + 3
+    assert repr(after) == repr([[1.0, 0.0, 0.0, 0.0]] * first + [
+        [c.c1.real, c.c1.imag, c.c2.real, c.c2.imag] for c in states[first:]
+    ])
+
+
+def test_a_negative_p_plus_in_a_lane_is_an_excursion():
+    # no PovmParams gives p1 < 0, so the constants are set by hand; |2>
+    # gives p_plus = 0 and stays, (0.6, 0.8) gives p_plus = -0.36, which
+    # reads "-", whose branch checks the lower bound, and keeps a nonzero norm
+    config = quiet_config(**LANE_CONFIG)
+    constants = _constants(config)
+    constants[2] = -1.0
+    uniforms = np.full((4, 6), 0.3)
+    states = [StateVector(0.0, 1.0)] * 3 + [StateVector(0.6, 0.8)]
+    results = [run_rows(kernel, states, config, uniforms, constants) for kernel in KERNELS.values()]
+    assert all(repr(result) == repr(results[0]) for result in results)
+    assert results[0][1] == (StateError, "p_plus = -0.36 lies outside [0, 1] beyond float slack")
+
+
+def test_a_flagged_lane_that_passes_its_rerun_gives_the_python_loop():
+    # p_plus = 2 lies above the slack, which the lanes flag; u = 5 reads it
+    # as "-", and the scalar loop tests a "-" only against the lower bound,
+    # so the row passes and the group's rerun must give the Python loop's rows
+    config = quiet_config(**LANE_CONFIG)
+    states = [HEALTHY] * 3 + [StateVector(math.sqrt(2.0), 0.5)]
+    uniforms = np.full((4, 6), 0.3)
+    uniforms[3, 0] = 5.0
+    results = [run_rows(kernel, states, config, uniforms) for kernel in KERNELS.values()]
+    assert all(repr(result) == repr(results[0]) for result in results)
+    assert len(results[0]) == 3 and results[0][2][3] == [0, 0]
 
 
 @pytest.mark.filterwarnings("ignore::unsharp_monitor.trajectory.SeriesBoundWarning")
@@ -372,6 +496,25 @@ def test_replicates_are_the_one_seed_trajectories(overrides):
         ]
 
 
+@pytest.mark.filterwarnings("ignore::unsharp_monitor.trajectory.SeriesBoundWarning")
+@pytest.mark.parametrize(
+    "preset, overrides",
+    [("fig1", {}), ("fig2", {}), ("fig3", {}), ("fig3", {"initial_state": GENERAL_STATE})],
+    ids=["fig1", "fig2", "fig3", "general"],
+)
+def test_every_row_count_gives_the_one_seed_trajectories(preset, overrides):
+    # 1..9 seeds: a lone tail row, tails of 2 and 3, one full group of four
+    # lanes, and two groups with tails of 1
+    config = load_run_config(preset=preset, overrides={"m_series": 60, **overrides}).trajectory
+    seeds = [3, 2**64 - 1, 0, 41, 7, 12345, 99, 2**63, 5]
+    alone = [simulate_trajectory(replace(config, seed=seed)) for seed in seeds]
+    for rows in range(1, len(seeds) + 1):
+        c2_sq, g2 = simulate_replicates(config, seeds[:rows])
+        for row, record in enumerate(alone[:rows]):
+            assert np.array_equal(c2_sq[row], record.c2_sq)
+            assert np.array_equal(g2[row], record.g2)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_replicates_reject_seeds_outside_64_bits(seed):
     config = quiet_config(params=PovmParams(0.5, 0.5), tau=0.0, n_per_series=1, m_series=1)
@@ -383,6 +526,7 @@ def test_replicates_reject_seeds_outside_64_bits(seed):
 def test_compiled_kernel_is_in_use():
     # with a compiler on PATH, a fallback to the Python loop is a failure
     assert trajectory._KERNEL is not None
+    assert trajectory._KERNEL is trajectory._LIBRARY.um_advance_rows
     assert trajectory._advance is _compiled_advance
     assert _kernel.library_path().is_file()
 
