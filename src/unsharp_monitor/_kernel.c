@@ -131,8 +131,9 @@ static int advance_lanes(double *state, const double *constants, int64_t n, int6
                 br[l] = ch * br[l] + s * ai[l];
                 bi[l] = ch * bi[l] - s * ar[l];
                 const double p_plus = p1 * (x * x + y * y) + p2 * (br[l] * br[l] + bi[l] * bi[l]);
-                /* a value above hi always reads "+" and one below lo or a
-                   NaN always reads "-", so this is the scalar loop's test */
+                /* every p_plus the scalar loop rejects, whichever way u
+                   reads it; for u outside [0, 1) also some it accepts,
+                   which the rerun then lets pass */
                 bad |= !(p_plus >= lo && p_plus <= hi);
                 const int plus = u < p_plus;
                 const double f1 = plus ? u1_plus : u1_minus;
