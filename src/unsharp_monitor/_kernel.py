@@ -1,7 +1,8 @@
 """Build, cache and load the compiled library of ``SOURCES``.
 
 The library holds the measurement kernel (``um_advance_rows`` in
-``_kernel.c``, which ``trajectory`` runs), the artifact float writer
+``_kernel.c``, which ``trajectory`` runs; it returns the row where it
+stopped and leaves the errors to the Python loop), the artifact float writer
 (``um_repr_rows`` and ``um_repr_join`` in ``_repr.c``) and the
 trajectory-CSV row parser (``um_parse_rows`` in ``_read.c``), which
 ``artifacts`` runs.  It is built
@@ -41,8 +42,6 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120
 _PLATFORM = sysconfig.get_platform().replace("-", "_").replace(".", "_")
 
-# um_advance_rows returns 0, or one of these when it stops early
-EXCURSION, ZERO_NORM = 1, 2
 # the longest float text _repr.c writes, and the longest index
 REPR_MAX, INDEX_MAX = 24, 20
 # _repr.c's tables: 125-bit entries for 5^i, i < 326, and 5^-q, q < 291
@@ -160,7 +159,7 @@ def load() -> ctypes.CDLL | None:
     except OSError:
         return None
     double_p, int64_p = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
-    library.um_advance_rows.restype = ctypes.c_int
+    library.um_advance_rows.restype = ctypes.c_int64  # the row it stopped in, or rows
     library.um_advance_rows.argtypes = (
         double_p,  # state, rows x 4
         double_p,  # constants
@@ -170,7 +169,6 @@ def load() -> ctypes.CDLL | None:
         double_p,  # uniforms, rows x (n * series)
         double_p,  # c2_sq, rows x series
         int64_p,  # n_plus, rows x series
-        double_p,  # excursion
     )
     library.um_repr_join.restype = ctypes.c_int64
     library.um_repr_join.argtypes = (

@@ -460,9 +460,15 @@ def write_json(path: str | Path, payload: dict[str, Any]) -> None:
     _write_text(Path(path), dump_json(payload))
 
 
-def write_report_json(path: str | Path, report: dict[str, Any], echo: dict[str, Any]) -> None:
-    payload = {"schema": SCHEMA_VERSION, "config": echo}
-    payload.update(report)
+def report_payload(report: dict[str, Any], echo: dict[str, Any]) -> dict[str, Any]:
+    """The report object that ``report`` prints and report.json holds: the
+    schema, the resolved config ``echo``, then the fields of ``report``."""
+    return {"schema": SCHEMA_VERSION, "config": echo, **report}
+
+
+def write_report_json(path: str | Path, payload: dict[str, Any]) -> None:
+    """Write report.json, ``report_payload``'s object, as ``write_json`` does;
+    a writer of its own name, so a trace of the writers tells it apart."""
     write_json(path, payload)
 
 

@@ -37,6 +37,7 @@ from .config import (
 from .povm import ParameterError, StateError
 from .spectral import (
     AnalysisError,
+    angular_frequency,
     process_readout,
     process_readouts,
     row_correlations,
@@ -77,7 +78,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         record.c2_sq, record.g2, processed, echo,
     )
     artifacts.write_json(out_dir / "spectrum.json", payload)
-    artifacts.write_report_json(out_dir / "report.json", report, echo)
+    artifacts.write_report_json(out_dir / "report.json", artifacts.report_payload(report, echo))
     if args.gnuplot:
         artifacts.write_gnuplot_script(plot_path, csv_path.name)
     print(
@@ -89,13 +90,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.preset, {"seed": args.seed})
-    report = build_report(config)
-    payload = {"schema": artifacts.SCHEMA_VERSION, "config": config.resolved()}
-    payload.update(report)
+    payload = artifacts.report_payload(build_report(config), config.resolved())
     target = args.out_dir if args.out_dir is not None else config.out_dir
     if target is not None:
-        out_dir = _out_dir(target)
-        artifacts.write_report_json(out_dir / "report.json", report, config.resolved())
+        artifacts.write_report_json(_out_dir(target) / "report.json", payload)
     sys.stdout.write(artifacts.dump_json(payload))
     return 0
 
@@ -232,8 +230,7 @@ def _sweep_rows(
     index = np.array([spectrum.main_peak_index or 0 for spectrum in spectra])
     dt = np.repeat([point.config.trajectory.delta_t for point in points], replicates)
     m = g2.shape[1]
-    # the frequency of bin l is 2 pi l / (m dt), the spectrum's own axis
-    frequency = 2.0 * math.pi * index / (m * dt)
+    frequency = angular_frequency(index, m, dt)  # the spectrum's own axis
     omega_r = shared.trajectory.spec.omega_r
     errors = np.where(index > 0, np.abs(frequency / omega_r - 1.0), math.nan)
     significant = np.array([spectrum.peak_significant for spectrum in spectra])

@@ -11,7 +11,7 @@ from typing import Any, Iterable
 
 from .povm import ParameterError, PovmParams, StateError, StateVector, ensure_normalized
 from .rabi import HamiltonianSpec
-from .spectral import classify_regime
+from .spectral import angular_frequency, classify_regime
 from .trajectory import TrajectoryConfig
 
 SCHEMA_VERSION = "unsharp-monitor/1"
@@ -203,11 +203,11 @@ def check_frequency_axis(m: int, dt: float, t_r: float, spacing: str = "tau") ->
     or whose w_l / omega_r, omega_r = 2 pi / t_r, is not finite.
 
     ``spacing`` names the field ``dt`` comes from.  The top bin is computed
-    as ``spectral`` computes the axis, and both quotients grow with l, so
+    by ``spectral``'s ``angular_frequency``, and both quotients grow with l, so
     the check holds exactly when every value written does.
     """
     omega_r = 2.0 * math.pi / t_r
-    top = 2.0 * math.pi * (m - 1) / (m * dt) if 0.0 < dt and m * dt < math.inf else math.inf
+    top = angular_frequency(m - 1, m, dt) if 0.0 < dt and m * dt < math.inf else math.inf
     if omega_r < math.inf and not top < math.inf:
         raise ConfigError(
             spacing, f"M = {m} samples at dt = {dt!r} give no finite frequency axis 2 pi l / (M dt)"

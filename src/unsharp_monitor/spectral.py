@@ -73,6 +73,12 @@ class PeakInfo(NamedTuple):
     significant: bool
 
 
+def angular_frequency(index, m: int, dt):
+    """w_l = 2 pi l / (m dt) of bin ``index`` (an int or an int array) of a
+    readout of ``m`` samples at spacing ``dt`` (a float or an array)."""
+    return 2.0 * math.pi * index / (m * dt)
+
+
 def _searched_range(m: int) -> slice:
     return slice(1, m // 2 + 1)
 
@@ -170,7 +176,7 @@ def _records(
     weights=None,
 ) -> list[SpectrumRecord]:
     m = coefficients.shape[1]
-    frequencies = 2.0 * math.pi * np.arange(m) / (m * dt)
+    frequencies = angular_frequency(np.arange(m), m, dt)
     return [
         SpectrumRecord(
             dt=dt,

@@ -158,8 +158,9 @@ class TrajectoryRecord:
 # Series per block of pre-drawn uniforms; bounds the memory a long
 # trajectory holds at once (at most 64 uniforms per series).
 _BLOCK_SERIES = 1024
-# Rows per kernel call in simulate_replicates: _kernel.c's LANES, so a
-# group fills the interleaved lanes once
+# _kernel.c's LANES: the rows per kernel call in simulate_replicates, so a
+# group fills the interleaved lanes once, and the rows a stopped group
+# runs through the Python loop
 _LANES = 4
 
 
@@ -196,8 +197,10 @@ def _python_advance(
     run one after another, so an error stops the call in the first row that
     raises it, with the rows before it advanced.
 
-    This loop is the readable reference and the portable fallback;
-    ``_compiled_advance`` runs the same lines compiled from ``_kernel.c``.
+    This loop is the readable reference, the portable fallback and the one
+    place that raises: ``_compiled_advance`` runs the same lines compiled
+    from ``_kernel.c``, which only stops, and hands the rows where it
+    stopped to this loop.
 
     The step is that of ``rabi.evolve``,
     ``povm.outcome_probabilities`` and ``povm.apply_outcome`` with the
@@ -280,14 +283,15 @@ def _compiled_advance(
 ) -> None:
     """``_python_advance`` compiled from ``_kernel.c``, with the same doubles and errors.
 
-    The kernel runs the rows four at a time in interleaved lanes and a
-    tail of fewer rows one at a time; a group of four that meets an
-    excursion or a zero norm is rerun row by row, so the call stops in the
-    row ``_python_advance`` stops in, with its error.  The kernel reads and
-    writes the buffers through raw pointers, so their shapes and dtypes
-    are checked here, and ``from_buffer`` refuses any buffer that is not
-    C-contiguous and writable.  The kernel reports an excursion or a zero
-    norm by a status code, raised here as the Python loop raises it.
+    The kernel raises nothing: it returns the row where p_plus left
+    [lo, hi] or the norm was zero (in a group of four lanes, the group's
+    first row).  That row and the rest of its group run through
+    ``_python_advance``, which raises the first failing row's error or,
+    when only a uniform outside [0, 1) let the step pass, advances them;
+    the kernel then resumes after them.  The kernel reads and writes the
+    buffers through raw pointers, so their shapes and dtypes are checked
+    here, and ``from_buffer`` refuses any buffer that is not C-contiguous
+    and writable.
     """
     # no buffer has a shape of -1 rows, so an output of another rank is refused
     rows, series = c2_sq.shape if c2_sq.ndim == 2 else (-1, -1)
@@ -299,17 +303,19 @@ def _compiled_advance(
     ):
         raise ValueError("kernel buffers do not match the series: shapes or dtypes differ")
     double, int64 = ctypes.c_double, ctypes.c_int64
-    excursion = double()
-    status = _KERNEL(
-        double.from_buffer(state), double.from_buffer(constants), n, series, rows,
-        double.from_buffer(uniforms), double.from_buffer(c2_sq), int64.from_buffer(n_plus),
-        excursion,
-    )
-    if status == _kernel.EXCURSION:
-        # the kernel reports only values outside [lo, hi], so this raises
-        _clamp_probability(excursion.value, "p_plus")
-    elif status == _kernel.ZERO_NORM:
-        raise DegenerateOutcomeError(_ZERO_NORM)
+    done = 0
+    while done < rows:
+        stop = done + _KERNEL(
+            double.from_buffer(state[done:]), double.from_buffer(constants), n, series,
+            rows - done, double.from_buffer(uniforms[done:]), double.from_buffer(c2_sq[done:]),
+            int64.from_buffer(n_plus[done:]),
+        )
+        if stop == rows:
+            return
+        done = min(stop + _LANES, rows)
+        _python_advance(
+            state[stop:done], constants, n, uniforms[stop:done], c2_sq[stop:done], n_plus[stop:done]
+        )
 
 
 _advance = _python_advance if _KERNEL is None else _compiled_advance

@@ -10,8 +10,10 @@ first.  They also drive the excursion and zero-norm checks of both
 kernels, hold every row of a many-row call (the compiled kernel's lanes
 and its scalar tail) to the Python loop and every row of
 ``simulate_replicates`` to the one-seed trajectory, stop a call at its
-first failing row, and check that the compiled kernel is built once,
-cached, and in use wherever a C compiler is.
+first failing row in a lane group or in the tail, resume the compiled
+kernel after a group it stopped in but the Python loop passes, and check
+that the compiled kernel is built once, cached, and in use wherever a C
+compiler is.
 """
 
 import json
@@ -396,7 +398,10 @@ LANE_CONFIG = {"params": PovmParams(1.0, 0.0), "tau": 0.0, "n_per_series": 3, "m
 HEALTHY, LARGE, NOT_A_NUMBER = StateVector(1.0, 0.0), StateVector(2.0, 0.0), StateVector(math.nan, 0.0)
 
 
-@pytest.mark.parametrize("group", [0, 1], ids=["first-group", "second-group"])
+# the row of lane 0 of the failing lanes 2 and 3: of the first and the
+# second group of a 10-row call, or 6, which puts them in its two tail
+# rows, so that the scalar loop stops the call
+@pytest.mark.parametrize("start", [0, 4, 6], ids=["first-group", "second-group", "tail"])
 @pytest.mark.parametrize(
     "lane2, lane3, error, message",
     [
@@ -411,12 +416,12 @@ HEALTHY, LARGE, NOT_A_NUMBER = StateVector(1.0, 0.0), StateVector(2.0, 0.0), Sta
     ids=["zero-before-nan", "large-before-zero", "nan-in-lane-3", "zero-in-lane-2",
          "large-in-lane-2"],
 )
-def test_a_failing_lane_raises_the_first_failing_row(group, lane2, lane3, error, message):
+def test_a_failing_lane_raises_the_first_failing_row(start, lane2, lane3, error, message):
     config = quiet_config(**LANE_CONFIG)
-    states = [HEALTHY] * 8
-    uniforms = np.full((8, 6), 0.3)
+    states = [HEALTHY] * 10
+    uniforms = np.full((10, 6), 0.3)
     for lane, kind in ((2, lane2), (3, lane3)):
-        row = 4 * group + lane
+        row = start + lane
         if kind == "large":
             states[row] = LARGE
         elif kind == "nan":
@@ -430,7 +435,7 @@ def test_a_failing_lane_raises_the_first_failing_row(group, lane2, lane3, error,
     after, (raised, text) = results[0]
     assert raised is error and re.match(message, text)
     # the rows before the failing one advanced, the others did not
-    first = 4 * group + 2 if lane2 else 4 * group + 3
+    first = start + 2 if lane2 else start + 3
     assert repr(after) == repr([[1.0, 0.0, 0.0, 0.0]] * first + [
         [c.c1.real, c.c1.imag, c.c2.real, c.c2.imag] for c in states[first:]
     ])
@@ -451,13 +456,19 @@ def test_a_negative_p_plus_in_a_lane_is_an_excursion():
 
 
 def test_a_flagged_lane_that_passes_its_rerun_gives_the_python_loop():
-    # p_plus = 2 lies above the slack, which the lanes flag; u = 5 reads it
-    # as "-", and the scalar loop tests a "-" only against the lower bound,
-    # so the row passes and the group's rerun must give the Python loop's rows
+    # p_plus = 2 lies above the slack, where the compiled kernel stops; u = 5
+    # reads it as "-", and the Python loop tests a "-" only against the lower
+    # bound, so the row passes and the first group, rerun there, must give
+    # the Python loop's rows.  The call then resumes compiled: the second
+    # group and the tail row start from states of their own phases and read
+    # their own uniforms, so they must also give the Python loop's rows
     config = quiet_config(**LANE_CONFIG)
-    states = [HEALTHY] * 3 + [StateVector(math.sqrt(2.0), 0.5)]
-    uniforms = np.full((4, 6), 0.3)
+    states = [HEALTHY] * 3 + [StateVector(math.sqrt(2.0), 0.5)] + [
+        StateVector(0.6 * complex(math.cos(k), math.sin(k)), 0.8) for k in range(5)
+    ]
+    uniforms = np.full((9, 6), 0.3)
     uniforms[3, 0] = 5.0
+    uniforms[4:] = np.random.default_rng(3).random((5, 6))
     results = [run_rows(kernel, states, config, uniforms) for kernel in KERNELS.values()]
     assert all(repr(result) == repr(results[0]) for result in results)
     assert len(results[0]) == 3 and results[0][2][3] == [0, 0]
