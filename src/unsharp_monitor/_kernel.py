@@ -2,25 +2,24 @@
 
 The library holds the measurement kernel (``um_advance_rows`` in
 ``_kernel.c``, which ``trajectory`` runs; it returns the row where it
-stopped and leaves the errors to the Python loop), the artifact float writer
-(``um_repr_rows`` and ``um_repr_join`` in ``_repr.c``) and the
-trajectory-CSV row parser (``um_parse_rows`` in ``_read.c``), which
-``artifacts`` runs.  It is built
-on first use with the interpreter's C compiler (``sysconfig``'s ``CC``) and
-cached in this package's ``__pycache__/`` under a name keyed on the
-sources, the flags and the platform, so later processes load it without
-compiling.  The compiler writes a temporary file that ``os.replace`` then
-moves into place, so a process never loads a half-written library, however
-many build it at once.
+stopped and leaves the errors to the Python loop), and the artifact float
+writer (``um_repr_rows`` and ``um_repr_join``) and trajectory-CSV row
+parser (``um_parse_rows``) in ``_repr.c``, which ``artifacts`` runs.  It
+is built on first use with the interpreter's C compiler (``sysconfig``'s
+``CC``) and cached in this package's ``__pycache__/`` under a name keyed
+on the sources, the flags and the platform, so later processes load it
+without compiling.  The compiler writes a temporary file that
+``os.replace`` then moves into place, so a process never loads a
+half-written library, however many build it at once.
 
 A build deletes the libraries that older sources left in the cache.
 ``load`` returns None when there is no compiler, the build fails, the
-cache directory cannot be written or the library refuses one of its
-power-of-5 tables, which ``load`` computes with Python integers
-(``pow5_tables`` and ``parse_table``); ``trajectory`` then runs its Python
-loop, which gives the same doubles, and ``artifacts`` formats with
-``float.__repr__`` and parses with ``float()``, which give the same text
-and the same doubles.
+cache directory cannot be written or the library refuses the table of
+128-bit powers of ten that the writer and the parser share, which
+``load`` computes with Python integers (``pow10_table``); ``trajectory``
+then runs its Python loop, which gives the same doubles, and ``artifacts``
+formats with ``float.__repr__`` and parses with ``float()``, which give
+the same text and the same doubles.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import tempfile
 import zlib
 from pathlib import Path
 
-SOURCES = tuple(Path(__file__).with_name(name) for name in ("_kernel.c", "_repr.c", "_read.c"))
+SOURCES = tuple(Path(__file__).with_name(name) for name in ("_kernel.c", "_repr.c"))
 # -ffp-contract=off rounds every multiply and add on its own, as Python
 # does; -ffast-math, never passed, would also let the compiler regroup sums
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -44,10 +43,8 @@ _PLATFORM = sysconfig.get_platform().replace("-", "_").replace(".", "_")
 
 # the longest float text _repr.c writes, and the longest index
 REPR_MAX, INDEX_MAX = 24, 20
-# _repr.c's tables: 125-bit entries for 5^i, i < 326, and 5^-q, q < 291
-POW5_BITS, POW5_COUNT, POW5_INV_COUNT = 125, 326, 291
-# _read.c's table: 128-bit entries for 5^q, PARSE_MIN_Q <= q <= PARSE_MAX_Q
-PARSE_BITS, PARSE_MIN_Q, PARSE_MAX_Q = 128, -342, 308
+# _repr.c's table: 128-bit entries for 10^q, POW10_MIN_Q <= q <= POW10_MAX_Q
+POW10_BITS, POW10_MIN_Q, POW10_MAX_Q = 128, -342, 324
 
 
 def compiler() -> list[str] | None:
@@ -94,14 +91,6 @@ def _build(path: Path) -> None:
             stale.unlink(missing_ok=True)  # another process may prune it first
 
 
-def _powers_of_5(count: int) -> list[int]:
-    """5^i for 0 <= i < count."""
-    powers = [1]
-    for _ in range(count - 1):
-        powers.append(5 * powers[-1])
-    return powers
-
-
 def _top_bits(value: int, bits: int) -> int:
     """``value`` shifted to ``bits`` bits, truncated."""
     return value << bits >> value.bit_length()
@@ -115,39 +104,30 @@ def _reciprocal(value: int, bits: int) -> int:
 _ENTRY = struct.Struct("=QQ")
 
 
-def _packed(table: list[int]) -> tuple[bytes, int]:
-    """A table of 128-bit integers as {low, high} 64-bit words, in the
-    machine's byte order, and its length."""
-    return b"".join([_ENTRY.pack(value % 2**64, value >> 64) for value in table]), len(table)
+def pow10_table() -> tuple[bytes, int]:
+    """``_repr.c``'s table as ``um_install_table`` takes it, {low, high}
+    64-bit words per entry in the machine's byte order, and its length.
 
-
-def pow5_tables() -> tuple[bytes, int, bytes, int]:
-    """``_repr.c``'s tables as ``um_install_tables`` takes them.
-    ``POW5[i]`` is 5^i shifted to 125 bits and ``POW5_INV[q]`` is
-    2^(bits(5^q) + 124) // 5^q + 1, both exact."""
-    powers = _powers_of_5(POW5_COUNT)
-    pow5 = [_top_bits(p, POW5_BITS) for p in powers]
-    pow5_inv = [_reciprocal(p, POW5_BITS) + 1 for p in powers[:POW5_INV_COUNT]]
-    return _packed(pow5) + _packed(pow5_inv)
-
-
-def parse_table() -> tuple[bytes, int]:
-    """``_read.c``'s table as ``um_install_parse_table`` takes it: 5^q for
-    ``PARSE_MIN_Q <= q <= PARSE_MAX_Q`` shifted to 128 bits, as the
-    fast_float library tabulates it.  5^q itself, truncated, for q >= 0;
-    the truncated reciprocal for q < 0, plus one where 5^-q < 2^64."""
-    powers = _powers_of_5(max(-PARSE_MIN_Q, PARSE_MAX_Q) + 1)
-    negative = [
-        _reciprocal(powers[k], PARSE_BITS) + (powers[k] < 2**64)
-        for k in range(-PARSE_MIN_Q, 0, -1)
+    Entry q, for ``POW10_MIN_Q <= q <= POW10_MAX_Q``, holds the 128
+    leading bits of 10^q, which are those of 5^q, as the fast_float library
+    tabulates them: 5^q itself, truncated, for q >= 0, and the truncated
+    reciprocal of 5^-q for q < 0, plus one where 5^-q < 2^64.
+    """
+    power, powers = 1, [1]
+    for _ in range(max(-POW10_MIN_Q, POW10_MAX_Q)):
+        power *= 5
+        powers.append(power)
+    table = [
+        _reciprocal(powers[k], POW10_BITS) + (powers[k] < 2**64)
+        for k in range(-POW10_MIN_Q, 0, -1)
     ]
-    positive = [_top_bits(p, PARSE_BITS) for p in powers[:PARSE_MAX_Q + 1]]
-    return _packed(negative + positive)
+    table += [_top_bits(p, POW10_BITS) for p in powers[:POW10_MAX_Q + 1]]
+    return b"".join([_ENTRY.pack(value % 2**64, value >> 64) for value in table]), len(table)
 
 
 @functools.cache
 def load() -> ctypes.CDLL | None:
-    """The cached library, typed and its tables in, built first if need be; None if unavailable.
+    """The cached library, typed and its table in, built first if need be; None if unavailable.
 
     Cached, so each process loads the library once, however many modules use it.
     """
@@ -195,10 +175,8 @@ def load() -> ctypes.CDLL | None:
         ctypes.c_void_p,  # out, C-contiguous doubles
         ctypes.c_int64,  # capacity, in doubles
     )
-    library.um_install_tables.restype = ctypes.c_int
-    library.um_install_tables.argtypes = (ctypes.c_char_p, ctypes.c_int64) * 2  # pow5_tables()
-    library.um_install_parse_table.restype = ctypes.c_int
-    library.um_install_parse_table.argtypes = (ctypes.c_char_p, ctypes.c_int64)  # parse_table()
-    if library.um_install_tables(*pow5_tables()) or library.um_install_parse_table(*parse_table()):
+    library.um_install_table.restype = ctypes.c_int
+    library.um_install_table.argtypes = (ctypes.c_char_p, ctypes.c_int64)  # pow10_table()
+    if library.um_install_table(*pow10_table()):
         return None
     return library

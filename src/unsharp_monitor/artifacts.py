@@ -23,7 +23,7 @@ time:
   per float, which gives the same bytes.
 - ``read_trajectory_csv`` reads the file once as bytes and decodes only
   the lines up to the header.  The data rows after it go to one call into
-  the compiled library (``um_parse_rows`` in ``_read.c``), which reads
+  the compiled library (``um_parse_rows`` in ``_repr.c``), which reads
   exactly the rows ``write_trajectory_csv`` writes (five fields in
   ``repr``'s spelling, ``\\n`` endings) into the doubles ``float()`` gives,
   and declines everything else as a whole.  Where it declines, or no
@@ -144,9 +144,9 @@ _WRITER = _LIBRARY
 
 def _decoded_body(out: np.ndarray, size: int) -> str:
     """The ``size`` ASCII bytes a compiled writer put at the start of ``out``."""
-    if size < 0:  # the capacity is right, so the library has no tables
+    if size < 0:  # the capacity is right, so the library has no table
         raise RuntimeError(
-            "the float writer wrote nothing: its power-of-5 tables are not installed"
+            "the float writer wrote nothing: its power-of-ten table is not installed"
         )
     return str(out[:size], "ascii")
 

@@ -36,6 +36,7 @@ from .config import (
 )
 from .povm import ParameterError, StateError
 from .spectral import (
+    MIN_SAMPLES,
     AnalysisError,
     angular_frequency,
     process_readout,
@@ -100,6 +101,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     echo, columns = artifacts.read_trajectory_csv(args.csv)
+    rows = len(columns["g2"])
+    if rows < MIN_SAMPLES:
+        raise ArtifactError(
+            f"{args.csv}: need at least {MIN_SAMPLES} data rows for a spectrum, got {rows}"
+        )
     finite = np.isfinite(columns["g2"])
     if not finite.all():
         # one non-finite G2 would turn the whole processed readout into NaN

@@ -30,6 +30,8 @@ import numpy as np
 
 from .povm import ParameterError
 
+# the fewest samples a readout takes
+MIN_SAMPLES = 4
 _FLAT_TOL = 1e-15
 _NOISE_FLOOR_REL = 1e-12
 _NO_PEAK = "no main peak found; truncation skipped"
@@ -95,9 +97,11 @@ def _phases(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _samples(values, dt: float, ndim: int) -> np.ndarray:
     x = np.asarray(values, dtype=float)
-    if x.ndim != ndim or x.shape[-1] < 4 or x.size == 0:
+    if x.ndim != ndim or x.shape[-1] < MIN_SAMPLES or x.size == 0:
         what = "sequence" if ndim == 1 else "array of readouts, one per row,"
-        raise AnalysisError(f"need a {ndim}-d {what} of at least 4 samples, got shape {x.shape}")
+        raise AnalysisError(
+            f"need a {ndim}-d {what} of at least {MIN_SAMPLES} samples, got shape {x.shape}"
+        )
     if not 0.0 < dt < math.inf:  # also rejects nan
         raise ParameterError(f"dt = {dt!r} must be finite and > 0")
     return x

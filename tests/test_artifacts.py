@@ -8,11 +8,11 @@
 and raise the same error naming the same line for any malformed file.
 The compiled float writer must write the Python route's bytes, one
 ``float.__repr__`` text per double, in its CSV rows and joined arrays,
-wherever the library loaded, and write nothing before its tables are
-installed or into a buffer too small for the worst case.  The compiled row
-parse must give ``float()``'s double for every field it reads, decline
-every text ``repr`` never writes, and read nothing before its table is
-installed.
+wherever the library loaded, also where it is built without
+``unsigned __int128``, and write nothing before its table is installed or
+into a buffer too small for the worst case.  The compiled row parse must
+give ``float()``'s double for every field it reads, decline every text
+``repr`` never writes, and read nothing before that table is installed.
 """
 
 import contextlib
@@ -636,42 +636,80 @@ def raw_rows(library, index: np.ndarray, columns: np.ndarray, short: int = 0) ->
     return written(out, size)
 
 
+# row indices of many digit counts, the int64 extremes first
+INDEX_EDGES = [
+    -(2**63), 2**63 - 1, 0, -1, 9, 10, 10**8 - 1, 10**8, -(10**8), 10**16 - 1, 10**16,
+    -(10**16) - 1, 10**18, 10**18 - 1, 1234567890123456789, 99, 100, 7,
+]
+
+
 def writer_inputs(values: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The values, an index 1..n, and two columns of them for ``um_repr_rows``."""
+    """The values, an index of ``INDEX_EDGES`` as long, and two columns of
+    them for ``um_repr_rows``."""
     array = np.array(values, dtype=float)
-    return array, np.arange(1, len(array) + 1), np.array([array, -array[::-1]])
+    index = np.resize(np.array(INDEX_EDGES, dtype=np.int64), len(array))
+    return array, index, np.array([array, -array[::-1]])
 
 
-@needs_library
-def test_the_formatter_needs_tables_of_the_right_length(tmp_path, monkeypatch):
-    # a second copy of the library has statics of its own: no tables in yet
-    shutil.copy(_kernel.library_path(), tmp_path / "copy.so")
-    library = ctypes.CDLL(str(tmp_path / "copy.so"))
-    for name in ("um_repr_join", "um_repr_rows", "um_install_tables"):
+def typed_copy(path: Path) -> ctypes.CDLL:
+    """The library at ``path``, its entry points typed as ``artifacts._LIBRARY``'s."""
+    library = ctypes.CDLL(str(path))
+    for name in ("um_repr_join", "um_repr_rows", "um_parse_rows", "um_install_table"):
         typed = getattr(artifacts._LIBRARY, name)
         getattr(library, name).argtypes = typed.argtypes
         getattr(library, name).restype = typed.restype
+    return library
+
+
+# rows as write_trajectory_csv writes them, and their doubles
+PARSED_TEXT = b"1,0.5,-0.0,nan,-inf\n2,1e-05,1e+16,123.0,0.1\n"
+PARSED = [[1.0, 0.5, -0.0, math.nan, -math.inf], [2.0, 1e-05, 1e16, 123.0, 0.1]]
+
+
+def raw_parse(library, text: bytes) -> tuple[int, np.ndarray]:
+    """``um_parse_rows`` of ``text`` into an output of 0.25s: its return and the output."""
+    buffer = np.frombuffer(text, dtype=np.uint8)
+    out = np.full((text.count(b"\n"), 5), 0.25)
+    return library.um_parse_rows(buffer.ctypes.data, len(buffer), out.ctypes.data, out.size), out
+
+
+@needs_library
+def test_the_library_needs_a_table_of_the_right_length(tmp_path, monkeypatch):
+    # a second copy of the library has statics of its own: no table in yet
+    shutil.copy(_kernel.library_path(), tmp_path / "copy.so")
+    library = typed_copy(tmp_path / "copy.so")
     values, index, columns = writer_inputs(EDGE_DOUBLES)
 
-    def writes():
-        return raw_join(library, values, ","), raw_rows(library, index, columns)
+    def calls():
+        """What the two writers and the parse return, None for -1; each
+        asserts that a call returning -1 wrote nothing."""
+        count, parsed = raw_parse(library, PARSED_TEXT)
+        if count == -1:
+            assert (parsed == 0.25).all()
+            parsed = None
+        else:
+            assert count == 2
+        return raw_join(library, values, ","), raw_rows(library, index, columns), parsed
 
-    assert writes() == (None, None)
+    assert calls() == (None, None, None)
     monkeypatch.setattr(artifacts, "_WRITER", library)
-    with pytest.raises(RuntimeError, match="tables are not in"):
+    with pytest.raises(RuntimeError, match="table is not installed"):
         artifacts._joined(values, ",")
-    with pytest.raises(RuntimeError, match="tables are not in"):
+    with pytest.raises(RuntimeError, match="table is not installed"):
         artifacts._csv_rows(index, *columns)
 
-    pow5, n, pow5_inv, n_inv = _kernel.pow5_tables()
-    for counts in [(n - 1, n_inv), (n + 1, n_inv), (n, n_inv - 1), (n, n_inv + 1)]:
-        assert library.um_install_tables(pow5, counts[0], pow5_inv, counts[1]) == -1
-        assert writes() == (None, None)
-    assert library.um_install_tables(pow5, n, pow5_inv, n_inv) == 0
+    table, n = _kernel.pow10_table()
+    for count in (n - 1, n + 1, 0):
+        assert library.um_install_table(table, count) == -1
+        assert calls() == (None, None, None)
+    assert library.um_install_table(table, n) == 0
+    joined, rows, parsed = calls()
     compiled = artifacts._joined(values, ","), artifacts._csv_rows(index, *columns)
-    assert writes() == compiled
+    assert (joined, rows) == compiled
     with python_writer():
         assert compiled == (artifacts._joined(values, ","), artifacts._csv_rows(index, *columns))
+    assert np.array_equal(parsed, PARSED, equal_nan=True)
+    assert np.array_equal(np.signbit(parsed), np.signbit(PARSED))
 
 
 @needs_library
@@ -739,7 +777,17 @@ def test_compiled_texts_match_float_repr_at_every_binary_exponent():
     )
     patterns = np.random.default_rng(20261018).integers(0, 2**64, 200_000, dtype=np.uint64)
     exponents = np.concatenate([powers_of_two, near_powers_of_ten])
-    values = np.concatenate([exponents, -exponents, patterns.view(np.float64)])
+    # values whose shortest text is short, so that trailing zeros are
+    # stripped from a one digit shorter number in every count up to 15
+    k = np.arange(1.0, 1000.0)
+    short = np.concatenate([
+        np.arange(1.0, 10**5 + 1),
+        2.0**53 + np.arange(-1000.0, 1000.0),
+        *[k / 10.0**j for j in range(18)],
+        *[k * 10.0**j for j in range(21)],
+        [1e21, 1e22, 1e23, 2e22, 9e22],
+    ])
+    values = np.concatenate([exponents, -exponents, patterns.view(np.float64), short])
     assert artifacts._joined(values, ",") == ",".join(repr_texts(values))
     columns = exponents.reshape(2, -1)
     rows = artifacts._csv_rows(np.arange(1, columns.shape[1] + 1), *columns, *-columns)
@@ -766,6 +814,40 @@ def test_compiled_texts_copy_what_the_pointer_cannot_read():
         artifacts._csv_rows(np.arange(12).reshape(3, 4), values)
 
 
+@needs_cc
+@needs_library
+def test_the_portable_product_writes_and_reads_as_the_python_routes(tmp_path):
+    # the float text source built without unsigned __int128, as a compiler
+    # without it builds it: umul128's portable body does every product
+    source = next(path for path in _kernel.SOURCES if path.name == "_repr.c")
+    path = tmp_path / "portable.so"
+    subprocess.run(
+        [*_kernel.compiler(), *_kernel.FLAGS, "-U__SIZEOF_INT128__", "-o", str(path), str(source)],
+        check=True, capture_output=True, timeout=_kernel.BUILD_TIMEOUT_S,
+    )
+    library = typed_copy(path)
+    assert library.um_install_table(*_kernel.pow10_table()) == 0
+    patterns = np.random.default_rng(20261020).integers(0, 2**64, 100_000, dtype=np.uint64)
+    values = np.concatenate([EDGE_DOUBLES, patterns.view(np.float64)])
+    index = np.arange(1, len(values) + 1)
+    columns = np.array([values, -values, values[::-1], np.roll(values, 1)])
+    with python_writer():
+        for separator in (",", *JSON_SEPARATORS):
+            assert raw_join(library, values, separator) == artifacts._joined(values, separator)
+        rows = artifacts._csv_rows(index, *columns)
+    assert raw_rows(library, index, columns) == rows
+    # a row with a subnormal is declined, for float() to read
+    lines = np.array(rows.splitlines(keepends=True))
+    subnormal = ((columns != 0) & (np.abs(columns) < 2.2250738585072014e-308)).any(axis=0)
+    assert subnormal.any()
+    assert all(raw_parse(library, line.encode())[0] == -1 for line in lines[subnormal])
+    count, parsed = raw_parse(library, "".join(lines[~subnormal]).encode())
+    assert count == len(parsed) == (~subnormal).sum()
+    expected = [[float(field) for field in line.split(",")] for line in lines[~subnormal]]
+    assert np.array_equal(parsed, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(parsed), np.signbit(expected))
+
+
 def test_a_non_finite_float_array_is_quoted_as_json_safe_quotes_it():
     payload = {
         "a": np.array([0.1, math.nan, -0.0, math.inf, -math.inf]),
@@ -778,33 +860,6 @@ def test_a_non_finite_float_array_is_quoted_as_json_safe_quotes_it():
         assert dump_json(payload) == expected
 
 
-
-
-@needs_library
-def test_the_reader_needs_a_table_of_the_right_length(tmp_path):
-    # a second copy of the library has statics of its own: no table in yet
-    shutil.copy(_kernel.library_path(), tmp_path / "copy.so")
-    library = ctypes.CDLL(str(tmp_path / "copy.so"))
-    for name in ("um_parse_rows", "um_install_parse_table"):
-        typed = getattr(artifacts._LIBRARY, name)
-        getattr(library, name).argtypes = typed.argtypes
-        getattr(library, name).restype = typed.restype
-    text = np.frombuffer(b"1,0.5,-0.0,nan,-inf\n2,1e-05,1e+16,123.0,0.1\n", dtype=np.uint8)
-    out = np.zeros((2, 5))
-
-    def parse():
-        return library.um_parse_rows(text.ctypes.data, len(text), out.ctypes.data, out.size)
-
-    assert parse() == -1
-    table, n = _kernel.parse_table()
-    for count in (n - 1, n + 1):
-        assert library.um_install_parse_table(table, count) == -1
-        assert parse() == -1
-    assert library.um_install_parse_table(table, n) == 0
-    assert parse() == 2
-    expected = [[1.0, 0.5, -0.0, math.nan, -math.inf], [2.0, 1e-05, 1e16, 123.0, 0.1]]
-    assert np.array_equal(out, expected, equal_nan=True)
-    assert np.array_equal(np.signbit(out), np.signbit(expected))
 
 
 # data rows that float() reads and the compiled parse declines as a whole

@@ -401,6 +401,16 @@ class TestAnalyze:
         assert f"config field '{field}':" in err and "Traceback" not in err
         assert not (tmp_path / "an").exists()
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_too_few_rows_rejected(self, tmp_path, capsys, rows):
+        # the readout's DFT takes four samples; the error names the file, not an array shape
+        csv = tmp_path / "short.csv"
+        self._write_plain_csv(csv, np.full(rows, 0.5))
+        assert run(["analyze", csv, "--out-dir", tmp_path / "an"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {csv}: need at least 4 data rows for a spectrum, got {rows}\n"
+        assert not (tmp_path / "an").exists()
+
     def test_malformed_csv_reports_line_number(self, tmp_path, capsys):
         csv = tmp_path / "broken.csv"
         csv.write_text(

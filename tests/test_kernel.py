@@ -552,10 +552,12 @@ sys.path.insert(0, sys.argv[1])
 if sys.argv[2] == "no-compiler":
     sysconfig.get_config_vars()["CC"] = "no-such-c-compiler"
 from unsharp_monitor import _kernel
+# one entry short at either end of the one table: the library refuses it;
+# the writer alone reads the top entries and the parser alone the bottom ones
 if sys.argv[2] == "refused-tables":
-    _kernel.POW5_COUNT -= 1  # one entry short: the library refuses the tables
+    _kernel.POW10_MAX_Q -= 1
 if sys.argv[2] == "refused-parse-table":
-    _kernel.PARSE_MAX_Q -= 1  # one entry short: the library refuses the table
+    _kernel.POW10_MIN_Q += 1
 from unsharp_monitor import artifacts, trajectory
 from unsharp_monitor.config import load_run_config
 with warnings.catch_warnings():
