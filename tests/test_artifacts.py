@@ -673,41 +673,60 @@ def raw_parse(library, text: bytes) -> tuple[int, np.ndarray]:
     return library.um_parse_rows(buffer.ctypes.data, len(buffer), out.ctypes.data, out.size), out
 
 
-@needs_library
-def test_the_library_needs_a_table_of_the_right_length(tmp_path, monkeypatch):
-    # a second copy of the library has statics of its own: no table in yet
-    shutil.copy(_kernel.library_path(), tmp_path / "copy.so")
-    library = typed_copy(tmp_path / "copy.so")
+def entry_points(library) -> tuple[str | None, str | None, np.ndarray | None]:
+    """What the two writers of ``EDGE_DOUBLES`` and the parse of ``PARSED_TEXT``
+    return, None for -1; each asserts that a call returning -1 wrote nothing."""
     values, index, columns = writer_inputs(EDGE_DOUBLES)
+    count, parsed = raw_parse(library, PARSED_TEXT)
+    if count == -1:
+        assert (parsed == 0.25).all()
+        parsed = None
+    else:
+        assert count == 2
+    return raw_join(library, values, ","), raw_rows(library, index, columns), parsed
 
-    def calls():
-        """What the two writers and the parse return, None for -1; each
-        asserts that a call returning -1 wrote nothing."""
-        count, parsed = raw_parse(library, PARSED_TEXT)
-        if count == -1:
-            assert (parsed == 0.25).all()
-            parsed = None
-        else:
-            assert count == 2
-        return raw_join(library, values, ","), raw_rows(library, index, columns), parsed
 
-    assert calls() == (None, None, None)
+def uninstalled_copy(tmp_path: Path) -> ctypes.CDLL:
+    """A second copy of the library: it has statics of its own, no table in yet."""
+    shutil.copy(_kernel.library_path(), tmp_path / "copy.so")
+    return typed_copy(tmp_path / "copy.so")
+
+
+def install(library) -> None:
+    """Installs the table in ``library`` after asserting that, before, all three
+    entry points refuse and that every wrong length is refused, nothing installed."""
+    assert entry_points(library) == (None, None, None)
+    table, n = _kernel.pow10_table()
+    for count in (n - 1, n + 1, 0):
+        assert library.um_install_table(table, count) == -1
+        assert entry_points(library) == (None, None, None)
+    assert library.um_install_table(table, n) == 0
+
+
+# the one table um_install_table puts in serves the writers and the parse alike
+@needs_library
+def test_the_formatter_needs_tables_of_the_right_length(tmp_path, monkeypatch):
+    library = uninstalled_copy(tmp_path)
+    values, index, columns = writer_inputs(EDGE_DOUBLES)
     monkeypatch.setattr(artifacts, "_WRITER", library)
     with pytest.raises(RuntimeError, match="table is not installed"):
         artifacts._joined(values, ",")
     with pytest.raises(RuntimeError, match="table is not installed"):
         artifacts._csv_rows(index, *columns)
 
-    table, n = _kernel.pow10_table()
-    for count in (n - 1, n + 1, 0):
-        assert library.um_install_table(table, count) == -1
-        assert calls() == (None, None, None)
-    assert library.um_install_table(table, n) == 0
-    joined, rows, parsed = calls()
+    install(library)
+    joined, rows, _ = entry_points(library)
     compiled = artifacts._joined(values, ","), artifacts._csv_rows(index, *columns)
     assert (joined, rows) == compiled
     with python_writer():
         assert compiled == (artifacts._joined(values, ","), artifacts._csv_rows(index, *columns))
+
+
+@needs_library
+def test_the_reader_needs_a_table_of_the_right_length(tmp_path):
+    library = uninstalled_copy(tmp_path)
+    install(library)
+    *_, parsed = entry_points(library)
     assert np.array_equal(parsed, PARSED, equal_nan=True)
     assert np.array_equal(np.signbit(parsed), np.signbit(PARSED))
 
