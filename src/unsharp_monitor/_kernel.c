@@ -12,10 +12,11 @@
  * Re c2, Im c2).  um_advance_rows advances `rows` independent
  * trajectories, each from its own state and its own uniforms.  Every step
  * is one dependent chain of multiplies, a sqrt and four divisions, so one
- * trajectory leaves most of the core idle.  Rows therefore run LANES at a
- * time through advance_lanes, whose lanes interleave those chains and take
- * the outcome as a select of the two factors; a tail of fewer than LANES
- * rows runs advance_row, which branches on the outcome, one row at a time.
+ * trajectory leaves most of the core idle.  One loop, advance, therefore
+ * runs `lanes` rows at once, interleaving their chains and taking each
+ * outcome as a select of the two factors.  um_advance_rows calls it with
+ * the constant LANES for each full group and with 1 for each row of the
+ * tail, so the compiler builds one specialised copy of the loop per width.
  *
  * The kernel raises nothing.  A row stops where p_plus leaves [lo, hi] or
  * the norm is zero; um_advance_rows then returns the row, or for a group
@@ -69,47 +70,10 @@ static inline void divide(double *c, double norm)
     c[3] /= norm;
 }
 
-/* one row; returns 0, leaving `state` as it was, where it stops */
-static int advance_row(double *state, const double *constants, int64_t n, int64_t series,
-                       const double *uniforms, double *c2_sq, int64_t *n_plus)
-{
-    const double ch = constants[0], s = constants[1];
-    const double p1 = constants[2], p2 = constants[3];
-    const double u1_plus = constants[4], u2_plus = constants[5];
-    const double u1_minus = constants[6], u2_minus = constants[7];
-    const double lo = constants[8], hi = constants[9];
-    double c[4] = {state[0], state[1], state[2], state[3]};
-
-    for (int64_t m = 0; m < series; m++) {
-        int64_t count = 0;
-        for (int64_t j = 0; j < n; j++) {
-            const double u = *uniforms++;
-            const double p_plus = rotate(c, ch, s, p1, p2);
-            if (!(p_plus >= lo && p_plus <= hi))
-                return 0;
-            double norm;
-            if (u < p_plus) {
-                count += 1;
-                norm = scale(c, u1_plus, u2_plus);
-            } else {
-                norm = scale(c, u1_minus, u2_minus);
-            }
-            if (norm == 0.0)
-                return 0;
-            divide(c, norm);
-        }
-        c2_sq[m] = c[2] * c[2] + c[3] * c[3];
-        n_plus[m] = count;
-    }
-    for (int k = 0; k < 4; k++)
-        state[k] = c[k];
-    return 1;
-}
-
-/* advance_row on LANES rows at once; returns 0, leaving `state` as it
-   was, where some lane stops */
-static int advance_lanes(double *state, const double *constants, int64_t n, int64_t series,
-                         const double *uniforms, double *c2_sq, int64_t *n_plus)
+/* `lanes` rows, at most LANES; returns 0, leaving `state` as it was,
+   where some lane stops */
+static inline int advance(double *state, const double *constants, int64_t n, int64_t series,
+                          const double *uniforms, double *c2_sq, int64_t *n_plus, int lanes)
 {
     const double ch = constants[0], s = constants[1];
     const double p1 = constants[2], p2 = constants[3];
@@ -121,15 +85,15 @@ static int advance_lanes(double *state, const double *constants, int64_t n, int6
     int64_t count[LANES];
     int bad = 0;
 
-    for (int l = 0; l < LANES; l++)
+    for (int l = 0; l < lanes; l++)
         for (int k = 0; k < 4; k++)
             c[l][k] = state[4 * l + k];
     for (int64_t m = 0; m < series; m++) {
-        for (int l = 0; l < LANES; l++)
+        for (int l = 0; l < lanes; l++)
             count[l] = 0;
         for (int64_t j = 0; j < n; j++) {
             const int64_t at = m * n + j;
-            for (int l = 0; l < LANES; l++) {
+            for (int l = 0; l < lanes; l++) {
                 const double u = uniforms[l * stride + at];
                 const double p_plus = rotate(c[l], ch, s, p1, p2);
                 bad |= !(p_plus >= lo && p_plus <= hi);
@@ -143,12 +107,12 @@ static int advance_lanes(double *state, const double *constants, int64_t n, int6
         }
         if (bad)
             return 0;
-        for (int l = 0; l < LANES; l++) {
+        for (int l = 0; l < lanes; l++) {
             c2_sq[l * series + m] = c[l][2] * c[l][2] + c[l][3] * c[l][3];
             n_plus[l * series + m] = count[l];
         }
     }
-    for (int l = 0; l < LANES; l++)
+    for (int l = 0; l < lanes; l++)
         for (int k = 0; k < 4; k++)
             state[4 * l + k] = c[l][k];
     return 1;
@@ -161,12 +125,12 @@ int64_t um_advance_rows(double *state, const double *constants, int64_t n, int64
     int64_t row = 0;
 
     for (; row + LANES <= rows; row += LANES)
-        if (!advance_lanes(state + 4 * row, constants, n, series, uniforms + row * stride,
-                           c2_sq + row * series, n_plus + row * series))
+        if (!advance(state + 4 * row, constants, n, series, uniforms + row * stride,
+                     c2_sq + row * series, n_plus + row * series, LANES))
             return row;
     for (; row < rows; row++)
-        if (!advance_row(state + 4 * row, constants, n, series, uniforms + row * stride,
-                         c2_sq + row * series, n_plus + row * series))
+        if (!advance(state + 4 * row, constants, n, series, uniforms + row * stride,
+                     c2_sq + row * series, n_plus + row * series, 1))
             return row;
     return rows;
 }

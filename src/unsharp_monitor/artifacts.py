@@ -365,7 +365,7 @@ def _read_preamble(path: Path, lines: list[str]) -> tuple[dict[str, Any] | None,
         if body.startswith("config:"):
             try:
                 echo = json.loads(body[len("config:"):])
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON, or an integer int() will not read
                 raise ArtifactError(f"{path}:{number}: bad config echo: {exc}") from exc
             if not isinstance(echo, dict):
                 raise ArtifactError(

@@ -35,6 +35,7 @@ from .config import (
     seed_field,
 )
 from .povm import ParameterError, StateError
+from .series import MAX_SERIES_LENGTH
 from .spectral import (
     MIN_SAMPLES,
     AnalysisError,
@@ -118,8 +119,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     t_r = float_field(echo, "t_r", 1.0, positive=True)
     if "n_per_series" in echo and "tau" in echo:
         n = int_field(echo, "n_per_series", 0)
-        if n < 1:
-            raise ConfigError("n_per_series", f"must be >= 1, got {n}")
+        if not 1 <= n <= MAX_SERIES_LENGTH:
+            raise ConfigError("n_per_series", f"must lie in [1, {MAX_SERIES_LENGTH}], got {n}")
         dt = n * float_field(echo, "tau", positive=True)
         spacing = "tau"
     else:

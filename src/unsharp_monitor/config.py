@@ -278,7 +278,7 @@ def read_json_object(path: str | Path) -> dict[str, Any]:
         raise ConfigError("config", f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError("config", f"{path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer of more digits than int() reads
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config", "top-level JSON value must be an object")

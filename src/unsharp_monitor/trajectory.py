@@ -14,7 +14,9 @@ quotients, so the real form reproduces the complex reference functions
 bit for bit; at most the signs of zeros differ, and no recorded value
 depends on them.  The loop runs compiled from ``_kernel.c`` (built and
 cached by ``_kernel.py``) in the same operation order, so it gives the
-same doubles; without a C compiler the Python loop runs instead.
+same doubles: one loop, built at a width of four interleaved rows for
+each full group and of one row for the rest; without a C compiler the
+Python loop runs instead.
 
 ``simulate_replicates`` runs one config from several seeds and returns
 the recorded arrays with one row per seed; ``simulate_trajectory`` is its
@@ -283,15 +285,16 @@ def _compiled_advance(
 ) -> None:
     """``_python_advance`` compiled from ``_kernel.c``, with the same doubles and errors.
 
-    The kernel raises nothing: it returns the row where p_plus left
-    [lo, hi] or the norm was zero (in a group of four lanes, the group's
-    first row).  That row and the rest of its group run through
-    ``_python_advance``, which raises the first failing row's error or,
-    when only a uniform outside [0, 1) let the step pass, advances them;
-    the kernel then resumes after them.  The kernel reads and writes the
-    buffers through raw pointers, so their shapes and dtypes are checked
-    here, and ``from_buffer`` refuses any buffer that is not C-contiguous
-    and writable.
+    The kernel runs one loop, compiled at a width of four lanes for each
+    full group of rows and of one for each row after the last group.  It
+    raises nothing: it returns the row where p_plus left [lo, hi] or the
+    norm was zero (in a group of four lanes, the group's first row).  That
+    row and the rest of its group run through ``_python_advance``, which
+    raises the first failing row's error or, when only a uniform outside
+    [0, 1) let the step pass, advances them; the kernel then resumes after
+    them.  The kernel reads and writes the buffers through raw pointers,
+    so their shapes and dtypes are checked here, and ``from_buffer``
+    refuses any buffer that is not C-contiguous and writable.
     """
     # no buffer has a shape of -1 rows, so an output of another rank is refused
     rows, series = c2_sq.shape if c2_sq.ndim == 2 else (-1, -1)

@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from unsharp_monitor import artifacts, cli
 from unsharp_monitor.artifacts import (
@@ -39,6 +41,18 @@ SMALL_CONFIG = {
     "m_series": 48,
     "seed": 42,
 }
+
+# the keys of the `# config:` echo that simulate writes, and the values a
+# test of analyze sets them to; DELETE removes the key
+ECHO_KEYS = (
+    "dp", "f_hi", "f_lo", "initial_state", "m_series", "n_per_series", "p0", "p1", "p2",
+    "seed", "t_r", "tau", "truncation", "wiener",
+)
+DELETE = object()
+ECHO_VALUES = (
+    DELETE, 0, -1, 65, 2**70, 10**400, -10**400, 1e308, 1e-320, "x", "25", [1, 2], {}, None,
+    True, 25.9,
+)
 
 
 @pytest.fixture
@@ -438,13 +452,15 @@ class TestAnalyze:
             ("n_per_series", lambda echo: {**echo, "n_per_series": "25"}),
             ("n_per_series", lambda echo: {**echo, "n_per_series": 0}),
             ("n_per_series", lambda echo: {**echo, "n_per_series": -25}),
+            ("n_per_series", lambda echo: {**echo, "n_per_series": 10**400}),
+            ("n_per_series", lambda echo: {**echo, "n_per_series": 65}),
             ("tau", lambda echo: {**echo, "tau": None}),
             ("t_r", lambda echo: {**echo, "t_r": "x"}),
             ("t_r", lambda echo: {**echo, "t_r": 0.0}),
         ],
         ids=[
             "not-an-object", "string-count", "zero-count", "negative-count",
-            "null-tau", "string-t_r", "zero-t_r",
+            "huge-count", "count-above-max", "null-tau", "string-t_r", "zero-t_r",
         ],
     )
     def test_bad_config_echo_rejected(self, tmp_path, small_config, capsys, field, edit):
@@ -459,6 +475,40 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
         assert not (tmp_path / "an" / "spectrum.json").exists()
+
+    # each echo key set to one of these values, deleted, or left alone; 10**400
+    # does not fit a float, and an n_per_series that big once escaped as an
+    # OverflowError traceback
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(edits=st.dictionaries(st.sampled_from(ECHO_KEYS), st.sampled_from(ECHO_VALUES)))
+    @example(edits={"n_per_series": 10**400})
+    def test_any_config_echo_exits_0_or_2(self, tmp_path, small_config, capsys, edits):
+        # one simulate for every example: the fixtures live for the whole test
+        csv, out = tmp_path / "trajectory.csv", tmp_path / "an"
+        if not csv.exists():
+            assert run(["simulate", "--config", small_config, "--out-dir", tmp_path]) == 0
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        echo = json.loads(lines[1][len("# config: "):])
+        assert set(echo) == set(ECHO_KEYS)
+        for key, value in edits.items():
+            if value is DELETE:
+                del echo[key]
+            else:
+                echo[key] = value
+        edited = tmp_path / "edited.csv"
+        edited.write_text(
+            "\n".join([lines[0], "# config: " + json.dumps(echo), *lines[2:]]) + "\n",
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        status = run(["analyze", edited, "--out-dir", out])
+        err = capsys.readouterr().err
+        assert status in (0, 2) and "Traceback" not in err
+        if status == 2:
+            assert err.startswith("error: ")
 
     def test_partial_echo_switches_are_read(self, tmp_path, small_config):
         # the switches used to be read only from an echo with n_per_series and tau
@@ -778,6 +828,27 @@ class TestFileErrors:
         assert run([command, "--config", config, *extra, "--out-dir", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field 'config': {config} is not UTF-8 text: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "analyze"])
+    def test_an_integer_of_too_many_digits_rejected(self, tmp_path, capsys, small_config, command):
+        # json.loads raises ValueError, not JSONDecodeError, past int()'s digit limit
+        huge = '"n_per_series": ' + "9" * 5000
+        if command == "analyze":
+            assert run(["simulate", "--config", small_config, "--out-dir", tmp_path]) == 0
+            path = tmp_path / "trajectory.csv"
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text.replace('"n_per_series":25', huge), encoding="utf-8")
+            argv = ["analyze", path]
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(small_config.read_text(encoding="utf-8").replace(
+                '"n_per_series": 25', huge), encoding="utf-8")
+            argv = [command, "--config", path, *(SMALL_SWEEP if command == "sweep" else [])]
+        capsys.readouterr()
+        assert run([*argv, "--out-dir", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where", ["preamble", "data-row"])
     def test_csv_that_is_not_utf8_rejected(self, tmp_path, capsys, small_config, where):

@@ -7,9 +7,9 @@ through both kernels and through ``rabi.evolve``,
 ``povm.outcome_probabilities`` and ``povm.apply_outcome`` and demand
 exact equality, so any change to either kernel's arithmetic fails here
 first.  They also drive the excursion and zero-norm checks of both
-kernels, hold every row of a many-row call (the compiled kernel's lanes
-and its scalar tail) to the Python loop and every row of
-``simulate_replicates`` to the one-seed trajectory, stop a call at its
+kernels, hold every row of a many-row call (the compiled loop at a width
+of four lanes and, for the tail, of one) to the Python loop and every row
+of ``simulate_replicates`` to the one-seed trajectory, stop a call at its
 first failing row in a lane group or in the tail, resume the compiled
 kernel after a group it stopped in but the Python loop passes, and check
 that the compiled kernel is built once, cached, and in use wherever a C
@@ -400,7 +400,7 @@ HEALTHY, LARGE, NOT_A_NUMBER = StateVector(1.0, 0.0), StateVector(2.0, 0.0), Sta
 
 # the row of lane 0 of the failing lanes 2 and 3: of the first and the
 # second group of a 10-row call, or 6, which puts them in its two tail
-# rows, so that the scalar loop stops the call
+# rows, so that the loop at width one stops the call
 @pytest.mark.parametrize("start", [0, 4, 6], ids=["first-group", "second-group", "tail"])
 @pytest.mark.parametrize(
     "lane2, lane3, error, message",
