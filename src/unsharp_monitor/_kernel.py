@@ -6,20 +6,19 @@ stopped and leaves the errors to the Python loop), and the artifact float
 writer (``um_repr_rows`` and ``um_repr_join``) and trajectory-CSV row
 parser (``um_parse_rows``) in ``_repr.c``, which ``artifacts`` runs.  It
 is built on first use with the interpreter's C compiler (``sysconfig``'s
-``CC``) and cached in this package's ``__pycache__/`` under a name keyed
-on the sources, the flags and the platform, so later processes load it
-without compiling.  The compiler writes a temporary file that
-``os.replace`` then moves into place, so a process never loads a
-half-written library, however many build it at once.
+``CC``), the writer's and the parser's table of powers of ten compiled in
+from ``pow10_table``, and cached in this package's ``__pycache__/`` under
+a name keyed on the bytes of the sources and of this file, and on the
+platform, so later processes load it without compiling.  The compiler
+writes a temporary file that ``os.replace`` then moves into place, so a
+process never loads a half-written library, however many build it at once.
 
 A build deletes the libraries that older sources left in the cache.
-``load`` returns None when there is no compiler, the build fails, the
-cache directory cannot be written or the library refuses the table of
-128-bit powers of ten that the writer and the parser share, which
-``load`` computes with Python integers (``pow10_table``); ``trajectory``
-then runs its Python loop, which gives the same doubles, and ``artifacts``
-formats with ``float.__repr__`` and parses with ``float()``, which give
-the same text and the same doubles.
+``load`` returns None, and says why in one line on stderr, when there is
+no compiler, the build fails or the cache directory cannot be written;
+``trajectory`` then runs its Python loop, which gives the same doubles,
+and ``artifacts`` formats with ``float.__repr__`` and parses with
+``float()``, which give the same text and the same doubles.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import ctypes
 import functools
 import os
 import shlex
-import struct
+import sys
 import sysconfig
 import tempfile
 import zlib
@@ -55,35 +54,43 @@ def compiler() -> list[str] | None:
 
 def library_path() -> Path:
     """Where the library built from the current sources is cached."""
-    # the key only tells versions of the sources apart, so CRC-32 will do;
+    # this file holds FLAGS and the table.  CRC-32 tells versions apart, and
     # hashlib would load OpenSSL, ~4 MB and ~4 ms, into every process
-    text = b"".join(source.read_bytes() for source in SOURCES) + " ".join(FLAGS).encode()
+    text = b"".join(source.read_bytes() for source in (*SOURCES, Path(__file__)))
     key = f"{zlib.crc32(text):08x}"
     return SOURCES[0].parent / "__pycache__" / f"_kernel.{key}.{_PLATFORM}.so"
 
 
 def _build(path: Path) -> None:
-    """Compile ``SOURCES`` into ``path``; raises OSError when that cannot be done."""
+    """Compile ``SOURCES`` into ``path``; raises OSError, saying why, when that cannot be done."""
     import subprocess  # only a build needs it; most processes load the cache
 
     cc = compiler()
     if not cc:
         raise OSError("the interpreter names no C compiler")
-    path.parent.mkdir(exist_ok=True)
-    fd, temp = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
-    os.close(fd)
     try:
+        path.parent.mkdir(exist_ok=True)
+        fd, temp = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
+        os.close(fd)
+    except OSError as error:
+        raise OSError(f"cannot write {path.parent}: {error.strerror or error}") from error
+    header = temp + ".h"
+    try:
+        write_table_header(header)
         subprocess.run(
-            [*cc, *FLAGS, "-o", temp, *map(str, SOURCES), "-lm"],
+            [*cc, *FLAGS, "-include", header, "-o", temp, *map(str, SOURCES), "-lm"],
             check=True, capture_output=True, timeout=BUILD_TIMEOUT_S,
         )
         os.chmod(temp, 0o755)  # mkstemp made it private to this user
         os.replace(temp, path)
+    except FileNotFoundError as error:
+        raise OSError(f"no C compiler: {cc[0]!r} is not on PATH") from error
     except subprocess.SubprocessError as error:
         raise OSError(f"{cc[0]} could not build {path.name}") from error
     finally:
-        if os.path.exists(temp):
-            os.remove(temp)
+        for name in (temp, header):
+            if os.path.exists(name):
+                os.remove(name)
     # libraries built from older sources are never loaded again; a temporary
     # name ends in mkstemp's random suffix, not ".so", so none is matched
     for stale in path.parent.glob(f"_kernel.*.{_PLATFORM}.so"):
@@ -101,17 +108,13 @@ def _reciprocal(value: int, bits: int) -> int:
     return (1 << (value.bit_length() + bits - 1)) // value
 
 
-_ENTRY = struct.Struct("=QQ")
+def pow10_table() -> list[int]:
+    """``_repr.c``'s table: entry q - ``POW10_MIN_Q`` for
+    ``POW10_MIN_Q <= q <= POW10_MAX_Q`` holds the 128 leading bits of 10^q.
 
-
-def pow10_table() -> tuple[bytes, int]:
-    """``_repr.c``'s table as ``um_install_table`` takes it, {low, high}
-    64-bit words per entry in the machine's byte order, and its length.
-
-    Entry q, for ``POW10_MIN_Q <= q <= POW10_MAX_Q``, holds the 128
-    leading bits of 10^q, which are those of 5^q, as the fast_float library
-    tabulates them: 5^q itself, truncated, for q >= 0, and the truncated
-    reciprocal of 5^-q for q < 0, plus one where 5^-q < 2^64.
+    Those are the bits of 5^q, as the fast_float library tabulates them:
+    5^q itself, truncated, for q >= 0, and the truncated reciprocal of
+    5^-q for q < 0, plus one where 5^-q < 2^64.
     """
     power, powers = 1, [1]
     for _ in range(max(-POW10_MIN_Q, POW10_MAX_Q)):
@@ -121,13 +124,20 @@ def pow10_table() -> tuple[bytes, int]:
         _reciprocal(powers[k], POW10_BITS) + (powers[k] < 2**64)
         for k in range(-POW10_MIN_Q, 0, -1)
     ]
-    table += [_top_bits(p, POW10_BITS) for p in powers[:POW10_MAX_Q + 1]]
-    return b"".join([_ENTRY.pack(value % 2**64, value >> 64) for value in table]), len(table)
+    return table + [_top_bits(p, POW10_BITS) for p in powers[:POW10_MAX_Q + 1]]
+
+
+def write_table_header(path: str | os.PathLike) -> None:
+    """Write ``pow10_table()`` as the header ``_repr.c`` is compiled with
+    (``-include``): a macro ``POW10_ENTRIES`` of {low, high} 64-bit words."""
+    entries = [f"{{0x{value % 2**64:016x}u, 0x{value >> 64:016x}u}}" for value in pow10_table()]
+    with open(path, "w", encoding="ascii") as header:
+        header.write("#define POW10_ENTRIES \\\n    " + ", \\\n    ".join(entries) + "\n")
 
 
 @functools.cache
 def load() -> ctypes.CDLL | None:
-    """The cached library, typed and its table in, built first if need be; None if unavailable.
+    """The cached library, typed, built first if need be; None, said on stderr, if unavailable.
 
     Cached, so each process loads the library once, however many modules use it.
     """
@@ -136,7 +146,9 @@ def load() -> ctypes.CDLL | None:
         if not path.is_file():
             _build(path)
         library = ctypes.CDLL(str(path))
-    except OSError:
+    except OSError as error:
+        message = f"compiled library unavailable ({error}); the Python routes run, slower"
+        print(f"warning: {message}", file=sys.stderr)
         return None
     double_p, int64_p = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
     library.um_advance_rows.restype = ctypes.c_int64  # the row it stopped in, or rows
@@ -175,8 +187,4 @@ def load() -> ctypes.CDLL | None:
         ctypes.c_void_p,  # out, C-contiguous doubles
         ctypes.c_int64,  # capacity, in doubles
     )
-    library.um_install_table.restype = ctypes.c_int
-    library.um_install_table.argtypes = (ctypes.c_char_p, ctypes.c_int64)  # pow10_table()
-    if library.um_install_table(*pow10_table()):
-        return None
     return library

@@ -44,12 +44,12 @@
  * and the rest of the product tells the rounding.  Where the truncated
  * product cannot tell it, the call declines too.
  *
- * Both directions share one table of 128-bit powers of ten, which
- * _kernel.py computes exactly from Python integers and installs through
- * um_install_table; until then every entry point returns -1 and writes
- * nothing.  Only 64-bit integer arithmetic is used, with umul128 the one
- * 64x64 -> 128-bit product, and nothing of the C library's printf, strtod
- * or locale.
+ * Both directions share one constant table of 128-bit powers of ten.
+ * _kernel.py computes it exactly from Python integers and writes it as the
+ * macro POW10_ENTRIES into a header that the build reads with -include; a
+ * static assertion fails the build when its length is wrong.  Only 64-bit
+ * integer arithmetic is used, with umul128 the one 64x64 -> 128-bit
+ * product, and nothing of the C library's printf, strtod or locale.
  */
 
 #include <stdint.h>
@@ -75,10 +75,11 @@ enum { FIELDS = 5, MAX_DIGITS = 19 };
 /* an exponent's digits stop counting here, far outside [MIN_Q, MAX_Q] */
 #define EXPONENT_CAP 100000
 
-/* {low, high}: the 128 leading bits of 10^q, truncated, plus one for
-   -27 <= q <= -1, where 5^-q < 2^64; so the top bit is set */
-static uint64_t POW10[TABLE_COUNT][2];
-static int table_installed;
+/* {low, high}: the 128 leading bits of 10^q for q from MIN_Q, truncated, plus
+   one for -27 <= q <= -1, where 5^-q < 2^64; so the top bit is set */
+static const uint64_t POW10[][2] = {POW10_ENTRIES};
+_Static_assert(sizeof POW10 == sizeof(uint64_t[TABLE_COUNT][2]),
+               "the power-of-ten table must have TABLE_COUNT entries");
 
 /* a * b as {low, *high} */
 static inline uint64_t umul128(uint64_t a, uint64_t b, uint64_t *high)
@@ -460,24 +461,12 @@ static const char *parse_field(const char *p, double *value)
     return p;
 }
 
-/* Copies in the table, {low, high} per entry; returns 0, or -1 (copying
- * nothing) when count is not its length. */
-int um_install_table(const uint64_t *table, int64_t count)
-{
-    if (count != TABLE_COUNT)
-        return -1;
-    memcpy(POW10, table, sizeof POW10);
-    table_installed = 1;
-    return 0;
-}
-
 /* The texts of x[0..n) joined by sep[0..sep_len) into out; returns their
- * length, or -1 (writing nothing) without the table or when
- * capacity < (REPR_MAX + sep_len) * n. */
+ * length, or -1 (writing nothing) when capacity < (REPR_MAX + sep_len) * n. */
 int64_t um_repr_join(const double *x, int64_t n, const char *sep, int64_t sep_len,
                      char *out, int64_t capacity)
 {
-    if (!table_installed || n < 0 || sep_len < 0 || sep_len > INT64_MAX - REPR_MAX
+    if (n < 0 || sep_len < 0 || sep_len > INT64_MAX - REPR_MAX
         || capacity < 0 || capacity / (REPR_MAX + sep_len) < n)
         return -1;
     char *p = out;
@@ -493,13 +482,12 @@ int64_t um_repr_join(const double *x, int64_t n, const char *sep, int64_t sep_le
 
 /* n CSV rows into out, row r being index[r] and then columns[k * n + r]
  * for k < width (the columns one after another), joined by ',' and ended
- * by '\n'; returns their length, or -1 (writing nothing) without the
- * table or when capacity < (INDEX_MAX + 1 + width * (REPR_MAX + 1)) * n. */
+ * by '\n'; returns their length, or -1 (writing nothing) when
+ * capacity < (INDEX_MAX + 1 + width * (REPR_MAX + 1)) * n. */
 int64_t um_repr_rows(const int64_t *index, const double *columns, int64_t n, int64_t width,
                      char *out, int64_t capacity)
 {
-    if (!table_installed || n < 0 || width < 0
-        || width > (INT64_MAX - INDEX_MAX - 1) / (REPR_MAX + 1))
+    if (n < 0 || width < 0 || width > (INT64_MAX - INDEX_MAX - 1) / (REPR_MAX + 1))
         return -1;
     const int64_t row_max = INDEX_MAX + 1 + width * (REPR_MAX + 1);
     if (capacity < 0 || capacity / row_max < n)
@@ -517,12 +505,12 @@ int64_t um_repr_rows(const int64_t *index, const double *columns, int64_t n, int
 }
 
 /* The rows of buf[0..len) as FIELDS doubles each into out; returns the row
- * count, or -1 (declining, with out's contents unspecified) without the
- * table, when a row or field is not as above, or when capacity is less
- * than FIELDS doubles per row. */
+ * count, or -1 (declining, with out's contents unspecified) when a row or
+ * field is not as above, or when capacity is less than FIELDS doubles per
+ * row. */
 int64_t um_parse_rows(const char *buf, int64_t len, double *out, int64_t capacity)
 {
-    if (!table_installed || len < 1 || buf[len - 1] != '\n')
+    if (len < 1 || buf[len - 1] != '\n')
         return -1;
     const char *p = buf, *end = buf + len;
     int64_t k = 0;

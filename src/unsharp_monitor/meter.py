@@ -5,8 +5,9 @@ second two-level system (the meter) and projecting the meter alone: the
 coupling unitary maps |psi>|Phi(0)> onto a four-component entangled state
 whose meter branches carry exactly the "+" and "-" operations.  This module
 implements that path independently of the direct operator description in
-``povm`` and serves as the test oracle that the trajectory kernel is
-checked against; simulations never run through it.
+``povm``, and the tests check the two against each other (acceptance
+criterion 2); simulations never run through it.  The trajectory kernel
+is checked against ``rabi.evolve`` and ``povm.apply_outcome`` instead.
 """
 
 from __future__ import annotations

@@ -9,10 +9,9 @@ and raise the same error naming the same line for any malformed file.
 The compiled float writer must write the Python route's bytes, one
 ``float.__repr__`` text per double, in its CSV rows and joined arrays,
 wherever the library loaded, also where it is built without
-``unsigned __int128``, and write nothing before its table is installed or
-into a buffer too small for the worst case.  The compiled row parse must
-give ``float()``'s double for every field it reads, decline every text
-``repr`` never writes, and read nothing before that table is installed.
+``unsigned __int128``, and write nothing into a buffer too small for the
+worst case.  The compiled row parse must give ``float()``'s double for
+every field it reads and decline every text ``repr`` never writes.
 """
 
 import contextlib
@@ -20,7 +19,6 @@ import ctypes
 import json
 import math
 import re
-import shutil
 import signal
 import struct
 import subprocess
@@ -654,7 +652,7 @@ def writer_inputs(values: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def typed_copy(path: Path) -> ctypes.CDLL:
     """The library at ``path``, its entry points typed as ``artifacts._LIBRARY``'s."""
     library = ctypes.CDLL(str(path))
-    for name in ("um_repr_join", "um_repr_rows", "um_parse_rows", "um_install_table"):
+    for name in ("um_repr_join", "um_repr_rows", "um_parse_rows"):
         typed = getattr(artifacts._LIBRARY, name)
         getattr(library, name).argtypes = typed.argtypes
         getattr(library, name).restype = typed.restype
@@ -662,8 +660,15 @@ def typed_copy(path: Path) -> ctypes.CDLL:
 
 
 # rows as write_trajectory_csv writes them, and their doubles
-PARSED_TEXT = b"1,0.5,-0.0,nan,-inf\n2,1e-05,1e+16,123.0,0.1\n"
-PARSED = [[1.0, 0.5, -0.0, math.nan, -math.inf], [2.0, 1e-05, 1e16, 123.0, 0.1]]
+PARSED_TEXT = (
+    b"1,0.5,-0.0,nan,-inf\n2,1e-05,1e+16,123.0,0.1\n"
+    b"3,0.5,1.7976931348623157e+308,2.2250738585072014e-308,-0\n"
+)
+PARSED = [
+    [1.0, 0.5, -0.0, math.nan, -math.inf],
+    [2.0, 1e-05, 1e16, 123.0, 0.1],
+    [3.0, 0.5, 1.7976931348623157e308, 2.2250738585072014e-308, -0.0],
+]
 
 
 def raw_parse(library, text: bytes) -> tuple[int, np.ndarray]:
@@ -673,74 +678,34 @@ def raw_parse(library, text: bytes) -> tuple[int, np.ndarray]:
     return library.um_parse_rows(buffer.ctypes.data, len(buffer), out.ctypes.data, out.size), out
 
 
-def entry_points(library) -> tuple[str | None, str | None, np.ndarray | None]:
-    """What the two writers of ``EDGE_DOUBLES`` and the parse of ``PARSED_TEXT``
-    return, None for -1; each asserts that a call returning -1 wrote nothing."""
-    values, index, columns = writer_inputs(EDGE_DOUBLES)
-    count, parsed = raw_parse(library, PARSED_TEXT)
-    if count == -1:
-        assert (parsed == 0.25).all()
-        parsed = None
-    else:
-        assert count == 2
-    return raw_join(library, values, ","), raw_rows(library, index, columns), parsed
-
-
-def uninstalled_copy(tmp_path: Path) -> ctypes.CDLL:
-    """A second copy of the library: it has statics of its own, no table in yet."""
-    shutil.copy(_kernel.library_path(), tmp_path / "copy.so")
-    return typed_copy(tmp_path / "copy.so")
-
-
-def install(library) -> None:
-    """Installs the table in ``library`` after asserting that, before, all three
-    entry points refuse and that every wrong length is refused, nothing installed."""
-    assert entry_points(library) == (None, None, None)
-    table, n = _kernel.pow10_table()
-    for count in (n - 1, n + 1, 0):
-        assert library.um_install_table(table, count) == -1
-        assert entry_points(library) == (None, None, None)
-    assert library.um_install_table(table, n) == 0
-
-
-# the one table um_install_table puts in serves the writers and the parse alike
-@needs_library
-def test_the_formatter_needs_tables_of_the_right_length(tmp_path, monkeypatch):
-    library = uninstalled_copy(tmp_path)
-    values, index, columns = writer_inputs(EDGE_DOUBLES)
-    monkeypatch.setattr(artifacts, "_WRITER", library)
-    with pytest.raises(RuntimeError, match="table is not installed"):
-        artifacts._joined(values, ",")
-    with pytest.raises(RuntimeError, match="table is not installed"):
-        artifacts._csv_rows(index, *columns)
-
-    install(library)
-    joined, rows, _ = entry_points(library)
-    compiled = artifacts._joined(values, ","), artifacts._csv_rows(index, *columns)
-    assert (joined, rows) == compiled
-    with python_writer():
-        assert compiled == (artifacts._joined(values, ","), artifacts._csv_rows(index, *columns))
-
-
-@needs_library
-def test_the_reader_needs_a_table_of_the_right_length(tmp_path):
-    library = uninstalled_copy(tmp_path)
-    install(library)
-    *_, parsed = entry_points(library)
-    assert np.array_equal(parsed, PARSED, equal_nan=True)
-    assert np.array_equal(np.signbit(parsed), np.signbit(PARSED))
-
-
 @needs_library
 @pytest.mark.parametrize("values", [[], [0.1], EDGE_DOUBLES], ids=["empty", "one", "edges"])
 def test_the_writer_needs_room_for_the_worst_case(values):
+    # into the worst case the raw calls write the Python route's text, and
+    # into one byte less nothing
     library = artifacts._LIBRARY
     values, index, columns = writer_inputs(values)
-    for separator in (",", *JSON_SEPARATORS):
-        assert raw_join(library, values, separator) == artifacts._joined(values, separator)
+    separators = (",", *JSON_SEPARATORS)
+    with python_writer():
+        joined = [artifacts._joined(values, separator) for separator in separators]
+        rows = artifacts._csv_rows(index, *columns)
+    for separator, text in zip(separators, joined):
+        assert raw_join(library, values, separator) == artifacts._joined(values, separator) == text
         assert raw_join(library, values, separator, short=1) is None
-    assert raw_rows(library, index, columns) == artifacts._csv_rows(index, *columns)
+    assert raw_rows(library, index, columns) == artifacts._csv_rows(index, *columns) == rows
     assert raw_rows(library, index, columns, short=1) is None
+
+
+@needs_library
+def test_a_writer_that_refuses_its_buffer_raises(monkeypatch):
+    # the buffers are sized from _kernel's REPR_MAX and INDEX_MAX; sizes one
+    # below the library's own make it refuse, which must not read as text
+    values, index, columns = writer_inputs(EDGE_DOUBLES)
+    monkeypatch.setattr(_kernel, "REPR_MAX", _kernel.REPR_MAX - 1)
+    with pytest.raises(RuntimeError, match="^the float writer wrote nothing"):
+        artifacts._joined(values, ",")
+    with pytest.raises(RuntimeError, match="^the float writer wrote nothing"):
+        artifacts._csv_rows(index, *columns)
 
 
 @needs_library
@@ -839,13 +804,14 @@ def test_the_portable_product_writes_and_reads_as_the_python_routes(tmp_path):
     # the float text source built without unsigned __int128, as a compiler
     # without it builds it: umul128's portable body does every product
     source = next(path for path in _kernel.SOURCES if path.name == "_repr.c")
-    path = tmp_path / "portable.so"
+    path, header = tmp_path / "portable.so", tmp_path / "pow10.h"
+    _kernel.write_table_header(header)
     subprocess.run(
-        [*_kernel.compiler(), *_kernel.FLAGS, "-U__SIZEOF_INT128__", "-o", str(path), str(source)],
+        [*_kernel.compiler(), *_kernel.FLAGS, "-U__SIZEOF_INT128__", "-include", str(header),
+         "-o", str(path), str(source)],
         check=True, capture_output=True, timeout=_kernel.BUILD_TIMEOUT_S,
     )
     library = typed_copy(path)
-    assert library.um_install_table(*_kernel.pow10_table()) == 0
     patterns = np.random.default_rng(20261020).integers(0, 2**64, 100_000, dtype=np.uint64)
     values = np.concatenate([EDGE_DOUBLES, patterns.view(np.float64)])
     index = np.arange(1, len(values) + 1)
@@ -908,9 +874,10 @@ DECLINED_ROWS = [f"1,{text},0.5,-0.5,1e-05\n" for text in DECLINED_TEXTS] + [
 @pytest.mark.parametrize("rows", DECLINED_ROWS)
 def test_compiled_parse_declines_what_repr_never_writes(rows):
     assert artifacts._compiled_rows(rows.encode()) is None
-    # the same call reads a row as repr writes it
-    good = artifacts._compiled_rows(b"1,0.5,1.7976931348623157e+308,2.2250738585072014e-308,-0\n")
-    assert good.tolist() == [[1.0, 0.5, 1.7976931348623157e308, 2.2250738585072014e-308, -0.0]]
+    # the same call reads rows as repr writes them
+    good = artifacts._compiled_rows(PARSED_TEXT)
+    assert np.array_equal(good, PARSED, equal_nan=True)
+    assert np.array_equal(np.signbit(good), np.signbit(PARSED))
 
 
 def decimal_text(sign: str, w: int, point: int, exponent: int | None) -> str:

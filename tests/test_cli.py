@@ -20,7 +20,13 @@ from unsharp_monitor.artifacts import (
     read_trajectory_csv,
 )
 from unsharp_monitor.cli import main
-from unsharp_monitor.config import MAX_M_SERIES, build_report, load_run_config
+from unsharp_monitor.config import (
+    MAX_M_SERIES,
+    SWEEP_AXES,
+    SWEEP_BASE_KEYS,
+    build_report,
+    load_run_config,
+)
 from unsharp_monitor.spectral import process_readout
 from unsharp_monitor.trajectory import SeriesBoundWarning
 
@@ -54,6 +60,28 @@ ECHO_VALUES = (
     True, 25.9,
 )
 
+# a run config that sets every key but out_dir and p1/p2, which the tests of
+# simulate, report and sweep edit with the values below.  The sizes among
+# those are small (m_series <= 8) or invalid: a valid m_series of 10**6,
+# with many seeds, would run for hours
+RUN_CONFIG = {
+    **SMALL_CONFIG, "m_series": 8, "initial_state": {"c1": 1, "c2": 0}, "wiener": True,
+    "truncation": True, "f_lo": 0.3, "f_hi": 5.0, "t_r": 1.0,
+}
+RUN_VALUES = (
+    DELETE, 0, -1, 1, 4, 8, 0.5, -0.0, 25.9, 1e308, 1e-320, math.inf, math.nan, 2**20 + 1,
+    10**6 + 1, 10**30, "x", "25", [1, 2], {}, None, True, False,
+    {"c1": 0, "c2": 0}, {"c1": 1e-300, "c2": 0}, {"c1": 1e308, "c2": 1e308},
+    {"c1": [0.6, 0], "c2": [0, 0.8]}, {"c1": 1},
+)
+# the values of a sweep's grid axes, and of its seeds_per_point, which is at
+# most 4 where it is valid
+AXIS_VALUES = (
+    0.5, 0.08, -0.3, 0.002, 25, 8, 1, 0, -1, 1e308, 1e-320, math.nan, 2**20 + 1, 10**30,
+    "x", None, True, [0.5], {},
+)
+SEEDS_PER_POINT = (DELETE, 0, -1, 1, 4, 4.0, 2.5, 2**20 + 1, 10**30, "4", None, True, [4])
+
 
 @pytest.fixture
 def small_config(tmp_path):
@@ -64,6 +92,21 @@ def small_config(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def exits_0_or_2(capsys, args) -> None:
+    """``main(args)`` returns 0, or 2 with stderr an ``error: `` line and no traceback."""
+    capsys.readouterr()
+    status = run(args)
+    err = capsys.readouterr().err
+    assert status in (0, 2) and "Traceback" not in err
+    if status == 2:
+        assert err.startswith("error: "), err
+
+
+def kept(edited: dict) -> dict:
+    """``edited`` without the keys set to DELETE."""
+    return {key: value for key, value in edited.items() if value is not DELETE}
 
 
 class TestSimulate:
@@ -325,6 +368,26 @@ class TestSimulate:
         run(["simulate", "--config", config, "--out-dir", tmp_path / "from_flag"])
         assert (tmp_path / "from_flag" / "trajectory.csv").exists()
 
+    # up to three run-config keys set to one of RUN_VALUES or deleted; p1
+    # or p2 takes the place of p0 and dp, unless the edits set those too
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        edits=st.dictionaries(
+            st.sampled_from((*ECHO_KEYS, "out_dir")), st.sampled_from(RUN_VALUES), max_size=3
+        )
+    )
+    def test_any_run_config_exits_0_or_2(self, tmp_path, capsys, edits):
+        config = dict(RUN_CONFIG)
+        if "p1" in edits or "p2" in edits:
+            del config["p0"], config["dp"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(kept({**config, **edits})), encoding="utf-8")
+        for command in ("simulate", "report"):
+            exits_0_or_2(capsys, [command, "--config", path, "--out-dir", tmp_path / command])
+
 
 class TestReport:
     def test_prints_payload(self, tmp_path, capsys):
@@ -503,12 +566,7 @@ class TestAnalyze:
             "\n".join([lines[0], "# config: " + json.dumps(echo), *lines[2:]]) + "\n",
             encoding="utf-8",
         )
-        capsys.readouterr()
-        status = run(["analyze", edited, "--out-dir", out])
-        err = capsys.readouterr().err
-        assert status in (0, 2) and "Traceback" not in err
-        if status == 2:
-            assert err.startswith("error: ")
+        exits_0_or_2(capsys, ["analyze", edited, "--out-dir", out])
 
     def test_partial_echo_switches_are_read(self, tmp_path, small_config):
         # the switches used to be read only from an echo with n_per_series and tau
@@ -594,6 +652,44 @@ def read_sweep(path):
 
 
 class TestSweep:
+    # 1-2 values per grid axis, each its RUN_CONFIG value or one of
+    # AXIS_VALUES, and up to two axes set to no values, deleted or set to
+    # one of RUN_VALUES; up to three base keys set to one of RUN_VALUES or
+    # deleted, except that m_series stays (its default, 200 series, is no
+    # small size); p1 is no base key
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        grid=st.fixed_dictionaries({
+            axis: st.lists(
+                st.just(RUN_CONFIG[axis]) | st.sampled_from(AXIS_VALUES), min_size=1, max_size=2
+            )
+            for axis in SWEEP_AXES
+        }),
+        axis_edits=st.dictionaries(
+            st.sampled_from(SWEEP_AXES), st.sampled_from(([], *RUN_VALUES)), max_size=2
+        ),
+        base=st.dictionaries(
+            st.sampled_from(sorted({*SWEEP_BASE_KEYS, "p1"})), st.sampled_from(RUN_VALUES),
+            max_size=3,
+        ),
+        seeds_per_point=st.sampled_from(SEEDS_PER_POINT),
+    )
+    def test_any_sweep_spec_exits_0_or_2(
+        self, tmp_path, capsys, grid, axis_edits, base, seeds_per_point
+    ):
+        if base.get("m_series", DELETE) is DELETE:
+            base["m_series"] = 8
+        spec = kept({
+            "grid": kept({**grid, **axis_edits}), "base": kept(base),
+            "seeds_per_point": seeds_per_point,
+        })
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        exits_0_or_2(capsys, ["sweep", "--config", path, "--out-dir", tmp_path / "sw"])
+
     def test_split_sweep_reproduces_published_fuzziness(self, tmp_path):
         out = tmp_path / "sw"
         assert run([

@@ -543,21 +543,25 @@ def test_compiled_kernel_is_in_use():
 
 
 # prints whether the compiled kernel is in use, whether the artifact floats
-# are written by float.__repr__ and parsed by float(), the cached library's
-# path, the fig1 preset's first |c2|^2 values, and those values as written in
-# a JSON array and in CSV rows
+# are written by float.__repr__ and parsed by float(), whether the process
+# computed the power-of-ten table, the cached library's path, the fig1
+# preset's first |c2|^2 values, and those values as written in a JSON array
+# and in CSV rows
 PROBE = """
 import json, sys, sysconfig, warnings
 sys.path.insert(0, sys.argv[1])
 if sys.argv[2] == "no-compiler":
     sysconfig.get_config_vars()["CC"] = "no-such-c-compiler"
 from unsharp_monitor import _kernel
-# one entry short at either end of the one table: the library refuses it;
-# the writer alone reads the top entries and the parser alone the bottom ones
+# one entry short at either end of the one table: the build fails its
+# static assertion; the writer alone reads the top entries and the parser
+# alone the bottom ones
 if sys.argv[2] == "refused-tables":
     _kernel.POW10_MAX_Q -= 1
 if sys.argv[2] == "refused-parse-table":
     _kernel.POW10_MIN_Q += 1
+tables, pow10_table = [], _kernel.pow10_table
+_kernel.pow10_table = lambda: tables.append(1) or pow10_table()
 from unsharp_monitor import artifacts, trajectory
 from unsharp_monitor.config import load_run_config
 with warnings.catch_warnings():
@@ -569,6 +573,7 @@ print(json.dumps({
     "compiled": trajectory._advance is trajectory._compiled_advance,
     "python_writer": artifacts._WRITER is None,
     "python_rows": artifacts._PARSE is None,
+    "table_computed": bool(tables),
     "library": str(_kernel.library_path()),
     "c2_sq": c2_sq.tolist(),
     "json": artifacts.dump_json(c2_sq),
@@ -578,14 +583,18 @@ print(json.dumps({
 
 
 def probe(root: Path, case: str = "") -> dict:
-    """Run PROBE in a fresh interpreter on the package copy under ``root``."""
+    """Run PROBE in a fresh interpreter on the package copy under ``root``;
+    its printout, with what the interpreter wrote to stderr as ``"stderr"``."""
     proc = subprocess.run(
         [sys.executable, "-B", "-c", PROBE, str(root), case],
         capture_output=True, text=True, timeout=120, check=True,
     )
     result = json.loads(proc.stdout)
     assert Path(result["package"]).parent == root / "unsharp_monitor"
-    return result
+    return {**result, "stderr": proc.stderr}
+
+
+UNAVAILABLE = "warning: compiled library unavailable"
 
 
 def expected_json(values: list[float]) -> str:
@@ -620,6 +629,9 @@ def test_a_second_interpreter_loads_the_cached_library(tmp_path):
     built = library.stat()
     second = probe(root)
     assert second["compiled"] and second["library"] == first["library"]
+    # only the build computes the table
+    assert first["table_computed"] and not second["table_computed"]
+    assert UNAVAILABLE not in first["stderr"] and UNAVAILABLE not in second["stderr"]
     again = library.stat()
     assert (again.st_ino, again.st_mtime_ns) == (built.st_ino, built.st_mtime_ns)
     # no temporary file is left beside the library
@@ -642,16 +654,38 @@ def test_a_build_prunes_libraries_of_older_sources(tmp_path):
     assert new["c2_sq"] == fig1_c2_sq()
 
 
+# prints where the package under sys.argv[1] caches its library
+KEY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from unsharp_monitor import _kernel
+print(_kernel.library_path())
+"""
+
+
+def test_an_edit_of_either_source_or_the_builder_changes_the_key(tmp_path):
+    # _kernel.py holds the flags and writes the table the build compiles in
+    root = package_copy(tmp_path)
+    key = [sys.executable, "-B", "-c", KEY, str(root)]
+    keys = [subprocess.run(key, capture_output=True, text=True, check=True).stdout]
+    for name in ("_kernel.c", "_repr.c", "_kernel.py"):
+        with open(root / "unsharp_monitor" / name, "a", encoding="utf-8") as source:
+            source.write("\n")
+        keys.append(subprocess.run(key, capture_output=True, text=True, check=True).stdout)
+    assert len(set(keys)) == len(keys)
+
+
 @pytest.mark.parametrize(
-    "case",
+    "case, reason",
     [
-        "unwritable-cache",
-        "no-compiler",
-        pytest.param("refused-tables", marks=needs_cc),
-        pytest.param("refused-parse-table", marks=needs_cc),
+        ("unwritable-cache", "(cannot write "),
+        ("no-compiler", "(no C compiler: "),
+        pytest.param("refused-tables", " could not build ", marks=needs_cc),
+        pytest.param("refused-parse-table", " could not build ", marks=needs_cc),
     ],
+    ids=["unwritable-cache", "no-compiler", "refused-tables", "refused-parse-table"],
 )
-def test_without_a_build_the_python_loop_runs(tmp_path, case):
+def test_without_a_build_the_python_loop_runs(tmp_path, case, reason):
     root = package_copy(tmp_path)
     if case == "unwritable-cache":
         # a file where the cache directory should be: nothing can be written there
@@ -659,8 +693,9 @@ def test_without_a_build_the_python_loop_runs(tmp_path, case):
     result = probe(root, case)
     assert not result["compiled"]
     assert result["python_writer"] and result["python_rows"]
-    # a refused table install happens after the build
-    assert Path(result["library"]).is_file() == case.startswith("refused-")
+    assert not Path(result["library"]).is_file()
+    # one line says so, and why, however many modules load the library
+    assert result["stderr"].count(UNAVAILABLE) == 1 and reason in result["stderr"]
     assert result["c2_sq"] == fig1_c2_sq()
     assert result["json"] == expected_json(result["c2_sq"])
     assert result["rows"] == expected_rows(result["c2_sq"])
