@@ -21,9 +21,10 @@
  * The kernel raises nothing.  A row stops where p_plus leaves [lo, hi] or
  * the norm is zero; um_advance_rows then returns the row, or for a group
  * of lanes the group's first row, with that row's state and the states of
- * the rows after it as they were.  trajectory._compiled_advance runs the
- * rows from there through the Python loop, which raises the error or, for
- * a p_plus that only a uniform outside [0, 1) lets pass, advances them.
+ * the rows after it as they were.  trajectory._compiled_advance runs that
+ * row and every row after it through the Python loop, which raises the
+ * error or, for a p_plus that only a uniform outside [0, 1) lets pass,
+ * advances them.
  *
  * state     rows x 4: Re c1, Im c1, Re c2, Im c2; updated in place
  * constants ch, s, p1, p2, u1_plus, u2_plus, u1_minus, u2_minus, lo, hi

@@ -422,7 +422,7 @@ static const char *parse_field(const char *p, double *value)
         int digits = 0;  /* in w: leading zeros are not significant */
         const char *start = p;
         for (; is_digit(*p); p++) {
-            if ((w || *p != '0') && ++digits > MAX_DIGITS)
+            if ((*p != '0' || w) && ++digits > MAX_DIGITS)
                 return NULL;
             w = 10 * w + (uint64_t)(*p - '0');
         }
@@ -431,7 +431,7 @@ static const char *parse_field(const char *p, double *value)
         if (*p == '.') {
             start = ++p;
             for (; is_digit(*p); p++, q--) {
-                if ((w || *p != '0') && ++digits > MAX_DIGITS)
+                if ((*p != '0' || w) && ++digits > MAX_DIGITS)
                     return NULL;
                 w = 10 * w + (uint64_t)(*p - '0');
             }

@@ -16,22 +16,21 @@ time:
   (``um_repr_join``), which ``dump_json`` calls with the separator of the
   array's indentation.  Each float is ``float.__repr__``'s exact text, the
   text ``fmt`` and ``json`` give a finite float; the ASCII result is decoded
-  once, with no Python object per float.  In a float array that holds a
-  non-finite value, ``dump_json`` quotes those values as ``json_safe``
-  does, which the compiled call does not.  Where ``_WRITER`` is None (no
-  library loaded) both bodies are joined from one ``float.__repr__`` call
-  per float, which gives the same bytes.
+  once, with no Python object per float.  A float array that holds a
+  non-finite value is written item by item instead, through ``json_safe``,
+  which quotes that value.  Where ``_WRITER`` is None (no library loaded)
+  both bodies are joined from one ``float.__repr__`` call per float, which
+  gives the same bytes.
 - ``read_trajectory_csv`` reads the file once as bytes and decodes only
   the lines up to the header.  The data rows after it go to one call into
   the compiled library (``um_parse_rows`` in ``_repr.c``), which reads
   exactly the rows ``write_trajectory_csv`` writes (five fields in
   ``repr``'s spelling, ``\\n`` endings) into the doubles ``float()`` gives,
   and declines everything else as a whole.  Where it declines, or no
-  library loaded, the whole file is decoded and its rows are converted in
-  blocks, one ``np.fromiter(map(float, texts))`` per block, so every field
-  is read by ``float()`` itself.  The series index is checked on the whole
-  column either way.  Only when a check fails does the per-line check run,
-  to name the first bad line, so every error text is ``float()``'s.
+  library loaded, the whole file is decoded and one loop reads its rows
+  line by line, every field by ``float()`` itself, into an array of
+  doubles.  It raises at the first bad line and names it, so every error
+  text is ``float()``'s.
 
 JSON goes through a small emitter, ``dump_json``, because
 ``json.dumps(..., indent=2)`` cannot use CPython's C encoder; its output must
@@ -41,13 +40,12 @@ which the tests check against that expression.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
 import stat
 from pathlib import Path
-from typing import Any, NoReturn
+from typing import Any
 
 import numpy as np
 
@@ -184,20 +182,17 @@ def _csv_rows(index: Any, *columns: Any) -> str:
     return _decoded_body(out, size)
 
 
-_NON_FINITE_TEXTS = ("nan", "inf", "-inf")
-
-
 def _json_parts(value: Any, newline: str, parts: list[str]) -> None:
     """Append ``value``'s text, as ``json.dumps(json_safe(value), indent=2)``
     spells it at the indentation that ``newline`` carries, to ``parts``."""
     inner = newline + "  "
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f" and len(value):
-        if np.isfinite(value).all():
-            body = _joined(value, "," + inner)
-        else:  # json_safe writes a non-finite float as a string
-            texts = _joined(value, ",").split(",")
-            body = ("," + inner).join(f'"{t}"' if t in _NON_FINITE_TEXTS else t for t in texts)
-        parts += ("[", inner, body, newline, "]")
+    # a float array in one call; one that holds a non-finite value takes the
+    # list route below, where json_safe writes that value as a string
+    if (
+        isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f"
+        and len(value) and np.isfinite(value).all()
+    ):
+        parts += ("[", inner, _joined(value, "," + inner), newline, "]")
         return
     if isinstance(value, np.ndarray):
         value = value.tolist()
@@ -270,13 +265,7 @@ def read_trajectory_csv(path: str | Path) -> tuple[dict[str, Any] | None, dict[s
     raw_lines = text.splitlines()
     del text
     echo, header_number = _read_preamble(path, raw_lines)
-    rows = list(filter(str.strip, raw_lines[header_number:]))
-    if not rows:
-        raise ArtifactError(f"{path}: no data rows")
-    data = _parse_rows(rows)
-    if data is None or not _index_runs_from_1(data):
-        _raise_first_bad_row(path, raw_lines, header_number)
-    return echo, _columns(data)
+    return echo, _columns(_parse_rows(path, raw_lines, header_number))
 
 
 def _decoded(path: Path, raw: bytes) -> str:
@@ -285,10 +274,6 @@ def _decoded(path: Path, raw: bytes) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ArtifactError(f"{path}: not UTF-8 text: {exc}") from exc
-
-
-def _index_runs_from_1(data: np.ndarray) -> bool:
-    return np.array_equal(data[:, 0], np.arange(1, len(data) + 1))
 
 
 def _columns(data: np.ndarray) -> dict[str, np.ndarray]:
@@ -328,7 +313,7 @@ def _read_compiled(
     if header_number != len(preamble):
         return None  # another line break made an earlier line the header
     data = _compiled_rows(raw, start)
-    if data is None or not _index_runs_from_1(data):
+    if data is None or not np.array_equal(data[:, 0], np.arange(1, len(data) + 1)):
         return None
     return echo, _columns(data)
 
@@ -373,31 +358,14 @@ def _read_preamble(path: Path, lines: list[str]) -> tuple[dict[str, Any] | None,
     raise ArtifactError(f"{path}:1: missing header line")
 
 
-# rows converted per fromiter call: bounds the field texts held at once
-_BLOCK_ROWS = 256
+def _parse_rows(path: Path, lines: list[str], header_number: int) -> np.ndarray:
+    """The data rows after the header, line ``header_number``, as an M x 5
+    array, each field read by ``float()``; raises the ArtifactError of the
+    first malformed row, naming its line."""
+    from array import array  # ~170 KB of resident memory that the compiled route never needs
 
-
-def _parse_rows(rows: list[str]) -> np.ndarray | None:
-    """The data rows as an M x 5 array, or None if a row is malformed.
-
-    A row turned comment fails ``float()`` too.
-    """
     width = len(TRAJECTORY_COLUMNS)
-    if set(map(str.count, rows, itertools.repeat(","))) != {width - 1}:
-        return None
-    data = np.empty((len(rows), width))
-    try:
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            texts = ",".join(rows[start:start + _BLOCK_ROWS]).split(",")
-            block = np.fromiter(map(float, texts), dtype=float, count=len(texts))
-            data[start:start + _BLOCK_ROWS] = block.reshape(-1, width)
-    except ValueError:
-        return None
-    return data
-
-
-def _raise_first_bad_row(path: Path, lines: list[str], header_number: int) -> NoReturn:
-    """Raise the ArtifactError of the first malformed data row, line by line."""
+    values = array("d")  # 8 bytes a value, not a Python float
     index = 0
     for number, line in enumerate(lines[header_number:], start=header_number + 1):
         if not line.strip():
@@ -407,21 +375,21 @@ def _raise_first_bad_row(path: Path, lines: list[str], header_number: int) -> No
                 f"{path}:{number}: comment after the header (a data row turned comment?)"
             )
         parts = line.split(",")
-        if len(parts) != len(TRAJECTORY_COLUMNS):
-            raise ArtifactError(
-                f"{path}:{number}: expected {len(TRAJECTORY_COLUMNS)} fields, got {len(parts)}"
-            )
+        if len(parts) != width:
+            raise ArtifactError(f"{path}:{number}: expected {width} fields, got {len(parts)}")
         try:
-            values = [float(part) for part in parts]
+            row = list(map(float, parts))
         except ValueError as exc:
             raise ArtifactError(f"{path}:{number}: {exc}") from exc
         index += 1
-        if values[0] != index:
+        if row[0] != index:
             raise ArtifactError(
                 f"{path}:{number}: series index must run 1..M, got {parts[0]}"
             )
-    # unreachable while these checks are the ones _parse_rows makes in bulk
-    raise ArtifactError(f"{path}: malformed data rows")
+        values.fromlist(row)
+    if not index:
+        raise ArtifactError(f"{path}: no data rows")
+    return np.frombuffer(values).reshape(-1, width)
 
 
 def spectrum_payload(

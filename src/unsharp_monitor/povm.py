@@ -70,10 +70,6 @@ class StateVector:
         """Squared magnitude of the upper-level amplitude."""
         return _abs2(self.c2)
 
-    def normalized(self) -> "StateVector":
-        norm = math.sqrt(self.norm_sq)
-        return StateVector(self.c1 / norm, self.c2 / norm)
-
 
 LEVEL_ONE = StateVector(1.0, 0.0)
 LEVEL_TWO = StateVector(0.0, 1.0)

@@ -161,8 +161,7 @@ class TrajectoryRecord:
 # trajectory holds at once (at most 64 uniforms per series).
 _BLOCK_SERIES = 1024
 # _kernel.c's LANES: the rows per kernel call in simulate_replicates, so a
-# group fills the interleaved lanes once, and the rows a stopped group
-# runs through the Python loop
+# group fills the interleaved lanes once
 _LANES = 4
 
 
@@ -201,8 +200,8 @@ def _python_advance(
 
     This loop is the readable reference, the portable fallback and the one
     place that raises: ``_compiled_advance`` runs the same lines compiled
-    from ``_kernel.c``, which only stops, and hands the rows where it
-    stopped to this loop.
+    from ``_kernel.c``, which only stops, and hands the row where it
+    stopped and every row after it to this loop.
 
     The step is that of ``rabi.evolve``,
     ``povm.outcome_probabilities`` and ``povm.apply_outcome`` with the
@@ -289,12 +288,12 @@ def _compiled_advance(
     full group of rows and of one for each row after the last group.  It
     raises nothing: it returns the row where p_plus left [lo, hi] or the
     norm was zero (in a group of four lanes, the group's first row).  That
-    row and the rest of its group run through ``_python_advance``, which
+    row and every row after it run through ``_python_advance``, which
     raises the first failing row's error or, when only a uniform outside
-    [0, 1) let the step pass, advances them; the kernel then resumes after
-    them.  The kernel reads and writes the buffers through raw pointers,
-    so their shapes and dtypes are checked here, and ``from_buffer``
-    refuses any buffer that is not C-contiguous and writable.
+    [0, 1) let the step pass, advances them.  The kernel reads and writes
+    the buffers through raw pointers, so their shapes and dtypes are
+    checked here, and ``from_buffer`` refuses any buffer that is not
+    C-contiguous and writable.
     """
     # no buffer has a shape of -1 rows, so an output of another rank is refused
     rows, series = c2_sq.shape if c2_sq.ndim == 2 else (-1, -1)
@@ -306,19 +305,12 @@ def _compiled_advance(
     ):
         raise ValueError("kernel buffers do not match the series: shapes or dtypes differ")
     double, int64 = ctypes.c_double, ctypes.c_int64
-    done = 0
-    while done < rows:
-        stop = done + _KERNEL(
-            double.from_buffer(state[done:]), double.from_buffer(constants), n, series,
-            rows - done, double.from_buffer(uniforms[done:]), double.from_buffer(c2_sq[done:]),
-            int64.from_buffer(n_plus[done:]),
-        )
-        if stop == rows:
-            return
-        done = min(stop + _LANES, rows)
-        _python_advance(
-            state[stop:done], constants, n, uniforms[stop:done], c2_sq[stop:done], n_plus[stop:done]
-        )
+    stop = _KERNEL(
+        double.from_buffer(state), double.from_buffer(constants), n, series, rows,
+        double.from_buffer(uniforms), double.from_buffer(c2_sq), int64.from_buffer(n_plus),
+    )
+    if stop < rows:
+        _python_advance(state[stop:], constants, n, uniforms[stop:], c2_sq[stop:], n_plus[stop:])
 
 
 _advance = _python_advance if _KERNEL is None else _compiled_advance

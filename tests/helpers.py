@@ -53,9 +53,9 @@ def quiet_config(**kwargs) -> TrajectoryConfig:
 
 
 def random_state(rng) -> StateVector:
-    return StateVector(
-        complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
-    ).normalized()
+    drawn = StateVector(complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
+    norm = math.sqrt(drawn.norm_sq)
+    return StateVector(drawn.c1 / norm, drawn.c2 / norm)
 
 
 def random_params(rng) -> PovmParams:

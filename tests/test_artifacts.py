@@ -288,8 +288,8 @@ def test_reader_matches_the_per_line_loop(tmp_path_factory, lines):
     assert_same_columns(columns, expected)
 
 
-def test_reader_reads_rows_across_conversion_blocks(tmp_path):
-    # more rows than one conversion block holds, with a blank line at a block edge
+def test_reader_reads_many_rows_around_a_blank_line(tmp_path):
+    # the blank line sends the file to the float() route, which skips it
     rows = 1000
     path = tmp_path / "trajectory.csv"
     column = np.linspace(-1.0, 1.0, rows)
@@ -943,9 +943,9 @@ def test_compiled_reader_reads_back_every_binary_exponent(tmp_path, monkeypatch)
     fallbacks = []
     parse_rows = artifacts._parse_rows
 
-    def spy(rows):
+    def spy(*args):
         fallbacks.append(1)
-        return parse_rows(rows)
+        return parse_rows(*args)
 
     monkeypatch.setattr(artifacts, "_parse_rows", spy)
     for part, compiled in ((values[~subnormal], True), (values[subnormal], False)):
@@ -978,7 +978,6 @@ def test_a_fig3_file_takes_the_compiled_route(tmp_path, monkeypatch, fig3_artifa
         raise AssertionError("the float() route ran")
 
     monkeypatch.setattr(artifacts, "_parse_rows", refuse)
-    monkeypatch.setattr(artifacts, "_raise_first_bad_row", refuse)
     read_echo, columns = read_trajectory_csv(path)
     assert len(calls) == 1
     assert read_echo == expected_echo

@@ -568,6 +568,44 @@ class TestAnalyze:
         )
         exits_0_or_2(capsys, ["analyze", edited, "--out-dir", out])
 
+    # replace, insert and delete bytes of a written trajectory CSV, the new
+    # bytes drawn from the characters of its numbers, rows and echo
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["replace", "insert", "delete"]),
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.sampled_from(b'0123456789.,-+eE\n\r#:{}"nai '),
+            ),
+            max_size=6,
+        ),
+        lines=st.integers(0, 40),
+    )
+    def test_any_byte_edit_of_the_csv_exits_0_or_2(self, tmp_path, capsys, edits, lines):
+        # one simulate for every example: the fixtures live for the whole test
+        csv, out = tmp_path / "trajectory.csv", tmp_path / "an"
+        if not csv.exists():
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({**SMALL_CONFIG, "m_series": 8}), encoding="utf-8")
+            assert run(["simulate", "--config", config, "--out-dir", tmp_path]) == 0
+        data = bytearray(csv.read_bytes())
+        for kind, where, byte in edits:
+            at = int(where * (len(data) + (kind == "insert")))
+            if kind == "insert":
+                data.insert(at, byte)
+            elif data:
+                if kind == "replace":
+                    data[at] = byte
+                else:
+                    del data[at]
+        edited = tmp_path / "edited.csv"
+        edited.write_bytes(b"".join(data.splitlines(keepends=True)[:lines]))
+        exits_0_or_2(capsys, ["analyze", edited, "--out-dir", out])
+
     def test_partial_echo_switches_are_read(self, tmp_path, small_config):
         # the switches used to be read only from an echo with n_per_series and tau
         out = tmp_path / "out"

@@ -3,9 +3,10 @@
 Rerun-vs-rerun tests cannot see a change that shifts a float in every run
 alike; these digests can.  A change to the simulation or analysis code
 must leave them untouched.  The preset and ``analyze`` pins hold for both
-float writers, the compiled one and ``float.__repr__``, and the preset pins
-and the 9-seed sweep pin for both step loops, the compiled one and
-``trajectory._python_advance``.
+float writers, the compiled one and ``float.__repr__``, the ``analyze``
+pins for both row readers, the compiled parse and ``float()``, and the
+preset pins and the 9-seed sweep pin for both step loops, the compiled one
+and ``trajectory._python_advance``.
 
 The digests of ``spectrum.json`` and of the processed readout columns
 depend on numpy's FFT output, so a numpy upgrade that changes the FFT's
@@ -122,12 +123,32 @@ def test_simulate_preset_artifacts_are_pinned_with_the_python_loop(tmp_path, mon
     assert digests(out) == SIMULATE_DIGESTS[preset]
 
 
-@pytest.mark.parametrize("preset", sorted(ANALYZE_DIGESTS))
-def test_analyze_artifacts_are_pinned(tmp_path, preset):
+# how analyze reads the CSV: the compiled parse where the library loaded;
+# float() with the parse unloaded; float() on a copy with "\r\n" line
+# endings, which the compiled parse declines
+@pytest.mark.parametrize(
+    "preset, read",
+    [
+        pytest.param(preset, read, id=preset if read == "compiled" else f"{preset}-{read}")
+        for preset in sorted(ANALYZE_DIGESTS)
+        for read in ("compiled", "float", "crlf")
+    ],
+)
+def test_analyze_artifacts_are_pinned(tmp_path, monkeypatch, preset, read):
     sim = tmp_path / "sim"
     assert main(["simulate", "--preset", preset, "--seed", SEED, "--out-dir", str(sim)]) == 0
+    csv = sim / "trajectory.csv"
+    if read == "float":
+        monkeypatch.setattr(artifacts, "_PARSE", None)
+    elif read == "crlf":
+        csv = sim / "crlf.csv"
+        csv.write_bytes((sim / "trajectory.csv").read_bytes().replace(b"\n", b"\r\n"))
+    calls, parse_rows = [], artifacts._parse_rows
+    monkeypatch.setattr(artifacts, "_parse_rows", lambda *args: calls.append(1) or parse_rows(*args))
     out = tmp_path / "analyze"
-    assert main(["analyze", str(sim / "trajectory.csv"), "--out-dir", str(out)]) == 0
+    assert main(["analyze", str(csv), "--out-dir", str(out)]) == 0
+    if read != "compiled":
+        assert calls == [1]  # the float() route read the rows
     assert {name: sha256(out / name) for name in ANALYZE_DIGESTS[preset]} == ANALYZE_DIGESTS[preset]
 
 

@@ -10,10 +10,10 @@ first.  They also drive the excursion and zero-norm checks of both
 kernels, hold every row of a many-row call (the compiled loop at a width
 of four lanes and, for the tail, of one) to the Python loop and every row
 of ``simulate_replicates`` to the one-seed trajectory, stop a call at its
-first failing row in a lane group or in the tail, resume the compiled
-kernel after a group it stopped in but the Python loop passes, and check
-that the compiled kernel is built once, cached, and in use wherever a C
-compiler is.
+first failing row in a lane group or in the tail, run the rest of a
+call through the Python loop from a group the compiled kernel stopped in
+but the Python loop passes, and check that the compiled kernel is built
+once, cached, and in use wherever a C compiler is.
 """
 
 import json
@@ -459,9 +459,9 @@ def test_a_flagged_lane_that_passes_its_rerun_gives_the_python_loop():
     # p_plus = 2 lies above the slack, where the compiled kernel stops; u = 5
     # reads it as "-", and the Python loop tests a "-" only against the lower
     # bound, so the row passes and the first group, rerun there, must give
-    # the Python loop's rows.  The call then resumes compiled: the second
-    # group and the tail row start from states of their own phases and read
-    # their own uniforms, so they must also give the Python loop's rows
+    # the Python loop's rows.  The rest of the call runs there too: the
+    # second group and the tail row start from states of their own phases
+    # and read their own uniforms, so they must also give the Python loop's rows
     config = quiet_config(**LANE_CONFIG)
     states = [HEALTHY] * 3 + [StateVector(math.sqrt(2.0), 0.5)] + [
         StateVector(0.6 * complex(math.cos(k), math.sin(k)), 0.8) for k in range(5)

@@ -309,7 +309,3 @@ class TestStateVector:
     def test_zero_vector_rejected(self):
         with pytest.raises(StateError):
             StateVector(0.0, 0.0)
-
-    def test_normalize_tolerance(self):
-        state = StateVector(3.0, 4.0).normalized()
-        assert abs(state.norm_sq - 1.0) <= 1e-12

@@ -21,6 +21,8 @@ from unsharp_monitor.rabi import (
     propagator,
 )
 
+from helpers import random_state
+
 SPEC = HamiltonianSpec()
 
 
@@ -72,9 +74,7 @@ class TestEvolve:
     def test_group_property(self):
         rng = np.random.default_rng(33)
         for _ in range(50):
-            state = StateVector(
-                complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
-            ).normalized()
+            state = random_state(rng)
             t1, t2 = rng.uniform(0, 1, size=2)
             once = evolve(state, t1 + t2, SPEC)
             twice = evolve(evolve(state, t1, SPEC), t2, SPEC)
@@ -88,9 +88,7 @@ class TestEvolve:
     def test_bloch_x_component_invariant(self):
         rng = np.random.default_rng(34)
         for _ in range(100):
-            state = StateVector(
-                complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
-            ).normalized()
+            state = random_state(rng)
             x_before = bloch_vector(state)[0]
             x_after = bloch_vector(evolve(state, rng.uniform(0, 2), SPEC))[0]
             assert abs(x_after - x_before) <= 1e-12
