@@ -5,13 +5,13 @@ The library holds the measurement kernel (``um_advance_rows`` in
 stopped and leaves the errors to the Python loop), and the artifact float
 writer (``um_repr_rows`` and ``um_repr_join``) and trajectory-CSV row
 parser (``um_parse_rows``) in ``_repr.c``, which ``artifacts`` runs.  It
-is built on first use with the interpreter's C compiler (``sysconfig``'s
-``CC``), the writer's and the parser's table of powers of ten compiled in
-from ``pow10_table``, and cached in this package's ``__pycache__/`` under
-a name keyed on the bytes of the sources and of this file, and on the
-platform, so later processes load it without compiling.  The compiler
-writes a temporary file that ``os.replace`` then moves into place, so a
-process never loads a half-written library, however many build it at once.
+is built on first use by the one command ``compile_command`` spells
+(``sysconfig``'s ``CC``, ``FLAGS``, and ``pow10_table`` as a macro) and
+cached in this package's ``__pycache__/`` under a name keyed on the bytes
+of the sources and of this file, and on the platform, so later processes
+load it without compiling.  The compiler writes a temporary file that
+``os.replace`` then moves into place, so a process never loads a
+half-written library, however many build it at once.
 
 A build deletes the libraries that older sources left in the cache.
 ``load`` returns None, and says why in one line on stderr, when there is
@@ -31,6 +31,7 @@ import sys
 import sysconfig
 import tempfile
 import zlib
+from collections.abc import Iterable
 from pathlib import Path
 
 SOURCES = tuple(Path(__file__).with_name(name) for name in ("_kernel.c", "_repr.c"))
@@ -40,8 +41,8 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120
 _PLATFORM = sysconfig.get_platform().replace("-", "_").replace(".", "_")
 
-# the longest float text _repr.c writes, and the longest index
-REPR_MAX, INDEX_MAX = 24, 20
+# the longest float text _repr.c writes, and the longest row number
+REPR_MAX, INDEX_MAX = 24, 19
 # _repr.c's table: 128-bit entries for 10^q, POW10_MIN_Q <= q <= POW10_MAX_Q
 POW10_BITS, POW10_MIN_Q, POW10_MAX_Q = 128, -342, 324
 
@@ -61,36 +62,41 @@ def library_path() -> Path:
     return SOURCES[0].parent / "__pycache__" / f"_kernel.{key}.{_PLATFORM}.so"
 
 
+def compile_command(
+    output: str | os.PathLike, sources: Iterable[Path] = SOURCES, extra: Iterable[str] = ()
+) -> list[str]:
+    """The command that compiles ``sources`` into the shared library ``output``: the
+    compiler, ``FLAGS``, ``extra``, and ``pow10_table()`` as ``_repr.c``'s macro
+    ``POW10_ENTRIES`` (28 KB in one argument).  OSError when no compiler is named."""
+    cc = compiler()
+    if not cc:
+        raise OSError("the interpreter names no C compiler")
+    words = ",".join(f"{{0x{v % 2**64:016x}u,0x{v >> 64:016x}u}}" for v in pow10_table())
+    table = f"-DPOW10_ENTRIES={words}"
+    return [*cc, *FLAGS, *extra, table, "-o", str(output), *map(str, sources), "-lm"]
+
+
 def _build(path: Path) -> None:
     """Compile ``SOURCES`` into ``path``; raises OSError, saying why, when that cannot be done."""
     import subprocess  # only a build needs it; most processes load the cache
 
-    cc = compiler()
-    if not cc:
-        raise OSError("the interpreter names no C compiler")
     try:
         path.parent.mkdir(exist_ok=True)
         fd, temp = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
         os.close(fd)
     except OSError as error:
         raise OSError(f"cannot write {path.parent}: {error.strerror or error}") from error
-    header = temp + ".h"
     try:
-        write_table_header(header)
-        subprocess.run(
-            [*cc, *FLAGS, "-include", header, "-o", temp, *map(str, SOURCES), "-lm"],
-            check=True, capture_output=True, timeout=BUILD_TIMEOUT_S,
-        )
+        command = compile_command(temp)
+        subprocess.run(command, check=True, capture_output=True, timeout=BUILD_TIMEOUT_S)
         os.chmod(temp, 0o755)  # mkstemp made it private to this user
         os.replace(temp, path)
     except FileNotFoundError as error:
-        raise OSError(f"no C compiler: {cc[0]!r} is not on PATH") from error
+        raise OSError(f"no C compiler: {command[0]!r} is not on PATH") from error
     except subprocess.SubprocessError as error:
-        raise OSError(f"{cc[0]} could not build {path.name}") from error
+        raise OSError(f"{command[0]} could not build {path.name}") from error
     finally:
-        for name in (temp, header):
-            if os.path.exists(name):
-                os.remove(name)
+        Path(temp).unlink(missing_ok=True)  # left only where the build or the replace failed
     # libraries built from older sources are never loaded again; a temporary
     # name ends in mkstemp's random suffix, not ".so", so none is matched
     for stale in path.parent.glob(f"_kernel.*.{_PLATFORM}.so"):
@@ -125,14 +131,6 @@ def pow10_table() -> list[int]:
         for k in range(-POW10_MIN_Q, 0, -1)
     ]
     return table + [_top_bits(p, POW10_BITS) for p in powers[:POW10_MAX_Q + 1]]
-
-
-def write_table_header(path: str | os.PathLike) -> None:
-    """Write ``pow10_table()`` as the header ``_repr.c`` is compiled with
-    (``-include``): a macro ``POW10_ENTRIES`` of {low, high} 64-bit words."""
-    entries = [f"{{0x{value % 2**64:016x}u, 0x{value >> 64:016x}u}}" for value in pow10_table()]
-    with open(path, "w", encoding="ascii") as header:
-        header.write("#define POW10_ENTRIES \\\n    " + ", \\\n    ".join(entries) + "\n")
 
 
 @functools.cache
@@ -173,7 +171,6 @@ def load() -> ctypes.CDLL | None:
     )
     library.um_repr_rows.restype = ctypes.c_int64
     library.um_repr_rows.argtypes = (
-        ctypes.c_void_p,  # index, C-contiguous int64
         ctypes.c_void_p,  # columns, width x n C-contiguous doubles
         ctypes.c_int64,  # n
         ctypes.c_int64,  # width

@@ -11,16 +11,16 @@ So floats are formatted and parsed in bulk, never one numpy scalar at a
 time:
 
 - The compiled library (``_repr.c``) writes whole bodies, each in one
-  call: ``_csv_rows`` the data rows of a trajectory CSV (``um_repr_rows``)
-  and ``_joined`` a float array's texts joined by a separator
-  (``um_repr_join``), which ``dump_json`` calls with the separator of the
-  array's indentation.  Each float is ``float.__repr__``'s exact text, the
-  text ``fmt`` and ``json`` give a finite float; the ASCII result is decoded
-  once, with no Python object per float.  A float array that holds a
-  non-finite value is written item by item instead, through ``json_safe``,
-  which quotes that value.  Where ``_WRITER`` is None (no library loaded)
-  both bodies are joined from one ``float.__repr__`` call per float, which
-  gives the same bytes.
+  call: ``_csv_rows`` the data rows of a trajectory CSV (``um_repr_rows``,
+  which numbers the rows 1..M itself) and ``_joined`` a float array's
+  texts joined by a separator (``um_repr_join``), which ``dump_json``
+  calls with the separator of the array's indentation.  Each float is
+  ``float.__repr__``'s exact text, the text ``fmt`` and ``json`` give a
+  finite float; the ASCII result is decoded once, with no Python object
+  per float.  A float array that holds a non-finite value is written item
+  by item instead, through ``json_safe``, which quotes that value.  Where
+  ``_WRITER`` is None (no library loaded) both bodies are joined from one
+  ``float.__repr__`` call per float, which gives the same bytes.
 - ``read_trajectory_csv`` reads the file once as bytes and decodes only
   the lines up to the header.  The data rows after it go to one call into
   the compiled library (``um_parse_rows`` in ``_repr.c``), which reads
@@ -162,23 +162,18 @@ def _joined(values: Any, separator: str) -> str:
     return _decoded_body(out, size)
 
 
-def _csv_rows(index: Any, *columns: Any) -> str:
-    """The CSV rows ``index,v1,...,vk\\n``: ``str`` of each integer of ``index``
-    and ``float.__repr__`` of the values in ``columns`` beside it."""
-    index = np.ascontiguousarray(index, dtype=np.int64)
+def _csv_rows(*columns: Any) -> str:
+    """The CSV rows ``r,v1,...,vk\\n`` for r = 1..M: each row's number and
+    ``float.__repr__`` of the values in ``columns`` beside it."""
     values = np.array(columns, dtype=np.float64)  # C-contiguous, a column per row
-    if index.ndim != 1 or values.shape != (len(columns), len(index)):
-        raise ValueError(
-            f"expected 1-d columns of one length, got shapes {index.shape} and {values.shape}"
-        )
+    if values.ndim != 2:
+        raise ValueError(f"expected 1-d columns of one length, got shape {values.shape}")
+    width, n = values.shape
     if _WRITER is None:
-        texts = zip(map(str, index.tolist()), *(map(float.__repr__, v) for v in values.tolist()))
+        texts = zip(map(str, range(1, n + 1)), *(map(float.__repr__, v) for v in values.tolist()))
         return "".join([",".join(row) + "\n" for row in texts])
-    row_max = _kernel.INDEX_MAX + 1 + (_kernel.REPR_MAX + 1) * len(columns)
-    out = np.empty(row_max * len(index), dtype=np.uint8)
-    size = _WRITER.um_repr_rows(
-        index.ctypes.data, values.ctypes.data, len(index), len(columns), out.ctypes.data, out.size
-    )
+    out = np.empty((_kernel.INDEX_MAX + 1 + (_kernel.REPR_MAX + 1) * width) * n, dtype=np.uint8)
+    size = _WRITER.um_repr_rows(values.ctypes.data, n, width, out.ctypes.data, out.size)
     return _decoded_body(out, size)
 
 
@@ -239,9 +234,11 @@ def write_trajectory_csv(
     g2_processed: np.ndarray,
     echo: dict[str, Any],
 ) -> None:
+    if not np.array_equal(m, np.arange(1, len(t) + 1)):
+        raise ValueError(f"m must run 1..M, one series per row, for M = {len(t)} rows")
     lines = _comment_header(echo)
     lines.append(",".join(TRAJECTORY_COLUMNS))
-    rows = _csv_rows(m, t, c2_sq, g2, g2_processed)
+    rows = _csv_rows(t, c2_sq, g2, g2_processed)
     _write_text(Path(path), "\n".join(lines) + "\n" + rows)
 
 

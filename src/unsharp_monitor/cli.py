@@ -129,7 +129,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     wiener = bool_field(echo, "wiener")
     truncation = bool_field(echo, "truncation")
     check_frequency_axis(len(columns["g2"]), dt, t_r, spacing)
-    spectrum, processed = process_readout(columns["g2"], dt, wiener, truncation)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            spectrum, processed = process_readout(columns["g2"], dt, wiener, truncation)
+    except FloatingPointError as exc:
+        raise ArtifactError(f"{args.csv}: g2 too large for a spectrum: {exc}") from exc
     out_dir = _out_dir(args.out_dir)
     payload = artifacts.spectrum_payload(spectrum, processed, echo, 2.0 * math.pi / t_r)
     artifacts.check_targets([out_dir / "spectrum.json", out_dir / "processed.csv"])

@@ -11,7 +11,7 @@ from typing import Any, Iterable
 
 from .povm import ParameterError, PovmParams, StateError, StateVector, ensure_normalized
 from .rabi import HamiltonianSpec
-from .spectral import angular_frequency, classify_regime
+from .spectral import F_HI, F_LO, MIN_SAMPLES, angular_frequency, classify_regime
 from .trajectory import TrajectoryConfig
 
 SCHEMA_VERSION = "unsharp-monitor/1"
@@ -61,8 +61,8 @@ class RunConfig:
     trajectory: TrajectoryConfig
     wiener: bool = True
     truncation: bool = True
-    f_lo: float = 0.3
-    f_hi: float = 5.0
+    f_lo: float = F_LO
+    f_hi: float = F_HI
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -236,8 +236,10 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
 
     tau = float_field(data, "tau", positive=True)
     m_series = int_field(data, "m_series", 0)
-    if m_series < 4:
-        raise ConfigError("m_series", f"must be >= 4 (spectral analysis needs it), got {m_series}")
+    if m_series < MIN_SAMPLES:
+        raise ConfigError(
+            "m_series", f"must be >= {MIN_SAMPLES} (spectral analysis needs it), got {m_series}"
+        )
     if m_series > MAX_M_SERIES:
         raise ConfigError("m_series", f"must be <= {MAX_M_SERIES}, got {m_series}")
 
@@ -262,8 +264,8 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
         trajectory=trajectory,
         wiener=bool_field(data, "wiener"),
         truncation=bool_field(data, "truncation"),
-        f_lo=float_field(data, "f_lo", 0.3),
-        f_hi=float_field(data, "f_hi", 5.0),
+        f_lo=float_field(data, "f_lo", F_LO),
+        f_hi=float_field(data, "f_hi", F_HI),
         out_dir=out_dir,
     )
 

@@ -74,7 +74,7 @@ def fidelity(params: PovmParams, n: int, state: StateVector) -> float:
 
 
 def best_guess(r: float, params: PovmParams) -> float:
-    """Linear estimate (r - p1) / dp of the upper-level population.
+    """Linear estimate (r - p1) / dp of the upper-level population, per element of an array r.
 
     Anchored so that r = p1 maps to 0 and r = p2 maps to 1.  The value is
     not clamped to [0, 1]; for weak measurements single readouts scatter

@@ -32,6 +32,8 @@ from .povm import ParameterError
 
 # the fewest samples a readout takes
 MIN_SAMPLES = 4
+# the default regime thresholds on the fuzziness f (classify_regime)
+F_LO, F_HI = 0.3, 5.0
 _FLAT_TOL = 1e-15
 _NOISE_FLOOR_REL = 1e-12
 _NO_PEAK = "no main peak found; truncation skipped"
@@ -147,16 +149,13 @@ def _noise_floors(power: np.ndarray) -> np.ndarray:
 
 
 def _wiener_weights(power: np.ndarray, floors: np.ndarray) -> np.ndarray:
-    top = power[:, 1:].max(axis=1)
-    passthrough = (floors <= _NOISE_FLOOR_REL * top) | (top == 0.0)
-    weights = np.zeros(power.shape)
-    weights[passthrough] = power[passthrough] > _NOISE_FLOOR_REL * top[passthrough, None]
-    filtered = ~passthrough
-    floor = floors[filtered, None]
-    signal = np.maximum(power[filtered] - floor, 0.0)
-    ratio = np.zeros(signal.shape)
-    np.divide(signal, signal + floor, out=ratio, where=(signal > 0.0))
-    weights[filtered] = ratio
+    top = power[:, 1:].max(axis=1, keepdims=True)
+    passthrough = (floors[:, None] <= _NOISE_FLOOR_REL * top) | (top == 0.0)
+    # a passthrough row's floor, inf say, takes no part in the ratio
+    floor = np.where(passthrough, 0.0, floors[:, None])
+    signal = np.maximum(power - floor, 0.0)
+    weights = np.where(passthrough, power > _NOISE_FLOOR_REL * top, 0.0)
+    np.divide(signal, signal + floor, out=weights, where=(signal > 0.0) & ~passthrough)
     weights[:, 0] = 1.0
     return weights
 
@@ -325,7 +324,7 @@ def row_correlations(x, y) -> np.ndarray:
     return r
 
 
-def classify_regime(f: float, f_lo: float = 0.3, f_hi: float = 5.0) -> str:
+def classify_regime(f: float, f_lo: float = F_LO, f_hi: float = F_HI) -> str:
     """Map a fuzziness value onto one of the three measurement regimes.
 
     Below ``f_lo`` the measurements dominate (quantum jumps between the

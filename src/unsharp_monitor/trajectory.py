@@ -55,6 +55,7 @@ from .rabi import HamiltonianSpec, rotation_half_angles
 from .series import (
     MAX_SERIES_LENGTH,
     RegimeParams,
+    best_guess,
     evaluate_regime,
 )
 
@@ -317,11 +318,10 @@ _advance = _python_advance if _KERNEL is None else _compiled_advance
 
 
 def _best_guesses(n_plus: np.ndarray, n: int, params: PovmParams) -> np.ndarray:
-    """Best guesses (n_plus / n - p1) / dp, one per series; NaN when dp = 0."""
-    dp = params.dp
-    if dp == 0.0:
+    """``series.best_guess`` of each series' relative frequency n_plus / n; NaN when dp = 0."""
+    if params.dp == 0.0:
         return np.full(n_plus.shape, math.nan)
-    return (n_plus / n - params.p1) / dp
+    return best_guess(n_plus / n, params)
 
 
 def simulate_replicates(

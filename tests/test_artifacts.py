@@ -45,7 +45,7 @@ from unsharp_monitor.artifacts import (
 )
 from unsharp_monitor.config import load_run_config
 from unsharp_monitor.spectral import process_readout
-from unsharp_monitor.trajectory import simulate_trajectory
+from unsharp_monitor.trajectory import simulate_replicates, simulate_trajectory
 
 from helpers import needs_cc
 
@@ -130,6 +130,19 @@ def test_trajectory_rows_match_the_per_value_loop(tmp_path_factory, columns):
     m = np.arange(1, len(columns[0]) + 1)
     write_trajectory_csv(path, m, *columns, {"seed": 1})
     assert data_rows(path) == reference_rows(m, *columns)
+
+
+@pytest.mark.parametrize(
+    "m", [[0, 1, 2, 3, 4, 5], [2, 3, 4, 5, 6, 7], [1, 2, 4, 3, 5, 6]],
+    ids=["from-0", "from-2", "swapped"],
+)
+def test_a_trajectory_csv_is_written_only_with_m_1_to_M(tmp_path, m):
+    # the reader refuses any other series numbers, so the writer does too
+    path, column = tmp_path / "trajectory.csv", np.linspace(0.0, 1.0, 6)
+    message = r"^m must run 1\.\.M, one series per row, for M = 6 rows$"
+    with pytest.raises(ValueError, match=message):
+        write_trajectory_csv(path, np.array(m), column, column, column, column, {"seed": 1})
+    assert not path.exists()
 
 
 def reference_read(path):
@@ -623,30 +636,19 @@ def raw_join(library, values: np.ndarray, separator: str, short: int = 0) -> str
     return written(out, size)
 
 
-def raw_rows(library, index: np.ndarray, columns: np.ndarray, short: int = 0) -> str | None:
+def raw_rows(library, columns: np.ndarray, short: int = 0) -> str | None:
     """``um_repr_rows`` into a capacity ``short`` bytes below its worst case."""
     width, n = columns.shape
     capacity = (_kernel.INDEX_MAX + 1 + (_kernel.REPR_MAX + 1) * width) * n - short
     out = np.full(max(capacity, 0) + SLACK, UNWRITTEN, dtype=np.uint8)
-    size = library.um_repr_rows(
-        index.ctypes.data, columns.ctypes.data, n, width, out.ctypes.data, capacity
-    )
+    size = library.um_repr_rows(columns.ctypes.data, n, width, out.ctypes.data, capacity)
     return written(out, size)
 
 
-# row indices of many digit counts, the int64 extremes first
-INDEX_EDGES = [
-    -(2**63), 2**63 - 1, 0, -1, 9, 10, 10**8 - 1, 10**8, -(10**8), 10**16 - 1, 10**16,
-    -(10**16) - 1, 10**18, 10**18 - 1, 1234567890123456789, 99, 100, 7,
-]
-
-
-def writer_inputs(values: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The values, an index of ``INDEX_EDGES`` as long, and two columns of
-    them for ``um_repr_rows``."""
+def writer_inputs(values: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The values, and two columns of them for ``um_repr_rows``."""
     array = np.array(values, dtype=float)
-    index = np.resize(np.array(INDEX_EDGES, dtype=np.int64), len(array))
-    return array, index, np.array([array, -array[::-1]])
+    return array, np.array([array, -array[::-1]])
 
 
 def typed_copy(path: Path) -> ctypes.CDLL:
@@ -684,28 +686,28 @@ def test_the_writer_needs_room_for_the_worst_case(values):
     # into the worst case the raw calls write the Python route's text, and
     # into one byte less nothing
     library = artifacts._LIBRARY
-    values, index, columns = writer_inputs(values)
+    values, columns = writer_inputs(values)
     separators = (",", *JSON_SEPARATORS)
     with python_writer():
         joined = [artifacts._joined(values, separator) for separator in separators]
-        rows = artifacts._csv_rows(index, *columns)
+        rows = artifacts._csv_rows(*columns)
     for separator, text in zip(separators, joined):
         assert raw_join(library, values, separator) == artifacts._joined(values, separator) == text
         assert raw_join(library, values, separator, short=1) is None
-    assert raw_rows(library, index, columns) == artifacts._csv_rows(index, *columns) == rows
-    assert raw_rows(library, index, columns, short=1) is None
+    assert raw_rows(library, columns) == artifacts._csv_rows(*columns) == rows
+    assert raw_rows(library, columns, short=1) is None
 
 
 @needs_library
 def test_a_writer_that_refuses_its_buffer_raises(monkeypatch):
     # the buffers are sized from _kernel's REPR_MAX and INDEX_MAX; sizes one
     # below the library's own make it refuse, which must not read as text
-    values, index, columns = writer_inputs(EDGE_DOUBLES)
+    values, columns = writer_inputs(EDGE_DOUBLES)
     monkeypatch.setattr(_kernel, "REPR_MAX", _kernel.REPR_MAX - 1)
     with pytest.raises(RuntimeError, match="^the float writer wrote nothing"):
         artifacts._joined(values, ",")
     with pytest.raises(RuntimeError, match="^the float writer wrote nothing"):
-        artifacts._csv_rows(index, *columns)
+        artifacts._csv_rows(*columns)
 
 
 @needs_library
@@ -714,14 +716,11 @@ def test_the_writer_checks_its_sizes_without_overflow():
     library = artifacts._LIBRARY
     value, out = np.array([0.5]), np.full(SLACK, UNWRITTEN, dtype=np.uint8)
     huge, top = 2**62, 2**63 - 1
-    index = np.array([1])
     for n, sep_len in [(-1, 1), (1, -1), (1, top), (huge, 100), (top, 1)]:
         size = library.um_repr_join(value.ctypes.data, n, b",", sep_len, out.ctypes.data, top)
         assert size == -1, (n, sep_len)
     for n, width in [(-1, 1), (1, -1), (1, top // 4), (huge, 4), (top, 1)]:
-        size = library.um_repr_rows(
-            index.ctypes.data, value.ctypes.data, n, width, out.ctypes.data, top
-        )
+        size = library.um_repr_rows(value.ctypes.data, n, width, out.ctypes.data, top)
         assert size == -1, (n, width)
     assert library.um_repr_join(value.ctypes.data, 1, b",", 1, out.ctypes.data, -1) == -1
     assert (out == UNWRITTEN).all()
@@ -732,22 +731,20 @@ bit_patterns = st.integers(0, 2**64 - 1).map(as_double) | st.floats()
 
 @needs_library
 @settings(max_examples=300, deadline=None)
-@given(st.lists(bit_patterns, max_size=50), st.integers(0, 10**6 - 50))
-@example(EDGE_DOUBLES, 10**6 - len(EDGE_DOUBLES) + 1)
-@example([], 1)
-@example([0.1], 10**6)
-def test_compiled_texts_are_float_repr(values, first):
-    # the index runs up to 10^6 at most
+@given(st.lists(bit_patterns, max_size=50))
+@example(EDGE_DOUBLES)
+@example([])
+@example([0.1])
+def test_compiled_texts_are_float_repr(values):
     array = np.array(values, dtype=float)
     texts = repr_texts(array)
     for separator in (",", *JSON_SEPARATORS):
         assert artifacts._joined(array, separator) == separator.join(texts)
-    index = np.arange(first, first + len(array))
     columns = (array, -array, array[::-1], np.roll(array, 1))
     payload = {"array": array, "nested": [array]}  # at two indentations
-    rows, text = artifacts._csv_rows(index, *columns), dump_json(payload)
+    rows, text = artifacts._csv_rows(*columns), dump_json(payload)
     with python_writer():
-        assert rows == artifacts._csv_rows(index, *columns)
+        assert rows == artifacts._csv_rows(*columns)
         assert text == dump_json(payload)
     assert text == reference_json(payload)
 
@@ -774,9 +771,9 @@ def test_compiled_texts_match_float_repr_at_every_binary_exponent():
     values = np.concatenate([exponents, -exponents, patterns.view(np.float64), short])
     assert artifacts._joined(values, ",") == ",".join(repr_texts(values))
     columns = exponents.reshape(2, -1)
-    rows = artifacts._csv_rows(np.arange(1, columns.shape[1] + 1), *columns, *-columns)
+    rows = artifacts._csv_rows(*columns, *-columns)
     with python_writer():
-        assert rows == artifacts._csv_rows(np.arange(1, columns.shape[1] + 1), *columns, *-columns)
+        assert rows == artifacts._csv_rows(*columns, *-columns)
 
 
 @needs_library
@@ -785,17 +782,30 @@ def test_compiled_texts_copy_what_the_pointer_cannot_read():
     assert artifacts._joined(values[:, 1], ",") == ",".join(repr_texts(values[:, 1]))
     swapped = values.ravel().astype(">f8")
     assert artifacts._joined(swapped, ",") == ",".join(repr_texts(values.ravel()))
-    index = np.arange(3.0)[::-1]  # floats, strided
-    rows = artifacts._csv_rows(index, values[:, 1], swapped[:3], values[0, :3].astype(">f8"))
+    rows = artifacts._csv_rows(values[:, 1], swapped[:3], values[0, :3].astype(">f8"))
     with python_writer():
-        expected = artifacts._csv_rows(index, values[:, 1], swapped[:3], values[0, :3])
+        expected = artifacts._csv_rows(values[:, 1], swapped[:3], values[0, :3])
     assert rows == expected
     with pytest.raises(ValueError, match=r"expected a 1-d array, got shape \(3, 4\)"):
         artifacts._joined(values, ",")
-    with pytest.raises(ValueError, match="columns of one length"):
-        artifacts._csv_rows(np.arange(3), np.arange(4.0))
+    with pytest.raises(ValueError, match="inhomogeneous"):  # numpy's own error
+        artifacts._csv_rows(np.arange(3.0), np.arange(4.0))
     with pytest.raises(ValueError, match="columns of one length"):
         artifacts._csv_rows(np.arange(12).reshape(3, 4), values)
+    with pytest.raises(ValueError, match="columns of one length"):
+        artifacts._csv_rows()
+
+
+@needs_library
+def test_rows_are_numbered_across_every_digit_count():
+    # 100,001 rows: the row number crosses every digit boundary up to 10^5
+    column = np.random.default_rng(20261019).normal(size=100_001)
+    rows = artifacts._csv_rows(column)
+    with python_writer():
+        assert rows == artifacts._csv_rows(column)
+    lines = rows.splitlines()
+    assert len(lines) == len(column)
+    assert all(line.startswith(f"{r},") for r, line in enumerate(lines, start=1))
 
 
 @needs_cc
@@ -804,23 +814,20 @@ def test_the_portable_product_writes_and_reads_as_the_python_routes(tmp_path):
     # the float text source built without unsigned __int128, as a compiler
     # without it builds it: umul128's portable body does every product
     source = next(path for path in _kernel.SOURCES if path.name == "_repr.c")
-    path, header = tmp_path / "portable.so", tmp_path / "pow10.h"
-    _kernel.write_table_header(header)
+    path = tmp_path / "portable.so"
     subprocess.run(
-        [*_kernel.compiler(), *_kernel.FLAGS, "-U__SIZEOF_INT128__", "-include", str(header),
-         "-o", str(path), str(source)],
+        _kernel.compile_command(path, [source], ["-U__SIZEOF_INT128__"]),
         check=True, capture_output=True, timeout=_kernel.BUILD_TIMEOUT_S,
     )
     library = typed_copy(path)
     patterns = np.random.default_rng(20261020).integers(0, 2**64, 100_000, dtype=np.uint64)
     values = np.concatenate([EDGE_DOUBLES, patterns.view(np.float64)])
-    index = np.arange(1, len(values) + 1)
     columns = np.array([values, -values, values[::-1], np.roll(values, 1)])
     with python_writer():
         for separator in (",", *JSON_SEPARATORS):
             assert raw_join(library, values, separator) == artifacts._joined(values, separator)
-        rows = artifacts._csv_rows(index, *columns)
-    assert raw_rows(library, index, columns) == rows
+        rows = artifacts._csv_rows(*columns)
+    assert raw_rows(library, columns) == rows
     # a row with a subnormal is declined, for float() to read
     lines = np.array(rows.splitlines(keepends=True))
     subnormal = ((columns != 0) & (np.abs(columns) < 2.2250738585072014e-308)).any(axis=0)
@@ -925,6 +932,107 @@ def test_compiled_parse_reads_decimals_as_float_does(texts):
         else:
             assert data[0, 1] == expected, text
             assert math.copysign(1, data[0, 1]) == math.copysign(1, expected), text
+
+
+UBSAN = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+
+# runs every entry point of the library at sys.argv[2] in place of the one
+# the package loaded, on the inputs of the JSON on stdin, and prints what
+# each gave; a build with UBSAN aborts at the first undefined behaviour
+SANITIZED = """
+import ctypes, json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from unsharp_monitor import artifacts, trajectory
+from unsharp_monitor.config import load_run_config
+from unsharp_monitor.povm import PovmParams, StateError
+library = ctypes.CDLL(sys.argv[2])
+for name in ("um_advance_rows", "um_repr_join", "um_repr_rows", "um_parse_rows"):
+    typed, entry = getattr(artifacts._LIBRARY, name), getattr(library, name)
+    entry.argtypes, entry.restype = typed.argtypes, typed.restype
+artifacts._WRITER, artifacts._PARSE = library, library.um_parse_rows
+trajectory._KERNEL = library.um_advance_rows
+inputs = json.load(sys.stdin)
+values = np.array(inputs["bits"], dtype=np.uint64).view(np.float64)
+rows = [artifacts._compiled_rows(f"1,{text},0.5,0.5,0.5\\n".encode()) for text in inputs["texts"]]
+replicates = []
+for preset in ("fig1", "fig3"):
+    config = load_run_config(preset=preset, overrides={"m_series": 40}).trajectory
+    replicates.append([a.tolist() for a in trajectory.simulate_replicates(config, range(1, 6))])
+# tau = 0, p1 = 1, p2 = 0: the fourth row's norm of 2 gives p_plus = 4, so
+# the compiled lanes stop and the Python loop raises
+config = trajectory.TrajectoryConfig(PovmParams(1.0, 0.0), 0.0, 3, 2)
+state = np.array([[1.0, 0.0, 0.0, 0.0]] * 3 + [[2.0, 0.0, 0.0, 0.0]] + [[0.6, 0.0, 0.8, 0.0]])
+stopped = None
+try:
+    trajectory._compiled_advance(
+        state, trajectory._constants(config), 3, np.full((5, 6), 0.3),
+        np.empty((5, 2)), np.empty((5, 2), dtype=np.int64),
+    )
+except StateError as error:
+    stopped = str(error)
+print(json.dumps({
+    "joined": [artifacts._joined(values, separator) for separator in inputs["separators"]],
+    "rows": artifacts._csv_rows(values, -values, values[::-1], np.roll(values, 1)),
+    "parsed": repr(artifacts._compiled_rows(inputs["parsed"].encode()).tolist()),
+    "decimals": [None if row is None else repr(row[0, 1]) for row in rows],
+    "replicates": repr(replicates),
+    "stopped": stopped,
+}))
+"""
+
+
+@needs_cc
+@needs_library
+@pytest.mark.filterwarnings("ignore::unsharp_monitor.trajectory.SeriesBoundWarning")
+def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path):
+    path = tmp_path / "sanitized.so"
+    build = subprocess.run(
+        _kernel.compile_command(path, extra=UBSAN),
+        capture_output=True, text=True, timeout=_kernel.BUILD_TIMEOUT_S,
+    )
+    if build.returncode:
+        empty = tmp_path / "empty.c"
+        empty.write_text("int empty;\n", encoding="ascii")
+        probe = subprocess.run(
+            _kernel.compile_command(tmp_path / "empty.so", [empty], UBSAN),
+            capture_output=True, timeout=_kernel.BUILD_TIMEOUT_S,
+        )
+        if probe.returncode:
+            pytest.skip("the compiler cannot link the undefined behaviour sanitizer")
+        pytest.fail(build.stderr)
+    rng = np.random.default_rng(20261021)
+    patterns = rng.integers(0, 2**64, 10**5, dtype=np.uint64)
+    values = np.concatenate([EDGE_DOUBLES, patterns.view(np.float64)])
+    texts = TIES_AND_EDGES + [
+        decimal_text(sign, int(w), int(point), exponent)
+        for sign, w, point, exponent in zip(
+            rng.choice(["", "-"], 500), rng.integers(0, 10**19, 500, dtype=np.uint64),
+            rng.integers(0, 20, 500), rng.integers(-345, 311, 500).tolist(),
+        )
+    ]
+    inputs = {
+        "bits": values.view(np.uint64).tolist(), "texts": texts,
+        "separators": [",", *JSON_SEPARATORS], "parsed": PARSED_TEXT.decode(),
+    }
+    run = subprocess.run(
+        [sys.executable, "-c", SANITIZED, str(Path(artifacts.__file__).parents[1]), str(path)],
+        input=json.dumps(inputs), capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    separators = inputs["separators"]
+    assert result["joined"] == [artifacts._joined(values, separator) for separator in separators]
+    assert result["rows"] == artifacts._csv_rows(values, -values, values[::-1], np.roll(values, 1))
+    assert result["parsed"] == repr(PARSED)
+    expected = [artifacts._compiled_rows(f"1,{text},0.5,0.5,0.5\n".encode()) for text in texts]
+    assert result["decimals"] == [None if row is None else repr(row[0, 1]) for row in expected]
+    replicates = []
+    for preset in ("fig1", "fig3"):
+        config = load_run_config(preset=preset, overrides={"m_series": 40}).trajectory
+        replicates.append([a.tolist() for a in simulate_replicates(config, range(1, 6))])
+    assert result["replicates"] == repr(replicates)
+    assert result["stopped"] == "p_plus = 4.0 lies outside [0, 1] beyond float slack"
 
 
 @needs_library

@@ -672,6 +672,27 @@ class TestAnalyze:
         assert err == f"error: {csv}: g2 must be finite, got {value} in series m = 7\n"
         assert not (tmp_path / "an").exists()
 
+    def test_a_g2_whose_spectrum_overflows_is_rejected(self, tmp_path, capsys):
+        # a finite 1e200 overflows the power |a_l|^2; it used to warn, write
+        # quoted non-finite values and exit 0
+        out = tmp_path / "out"
+        assert run(["simulate", "--preset", "fig3", "--seed", "3", "--out-dir", out]) == 0
+        csv = out / "trajectory.csv"
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("1,"))
+        fields = lines[row].split(",")
+        fields[TRAJECTORY_COLUMNS.index("g2")] = "1e200"
+        lines[row] = ",".join(fields)
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["analyze", csv, "--out-dir", tmp_path / "an"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv}: g2 too large for a spectrum: overflow")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "an").exists()
+
 
 def read_sweep(path):
     header = None

@@ -577,7 +577,7 @@ print(json.dumps({
     "library": str(_kernel.library_path()),
     "c2_sq": c2_sq.tolist(),
     "json": artifacts.dump_json(c2_sq),
-    "rows": artifacts._csv_rows(range(1, len(c2_sq) + 1), c2_sq, -c2_sq),
+    "rows": artifacts._csv_rows(c2_sq, -c2_sq),
 }))
 """
 

@@ -295,8 +295,13 @@ ROW_KINDS = ("noise", "tone", "constant", "nan", "passthrough", "lattice", "tiny
 def readout_row(kind: str, m: int, seed: int) -> np.ndarray:
     """One readout of a given shape; "constant" has no main peak,
     "passthrough" (a noiseless tone) takes the Wiener passthrough branch,
-    and "tiny" has deviations whose squares underflow, so its std is 0."""
+    "tiny" has deviations whose squares underflow, so its std is 0, and
+    "overflow" (not in ROW_KINDS) has tones in the top quarter of the bins
+    whose power overflows to inf, so its noise floor is inf."""
     rng = np.random.default_rng(seed)
+    if kind == "overflow":
+        bins = range(m // 2 - m // 8 + 1, m // 2 + 1)
+        return sum(tone(m, k, amplitude=1e155, phase=rng.uniform(0, 2 * math.pi)) for k in bins)
     if kind == "constant":
         return np.full(m, rng.uniform(-1.0, 1.0))
     if kind == "passthrough":
@@ -329,16 +334,23 @@ class TestBatchedReadout:
     @example(m=64, rows=[("passthrough", 3)], wiener=True, truncation=True)
     @example(m=301, rows=MIXED, wiener=True, truncation=True)
     @example(m=2000, rows=MIXED * 8, wiener=True, truncation=True)
+    @example(m=64, rows=[("overflow", 7), ("nan", 8), ("passthrough", 9)], wiener=True,
+             truncation=True)
+    @example(m=64, rows=[("overflow", 7), ("nan", 8)], wiener=False, truncation=True)
     def test_rows_match_the_per_row_pipeline(self, m, rows, wiener, truncation):
         x = np.array([readout_row(kind, m, seed) for kind, seed in rows])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             records, processed = process_readouts(x, DT, wiener, truncation)
         warned = any("no main peak" in str(w.message) for w in caught)
+        # an inf power warns that it overflowed, and nothing after it warns
+        runtime = {str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)}
+        assert runtime <= {"overflow encountered in square"}
         assert processed.shape == x.shape
         no_peak = False
         for row, record in enumerate(records):
-            fields, weights, values, skipped = reference_readout(x[row], DT, wiener, truncation)
+            with np.errstate(over="ignore"):
+                fields, weights, values, skipped = reference_readout(x[row], DT, wiener, truncation)
             coefficients, power, index, significant, floor = fields
             no_peak |= skipped
             assert same(record.coefficients, coefficients)
