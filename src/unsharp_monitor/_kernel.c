@@ -1,4 +1,5 @@
-/* The measurement kernel of trajectory._python_advance, compiled.
+/* The measurement kernel of trajectory._python_advance, compiled, with the
+ * uniforms it reads drawn inline, bit for bit as numpy draws them.
  *
  * Each line below is the Python loop's line with the same operands in the
  * same order, so with IEEE double arithmetic and no contraction of a
@@ -10,7 +11,7 @@
  * A step is rotate, then scale by the outcome's factors, then divide by
  * the norm; each is written once below, on one state c = (Re c1, Im c1,
  * Re c2, Im c2).  um_advance_rows advances `rows` independent
- * trajectories, each from its own state and its own uniforms.  Every step
+ * trajectories, each from its own state and its own stream.  Every step
  * is one dependent chain of multiplies, a sqrt and four divisions, so one
  * trajectory leaves most of the core idle.  One loop, advance, therefore
  * runs `lanes` rows at once, interleaving their chains and taking each
@@ -18,24 +19,128 @@
  * the constant LANES for each full group and with 1 for each row of the
  * tail, so the compiler builds one specialised copy of the loop per width.
  *
+ * A stream is numpy's PCG64 (M. E. O'Neill, "PCG: A Family of Simple Fast
+ * Space-Efficient Statistically Good Algorithms for Random Number
+ * Generation", HMC-CS-2014-0905, 2014): a 128-bit LCG whose draw is the
+ * XSL-RR output of the stepped state, and a uniform is that draw's top 53
+ * bits times 2^-53, as numpy's Generator.random() makes it.  It is held as
+ * four words, the state and the increment, each {low, high}: the ints of
+ * numpy's PCG64.state["state"].  um_seed seeds one from a 64-bit seed as
+ * numpy's PCG64(seed) does, through O'Neill's seed_seq_fe hash as numpy's
+ * SeedSequence has it, so row i of a call draws what
+ * Generator(PCG64(seeds[i])).random() draws.  Each lane draws its uniform
+ * inline, so the stream's multiply runs beside the step's dependent chain.
+ *
  * The kernel raises nothing.  A row stops where p_plus leaves [lo, hi] or
  * the norm is zero; um_advance_rows then returns the row, or for a group
- * of lanes the group's first row, with that row's state and the states of
- * the rows after it as they were.  trajectory._compiled_advance runs that
- * row and every row after it through the Python loop, which raises the
- * error or, for a p_plus that only a uniform outside [0, 1) lets pass,
- * advances them.
+ * of lanes the group's first row, with that row's state and stream and
+ * the states and streams of the rows after it as they were.
+ * trajectory._compiled_advance runs that row and every row after it
+ * through the Python loop on numpy's draws of the same streams, which
+ * raises the error.
  *
+ * seeds     rows seeds, each below 2^64
  * state     rows x 4: Re c1, Im c1, Re c2, Im c2; updated in place
  * constants ch, s, p1, p2, u1_plus, u2_plus, u1_minus, u2_minus, lo, hi
  *           as trajectory._constants lays them out
- * uniforms  rows x (n * series) pre-drawn variates, one per measurement
+ * streams   rows x 4: state low, state high, increment low, increment
+ *           high; written by um_seed, advanced in place by um_advance_rows
  * c2_sq     out, rows x series: |c2|^2 after each series
  * n_plus    out, rows x series: each series' "+" count
  */
 
 #include <math.h>
 #include <stdint.h>
+
+#include "_umul128.h"
+
+/* numpy's PCG64 multiplier, PCG_DEFAULT_MULTIPLIER_128 */
+#define MULTIPLIER_LOW 0x4385df649fccf645u
+#define MULTIPLIER_HIGH 0x2360ed051fc65da4u
+/* numpy's SeedSequence constants */
+#define INIT_A 0x43b0d7e5u
+#define MULT_A 0x931e8875u
+#define INIT_B 0x8b51f9ddu
+#define MULT_B 0x58f38dedu
+#define MIX_MULT_L 0xca01f9ddu
+#define MIX_MULT_R 0x4973f715u
+
+/* step the stream's LCG, s = s * MULTIPLIER + inc modulo 2^128, and return
+   the new state's XSL-RR output: the xor of its halves rotated right by
+   its top six bits */
+static inline uint64_t next_uint64(uint64_t *stream)
+{
+    uint64_t high;
+    const uint64_t low = umul128(stream[0], MULTIPLIER_LOW, &high);
+    high += stream[0] * MULTIPLIER_HIGH + stream[1] * MULTIPLIER_LOW;
+    stream[0] = low + stream[2];
+    stream[1] = high + stream[3] + (stream[0] < low);
+    const unsigned rotation = (unsigned)(stream[1] >> 58);
+    const uint64_t x = stream[1] ^ stream[0];
+    return x >> rotation | x << (-rotation & 63);
+}
+
+/* numpy's Generator.random(): 53 random bits times 2^-53, in [0, 1) */
+static inline double next_uniform(uint64_t *stream)
+{
+    return (double)(next_uint64(stream) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash)
+{
+    value ^= *hash;
+    *hash *= MULT_A;
+    value *= *hash;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    const uint32_t result = MIX_MULT_L * x - MIX_MULT_R * y;
+    return result ^ result >> 16;
+}
+
+/* numpy's PCG64(seed).state.  SeedSequence(seed) hashes the seed's 32-bit
+   words, low first, into a pool of four: one word for a seed below 2^32
+   and two otherwise, and the pool hashes a missing word as a zero, so
+   both are the seed's two words.  generate_state(4, uint64) then gives
+   words w, each of two pool hashes, low first.  PCG64's set_seed starts
+   the LCG at 0 with the increment (w2:w3) << 1 | 1, steps it, adds the
+   state (w0:w1) and steps it again */
+static void seed_stream(uint64_t seed, uint64_t *stream)
+{
+    uint32_t pool[4] = {(uint32_t)seed, (uint32_t)(seed >> 32), 0, 0};
+    uint32_t hash = INIT_A;
+    uint64_t w[4] = {0};
+
+    for (int i = 0; i < 4; i++)
+        pool[i] = hashmix(pool[i], &hash);
+    for (int from = 0; from < 4; from++)
+        for (int to = 0; to < 4; to++)
+            if (from != to)
+                pool[to] = mix(pool[to], hashmix(pool[from], &hash));
+    hash = INIT_B;
+    for (int i = 0; i < 8; i++) {
+        uint32_t value = pool[i % 4] ^ hash;
+        hash *= MULT_B;
+        value *= hash;
+        value ^= value >> 16;
+        w[i / 2] |= (uint64_t)value << 32 * (i % 2);
+    }
+    stream[0] = stream[1] = 0;
+    stream[2] = w[3] << 1 | 1;
+    stream[3] = w[2] << 1 | w[3] >> 63;
+    next_uint64(stream);
+    stream[0] += w[1];
+    stream[1] += w[0] + (stream[0] < w[1]);
+    next_uint64(stream);
+}
+
+void um_seed(const uint64_t *seeds, int64_t rows, uint64_t *streams)
+{
+    for (int64_t row = 0; row < rows; row++)
+        seed_stream(seeds[row], streams + 4 * row);
+}
 
 enum { LANES = 4 };
 
@@ -71,31 +176,32 @@ static inline void divide(double *c, double norm)
     c[3] /= norm;
 }
 
-/* `lanes` rows, at most LANES; returns 0, leaving `state` as it was,
-   where some lane stops */
+/* `lanes` rows, at most LANES; returns 0, leaving `state` and `streams` as
+   they were, where some lane stops */
 static inline int advance(double *state, const double *constants, int64_t n, int64_t series,
-                          const double *uniforms, double *c2_sq, int64_t *n_plus, int lanes)
+                          uint64_t *streams, double *c2_sq, int64_t *n_plus, int lanes)
 {
     const double ch = constants[0], s = constants[1];
     const double p1 = constants[2], p2 = constants[3];
     const double u1_plus = constants[4], u2_plus = constants[5];
     const double u1_minus = constants[6], u2_minus = constants[7];
     const double lo = constants[8], hi = constants[9];
-    const int64_t stride = n * series;
     double c[LANES][4];
+    uint64_t r[LANES][4];
     int64_t count[LANES];
     int bad = 0;
 
     for (int l = 0; l < lanes; l++)
-        for (int k = 0; k < 4; k++)
+        for (int k = 0; k < 4; k++) {
             c[l][k] = state[4 * l + k];
+            r[l][k] = streams[4 * l + k];
+        }
     for (int64_t m = 0; m < series; m++) {
         for (int l = 0; l < lanes; l++)
             count[l] = 0;
         for (int64_t j = 0; j < n; j++) {
-            const int64_t at = m * n + j;
             for (int l = 0; l < lanes; l++) {
-                const double u = uniforms[l * stride + at];
+                const double u = next_uniform(r[l]);
                 const double p_plus = rotate(c[l], ch, s, p1, p2);
                 bad |= !(p_plus >= lo && p_plus <= hi);
                 const int plus = u < p_plus;
@@ -114,23 +220,24 @@ static inline int advance(double *state, const double *constants, int64_t n, int
         }
     }
     for (int l = 0; l < lanes; l++)
-        for (int k = 0; k < 4; k++)
+        for (int k = 0; k < 4; k++) {
             state[4 * l + k] = c[l][k];
+            streams[4 * l + k] = r[l][k];
+        }
     return 1;
 }
 
 int64_t um_advance_rows(double *state, const double *constants, int64_t n, int64_t series,
-                        int64_t rows, const double *uniforms, double *c2_sq, int64_t *n_plus)
+                        int64_t rows, uint64_t *streams, double *c2_sq, int64_t *n_plus)
 {
-    const int64_t stride = n * series;
     int64_t row = 0;
 
     for (; row + LANES <= rows; row += LANES)
-        if (!advance(state + 4 * row, constants, n, series, uniforms + row * stride,
+        if (!advance(state + 4 * row, constants, n, series, streams + 4 * row,
                      c2_sq + row * series, n_plus + row * series, LANES))
             return row;
     for (; row < rows; row++)
-        if (!advance(state + 4 * row, constants, n, series, uniforms + row * stride,
+        if (!advance(state + 4 * row, constants, n, series, streams + 4 * row,
                      c2_sq + row * series, n_plus + row * series, 1))
             return row;
     return rows;

@@ -1,21 +1,24 @@
 """Build, cache and load the compiled library of ``SOURCES``.
 
 The library holds the measurement kernel (``um_advance_rows`` in
-``_kernel.c``, which ``trajectory`` runs; it returns the row where it
-stopped and leaves the errors to the Python loop), and the artifact float
-writer (``um_repr_rows`` and ``um_repr_join``) and trajectory-CSV row
-parser (``um_parse_rows``) in ``_repr.c``, which ``artifacts`` runs.  It
-is built on first use by the one command ``compile_command`` spells
-(``sysconfig``'s ``CC``, ``FLAGS``, and ``pow10_table`` as a macro) and
-cached in this package's ``__pycache__/`` under a name keyed on the bytes
-of the sources and of this file, and on the platform, so later processes
-load it without compiling.  The compiler writes a temporary file that
-``os.replace`` then moves into place, so a process never loads a
-half-written library, however many build it at once.
+``_kernel.c``, which ``trajectory`` runs; it draws each row's uniforms
+from the PCG64 stream ``um_seed`` seeds, returns the row where it stopped
+and leaves the errors to the Python loop), and the artifact float writer
+(``um_repr_rows`` and ``um_repr_join``) and trajectory-CSV row parser
+(``um_parse_rows``) in ``_repr.c``, which ``artifacts`` runs.  Both
+sources include ``HEADERS``.  It is built on first use by the one command
+``compile_command`` spells (``sysconfig``'s ``CC``, ``FLAGS``, and
+``pow10_table`` as a macro) and cached in this package's ``__pycache__/``
+under a name keyed on the bytes of the sources, the headers and this
+file, and on the platform, so later processes load it without compiling.
+The compiler writes a temporary file that ``os.replace`` then moves into
+place, so a process never loads a half-written library, however many
+build it at once.
 
 A build deletes the libraries that older sources left in the cache.
 ``load`` returns None, and says why in one line on stderr, when there is
-no compiler, the build fails or the cache directory cannot be written;
+no compiler, the build fails (the line names the compiler's first error)
+or the cache directory cannot be written;
 ``trajectory`` then runs its Python loop, which gives the same doubles,
 and ``artifacts`` formats with ``float.__repr__`` and parses with
 ``float()``, which give the same text and the same doubles.
@@ -35,6 +38,8 @@ from collections.abc import Iterable
 from pathlib import Path
 
 SOURCES = tuple(Path(__file__).with_name(name) for name in ("_kernel.c", "_repr.c"))
+# included by the sources, which find it beside themselves
+HEADERS = (Path(__file__).with_name("_umul128.h"),)
 # -ffp-contract=off rounds every multiply and add on its own, as Python
 # does; -ffast-math, never passed, would also let the compiler regroup sums
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -57,7 +62,7 @@ def library_path() -> Path:
     """Where the library built from the current sources is cached."""
     # this file holds FLAGS and the table.  CRC-32 tells versions apart, and
     # hashlib would load OpenSSL, ~4 MB and ~4 ms, into every process
-    text = b"".join(source.read_bytes() for source in (*SOURCES, Path(__file__)))
+    text = b"".join(source.read_bytes() for source in (*SOURCES, *HEADERS, Path(__file__)))
     key = f"{zlib.crc32(text):08x}"
     return SOURCES[0].parent / "__pycache__" / f"_kernel.{key}.{_PLATFORM}.so"
 
@@ -93,6 +98,10 @@ def _build(path: Path) -> None:
         os.replace(temp, path)
     except FileNotFoundError as error:
         raise OSError(f"no C compiler: {command[0]!r} is not on PATH") from error
+    except subprocess.CalledProcessError as error:
+        lines = error.stderr.decode(errors="replace").splitlines()
+        first = next((line for line in lines if "error:" in line), "no error line")
+        raise OSError(f"{command[0]} could not build {path.name}: {first.strip()}") from error
     except subprocess.SubprocessError as error:
         raise OSError(f"{command[0]} could not build {path.name}") from error
     finally:
@@ -149,6 +158,13 @@ def load() -> ctypes.CDLL | None:
         print(f"warning: {message}", file=sys.stderr)
         return None
     double_p, int64_p = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
+    uint64_p = ctypes.POINTER(ctypes.c_uint64)
+    library.um_seed.restype = None
+    library.um_seed.argtypes = (
+        uint64_p,  # seeds, rows
+        ctypes.c_int64,  # rows
+        uint64_p,  # streams, rows x 4, written
+    )
     library.um_advance_rows.restype = ctypes.c_int64  # the row it stopped in, or rows
     library.um_advance_rows.argtypes = (
         double_p,  # state, rows x 4
@@ -156,7 +172,7 @@ def load() -> ctypes.CDLL | None:
         ctypes.c_int64,  # n
         ctypes.c_int64,  # series
         ctypes.c_int64,  # rows
-        double_p,  # uniforms, rows x (n * series)
+        uint64_p,  # streams, rows x 4, advanced
         double_p,  # c2_sq, rows x series
         int64_p,  # n_plus, rows x series
     )

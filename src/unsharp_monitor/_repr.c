@@ -48,12 +48,15 @@
  * _kernel.py computes it exactly from Python integers and passes it to the
  * compiler as the macro POW10_ENTRIES (-DPOW10_ENTRIES=...); a static
  * assertion fails the build when its length is wrong.  Only 64-bit
- * integer arithmetic is used, with umul128 the one 64x64 -> 128-bit
- * product, and nothing of the C library's printf, strtod or locale.
+ * integer arithmetic is used, with umul128 (_umul128.h) the one
+ * 64x64 -> 128-bit product, and nothing of the C library's printf, strtod
+ * or locale.
  */
 
 #include <stdint.h>
 #include <string.h>
+
+#include "_umul128.h"
 
 /* "-2.2250738585072014e-308" is the longest float text and
    "9223372036854775807" the longest row number */
@@ -80,22 +83,6 @@ enum { FIELDS = 5, MAX_DIGITS = 19 };
 static const uint64_t POW10[][2] = {POW10_ENTRIES};
 _Static_assert(sizeof POW10 == sizeof(uint64_t[TABLE_COUNT][2]),
                "the power-of-ten table must have TABLE_COUNT entries");
-
-/* a * b as {low, *high} */
-static inline uint64_t umul128(uint64_t a, uint64_t b, uint64_t *high)
-{
-#ifdef __SIZEOF_INT128__
-    const unsigned __int128 p = (unsigned __int128)a * b;
-    *high = (uint64_t)(p >> 64);
-    return (uint64_t)p;
-#else
-    const uint64_t a0 = (uint32_t)a, a1 = a >> 32, b0 = (uint32_t)b, b1 = b >> 32;
-    const uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0, p11 = a1 * b1;
-    const uint64_t middle = (p00 >> 32) + (uint32_t)p01 + (uint32_t)p10;
-    *high = p11 + (p01 >> 32) + (p10 >> 32) + (middle >> 32);
-    return middle << 32 | (uint32_t)p00;
-#endif
-}
 
 /* floor(log2(10^q)) for -400 <= q <= 400; the offset keeps the shifted
    value non-negative, where >> is a floor in every C */

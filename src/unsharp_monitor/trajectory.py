@@ -15,8 +15,9 @@ bit for bit; at most the signs of zeros differ, and no recorded value
 depends on them.  The loop runs compiled from ``_kernel.c`` (built and
 cached by ``_kernel.py``) in the same operation order, so it gives the
 same doubles: one loop, built at a width of four interleaved rows for
-each full group and of one row for the rest; without a C compiler the
-Python loop runs instead.
+each full group and of one row for the rest, which draws each row's
+uniforms itself; without a C compiler the Python loop runs instead, on
+numpy's draws of the same streams.
 
 ``simulate_replicates`` runs one config from several seeds and returns
 the recorded arrays with one row per seed; ``simulate_trajectory`` is its
@@ -24,17 +25,20 @@ one-seed call.  Replicates differ only in the seed, so the config is
 built and validated once for all of them.
 
 RNG contract: a trajectory consumes a single stream seeded from its seed
-(``config.seed``, or one entry of ``simulate_replicates``' seeds; numpy
-default generator).  Evolution consumes nothing; every measurement
-consumes exactly one uniform variate u, compared against the "+"
-probability (u < p_plus reads "+", ties read "-").  Identical seeds
-therefore reproduce identical records bit for bit.
+(``config.seed``, or one entry of ``simulate_replicates``' seeds): numpy's
+PCG64 seeded through ``SeedSequence``, so its uniforms are those of
+``numpy.random.Generator(numpy.random.PCG64(seed)).random()``, which is
+``numpy.random.default_rng(seed)`` today.  Evolution consumes nothing;
+every measurement consumes exactly one uniform variate u, compared against
+the "+" probability (u < p_plus reads "+", ties read "-").  Identical
+seeds therefore reproduce identical records bit for bit.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -61,7 +65,8 @@ from .series import (
 
 
 def _check_seed(seed: int) -> None:
-    if not 0 <= int(seed) < 2**64:
+    # an integer: um_seed would truncate a float that numpy's SeedSequence refuses
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
         raise ParameterError(f"seed = {seed!r} must be a 64-bit unsigned integer")
 
 
@@ -158,12 +163,9 @@ class TrajectoryRecord:
     g2: np.ndarray
 
 
-# Series per block of pre-drawn uniforms; bounds the memory a long
-# trajectory holds at once (at most 64 uniforms per series).
+# Series per block of numpy's draws on the Python route; bounds the memory
+# a long trajectory holds at once (at most 64 uniforms per series).
 _BLOCK_SERIES = 1024
-# _kernel.c's LANES: the rows per kernel call in simulate_replicates, so a
-# group fills the interleaved lanes once
-_LANES = 4
 
 
 _ZERO_NORM = "measurement produced the zero vector (zero-probability branch)"
@@ -200,9 +202,11 @@ def _python_advance(
     raises it, with the rows before it advanced.
 
     This loop is the readable reference, the portable fallback and the one
-    place that raises: ``_compiled_advance`` runs the same lines compiled
-    from ``_kernel.c``, which only stops, and hands the row where it
-    stopped and every row after it to this loop.
+    place that raises: ``_numpy_advance`` feeds it numpy's draws of each
+    row's stream, and ``_compiled_advance`` runs the same lines compiled
+    from ``_kernel.c``, which draws the same uniforms itself, only stops,
+    and hands the row where it stopped and every row after it to
+    ``_numpy_advance``.
 
     The step is that of ``rabi.evolve``,
     ``povm.outcome_probabilities`` and ``povm.apply_outcome`` with the
@@ -270,51 +274,112 @@ def _python_advance(
         state[row] = (ar, ai, br, bi)
 
 
+def _stream_words(ints: dict[str, int]) -> list[int]:
+    """numpy's ``PCG64.state["state"]`` as a stream's four words: the state's
+    low and high 64 bits, then the increment's."""
+    return [ints["state"] % 2**64, ints["state"] >> 64, ints["inc"] % 2**64, ints["inc"] >> 64]
+
+
+def _numpy_advance(
+    state: np.ndarray,
+    constants: np.ndarray,
+    n: int,
+    streams: np.ndarray,
+    c2_sq: np.ndarray,
+    n_plus: np.ndarray,
+) -> None:
+    """``_python_advance`` on numpy's draws of each row's stream: the Python route.
+
+    ``streams`` holds one PCG64 stream per row of ``state``, as
+    ``_streams`` makes them.  Each row draws its uniforms from a
+    ``Generator(PCG64)`` set to its stream, in blocks of ``_BLOCK_SERIES``
+    series, and its stream is advanced in place past them, as
+    ``_compiled_advance`` advances it.  numpy.random is imported only here
+    and in ``_streams``'s Python route.
+    """
+    from numpy.random import PCG64, Generator
+
+    bit_generator = PCG64(0)
+    rng = Generator(bit_generator)
+    series = c2_sq.shape[1]
+    for row, stream in enumerate(streams):
+        state_low, state_high, inc_low, inc_high = stream.tolist()
+        ints = {"state": state_low | state_high << 64, "inc": inc_low | inc_high << 64}
+        bit_generator.state = {"bit_generator": "PCG64", "state": ints, "has_uint32": 0, "uinteger": 0}
+        rows = slice(row, row + 1)
+        for start in range(0, series, _BLOCK_SERIES):
+            block = slice(start, min(start + _BLOCK_SERIES, series))
+            uniforms = rng.random((1, (block.stop - start) * n))
+            _python_advance(state[rows], constants, n, uniforms, c2_sq[rows, block], n_plus[rows, block])
+        stream[:] = _stream_words(bit_generator.state["state"])
+
+
 _LIBRARY = _kernel.load()
 _KERNEL = None if _LIBRARY is None else _LIBRARY.um_advance_rows
-_FLOAT64, _INT64 = np.dtype(np.float64), np.dtype(np.int64)
+_SEED = None if _LIBRARY is None else _LIBRARY.um_seed
+_FLOAT64, _INT64, _UINT64 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.uint64)
+
+
+def _streams(seeds: list[int]) -> np.ndarray:
+    """One PCG64 stream per seed, as numpy's ``PCG64(seed)`` seeds it through ``SeedSequence``.
+
+    Row i holds the four words (``_stream_words``) of
+    ``PCG64(seeds[i]).state["state"]``.  ``um_seed`` hashes the seeds into
+    them where the library loaded, and numpy where it did not.
+    """
+    streams = np.empty((len(seeds), 4), dtype=np.uint64)
+    if _SEED is None:
+        from numpy.random import PCG64
+
+        for stream, seed in zip(streams, seeds):
+            stream[:] = _stream_words(PCG64(seed).state["state"])
+    else:
+        words = np.array(seeds, dtype=np.uint64)
+        uint64 = ctypes.c_uint64
+        _SEED(uint64.from_buffer(words), len(seeds), uint64.from_buffer(streams))
+    return streams
 
 
 def _compiled_advance(
     state: np.ndarray,
     constants: np.ndarray,
     n: int,
-    uniforms: np.ndarray,
+    streams: np.ndarray,
     c2_sq: np.ndarray,
     n_plus: np.ndarray,
 ) -> None:
-    """``_python_advance`` compiled from ``_kernel.c``, with the same doubles and errors.
+    """``_numpy_advance`` compiled from ``_kernel.c``, with the same doubles, streams and errors.
 
     The kernel runs one loop, compiled at a width of four lanes for each
-    full group of rows and of one for each row after the last group.  It
-    raises nothing: it returns the row where p_plus left [lo, hi] or the
-    norm was zero (in a group of four lanes, the group's first row).  That
-    row and every row after it run through ``_python_advance``, which
-    raises the first failing row's error or, when only a uniform outside
-    [0, 1) let the step pass, advances them.  The kernel reads and writes
-    the buffers through raw pointers, so their shapes and dtypes are
-    checked here, and ``from_buffer`` refuses any buffer that is not
-    C-contiguous and writable.
+    full group of rows and of one for each row after the last group, and
+    draws each row's uniforms from its stream as numpy does.  It raises
+    nothing: it returns the row where p_plus left [lo, hi] or the norm was
+    zero (in a group of four lanes, the group's first row), with that
+    row's state and stream as they were.  That row and every row after it
+    run through ``_numpy_advance``, which raises the first failing row's
+    error.  The kernel reads and writes the buffers through raw pointers,
+    so their shapes and dtypes are checked here, and ``from_buffer``
+    refuses any buffer that is not C-contiguous and writable.
     """
     # no buffer has a shape of -1 rows, so an output of another rank is refused
     rows, series = c2_sq.shape if c2_sq.ndim == 2 else (-1, -1)
     if not (
-        state.shape == (rows, 4) and constants.shape == (10,)
-        and uniforms.shape == (rows, n * series) and n_plus.shape == (rows, series)
-        and state.dtype == constants.dtype == uniforms.dtype == c2_sq.dtype == _FLOAT64
-        and n_plus.dtype == _INT64
+        state.shape == streams.shape == (rows, 4) and constants.shape == (10,)
+        and n_plus.shape == (rows, series)
+        and state.dtype == constants.dtype == c2_sq.dtype == _FLOAT64
+        and n_plus.dtype == _INT64 and streams.dtype == _UINT64
     ):
         raise ValueError("kernel buffers do not match the series: shapes or dtypes differ")
-    double, int64 = ctypes.c_double, ctypes.c_int64
+    double, int64, uint64 = ctypes.c_double, ctypes.c_int64, ctypes.c_uint64
     stop = _KERNEL(
         double.from_buffer(state), double.from_buffer(constants), n, series, rows,
-        double.from_buffer(uniforms), double.from_buffer(c2_sq), int64.from_buffer(n_plus),
+        uint64.from_buffer(streams), double.from_buffer(c2_sq), int64.from_buffer(n_plus),
     )
     if stop < rows:
-        _python_advance(state[stop:], constants, n, uniforms[stop:], c2_sq[stop:], n_plus[stop:])
+        _numpy_advance(state[stop:], constants, n, streams[stop:], c2_sq[stop:], n_plus[stop:])
 
 
-_advance = _python_advance if _KERNEL is None else _compiled_advance
+_advance = _numpy_advance if _KERNEL is None else _compiled_advance
 
 
 def _best_guesses(n_plus: np.ndarray, n: int, params: PovmParams) -> np.ndarray:
@@ -334,35 +399,20 @@ def simulate_replicates(
     for bit: ``config.seed`` itself is not used.  Replicates share the
     config, so it is built and validated once however many seeds there are.
 
-    The seeds run in groups of ``_LANES``, one kernel call per group and
-    block of series; each row of a group draws its uniforms from its own
-    generator, so a row does not depend on the rows beside it.
+    All rows and all series run in one ``_advance`` call; each row draws
+    its uniforms from its own stream, so a row does not depend on the rows
+    beside it.
     """
     for seed in seeds:
         _check_seed(seed)
     n = config.n_per_series
-    m_total = config.m_series
-    c2_sq = np.empty((len(seeds), m_total))
-    n_plus = np.empty((len(seeds), m_total), dtype=np.int64)
-    constants = _constants(config)
+    c2_sq = np.empty((len(seeds), config.m_series))
+    n_plus = np.empty((len(seeds), config.m_series), dtype=np.int64)
     c1, c2 = config.initial_state.c1, config.initial_state.c2
-    # one group's block of uniforms at a time, all drawn into this buffer
-    drawn = np.empty(min(_LANES, len(seeds)) * min(_BLOCK_SERIES, m_total) * n)
-    for first in range(0, len(seeds), _LANES):
-        rngs = [np.random.default_rng(seed) for seed in seeds[first : first + _LANES]]
-        rows = slice(first, first + len(rngs))
-        amplitudes = np.empty((len(rngs), 4))
-        amplitudes[:] = (c1.real, c1.imag, c2.real, c2.imag)
-        for start in range(0, m_total, _BLOCK_SERIES):
-            stop = min(start + _BLOCK_SERIES, m_total)
-            uniforms = drawn[: len(rngs) * (stop - start) * n].reshape(len(rngs), -1)
-            for rng, row in zip(rngs, uniforms):
-                rng.random(out=row)
-            block_c2_sq = np.empty((len(rngs), stop - start))
-            block_plus = np.empty((len(rngs), stop - start), dtype=np.int64)
-            _advance(amplitudes, constants, n, uniforms, block_c2_sq, block_plus)
-            c2_sq[rows, start:stop] = block_c2_sq
-            n_plus[rows, start:stop] = block_plus
+    amplitudes = np.empty((len(seeds), 4))
+    amplitudes[:] = (c1.real, c1.imag, c2.real, c2.imag)
+    if len(seeds):  # ctypes maps no empty buffer
+        _advance(amplitudes, _constants(config), n, _streams(seeds), c2_sq, n_plus)
     return c2_sq, _best_guesses(n_plus, n, config.params)
 
 

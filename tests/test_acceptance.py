@@ -139,8 +139,7 @@ def test_criterion_4_sampled_moments_match_closed_forms():
     config = trajectory.TrajectoryConfig(
         params=params, tau=0.0, n_per_series=n, m_series=1, initial_state=state
     )
-    uniforms = np.random.default_rng(4444).random(n * reps)
-    _, n_plus = restarted_series(state, config, uniforms)
+    _, n_plus = restarted_series(state, config, 4444, reps)
     values = n_plus / n
     expected_mean = series.expectation_r(state, params)
     expected_var = series.variance_r(state, params, n)

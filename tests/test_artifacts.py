@@ -47,7 +47,7 @@ from unsharp_monitor.config import load_run_config
 from unsharp_monitor.spectral import process_readout
 from unsharp_monitor.trajectory import simulate_replicates, simulate_trajectory
 
-from helpers import needs_cc
+from helpers import needs_cc, needs_library
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -587,12 +587,6 @@ def python_writer():
         artifacts._WRITER = saved
 
 
-# the two routes are compared only where the library loaded;
-# test_compiled_formatter_is_in_use fails when a compiler is there and it did not
-needs_library = pytest.mark.skipif(
-    artifacts._LIBRARY is None, reason="the compiled library did not load"
-)
-
 EDGE_DOUBLES = [
     0.0, -0.0,
     math.nan, -math.nan, as_double(0x7FF0000000000001), as_double(0xFFF8000000000123),
@@ -810,16 +804,10 @@ def test_rows_are_numbered_across_every_digit_count():
 
 @needs_cc
 @needs_library
-def test_the_portable_product_writes_and_reads_as_the_python_routes(tmp_path):
-    # the float text source built without unsigned __int128, as a compiler
-    # without it builds it: umul128's portable body does every product
-    source = next(path for path in _kernel.SOURCES if path.name == "_repr.c")
-    path = tmp_path / "portable.so"
-    subprocess.run(
-        _kernel.compile_command(path, [source], ["-U__SIZEOF_INT128__"]),
-        check=True, capture_output=True, timeout=_kernel.BUILD_TIMEOUT_S,
-    )
-    library = typed_copy(path)
+def test_the_portable_product_writes_and_reads_as_the_python_routes(portable_library):
+    # the library built without unsigned __int128, as a compiler without it
+    # builds it: umul128's portable body does every product
+    library = typed_copy(portable_library)
     patterns = np.random.default_rng(20261020).integers(0, 2**64, 100_000, dtype=np.uint64)
     values = np.concatenate([EDGE_DOUBLES, patterns.view(np.float64)])
     columns = np.array([values, -values, values[::-1], np.roll(values, 1)])
@@ -947,18 +935,18 @@ from unsharp_monitor import artifacts, trajectory
 from unsharp_monitor.config import load_run_config
 from unsharp_monitor.povm import PovmParams, StateError
 library = ctypes.CDLL(sys.argv[2])
-for name in ("um_advance_rows", "um_repr_join", "um_repr_rows", "um_parse_rows"):
+for name in ("um_seed", "um_advance_rows", "um_repr_join", "um_repr_rows", "um_parse_rows"):
     typed, entry = getattr(artifacts._LIBRARY, name), getattr(library, name)
     entry.argtypes, entry.restype = typed.argtypes, typed.restype
 artifacts._WRITER, artifacts._PARSE = library, library.um_parse_rows
-trajectory._KERNEL = library.um_advance_rows
+trajectory._KERNEL, trajectory._SEED = library.um_advance_rows, library.um_seed
 inputs = json.load(sys.stdin)
 values = np.array(inputs["bits"], dtype=np.uint64).view(np.float64)
 rows = [artifacts._compiled_rows(f"1,{text},0.5,0.5,0.5\\n".encode()) for text in inputs["texts"]]
 replicates = []
 for preset in ("fig1", "fig3"):
     config = load_run_config(preset=preset, overrides={"m_series": 40}).trajectory
-    replicates.append([a.tolist() for a in trajectory.simulate_replicates(config, range(1, 6))])
+    replicates.append([a.tolist() for a in trajectory.simulate_replicates(config, inputs["seeds"])])
 # tau = 0, p1 = 1, p2 = 0: the fourth row's norm of 2 gives p_plus = 4, so
 # the compiled lanes stop and the Python loop raises
 config = trajectory.TrajectoryConfig(PovmParams(1.0, 0.0), 0.0, 3, 2)
@@ -966,7 +954,7 @@ state = np.array([[1.0, 0.0, 0.0, 0.0]] * 3 + [[2.0, 0.0, 0.0, 0.0]] + [[0.6, 0.
 stopped = None
 try:
     trajectory._compiled_advance(
-        state, trajectory._constants(config), 3, np.full((5, 6), 0.3),
+        state, trajectory._constants(config), 3, trajectory._streams(range(5)),
         np.empty((5, 2)), np.empty((5, 2), dtype=np.int64),
     )
 except StateError as error:
@@ -1011,9 +999,13 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path
             rng.integers(0, 20, 500), rng.integers(-345, 311, 500).tolist(),
         )
     ]
+    # nine rows, two lane groups and a tail row, with the edge seeds of
+    # _check_seed; each row's 1000 draws include 8 to 16 rotations by 0,
+    # where a shift by 64 would be undefined
     inputs = {
         "bits": values.view(np.uint64).tolist(), "texts": texts,
         "separators": [",", *JSON_SEPARATORS], "parsed": PARSED_TEXT.decode(),
+        "seeds": [*range(1, 6), 0, 2**32 - 1, 2**32, 2**64 - 1],
     }
     run = subprocess.run(
         [sys.executable, "-c", SANITIZED, str(Path(artifacts.__file__).parents[1]), str(path)],
@@ -1030,7 +1022,7 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path
     replicates = []
     for preset in ("fig1", "fig3"):
         config = load_run_config(preset=preset, overrides={"m_series": 40}).trajectory
-        replicates.append([a.tolist() for a in simulate_replicates(config, range(1, 6))])
+        replicates.append([a.tolist() for a in simulate_replicates(config, inputs["seeds"])])
     assert result["replicates"] == repr(replicates)
     assert result["stopped"] == "p_plus = 4.0 lies outside [0, 1] beyond float slack"
 

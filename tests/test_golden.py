@@ -5,8 +5,9 @@ alike; these digests can.  A change to the simulation or analysis code
 must leave them untouched.  The preset and ``analyze`` pins hold for both
 float writers, the compiled one and ``float.__repr__``, the ``analyze``
 pins for both row readers, the compiled parse and ``float()``, and the
-preset pins and the 9-seed sweep pin for both step loops, the compiled one
-and ``trajectory._python_advance``.
+preset pins and the 9-seed sweep pin for both trajectory routes, the
+compiled kernel with its own draws and the Python loop on numpy's
+(``helpers.python_route``).
 
 The digests of ``spectrum.json`` and of the processed readout columns
 depend on numpy's FFT output, so a numpy upgrade that changes the FFT's
@@ -19,8 +20,10 @@ import json
 
 import pytest
 
-from unsharp_monitor import artifacts, cli, trajectory
+from unsharp_monitor import artifacts, cli
 from unsharp_monitor.cli import main
+
+from helpers import python_route
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -117,7 +120,7 @@ def test_simulate_preset_artifacts_are_pinned_with_float_repr(tmp_path, monkeypa
 
 @pytest.mark.parametrize("preset", sorted(SIMULATE_DIGESTS))
 def test_simulate_preset_artifacts_are_pinned_with_the_python_loop(tmp_path, monkeypatch, preset):
-    monkeypatch.setattr(trajectory, "_advance", trajectory._python_advance)
+    python_route(monkeypatch)
     out = tmp_path / preset
     assert main(["simulate", "--preset", preset, "--seed", SEED, "--out-dir", str(out)]) == 0
     assert digests(out) == SIMULATE_DIGESTS[preset]
@@ -180,7 +183,7 @@ def test_sweep_csv_is_pinned(tmp_path):
 @pytest.mark.parametrize("loop", ["compiled", "python"])
 def test_sweep_csv_of_lane_groups_is_pinned(tmp_path, monkeypatch, capsys, loop, batch):
     if loop == "python":
-        monkeypatch.setattr(trajectory, "_advance", trajectory._python_advance)
+        python_route(monkeypatch)
     if batch == "per-point":
         # a budget of one sample reads each point out on its own
         monkeypatch.setattr(cli, "_READOUT_SAMPLES", 1)

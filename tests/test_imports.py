@@ -7,6 +7,7 @@ in.  Every check runs in a new process, one module per process.
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -48,6 +49,39 @@ def test_cli_module_runs_a_report():
     result = run_python("-m", "unsharp_monitor", "report", "--preset", "fig1")
     assert result.returncode == 0, result.stderr
     assert '"regime": "quantum_jump"' in result.stdout
+
+
+# runs a compiled simulate and sweep into sys.argv[1] and prints whether
+# numpy.random was loaded by numpy itself, and after the two commands
+LAZY_RANDOM = """
+import json, sys, numpy
+eager = "numpy.random" in sys.modules
+from unsharp_monitor import cli, trajectory
+out = sys.argv[1]
+codes = [
+    cli.main(["simulate", "--preset", "fig3", "--out-dir", out + "/simulate"]),
+    cli.main(["sweep", "--p0", "0.5", "--dp=-0.3,0.08", "--tau", "0.002", "--n", "5",
+              "--m", "48", "--seeds-per-point", "3", "--out-dir", out + "/sweep"]),
+]
+print(json.dumps({
+    "eager": eager, "codes": codes, "compiled": trajectory._KERNEL is not None,
+    "loaded": "numpy.random" in sys.modules,
+}))
+"""
+
+
+def test_compiled_commands_leave_numpy_random_unloaded(tmp_path):
+    # the compiled kernel seeds and draws its streams itself, so only the
+    # Python route imports numpy.random
+    result = run_python("-W", "ignore", "-c", LAZY_RANDOM, str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    state = json.loads(result.stdout.splitlines()[-1])
+    if state["eager"]:
+        pytest.skip("import numpy loads numpy.random itself (numpy 1.x)")
+    if not state["compiled"]:
+        pytest.skip("the compiled library did not load")
+    assert state["codes"] == [0, 0]
+    assert not state["loaded"]
 
 
 def test_tracer_layer_names_exist():

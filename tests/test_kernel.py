@@ -2,20 +2,24 @@
 
 ``trajectory._python_advance`` steps on four real components instead of
 complex amplitudes, and ``trajectory._compiled_advance`` runs the same
-loop compiled from ``_kernel.c``.  These tests replay the same uniforms
-through both kernels and through ``rabi.evolve``,
-``povm.outcome_probabilities`` and ``povm.apply_outcome`` and demand
-exact equality, so any change to either kernel's arithmetic fails here
-first.  They also drive the excursion and zero-norm checks of both
-kernels, hold every row of a many-row call (the compiled loop at a width
-of four lanes and, for the tail, of one) to the Python loop and every row
-of ``simulate_replicates`` to the one-seed trajectory, stop a call at its
-first failing row in a lane group or in the tail, run the rest of a
-call through the Python loop from a group the compiled kernel stopped in
-but the Python loop passes, and check that the compiled kernel is built
-once, cached, and in use wherever a C compiler is.
+loop compiled from ``_kernel.c``, drawing each row's uniforms from its
+PCG64 stream.  These tests replay numpy's uniforms of a seed through the
+Python loop and through ``rabi.evolve``, ``povm.outcome_probabilities``
+and ``povm.apply_outcome``, and the stream that draws them through the
+compiled loop, and demand exact equality, so any change to either
+kernel's arithmetic or to the compiled draws fails here first.  They pin
+``um_seed`` to numpy's ``PCG64(seed)``, drive the excursion and zero-norm
+checks of both kernels, hold every row of a many-row call (the compiled
+loop at a width of four lanes and, for the tail, of one) to the Python
+loop and every row of ``simulate_replicates``, on the compiled route and
+on the Python route, to the one-seed trajectory, stop a call at its first
+failing row in a lane group or in the tail with the stopped rows' states
+and streams as they were, run the replicates of a build without
+``unsigned __int128`` as the default build's, and check that the compiled
+kernel is built once, cached, and in use wherever a C compiler is.
 """
 
+import ctypes
 import json
 import math
 import os
@@ -27,6 +31,7 @@ import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,6 +55,10 @@ from unsharp_monitor.trajectory import (
     _ZERO_NORM,
     _compiled_advance,
     _constants,
+    _numpy_advance,
+    _python_advance,
+    _stream_words,
+    _streams,
     simulate_replicates,
     simulate_trajectory,
 )
@@ -59,10 +68,14 @@ from helpers import (
     KERNELS,
     chain_against_reference,
     needs_cc,
+    needs_library,
+    python_route,
     quiet_config,
     reference_g2,
     reference_series,
     run_kernel,
+    seeded,
+    streams_of,
 )
 
 
@@ -115,12 +128,11 @@ def chain_config(p1, p2, tau, n, m_series=1, **kwargs):
 def series_against_reference(state, p1, p2, tau, n, seed):
     """One series through both kernels, ``simulate_replicates`` and the reference.
 
-    All run on the same uniforms.  Returns the state the series leaves
+    All run on the draws of ``seed``.  Returns the state the series leaves
     behind, or None when every side raises DegenerateOutcomeError.
     """
     config = chain_config(p1, p2, tau, n, initial_state=state)
-    uniforms = np.random.default_rng(seed).random(n).tolist()
-    expected = chain_against_reference(state, config, uniforms)
+    expected = chain_against_reference(state, config, seed)
     if expected is None:
         with pytest.raises(DegenerateOutcomeError):
             simulate_replicates(config, [seed])
@@ -157,11 +169,10 @@ def test_single_step_is_bitwise_the_reference(state, p1, p2, equal, tau, seed):
     seed=st.integers(0, 2**64 - 1),
 )
 def test_series_chains_are_bitwise_the_reference(state, p1, p2, equal, tau, n, m_series, seed):
-    # several series from one block of uniforms, as simulate_replicates
-    # hands them to a kernel
+    # several series from one stream, as simulate_replicates hands them to
+    # a kernel
     config = chain_config(p1, p1 if equal else p2, tau, n, m_series)
-    uniforms = np.random.default_rng(seed).random(n * m_series).tolist()
-    chain_against_reference(state, config, uniforms)
+    chain_against_reference(state, config, seed)
 
 
 def test_series_chain_off_the_plane_is_bitwise_the_reference():
@@ -174,8 +185,7 @@ def test_series_chain_off_the_plane_is_bitwise_the_reference():
     )
     coherence = state.c1.conjugate() * state.c2
     assert abs(2.0 * coherence.real) > 0.5
-    uniforms = np.random.default_rng(2024).random(8 * config.n_per_series).tolist()
-    _, _, c2_sq, n_plus = chain_against_reference(state, config, uniforms)
+    _, _, c2_sq, n_plus = chain_against_reference(state, config, 2024)
     record = simulate_trajectory(config)
     assert record.c2_sq.tolist() == c2_sq
     assert record.g2.tolist() == [
@@ -200,16 +210,15 @@ def test_in_plane_series_is_bitwise_the_reference(state, p1, p2, equal, tau, n, 
 
 @pytest.mark.parametrize("zero1, zero2", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
 def test_in_plane_trajectory_is_bitwise_the_reference(zero1, zero2):
-    # a chain of series through simulate_trajectory, whose block-wise draws
-    # match one rng.random(n) per series; every recorded |c2|^2 must agree
+    # a chain of series through simulate_trajectory, whose draws from its
+    # stream match one rng.random(n) per series; every recorded |c2|^2 must agree
     params = PovmParams.from_p0_dp(0.5, 0.3)
     state = StateVector(complex(0.6, zero1), complex(zero2, -0.8))
     config = quiet_config(
         params=params, tau=0.013, n_per_series=25, m_series=12, initial_state=state, seed=99
     )
     record = simulate_trajectory(config)
-    uniforms = np.random.default_rng(config.seed).random(12 * 25).tolist()
-    _, _, c2_sq, n_plus = chain_against_reference(state, config, uniforms)
+    _, _, c2_sq, n_plus = chain_against_reference(state, config, config.seed)
     assert record.c2_sq.tolist() == c2_sq
     assert record.g2.tolist() == [reference_g2(count, 25, params) for count in n_plus]
 
@@ -241,7 +250,7 @@ def test_evolution_and_outcomes_keep_the_plane_components_zero(state, p1, p2, ta
 @pytest.mark.parametrize("c1", [1.0, 1j], ids=["in-plane", "general"])
 def test_a_tie_reads_minus_on_both_routes(c1):
     # at tau = 0 the state |c1|^2 = 1 gives p_plus == p1 exactly; set p1 to
-    # the uniform the kernel will draw, so u < p_plus is false by a tie
+    # the first draw of seed 5's stream, so u < p_plus is false by a tie
     (u,) = np.random.default_rng(5).random(1).tolist()
     state = StateVector(c1, 0.0)
     config = quiet_config(
@@ -251,7 +260,7 @@ def test_a_tie_reads_minus_on_both_routes(c1):
     assert reference_series(state, config, [u])[1] == 0
     assert record.g2.tolist() == [reference_g2(0, 1, config.params)]
     for kernel in KERNELS.values():
-        assert run_kernel(kernel, state.c1, state.c2, config, [u])[3] == [0]
+        assert run_kernel(kernel, state.c1, state.c2, config, seeded(kernel, 5, 1, 1))[3] == [0]
     # the same tie in every lane of a full group
     _, g2 = simulate_replicates(config, [5] * 4)
     assert g2.tolist() == [[reference_g2(0, 1, config.params)]] * 4
@@ -277,13 +286,13 @@ def test_kernel_speed_smoke(benchmark, overrides):
         benchmark.extra_info["ns_per_measurement"] = (
             benchmark.stats.stats.median / measurements * 1e9
         )
-    uniforms = np.random.default_rng(config.seed).random(measurements)
     state = config.initial_state
     for name, kernel in KERNELS.items():
         seconds = []
         for _ in range(3):
+            draws = seeded(kernel, config.seed, 1, measurements)
             start = time.perf_counter()
-            _, _, c2_sq, _ = run_kernel(kernel, state.c1, state.c2, config, uniforms)
+            _, _, c2_sq, _ = run_kernel(kernel, state.c1, state.c2, config, draws)
             seconds.append(time.perf_counter() - start)
         benchmark.extra_info[f"ns_per_measurement_{name}"] = (
             sorted(seconds)[1] / measurements * 1e9
@@ -294,9 +303,12 @@ def test_kernel_speed_smoke(benchmark, overrides):
 
 
 def one_step(kernel, c1, c2, p1, p2):
-    """One measurement from raw amplitudes: tau = 0, one series of one, u = 0.3."""
+    """One measurement from raw amplitudes: tau = 0, one series of one, u = 0.3
+    for the Python loop and seed 0's first draw for the compiled route;
+    every u in [0, 1) reads the outcomes the tests below set up."""
     config = quiet_config(params=PovmParams(p1, p2), tau=0.0, n_per_series=1, m_series=1)
-    return run_kernel(kernel, complex(c1), complex(c2), config, [0.3])
+    draws = np.array([[0.3]]) if kernel is _python_advance else streams_of(0)
+    return run_kernel(kernel, complex(c1), complex(c2), config, draws)
 
 
 # (c1, c2) pairs: the first of each is in the drive's plane, the second off it
@@ -326,14 +338,14 @@ def test_zero_norm_raises_degenerate_outcome(c1):
 
 @pytest.mark.parametrize(
     "changed, error",
-    [({"uniforms": np.zeros((1, 5))}, ValueError),
-     ({"uniforms": np.zeros((1, 6), dtype=np.float32)}, ValueError),
+    [({"streams": np.zeros((1, 3), dtype=np.uint64)}, ValueError),
+     ({"streams": np.zeros((1, 4), dtype=np.int64)}, ValueError),
      ({"n_plus": np.zeros((1, 2), dtype=np.int32)}, ValueError),
      ({"state": np.zeros((1, 3))}, ValueError),
      ({"state": np.zeros((2, 4))}, ValueError),
      ({"c2_sq": np.zeros(2), "n_plus": np.zeros(2, dtype=np.int64)}, ValueError),
      ({"c2_sq": np.zeros((1, 4))[:, ::2]}, TypeError)],
-    ids=["short-uniforms", "float32-uniforms", "int32-counts", "short-state", "more-states",
+    ids=["short-streams", "int64-streams", "int32-counts", "short-state", "more-states",
          "flat-outputs", "strided-output"],
 )
 def test_compiled_kernel_checks_its_buffers(changed, error):
@@ -342,7 +354,7 @@ def test_compiled_kernel_checks_its_buffers(changed, error):
     config = quiet_config(params=PovmParams(0.5, 0.5), tau=0.0, n_per_series=3, m_series=2)
     buffers = {
         "state": np.array([[1.0, 0.0, 0.0, 0.0]]), "constants": _constants(config),
-        "uniforms": np.zeros((1, 6)), "c2_sq": np.zeros((1, 2)),
+        "streams": np.zeros((1, 4), dtype=np.uint64), "c2_sq": np.zeros((1, 2)),
         "n_plus": np.zeros((1, 2), dtype=np.int64),
     }
     buffers.update(changed)
@@ -350,18 +362,19 @@ def test_compiled_kernel_checks_its_buffers(changed, error):
         _compiled_advance(n=3, **buffers)
 
 
-def run_rows(kernel, states, config, uniforms, constants=None):
-    """Rows of raw amplitudes through one ``kernel`` call: (state list,
-    c2_sq, n_plus), or (state list, error) when the call raises.  Compare
-    two results by ``repr``, which holds a NaN equal to a NaN."""
+def run_rows(kernel, states, config, draws, constants=None):
+    """Rows of raw amplitudes through one ``kernel`` call of ``config.m_series``
+    series on ``draws``, a row of uniforms or of a stream per state: (state
+    list, c2_sq, n_plus), or (state list, error) when the call raises.
+    Compare two results by ``repr``, which holds a NaN equal to a NaN."""
     state = np.array([[c.c1.real, c.c1.imag, c.c2.real, c.c2.imag] for c in states])
-    series = uniforms.shape[1] // config.n_per_series
+    series = config.m_series
     c2_sq = np.empty((len(states), series))
     n_plus = np.empty((len(states), series), dtype=np.int64)
     if constants is None:
         constants = _constants(config)
     try:
-        kernel(state, constants, config.n_per_series, uniforms, c2_sq, n_plus)
+        kernel(state, constants, config.n_per_series, draws, c2_sq, n_plus)
     except (StateError, DegenerateOutcomeError) as error:
         return state.tolist(), (type(error), str(error))
     return state.tolist(), c2_sq.tolist(), n_plus.tolist()
@@ -381,21 +394,27 @@ def test_rows_of_a_call_are_bitwise_the_python_loop(states, p1, p2, tau, n, m_se
     # every row count from 1 to 9: no lane group, one, two, and tails of
     # every length; each row starts from its own state
     config = chain_config(p1, p2, tau, n, m_series)
-    uniforms = np.random.default_rng(seed).random((len(states), n * m_series))
-    results = [run_rows(kernel, states, config, uniforms) for kernel in KERNELS.values()]
+    results = [
+        run_rows(kernel, states, config, seeded(kernel, seed, len(states), n * m_series))
+        for kernel in KERNELS.values()
+    ]
     assert all(repr(result) == repr(results[0]) for result in results)
     if len(results[0]) == 3:  # no row raised: each row is its one-row call
         _, c2_sq, n_plus = results[0]
+        uniforms = np.random.default_rng(seed).random((len(states), n * m_series))
         for row, state in enumerate(states):
-            alone = run_kernel(KERNELS["python"], state.c1, state.c2, config, uniforms[row].tolist())
+            alone = run_kernel(_python_advance, state.c1, state.c2, config, uniforms[row : row + 1])
             assert repr(alone[2:]) == repr((c2_sq[row], n_plus[row]))
 
 
 # tau = 0, p1 = 1, p2 = 0: a measurement keeps |1> = (1, 0) on "+" and
 # scales it to the zero vector on "-", which u >= 1 reads; a state of norm
-# 2 gives p_plus = 4 and a NaN state p_plus = NaN, both excursions
+# 2 gives p_plus = 4 and a NaN state p_plus = NaN, both excursions, and a
+# state whose |c1|^2 underflows gives p_plus = 0, which every u reads "-"
+# (StateVector refuses it, so it stands in with the two amplitudes only)
 LANE_CONFIG = {"params": PovmParams(1.0, 0.0), "tau": 0.0, "n_per_series": 3, "m_series": 2}
 HEALTHY, LARGE, NOT_A_NUMBER = StateVector(1.0, 0.0), StateVector(2.0, 0.0), StateVector(math.nan, 0.0)
+VANISHING = SimpleNamespace(c1=1e-200 + 0j, c2=0j)
 
 
 # the row of lane 0 of the failing lanes 2 and 3: of the first and the
@@ -417,6 +436,7 @@ HEALTHY, LARGE, NOT_A_NUMBER = StateVector(1.0, 0.0), StateVector(2.0, 0.0), Sta
          "large-in-lane-2"],
 )
 def test_a_failing_lane_raises_the_first_failing_row(start, lane2, lane3, error, message):
+    # u = 1.5, which no stream draws, makes the late zero: the Python loop alone
     config = quiet_config(**LANE_CONFIG)
     states = [HEALTHY] * 10
     uniforms = np.full((10, 6), 0.3)
@@ -430,9 +450,7 @@ def test_a_failing_lane_raises_the_first_failing_row(start, lane2, lane3, error,
             # the call's last measurement, so no later step meets the NaN
             # that dividing by the zero norm leaves
             uniforms[row, 5] = 1.5
-    results = [run_rows(kernel, states, config, uniforms) for kernel in KERNELS.values()]
-    assert all(repr(result) == repr(results[0]) for result in results)
-    after, (raised, text) = results[0]
+    after, (raised, text) = run_rows(_python_advance, states, config, uniforms)
     assert raised is error and re.match(message, text)
     # the rows before the failing one advanced, the others did not
     first = start + 2 if lane2 else start + 3
@@ -441,27 +459,69 @@ def test_a_failing_lane_raises_the_first_failing_row(start, lane2, lane3, error,
     ])
 
 
+@pytest.mark.parametrize("start", [0, 4, 6], ids=["first-group", "second-group", "tail"])
+@pytest.mark.parametrize(
+    "lane2, lane3, error, message",
+    [
+        (VANISHING, NOT_A_NUMBER, DegenerateOutcomeError, re.escape(_ZERO_NORM)),
+        (LARGE, VANISHING, StateError, r"p_plus = 4\.0 lies outside"),
+        (None, NOT_A_NUMBER, StateError, r"p_plus = nan lies outside"),
+        (VANISHING, None, DegenerateOutcomeError, re.escape(_ZERO_NORM)),
+        (LARGE, None, StateError, r"p_plus = 4\.0 lies outside"),
+    ],
+    ids=["zero-before-nan", "large-before-zero", "nan-in-lane-3", "zero-in-lane-2",
+         "large-in-lane-2"],
+)
+def test_a_stopped_row_keeps_its_state_and_stream(start, lane2, lane3, error, message):
+    # the failing lanes of the test above on streams, where each fails at its
+    # first step: the compiled route stops in the lane group or tail row and
+    # the Python route reruns it from the same states and streams
+    config = quiet_config(**LANE_CONFIG)
+    states = [HEALTHY] * 10
+    for lane, kind in ((2, lane2), (3, lane3)):
+        states[start + lane] = kind or HEALTHY
+    results = []
+    for kernel in [_numpy_advance, *(k for k in KERNELS.values() if k is not _python_advance)]:
+        streams = streams_of(2026, 10, 6)
+        results.append((run_rows(kernel, states, config, streams), streams.tolist()))
+    assert all(repr(result) == repr(results[0]) for result in results)
+    (after, (raised, text)), streams = results[0]
+    assert raised is error and re.match(message, text)
+    # the rows before the failing one advanced and drew their six uniforms;
+    # it and the rows after it kept their states and streams
+    first = start + 2 if lane2 else start + 3
+    assert repr(after) == repr([[1.0, 0.0, 0.0, 0.0]] * first + [
+        [c.c1.real, c.c1.imag, c.c2.real, c.c2.imag] for c in states[first:]
+    ])
+    assert streams == streams_of(2026, 11, 6)[1 : first + 1].tolist() + (
+        streams_of(2026, 10, 6)[first:].tolist()
+    )
+
+
 def test_a_negative_p_plus_in_a_lane_is_an_excursion():
     # no PovmParams gives p1 < 0, so the constants are set by hand; |2>
     # gives p_plus = 0 and stays, (0.6, 0.8) gives p_plus = -0.36, which
-    # reads "-", whose branch checks the lower bound, and keeps a nonzero norm
+    # reads "-", whose branch checks the lower bound, and keeps a nonzero
+    # norm; every u in [0, 1) reads both "-", so the compiled route's stream
+    # stands in for the Python loop's u = 0.3
     config = quiet_config(**LANE_CONFIG)
     constants = _constants(config)
     constants[2] = -1.0
-    uniforms = np.full((4, 6), 0.3)
     states = [StateVector(0.0, 1.0)] * 3 + [StateVector(0.6, 0.8)]
-    results = [run_rows(kernel, states, config, uniforms, constants) for kernel in KERNELS.values()]
+    results = [
+        run_rows(kernel, states, config, np.full((4, 6), 0.3) if kernel is _python_advance
+                 else streams_of(0, 4, 6), constants)
+        for kernel in KERNELS.values()
+    ]
     assert all(repr(result) == repr(results[0]) for result in results)
     assert results[0][1] == (StateError, "p_plus = -0.36 lies outside [0, 1] beyond float slack")
 
 
-def test_a_flagged_lane_that_passes_its_rerun_gives_the_python_loop():
-    # p_plus = 2 lies above the slack, where the compiled kernel stops; u = 5
-    # reads it as "-", and the Python loop tests a "-" only against the lower
-    # bound, so the row passes and the first group, rerun there, must give
-    # the Python loop's rows.  The rest of the call runs there too: the
-    # second group and the tail row start from states of their own phases
-    # and read their own uniforms, so they must also give the Python loop's rows
+def test_the_python_loop_checks_only_the_bound_of_the_outcome_it_reads():
+    # p_plus = 2 lies above the slack, where the compiled kernel stops; u = 5,
+    # which no stream draws, reads it as "-", and the Python loop tests a "-"
+    # only against the lower bound, so the row passes, and so do the rows
+    # after it, which start from states of their own phases
     config = quiet_config(**LANE_CONFIG)
     states = [HEALTHY] * 3 + [StateVector(math.sqrt(2.0), 0.5)] + [
         StateVector(0.6 * complex(math.cos(k), math.sin(k)), 0.8) for k in range(5)
@@ -469,23 +529,27 @@ def test_a_flagged_lane_that_passes_its_rerun_gives_the_python_loop():
     uniforms = np.full((9, 6), 0.3)
     uniforms[3, 0] = 5.0
     uniforms[4:] = np.random.default_rng(3).random((5, 6))
-    results = [run_rows(kernel, states, config, uniforms) for kernel in KERNELS.values()]
-    assert all(repr(result) == repr(results[0]) for result in results)
-    assert len(results[0]) == 3 and results[0][2][3] == [0, 0]
+    result = run_rows(_python_advance, states, config, uniforms)
+    assert len(result) == 3 and result[2][3] == [0, 0]
 
 
 @pytest.mark.filterwarnings("ignore::unsharp_monitor.trajectory.SeriesBoundWarning")
 @pytest.mark.parametrize(
     "overrides", [{}, {"initial_state": GENERAL_STATE}], ids=["in-plane", "general"]
 )
-def test_replicates_are_the_one_seed_trajectories(overrides):
-    # 1100 series cross the 1024-series block boundary of the uniform draws
+def test_replicates_are_the_one_seed_trajectories(overrides, monkeypatch):
+    # 1100 series cross the 1024-series block boundary of the Python
+    # route's draws, which must give the compiled route's rows
     config = load_run_config(
         preset="fig3", overrides={"m_series": 1100, **overrides}
     ).trajectory
     seeds = [11, 0, 2**64 - 1]
     c2_sq, g2 = simulate_replicates(config, seeds)
     assert c2_sq.shape == g2.shape == (len(seeds), config.m_series)
+    with monkeypatch.context() as patch:
+        python_route(patch)
+        python_c2_sq, python_g2 = simulate_replicates(config, seeds)
+    assert np.array_equal(python_c2_sq, c2_sq) and np.array_equal(python_g2, g2)
     n = config.n_per_series
     state = config.initial_state
     for row, seed in enumerate(seeds):
@@ -494,11 +558,13 @@ def test_replicates_are_the_one_seed_trajectories(overrides):
         assert np.array_equal(g2[row], record.g2)
         # the whole row in one call of each kernel, without blocks, and for
         # the first seed through the reference functions too
-        uniforms = np.random.default_rng(seed).random(config.m_series * n).tolist()
         if row == 0:
-            _, _, whole_c2_sq, whole_plus = chain_against_reference(state, config, uniforms)
+            _, _, whole_c2_sq, whole_plus = chain_against_reference(state, config, seed)
         else:
-            whole = [run_kernel(k, state.c1, state.c2, config, uniforms) for k in KERNELS.values()]
+            whole = [
+                run_kernel(k, state.c1, state.c2, config, seeded(k, seed, 1, config.m_series * n))
+                for k in KERNELS.values()
+            ]
             assert all(result == whole[0] for result in whole)
             _, _, whole_c2_sq, whole_plus = whole[0]
         assert c2_sq[row].tolist() == whole_c2_sq
@@ -526,7 +592,57 @@ def test_every_row_count_gives_the_one_seed_trajectories(preset, overrides):
             assert np.array_equal(g2[row], record.g2)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+# the bounds _check_seed allows, and where the seed's words go from one to two
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]
+
+
+@needs_library
+def test_streams_are_numpys_pcg64_seeded_through_seed_sequence():
+    # um_seed hashes a seed as numpy's PCG64(seed) does; the streams then
+    # draw, 50 uniforms a row, as its Generator.random() draws them
+    random = np.random.default_rng(20261019).integers(0, 2**64, 10**4, dtype=np.uint64)
+    seeds = EDGE_SEEDS + random.tolist()
+    streams = _streams(seeds)
+    assert trajectory._SEED is not None
+    seeded_words, counts, drawn_words = [], [], []
+    for seed in seeds:
+        bit_generator = np.random.PCG64(seed)
+        seeded_words.append(_stream_words(bit_generator.state["state"]))
+        counts.append((np.random.Generator(bit_generator).random((2, 25)) < 0.5).sum(axis=1))
+        drawn_words.append(_stream_words(bit_generator.state["state"]))
+    assert streams.tolist() == seeded_words
+    # tau = 0 and p_plus = 0.5 from |1>: each "+" count is the draws below 0.5
+    config = quiet_config(params=PovmParams(0.5, 0.5), tau=0.0, n_per_series=25, m_series=2)
+    state = np.tile([1.0, 0.0, 0.0, 0.0], (len(seeds), 1))
+    c2_sq, n_plus = np.empty((len(seeds), 2)), np.empty((len(seeds), 2), dtype=np.int64)
+    _compiled_advance(state, _constants(config), 25, streams, c2_sq, n_plus)
+    assert n_plus.tolist() == np.array(counts).tolist()
+    assert streams.tolist() == drawn_words
+
+
+@needs_cc
+@needs_library
+@pytest.mark.filterwarnings("ignore::unsharp_monitor.trajectory.SeriesBoundWarning")
+def test_the_portable_build_runs_replicates_as_the_default_build(portable_library, monkeypatch):
+    # umul128's portable body does the stream's 128-bit multiply there
+    library = ctypes.CDLL(str(portable_library))
+    for name in ("um_seed", "um_advance_rows"):
+        typed, entry = getattr(trajectory._LIBRARY, name), getattr(library, name)
+        entry.argtypes, entry.restype = typed.argtypes, typed.restype
+    seeds = EDGE_SEEDS + [11, 12345, 2**63]
+    configs = [
+        load_run_config(preset=preset, overrides={"m_series": 60, **overrides}).trajectory
+        for preset, overrides in [("fig1", {}), ("fig3", {}), ("fig3", {"initial_state": GENERAL_STATE})]
+    ]
+    expected = [simulate_replicates(config, seeds) for config in configs]
+    monkeypatch.setattr(trajectory, "_KERNEL", library.um_advance_rows)
+    monkeypatch.setattr(trajectory, "_SEED", library.um_seed)
+    for config, (c2_sq, g2) in zip(configs, expected):
+        portable_c2_sq, portable_g2 = simulate_replicates(config, seeds)
+        assert np.array_equal(portable_c2_sq, c2_sq) and np.array_equal(portable_g2, g2)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 3.5])
 def test_replicates_reject_seeds_outside_64_bits(seed):
     config = quiet_config(params=PovmParams(0.5, 0.5), tau=0.0, n_per_series=1, m_series=1)
     with pytest.raises(ParameterError, match=rf"^seed = {seed} must be a 64-bit unsigned"):
@@ -538,6 +654,7 @@ def test_compiled_kernel_is_in_use():
     # with a compiler on PATH, a fallback to the Python loop is a failure
     assert trajectory._KERNEL is not None
     assert trajectory._KERNEL is trajectory._LIBRARY.um_advance_rows
+    assert trajectory._SEED is trajectory._LIBRARY.um_seed
     assert trajectory._advance is _compiled_advance
     assert _kernel.library_path().is_file()
 
@@ -664,15 +781,21 @@ print(_kernel.library_path())
 
 
 def test_an_edit_of_either_source_or_the_builder_changes_the_key(tmp_path):
-    # _kernel.py holds the flags and writes the table the build compiles in
+    # _kernel.py holds the flags and writes the table the build compiles in,
+    # and both sources include the header
     root = package_copy(tmp_path)
     key = [sys.executable, "-B", "-c", KEY, str(root)]
     keys = [subprocess.run(key, capture_output=True, text=True, check=True).stdout]
-    for name in ("_kernel.c", "_repr.c", "_kernel.py"):
+    for name in ("_kernel.c", "_repr.c", "_umul128.h", "_kernel.py"):
         with open(root / "unsharp_monitor" / name, "a", encoding="utf-8") as source:
             source.write("\n")
         keys.append(subprocess.run(key, capture_output=True, text=True, check=True).stdout)
     assert len(set(keys)) == len(keys)
+
+
+# a failed build is named by the compiler's first error line
+TABLE_ERROR = "the power-of-ten table must have TABLE_COUNT entries"
+BROKEN_ERROR = "error: #error this source is broken"
 
 
 @pytest.mark.parametrize(
@@ -680,22 +803,30 @@ def test_an_edit_of_either_source_or_the_builder_changes_the_key(tmp_path):
     [
         ("unwritable-cache", "(cannot write "),
         ("no-compiler", "(no C compiler: "),
-        pytest.param("refused-tables", " could not build ", marks=needs_cc),
-        pytest.param("refused-parse-table", " could not build ", marks=needs_cc),
+        pytest.param("refused-tables", TABLE_ERROR, marks=needs_cc),
+        pytest.param("refused-parse-table", TABLE_ERROR, marks=needs_cc),
+        pytest.param("broken-source", BROKEN_ERROR, marks=needs_cc),
     ],
-    ids=["unwritable-cache", "no-compiler", "refused-tables", "refused-parse-table"],
+    ids=["unwritable-cache", "no-compiler", "refused-tables", "refused-parse-table",
+         "broken-source"],
 )
 def test_without_a_build_the_python_loop_runs(tmp_path, case, reason):
     root = package_copy(tmp_path)
     if case == "unwritable-cache":
         # a file where the cache directory should be: nothing can be written there
         (root / "unsharp_monitor" / "__pycache__").write_text("")
+    elif case == "broken-source":
+        with open(root / "unsharp_monitor" / "_kernel.c", "a", encoding="utf-8") as source:
+            source.write("#error this source is broken\n")
     result = probe(root, case)
     assert not result["compiled"]
     assert result["python_writer"] and result["python_rows"]
     assert not Path(result["library"]).is_file()
     # one line says so, and why, however many modules load the library
-    assert result["stderr"].count(UNAVAILABLE) == 1 and reason in result["stderr"]
+    (line,) = [line for line in result["stderr"].splitlines() if UNAVAILABLE in line]
+    assert result["stderr"].count(UNAVAILABLE) == 1 and reason in line
+    if case not in ("unwritable-cache", "no-compiler"):
+        assert " could not build " in line
     assert result["c2_sq"] == fig1_c2_sq()
     assert result["json"] == expected_json(result["c2_sq"])
     assert result["rows"] == expected_rows(result["c2_sq"])

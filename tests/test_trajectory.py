@@ -25,6 +25,8 @@ from unsharp_monitor.trajectory import (
     SeriesBoundWarning,
     TimeResolutionWarning,
     TrajectoryConfig,
+    _python_advance,
+    _stream_words,
     simulate_replicates,
     simulate_trajectory,
 )
@@ -32,10 +34,13 @@ from unsharp_monitor.trajectory import (
 from helpers import (
     KERNELS,
     chain_against_reference,
+    python_route,
     quiet_config,
     reference_g2,
     restarted_series,
     run_kernel,
+    seeded,
+    streams_of,
 )
 
 
@@ -118,8 +123,7 @@ class TestSimulateStep:
             params=PovmParams(0.3, 0.3), tau=0.01, n_per_series=1, m_series=1
         )
         state = StateVector(0.6, 0.8j)
-        uniforms = np.random.default_rng(51).random(2000)
-        after, plus_counts = restarted_series(state, cfg, uniforms)
+        after, plus_counts = restarted_series(state, cfg, 51, 2000)
         expected = evolve(state, 0.01, HamiltonianSpec())
         assert np.all(np.abs(after[:, 0] + 1j * after[:, 1] - expected.c1) < 1e-12)
         assert np.all(np.abs(after[:, 2] + 1j * after[:, 3] - expected.c2) < 1e-12)
@@ -130,11 +134,12 @@ class TestSimulateStep:
         cfg = quiet_config(
             params=PovmParams(1.0, 0.0), tau=0.0, n_per_series=1, m_series=1
         )
-        uniforms = np.random.default_rng(52).random(100)
         for kernel in KERNELS.values():
+            # row r holds draw r of seed 52: a uniform, or the stream that draws it
             c1, c2 = LEVEL_ONE.c1, LEVEL_ONE.c2
-            for u in uniforms:
-                c1, c2, _, n_plus = run_kernel(kernel, c1, c2, cfg, [u])
+            draws = seeded(kernel, 52, 100, 1)
+            for row in range(100):
+                c1, c2, _, n_plus = run_kernel(kernel, c1, c2, cfg, draws[row : row + 1])
                 assert n_plus == [1]
                 assert c1 == 1.0 and c2 == 0.0
 
@@ -147,8 +152,7 @@ class TestSimulateStep:
         assert np.array_equal(c2_sq[0], c2_sq[1]) and np.array_equal(g2[0], g2[1])
         # the state the step leaves behind, which no public run returns
         runs = [
-            run_kernel(trajectory._advance, state.c1, state.c2, cfg,
-                       np.random.default_rng(53).random(1))
+            run_kernel(trajectory._advance, state.c1, state.c2, cfg, streams_of(53))
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -163,7 +167,9 @@ class TestSimulateStep:
         state = StateVector(0.6, 0.8)
         for _ in range(200):
             draws = rng.bit_generator.state
-            u = rng.random(1)
+            # the Python loop reads u, and a stream route the stream that draws it
+            stream = np.array([_stream_words(draws["state"])], dtype=np.uint64)
+            u = rng.random((1, 1))
             replay = np.random.default_rng()
             replay.bit_generator.state = draws
             evolved = evolve(state, cfg.tau, cfg.spec)
@@ -171,7 +177,8 @@ class TestSimulateStep:
                 dilate(evolved, cfg.params), replay
             )
             for kernel in KERNELS.values():
-                c1, c2, _, n_plus = run_kernel(kernel, state.c1, state.c2, cfg, u)
+                one = u if kernel is _python_advance else stream.copy()
+                c1, c2, _, n_plus = run_kernel(kernel, state.c1, state.c2, cfg, one)
                 assert n_plus == [1 if module_outcome == "+" else 0]
                 assert c1 == module_state.c1
                 assert c2 == module_state.c2
@@ -193,7 +200,7 @@ class TestSimulateNSeries:
         expected = apply_outcome(evolved, plus_op if u < p_plus else minus_op)
         count = 1 if u < p_plus else 0
         for kernel in KERNELS.values():
-            c1, c2, _, n_plus = run_kernel(kernel, state.c1, state.c2, cfg, [u])
+            c1, c2, _, n_plus = run_kernel(kernel, state.c1, state.c2, cfg, seeded(kernel, 55, 1, 1))
             assert (c1, c2) == (expected.c1, expected.c2)
             assert n_plus == [count]
         record = simulate_trajectory(cfg)
@@ -216,7 +223,7 @@ class TestSimulateNSeries:
         n = 6
         cfg = quiet_config(params=params, tau=0.0, n_per_series=n, m_series=1)
         reps = 20_000
-        _, n_plus = restarted_series(state, cfg, np.random.default_rng(57).random(n * reps))
+        _, n_plus = restarted_series(state, cfg, 57, reps)
         counts = np.bincount(n_plus, minlength=n + 1)
         expected = np.array(
             [nseries_probability(state, params, n, k) for k in range(n + 1)]
@@ -243,17 +250,19 @@ class TestSimulateTrajectory:
         steps = np.diff(record.t)
         assert np.max(np.abs(steps - cfg.delta_t)) < 1e-12
 
-    def test_chains_series_across_the_block_boundary(self):
-        # more series than one block of pre-drawn uniforms holds, against
-        # the whole chain in one kernel call
+    def test_chains_series_across_the_block_boundary(self, monkeypatch):
+        # more series than one block of the Python route's draws holds, on
+        # the route in use and on the Python route, against the whole chain
+        # in one kernel call
         cfg = quiet_config(params=FIG3_PARAMS, tau=0.002, n_per_series=2, m_series=1100, seed=5)
         record = simulate_trajectory(cfg)
-        uniforms = np.random.default_rng(5).random(cfg.m_series * 2).tolist()
-        _, _, c2_sq, n_plus = chain_against_reference(cfg.initial_state, cfg, uniforms)
-        assert np.array_equal(record.c2_sq, c2_sq)
-        assert np.array_equal(
-            record.g2, [reference_g2(count, 2, FIG3_PARAMS) for count in n_plus]
-        )
+        _, _, c2_sq, n_plus = chain_against_reference(cfg.initial_state, cfg, 5)
+        python_route(monkeypatch)
+        for run in (record, simulate_trajectory(cfg)):
+            assert np.array_equal(run.c2_sq, c2_sq)
+            assert np.array_equal(
+                run.g2, [reference_g2(count, 2, FIG3_PARAMS) for count in n_plus]
+            )
 
     def test_populations_stay_physical_over_long_runs(self):
         # 1e5 measurements with renormalization after each one
@@ -272,11 +281,12 @@ class TestSimulateTrajectory:
         cfg = quiet_config(
             params=FIG3_PARAMS, tau=0.002, n_per_series=50, m_series=1, seed=0
         )
-        uniforms = np.random.default_rng(12).random(2000 * 50)  # 1e5 measurements
+        # 2000 calls of 50 measurements, 1e5 in all, each call going on
+        # with the stream the last one advanced
+        stream = streams_of(12)
         c1, c2 = LEVEL_ONE.c1, LEVEL_ONE.c2
-        for start in range(0, len(uniforms), 50):
-            series = uniforms[start : start + 50]
-            c1, c2, _, _ = run_kernel(trajectory._advance, c1, c2, cfg, series)
+        for _ in range(2000):
+            c1, c2, _, _ = run_kernel(trajectory._advance, c1, c2, cfg, stream)
             assert abs(StateVector(c1, c2).norm_sq - 1.0) <= 1e-9
 
     def test_zeno_pinning_with_projective_measurements(self):
