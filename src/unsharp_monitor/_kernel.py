@@ -41,8 +41,11 @@ SOURCES = tuple(Path(__file__).with_name(name) for name in ("_kernel.c", "_repr.
 # included by the sources, which find it beside themselves
 HEADERS = (Path(__file__).with_name("_umul128.h"),)
 # -ffp-contract=off rounds every multiply and add on its own, as Python
-# does; -ffast-math, never passed, would also let the compiler regroup sums
-FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# does; -ffast-math, never passed, would also let the compiler regroup sums.
+# -fno-math-errno only drops the errno that sqrt of a negative would set, so
+# the compiler may emit the sqrt instruction alone and pack four of them;
+# sqrt is correctly rounded either way, so no double changes
+FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120
 _PLATFORM = sysconfig.get_platform().replace("-", "_").replace(".", "_")
 

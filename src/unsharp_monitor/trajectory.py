@@ -14,10 +14,11 @@ quotients, so the real form reproduces the complex reference functions
 bit for bit; at most the signs of zeros differ, and no recorded value
 depends on them.  The loop runs compiled from ``_kernel.c`` (built and
 cached by ``_kernel.py``) in the same operation order, so it gives the
-same doubles: one loop, built at a width of four interleaved rows for
-each full group and of one row for the rest, which draws each row's
-uniforms itself; without a C compiler the Python loop runs instead, on
-numpy's draws of the same streams.
+same doubles: each full group of four rows as packed vectors, one per
+component, whose every lane does the scalar loop's operations, and each
+row after the last group through that scalar loop; each row draws its own
+uniforms.  Without a C compiler the Python loop runs instead, on numpy's
+draws of the same streams.
 
 ``simulate_replicates`` runs one config from several seeds and returns
 the recorded arrays with one row per seed; ``simulate_trajectory`` is its
@@ -350,12 +351,13 @@ def _compiled_advance(
 ) -> None:
     """``_numpy_advance`` compiled from ``_kernel.c``, with the same doubles, streams and errors.
 
-    The kernel runs one loop, compiled at a width of four lanes for each
-    full group of rows and of one for each row after the last group, and
-    draws each row's uniforms from its stream as numpy does.  It raises
-    nothing: it returns the row where p_plus left [lo, hi] or the norm was
-    zero (in a group of four lanes, the group's first row), with that
-    row's state and stream as they were.  That row and every row after it
+    The kernel runs each full group of four rows as packed vectors, one per
+    component (in the AVX2 or the baseline copy of that loop, which the
+    loader picks for the host), and each row after the last group in the
+    scalar loop whose lines every lane follows, and draws each row's
+    uniforms from its stream as numpy does.  It raises nothing: it returns
+    the row where p_plus left [lo, hi] or the norm was zero (in a group,
+    the group's first row), with that row's state and stream as they were.  That row and every row after it
     run through ``_numpy_advance``, which raises the first failing row's
     error.  The kernel reads and writes the buffers through raw pointers,
     so their shapes and dtypes are checked here, and ``from_buffer``

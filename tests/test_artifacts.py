@@ -922,11 +922,14 @@ def test_compiled_parse_reads_decimals_as_float_does(texts):
             assert math.copysign(1, data[0, 1]) == math.copysign(1, expected), text
 
 
-UBSAN = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
-
 # runs every entry point of the library at sys.argv[2] in place of the one
 # the package loaded, on the inputs of the JSON on stdin, and prints what
-# each gave; a build with UBSAN aborts at the first undefined behaviour
+# each gave; a sanitized build aborts at the first undefined behaviour or
+# out-of-bounds access.  Each buffer the kernel gets is a numpy array of
+# exactly its size, so AddressSanitizer's redzone starts where it ends: the
+# seeds and streams of um_seed, and the state, streams and outputs of
+# um_advance_rows on two full lane groups and a tail row, and on a group
+# that stops
 SANITIZED = """
 import ctypes, json, sys
 import numpy as np
@@ -973,22 +976,11 @@ print(json.dumps({
 @needs_cc
 @needs_library
 @pytest.mark.filterwarnings("ignore::unsharp_monitor.trajectory.SeriesBoundWarning")
-def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path):
-    path = tmp_path / "sanitized.so"
-    build = subprocess.run(
-        _kernel.compile_command(path, extra=UBSAN),
-        capture_output=True, text=True, timeout=_kernel.BUILD_TIMEOUT_S,
-    )
-    if build.returncode:
-        empty = tmp_path / "empty.c"
-        empty.write_text("int empty;\n", encoding="ascii")
-        probe = subprocess.run(
-            _kernel.compile_command(tmp_path / "empty.so", [empty], UBSAN),
-            capture_output=True, timeout=_kernel.BUILD_TIMEOUT_S,
-        )
-        if probe.returncode:
-            pytest.skip("the compiler cannot link the undefined behaviour sanitizer")
-        pytest.fail(build.stderr)
+def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(sanitized_libraries):
+    # and under AddressSanitizer, in the same build where the compiler links both
+    runs, missing = sanitized_libraries
+    if not runs:
+        pytest.skip(missing)
     rng = np.random.default_rng(20261021)
     patterns = rng.integers(0, 2**64, 10**5, dtype=np.uint64)
     values = np.concatenate([EDGE_DOUBLES, patterns.view(np.float64)])
@@ -1007,24 +999,28 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path
         "separators": [",", *JSON_SEPARATORS], "parsed": PARSED_TEXT.decode(),
         "seeds": [*range(1, 6), 0, 2**32 - 1, 2**32, 2**64 - 1],
     }
-    run = subprocess.run(
-        [sys.executable, "-c", SANITIZED, str(Path(artifacts.__file__).parents[1]), str(path)],
-        input=json.dumps(inputs), capture_output=True, text=True, timeout=120,
-    )
-    assert run.returncode == 0, run.stderr
-    result = json.loads(run.stdout)
     separators = inputs["separators"]
-    assert result["joined"] == [artifacts._joined(values, separator) for separator in separators]
-    assert result["rows"] == artifacts._csv_rows(values, -values, values[::-1], np.roll(values, 1))
-    assert result["parsed"] == repr(PARSED)
     expected = [artifacts._compiled_rows(f"1,{text},0.5,0.5,0.5\n".encode()) for text in texts]
-    assert result["decimals"] == [None if row is None else repr(row[0, 1]) for row in expected]
     replicates = []
     for preset in ("fig1", "fig3"):
         config = load_run_config(preset=preset, overrides={"m_series": 40}).trajectory
         replicates.append([a.tolist() for a in simulate_replicates(config, inputs["seeds"])])
-    assert result["replicates"] == repr(replicates)
-    assert result["stopped"] == "p_plus = 4.0 lies outside [0, 1] beyond float slack"
+    for path, environment in runs:
+        run = subprocess.run(
+            [sys.executable, "-c", SANITIZED, str(Path(artifacts.__file__).parents[1]), str(path)],
+            input=json.dumps(inputs), capture_output=True, text=True, timeout=300,
+            env=environment,
+        )
+        assert run.returncode == 0, run.stderr
+        result = json.loads(run.stdout)
+        assert result["joined"] == [artifacts._joined(values, separator) for separator in separators]
+        assert result["rows"] == artifacts._csv_rows(values, -values, values[::-1], np.roll(values, 1))
+        assert result["parsed"] == repr(PARSED)
+        assert result["decimals"] == [None if row is None else repr(row[0, 1]) for row in expected]
+        assert result["replicates"] == repr(replicates)
+        assert result["stopped"] == "p_plus = 4.0 lies outside [0, 1] beyond float slack"
+    if missing:
+        pytest.skip(f"the other sanitizer passed; {missing}")
 
 
 @needs_library

@@ -10,13 +10,15 @@ compiled loop, and demand exact equality, so any change to either
 kernel's arithmetic or to the compiled draws fails here first.  They pin
 ``um_seed`` to numpy's ``PCG64(seed)``, drive the excursion and zero-norm
 checks of both kernels, hold every row of a many-row call (the compiled
-loop at a width of four lanes and, for the tail, of one) to the Python
-loop and every row of ``simulate_replicates``, on the compiled route and
-on the Python route, to the one-seed trajectory, stop a call at its first
-failing row in a lane group or in the tail with the stopped rows' states
-and streams as they were, run the replicates of a build without
-``unsigned __int128`` as the default build's, and check that the compiled
-kernel is built once, cached, and in use wherever a C compiler is.
+packed loop for each group of four lanes and the scalar loop for the
+tail) to the Python loop and every row of ``simulate_replicates``, on the
+compiled route and on the Python route, to the one-seed trajectory, stop
+a call at its first failing row in a lane group or in the tail with the
+stopped rows' states and streams as they were, run the replicates of a
+build without ``unsigned __int128`` and of a build with only the
+baseline copy of the packed loop as the default build's, and check that
+the compiled kernel is built once, cached, and in use wherever a C
+compiler is.
 """
 
 import ctypes
@@ -275,8 +277,8 @@ GENERAL_STATE = {"c1": [0.6, 0.0], "c2": [0.48, 0.64]}
     "overrides", [{}, {"initial_state": GENERAL_STATE}], ids=["in-plane", "general"]
 )
 def test_kernel_speed_smoke(benchmark, overrides):
-    # records the time per measurement of the trajectory and of each
-    # kernel on its own; asserts only on the records
+    # records the time per measurement of the trajectory, of each kernel on
+    # its own and of an 8-row replicate call; asserts only on the records
     config = load_run_config(
         preset="fig3", overrides={"m_series": 200, **overrides}
     ).trajectory
@@ -298,6 +300,17 @@ def test_kernel_speed_smoke(benchmark, overrides):
             sorted(seconds)[1] / measurements * 1e9
         )
         assert c2_sq == record.c2_sq.tolist()
+    # 8 rows from seed on, two full lane groups on the compiled route
+    seeds = [config.seed + row for row in range(8)]
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        rows_c2_sq, _ = simulate_replicates(config, seeds)
+        seconds.append(time.perf_counter() - start)
+    benchmark.extra_info["ns_per_measurement_8_rows"] = (
+        sorted(seconds)[1] / (len(seeds) * measurements) * 1e9
+    )
+    assert np.array_equal(rows_c2_sq[0], record.c2_sq)
     assert record.c2_sq.shape == record.g2.shape == (200,)
     assert np.array_equal(record.g2, simulate_trajectory(config).g2)
 
@@ -459,31 +472,47 @@ def test_a_failing_lane_raises_the_first_failing_row(start, lane2, lane3, error,
     ])
 
 
-@pytest.mark.parametrize("start", [0, 4, 6], ids=["first-group", "second-group", "tail"])
+# the failing lanes of the test above on streams, where each fails at its
+# first step, a vanishing state standing in for the late zero
+STOPPED_STARTS = [0, 4, 6]
+STOPPED_LANES = [
+    (VANISHING, NOT_A_NUMBER, DegenerateOutcomeError, re.escape(_ZERO_NORM)),
+    (LARGE, VANISHING, StateError, r"p_plus = 4\.0 lies outside"),
+    (None, NOT_A_NUMBER, StateError, r"p_plus = nan lies outside"),
+    (VANISHING, None, DegenerateOutcomeError, re.escape(_ZERO_NORM)),
+    (LARGE, None, StateError, r"p_plus = 4\.0 lies outside"),
+]
+
+
+def stopped_states(start, lane2, lane3):
+    """10 healthy rows but for lanes 2 and 3 of the group or tail at ``start``."""
+    states = [HEALTHY] * 10
+    for lane, kind in ((2, lane2), (3, lane3)):
+        states[start + lane] = kind or HEALTHY
+    return states
+
+
+def stopped_rows(kernel, states):
+    """``states`` through a stream route ``kernel`` on seed 2026's streams:
+    (``run_rows``' result, the streams it left)."""
+    streams = streams_of(2026, 10, 6)
+    return run_rows(kernel, states, quiet_config(**LANE_CONFIG), streams), streams.tolist()
+
+
+@pytest.mark.parametrize("start", STOPPED_STARTS, ids=["first-group", "second-group", "tail"])
 @pytest.mark.parametrize(
-    "lane2, lane3, error, message",
-    [
-        (VANISHING, NOT_A_NUMBER, DegenerateOutcomeError, re.escape(_ZERO_NORM)),
-        (LARGE, VANISHING, StateError, r"p_plus = 4\.0 lies outside"),
-        (None, NOT_A_NUMBER, StateError, r"p_plus = nan lies outside"),
-        (VANISHING, None, DegenerateOutcomeError, re.escape(_ZERO_NORM)),
-        (LARGE, None, StateError, r"p_plus = 4\.0 lies outside"),
-    ],
+    "lane2, lane3, error, message", STOPPED_LANES,
     ids=["zero-before-nan", "large-before-zero", "nan-in-lane-3", "zero-in-lane-2",
          "large-in-lane-2"],
 )
 def test_a_stopped_row_keeps_its_state_and_stream(start, lane2, lane3, error, message):
-    # the failing lanes of the test above on streams, where each fails at its
-    # first step: the compiled route stops in the lane group or tail row and
-    # the Python route reruns it from the same states and streams
-    config = quiet_config(**LANE_CONFIG)
-    states = [HEALTHY] * 10
-    for lane, kind in ((2, lane2), (3, lane3)):
-        states[start + lane] = kind or HEALTHY
-    results = []
-    for kernel in [_numpy_advance, *(k for k in KERNELS.values() if k is not _python_advance)]:
-        streams = streams_of(2026, 10, 6)
-        results.append((run_rows(kernel, states, config, streams), streams.tolist()))
+    # the compiled route stops in the lane group or tail row and the Python
+    # route reruns it from the same states and streams
+    states = stopped_states(start, lane2, lane3)
+    results = [
+        stopped_rows(kernel, states)
+        for kernel in [_numpy_advance, *(k for k in KERNELS.values() if k is not _python_advance)]
+    ]
     assert all(repr(result) == repr(results[0]) for result in results)
     (after, (raised, text)), streams = results[0]
     assert raised is error and re.match(message, text)
@@ -620,26 +649,60 @@ def test_streams_are_numpys_pcg64_seeded_through_seed_sequence():
     assert streams.tolist() == drawn_words
 
 
+def use_library(monkeypatch, path) -> None:
+    """Run the compiled route on the kernel and seeding of the build at ``path``."""
+    library = ctypes.CDLL(str(path))
+    for name in ("um_seed", "um_advance_rows"):
+        typed, entry = getattr(trajectory._LIBRARY, name), getattr(library, name)
+        entry.argtypes, entry.restype = typed.argtypes, typed.restype
+    monkeypatch.setattr(trajectory, "_KERNEL", library.um_advance_rows)
+    monkeypatch.setattr(trajectory, "_SEED", library.um_seed)
+
+
+# nine seeds: two full lane groups and a tail row
+REPLICATE_SEEDS = EDGE_SEEDS + [11, 12345, 2**63]
+
+
+def replicate_configs():
+    return [
+        load_run_config(preset=preset, overrides={"m_series": 60, **overrides}).trajectory
+        for preset, overrides in [("fig1", {}), ("fig3", {}), ("fig3", {"initial_state": GENERAL_STATE})]
+    ]
+
+
 @needs_cc
 @needs_library
 @pytest.mark.filterwarnings("ignore::unsharp_monitor.trajectory.SeriesBoundWarning")
 def test_the_portable_build_runs_replicates_as_the_default_build(portable_library, monkeypatch):
     # umul128's portable body does the stream's 128-bit multiply there
-    library = ctypes.CDLL(str(portable_library))
-    for name in ("um_seed", "um_advance_rows"):
-        typed, entry = getattr(trajectory._LIBRARY, name), getattr(library, name)
-        entry.argtypes, entry.restype = typed.argtypes, typed.restype
-    seeds = EDGE_SEEDS + [11, 12345, 2**63]
-    configs = [
-        load_run_config(preset=preset, overrides={"m_series": 60, **overrides}).trajectory
-        for preset, overrides in [("fig1", {}), ("fig3", {}), ("fig3", {"initial_state": GENERAL_STATE})]
-    ]
-    expected = [simulate_replicates(config, seeds) for config in configs]
-    monkeypatch.setattr(trajectory, "_KERNEL", library.um_advance_rows)
-    monkeypatch.setattr(trajectory, "_SEED", library.um_seed)
+    configs = replicate_configs()
+    expected = [simulate_replicates(config, REPLICATE_SEEDS) for config in configs]
+    use_library(monkeypatch, portable_library)
     for config, (c2_sq, g2) in zip(configs, expected):
-        portable_c2_sq, portable_g2 = simulate_replicates(config, seeds)
+        portable_c2_sq, portable_g2 = simulate_replicates(config, REPLICATE_SEEDS)
         assert np.array_equal(portable_c2_sq, c2_sq) and np.array_equal(portable_g2, g2)
+
+
+@needs_cc
+@needs_library
+@pytest.mark.filterwarnings("ignore::unsharp_monitor.trajectory.SeriesBoundWarning")
+def test_the_baseline_clone_runs_as_the_default_build(baseline_library, monkeypatch):
+    # where the default build carries an AVX2 clone of the lane-group loop,
+    # an AVX2 host runs that clone everywhere else; here the baseline copy
+    # runs every row count from 1 to 9 and every stopped group and tail
+    seeds = REPLICATE_SEEDS
+    configs = replicate_configs()
+    expected = [[simulate_replicates(c, seeds[:rows]) for rows in range(1, 10)] for c in configs]
+    cases = [stopped_states(start, *lanes[:2]) for start in STOPPED_STARTS for lanes in STOPPED_LANES]
+    stopped = [stopped_rows(_compiled_advance, states) for states in cases]
+    use_library(monkeypatch, baseline_library)
+    for config, by_rows in zip(configs, expected):
+        for rows, (c2_sq, g2) in enumerate(by_rows, start=1):
+            baseline_c2_sq, baseline_g2 = simulate_replicates(config, seeds[:rows])
+            assert np.array_equal(baseline_c2_sq, c2_sq) and np.array_equal(baseline_g2, g2)
+    for states, (result, streams) in zip(cases, stopped):
+        baseline_result, baseline_streams = stopped_rows(_compiled_advance, states)
+        assert repr(baseline_result) == repr(result) and baseline_streams == streams
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 3.5])
