@@ -12,17 +12,22 @@
  * A step is rotate, then scale by the outcome's factors, then divide by
  * the norm, on one state c = (Re c1, Im c1, Re c2, Im c2).  um_advance_rows
  * advances `rows` independent trajectories, each from its own state and
- * its own stream.  Every step is one dependent chain of multiplies, a sqrt
- * and four divisions, so one trajectory leaves most of the core idle.
- * um_advance_rows therefore runs each full group of LANES rows through
- * advance_group, which holds each component as one vector across the four
- * rows: every multiply, add, compare, division and the sqrt is one packed
- * operation that does in each lane what the scalar line does, and the
- * outcome is a bitwise blend of the two factors under the lanes' compare
- * mask.  advance_group is built twice, for AVX2 and for the baseline ISA,
- * and the loader picks one per host (GROUP_CLONES).  Each row after the
- * last full group, and simulate_trajectory's single row, runs the scalar
- * loop advance_row, whose lines advance_group's follow one for one.
+ * its own stream.  advance_group holds each component of LANES rows as
+ * one vector across them (a half): every multiply, add, compare, division
+ * and the sqrt is one packed operation that does in each lane what the
+ * scalar line does, and the outcome is a bitwise blend of the two factors
+ * under the lanes' compare mask.  A step is one dependent chain, whose
+ * sqrt waits on the norm and whose divisions wait on the sqrt, and a
+ * packed division's latency is about twice the interval at which the
+ * divider accepts the next one, so one half leaves the divide/sqrt unit
+ * idle much of each step.  um_advance_rows therefore runs each full group
+ * of eight rows as two halves in one loop: their chains are independent,
+ * so the second half's sqrt and divisions fill the first's idle cycles.
+ * Four to seven rows left over run as one half, and each row after that,
+ * and simulate_trajectory's single row, runs the scalar loop advance_row,
+ * whose lines the packed step follows one for one.  advance_group is
+ * built twice, for AVX2 and for the baseline ISA, and the loader picks
+ * one per host (GROUP_CLONES).
  *
  * A stream is numpy's PCG64 (M. E. O'Neill, "PCG: A Family of Simple Fast
  * Space-Efficient Statistically Good Algorithms for Random Number
@@ -39,7 +44,7 @@
  *
  * The kernel raises nothing.  A row stops where p_plus leaves [lo, hi] or
  * the norm is zero; um_advance_rows then returns the row, or for a group
- * of lanes the group's first row, with that row's state and stream and
+ * or a half the first row of it, with that row's state and stream and
  * the states and streams of the rows after it as they were.
  * trajectory._compiled_advance runs that row and every row after it
  * through the Python loop on numpy's draws of the same streams, which
@@ -221,7 +226,8 @@ static int advance_row(double *state, const double *constants, int64_t n, int64_
     return 1;
 }
 
-enum { LANES = 4 };
+/* a group is HALVES vectors of LANES rows each per state component */
+enum { LANES = 4, HALVES = 2 };
 
 /* GROUP_CLONES builds the group loop twice, for AVX2 and for the baseline
    ISA, and the dynamic loader picks one per host through an ifunc, which
@@ -237,92 +243,152 @@ enum { LANES = 4 };
 #endif
 
 /* one state component, or one 0 / -1 mask, across the LANES rows of a
-   group; a comparison's mask is cast to lanes_i64, whose element type a
+   half; a comparison's mask is cast to lanes_i64, whose element type a
    compiler may spell otherwise */
 typedef double lanes_f64 __attribute__((vector_size(LANES * sizeof(double))));
 typedef int64_t lanes_i64 __attribute__((vector_size(LANES * sizeof(int64_t))));
 #define SPLAT(x) {x, x, x, x}
+/* the helpers below take vectors by pointer and return none, so no vector
+   crosses a call of the baseline ABI (-Wpsabi), and always inline, so a
+   half's vectors stay in registers */
+#define INLINE static inline __attribute__((always_inline))
 
-/* LANES rows, each component one vector across them, named as in the
-   Python loop; every lane runs advance_row's operations in its order.
-   Returns 0, leaving `state` and `streams` as they were, where some lane
-   stops */
-static GROUP_CLONES int advance_group(double *state, const double *constants, int64_t n,
-                                      int64_t series, uint64_t *streams, double *c2_sq,
-                                      int64_t *n_plus)
-{
-    const double ch = constants[0], s = constants[1];
-    const double p1 = constants[2], p2 = constants[3];
-    /* the outcomes' factors as bits, for the blend below */
-    const lanes_i64 u1_plus = (lanes_i64)(lanes_f64)SPLAT(constants[4]);
-    const lanes_i64 u2_plus = (lanes_i64)(lanes_f64)SPLAT(constants[5]);
-    const lanes_i64 u1_minus = (lanes_i64)(lanes_f64)SPLAT(constants[6]);
-    const lanes_i64 u2_minus = (lanes_i64)(lanes_f64)SPLAT(constants[7]);
-    const lanes_f64 lo = SPLAT(constants[8]), hi = SPLAT(constants[9]), zero = SPLAT(0.0);
+/* a step's constants across the lanes; the outcomes' factors as bits, for
+   the blend in step() */
+struct step_constants {
+    double ch, s, p1, p2;
+    lanes_i64 u1_plus, u2_plus, u1_minus, u2_minus;
+    lanes_f64 lo, hi;
+};
+
+/* LANES rows: each component as one vector across them, named as in the
+   Python loop, each row's stream and each row's "+" count of the series */
+struct half {
     lanes_f64 ar, ai, br, bi;
+    lanes_i64 count;
     uint64_t r[LANES][4];
-    lanes_i64 bad = SPLAT(0);
+};
 
+INLINE void load_half(struct half *h, const double *state, const uint64_t *streams)
+{
     for (int l = 0; l < LANES; l++) {
-        ar[l] = state[4 * l];
-        ai[l] = state[4 * l + 1];
-        br[l] = state[4 * l + 2];
-        bi[l] = state[4 * l + 3];
+        h->ar[l] = state[4 * l];
+        h->ai[l] = state[4 * l + 1];
+        h->br[l] = state[4 * l + 2];
+        h->bi[l] = state[4 * l + 3];
         for (int k = 0; k < 4; k++)
-            r[l][k] = streams[4 * l + k];
+            h->r[l][k] = streams[4 * l + k];
     }
+    h->count = (lanes_i64)SPLAT(0);
+}
+
+/* one measurement in each lane of `h`, advance_row's operations in its
+   order; sets the lanes of `bad` where a row stops */
+INLINE void step(struct half *h, const struct step_constants *k, lanes_i64 *bad)
+{
+    const lanes_f64 u = {next_uniform(h->r[0]), next_uniform(h->r[1]),
+                         next_uniform(h->r[2]), next_uniform(h->r[3])};
+    /* rotate() in each lane */
+    const lanes_f64 x = k->ch * h->ar + k->s * h->bi;
+    const lanes_f64 y = k->ch * h->ai - k->s * h->br;
+    h->br = k->ch * h->br + k->s * h->ai;
+    h->bi = k->ch * h->bi - k->s * h->ar;
+    h->ar = x;
+    h->ai = y;
+    const lanes_f64 p_plus = k->p1 * (x * x + y * y) + k->p2 * (h->br * h->br + h->bi * h->bi);
+    *bad |= ~(lanes_i64)((p_plus >= k->lo) & (p_plus <= k->hi));
+    /* a comparison is -1 in the lanes where it holds and 0 in the others,
+       so this counts each "+" and blends in its factors */
+    const lanes_i64 plus = (lanes_i64)(u < p_plus);
+    h->count -= plus;
+    const lanes_f64 f1 = (lanes_f64)((plus & k->u1_plus) | (~plus & k->u1_minus));
+    const lanes_f64 f2 = (lanes_f64)((plus & k->u2_plus) | (~plus & k->u2_minus));
+    /* scale() in each lane */
+    h->ar *= f1;
+    h->ai *= f1;
+    h->br *= f2;
+    h->bi *= f2;
+    const lanes_f64 sq = (h->ar * h->ar + h->ai * h->ai) + (h->br * h->br + h->bi * h->bi);
+    /* one packed sqrt, as -fno-math-errno lets the compiler build it */
+    const lanes_f64 norm = {sqrt(sq[0]), sqrt(sq[1]), sqrt(sq[2]), sqrt(sq[3])};
+    *bad |= (lanes_i64)(norm == (lanes_f64)SPLAT(0.0));
+    /* divide() in each lane */
+    h->ar /= norm;
+    h->ai /= norm;
+    h->br /= norm;
+    h->bi /= norm;
+}
+
+/* writes series m's |c2|^2 and "+" count of each row, and starts the next count */
+INLINE void record_half(struct half *h, int64_t series, int64_t m, double *c2_sq,
+                        int64_t *n_plus)
+{
+    const lanes_f64 c2 = h->br * h->br + h->bi * h->bi;
+    for (int l = 0; l < LANES; l++) {
+        c2_sq[l * series + m] = c2[l];
+        n_plus[l * series + m] = h->count[l];
+    }
+    h->count = (lanes_i64)SPLAT(0);
+}
+
+INLINE void store_half(const struct half *h, double *state, uint64_t *streams)
+{
+    for (int l = 0; l < LANES; l++) {
+        state[4 * l] = h->ar[l];
+        state[4 * l + 1] = h->ai[l];
+        state[4 * l + 2] = h->br[l];
+        state[4 * l + 3] = h->bi[l];
+        for (int k = 0; k < 4; k++)
+            streams[4 * l + k] = h->r[l][k];
+    }
+}
+
+/* `halves` halves of LANES rows, the second half's rows after the first's;
+   `halves` is 1 or HALVES as a constant, so each width is its own loop,
+   with no branch on it inside.  Returns 0, leaving `state` and `streams`
+   as they were, where some lane stops */
+INLINE int advance_lanes(const int halves, double *state, const double *constants, int64_t n,
+                         int64_t series, uint64_t *streams, double *c2_sq, int64_t *n_plus)
+{
+    const struct step_constants k = {
+        constants[0], constants[1], constants[2], constants[3],
+        (lanes_i64)(lanes_f64)SPLAT(constants[4]), (lanes_i64)(lanes_f64)SPLAT(constants[5]),
+        (lanes_i64)(lanes_f64)SPLAT(constants[6]), (lanes_i64)(lanes_f64)SPLAT(constants[7]),
+        (lanes_f64)SPLAT(constants[8]), (lanes_f64)SPLAT(constants[9]),
+    };
+    struct half h0, h1;
+    lanes_i64 bad = SPLAT(0);
+    const int64_t second = LANES * series; /* the second half's first output */
+
+    load_half(&h0, state, streams);
+    if (halves == HALVES)
+        load_half(&h1, state + 4 * LANES, streams + 4 * LANES);
     for (int64_t m = 0; m < series; m++) {
-        lanes_i64 count = SPLAT(0);
         for (int64_t j = 0; j < n; j++) {
-            const lanes_f64 u = {next_uniform(r[0]), next_uniform(r[1]), next_uniform(r[2]),
-                                 next_uniform(r[3])};
-            /* rotate() in each lane */
-            const lanes_f64 x = ch * ar + s * bi;
-            const lanes_f64 y = ch * ai - s * br;
-            br = ch * br + s * ai;
-            bi = ch * bi - s * ar;
-            ar = x;
-            ai = y;
-            const lanes_f64 p_plus = p1 * (x * x + y * y) + p2 * (br * br + bi * bi);
-            bad |= ~(lanes_i64)((p_plus >= lo) & (p_plus <= hi));
-            /* a comparison is -1 in the lanes where it holds and 0 in the
-               others, so this counts each "+" and blends in its factors */
-            const lanes_i64 plus = (lanes_i64)(u < p_plus);
-            count -= plus;
-            const lanes_f64 f1 = (lanes_f64)((plus & u1_plus) | (~plus & u1_minus));
-            const lanes_f64 f2 = (lanes_f64)((plus & u2_plus) | (~plus & u2_minus));
-            /* scale() in each lane */
-            ar *= f1;
-            ai *= f1;
-            br *= f2;
-            bi *= f2;
-            const lanes_f64 sq = (ar * ar + ai * ai) + (br * br + bi * bi);
-            /* one packed sqrt, as -fno-math-errno lets the compiler build it */
-            const lanes_f64 norm = {sqrt(sq[0]), sqrt(sq[1]), sqrt(sq[2]), sqrt(sq[3])};
-            bad |= (lanes_i64)(norm == zero);
-            /* divide() in each lane */
-            ar /= norm;
-            ai /= norm;
-            br /= norm;
-            bi /= norm;
+            step(&h0, &k, &bad);
+            if (halves == HALVES)
+                step(&h1, &k, &bad);
         }
         if (bad[0] | bad[1] | bad[2] | bad[3])
             return 0;
-        const lanes_f64 c2 = br * br + bi * bi;
-        for (int l = 0; l < LANES; l++) {
-            c2_sq[l * series + m] = c2[l];
-            n_plus[l * series + m] = count[l];
-        }
+        record_half(&h0, series, m, c2_sq, n_plus);
+        if (halves == HALVES)
+            record_half(&h1, series, m, c2_sq + second, n_plus + second);
     }
-    for (int l = 0; l < LANES; l++) {
-        state[4 * l] = ar[l];
-        state[4 * l + 1] = ai[l];
-        state[4 * l + 2] = br[l];
-        state[4 * l + 3] = bi[l];
-        for (int k = 0; k < 4; k++)
-            streams[4 * l + k] = r[l][k];
-    }
+    store_half(&h0, state, streams);
+    if (halves == HALVES)
+        store_half(&h1, state + 4 * LANES, streams + 4 * LANES);
     return 1;
+}
+
+/* `halves` * LANES rows, the one branch on `halves` outside the loops */
+static GROUP_CLONES int advance_group(int halves, double *state, const double *constants,
+                                      int64_t n, int64_t series, uint64_t *streams,
+                                      double *c2_sq, int64_t *n_plus)
+{
+    if (halves == HALVES)
+        return advance_lanes(HALVES, state, constants, n, series, streams, c2_sq, n_plus);
+    return advance_lanes(1, state, constants, n, series, streams, c2_sq, n_plus);
 }
 
 int64_t um_advance_rows(double *state, const double *constants, int64_t n, int64_t series,
@@ -330,10 +396,13 @@ int64_t um_advance_rows(double *state, const double *constants, int64_t n, int64
 {
     int64_t row = 0;
 
-    for (; row + LANES <= rows; row += LANES)
-        if (!advance_group(state + 4 * row, constants, n, series, streams + 4 * row,
-                           c2_sq + row * series, n_plus + row * series))
-            return row;
+    /* full groups of HALVES * LANES rows, then one half where four to seven
+       rows are left */
+    for (int halves = HALVES; halves > 0; halves--)
+        for (; row + halves * LANES <= rows; row += halves * LANES)
+            if (!advance_group(halves, state + 4 * row, constants, n, series,
+                               streams + 4 * row, c2_sq + row * series, n_plus + row * series))
+                return row;
     for (; row < rows; row++)
         if (!advance_row(state + 4 * row, constants, n, series, streams + 4 * row,
                          c2_sq + row * series, n_plus + row * series))

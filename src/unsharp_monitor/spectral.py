@@ -274,6 +274,14 @@ def process_readouts(
     and ``truncation`` switch either step off.  Truncation cuts at the main
     peak of the filtered power; a row without one passes uncut, with one
     warning for the batch.
+
+    A finite row whose power overflows raises nothing: numpy warns
+    ``RuntimeWarning: overflow encountered in square``, and its record has
+    inf bins in ``power`` and an inf ``noise_floor``.  The Wiener weights
+    then keep only the zero-frequency bin, so the processed readout is the
+    row's mean (as that bin gives it) in every sample, and truncation,
+    finding no peak, skips the row with the batch's usual warning.
+    ``analyze`` refuses such a g2 instead, and exits with code 2.
     """
     x = _samples(readouts, dt, ndim=2)
     coefficients = _spectra(x)

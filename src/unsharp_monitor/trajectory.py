@@ -14,9 +14,10 @@ quotients, so the real form reproduces the complex reference functions
 bit for bit; at most the signs of zeros differ, and no recorded value
 depends on them.  The loop runs compiled from ``_kernel.c`` (built and
 cached by ``_kernel.py``) in the same operation order, so it gives the
-same doubles: each full group of four rows as packed vectors, one per
-component, whose every lane does the scalar loop's operations, and each
-row after the last group through that scalar loop; each row draws its own
+same doubles: each full group of eight rows as two independent packed
+vectors of four rows per component, whose every lane does the scalar
+loop's operations, then four to seven rows left over as one such vector,
+and each row after that through the scalar loop; each row draws its own
 uniforms.  Without a C compiler the Python loop runs instead, on numpy's
 draws of the same streams.
 
@@ -351,17 +352,19 @@ def _compiled_advance(
 ) -> None:
     """``_numpy_advance`` compiled from ``_kernel.c``, with the same doubles, streams and errors.
 
-    The kernel runs each full group of four rows as packed vectors, one per
-    component (in the AVX2 or the baseline copy of that loop, which the
-    loader picks for the host), and each row after the last group in the
-    scalar loop whose lines every lane follows, and draws each row's
-    uniforms from its stream as numpy does.  It raises nothing: it returns
-    the row where p_plus left [lo, hi] or the norm was zero (in a group,
-    the group's first row), with that row's state and stream as they were.  That row and every row after it
-    run through ``_numpy_advance``, which raises the first failing row's
-    error.  The kernel reads and writes the buffers through raw pointers,
-    so their shapes and dtypes are checked here, and ``from_buffer``
-    refuses any buffer that is not C-contiguous and writable.
+    The kernel runs each full group of eight rows as two packed vectors of
+    four rows per component, stepped side by side, then four to seven rows
+    left over as one (in the AVX2 or the baseline copy of that loop, which
+    the loader picks for the host), and each row after that in the scalar
+    loop whose lines every lane follows, and draws each row's uniforms
+    from its stream as numpy does.  It raises nothing: it returns the row
+    where p_plus left [lo, hi] or the norm was zero (in a group of eight
+    or four, its first row), with that row's state and stream as they
+    were.  That row and every row after it run through ``_numpy_advance``,
+    which raises the first failing row's error.  The kernel reads and
+    writes the buffers through raw pointers, so their shapes and dtypes
+    are checked here, and ``from_buffer`` refuses any buffer that is not
+    C-contiguous and writable.
     """
     # no buffer has a shape of -1 rows, so an output of another rank is refused
     rows, series = c2_sq.shape if c2_sq.ndim == 2 else (-1, -1)

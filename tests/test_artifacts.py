@@ -928,8 +928,8 @@ def test_compiled_parse_reads_decimals_as_float_does(texts):
 # out-of-bounds access.  Each buffer the kernel gets is a numpy array of
 # exactly its size, so AddressSanitizer's redzone starts where it ends: the
 # seeds and streams of um_seed, and the state, streams and outputs of
-# um_advance_rows on two full lane groups and a tail row, and on a group
-# that stops
+# um_advance_rows on one full group of eight rows, on such a group followed
+# by a four-row pass and a tail row, and on a pass and a group that stop
 SANITIZED = """
 import ctypes, json, sys
 import numpy as np
@@ -949,19 +949,24 @@ rows = [artifacts._compiled_rows(f"1,{text},0.5,0.5,0.5\\n".encode()) for text i
 replicates = []
 for preset in ("fig1", "fig3"):
     config = load_run_config(preset=preset, overrides={"m_series": 40}).trajectory
-    replicates.append([a.tolist() for a in trajectory.simulate_replicates(config, inputs["seeds"])])
-# tau = 0, p1 = 1, p2 = 0: the fourth row's norm of 2 gives p_plus = 4, so
-# the compiled lanes stop and the Python loop raises
+    for count in (8, len(inputs["seeds"])):
+        seeds = inputs["seeds"][:count]
+        replicates.append([a.tolist() for a in trajectory.simulate_replicates(config, seeds)])
+# tau = 0, p1 = 1, p2 = 0: a row's norm of 2 gives p_plus = 4, so the
+# compiled lanes stop and the Python loop raises; row 3 of 5 stops a
+# four-row pass and row 6 of 13 the second half of a group of eight
 config = trajectory.TrajectoryConfig(PovmParams(1.0, 0.0), 0.0, 3, 2)
-state = np.array([[1.0, 0.0, 0.0, 0.0]] * 3 + [[2.0, 0.0, 0.0, 0.0]] + [[0.6, 0.0, 0.8, 0.0]])
-stopped = None
-try:
-    trajectory._compiled_advance(
-        state, trajectory._constants(config), 3, trajectory._streams(range(5)),
-        np.empty((5, 2)), np.empty((5, 2), dtype=np.int64),
-    )
-except StateError as error:
-    stopped = str(error)
+stopped = []
+for count, large in ((5, 3), (13, 6)):
+    state = np.array([[1.0, 0.0, 0.0, 0.0]] * (count - 1) + [[0.6, 0.0, 0.8, 0.0]])
+    state[large, 0] = 2.0
+    try:
+        trajectory._compiled_advance(
+            state, trajectory._constants(config), 3, trajectory._streams(range(count)),
+            np.empty((count, 2)), np.empty((count, 2), dtype=np.int64),
+        )
+    except StateError as error:
+        stopped.append(str(error))
 print(json.dumps({
     "joined": [artifacts._joined(values, separator) for separator in inputs["separators"]],
     "rows": artifacts._csv_rows(values, -values, values[::-1], np.roll(values, 1)),
@@ -991,20 +996,23 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(sanitize
             rng.integers(0, 20, 500), rng.integers(-345, 311, 500).tolist(),
         )
     ]
-    # nine rows, two lane groups and a tail row, with the edge seeds of
-    # _check_seed; each row's 1000 draws include 8 to 16 rotations by 0,
-    # where a shift by 64 would be undefined
+    # thirteen rows, a group of eight, a four-row pass and a tail row, and
+    # the group alone, with the edge seeds of _check_seed; each row's 1000
+    # draws include 8 to 16 rotations by 0, where a shift by 64 would be
+    # undefined
     inputs = {
         "bits": values.view(np.uint64).tolist(), "texts": texts,
         "separators": [",", *JSON_SEPARATORS], "parsed": PARSED_TEXT.decode(),
-        "seeds": [*range(1, 6), 0, 2**32 - 1, 2**32, 2**64 - 1],
+        "seeds": [*range(1, 10), 0, 2**32 - 1, 2**32, 2**64 - 1],
     }
     separators = inputs["separators"]
     expected = [artifacts._compiled_rows(f"1,{text},0.5,0.5,0.5\n".encode()) for text in texts]
     replicates = []
     for preset in ("fig1", "fig3"):
         config = load_run_config(preset=preset, overrides={"m_series": 40}).trajectory
-        replicates.append([a.tolist() for a in simulate_replicates(config, inputs["seeds"])])
+        for count in (8, len(inputs["seeds"])):
+            seeds = inputs["seeds"][:count]
+            replicates.append([a.tolist() for a in simulate_replicates(config, seeds)])
     for path, environment in runs:
         run = subprocess.run(
             [sys.executable, "-c", SANITIZED, str(Path(artifacts.__file__).parents[1]), str(path)],
@@ -1018,7 +1026,7 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(sanitize
         assert result["parsed"] == repr(PARSED)
         assert result["decimals"] == [None if row is None else repr(row[0, 1]) for row in expected]
         assert result["replicates"] == repr(replicates)
-        assert result["stopped"] == "p_plus = 4.0 lies outside [0, 1] beyond float slack"
+        assert result["stopped"] == ["p_plus = 4.0 lies outside [0, 1] beyond float slack"] * 2
     if missing:
         pytest.skip(f"the other sanitizer passed; {missing}")
 

@@ -10,11 +10,12 @@ compiled loop, and demand exact equality, so any change to either
 kernel's arithmetic or to the compiled draws fails here first.  They pin
 ``um_seed`` to numpy's ``PCG64(seed)``, drive the excursion and zero-norm
 checks of both kernels, hold every row of a many-row call (the compiled
-packed loop for each group of four lanes and the scalar loop for the
-tail) to the Python loop and every row of ``simulate_replicates``, on the
-compiled route and on the Python route, to the one-seed trajectory, stop
-a call at its first failing row in a lane group or in the tail with the
-stopped rows' states and streams as they were, run the replicates of a
+packed loop for each group of eight rows and for a pass of four, and the
+scalar loop for the tail) to the Python loop and every row of
+``simulate_replicates``, on the compiled route and on the Python route,
+to the one-seed trajectory, stop a call at its first failing row in
+either half of a group, in a pass or in the tail with the stopped rows'
+states and streams as they were, run the replicates of a
 build without ``unsigned __int128`` and of a build with only the
 baseline copy of the packed loop as the default build's, and check that
 the compiled kernel is built once, cached, and in use wherever a C
@@ -263,9 +264,9 @@ def test_a_tie_reads_minus_on_both_routes(c1):
     assert record.g2.tolist() == [reference_g2(0, 1, config.params)]
     for kernel in KERNELS.values():
         assert run_kernel(kernel, state.c1, state.c2, config, seeded(kernel, 5, 1, 1))[3] == [0]
-    # the same tie in every lane of a full group
-    _, g2 = simulate_replicates(config, [5] * 4)
-    assert g2.tolist() == [[reference_g2(0, 1, config.params)]] * 4
+    # the same tie in every lane of a full group and of a four-row pass
+    _, g2 = simulate_replicates(config, [5] * 12)
+    assert g2.tolist() == [[reference_g2(0, 1, config.params)]] * 12
 
 
 # the golden test's complex initial state, off the drive's plane
@@ -278,7 +279,8 @@ GENERAL_STATE = {"c1": [0.6, 0.0], "c2": [0.48, 0.64]}
 )
 def test_kernel_speed_smoke(benchmark, overrides):
     # records the time per measurement of the trajectory, of each kernel on
-    # its own and of an 8-row replicate call; asserts only on the records
+    # its own and of 4-, 8- and 16-row replicate calls; asserts only on the
+    # records
     config = load_run_config(
         preset="fig3", overrides={"m_series": 200, **overrides}
     ).trajectory
@@ -300,17 +302,19 @@ def test_kernel_speed_smoke(benchmark, overrides):
             sorted(seconds)[1] / measurements * 1e9
         )
         assert c2_sq == record.c2_sq.tolist()
-    # 8 rows from seed on, two full lane groups on the compiled route
-    seeds = [config.seed + row for row in range(8)]
-    seconds = []
-    for _ in range(3):
-        start = time.perf_counter()
-        rows_c2_sq, _ = simulate_replicates(config, seeds)
-        seconds.append(time.perf_counter() - start)
-    benchmark.extra_info["ns_per_measurement_8_rows"] = (
-        sorted(seconds)[1] / (len(seeds) * measurements) * 1e9
-    )
-    assert np.array_equal(rows_c2_sq[0], record.c2_sq)
+    # rows from seed on: on the compiled route a four-row pass, one group of
+    # eight and two
+    for rows in (4, 8, 16):
+        seeds = [config.seed + row for row in range(rows)]
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            rows_c2_sq, _ = simulate_replicates(config, seeds)
+            seconds.append(time.perf_counter() - start)
+        benchmark.extra_info[f"ns_per_measurement_{rows}_rows"] = (
+            sorted(seconds)[1] / (rows * measurements) * 1e9
+        )
+        assert np.array_equal(rows_c2_sq[0], record.c2_sq)
     assert record.c2_sq.shape == record.g2.shape == (200,)
     assert np.array_equal(record.g2, simulate_trajectory(config).g2)
 
@@ -395,7 +399,7 @@ def run_rows(kernel, states, config, draws, constants=None):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    states=st.lists(st.one_of(normalized_states(), in_plane_states()), min_size=1, max_size=9),
+    states=st.lists(st.one_of(normalized_states(), in_plane_states()), min_size=1, max_size=17),
     p1=probability,
     p2=probability,
     tau=tau_value,
@@ -404,8 +408,9 @@ def run_rows(kernel, states, config, draws, constants=None):
     seed=st.integers(0, 2**64 - 1),
 )
 def test_rows_of_a_call_are_bitwise_the_python_loop(states, p1, p2, tau, n, m_series, seed):
-    # every row count from 1 to 9: no lane group, one, two, and tails of
-    # every length; each row starts from its own state
+    # every row count from 1 to 17: no group, a four-row pass, one and two
+    # groups of eight, and tails of every length; each row starts from its
+    # own state
     config = chain_config(p1, p2, tau, n, m_series)
     results = [
         run_rows(kernel, states, config, seeded(kernel, seed, len(states), n * m_series))
@@ -430,10 +435,17 @@ HEALTHY, LARGE, NOT_A_NUMBER = StateVector(1.0, 0.0), StateVector(2.0, 0.0), Sta
 VANISHING = SimpleNamespace(c1=1e-200 + 0j, c2=0j)
 
 
-# the row of lane 0 of the failing lanes 2 and 3: of the first and the
-# second group of a 10-row call, or 6, which puts them in its two tail
-# rows, so that the loop at width one stops the call
-@pytest.mark.parametrize("start", [0, 4, 6], ids=["first-group", "second-group", "tail"])
+# a call of STOPPED_ROWS rows runs two groups of eight, a four-row pass and
+# two tail rows.  Each start is the row of lane 0 of the failing lanes 2 and
+# 3, which puts them in the first half of the first group, in the second
+# half of the second (its lanes 6 and 7), in the pass, or in the tail rows,
+# where the loop at width one stops the call
+STOPPED_ROWS = 22
+STOPPED_STARTS = [0, 12, 16, 18]
+STOPPED_IDS = ["first-group", "second-group", "four-lane-pass", "tail"]
+
+
+@pytest.mark.parametrize("start", STOPPED_STARTS, ids=STOPPED_IDS)
 @pytest.mark.parametrize(
     "lane2, lane3, error, message",
     [
@@ -451,8 +463,8 @@ VANISHING = SimpleNamespace(c1=1e-200 + 0j, c2=0j)
 def test_a_failing_lane_raises_the_first_failing_row(start, lane2, lane3, error, message):
     # u = 1.5, which no stream draws, makes the late zero: the Python loop alone
     config = quiet_config(**LANE_CONFIG)
-    states = [HEALTHY] * 10
-    uniforms = np.full((10, 6), 0.3)
+    states = [HEALTHY] * STOPPED_ROWS
+    uniforms = np.full((STOPPED_ROWS, 6), 0.3)
     for lane, kind in ((2, lane2), (3, lane3)):
         row = start + lane
         if kind == "large":
@@ -474,7 +486,6 @@ def test_a_failing_lane_raises_the_first_failing_row(start, lane2, lane3, error,
 
 # the failing lanes of the test above on streams, where each fails at its
 # first step, a vanishing state standing in for the late zero
-STOPPED_STARTS = [0, 4, 6]
 STOPPED_LANES = [
     (VANISHING, NOT_A_NUMBER, DegenerateOutcomeError, re.escape(_ZERO_NORM)),
     (LARGE, VANISHING, StateError, r"p_plus = 4\.0 lies outside"),
@@ -485,8 +496,8 @@ STOPPED_LANES = [
 
 
 def stopped_states(start, lane2, lane3):
-    """10 healthy rows but for lanes 2 and 3 of the group or tail at ``start``."""
-    states = [HEALTHY] * 10
+    """STOPPED_ROWS healthy rows but for lanes 2 and 3 of the rows from ``start``."""
+    states = [HEALTHY] * STOPPED_ROWS
     for lane, kind in ((2, lane2), (3, lane3)):
         states[start + lane] = kind or HEALTHY
     return states
@@ -495,18 +506,18 @@ def stopped_states(start, lane2, lane3):
 def stopped_rows(kernel, states):
     """``states`` through a stream route ``kernel`` on seed 2026's streams:
     (``run_rows``' result, the streams it left)."""
-    streams = streams_of(2026, 10, 6)
+    streams = streams_of(2026, STOPPED_ROWS, 6)
     return run_rows(kernel, states, quiet_config(**LANE_CONFIG), streams), streams.tolist()
 
 
-@pytest.mark.parametrize("start", STOPPED_STARTS, ids=["first-group", "second-group", "tail"])
+@pytest.mark.parametrize("start", STOPPED_STARTS, ids=STOPPED_IDS)
 @pytest.mark.parametrize(
     "lane2, lane3, error, message", STOPPED_LANES,
     ids=["zero-before-nan", "large-before-zero", "nan-in-lane-3", "zero-in-lane-2",
          "large-in-lane-2"],
 )
 def test_a_stopped_row_keeps_its_state_and_stream(start, lane2, lane3, error, message):
-    # the compiled route stops in the lane group or tail row and the Python
+    # the compiled route stops in the group, pass or tail row and the Python
     # route reruns it from the same states and streams
     states = stopped_states(start, lane2, lane3)
     results = [
@@ -522,8 +533,8 @@ def test_a_stopped_row_keeps_its_state_and_stream(start, lane2, lane3, error, me
     assert repr(after) == repr([[1.0, 0.0, 0.0, 0.0]] * first + [
         [c.c1.real, c.c1.imag, c.c2.real, c.c2.imag] for c in states[first:]
     ])
-    assert streams == streams_of(2026, 11, 6)[1 : first + 1].tolist() + (
-        streams_of(2026, 10, 6)[first:].tolist()
+    assert streams == streams_of(2026, STOPPED_ROWS + 1, 6)[1 : first + 1].tolist() + (
+        streams_of(2026, STOPPED_ROWS, 6)[first:].tolist()
     )
 
 
@@ -609,10 +620,12 @@ def test_replicates_are_the_one_seed_trajectories(overrides, monkeypatch):
     ids=["fig1", "fig2", "fig3", "general"],
 )
 def test_every_row_count_gives_the_one_seed_trajectories(preset, overrides):
-    # 1..9 seeds: a lone tail row, tails of 2 and 3, one full group of four
-    # lanes, and two groups with tails of 1
+    # 1..17 seeds: tails of 1-3 rows, a four-row pass with tails of 0-3, one
+    # group of eight with each of those after it, and two groups with a tail
+    # of 1
     config = load_run_config(preset=preset, overrides={"m_series": 60, **overrides}).trajectory
-    seeds = [3, 2**64 - 1, 0, 41, 7, 12345, 99, 2**63, 5]
+    seeds = [3, 2**64 - 1, 0, 41, 7, 12345, 99, 2**63, 5, 2**32, 17, 2**32 - 1, 2024, 1, 2**62,
+             31337, 8]
     alone = [simulate_trajectory(replace(config, seed=seed)) for seed in seeds]
     for rows in range(1, len(seeds) + 1):
         c2_sq, g2 = simulate_replicates(config, seeds[:rows])
@@ -659,8 +672,9 @@ def use_library(monkeypatch, path) -> None:
     monkeypatch.setattr(trajectory, "_SEED", library.um_seed)
 
 
-# nine seeds: two full lane groups and a tail row
-REPLICATE_SEEDS = EDGE_SEEDS + [11, 12345, 2**63]
+# seventeen seeds: two groups of eight and a tail row, and each shorter
+# call a prefix of them
+REPLICATE_SEEDS = EDGE_SEEDS + [11, 12345, 2**63, 3, 41, 7, 99, 5, 2024, 2**62, 31337, 8]
 
 
 def replicate_configs():
@@ -689,10 +703,11 @@ def test_the_portable_build_runs_replicates_as_the_default_build(portable_librar
 def test_the_baseline_clone_runs_as_the_default_build(baseline_library, monkeypatch):
     # where the default build carries an AVX2 clone of the lane-group loop,
     # an AVX2 host runs that clone everywhere else; here the baseline copy
-    # runs every row count from 1 to 9 and every stopped group and tail
+    # runs every row count from 1 to 17 and every stopped group, pass and tail
     seeds = REPLICATE_SEEDS
     configs = replicate_configs()
-    expected = [[simulate_replicates(c, seeds[:rows]) for rows in range(1, 10)] for c in configs]
+    counts = range(1, len(seeds) + 1)
+    expected = [[simulate_replicates(c, seeds[:rows]) for rows in counts] for c in configs]
     cases = [stopped_states(start, *lanes[:2]) for start in STOPPED_STARTS for lanes in STOPPED_LANES]
     stopped = [stopped_rows(_compiled_advance, states) for states in cases]
     use_library(monkeypatch, baseline_library)
