@@ -226,8 +226,8 @@ static int advance_row(double *state, const double *constants, int64_t n, int64_
     return 1;
 }
 
-/* a group is HALVES vectors of LANES rows each per state component */
-enum { LANES = 4, HALVES = 2 };
+/* a half is LANES rows, a group two halves */
+enum { LANES = 4, GROUP_ROWS = 2 * LANES };
 
 /* GROUP_CLONES builds the group loop twice, for AVX2 and for the baseline
    ISA, and the dynamic loader picks one per host through an ifunc, which
@@ -343,11 +343,11 @@ INLINE void store_half(const struct half *h, double *state, uint64_t *streams)
     }
 }
 
-/* `halves` halves of LANES rows, the second half's rows after the first's;
-   `halves` is 1 or HALVES as a constant, so each width is its own loop,
-   with no branch on it inside.  Returns 0, leaving `state` and `streams`
-   as they were, where some lane stops */
-INLINE int advance_lanes(const int halves, double *state, const double *constants, int64_t n,
+/* the LANES rows of h0, and with `two` the LANES rows after them as h1;
+   `two` is a constant at each call, so each width is its own loop, with
+   no branch on it inside.  Returns 0, leaving `state` and `streams` as
+   they were, where some lane stops */
+INLINE int advance_lanes(const int two, double *state, const double *constants, int64_t n,
                          int64_t series, uint64_t *streams, double *c2_sq, int64_t *n_plus)
 {
     const struct step_constants k = {
@@ -361,34 +361,35 @@ INLINE int advance_lanes(const int halves, double *state, const double *constant
     const int64_t second = LANES * series; /* the second half's first output */
 
     load_half(&h0, state, streams);
-    if (halves == HALVES)
+    if (two)
         load_half(&h1, state + 4 * LANES, streams + 4 * LANES);
     for (int64_t m = 0; m < series; m++) {
         for (int64_t j = 0; j < n; j++) {
             step(&h0, &k, &bad);
-            if (halves == HALVES)
+            if (two)
                 step(&h1, &k, &bad);
         }
         if (bad[0] | bad[1] | bad[2] | bad[3])
             return 0;
         record_half(&h0, series, m, c2_sq, n_plus);
-        if (halves == HALVES)
+        if (two)
             record_half(&h1, series, m, c2_sq + second, n_plus + second);
     }
     store_half(&h0, state, streams);
-    if (halves == HALVES)
+    if (two)
         store_half(&h1, state + 4 * LANES, streams + 4 * LANES);
     return 1;
 }
 
-/* `halves` * LANES rows, the one branch on `halves` outside the loops */
-static GROUP_CLONES int advance_group(int halves, double *state, const double *constants,
+/* GROUP_ROWS rows as two halves, or without `two` LANES rows as one: the
+   one branch on `two`, outside the loops */
+static GROUP_CLONES int advance_group(int two, double *state, const double *constants,
                                       int64_t n, int64_t series, uint64_t *streams,
                                       double *c2_sq, int64_t *n_plus)
 {
-    if (halves == HALVES)
-        return advance_lanes(HALVES, state, constants, n, series, streams, c2_sq, n_plus);
-    return advance_lanes(1, state, constants, n, series, streams, c2_sq, n_plus);
+    if (two)
+        return advance_lanes(1, state, constants, n, series, streams, c2_sq, n_plus);
+    return advance_lanes(0, state, constants, n, series, streams, c2_sq, n_plus);
 }
 
 int64_t um_advance_rows(double *state, const double *constants, int64_t n, int64_t series,
@@ -396,13 +397,19 @@ int64_t um_advance_rows(double *state, const double *constants, int64_t n, int64
 {
     int64_t row = 0;
 
-    /* full groups of HALVES * LANES rows, then one half where four to seven
-       rows are left */
-    for (int halves = HALVES; halves > 0; halves--)
-        for (; row + halves * LANES <= rows; row += halves * LANES)
-            if (!advance_group(halves, state + 4 * row, constants, n, series,
-                               streams + 4 * row, c2_sq + row * series, n_plus + row * series))
-                return row;
+    for (; rows - row >= GROUP_ROWS; row += GROUP_ROWS)
+        if (!advance_group(1, state + 4 * row, constants, n, series, streams + 4 * row,
+                           c2_sq + row * series, n_plus + row * series))
+            return row;
+    /* four to seven rows left, as a sweep whose seeds_per_point is 4-7
+       modulo 8 leaves at each point, run as one half: it steps four rows
+       in little more than advance_row's time for one */
+    if (rows - row >= LANES) {
+        if (!advance_group(0, state + 4 * row, constants, n, series, streams + 4 * row,
+                           c2_sq + row * series, n_plus + row * series))
+            return row;
+        row += LANES;
+    }
     for (; row < rows; row++)
         if (!advance_row(state + 4 * row, constants, n, series, streams + 4 * row,
                          c2_sq + row * series, n_plus + row * series))
