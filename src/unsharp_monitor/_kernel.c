@@ -20,14 +20,17 @@
  * sqrt waits on the norm and whose divisions wait on the sqrt, and a
  * packed division's latency is about twice the interval at which the
  * divider accepts the next one, so one half leaves the divide/sqrt unit
- * idle much of each step.  um_advance_rows therefore runs each full group
- * of eight rows as two halves in one loop: their chains are independent,
- * so the second half's sqrt and divisions fill the first's idle cycles.
- * Four to seven rows left over run as one half, and each row after that,
- * and simulate_trajectory's single row, runs the scalar loop advance_row,
- * whose lines the packed step follows one for one.  advance_group is
- * built twice, for AVX2 and for the baseline ISA, and the loader picks
- * one per host (GROUP_CLONES).
+ * idle much of each step.  um_advance_rows therefore runs each run of up
+ * to eight rows as one group of two halves stepped in one loop: their
+ * chains are independent, so the second half's sqrt and divisions fill
+ * the first's idle cycles.  A group of fewer than eight rows pads its
+ * lanes past the last row with copies of that row's state and stream:
+ * they step as that row steps and stop where it stops, and nothing of
+ * them is written back.  A lone row, simulate_trajectory's single row or
+ * the last of 8k + 1, runs the scalar loop advance_row, whose lines the
+ * packed step follows one for one.  advance_group is built twice, for AVX2
+ * and for the baseline ISA, and the loader picks one per host
+ * (GROUP_CLONES).
  *
  * A stream is numpy's PCG64 (M. E. O'Neill, "PCG: A Family of Simple Fast
  * Space-Efficient Statistically Good Algorithms for Random Number
@@ -44,8 +47,8 @@
  *
  * The kernel raises nothing.  A row stops where p_plus leaves [lo, hi] or
  * the norm is zero; um_advance_rows then returns the row, or for a group
- * or a half the first row of it, with that row's state and stream and
- * the states and streams of the rows after it as they were.
+ * the first row of it, with that row's state and stream and the states
+ * and streams of the rows after it as they were.
  * trajectory._compiled_advance runs that row and every row after it
  * through the Python loop on numpy's draws of the same streams, which
  * raises the error.
@@ -269,15 +272,20 @@ struct half {
     uint64_t r[LANES][4];
 };
 
-INLINE void load_half(struct half *h, const double *state, const uint64_t *streams)
+/* the lanes of h are the group's rows from `first`; a lane past the
+   group's last row repeats that row's state and stream, so it steps as
+   that row steps and stops where that row stops */
+INLINE void load_half(struct half *h, int first, int rows, const double *state,
+                      const uint64_t *streams)
 {
     for (int l = 0; l < LANES; l++) {
-        h->ar[l] = state[4 * l];
-        h->ai[l] = state[4 * l + 1];
-        h->br[l] = state[4 * l + 2];
-        h->bi[l] = state[4 * l + 3];
+        const int row = first + l < rows ? first + l : rows - 1;
+        h->ar[l] = state[4 * row];
+        h->ai[l] = state[4 * row + 1];
+        h->br[l] = state[4 * row + 2];
+        h->bi[l] = state[4 * row + 3];
         for (int k = 0; k < 4; k++)
-            h->r[l][k] = streams[4 * l + k];
+            h->r[l][k] = streams[4 * row + k];
     }
     h->count = (lanes_i64)SPLAT(0);
 }
@@ -319,36 +327,39 @@ INLINE void step(struct half *h, const struct step_constants *k, lanes_i64 *bad)
     h->bi /= norm;
 }
 
-/* writes series m's |c2|^2 and "+" count of each row, and starts the next count */
-INLINE void record_half(struct half *h, int64_t series, int64_t m, double *c2_sq,
-                        int64_t *n_plus)
+/* writes series m's |c2|^2 and "+" count of each of the group's rows in
+   h, and starts the next count; a padding lane writes nothing */
+INLINE void record_half(struct half *h, int first, int rows, int64_t series, int64_t m,
+                        double *c2_sq, int64_t *n_plus)
 {
     const lanes_f64 c2 = h->br * h->br + h->bi * h->bi;
-    for (int l = 0; l < LANES; l++) {
-        c2_sq[l * series + m] = c2[l];
-        n_plus[l * series + m] = h->count[l];
+    for (int l = 0; l < LANES && first + l < rows; l++) {
+        c2_sq[(first + l) * series + m] = c2[l];
+        n_plus[(first + l) * series + m] = h->count[l];
     }
     h->count = (lanes_i64)SPLAT(0);
 }
 
-INLINE void store_half(const struct half *h, double *state, uint64_t *streams)
+INLINE void store_half(const struct half *h, int first, int rows, double *state,
+                       uint64_t *streams)
 {
-    for (int l = 0; l < LANES; l++) {
-        state[4 * l] = h->ar[l];
-        state[4 * l + 1] = h->ai[l];
-        state[4 * l + 2] = h->br[l];
-        state[4 * l + 3] = h->bi[l];
+    for (int l = 0; l < LANES && first + l < rows; l++) {
+        const int row = first + l;
+        state[4 * row] = h->ar[l];
+        state[4 * row + 1] = h->ai[l];
+        state[4 * row + 2] = h->br[l];
+        state[4 * row + 3] = h->bi[l];
         for (int k = 0; k < 4; k++)
-            streams[4 * l + k] = h->r[l][k];
+            streams[4 * row + k] = h->r[l][k];
     }
 }
 
-/* the LANES rows of h0, and with `two` the LANES rows after them as h1;
-   `two` is a constant at each call, so each width is its own loop, with
-   no branch on it inside.  Returns 0, leaving `state` and `streams` as
-   they were, where some lane stops */
-INLINE int advance_lanes(const int two, double *state, const double *constants, int64_t n,
-                         int64_t series, uint64_t *streams, double *c2_sq, int64_t *n_plus)
+/* 2 to GROUP_ROWS rows as the two halves of a group, stepped in one loop,
+   the lanes past the last row padding.  Returns 0, leaving `state` and
+   `streams` as they were, where some lane stops */
+static GROUP_CLONES int advance_group(int rows, double *state, const double *constants,
+                                      int64_t n, int64_t series, uint64_t *streams,
+                                      double *c2_sq, int64_t *n_plus)
 {
     const struct step_constants k = {
         constants[0], constants[1], constants[2], constants[3],
@@ -358,61 +369,37 @@ INLINE int advance_lanes(const int two, double *state, const double *constants, 
     };
     struct half h0, h1;
     lanes_i64 bad = SPLAT(0);
-    const int64_t second = LANES * series; /* the second half's first output */
 
-    load_half(&h0, state, streams);
-    if (two)
-        load_half(&h1, state + 4 * LANES, streams + 4 * LANES);
+    load_half(&h0, 0, rows, state, streams);
+    load_half(&h1, LANES, rows, state, streams);
     for (int64_t m = 0; m < series; m++) {
         for (int64_t j = 0; j < n; j++) {
             step(&h0, &k, &bad);
-            if (two)
-                step(&h1, &k, &bad);
+            step(&h1, &k, &bad);
         }
         if (bad[0] | bad[1] | bad[2] | bad[3])
             return 0;
-        record_half(&h0, series, m, c2_sq, n_plus);
-        if (two)
-            record_half(&h1, series, m, c2_sq + second, n_plus + second);
+        record_half(&h0, 0, rows, series, m, c2_sq, n_plus);
+        record_half(&h1, LANES, rows, series, m, c2_sq, n_plus);
     }
-    store_half(&h0, state, streams);
-    if (two)
-        store_half(&h1, state + 4 * LANES, streams + 4 * LANES);
+    store_half(&h0, 0, rows, state, streams);
+    store_half(&h1, LANES, rows, state, streams);
     return 1;
-}
-
-/* GROUP_ROWS rows as two halves, or without `two` LANES rows as one: the
-   one branch on `two`, outside the loops */
-static GROUP_CLONES int advance_group(int two, double *state, const double *constants,
-                                      int64_t n, int64_t series, uint64_t *streams,
-                                      double *c2_sq, int64_t *n_plus)
-{
-    if (two)
-        return advance_lanes(1, state, constants, n, series, streams, c2_sq, n_plus);
-    return advance_lanes(0, state, constants, n, series, streams, c2_sq, n_plus);
 }
 
 int64_t um_advance_rows(double *state, const double *constants, int64_t n, int64_t series,
                         int64_t rows, uint64_t *streams, double *c2_sq, int64_t *n_plus)
 {
-    int64_t row = 0;
-
-    for (; rows - row >= GROUP_ROWS; row += GROUP_ROWS)
-        if (!advance_group(1, state + 4 * row, constants, n, series, streams + 4 * row,
-                           c2_sq + row * series, n_plus + row * series))
+    for (int64_t row = 0; row < rows; row += GROUP_ROWS) {
+        const int group = rows - row < GROUP_ROWS ? (int)(rows - row) : GROUP_ROWS;
+        double *const at = state + 4 * row, *const c2 = c2_sq + row * series;
+        uint64_t *const stream = streams + 4 * row;
+        int64_t *const plus = n_plus + row * series;
+        /* a lone row steps faster in the scalar loop than in a group padded
+           with seven copies of it */
+        if (!(group == 1 ? advance_row(at, constants, n, series, stream, c2, plus)
+                         : advance_group(group, at, constants, n, series, stream, c2, plus)))
             return row;
-    /* four to seven rows left, as a sweep whose seeds_per_point is 4-7
-       modulo 8 leaves at each point, run as one half: it steps four rows
-       in little more than advance_row's time for one */
-    if (rows - row >= LANES) {
-        if (!advance_group(0, state + 4 * row, constants, n, series, streams + 4 * row,
-                           c2_sq + row * series, n_plus + row * series))
-            return row;
-        row += LANES;
     }
-    for (; row < rows; row++)
-        if (!advance_row(state + 4 * row, constants, n, series, streams + 4 * row,
-                         c2_sq + row * series, n_plus + row * series))
-            return row;
     return rows;
 }

@@ -14,10 +14,11 @@ quotients, so the real form reproduces the complex reference functions
 bit for bit; at most the signs of zeros differ, and no recorded value
 depends on them.  The loop runs compiled from ``_kernel.c`` (built and
 cached by ``_kernel.py``) in the same operation order, so it gives the
-same doubles: each full group of eight rows as two independent packed
-vectors of four rows per component, whose every lane does the scalar
-loop's operations, then four to seven rows left over as one such vector,
-and each row after that through the scalar loop; each row draws its own
+same doubles: each run of up to eight rows as a group of two independent
+packed vectors of four rows per component, whose every lane does the
+scalar loop's operations, the lanes past a short group's last row
+padded with copies of it, and a lone row (a single trajectory, or the
+last of 8k + 1 rows) through the scalar loop; each row draws its own
 uniforms.  Without a C compiler the Python loop runs instead, on numpy's
 draws of the same streams.
 
@@ -352,15 +353,16 @@ def _compiled_advance(
 ) -> None:
     """``_numpy_advance`` compiled from ``_kernel.c``, with the same doubles, streams and errors.
 
-    The kernel runs each full group of eight rows as two packed vectors of
-    four rows per component, stepped side by side, then four to seven rows
-    left over as one (in the AVX2 or the baseline copy of that loop, which
-    the loader picks for the host), and each row after that in the scalar
-    loop whose lines every lane follows, and draws each row's uniforms
-    from its stream as numpy does.  It raises nothing: it returns the row
-    where p_plus left [lo, hi] or the norm was zero (in a group of eight
-    or four, its first row), with that row's state and stream as they
-    were.  That row and every row after it run through ``_numpy_advance``,
+    The kernel runs each run of up to eight rows as a group of two packed
+    vectors of four rows per component, stepped side by side (in the AVX2
+    or the baseline copy of that loop, which the loader picks for the
+    host); a lane past a short group's last row repeats that row and
+    writes nothing back.  A lone row, where the rows are one or 8k + 1,
+    runs the scalar loop whose lines every lane follows.  Each row draws
+    its uniforms from its stream as numpy does.  The kernel raises
+    nothing: it returns the row where p_plus left [lo, hi] or the norm
+    was zero (in a group, its first row), with that row's state and
+    stream as they were.  That row and every row after it run through ``_numpy_advance``,
     which raises the first failing row's error.  The kernel reads and
     writes the buffers through raw pointers, so their shapes and dtypes
     are checked here, and ``from_buffer`` refuses any buffer that is not

@@ -928,8 +928,11 @@ def test_compiled_parse_reads_decimals_as_float_does(texts):
 # out-of-bounds access.  Each buffer the kernel gets is a numpy array of
 # exactly its size, so AddressSanitizer's redzone starts where it ends: the
 # seeds and streams of um_seed, and the state, streams and outputs of
-# um_advance_rows on one full group of eight rows, on such a group followed
-# by a four-row pass and a tail row, and on a pass and a group that stop
+# um_advance_rows on 2 rows (a group whose second half is all padding, so
+# a padding lane that wrote back would write past the buffers), on one full
+# group of eight rows, on such a group followed by a lone row (9) and by a
+# group padded from five rows (13), and on a padded and a full group that
+# stop
 SANITIZED = """
 import ctypes, json, sys
 import numpy as np
@@ -949,12 +952,12 @@ rows = [artifacts._compiled_rows(f"1,{text},0.5,0.5,0.5\\n".encode()) for text i
 replicates = []
 for preset in ("fig1", "fig3"):
     config = load_run_config(preset=preset, overrides={"m_series": 40}).trajectory
-    for count in (8, len(inputs["seeds"])):
+    for count in inputs["counts"]:
         seeds = inputs["seeds"][:count]
         replicates.append([a.tolist() for a in trajectory.simulate_replicates(config, seeds)])
 # tau = 0, p1 = 1, p2 = 0: a row's norm of 2 gives p_plus = 4, so the
-# compiled lanes stop and the Python loop raises; row 3 of 5 stops a
-# four-row pass and row 6 of 13 the second half of a group of eight
+# compiled lanes stop and the Python loop raises; row 3 of 5 stops a group
+# padded from five rows and row 6 of 13 the second half of a group of eight
 config = trajectory.TrajectoryConfig(PovmParams(1.0, 0.0), 0.0, 3, 2)
 stopped = []
 for count, large in ((5, 3), (13, 6)):
@@ -996,23 +999,23 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(sanitize
             rng.integers(0, 20, 500), rng.integers(-345, 311, 500).tolist(),
         )
     ]
-    # thirteen rows, a group of eight, a four-row pass and a tail row, and
-    # the group alone, with the edge seeds of _check_seed; each row's 1000
-    # draws include 8 to 16 rotations by 0, where a shift by 64 would be
-    # undefined
+    # the first 2, 8, 9 and all 13 of these seeds, the edge seeds of
+    # _check_seed among them: a padded group, a full group, a full group and
+    # a lone row, and a full group and a padded one; each row's 1000 draws
+    # include 8 to 16 rotations by 0, where a shift by 64 would be undefined
+    seeds = [*range(1, 10), 0, 2**32 - 1, 2**32, 2**64 - 1]
     inputs = {
         "bits": values.view(np.uint64).tolist(), "texts": texts,
         "separators": [",", *JSON_SEPARATORS], "parsed": PARSED_TEXT.decode(),
-        "seeds": [*range(1, 10), 0, 2**32 - 1, 2**32, 2**64 - 1],
+        "seeds": seeds, "counts": [2, 8, 9, len(seeds)],
     }
     separators = inputs["separators"]
     expected = [artifacts._compiled_rows(f"1,{text},0.5,0.5,0.5\n".encode()) for text in texts]
     replicates = []
     for preset in ("fig1", "fig3"):
         config = load_run_config(preset=preset, overrides={"m_series": 40}).trajectory
-        for count in (8, len(inputs["seeds"])):
-            seeds = inputs["seeds"][:count]
-            replicates.append([a.tolist() for a in simulate_replicates(config, seeds)])
+        for count in inputs["counts"]:
+            replicates.append([a.tolist() for a in simulate_replicates(config, seeds[:count])])
     for path, environment in runs:
         run = subprocess.run(
             [sys.executable, "-c", SANITIZED, str(Path(artifacts.__file__).parents[1]), str(path)],

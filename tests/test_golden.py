@@ -73,7 +73,7 @@ SWEEP_ARGV = [
 ]
 SWEEP_DIGEST = "1ac43628aa52b23d2b76a8b011486f97321efdce9252ab511de6c00a4db5d3e5"
 
-# 9 seeds per point: one full group of eight rows and a tail row; dp = 1.5
+# 9 seeds per point: one full group of eight rows and a lone row; dp = 1.5
 # is skipped, so the readout batch holds two points
 SWEEP_9_ARGV = [
     "sweep", "--p0", "0.5", "--dp=-0.3,0.08,1.5", "--tau", "0.002", "--n", "5",

@@ -10,12 +10,13 @@ compiled loop, and demand exact equality, so any change to either
 kernel's arithmetic or to the compiled draws fails here first.  They pin
 ``um_seed`` to numpy's ``PCG64(seed)``, drive the excursion and zero-norm
 checks of both kernels, hold every row of a many-row call (the compiled
-packed loop for each group of eight rows and for a pass of four, and the
-scalar loop for the tail) to the Python loop and every row of
-``simulate_replicates``, on the compiled route and on the Python route,
-to the one-seed trajectory, stop a call at its first failing row in
-either half of a group, in a pass or in the tail with the stopped rows'
-states and streams as they were, run the replicates of a
+packed loop for each group of up to eight rows, whose lanes past a short
+group's last row repeat that row, and the scalar loop for a lone row) to
+the Python loop and every row of ``simulate_replicates``, on the
+compiled route and on the Python route, to the one-seed trajectory, stop
+a call at its first failing row in either half of a full group, in either
+half of a padded group or in a lone row after the groups, with the
+stopped rows' states and streams as they were, run the replicates of a
 build without ``unsigned __int128`` and of a build with only the
 baseline copy of the packed loop as the default build's, and check that
 the compiled kernel is built once, cached, and in use wherever a C
@@ -264,7 +265,8 @@ def test_a_tie_reads_minus_on_both_routes(c1):
     assert record.g2.tolist() == [reference_g2(0, 1, config.params)]
     for kernel in KERNELS.values():
         assert run_kernel(kernel, state.c1, state.c2, config, seeded(kernel, 5, 1, 1))[3] == [0]
-    # the same tie in every lane of a full group and of a four-row pass
+    # the same tie in every lane of a full group and of a group of four
+    # padded with copies of its last row
     _, g2 = simulate_replicates(config, [5] * 12)
     assert g2.tolist() == [[reference_g2(0, 1, config.params)]] * 12
 
@@ -279,8 +281,8 @@ GENERAL_STATE = {"c1": [0.6, 0.0], "c2": [0.48, 0.64]}
 )
 def test_kernel_speed_smoke(benchmark, overrides):
     # records the time per measurement of the trajectory, of each kernel on
-    # its own and of 4-, 8- and 16-row replicate calls; asserts only on the
-    # records
+    # its own and of 4-, 8-, 9- and 16-row replicate calls; asserts only on
+    # the records
     config = load_run_config(
         preset="fig3", overrides={"m_series": 200, **overrides}
     ).trajectory
@@ -302,9 +304,9 @@ def test_kernel_speed_smoke(benchmark, overrides):
             sorted(seconds)[1] / measurements * 1e9
         )
         assert c2_sq == record.c2_sq.tolist()
-    # rows from seed on: on the compiled route a four-row pass, one group of
-    # eight and two
-    for rows in (4, 8, 16):
+    # rows from seed on: on the compiled route a group padded from four rows,
+    # one full group, one and a lone row, and two
+    for rows in (4, 8, 9, 16):
         seeds = [config.seed + row for row in range(rows)]
         seconds = []
         for _ in range(3):
@@ -408,9 +410,9 @@ def run_rows(kernel, states, config, draws, constants=None):
     seed=st.integers(0, 2**64 - 1),
 )
 def test_rows_of_a_call_are_bitwise_the_python_loop(states, p1, p2, tau, n, m_series, seed):
-    # every row count from 1 to 17: no group, a four-row pass, one and two
-    # groups of eight, and tails of every length; each row starts from its
-    # own state
+    # every row count from 1 to 17: a lone row, a group padded from each of
+    # 2-7 rows, one and two full groups, and each of those after one; each
+    # row starts from its own state
     config = chain_config(p1, p2, tau, n, m_series)
     results = [
         run_rows(kernel, states, config, seeded(kernel, seed, len(states), n * m_series))
@@ -435,11 +437,13 @@ HEALTHY, LARGE, NOT_A_NUMBER = StateVector(1.0, 0.0), StateVector(2.0, 0.0), Sta
 VANISHING = SimpleNamespace(c1=1e-200 + 0j, c2=0j)
 
 
-# a call of STOPPED_ROWS rows runs two groups of eight, a four-row pass and
-# two tail rows.  Each start is the row of lane 0 of the failing lanes 2 and
-# 3, which puts them in the first half of the first group, in the second
-# half of the second (its lanes 6 and 7), in the pass, or in the tail rows,
-# where the loop at width one stops the call
+# a call of STOPPED_ROWS rows runs two groups of eight and a group of six
+# rows padded to eight.  Each start is the row of lane 0 of the failing
+# lanes 2 and 3, which puts them in the first half of the first group, in
+# the second half of the second (its lanes 6 and 7), in the first half of
+# the padded group (rows 18 and 19, the id "four-lane-pass") or in its
+# second half (rows 20 and 21, the id "tail"), where lane 3, row 21, is the
+# last row, whose copies fill the padding lanes
 STOPPED_ROWS = 22
 STOPPED_STARTS = [0, 12, 16, 18]
 STOPPED_IDS = ["first-group", "second-group", "four-lane-pass", "tail"]
@@ -506,20 +510,14 @@ def stopped_states(start, lane2, lane3):
 def stopped_rows(kernel, states):
     """``states`` through a stream route ``kernel`` on seed 2026's streams:
     (``run_rows``' result, the streams it left)."""
-    streams = streams_of(2026, STOPPED_ROWS, 6)
+    streams = streams_of(2026, len(states), 6)
     return run_rows(kernel, states, quiet_config(**LANE_CONFIG), streams), streams.tolist()
 
 
-@pytest.mark.parametrize("start", STOPPED_STARTS, ids=STOPPED_IDS)
-@pytest.mark.parametrize(
-    "lane2, lane3, error, message", STOPPED_LANES,
-    ids=["zero-before-nan", "large-before-zero", "nan-in-lane-3", "zero-in-lane-2",
-         "large-in-lane-2"],
-)
-def test_a_stopped_row_keeps_its_state_and_stream(start, lane2, lane3, error, message):
-    # the compiled route stops in the group, pass or tail row and the Python
-    # route reruns it from the same states and streams
-    states = stopped_states(start, lane2, lane3)
+def check_stopped(states, first, error, message):
+    """The stream routes stop ``states`` at row ``first`` with ``error``:
+    the compiled route in the kernel, and the Python route, which reruns
+    that row and the rows after it from the same states and streams."""
     results = [
         stopped_rows(kernel, states)
         for kernel in [_numpy_advance, *(k for k in KERNELS.values() if k is not _python_advance)]
@@ -529,13 +527,43 @@ def test_a_stopped_row_keeps_its_state_and_stream(start, lane2, lane3, error, me
     assert raised is error and re.match(message, text)
     # the rows before the failing one advanced and drew their six uniforms;
     # it and the rows after it kept their states and streams
-    first = start + 2 if lane2 else start + 3
     assert repr(after) == repr([[1.0, 0.0, 0.0, 0.0]] * first + [
         [c.c1.real, c.c1.imag, c.c2.real, c.c2.imag] for c in states[first:]
     ])
-    assert streams == streams_of(2026, STOPPED_ROWS + 1, 6)[1 : first + 1].tolist() + (
-        streams_of(2026, STOPPED_ROWS, 6)[first:].tolist()
+    assert streams == streams_of(2026, len(states) + 1, 6)[1 : first + 1].tolist() + (
+        streams_of(2026, len(states), 6)[first:].tolist()
     )
+
+
+@pytest.mark.parametrize("start", STOPPED_STARTS, ids=STOPPED_IDS)
+@pytest.mark.parametrize(
+    "lane2, lane3, error, message", STOPPED_LANES,
+    ids=["zero-before-nan", "large-before-zero", "nan-in-lane-3", "zero-in-lane-2",
+         "large-in-lane-2"],
+)
+def test_a_stopped_row_keeps_its_state_and_stream(start, lane2, lane3, error, message):
+    # the compiled route stops in a full or a padded group
+    check_stopped(
+        stopped_states(start, lane2, lane3), start + 2 if lane2 else start + 3, error, message
+    )
+
+
+# seventeen rows: two groups of eight, and the last row alone, which the
+# scalar loop runs after them and which stops the call there
+LONE_STOPS = [
+    (NOT_A_NUMBER, StateError, r"p_plus = nan lies outside"),
+    (LARGE, StateError, r"p_plus = 4\.0 lies outside"),
+    (VANISHING, DegenerateOutcomeError, re.escape(_ZERO_NORM)),
+]
+
+
+def lone_stopped_states(failing):
+    return [HEALTHY] * 16 + [failing]
+
+
+@pytest.mark.parametrize("failing, error, message", LONE_STOPS, ids=["nan", "large", "zero"])
+def test_a_stopped_lone_row_keeps_its_state_and_stream(failing, error, message):
+    check_stopped(lone_stopped_states(failing), 16, error, message)
 
 
 def test_a_negative_p_plus_in_a_lane_is_an_excursion():
@@ -620,9 +648,8 @@ def test_replicates_are_the_one_seed_trajectories(overrides, monkeypatch):
     ids=["fig1", "fig2", "fig3", "general"],
 )
 def test_every_row_count_gives_the_one_seed_trajectories(preset, overrides):
-    # 1..17 seeds: tails of 1-3 rows, a four-row pass with tails of 0-3, one
-    # group of eight with each of those after it, and two groups with a tail
-    # of 1
+    # 1..17 seeds: a lone row, a group padded from 2-7 rows, a full group,
+    # one full group with each of those after it, and two with a lone row
     config = load_run_config(preset=preset, overrides={"m_series": 60, **overrides}).trajectory
     seeds = [3, 2**64 - 1, 0, 41, 7, 12345, 99, 2**63, 5, 2**32, 17, 2**32 - 1, 2024, 1, 2**62,
              31337, 8]
@@ -672,7 +699,7 @@ def use_library(monkeypatch, path) -> None:
     monkeypatch.setattr(trajectory, "_SEED", library.um_seed)
 
 
-# seventeen seeds: two groups of eight and a tail row, and each shorter
+# seventeen seeds: two groups of eight and a lone row, and each shorter
 # call a prefix of them
 REPLICATE_SEEDS = EDGE_SEEDS + [11, 12345, 2**63, 3, 41, 7, 99, 5, 2024, 2**62, 31337]
 
@@ -703,12 +730,14 @@ def test_the_portable_build_runs_replicates_as_the_default_build(portable_librar
 def test_the_baseline_clone_runs_as_the_default_build(baseline_library, monkeypatch):
     # where the default build carries an AVX2 clone of the lane-group loop,
     # an AVX2 host runs that clone everywhere else; here the baseline copy
-    # runs every row count from 1 to 17 and every stopped group, pass and tail
+    # runs every row count from 1 to 17 and every stopped full and padded
+    # group and lone row
     seeds = REPLICATE_SEEDS
     configs = replicate_configs()
     counts = range(1, len(seeds) + 1)
     expected = [[simulate_replicates(c, seeds[:rows]) for rows in counts] for c in configs]
     cases = [stopped_states(start, *lanes[:2]) for start in STOPPED_STARTS for lanes in STOPPED_LANES]
+    cases += [lone_stopped_states(failing) for failing, *_ in LONE_STOPS]
     stopped = [stopped_rows(_compiled_advance, states) for states in cases]
     use_library(monkeypatch, baseline_library)
     for config, by_rows in zip(configs, expected):
