@@ -9,8 +9,9 @@
  * passes exactly those flags.  -fno-math-errno only lets sqrt skip setting
  * errno, and sqrt is correctly rounded either way.
  *
- * A step is rotate, then scale by the outcome's factors, then divide by
- * the norm, on one state c = (Re c1, Im c1, Re c2, Im c2).  um_advance_rows
+ * A step rotates one state (ar, ai, br, bi) = (Re c1, Im c1, Re c2, Im c2),
+ * scales it by the outcome's factors and divides it by the norm, as the
+ * scalar loop advance_row spells it on those four doubles.  um_advance_rows
  * advances `rows` independent trajectories, each from its own state and
  * its own stream.  advance_group holds each component of LANES rows as
  * one vector across them (a half): every multiply, add, compare, division
@@ -156,38 +157,6 @@ void um_seed(const uint64_t *seeds, int64_t rows, uint64_t *streams)
         seed_stream(seeds[row], streams + 4 * row);
 }
 
-/* drive c for tau; returns p_plus of the rotated state */
-static inline double rotate(double *c, double ch, double s, double p1, double p2)
-{
-    /* x, y are the new (Re c1, Im c1) while c[0], c[1] still hold the old
-       ones that the new c2 needs */
-    const double x = ch * c[0] + s * c[3];
-    const double y = ch * c[1] - s * c[2];
-    c[2] = ch * c[2] + s * c[1];
-    c[3] = ch * c[3] - s * c[0];
-    c[0] = x;
-    c[1] = y;
-    return p1 * (x * x + y * y) + p2 * (c[2] * c[2] + c[3] * c[3]);
-}
-
-/* scale c by an outcome's factors; returns the norm of the result */
-static inline double scale(double *c, double f1, double f2)
-{
-    c[0] *= f1;
-    c[1] *= f1;
-    c[2] *= f2;
-    c[3] *= f2;
-    return sqrt((c[0] * c[0] + c[1] * c[1]) + (c[2] * c[2] + c[3] * c[3]));
-}
-
-static inline void divide(double *c, double norm)
-{
-    c[0] /= norm;
-    c[1] /= norm;
-    c[2] /= norm;
-    c[3] /= norm;
-}
-
 /* one row; returns 0, leaving `state` and `stream` as they were, where it stops */
 static int advance_row(double *state, const double *constants, int64_t n, int64_t series,
                        uint64_t *stream, double *c2_sq, int64_t *n_plus)
@@ -197,35 +166,49 @@ static int advance_row(double *state, const double *constants, int64_t n, int64_
     const double u1_plus = constants[4], u2_plus = constants[5];
     const double u1_minus = constants[6], u2_minus = constants[7];
     const double lo = constants[8], hi = constants[9];
-    double c[4];
+    double ar = state[0], ai = state[1], br = state[2], bi = state[3];
     uint64_t r[4];
     int bad = 0;
 
-    for (int k = 0; k < 4; k++) {
-        c[k] = state[k];
+    for (int k = 0; k < 4; k++)
         r[k] = stream[k];
-    }
     for (int64_t m = 0; m < series; m++) {
         int64_t count = 0;
         for (int64_t j = 0; j < n; j++) {
             const double u = next_uniform(r);
-            const double p_plus = rotate(c, ch, s, p1, p2);
+            /* rotate; x, y are the new (Re c1, Im c1) while ar, ai still
+               hold the old ones that the new c2 needs */
+            const double x = ch * ar + s * bi;
+            const double y = ch * ai - s * br;
+            br = ch * br + s * ai;
+            bi = ch * bi - s * ar;
+            const double p_plus = p1 * (x * x + y * y) + p2 * (br * br + bi * bi);
             bad |= !(p_plus >= lo && p_plus <= hi);
             const int plus = u < p_plus;
             count += plus;
-            const double norm = scale(c, plus ? u1_plus : u1_minus, plus ? u2_plus : u2_minus);
+            const double f1 = plus ? u1_plus : u1_minus, f2 = plus ? u2_plus : u2_minus;
+            ar = x * f1;
+            ai = y * f1;
+            br *= f2;
+            bi *= f2;
+            const double norm = sqrt((ar * ar + ai * ai) + (br * br + bi * bi));
             bad |= norm == 0.0;
-            divide(c, norm);
+            ar /= norm;
+            ai /= norm;
+            br /= norm;
+            bi /= norm;
         }
         if (bad)
             return 0;
-        c2_sq[m] = c[2] * c[2] + c[3] * c[3];
+        c2_sq[m] = br * br + bi * bi;
         n_plus[m] = count;
     }
-    for (int k = 0; k < 4; k++) {
-        state[k] = c[k];
+    state[0] = ar;
+    state[1] = ai;
+    state[2] = br;
+    state[3] = bi;
+    for (int k = 0; k < 4; k++)
         stream[k] = r[k];
-    }
     return 1;
 }
 
@@ -296,7 +279,7 @@ INLINE void step(struct half *h, const struct step_constants *k, lanes_i64 *bad)
 {
     const lanes_f64 u = {next_uniform(h->r[0]), next_uniform(h->r[1]),
                          next_uniform(h->r[2]), next_uniform(h->r[3])};
-    /* rotate() in each lane */
+    /* the rotation in each lane */
     const lanes_f64 x = k->ch * h->ar + k->s * h->bi;
     const lanes_f64 y = k->ch * h->ai - k->s * h->br;
     h->br = k->ch * h->br + k->s * h->ai;
@@ -311,7 +294,7 @@ INLINE void step(struct half *h, const struct step_constants *k, lanes_i64 *bad)
     h->count -= plus;
     const lanes_f64 f1 = (lanes_f64)((plus & k->u1_plus) | (~plus & k->u1_minus));
     const lanes_f64 f2 = (lanes_f64)((plus & k->u2_plus) | (~plus & k->u2_minus));
-    /* scale() in each lane */
+    /* the scaling by the outcome's factors in each lane */
     h->ar *= f1;
     h->ai *= f1;
     h->br *= f2;
@@ -320,7 +303,7 @@ INLINE void step(struct half *h, const struct step_constants *k, lanes_i64 *bad)
     /* one packed sqrt, as -fno-math-errno lets the compiler build it */
     const lanes_f64 norm = {sqrt(sq[0]), sqrt(sq[1]), sqrt(sq[2]), sqrt(sq[3])};
     *bad |= (lanes_i64)(norm == (lanes_f64)SPLAT(0.0));
-    /* divide() in each lane */
+    /* the division by the norm in each lane */
     h->ar /= norm;
     h->ai /= norm;
     h->br /= norm;

@@ -35,6 +35,7 @@ from .config import (
     seed_field,
 )
 from .povm import ParameterError, StateError
+from .rabi import HamiltonianSpec
 from .series import MAX_SERIES_LENGTH
 from .spectral import (
     MIN_SAMPLES,
@@ -116,7 +117,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             f" in series m = {columns['m'][first]}"
         )
     echo = echo or {}
-    t_r = float_field(echo, "t_r", 1.0, positive=True)
+    spec = HamiltonianSpec(float_field(echo, "t_r", 1.0, positive=True))
     if "n_per_series" in echo and "tau" in echo:
         n = int_field(echo, "n_per_series", 0)
         if not 1 <= n <= MAX_SERIES_LENGTH:
@@ -124,18 +125,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         dt = n * float_field(echo, "tau", positive=True)
         spacing = "tau"
     else:
-        dt = float(columns["t_over_TR"][0] / columns["m"][0]) * t_r
+        dt = float(columns["t_over_TR"][0] / columns["m"][0]) * spec.t_r
         spacing = "t_over_TR"
     wiener = bool_field(echo, "wiener")
     truncation = bool_field(echo, "truncation")
-    check_frequency_axis(len(columns["g2"]), dt, t_r, spacing)
+    check_frequency_axis(len(columns["g2"]), dt, spec, spacing)
     try:
         with np.errstate(over="raise", invalid="raise"):
             spectrum, processed = process_readout(columns["g2"], dt, wiener, truncation)
     except FloatingPointError as exc:
         raise ArtifactError(f"{args.csv}: g2 too large for a spectrum: {exc}") from exc
     out_dir = _out_dir(args.out_dir)
-    payload = artifacts.spectrum_payload(spectrum, processed, echo, 2.0 * math.pi / t_r)
+    payload = artifacts.spectrum_payload(spectrum, processed, echo, spec.omega_r)
     artifacts.check_targets([out_dir / "spectrum.json", out_dir / "processed.csv"])
     artifacts.write_json(out_dir / "spectrum.json", payload)
     artifacts.write_trajectory_csv(
@@ -236,15 +237,12 @@ def _sweep_rows(
     shared = points[0].config
     c2_sq = np.concatenate([point.c2_sq for point in points])
     g2 = np.concatenate([point.g2 for point in points])
-    # the spectra do not depend on dt; each point's own dt is used below
-    spectra, processed = process_readouts(g2, 1.0, shared.wiener, shared.truncation)
-    index = np.array([spectrum.main_peak_index or 0 for spectrum in spectra])
+    readouts = process_readouts(g2, shared.wiener, shared.truncation)
+    index = readouts.peak_index
     dt = np.repeat([point.config.trajectory.delta_t for point in points], replicates)
-    m = g2.shape[1]
-    frequency = angular_frequency(index, m, dt)  # the spectrum's own axis
+    frequency = angular_frequency(index, g2.shape[1], dt)  # the spectrum's own axis
     omega_r = shared.trajectory.spec.omega_r
     errors = np.where(index > 0, np.abs(frequency / omega_r - 1.0), math.nan)
-    significant = np.array([spectrum.peak_significant for spectrum in spectra])
 
     def medians(values: np.ndarray) -> list[float]:
         return np.median(values.reshape(len(points), replicates), axis=1).tolist()
@@ -253,9 +251,9 @@ def _sweep_rows(
     for (config, report, seed, _, _), error, count, raw, kept in zip(
         points,
         medians(errors),
-        significant.reshape(len(points), replicates).sum(axis=1).tolist(),
+        readouts.significant.reshape(len(points), replicates).sum(axis=1).tolist(),
         medians(row_correlations(g2, c2_sq)),
-        medians(row_correlations(processed, c2_sq)),
+        medians(row_correlations(readouts.processed, c2_sq)),
     ):
         rows.append({
             "p0": config.trajectory.params.p0,

@@ -198,15 +198,15 @@ def float_field(
     return float(value)
 
 
-def check_frequency_axis(m: int, dt: float, t_r: float, spacing: str = "tau") -> None:
+def check_frequency_axis(m: int, dt: float, spec: HamiltonianSpec, spacing: str = "tau") -> None:
     """Reject a readout whose frequency axis w_l = 2 pi l / (m dt), l < m,
-    or whose w_l / omega_r, omega_r = 2 pi / t_r, is not finite.
+    or whose w_l / omega_r, ``spec``'s omega_r = 2 pi / t_r, is not finite.
 
     ``spacing`` names the field ``dt`` comes from.  The top bin is computed
     by ``spectral``'s ``angular_frequency``, and both quotients grow with l, so
     the check holds exactly when every value written does.
     """
-    omega_r = 2.0 * math.pi / t_r
+    omega_r, t_r = spec.omega_r, spec.t_r
     top = angular_frequency(m - 1, m, dt) if 0.0 < dt and m * dt < math.inf else math.inf
     if omega_r < math.inf and not top < math.inf:
         raise ConfigError(
@@ -255,7 +255,7 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
         )
     except ParameterError as exc:
         raise ConfigError("n_per_series", str(exc)) from exc
-    check_frequency_axis(m_series, trajectory.delta_t, spec.t_r)
+    check_frequency_axis(m_series, trajectory.delta_t, spec)
 
     out_dir = data.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):

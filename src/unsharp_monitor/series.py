@@ -173,15 +173,20 @@ class NBoundResult(NamedTuple):
     satisfied: bool
 
 
+# the n-bound ratio above which the bound is only loosely satisfied, and
+# the one at which it is violated (RegimeParams.nbound_tier)
+NBOUND_LOOSE, NBOUND_VIOLATED = 0.25, 1.0
+
+
 def nbound(params: PovmParams, tau: float, t_r: float, n: int) -> NBoundResult:
     """Check (n - 1)^2 against the commutator-accumulation bound.
 
     rhs = max(u1_plus, u2_minus) / (2 max(|u2_plus - u1_plus|,
     |u2_minus - u1_minus|)) * t_r / (pi tau); the approximation behind the
     best guess needs ratio = (n - 1)^2 / rhs well below one.  ``satisfied``
-    reports ratio < 1; callers may want to warn already above 0.25.  For
-    p1 == p2 (or tau == 0) the operations commute with the evolution, the
-    bound is vacuous and rhs is reported as infinity.
+    reports ratio < NBOUND_VIOLATED; callers may want to warn already above
+    NBOUND_LOOSE.  For p1 == p2 (or tau == 0) the operations commute with
+    the evolution, the bound is vacuous and rhs is reported as infinity.
     """
     if n < 1:
         raise ParameterError(f"series length n = {n} must be >= 1")
@@ -202,7 +207,7 @@ def nbound(params: PovmParams, tau: float, t_r: float, n: int) -> NBoundResult:
         ratio = 0.0 if n == 1 else math.inf
     else:
         ratio = (n - 1) ** 2 / rhs
-    return NBoundResult(rhs, ratio, ratio < 1.0)
+    return NBoundResult(rhs, ratio, ratio < NBOUND_VIOLATED)
 
 
 @dataclass(frozen=True)
@@ -219,10 +224,10 @@ class RegimeParams:
 
     @property
     def nbound_tier(self) -> str:
-        """'ok' (ratio <= 0.25), 'loose' (< 1), or 'violated' (>= 1)."""
-        if self.nbound_ratio >= 1.0:
+        """'ok' (ratio <= NBOUND_LOOSE), 'loose' or 'violated' (>= NBOUND_VIOLATED)."""
+        if self.nbound_ratio >= NBOUND_VIOLATED:
             return "violated"
-        if self.nbound_ratio > 0.25:
+        if self.nbound_ratio > NBOUND_LOOSE:
             return "loose"
         return "ok"
 

@@ -11,11 +11,13 @@ the surviving coefficients is the processed readout.
 Every step works on an L x M array with one readout per row: one FFT along
 the rows, per-row peaks, noise floors, Wiener weights and truncation masks,
 and one inverse FFT.  ``process_readouts`` runs the pipeline on a batch
-(the replicates of a sweep point); ``process_readout``, ``power_spectrum``,
+(the replicates of a sweep point) and returns arrays, none of which
+depends on the sample spacing; ``process_readout``, ``power_spectrum``,
 ``wiener_filter``, ``truncate_series`` and ``synthesize`` are the same
-helpers called on one row, so a row gives the same doubles alone or in a
-batch.  ``row_correlations`` gives the Pearson coefficient of each row of
-one array with the same row of another.
+helpers called on one row, whose records carry the frequencies of a
+spacing, so a row gives the same doubles alone or in a batch.
+``row_correlations`` gives the Pearson coefficient of each row of one
+array with the same row of another.
 """
 
 from __future__ import annotations
@@ -70,6 +72,21 @@ class SpectrumRecord:
         return len(self.coefficients)
 
 
+class Readouts(NamedTuple):
+    """``process_readouts``' results for L readouts of M samples, row i for
+    readout i: each row's raw spectrum as a ``SpectrumRecord`` holds it
+    (``peak_index`` is 0 where there is no main peak), its Wiener weights
+    (None when the filter is off) and its processed samples."""
+
+    coefficients: np.ndarray  # L x M complex
+    power: np.ndarray  # L x M
+    peak_index: np.ndarray  # L ints
+    significant: np.ndarray  # L bools
+    noise_floor: np.ndarray  # L
+    wiener_weights: np.ndarray | None  # L x M
+    processed: np.ndarray  # L x M
+
+
 class PeakInfo(NamedTuple):
     index: int | None
     frequency: float | None
@@ -97,14 +114,15 @@ def _phases(m: int) -> tuple[np.ndarray, np.ndarray]:
     return twist, untwist
 
 
-def _samples(values, dt: float, ndim: int) -> np.ndarray:
+def _samples(values, ndim: int, dt: float | None = None) -> np.ndarray:
+    """``values`` as an ``ndim``-d float array, checked, and ``dt`` checked if given."""
     x = np.asarray(values, dtype=float)
     if x.ndim != ndim or x.shape[-1] < MIN_SAMPLES or x.size == 0:
         what = "sequence" if ndim == 1 else "array of readouts, one per row,"
         raise AnalysisError(
             f"need a {ndim}-d {what} of at least {MIN_SAMPLES} samples, got shape {x.shape}"
         )
-    if not 0.0 < dt < math.inf:  # also rejects nan
+    if dt is not None and not 0.0 < dt < math.inf:  # also rejects nan
         raise ParameterError(f"dt = {dt!r} must be finite and > 0")
     return x
 
@@ -169,38 +187,31 @@ def _truncated(coefficients: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.where(cut, 0.0, coefficients)
 
 
-def _records(
-    dt: float,
-    coefficients: np.ndarray,
-    power: np.ndarray,
-    index: np.ndarray,
-    significant: np.ndarray,
-    floors: np.ndarray,
-    weights=None,
-) -> list[SpectrumRecord]:
-    m = coefficients.shape[1]
-    frequencies = angular_frequency(np.arange(m), m, dt)
-    return [
-        SpectrumRecord(
-            dt=dt,
-            coefficients=coefficients[row],
-            frequencies=frequencies,
-            power=power[row],
-            main_peak_index=int(index[row]) or None,
-            peak_significant=bool(significant[row]),
-            noise_floor=float(floors[row]),
-            wiener_weights=None if weights is None else weights[row],
-        )
-        for row in range(len(coefficients))
-    ]
-
-
-def _analyzed(dt: float, coefficients: np.ndarray, weights=None) -> list[SpectrumRecord]:
-    """Full records, every derived field included, for the rows of ``coefficients``."""
+def _raw(coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Power, main peak index, significance and noise floor of each row."""
     power = np.abs(coefficients) ** 2
     index = _peaks(power)
-    significant = _significant(power, index)
-    return _records(dt, coefficients, power, index, significant, _noise_floors(power), weights)
+    return power, index, _significant(power, index), _noise_floors(power)
+
+
+def _record(dt: float, coefficients, power, index, significant, floors, weights) -> SpectrumRecord:
+    """The record of the first row of these per-row arrays; ``weights`` may be None."""
+    m = coefficients.shape[1]
+    return SpectrumRecord(
+        dt=dt,
+        coefficients=coefficients[0],
+        frequencies=angular_frequency(np.arange(m), m, dt),
+        power=power[0],
+        main_peak_index=int(index[0]) or None,
+        peak_significant=bool(significant[0]),
+        noise_floor=float(floors[0]),
+        wiener_weights=None if weights is None else weights[0],
+    )
+
+
+def _analyzed(dt: float, coefficients: np.ndarray, weights=None) -> SpectrumRecord:
+    """The full record, every derived field included, of the one row of ``coefficients``."""
+    return _record(dt, coefficients, *_raw(coefficients), weights)
 
 
 def power_spectrum(sequence, dt: float) -> SpectrumRecord:
@@ -209,8 +220,8 @@ def power_spectrum(sequence, dt: float) -> SpectrumRecord:
     The coefficients satisfy the synthesis convention exactly; the round
     trip through ``synthesize`` reproduces the input to well below 1e-9.
     """
-    x = _samples(sequence, dt, ndim=1)
-    return _analyzed(dt, _spectra(x[None]))[0]
+    x = _samples(sequence, ndim=1, dt=dt)
+    return _analyzed(dt, _spectra(x[None]))
 
 
 def synthesize(record: SpectrumRecord) -> np.ndarray:
@@ -245,7 +256,7 @@ def wiener_filter(record: SpectrumRecord) -> SpectrumRecord:
     degenerates to a passthrough of the non-negligible bins.
     """
     weights = _wiener_weights(record.power[None], np.array([record.noise_floor]))
-    return _analyzed(record.dt, record.coefficients * weights, weights)[0]
+    return _analyzed(record.dt, record.coefficients * weights, weights)
 
 
 def truncate_series(record: SpectrumRecord) -> SpectrumRecord:
@@ -260,35 +271,29 @@ def truncate_series(record: SpectrumRecord) -> SpectrumRecord:
         warnings.warn(_NO_PEAK, UserWarning, stacklevel=2)
         return record
     coefficients = _truncated(record.coefficients[None], np.array([index]))
-    return _analyzed(record.dt, coefficients, [record.wiener_weights])[0]
+    return _analyzed(record.dt, coefficients, [record.wiener_weights])
 
 
-def process_readouts(
-    readouts, dt: float, wiener: bool = True, truncation: bool = True
-) -> tuple[list[SpectrumRecord], np.ndarray]:
+def process_readouts(readouts, wiener: bool = True, truncation: bool = True) -> Readouts:
     """The readout pipeline on an L x M array, one readout per row.
 
-    Returns one record per row, the raw spectrum of that readout carrying
-    its Wiener weights when the filter ran, and the L x M processed samples:
-    the synthesis of the filtered, then truncated coefficients.  ``wiener``
-    and ``truncation`` switch either step off.  Truncation cuts at the main
+    Returns each row's raw spectrum, its Wiener weights when the filter ran,
+    and the L x M processed samples: the synthesis of the filtered, then
+    truncated coefficients, all as ``Readouts`` arrays.  ``wiener`` and
+    ``truncation`` switch either step off.  Truncation cuts at the main
     peak of the filtered power; a row without one passes uncut, with one
     warning for the batch.
 
     A finite row whose power overflows raises nothing: numpy warns
-    ``RuntimeWarning: overflow encountered in square``, and its record has
+    ``RuntimeWarning: overflow encountered in square``, and the row has
     inf bins in ``power`` and an inf ``noise_floor``.  The Wiener weights
     then keep only the zero-frequency bin, so the processed readout is the
     row's mean (as that bin gives it) in every sample, and truncation,
     finding no peak, skips the row with the batch's usual warning.
     ``analyze`` refuses such a g2 instead, and exits with code 2.
     """
-    x = _samples(readouts, dt, ndim=2)
-    coefficients = _spectra(x)
-    power = np.abs(coefficients) ** 2
-    index = _peaks(power)
-    significant = _significant(power, index)
-    floors = _noise_floors(power)
+    coefficients = _spectra(_samples(readouts, ndim=2))
+    power, index, significant, floors = _raw(coefficients)
     weights = None
     kept, kept_index = coefficients, index
     if wiener:
@@ -299,16 +304,17 @@ def process_readouts(
         if not kept_index.all():
             warnings.warn(_NO_PEAK, UserWarning, stacklevel=2)
         kept = _truncated(kept, kept_index)
-    return _records(dt, coefficients, power, index, significant, floors, weights), _synthesized(kept)
+    return Readouts(coefficients, power, index, significant, floors, weights, _synthesized(kept))
 
 
 def process_readout(
     g2_sequence, dt: float, wiener: bool = True, truncation: bool = True
 ) -> tuple[SpectrumRecord, np.ndarray]:
-    """The readout pipeline for one sequence: ``process_readouts`` on one row."""
-    x = _samples(g2_sequence, dt, ndim=1)
-    records, processed = process_readouts(x[None], dt, wiener, truncation)
-    return records[0], processed[0]
+    """``process_readouts`` on one sequence sampled at spacing ``dt``: its record and samples."""
+    x = _samples(g2_sequence, ndim=1, dt=dt)
+    readouts = process_readouts(x[None], wiener, truncation)
+    # every field but the samples, in _record's order
+    return _record(dt, *readouts[:-1]), readouts.processed[0]
 
 
 def row_correlations(x, y) -> np.ndarray:

@@ -61,6 +61,8 @@ from .povm import (
 from .rabi import HamiltonianSpec, rotation_half_angles
 from .series import (
     MAX_SERIES_LENGTH,
+    NBOUND_LOOSE,
+    NBOUND_VIOLATED,
     RegimeParams,
     best_guess,
     evaluate_regime,
@@ -125,7 +127,8 @@ class TrajectoryConfig:
             regime = self.regime
             if regime.nbound_tier == "violated":
                 warnings.warn(
-                    f"series-length bound violated: ratio = {regime.nbound_ratio:.3g} >= 1; "
+                    f"series-length bound violated: ratio = {regime.nbound_ratio:.3g}"
+                    f" >= {NBOUND_VIOLATED:g}; "
                     "the best guess is not a controlled approximation of the "
                     "upper-level population",
                     SeriesBoundWarning,
@@ -134,7 +137,7 @@ class TrajectoryConfig:
             elif regime.nbound_tier == "loose":
                 warnings.warn(
                     f"series-length bound only loosely satisfied: "
-                    f"ratio = {regime.nbound_ratio:.3g} > 0.25",
+                    f"ratio = {regime.nbound_ratio:.3g} > {NBOUND_LOOSE:g}",
                     SeriesBoundWarning,
                     stacklevel=3,
                 )

@@ -932,7 +932,9 @@ def test_compiled_parse_reads_decimals_as_float_does(texts):
 # a padding lane that wrote back would write past the buffers), on one full
 # group of eight rows, on such a group followed by a lone row (9) and by a
 # group padded from five rows (13), and on a padded and a full group that
-# stop
+# stop; the out buffers of um_repr_join and um_repr_rows, of the capacity
+# each call is given, on values whose texts are all REPR_MAX long; and the
+# buffer and out of um_parse_rows on each text of a byte-edit corpus
 SANITIZED = """
 import ctypes, json, sys
 import numpy as np
@@ -970,7 +972,20 @@ for count, large in ((5, 3), (13, 6)):
         )
     except StateError as error:
         stopped.append(str(error))
+longest = [np.full(n, -2.2250738585072014e-308) for n in inputs["longest"]]
+
+def parsed(text):
+    buffer = np.frombuffer(text.encode(), dtype=np.uint8).copy()
+    out = np.empty((text.count("\\n"), 5))
+    rows = library.um_parse_rows(buffer.ctypes.data, buffer.size, out.ctypes.data, out.size)
+    return [rows, repr(out[:max(rows, 0)].tolist())]
+
 print(json.dumps({
+    "longest": [
+        [artifacts._joined(x, separator) for separator in inputs["separators"]]
+        + [artifacts._csv_rows(x, x, x, x)] for x in longest
+    ],
+    "edited": [parsed(text) for text in inputs["edited"]],
     "joined": [artifacts._joined(values, separator) for separator in inputs["separators"]],
     "rows": artifacts._csv_rows(values, -values, values[::-1], np.roll(values, 1)),
     "parsed": repr(artifacts._compiled_rows(inputs["parsed"].encode()).tolist()),
@@ -984,7 +999,9 @@ print(json.dumps({
 @needs_cc
 @needs_library
 @pytest.mark.filterwarnings("ignore::unsharp_monitor.trajectory.SeriesBoundWarning")
-def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(sanitized_libraries):
+def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(
+    sanitized_libraries, fig3_artifacts
+):
     # and under AddressSanitizer, in the same build where the compiler links both
     runs, missing = sanitized_libraries
     if not runs:
@@ -1004,12 +1021,44 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(sanitize
     # a lone row, and a full group and a padded one; each row's 1000 draws
     # include 8 to 16 rotations by 0, where a shift by 64 would be undefined
     seeds = [*range(1, 10), 0, 2**32 - 1, 2**32, 2**64 - 1]
+    # a seeded corpus of runs of fig3 body rows, each with up to six bytes
+    # replaced, inserted or deleted, the new bytes from the alphabet of
+    # test_any_byte_edit_of_the_csv_exits_0_or_2, of more than 16 bytes each
+    record, processed, _, _ = fig3_artifacts
+    body = artifacts._csv_rows(record.t, record.c2_sq, record.g2, processed)
+    lines, alphabet = body.splitlines(keepends=True), b'0123456789.,-+eE\n\r#:{}"nai '
+    edits = np.random.default_rng(20261020)
+    edited = []
+    while len(edited) < 400:
+        start = int(edits.integers(len(lines) - 12))
+        data = bytearray("".join(lines[start : start + int(edits.integers(1, 12))]).encode())
+        for _ in range(int(edits.integers(7))):
+            kind, at = int(edits.integers(3)), int(edits.integers(len(data)))
+            if kind == 0:
+                data[at] = alphabet[int(edits.integers(len(alphabet)))]
+            elif kind == 1:
+                data.insert(at, alphabet[int(edits.integers(len(alphabet)))])
+            else:
+                del data[at]
+        if len(data) > 16:
+            edited.append(data.decode("ascii"))
     inputs = {
         "bits": values.view(np.uint64).tolist(), "texts": texts,
         "separators": [",", *JSON_SEPARATORS], "parsed": PARSED_TEXT.decode(),
-        "seeds": seeds, "counts": [2, 8, 9, len(seeds)],
+        "seeds": seeds, "counts": [2, 8, 9, len(seeds)], "longest": [1, 2, 7, 100],
+        "edited": edited,
     }
     separators = inputs["separators"]
+    assert len(repr(-2.2250738585072014e-308)) == _kernel.REPR_MAX
+    longest = [np.full(n, -2.2250738585072014e-308) for n in inputs["longest"]]
+    expected_longest = [
+        [artifacts._joined(x, separator) for separator in separators]
+        + [artifacts._csv_rows(x, x, x, x)] for x in longest
+    ]
+    expected_edited = []
+    for text in edited:
+        rows, out = raw_parse(artifacts._LIBRARY, text.encode())
+        expected_edited.append([rows, repr(out[:max(rows, 0)].tolist())])
     expected = [artifacts._compiled_rows(f"1,{text},0.5,0.5,0.5\n".encode()) for text in texts]
     replicates = []
     for preset in ("fig1", "fig3"):
@@ -1030,6 +1079,8 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(sanitize
         assert result["decimals"] == [None if row is None else repr(row[0, 1]) for row in expected]
         assert result["replicates"] == repr(replicates)
         assert result["stopped"] == ["p_plus = 4.0 lies outside [0, 1] beyond float slack"] * 2
+        assert result["longest"] == expected_longest
+        assert result["edited"] == expected_edited
     if missing:
         pytest.skip(f"the other sanitizer passed; {missing}")
 

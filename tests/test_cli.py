@@ -22,11 +22,14 @@ from unsharp_monitor.artifacts import (
 from unsharp_monitor.cli import main
 from unsharp_monitor.config import (
     MAX_M_SERIES,
+    MAX_REPLICATES,
     SWEEP_AXES,
     SWEEP_BASE_KEYS,
     build_report,
+    derive_seed,
     load_run_config,
 )
+from unsharp_monitor.povm import ParameterError
 from unsharp_monitor.spectral import process_readout
 from unsharp_monitor.trajectory import SeriesBoundWarning
 
@@ -312,6 +315,13 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"config field '{field}':" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_unknown_preset_rejected(self, tmp_path, capsys):
+        assert run(["simulate", "--preset", "fig9", "--out-dir", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'preset': unknown preset 'fig9'; ")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_int_float_fields_are_accepted(self, tmp_path):
         config = tmp_path / "config.json"
@@ -847,6 +857,24 @@ class TestSweep:
         assert "config field 'seeds_per_point':" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_derived_seeds_are_distinct(self):
+        # splitmix64 is a bijection of its 64-bit input, index << 20 | replicate
+        top = MAX_REPLICATES - 1
+        pairs = [(index, replicate) for index in range(64) for replicate in range(64)]
+        pairs += [(0, top), (1, top), (2**44 - 1, 0), (2**44 - 1, top)]
+        seeds = {derive_seed(7, index, replicate) for index, replicate in pairs}
+        assert len(seeds) == len(pairs) and all(0 <= seed < 2**64 for seed in seeds)
+        assert derive_seed(7, 3, 5) == derive_seed(7, 3, 5) != derive_seed(8, 3, 5)
+        with pytest.raises(ParameterError, match="replicate = 1048576"):
+            derive_seed(7, 0, 2**20)
+
+    def test_non_numeric_axis_flag_rejected(self, tmp_path, capsys):
+        argv = ["sweep", "--p0", "abc", *SMALL_SWEEP[2:], "--out-dir", tmp_path / "out"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: config field 'p0': expected comma-separated numbers, got 'abc'\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_fractional_series_length_flag_rejected(self, tmp_path, capsys):
         assert run([
             "sweep", "--p0", "0.5", "--dp", "0.08", "--tau", "0.002", "--n", "25.5",
@@ -974,6 +1002,25 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field 'config': cannot read {tmp_path}: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_missing_config_rejected(self, tmp_path, capsys, command):
+        config = tmp_path / "missing.json"
+        extra = SMALL_SWEEP if command == "sweep" else []
+        assert run([command, "--config", config, *extra, "--out-dir", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config field 'config': file not found: {config}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_csv_that_cannot_be_read_rejected(self, tmp_path, capsys, kind):
+        csv = tmp_path / "trajectory.csv"
+        if kind == "directory":
+            csv.mkdir()
+        assert run(["analyze", csv, "--out-dir", tmp_path / "an"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {csv}: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == ([csv] if kind == "directory" else [])
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_config_that_is_not_utf8_rejected(self, tmp_path, capsys, command):

@@ -441,9 +441,11 @@ VANISHING = SimpleNamespace(c1=1e-200 + 0j, c2=0j)
 # rows padded to eight.  Each start is the row of lane 0 of the failing
 # lanes 2 and 3, which puts them in the first half of the first group, in
 # the second half of the second (its lanes 6 and 7), in the first half of
-# the padded group (rows 18 and 19, the id "four-lane-pass") or in its
-# second half (rows 20 and 21, the id "tail"), where lane 3, row 21, is the
-# last row, whose copies fill the padding lanes
+# the padded group (rows 18 and 19) or in its second half (rows 20 and
+# 21), where lane 3, row 21, is the last row, whose copies fill the padding
+# lanes.  The ids of the last two, "four-lane-pass" and "tail", are the
+# names of the kernel paths that once ran those rows, kept so that each
+# test keeps its name
 STOPPED_ROWS = 22
 STOPPED_STARTS = [0, 12, 16, 18]
 STOPPED_IDS = ["first-group", "second-group", "four-lane-pass", "tail"]

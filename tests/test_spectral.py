@@ -229,8 +229,6 @@ class TestProcessReadout:
         x = tone(16, 2)
         with pytest.raises(ParameterError, match="dt"):
             process_readout(x, dt)
-        with pytest.raises(ParameterError, match="dt"):
-            process_readouts(x[None], dt)
 
 
 def reference_readout(x, dt, wiener, truncation):
@@ -341,31 +339,32 @@ class TestBatchedReadout:
         x = np.array([readout_row(kind, m, seed) for kind, seed in rows])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            records, processed = process_readouts(x, DT, wiener, truncation)
+            result = process_readouts(x, wiener, truncation)
         warned = any("no main peak" in str(w.message) for w in caught)
         # an inf power warns that it overflowed, and nothing after it warns
         runtime = {str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)}
         assert runtime <= {"overflow encountered in square"}
-        assert processed.shape == x.shape
+        assert result.processed.shape == x.shape
         no_peak = False
-        for row, record in enumerate(records):
+        for row in range(len(x)):
             with np.errstate(over="ignore"):
                 fields, weights, values, skipped = reference_readout(x[row], DT, wiener, truncation)
             coefficients, power, index, significant, floor = fields
             no_peak |= skipped
-            assert same(record.coefficients, coefficients)
-            assert same(record.power, power)
-            assert record.main_peak_index == index
-            assert record.peak_significant == significant
-            assert same(record.noise_floor, floor)
-            assert same(record.wiener_weights, weights)
-            assert same(record.frequencies, 2.0 * math.pi * np.arange(m) / (m * DT))
-            assert same(processed[row], values)
+            assert same(result.coefficients[row], coefficients)
+            assert same(result.power[row], power)
+            assert result.peak_index[row] == (index or 0)
+            assert result.significant[row] == significant
+            assert same(result.noise_floor[row], floor)
+            row_weights = None if result.wiener_weights is None else result.wiener_weights[row]
+            assert same(row_weights, weights)
+            assert same(result.processed[row], values)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 single, single_values = process_readout(x[row], DT, wiener, truncation)
-            assert same(single.coefficients, record.coefficients)
-            assert same(single_values, processed[row])
+            assert same(single.frequencies, 2.0 * math.pi * np.arange(m) / (m * DT))
+            assert same(single.coefficients, result.coefficients[row])
+            assert same(single_values, result.processed[row])
         assert warned == no_peak
 
     @settings(max_examples=100, deadline=None)
@@ -391,28 +390,26 @@ class TestBatchedReadout:
     def test_no_peak_row_warns_once_per_batch(self):
         x = np.array([tone(64, 3), np.full(64, 0.5), tone(64, 5)])
         with pytest.warns(UserWarning, match="no main peak") as caught:
-            records, processed = process_readouts(x, DT)
+            result = process_readouts(x)
         assert len(caught) == 1
-        assert [record.main_peak_index for record in records] == [3, None, 5]
-        assert np.max(np.abs(processed[1] - 0.5)) < 1e-12
+        assert result.peak_index.tolist() == [3, 0, 5]
+        assert np.max(np.abs(result.processed[1] - 0.5)) < 1e-12
 
     @pytest.mark.parametrize("shape", [(0, 8), (3, 3), (8,), (2, 2, 8)])
     def test_bad_shapes_rejected(self, shape):
         with pytest.raises(AnalysisError):
-            process_readouts(np.zeros(shape), DT)
+            process_readouts(np.zeros(shape))
 
     def test_readout_speed_smoke(self, benchmark):
         # records the time per readout row; asserts only on the output
         rng = np.random.default_rng(71)
         x = 0.5 + 0.5 * tone(200, 6) + rng.normal(scale=0.3, size=(48, 200))
-        records, processed = benchmark.pedantic(
-            process_readouts, args=(x, DT), rounds=3, iterations=1
-        )
+        result = benchmark.pedantic(process_readouts, args=(x,), rounds=3, iterations=1)
         if benchmark.stats is not None:
             benchmark.extra_info["us_per_row"] = benchmark.stats.stats.median / 48 * 1e6
-        assert processed.shape == (48, 200)
-        assert [record.main_peak_index for record in records] == [6] * 48
-        assert np.array_equal(processed[17], process_readout(x[17], DT)[1])
+        assert result.processed.shape == (48, 200)
+        assert result.peak_index.tolist() == [6] * 48
+        assert np.array_equal(result.processed[17], process_readout(x[17], DT)[1])
 
 
 class TestClassifyRegime:
