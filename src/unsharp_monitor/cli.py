@@ -44,6 +44,7 @@ from .spectral import (
     process_readout,
     process_readouts,
     row_correlations,
+    row_medians,
 )
 from .trajectory import simulate_replicates, simulate_trajectory
 
@@ -245,7 +246,7 @@ def _sweep_rows(
     errors = np.where(index > 0, np.abs(frequency / omega_r - 1.0), math.nan)
 
     def medians(values: np.ndarray) -> list[float]:
-        return np.median(values.reshape(len(points), replicates), axis=1).tolist()
+        return row_medians(values.reshape(len(points), replicates)).tolist()
 
     rows = []
     for (config, report, seed, _, _), error, count, raw, kept in zip(

@@ -51,37 +51,55 @@ def test_cli_module_runs_a_report():
     assert '"regime": "quantum_jump"' in result.stdout
 
 
-# runs a compiled simulate and sweep into sys.argv[1] and prints whether
-# numpy.random was loaded by numpy itself, and after the two commands
-LAZY_RANDOM = """
+# runs a compiled simulate, sweep and analyze into sys.argv[1] and prints
+# whether numpy.random and numpy.ma were loaded by numpy itself, and after
+# the three commands
+COMMANDS = """
 import json, sys, numpy
-eager = "numpy.random" in sys.modules
+lazy = ("numpy.random", "numpy.ma")
+eager = {name: name in sys.modules for name in lazy}
 from unsharp_monitor import cli, trajectory
 out = sys.argv[1]
 codes = [
     cli.main(["simulate", "--preset", "fig3", "--out-dir", out + "/simulate"]),
     cli.main(["sweep", "--p0", "0.5", "--dp=-0.3,0.08", "--tau", "0.002", "--n", "5",
               "--m", "48", "--seeds-per-point", "3", "--out-dir", out + "/sweep"]),
+    cli.main(["analyze", out + "/simulate/trajectory.csv", "--out-dir", out + "/analyze"]),
 ]
 print(json.dumps({
     "eager": eager, "codes": codes, "compiled": trajectory._KERNEL is not None,
-    "loaded": "numpy.random" in sys.modules,
+    "loaded": {name: name in sys.modules for name in lazy},
 }))
 """
 
 
-def test_compiled_commands_leave_numpy_random_unloaded(tmp_path):
-    # the compiled kernel seeds and draws its streams itself, so only the
-    # Python route imports numpy.random
-    result = run_python("-W", "ignore", "-c", LAZY_RANDOM, str(tmp_path))
+@pytest.fixture(scope="module")
+def commands(tmp_path_factory):
+    """What the COMMANDS child printed, run once for the tests below."""
+    result = run_python("-W", "ignore", "-c", COMMANDS, str(tmp_path_factory.mktemp("commands")))
     assert result.returncode == 0, result.stderr
     state = json.loads(result.stdout.splitlines()[-1])
-    if state["eager"]:
+    assert state["codes"] == [0, 0, 0]
+    return state
+
+
+def test_compiled_commands_leave_numpy_random_unloaded(commands):
+    # the compiled kernel seeds and draws its streams itself, so only the
+    # Python route imports numpy.random
+    if commands["eager"]["numpy.random"]:
         pytest.skip("import numpy loads numpy.random itself (numpy 1.x)")
-    if not state["compiled"]:
+    if not commands["compiled"]:
         pytest.skip("the compiled library did not load")
-    assert state["codes"] == [0, 0]
-    assert not state["loaded"]
+    assert not commands["loaded"]["numpy.random"]
+
+
+def test_commands_leave_numpy_ma_unloaded(commands):
+    # np.median's NaN check imports numpy.ma, about 10 ms, on its first
+    # call; spectral.row_medians, which the readout takes its medians with,
+    # does not
+    if commands["eager"]["numpy.ma"]:
+        pytest.skip("import numpy loads numpy.ma itself (numpy 1.x)")
+    assert not commands["loaded"]["numpy.ma"]
 
 
 def test_tracer_layer_names_exist():

@@ -568,6 +568,34 @@ def test_a_stopped_lone_row_keeps_its_state_and_stream(failing, error, message):
     check_stopped(lone_stopped_states(failing), 16, error, message)
 
 
+def kernel_stopped(*args):
+    raise AssertionError("the compiled kernel stopped and handed the row on")
+
+
+@needs_library
+def test_a_lone_row_stops_only_on_the_outcome_it_reads(monkeypatch):
+    # the scalar loop scales, normalizes and divides by both outcomes'
+    # factors before it reads one.  From |1> every u reads "+", which keeps
+    # the state, while the "-" factors scale it to the zero vector, so the
+    # unread lane divides 0 by 0 at every step; the kernel must run the row
+    # to its end, without handing it to the Python route as a stop would
+    config = quiet_config(**LANE_CONFIG)
+    expected = run_rows(_python_advance, [HEALTHY], config, seeded(_python_advance, 2026, 1, 6))
+    assert expected == ([[1.0, 0.0, 0.0, 0.0]], [[0.0, 0.0]], [[3, 3]])
+    with monkeypatch.context() as patch:
+        patch.setattr(trajectory, "_numpy_advance", kernel_stopped)
+        result = run_rows(_compiled_advance, [HEALTHY], config, streams_of(2026, 1, 6))
+    assert repr(result) == repr(expected)
+    # a vanishing state reads "-", the outcome whose norm is zero, and stops
+    # there: at the call's one step, where no later p_plus check could
+    # stop it instead, and with its state and stream as they were
+    one_step = quiet_config(**{**LANE_CONFIG, "n_per_series": 1, "m_series": 1})
+    stream = streams_of(2026)
+    after, error = run_rows(_compiled_advance, [VANISHING], one_step, stream)
+    assert after == [[1e-200, 0.0, 0.0, 0.0]] and error == (DegenerateOutcomeError, _ZERO_NORM)
+    assert stream.tolist() == streams_of(2026).tolist()
+
+
 def test_a_negative_p_plus_in_a_lane_is_an_excursion():
     # no PovmParams gives p1 < 0, so the constants are set by hand; |2>
     # gives p_plus = 0 and stays, (0.6, 0.8) gives p_plus = -0.36, which

@@ -20,7 +20,7 @@ from unsharp_monitor.spectral import (
     truncate_series,
     wiener_filter,
 )
-from unsharp_monitor.spectral import process_readouts, row_correlations
+from unsharp_monitor.spectral import process_readouts, row_correlations, row_medians
 
 DT = 0.05
 
@@ -386,6 +386,30 @@ class TestBatchedReadout:
         assert r.shape == (len(rows),)
         for row in range(len(rows)):
             assert same(r[row], reference_pearson(x[row], y[row]))
+
+    # a few values repeat, so rows hold ties, both zeros and NaNs; some
+    # rows are all NaN
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.integers(1, 5).flatmap(
+            lambda rows: st.sampled_from([*range(1, 10), 100, 101]).flatmap(
+                lambda m: arrays(
+                    np.float64, (rows, m),
+                    elements=st.one_of(
+                        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.nan]),
+                        st.floats(-1e6, 1e6),
+                    ),
+                )
+            )
+        ),
+        nan_row=st.integers(0, 5),
+    )
+    # a partition at the middle alone leaves this row's NaN short of the end
+    @example(values=np.where(np.arange(100) == 1, math.nan, np.arange(100.0) % 5)[None], nan_row=5)
+    def test_row_medians_are_numpys_median(self, values, nan_row):
+        if nan_row < len(values):
+            values[nan_row] = math.nan
+        assert row_medians(values).tobytes() == np.median(values, axis=1).tobytes()
 
     def test_no_peak_row_warns_once_per_batch(self):
         x = np.array([tone(64, 3), np.full(64, 0.5), tone(64, 5)])
