@@ -36,13 +36,22 @@
  * overflow).  So a row is never read two ways, and the reader's error
  * texts stay float()'s.
  *
+ * A fraction's digits are read 8 at a time while 8 bytes of the buffer are
+ * left, as Lemire's parser (below) reads them: the 8 bytes, assembled
+ * little-endian by shifts (gcc makes them one load on x86-64), are tested
+ * for digits and turned into their value by three multiplications, with no
+ * loop and no branch; the digits after the last whole chunk are read one
+ * byte at a time.  A chunk counts as the byte loop counts: all 8 digits
+ * once w is not zero, else those from its first digit that is not a zero.
+ *
  * A decimal w * 10^q, 0 < w < 10^19, goes to the nearest double (an exact
  * tie to the even one) by the Eisel-Lemire algorithm (Lemire, "Number
  * parsing at a gigabyte per second", Softw. Pract. Exp. 51, 1700 (2021)),
- * laid out as the fast_float library does it: w, shifted to 64 bits, times
- * a 128-bit approximation of 10^q gives the 54 leading bits of the value,
- * and the rest of the product tells the rounding.  Where the truncated
- * product cannot tell it, the call declines too.
+ * laid out as the fast_float library does it: w, shifted to 64 bits by a
+ * branch-free binary search for its leading zeros, times a 128-bit
+ * approximation of 10^q gives the 54 leading bits of the value, and the
+ * rest of the product tells the rounding.  Where the truncated product
+ * cannot tell it, the call declines too.
  *
  * Both directions share one constant table of 128-bit powers of ten.
  * _kernel.py computes it exactly from Python integers and passes it to the
@@ -320,17 +329,27 @@ static char *write_index(uint64_t i, char *p)
     return p + (digits + DIGITS_MAX - first);
 }
 
-/* the leading zero bits of w > 0 */
-static int leading_zeros(uint64_t w)
+/* the leading zero bits of w > 0, by a binary search with no branch: each
+   step shifts the top half of what is left in when it is all zero */
+static inline int leading_zeros(uint64_t w)
 {
-    int n = 0;
-    for (int step = 32; step > 0; step /= 2) {
-        if (w >> (64 - step) == 0) {
-            w <<= step;
-            n += step;
-        }
-    }
-    return n;
+    int n = 0, step;
+    step = (w >> 32 == 0) << 5;
+    n += step;
+    w <<= step;
+    step = (w >> 48 == 0) << 4;
+    n += step;
+    w <<= step;
+    step = (w >> 56 == 0) << 3;
+    n += step;
+    w <<= step;
+    step = (w >> 60 == 0) << 2;
+    n += step;
+    w <<= step;
+    step = (w >> 62 == 0) << 1;
+    n += step;
+    w <<= step;
+    return n + (int)(w >> 63 ^ 1);
 }
 
 /* the bits of the double nearest w * 10^q, for w > 0, into *bits; returns
@@ -381,9 +400,41 @@ static int is_digit(char c)
     return (unsigned char)(c - '0') < 10;
 }
 
+/* the 8 bytes at p as one integer, the first byte lowest: the same value
+   on every byte order, which gcc reads with one load on x86-64 */
+static inline uint64_t read8(const char *p)
+{
+    const unsigned char *b = (const unsigned char *)p;
+    return (uint64_t)b[0] | (uint64_t)b[1] << 8 | (uint64_t)b[2] << 16 | (uint64_t)b[3] << 24
+           | (uint64_t)b[4] << 32 | (uint64_t)b[5] << 40 | (uint64_t)b[6] << 48
+           | (uint64_t)b[7] << 56;
+}
+
+/* whether all 8 bytes of chunk are digits.  A byte b that is not one sets
+   its top bit in b + 0x46 (':' <= b < 0xba) or in b - '0' (b < '0', by the
+   borrow, or b >= 0xb0), and the lowest such byte gets no carry or borrow
+   from below: the mask is 0 exactly when all 8 are digits (Lemire's test) */
+static inline int eight_digits(uint64_t chunk)
+{
+    return !(((chunk + 0x4646464646464646u) | (chunk - 0x3030303030303030u))
+             & 0x8080808080808080u);
+}
+
+/* the value of the 8 digits of chunk, its lowest byte the first digit:
+   the digits pair up in each byte, and two products sum the four pairs
+   times 10^6, 10^4, 10^2 and 1 into the high word */
+static inline uint32_t eight_digit_value(uint64_t chunk)
+{
+    chunk -= 0x3030303030303030u;
+    chunk = 10 * chunk + (chunk >> 8);
+    const uint64_t pairs = 0x000000ff000000ffu;
+    return (uint32_t)(((chunk & pairs) * (100 + ((uint64_t)1000000 << 32))
+                       + (chunk >> 16 & pairs) * (1 + ((uint64_t)10000 << 32))) >> 32);
+}
+
 /* reads one field at p into *value; returns the byte after it, or NULL to
-   decline.  The buffer ends in '\n', which stops every scan below. */
-static const char *parse_field(const char *p, double *value)
+   decline.  The buffer ends at end, in '\n', which stops every scan below. */
+static const char *parse_field(const char *p, const char *end, double *value)
 {
     uint64_t bits = 0;
     if (*p == '-') {
@@ -412,6 +463,16 @@ static const char *parse_field(const char *p, double *value)
             return NULL;
         if (*p == '.') {
             start = ++p;
+            /* 8 digits at a time while 8 bytes are left, counted as the
+               loop below counts them: all 8 once w is not zero, and else
+               those from the chunk's first digit that is not a zero */
+            for (uint64_t chunk; end - p >= 8 && eight_digits(chunk = read8(p)); p += 8, q -= 8) {
+                const uint32_t chunk_value = eight_digit_value(chunk);
+                digits += w ? 8 : chunk_value ? digit_count(chunk_value) : 0;
+                if (digits > MAX_DIGITS)
+                    return NULL;
+                w = 100000000 * w + chunk_value;
+            }
             for (; is_digit(*p); p++, q--) {
                 if ((*p != '0' || w) && ++digits > MAX_DIGITS)
                     return NULL;
@@ -503,7 +564,7 @@ int64_t um_parse_rows(const char *buf, int64_t len, double *out, int64_t capacit
         if (capacity - k < FIELDS)
             return -1;
         for (int field = 0; field < FIELDS; field++) {
-            p = parse_field(p, out + k++);
+            p = parse_field(p, end, out + k++);
             if (p == NULL || *p++ != (field < FIELDS - 1 ? ',' : '\n'))
                 return -1;
         }

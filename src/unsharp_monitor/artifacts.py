@@ -16,11 +16,15 @@ time:
   texts joined by a separator (``um_repr_join``), which ``dump_json``
   calls with the separator of the array's indentation.  Each float is
   ``float.__repr__``'s exact text, the text ``fmt`` and ``json`` give a
-  finite float; the ASCII result is decoded once, with no Python object
-  per float.  A float array that holds a non-finite value is written item
-  by item instead, through ``json_safe``, which quotes that value.  Where
-  ``_WRITER`` is None (no library loaded) both bodies are joined from one
-  ``float.__repr__`` call per float, which gives the same bytes.
+  finite float.  A body stays the ASCII bytes the library wrote, with no
+  Python object per float and no decode: ``dump_json`` joins bytes parts
+  into one ``bytes``, the CSV writer puts its encoded header before the
+  rows, and ``_write_bytes`` writes bytes, so no text is joined and then
+  encoded again.  Only ``report`` decodes, once, to print.  A float array
+  that holds a non-finite value is written item by item instead, through
+  ``json_safe``, which quotes that value.  Where ``_WRITER`` is None (no
+  library loaded) both bodies are joined from one ``float.__repr__`` call
+  per float and encoded, which gives the same bytes.
 - ``read_trajectory_csv`` reads the file once as bytes and decodes only
   the lines up to the header.  The data rows after it go to one call into
   the compiled library (``um_parse_rows`` in ``_repr.c``), which reads
@@ -34,8 +38,11 @@ time:
 
 JSON goes through a small emitter, ``dump_json``, because
 ``json.dumps(..., indent=2)`` cannot use CPython's C encoder; its output must
-equal ``json.dumps(json_safe(payload), indent=2) + "\\n"`` byte for byte,
-which the tests check against that expression.
+equal ``json.dumps(json_safe(payload), indent=2) + "\\n"``, encoded, byte
+for byte, which the tests check against that expression.  A scalar or key
+is spelled by the functions ``json`` itself calls for it, with no
+``json.dumps`` call each: ``encode_basestring_ascii`` for a string,
+``int.__repr__`` and ``float.__repr__``.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ import json
 import math
 import os
 import stat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -111,8 +119,8 @@ def check_targets(paths: list[Path]) -> None:
             raise ArtifactError(f"cannot write {path}: {reason}")
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all.
+def _write_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` whole or not at all.
 
     The bytes go to a new file beside the target, which ``os.replace`` then
     moves onto it, so a write that fails partway leaves the old file (or
@@ -120,7 +128,6 @@ def _write_text(path: Path, text: str) -> None:
     the link keeps pointing at the new bytes.  The file is new, so it gets
     a new file's mode, and its directory must be writable.
     """
-    data = text.encode("utf-8")
     target = os.path.realpath(path)
     temp = f"{target}.{os.urandom(4).hex()}.tmp"
     try:
@@ -140,46 +147,66 @@ _PARSE = None if _LIBRARY is None else _LIBRARY.um_parse_rows
 _WRITER = _LIBRARY
 
 
-def _decoded_body(out: np.ndarray, size: int) -> str:
-    """The ``size`` ASCII bytes a compiled writer put at the start of ``out``."""
+def _body(out: np.ndarray, size: int) -> bytes:
+    """The ``size`` bytes a compiled writer put at the start of ``out``."""
     if size < 0:  # the capacity passed is the worst case of _kernel's sizes
         raise RuntimeError("the float writer wrote nothing: it refused the buffer's size")
-    return str(out[:size], "ascii")
+    return out[:size].tobytes()
 
 
-def _joined(values: Any, separator: str) -> str:
-    """The ``float.__repr__`` text of each element of a 1-d array, joined by ``separator``."""
+def _joined(values: Any, separator: str) -> bytes:
+    """The ``float.__repr__`` text of each element of a 1-d array, joined by
+    ``separator``, as ASCII bytes."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 1:  # the library reads len(values) doubles from the pointer
         raise ValueError(f"expected a 1-d array, got shape {values.shape}")
     if _WRITER is None:
-        return separator.join(map(float.__repr__, values.tolist()))
+        return separator.join(map(float.__repr__, values.tolist())).encode()
     sep = separator.encode("ascii")
     out = np.empty((_kernel.REPR_MAX + len(sep)) * len(values), dtype=np.uint8)
     size = _WRITER.um_repr_join(
         values.ctypes.data, len(values), sep, len(sep), out.ctypes.data, out.size
     )
-    return _decoded_body(out, size)
+    return _body(out, size)
 
 
-def _csv_rows(*columns: Any) -> str:
-    """The CSV rows ``r,v1,...,vk\\n`` for r = 1..M: each row's number and
-    ``float.__repr__`` of the values in ``columns`` beside it."""
+def _csv_rows(*columns: Any) -> bytes:
+    """The CSV rows ``r,v1,...,vk\\n`` for r = 1..M, as ASCII bytes: each
+    row's number and ``float.__repr__`` of the values in ``columns`` beside it."""
     values = np.array(columns, dtype=np.float64)  # C-contiguous, a column per row
     if values.ndim != 2:
         raise ValueError(f"expected 1-d columns of one length, got shape {values.shape}")
     width, n = values.shape
     if _WRITER is None:
         texts = zip(map(str, range(1, n + 1)), *(map(float.__repr__, v) for v in values.tolist()))
-        return "".join([",".join(row) + "\n" for row in texts])
+        return "".join([",".join(row) + "\n" for row in texts]).encode()
     out = np.empty((_kernel.INDEX_MAX + 1 + (_kernel.REPR_MAX + 1) * width) * n, dtype=np.uint8)
     size = _WRITER.um_repr_rows(values.ctypes.data, n, width, out.ctypes.data, out.size)
-    return _decoded_body(out, size)
+    return _body(out, size)
 
 
-def _json_parts(value: Any, newline: str, parts: list[str]) -> None:
+def _json_scalar(value: Any) -> bytes:
+    """``json.dumps(json_safe(value))`` of a scalar or a key, as ASCII bytes."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value).encode()
+    if value is None:
+        return b"null"
+    if isinstance(value, (bool, np.bool_)):
+        return b"true" if value else b"false"
+    if isinstance(value, (int, np.integer)):
+        return int.__repr__(int(value)).encode()
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        text = float.__repr__(value)
+        # json_safe writes a non-finite float as the string of its repr
+        return (text if math.isfinite(value) else encode_basestring_ascii(text)).encode()
+    return json.dumps(json_safe(value)).encode()  # json's own TypeError for any other object
+
+
+def _json_parts(value: Any, newline: str, parts: list[bytes]) -> None:
     """Append ``value``'s text, as ``json.dumps(json_safe(value), indent=2)``
-    spells it at the indentation that ``newline`` carries, to ``parts``."""
+    spells it at the indentation that ``newline`` carries, to ``parts`` as
+    ASCII bytes."""
     inner = newline + "  "
     # a float array in one call; one that holds a non-finite value takes the
     # list route below, where json_safe writes that value as a string
@@ -187,37 +214,38 @@ def _json_parts(value: Any, newline: str, parts: list[str]) -> None:
         isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f"
         and len(value) and np.isfinite(value).all()
     ):
-        parts += ("[", inner, _joined(value, "," + inner), newline, "]")
+        parts += (b"[", inner.encode(), _joined(value, "," + inner), newline.encode(), b"]")
         return
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, dict):
         if not all(isinstance(key, str) for key in value):
             raise TypeError(f"JSON object keys must be str, got {list(value)!r}")
-        brackets, items = "{}", [(json.dumps(key) + ": ", item) for key, item in value.items()]
+        brackets, items = b"{}", [(_json_scalar(key) + b": ", item) for key, item in value.items()]
     elif isinstance(value, (list, tuple)):
-        brackets, items = "[]", [("", item) for item in value]
+        brackets, items = b"[]", [(b"", item) for item in value]
     else:
-        parts.append(json.dumps(json_safe(value)))
+        parts.append(_json_scalar(value))
         return
     if not items:
         parts.append(brackets)
         return
-    opener = brackets[0] + inner
+    indent = inner.encode()
+    opener, comma = brackets[:1] + indent, b"," + indent
     for key, item in items:
         parts += (opener, key)
         _json_parts(item, inner, parts)
-        opener = "," + inner
-    parts.append(newline + brackets[1])
+        opener = comma
+    parts.append(newline.encode() + brackets[1:])
 
 
-def dump_json(payload: Any) -> str:
-    """``json.dumps(json_safe(payload), indent=2) + "\\n"``, float arrays in
-    bulk, joined once from the parts of the text."""
-    parts: list[str] = []
+def dump_json(payload: Any) -> bytes:
+    """``json.dumps(json_safe(payload), indent=2) + "\\n"`` as ASCII bytes,
+    float arrays in bulk, joined once from the parts of the text."""
+    parts: list[bytes] = []
     _json_parts(payload, "\n", parts)
-    parts.append("\n")
-    return "".join(parts)
+    parts.append(b"\n")
+    return b"".join(parts)
 
 
 def _comment_header(echo: dict[str, Any]) -> list[str]:
@@ -238,8 +266,8 @@ def write_trajectory_csv(
         raise ValueError(f"m must run 1..M, one series per row, for M = {len(t)} rows")
     lines = _comment_header(echo)
     lines.append(",".join(TRAJECTORY_COLUMNS))
-    rows = _csv_rows(t, c2_sq, g2, g2_processed)
-    _write_text(Path(path), "\n".join(lines) + "\n" + rows)
+    header = ("\n".join(lines) + "\n").encode()
+    _write_bytes(Path(path), header + _csv_rows(t, c2_sq, g2, g2_processed))
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[dict[str, Any] | None, dict[str, np.ndarray]]:
@@ -421,7 +449,7 @@ def spectrum_payload(
 
 
 def write_json(path: str | Path, payload: dict[str, Any]) -> None:
-    _write_text(Path(path), dump_json(payload))
+    _write_bytes(Path(path), dump_json(payload))
 
 
 def report_payload(report: dict[str, Any], echo: dict[str, Any]) -> dict[str, Any]:
@@ -448,7 +476,7 @@ def write_sweep_csv(
         lines.append(",".join(fmt(row[name]) if not isinstance(row[name], str) else row[name]
                               for name in SWEEP_COLUMNS))
     lines.append(f"# skipped_points: {skipped}")
-    _write_text(Path(path), "\n".join(lines) + "\n")
+    _write_bytes(Path(path), ("\n".join(lines) + "\n").encode())
 
 
 GNUPLOT_TEMPLATE = """\
@@ -466,4 +494,4 @@ pause -1
 
 
 def write_gnuplot_script(path: str | Path, csv_name: str) -> None:
-    _write_text(Path(path), GNUPLOT_TEMPLATE.format(csv=csv_name))
+    _write_bytes(Path(path), GNUPLOT_TEMPLATE.format(csv=csv_name).encode())

@@ -98,7 +98,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     target = args.out_dir if args.out_dir is not None else config.out_dir
     if target is not None:
         artifacts.write_report_json(_out_dir(target) / "report.json", payload)
-    sys.stdout.write(artifacts.dump_json(payload))
+    sys.stdout.write(artifacts.dump_json(payload).decode("ascii"))
     return 0
 
 

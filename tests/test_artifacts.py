@@ -88,7 +88,7 @@ def reference_json(payload) -> str:
 @example({"n": np.arange(3), "x": np.float64(0.5)})
 @example({"p": np.array([0.1, -0.0, math.nan, math.inf]), "q": np.array([0.1, 1e-05])})
 def test_dump_json_is_the_json_module_text(payload):
-    assert dump_json(payload) == reference_json(payload)
+    assert dump_json(payload) == reference_json(payload).encode()
 
 
 def test_dump_json_rejects_keys_json_would_convert():
@@ -522,7 +522,7 @@ signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
 hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
 resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))
 try:
-    artifacts._write_text(Path(sys.argv[2]), "new " * 10000)
+    artifacts._write_bytes(Path(sys.argv[2]), b"new " * 10000)
 except artifacts.ArtifactError as exc:
     print(exc)
 """
@@ -609,17 +609,17 @@ def test_compiled_formatter_is_in_use():
 UNWRITTEN, SLACK = 0xA5, 8
 
 
-def written(out: np.ndarray, size: int) -> str | None:
-    """The text of a raw call's ``size`` bytes, or None for -1; either way
-    asserts that no other byte of ``out`` was written."""
+def written(out: np.ndarray, size: int) -> bytes | None:
+    """A raw call's ``size`` bytes, or None for -1; either way asserts that
+    no other byte of ``out`` was written."""
     if size < 0:
         assert size == -1 and (out == UNWRITTEN).all()
         return None
     assert (out[size:] == UNWRITTEN).all()
-    return out[:size].tobytes().decode("ascii")
+    return out[:size].tobytes()
 
 
-def raw_join(library, values: np.ndarray, separator: str, short: int = 0) -> str | None:
+def raw_join(library, values: np.ndarray, separator: str, short: int = 0) -> bytes | None:
     """``um_repr_join`` into a capacity ``short`` bytes below its worst case."""
     sep = separator.encode("ascii")
     capacity = (_kernel.REPR_MAX + len(sep)) * len(values) - short
@@ -630,7 +630,7 @@ def raw_join(library, values: np.ndarray, separator: str, short: int = 0) -> str
     return written(out, size)
 
 
-def raw_rows(library, columns: np.ndarray, short: int = 0) -> str | None:
+def raw_rows(library, columns: np.ndarray, short: int = 0) -> bytes | None:
     """``um_repr_rows`` into a capacity ``short`` bytes below its worst case."""
     width, n = columns.shape
     capacity = (_kernel.INDEX_MAX + 1 + (_kernel.REPR_MAX + 1) * width) * n - short
@@ -733,14 +733,14 @@ def test_compiled_texts_are_float_repr(values):
     array = np.array(values, dtype=float)
     texts = repr_texts(array)
     for separator in (",", *JSON_SEPARATORS):
-        assert artifacts._joined(array, separator) == separator.join(texts)
+        assert artifacts._joined(array, separator) == separator.join(texts).encode()
     columns = (array, -array, array[::-1], np.roll(array, 1))
     payload = {"array": array, "nested": [array]}  # at two indentations
     rows, text = artifacts._csv_rows(*columns), dump_json(payload)
     with python_writer():
         assert rows == artifacts._csv_rows(*columns)
         assert text == dump_json(payload)
-    assert text == reference_json(payload)
+    assert text == reference_json(payload).encode()
 
 
 @needs_library
@@ -763,7 +763,7 @@ def test_compiled_texts_match_float_repr_at_every_binary_exponent():
         [1e21, 1e22, 1e23, 2e22, 9e22],
     ])
     values = np.concatenate([exponents, -exponents, patterns.view(np.float64), short])
-    assert artifacts._joined(values, ",") == ",".join(repr_texts(values))
+    assert artifacts._joined(values, ",") == ",".join(repr_texts(values)).encode()
     columns = exponents.reshape(2, -1)
     rows = artifacts._csv_rows(*columns, *-columns)
     with python_writer():
@@ -773,9 +773,9 @@ def test_compiled_texts_match_float_repr_at_every_binary_exponent():
 @needs_library
 def test_compiled_texts_copy_what_the_pointer_cannot_read():
     values = np.arange(12.0).reshape(3, 4) / 7
-    assert artifacts._joined(values[:, 1], ",") == ",".join(repr_texts(values[:, 1]))
+    assert artifacts._joined(values[:, 1], ",") == ",".join(repr_texts(values[:, 1])).encode()
     swapped = values.ravel().astype(">f8")
-    assert artifacts._joined(swapped, ",") == ",".join(repr_texts(values.ravel()))
+    assert artifacts._joined(swapped, ",") == ",".join(repr_texts(values.ravel())).encode()
     rows = artifacts._csv_rows(values[:, 1], swapped[:3], values[0, :3].astype(">f8"))
     with python_writer():
         expected = artifacts._csv_rows(values[:, 1], swapped[:3], values[0, :3])
@@ -799,31 +799,46 @@ def test_rows_are_numbered_across_every_digit_count():
         assert rows == artifacts._csv_rows(column)
     lines = rows.splitlines()
     assert len(lines) == len(column)
-    assert all(line.startswith(f"{r},") for r, line in enumerate(lines, start=1))
+    assert all(line.startswith(f"{r},".encode()) for r, line in enumerate(lines, start=1))
+
+
+@pytest.fixture(scope="module")
+def random_doubles():
+    """EDGE_DOUBLES and 10^5 random bit patterns, with the oracle's text of
+    each and of its negation, formatted once for the module."""
+    patterns = np.random.default_rng(20261020).integers(0, 2**64, 100_000, dtype=np.uint64)
+    values = np.concatenate([EDGE_DOUBLES, patterns.view(np.float64)])
+    return values, repr_texts(values), repr_texts(-values)
 
 
 @needs_cc
 @needs_library
-def test_the_portable_product_writes_and_reads_as_the_python_routes(portable_library):
+def test_the_portable_product_writes_and_reads_as_the_python_routes(
+    portable_library, random_doubles
+):
     # the library built without unsigned __int128, as a compiler without it
-    # builds it: umul128's portable body does every product
+    # builds it: umul128's portable body does every product.  The Python
+    # routes' bytes are joined from the shared texts, as those routes join them
     library = typed_copy(portable_library)
-    patterns = np.random.default_rng(20261020).integers(0, 2**64, 100_000, dtype=np.uint64)
-    values = np.concatenate([EDGE_DOUBLES, patterns.view(np.float64)])
+    values, texts, negated = random_doubles
     columns = np.array([values, -values, values[::-1], np.roll(values, 1)])
-    with python_writer():
-        for separator in (",", *JSON_SEPARATORS):
-            assert raw_join(library, values, separator) == artifacts._joined(values, separator)
-        rows = artifacts._csv_rows(*columns)
-    assert raw_rows(library, columns) == rows
+    column_texts = (texts, negated, texts[::-1], texts[-1:] + texts[:-1])
+    for separator in (",", *JSON_SEPARATORS):
+        assert raw_join(library, values, separator) == separator.join(texts).encode()
+    numbers = [str(m) for m in range(1, len(values) + 1)]
+    lines = [",".join(row) + "\n" for row in zip(numbers, *column_texts)]
+    assert raw_rows(library, columns) == "".join(lines).encode()
     # a row with a subnormal is declined, for float() to read
-    lines = np.array(rows.splitlines(keepends=True))
     subnormal = ((columns != 0) & (np.abs(columns) < 2.2250738585072014e-308)).any(axis=0)
     assert subnormal.any()
-    assert all(raw_parse(library, line.encode())[0] == -1 for line in lines[subnormal])
-    count, parsed = raw_parse(library, "".join(lines[~subnormal]).encode())
-    assert count == len(parsed) == (~subnormal).sum()
-    expected = [[float(field) for field in line.split(",")] for line in lines[~subnormal]]
+    assert all(raw_parse(library, lines[row].encode())[0] == -1 for row in np.flatnonzero(subnormal))
+    kept = np.flatnonzero(~subnormal)
+    count, parsed = raw_parse(library, "".join([lines[row] for row in kept]).encode())
+    assert count == len(parsed) == len(kept)
+    # float() of every field, each text read once: a column reads as its texts do
+    read = [list(map(float, column)) for column in (numbers, texts, negated)]
+    fields = np.array([read[0], read[1], read[2], read[1][::-1], read[1][-1:] + read[1][:-1]])
+    expected = fields.T[kept]
     assert np.array_equal(parsed, expected, equal_nan=True)
     assert np.array_equal(np.signbit(parsed), np.signbit(expected))
 
@@ -833,8 +848,8 @@ def test_a_non_finite_float_array_is_quoted_as_json_safe_quotes_it():
         "a": np.array([0.1, math.nan, -0.0, math.inf, -math.inf]),
         "b": [np.array([math.nan])],
     }
-    expected = reference_json(payload)
-    assert '"nan"' in expected and '"-inf"' in expected
+    expected = reference_json(payload).encode()
+    assert b'"nan"' in expected and b'"-inf"' in expected
     assert dump_json(payload) == expected
     with python_writer():
         assert dump_json(payload) == expected
@@ -922,6 +937,94 @@ def test_compiled_parse_reads_decimals_as_float_does(texts):
             assert math.copysign(1, data[0, 1]) == math.copysign(1, expected), text
 
 
+# a field in repr's spelling, its integer and fraction digits grouped
+REPR_FIELD = re.compile(r"-?(?:inf|nan|([0-9]+)(?:\.([0-9]+))?(?:e[+-][0-9]+)?)")
+
+
+def model_parse(text: str) -> list[list[float]] | None:
+    """What ``um_parse_rows`` gives for the rows ``text``, by the rule it
+    follows: float() of every field, or None where it declines, which is
+    where a row is not five fields in repr's spelling ended by a line break,
+    a field has more than 19 significant digits, or a field's digits are
+    not all zero and its double is not normal."""
+    if not text.endswith("\n"):
+        return None
+    rows = []
+    for line in text[:-1].split("\n"):
+        fields = line.split(",")
+        if len(fields) != 5:
+            return None
+        for field in fields:
+            match = REPR_FIELD.fullmatch(field)
+            if match is None or field == "-nan":
+                return None
+            significant = ((match[1] or "") + (match[2] or "")).lstrip("0")
+            if len(significant) > 19:
+                return None
+            if significant and not 2.2250738585072014e-308 <= abs(float(field)) < math.inf:
+                return None
+        rows.append([float(field) for field in fields])
+    return rows
+
+
+# 19 digits with no zero among them, so a cut of them starts with a digit
+# the significant count includes
+DIGITS = "7182818284590452353"
+
+
+def eight_digit_step_rows() -> list[str]:
+    """Rows at the edges of the parse's 8-digit step: fractions of either
+    side of one and two chunks, in a middle and in the last field, with and
+    without an exponent; zeros before the first significant digit that end
+    in every place of the first three chunks, before 19 and 20 significant
+    digits; and each byte that ends a run of digits, and the bytes just
+    outside '0'-'9', at every offset of the first and of the second chunk."""
+    rows = []
+    for count in (7, 8, 9, 15, 16, 17):
+        for whole in ("0", "3", "-12"):
+            for exponent in ("", "e-07", "e+22"):
+                field = f"{whole}.{DIGITS[:count]}{exponent}"
+                rows += [f"1,{field},0.5,0.5,0.5\n", f"1,0.5,0.5,0.5,{field}\n"]
+    for zeros in range(17):
+        for significant in ("1" + DIGITS[:18], "1" + DIGITS):
+            rows.append(f"1,0.{'0' * zeros}{significant},-0.5,0.5,0.5\n")
+    for chunk in (0, 8):
+        for offset in range(8):
+            before, after = DIGITS[: chunk + offset], DIGITS[chunk + offset : 17]
+            rows += [
+                f"1,0.5,0.{before}/{after},0.5,0.5\n",
+                f"1,0.5,0.{before}:{after},0.5,0.5\n",
+                f"1,0.5,0.{before}.{after},0.5,0.5\n",
+                f"1,0.5,0.{before}e-05,{after},0.5\n",
+                f"1,0.5,0.5,0.{before},{after}\n",
+                f"1,0.5,0.5,0.5,0.{before}\n2,{after},0.5,0.5,0.5\n",
+            ]
+    return rows
+
+
+def end_of_buffer_rows() -> list[str]:
+    """Rows whose last field's digits end 0 to 7 bytes, and more, before
+    the end of the buffer, after none, one or two chunks: the step must not
+    load a chunk that runs past that end."""
+    return [
+        f"1,0.5,0.5,0.5,{sign}0.{DIGITS[:count]}\n"
+        for sign in ("", "-") for count in range(1, 20)
+    ]
+
+
+@needs_library
+def test_the_eight_digit_step_reads_and_declines_as_float_and_the_rule_do():
+    for text in eight_digit_step_rows() + end_of_buffer_rows():
+        expected = model_parse(text)
+        data = artifacts._compiled_rows(text.encode())
+        if expected is None:
+            assert data is None, text
+        else:
+            assert data is not None, text
+            assert np.array_equal(data, expected, equal_nan=True), text
+            assert np.array_equal(np.signbit(data), np.signbit(expected)), text
+
+
 # runs every entry point of the library at sys.argv[2] in place of the one
 # the package loaded, on the inputs of the JSON on stdin, and prints what
 # each gave; a sanitized build aborts at the first undefined behaviour or
@@ -934,7 +1037,9 @@ def test_compiled_parse_reads_decimals_as_float_does(texts):
 # group padded from five rows (13), and on a padded and a full group that
 # stop; the out buffers of um_repr_join and um_repr_rows, of the capacity
 # each call is given, on values whose texts are all REPR_MAX long; and the
-# buffer and out of um_parse_rows on each text of a byte-edit corpus
+# buffer and out of um_parse_rows on each text of a byte-edit corpus and on
+# rows whose last digits end within 8 bytes of the buffer's end, where the
+# 8-digit step's load nearest that end is checked
 SANITIZED = """
 import ctypes, json, sys
 import numpy as np
@@ -980,14 +1085,15 @@ def parsed(text):
     rows = library.um_parse_rows(buffer.ctypes.data, buffer.size, out.ctypes.data, out.size)
     return [rows, repr(out[:max(rows, 0)].tolist())]
 
+# the writers' bytes as JSON strings
 print(json.dumps({
     "longest": [
-        [artifacts._joined(x, separator) for separator in inputs["separators"]]
-        + [artifacts._csv_rows(x, x, x, x)] for x in longest
+        [artifacts._joined(x, separator).decode() for separator in inputs["separators"]]
+        + [artifacts._csv_rows(x, x, x, x).decode()] for x in longest
     ],
     "edited": [parsed(text) for text in inputs["edited"]],
-    "joined": [artifacts._joined(values, separator) for separator in inputs["separators"]],
-    "rows": artifacts._csv_rows(values, -values, values[::-1], np.roll(values, 1)),
+    "joined": [artifacts._joined(values, separator).decode() for separator in inputs["separators"]],
+    "rows": artifacts._csv_rows(values, -values, values[::-1], np.roll(values, 1)).decode(),
     "parsed": repr(artifacts._compiled_rows(inputs["parsed"].encode()).tolist()),
     "decimals": [None if row is None else repr(row[0, 1]) for row in rows],
     "replicates": repr(replicates),
@@ -1023,7 +1129,8 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(
     seeds = [*range(1, 10), 0, 2**32 - 1, 2**32, 2**64 - 1]
     # a seeded corpus of runs of fig3 body rows, each with up to six bytes
     # replaced, inserted or deleted, the new bytes from the alphabet of
-    # test_any_byte_edit_of_the_csv_exits_0_or_2, of more than 16 bytes each
+    # test_any_byte_edit_of_the_csv_exits_0_or_2, of more than 16 bytes each,
+    # then the rows whose digits end near the end of the buffer
     record, processed, _, _ = fig3_artifacts
     body = artifacts._csv_rows(record.t, record.c2_sq, record.g2, processed)
     lines, alphabet = body.splitlines(keepends=True), b'0123456789.,-+eE\n\r#:{}"nai '
@@ -1031,7 +1138,7 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(
     edited = []
     while len(edited) < 400:
         start = int(edits.integers(len(lines) - 12))
-        data = bytearray("".join(lines[start : start + int(edits.integers(1, 12))]).encode())
+        data = bytearray(b"".join(lines[start : start + int(edits.integers(1, 12))]))
         for _ in range(int(edits.integers(7))):
             kind, at = int(edits.integers(3)), int(edits.integers(len(data)))
             if kind == 0:
@@ -1042,6 +1149,7 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(
                 del data[at]
         if len(data) > 16:
             edited.append(data.decode("ascii"))
+    edited += end_of_buffer_rows()
     inputs = {
         "bits": values.view(np.uint64).tolist(), "texts": texts,
         "separators": [",", *JSON_SEPARATORS], "parsed": PARSED_TEXT.decode(),
@@ -1052,8 +1160,8 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(
     assert len(repr(-2.2250738585072014e-308)) == _kernel.REPR_MAX
     longest = [np.full(n, -2.2250738585072014e-308) for n in inputs["longest"]]
     expected_longest = [
-        [artifacts._joined(x, separator) for separator in separators]
-        + [artifacts._csv_rows(x, x, x, x)] for x in longest
+        [artifacts._joined(x, separator).decode() for separator in separators]
+        + [artifacts._csv_rows(x, x, x, x).decode()] for x in longest
     ]
     expected_edited = []
     for text in edited:
@@ -1073,8 +1181,12 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(
         )
         assert run.returncode == 0, run.stderr
         result = json.loads(run.stdout)
-        assert result["joined"] == [artifacts._joined(values, separator) for separator in separators]
-        assert result["rows"] == artifacts._csv_rows(values, -values, values[::-1], np.roll(values, 1))
+        assert result["joined"] == [
+            artifacts._joined(values, separator).decode() for separator in separators
+        ]
+        assert result["rows"] == artifacts._csv_rows(
+            values, -values, values[::-1], np.roll(values, 1)
+        ).decode()
         assert result["parsed"] == repr(PARSED)
         assert result["decimals"] == [None if row is None else repr(row[0, 1]) for row in expected]
         assert result["replicates"] == repr(replicates)

@@ -596,6 +596,29 @@ def test_a_lone_row_stops_only_on_the_outcome_it_reads(monkeypatch):
     assert stream.tolist() == streams_of(2026).tolist()
 
 
+@needs_library
+@pytest.mark.parametrize("lane", [0, 1], ids=["lane-0", "lane-1"])
+def test_a_group_stops_at_a_lane_whose_norm_is_zero(lane):
+    # a vanishing state reads "-", whose factors scale it to the zero
+    # vector, in one lane of a group of two rows.  The call's one step
+    # leaves no later p_plus check to meet the NaN that dividing by that
+    # norm leaves, so only the group's own zero-norm test stops it: the
+    # row raises with its state and stream as they were, and a row before
+    # it is advanced by the Python route
+    one_step = quiet_config(**{**LANE_CONFIG, "n_per_series": 1, "m_series": 1})
+    states = [HEALTHY, HEALTHY]
+    states[lane] = VANISHING
+    streams = streams_of(2026, 2, 1)
+    after, error = run_rows(_compiled_advance, states, one_step, streams)
+    assert error == (DegenerateOutcomeError, _ZERO_NORM)
+    assert after == [[1.0, 0.0, 0.0, 0.0]] * lane + [
+        [c.c1.real, c.c1.imag, c.c2.real, c.c2.imag] for c in states[lane:]
+    ]
+    assert streams.tolist() == (
+        streams_of(2026, 3, 1)[1 : lane + 1].tolist() + streams_of(2026, 2, 1)[lane:].tolist()
+    )
+
+
 def test_a_negative_p_plus_in_a_lane_is_an_excursion():
     # no PovmParams gives p1 < 0, so the constants are set by hand; |2>
     # gives p_plus = 0 and stays, (0.6, 0.8) gives p_plus = -0.36, which
@@ -830,8 +853,8 @@ print(json.dumps({
     "table_computed": bool(tables),
     "library": str(_kernel.library_path()),
     "c2_sq": c2_sq.tolist(),
-    "json": artifacts.dump_json(c2_sq),
-    "rows": artifacts._csv_rows(c2_sq, -c2_sq),
+    "json": artifacts.dump_json(c2_sq).decode(),
+    "rows": artifacts._csv_rows(c2_sq, -c2_sq).decode(),
 }))
 """
 
