@@ -10,27 +10,39 @@ and its spectrum hold some 20k floats, and ``analyze`` first parses 10k.
 So floats are formatted and parsed in bulk, never one numpy scalar at a
 time:
 
-- The compiled library (``_repr.c``) writes whole bodies, each in one
-  call: ``_csv_rows`` the data rows of a trajectory CSV (``um_repr_rows``,
-  which numbers the rows 1..M itself) and ``_joined`` a float array's
-  texts joined by a separator (``um_repr_join``), which ``dump_json``
-  calls with the separator of the array's indentation.  Each float is
-  ``float.__repr__``'s exact text, the text ``fmt`` and ``json`` give a
-  finite float.  A body stays the ASCII bytes the library wrote, with no
-  Python object per float and no decode: ``dump_json`` joins bytes parts
-  into one ``bytes``, the CSV writer puts its encoded header before the
-  rows, and ``_write_bytes`` writes bytes, so no text is joined and then
-  encoded again.  Only ``report`` decodes, once, to print.  A float array
-  that holds a non-finite value is written item by item instead, through
-  ``json_safe``, which quotes that value.  Where ``_WRITER`` is None (no
-  library loaded) both bodies are joined from one ``float.__repr__`` call
-  per float and encoded, which gives the same bytes.
+- A trajectory CSV or JSON body is a list of parts, each bytes or a float
+  part, which ``_assemble`` writes one after the other into one byte buffer
+  per thread (a sweep CSV, a few hundred bytes, is written as bytes).
+  The buffer is kept from write to write and grows to the thread's largest
+  body, so once it has, a write touches no fresh page: a body built in
+  fresh memory faulted some 185 pages back in per ``simulate`` or
+  ``analyze`` op, as the allocator hands freed memory back to the system.
+  A body whose worst case exceeds ``_KEPT_MAX`` gets a buffer of its own,
+  freed after its write.  ``_assemble`` sizes the worst case of all parts,
+  copies each run of bytes parts in once and has the compiled library
+  (``_repr.c``) write each float part at its place, in one call: the data
+  rows of a trajectory CSV (``um_repr_rows``, which numbers the rows 1..M
+  itself) or a float array's texts joined by a separator
+  (``um_repr_join``), the separator of the array's indentation in JSON.
+  Each float is ``float.__repr__``'s exact text, the text ``fmt`` and
+  ``json`` give a finite float.  The body is the ASCII bytes written, with
+  no Python object per float, no decode and no copy of the whole:
+  ``write_json``, ``write_report_json`` and ``write_trajectory_csv`` hand
+  ``_write_bytes`` a view of the buffer, and only ``dump_json`` copies it
+  into ``bytes``, for ``report``, which decodes it once to print.  A float
+  array that holds a non-finite value is written item by item instead,
+  through ``json_safe``, which quotes that value.  Where ``_WRITER`` is
+  None (no library loaded) a float part is its text joined from one
+  ``float.__repr__`` call per float and encoded, which gives the same
+  bytes, and is copied in as bytes are.
 - ``read_trajectory_csv`` reads the file once as bytes and decodes only
   the lines up to the header.  The data rows after it go to one call into
   the compiled library (``um_parse_rows`` in ``_repr.c``), which reads
-  exactly the rows ``write_trajectory_csv`` writes (five fields in
-  ``repr``'s spelling, ``\\n`` endings) into the doubles ``float()`` gives,
-  and declines everything else as a whole.  Where it declines, or no
+  the rows ``write_trajectory_csv`` writes (five fields in ``repr``'s
+  grammar, ``\\n`` endings) into the doubles ``float()`` gives, and
+  declines everything else as a whole.  The grammar admits texts ``repr``
+  never writes, such as ``1.50`` or ``1.5e+00``, so a field read is not
+  always ``repr``'s text of its double.  Where it declines, or no
   library loaded, the whole file is decoded and one loop reads its rows
   line by line, every field by ``float()`` itself, into an array of
   doubles.  It raises at the first bad line and names it, so every error
@@ -51,6 +63,7 @@ import json
 import math
 import os
 import stat
+import threading
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
@@ -119,26 +132,29 @@ def check_targets(paths: list[Path]) -> None:
             raise ArtifactError(f"cannot write {path}: {reason}")
 
 
-def _write_bytes(path: Path, data: bytes) -> None:
+def _write_bytes(path: Path, data: bytes | memoryview) -> None:
     """Write ``data`` to ``path`` whole or not at all.
 
     The bytes go to a new file beside the target, which ``os.replace`` then
     moves onto it, so a write that fails partway leaves the old file (or
-    none) and no temporary file.  A symlinked target is resolved first, so
-    the link keeps pointing at the new bytes.  The file is new, so it gets
-    a new file's mode, and its directory must be writable.
+    none) and no temporary file.  A target that is itself a symlink is
+    resolved first, so the link keeps pointing at the new bytes; a
+    symlinked directory needs no resolving, as the new file lands beside
+    the target through it either way.  The file is new, so it gets a new
+    file's mode, and its directory must be writable.
     """
-    target = os.path.realpath(path)
+    target = os.path.realpath(path) if os.path.islink(path) else path
     temp = f"{target}.{os.urandom(4).hex()}.tmp"
     try:
         with open(temp, "xb") as handle:
             handle.write(data)
         os.replace(temp, target)
-    except OSError as exc:  # a directory in the way, say
-        raise ArtifactError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    finally:
+    except BaseException as exc:
         if os.path.lexists(temp):  # the write or the replace failed
             os.unlink(temp)
+        if isinstance(exc, OSError):  # a directory in the way, say
+            raise ArtifactError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
 
 
 _LIBRARY = _kernel.load()
@@ -147,42 +163,103 @@ _PARSE = None if _LIBRARY is None else _LIBRARY.um_parse_rows
 _WRITER = _LIBRARY
 
 
-def _body(out: np.ndarray, size: int) -> bytes:
-    """The ``size`` bytes a compiled writer put at the start of ``out``."""
-    if size < 0:  # the capacity passed is the worst case of _kernel's sizes
-        raise RuntimeError("the float writer wrote nothing: it refused the buffer's size")
-    return out[:size].tobytes()
+# A body larger than this in the worst case gets a buffer of its own, freed
+# after its write: about 10 times the presets' largest (some 0.36 MB), so
+# that a run of a million series does not keep its ~120 MB for good.
+_KEPT_MAX = 4 << 20
+_kept = threading.local()  # .buffer: the thread's bytes, as long as its largest body
+# a body part: bytes, or a float part, the floats for the compiled writer
+# with the separator that joins them, or None for CSV rows
+_Part = bytes | tuple[np.ndarray, bytes | None]
 
 
-def _joined(values: Any, separator: str) -> bytes:
-    """The ``float.__repr__`` text of each element of a 1-d array, joined by
-    ``separator``, as ASCII bytes."""
+def _join_part(values: Any, separator: str) -> _Part:
+    """The part for the ``float.__repr__`` text of each element of a 1-d
+    array, joined by ``separator``; the text itself where no library loaded."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 1:  # the library reads len(values) doubles from the pointer
         raise ValueError(f"expected a 1-d array, got shape {values.shape}")
     if _WRITER is None:
         return separator.join(map(float.__repr__, values.tolist())).encode()
-    sep = separator.encode("ascii")
-    out = np.empty((_kernel.REPR_MAX + len(sep)) * len(values), dtype=np.uint8)
-    size = _WRITER.um_repr_join(
-        values.ctypes.data, len(values), sep, len(sep), out.ctypes.data, out.size
-    )
-    return _body(out, size)
+    return values, separator.encode("ascii")
+
+
+def _rows_part(*columns: Any) -> _Part:
+    """The part for the CSV rows ``r,v1,...,vk\\n`` for r = 1..M, each row's
+    number and ``float.__repr__`` of the values in ``columns`` beside it; the
+    text itself where no library loaded."""
+    values = np.array(columns, dtype=np.float64)  # C-contiguous, a column per row
+    if values.ndim != 2:
+        raise ValueError(f"expected 1-d columns of one length, got shape {values.shape}")
+    if _WRITER is None:
+        n = values.shape[1]
+        texts = zip(map(str, range(1, n + 1)), *(map(float.__repr__, v) for v in values.tolist()))
+        return "".join([",".join(row) + "\n" for row in texts]).encode()
+    return values, None
+
+
+def _worst_case(part: _Part) -> int:
+    """The most bytes ``part`` can take: the capacity its writer needs."""
+    if isinstance(part, bytes):
+        return len(part)
+    values, separator = part
+    if separator is None:
+        width, n = values.shape
+        return (_kernel.INDEX_MAX + 1 + (_kernel.REPR_MAX + 1) * width) * n
+    return (_kernel.REPR_MAX + len(separator)) * len(values)
+
+
+def _assemble(parts: list[_Part]) -> memoryview:
+    """The body that ``parts`` spell, one after the other, as a view of the
+    thread's kept buffer, valid until the thread's next body.
+
+    Each run of bytes parts is copied in once, and the compiled writer puts
+    each float part at its place, so no body is copied whole, and once the
+    buffer has grown to the largest body no fresh page is touched.
+    """
+    sizes = [_worst_case(part) for part in parts]
+    total = sum(sizes)
+    if total > _KEPT_MAX:
+        buffer = np.empty(total, dtype=np.uint8)
+    else:
+        buffer = getattr(_kept, "buffer", None)
+        if buffer is None or len(buffer) < total:
+            buffer = _kept.buffer = np.empty(total, dtype=np.uint8)
+    view, address = memoryview(buffer), buffer.ctypes.data
+    at, run = 0, []
+    for part, capacity in zip(parts, sizes):
+        if isinstance(part, bytes):
+            run.append(part)
+            continue
+        text = b"".join(run)
+        view[at : at + len(text)] = text
+        at, run = at + len(text), []
+        values, separator = part
+        if separator is None:
+            width, n = values.shape
+            size = _WRITER.um_repr_rows(values.ctypes.data, n, width, address + at, capacity)
+        else:
+            size = _WRITER.um_repr_join(
+                values.ctypes.data, len(values), separator, len(separator), address + at, capacity
+            )
+        if size < 0:  # the capacity passed is the worst case of _kernel's sizes
+            raise RuntimeError("the float writer wrote nothing: it refused the buffer's size")
+        at += size
+    text = b"".join(run)
+    view[at : at + len(text)] = text
+    return view[: at + len(text)]
+
+
+def _joined(values: Any, separator: str) -> bytes:
+    """The ``float.__repr__`` text of each element of a 1-d array, joined by
+    ``separator``, as ASCII bytes."""
+    return bytes(_assemble([_join_part(values, separator)]))
 
 
 def _csv_rows(*columns: Any) -> bytes:
     """The CSV rows ``r,v1,...,vk\\n`` for r = 1..M, as ASCII bytes: each
     row's number and ``float.__repr__`` of the values in ``columns`` beside it."""
-    values = np.array(columns, dtype=np.float64)  # C-contiguous, a column per row
-    if values.ndim != 2:
-        raise ValueError(f"expected 1-d columns of one length, got shape {values.shape}")
-    width, n = values.shape
-    if _WRITER is None:
-        texts = zip(map(str, range(1, n + 1)), *(map(float.__repr__, v) for v in values.tolist()))
-        return "".join([",".join(row) + "\n" for row in texts]).encode()
-    out = np.empty((_kernel.INDEX_MAX + 1 + (_kernel.REPR_MAX + 1) * width) * n, dtype=np.uint8)
-    size = _WRITER.um_repr_rows(values.ctypes.data, n, width, out.ctypes.data, out.size)
-    return _body(out, size)
+    return bytes(_assemble([_rows_part(*columns)]))
 
 
 def _json_scalar(value: Any) -> bytes:
@@ -203,10 +280,10 @@ def _json_scalar(value: Any) -> bytes:
     return json.dumps(json_safe(value)).encode()  # json's own TypeError for any other object
 
 
-def _json_parts(value: Any, newline: str, parts: list[bytes]) -> None:
+def _json_parts(value: Any, newline: str, parts: list[_Part]) -> None:
     """Append ``value``'s text, as ``json.dumps(json_safe(value), indent=2)``
     spells it at the indentation that ``newline`` carries, to ``parts`` as
-    ASCII bytes."""
+    ``_assemble``'s parts: ASCII bytes, and a float part per float array."""
     inner = newline + "  "
     # a float array in one call; one that holds a non-finite value takes the
     # list route below, where json_safe writes that value as a string
@@ -214,7 +291,7 @@ def _json_parts(value: Any, newline: str, parts: list[bytes]) -> None:
         isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f"
         and len(value) and np.isfinite(value).all()
     ):
-        parts += (b"[", inner.encode(), _joined(value, "," + inner), newline.encode(), b"]")
+        parts += (b"[", inner.encode(), _join_part(value, "," + inner), newline.encode(), b"]")
         return
     if isinstance(value, np.ndarray):
         value = value.tolist()
@@ -239,13 +316,18 @@ def _json_parts(value: Any, newline: str, parts: list[bytes]) -> None:
     parts.append(newline.encode() + brackets[1:])
 
 
-def dump_json(payload: Any) -> bytes:
-    """``json.dumps(json_safe(payload), indent=2) + "\\n"`` as ASCII bytes,
-    float arrays in bulk, joined once from the parts of the text."""
-    parts: list[bytes] = []
+def _json_body(payload: Any) -> memoryview:
+    """``dump_json``'s bytes, as ``_assemble``'s view."""
+    parts: list[_Part] = []
     _json_parts(payload, "\n", parts)
     parts.append(b"\n")
-    return b"".join(parts)
+    return _assemble(parts)
+
+
+def dump_json(payload: Any) -> bytes:
+    """``json.dumps(json_safe(payload), indent=2) + "\\n"`` as ASCII bytes,
+    float arrays in bulk."""
+    return bytes(_json_body(payload))
 
 
 def _comment_header(echo: dict[str, Any]) -> list[str]:
@@ -267,7 +349,7 @@ def write_trajectory_csv(
     lines = _comment_header(echo)
     lines.append(",".join(TRAJECTORY_COLUMNS))
     header = ("\n".join(lines) + "\n").encode()
-    _write_bytes(Path(path), header + _csv_rows(t, c2_sq, g2, g2_processed))
+    _write_bytes(Path(path), _assemble([header, _rows_part(t, c2_sq, g2, g2_processed)]))
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[dict[str, Any] | None, dict[str, np.ndarray]]:
@@ -449,7 +531,7 @@ def spectrum_payload(
 
 
 def write_json(path: str | Path, payload: dict[str, Any]) -> None:
-    _write_bytes(Path(path), dump_json(payload))
+    _write_bytes(Path(path), _json_body(payload))
 
 
 def report_payload(report: dict[str, Any], echo: dict[str, Any]) -> dict[str, Any]:

@@ -18,11 +18,13 @@ import contextlib
 import ctypes
 import json
 import math
+import os
 import re
 import signal
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -511,6 +513,112 @@ def test_artifact_write_speed_smoke(benchmark, tmp_path, fig3_artifacts):
     )
 
 
+def test_a_short_body_after_a_long_one_holds_only_its_own_bytes(tmp_path, fig3_artifacts):
+    # the second body of each kind goes into the buffer the first one grew
+    record, processed, echo, payload = fig3_artifacts
+    csv_path, json_path = tmp_path / "trajectory.csv", tmp_path / "spectrum.json"
+    short = {"a": np.array([0.5, 1.5]), "b": 3}
+    write_json(json_path, payload)
+    write_json(json_path, short)
+    assert json_path.read_bytes() == dump_json(short) == reference_json(short).encode()
+    write_trajectory_csv(csv_path, record.m, record.t, record.c2_sq, record.g2, processed, echo)
+    m, t = np.arange(1, 4), np.array([0.25, 0.5, 0.75])
+    write_trajectory_csv(csv_path, m, t, -t, t**2, t / 3, {"n": 1})
+    assert csv_path.read_text(encoding="utf-8").splitlines()[1:] == [
+        '# config: {"n":1}', ",".join(TRAJECTORY_COLUMNS)
+    ] + [",".join([str(i + 1), *(fmt(x[i]) for x in (t, -t, t**2, t / 3))]) for i in range(3)]
+
+
+def test_threads_writing_at_once_each_write_their_own_bytes(tmp_path):
+    # the float writer and the file write let the other thread run midway
+    payloads = [{"x": np.random.default_rng(seed).normal(size=3000)} for seed in (1, 2)]
+    expected = [reference_json(payload).encode() for payload in payloads]
+    start, exact = threading.Barrier(2, timeout=60), ([], [])
+
+    def write(k: int) -> None:
+        path = tmp_path / f"{k}.json"
+        start.wait()
+        for _ in range(50):
+            write_json(path, payloads[k])
+            exact[k].append(path.read_bytes() == expected[k])
+
+    threads = [threading.Thread(target=write, args=(k,)) for k in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert exact == ([True] * 50, [True] * 50)  # short where a thread raised
+
+
+def test_a_body_over_the_cap_leaves_the_kept_buffer(tmp_path):
+    write_json(tmp_path / "small.json", {"a": np.arange(10.0)})
+    kept = artifacts._kept.buffer
+    contents = kept.copy()
+    # some 4 MiB of text on either route, more in the worst case
+    values = np.arange(artifacts._KEPT_MAX // 16) / 7
+    write_json(tmp_path / "large.json", {"a": values})
+    assert artifacts._kept.buffer is kept and np.array_equal(kept, contents)
+    assert json.loads((tmp_path / "large.json").read_bytes()) == {"a": values.tolist()}
+
+
+# writes fig3's trajectory.csv and spectrum.json once, then 20 times more,
+# in a fresh interpreter, and prints the minor page faults of those 20 pairs
+WRITE_FAULTS = """
+import resource, sys, warnings
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+warnings.simplefilter("ignore")
+from unsharp_monitor.artifacts import spectrum_payload, write_json, write_trajectory_csv
+from unsharp_monitor.config import load_run_config
+from unsharp_monitor.spectral import process_readout
+from unsharp_monitor.trajectory import simulate_trajectory
+config = load_run_config(preset="fig3")
+record = simulate_trajectory(config.trajectory)
+spectrum, processed = process_readout(
+    record.g2, config.trajectory.delta_t, config.wiener, config.truncation
+)
+echo = config.resolved()
+payload = spectrum_payload(spectrum, processed, echo, config.trajectory.spec.omega_r)
+out = Path(sys.argv[2])
+
+def write_pair():
+    write_trajectory_csv(
+        out / "trajectory.csv", record.m, record.t, record.c2_sq, record.g2, processed, echo
+    )
+    write_json(out / "spectrum.json", payload)
+
+write_pair()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    write_pair()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@needs_library
+def test_rewriting_the_artifacts_touches_no_fresh_page(tmp_path):
+    # a body made in fresh memory faults some 165 pages in per pair: once
+    # freed, the allocator hands them back to the system.  The child runs
+    # without -X dev and PYTHONMALLOC, whose debug allocator hides that
+    pytest.importorskip("resource")
+    package = Path(artifacts.__file__).parents[1]
+    environment = {
+        name: value for name, value in os.environ.items()
+        if name not in ("PYTHONMALLOC", "PYTHONDEVMODE")
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", WRITE_FAULTS, str(package), str(tmp_path)],
+        capture_output=True, text=True, timeout=120, check=True, env=environment,
+    )
+    assert int(proc.stdout) < 20
+
+
 # writes text past a file-size limit of 4096 bytes in a fresh interpreter:
 # the write fails partway, with EFBIG once the limit is reached
 PARTWAY = """
@@ -557,6 +665,18 @@ def test_a_rewrite_replaces_the_file_and_keeps_a_link(tmp_path):
     assert real.read_text(encoding="utf-8") == '{\n  "a": [\n    1.5,\n    2.0\n  ]\n}\n'
     assert real.stat().st_ino != inode  # a new file, moved into place
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "report.json", "report.json"]
+
+
+def test_a_write_through_a_symlinked_directory_lands_in_it(tmp_path):
+    real = tmp_path / "data"
+    real.mkdir()
+    (real / "report.json").write_text("old", encoding="utf-8")
+    linked = tmp_path / "linked"
+    linked.symlink_to(real, target_is_directory=True)
+    write_json(linked / "report.json", {"a": [1.5, 2.0]})
+    assert linked.is_symlink()
+    assert (real / "report.json").read_text(encoding="utf-8") == '{\n  "a": [\n    1.5,\n    2.0\n  ]\n}\n'
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "linked", "report.json"]
 
 
 def test_a_directory_in_the_way_leaves_no_temporary_file(tmp_path):
