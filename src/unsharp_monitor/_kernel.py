@@ -18,10 +18,12 @@ build it at once.
 A build deletes the libraries that older sources left in the cache.
 ``load`` returns None, and says why in one line on stderr, when there is
 no compiler, the build fails (the line names the compiler's first error)
-or the cache directory cannot be written;
-``trajectory`` then runs its Python loop, which gives the same doubles,
-and ``artifacts`` formats with ``float.__repr__`` and parses with
-``float()``, which give the same text and the same doubles.
+or the cache directory cannot be written.  It is the one switch: every
+route of ``trajectory`` and ``artifacts`` calls ``_kernel.load()`` where
+it is chosen, so patching it moves them all.  Where it returns None,
+``trajectory`` runs its Python loop, which gives the same doubles, and
+``artifacts`` formats with ``float.__repr__`` and parses with ``float()``,
+which give the same text and the same doubles.
 """
 
 from __future__ import annotations

@@ -31,10 +31,10 @@ time:
   ``_write_bytes`` a view of the buffer, and only ``dump_json`` copies it
   into ``bytes``, for ``report``, which decodes it once to print.  A float
   array that holds a non-finite value is written item by item instead,
-  through ``json_safe``, which quotes that value.  Where ``_WRITER`` is
-  None (no library loaded) a float part is its text joined from one
-  ``float.__repr__`` call per float and encoded, which gives the same
-  bytes, and is copied in as bytes are.
+  through ``json_safe``, which quotes that value.  Where ``_kernel.load()``,
+  the one switch, returns None (no library loaded) a float part is its text
+  joined from one ``float.__repr__`` call per float and encoded, which
+  gives the same bytes, and is copied in as bytes are.
 - ``read_trajectory_csv`` reads the file once as bytes and decodes only
   the lines up to the header.  The data rows after it go to one call into
   the compiled library (``um_parse_rows`` in ``_repr.c``), which reads
@@ -157,10 +157,7 @@ def _write_bytes(path: Path, data: bytes | memoryview) -> None:
         raise
 
 
-_LIBRARY = _kernel.load()
-_PARSE = None if _LIBRARY is None else _LIBRARY.um_parse_rows
-# writes the float rows and arrays: the compiled library, or float.__repr__ where None
-_WRITER = _LIBRARY
+_kernel.load()  # builds, loads or warns at import, not in the first write; then cached
 
 
 # A body larger than this in the worst case gets a buffer of its own, freed
@@ -179,7 +176,7 @@ def _join_part(values: Any, separator: str) -> _Part:
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 1:  # the library reads len(values) doubles from the pointer
         raise ValueError(f"expected a 1-d array, got shape {values.shape}")
-    if _WRITER is None:
+    if _kernel.load() is None:
         return separator.join(map(float.__repr__, values.tolist())).encode()
     return values, separator.encode("ascii")
 
@@ -191,7 +188,7 @@ def _rows_part(*columns: Any) -> _Part:
     values = np.array(columns, dtype=np.float64)  # C-contiguous, a column per row
     if values.ndim != 2:
         raise ValueError(f"expected 1-d columns of one length, got shape {values.shape}")
-    if _WRITER is None:
+    if _kernel.load() is None:
         n = values.shape[1]
         texts = zip(map(str, range(1, n + 1)), *(map(float.__repr__, v) for v in values.tolist()))
         return "".join([",".join(row) + "\n" for row in texts]).encode()
@@ -225,7 +222,7 @@ def _assemble(parts: list[_Part]) -> memoryview:
         buffer = getattr(_kept, "buffer", None)
         if buffer is None or len(buffer) < total:
             buffer = _kept.buffer = np.empty(total, dtype=np.uint8)
-    view, address = memoryview(buffer), buffer.ctypes.data
+    view, address, library = memoryview(buffer), buffer.ctypes.data, _kernel.load()
     at, run = 0, []
     for part, capacity in zip(parts, sizes):
         if isinstance(part, bytes):
@@ -237,9 +234,9 @@ def _assemble(parts: list[_Part]) -> memoryview:
         values, separator = part
         if separator is None:
             width, n = values.shape
-            size = _WRITER.um_repr_rows(values.ctypes.data, n, width, address + at, capacity)
+            size = library.um_repr_rows(values.ctypes.data, n, width, address + at, capacity)
         else:
-            size = _WRITER.um_repr_join(
+            size = library.um_repr_join(
                 values.ctypes.data, len(values), separator, len(separator), address + at, capacity
             )
         if size < 0:  # the capacity passed is the worst case of _kernel's sizes
@@ -403,7 +400,7 @@ def _read_compiled(
     not the header, the whole file is read the other way, which raises the
     first error of the whole file.
     """
-    if _PARSE is None:
+    if _kernel.load() is None:
         return None
     if raw.startswith(_HEADER):
         start = len(_HEADER)
@@ -434,7 +431,8 @@ def _compiled_rows(raw: bytes, start: int = 0) -> np.ndarray | None:
     if not rows:
         return None
     data = np.empty((rows, len(TRAJECTORY_COLUMNS)))
-    if _PARSE(rows_bytes.ctypes.data, len(rows_bytes), data.ctypes.data, data.size) != rows:
+    parse = _kernel.load().um_parse_rows
+    if parse(rows_bytes.ctypes.data, len(rows_bytes), data.ctypes.data, data.size) != rows:
         return None
     return data
 

@@ -36,7 +36,7 @@ from .config import (
 )
 from .povm import ParameterError, StateError
 from .rabi import HamiltonianSpec
-from .series import MAX_SERIES_LENGTH
+from .series import _validate_series_args
 from .spectral import (
     MIN_SAMPLES,
     AnalysisError,
@@ -121,8 +121,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     spec = HamiltonianSpec(float_field(echo, "t_r", 1.0, positive=True))
     if "n_per_series" in echo and "tau" in echo:
         n = int_field(echo, "n_per_series", 0)
-        if not 1 <= n <= MAX_SERIES_LENGTH:
-            raise ConfigError("n_per_series", f"must lie in [1, {MAX_SERIES_LENGTH}], got {n}")
+        try:
+            _validate_series_args(n)
+        except ParameterError as exc:
+            raise ConfigError("n_per_series", str(exc)) from exc
         dt = n * float_field(echo, "tau", positive=True)
         spacing = "tau"
     else:

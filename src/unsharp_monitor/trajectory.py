@@ -20,8 +20,8 @@ scalar loop's operations, the lanes past a short group's last row
 padded with copies of it, and a lone row (a single trajectory, or the
 last of 8k + 1 rows) through the scalar loop, which scales and divides by
 both outcomes' factors as two lanes before it takes the one read; each
-row draws its own uniforms.  Without a C compiler the Python loop runs
-instead, on numpy's draws of the same streams.
+row draws its own uniforms.  Where ``_kernel.load()``, the one switch,
+returns None, the Python loop runs instead, on numpy's draws of the same streams.
 
 ``simulate_replicates`` runs one config from several seeds and returns
 the recorded arrays with one row per seed; ``simulate_trajectory`` is its
@@ -61,18 +61,23 @@ from .povm import (
 )
 from .rabi import HamiltonianSpec, rotation_half_angles
 from .series import (
-    MAX_SERIES_LENGTH,
     NBOUND_LOOSE,
     NBOUND_VIOLATED,
     RegimeParams,
+    _validate_series_args,
     best_guess,
     evaluate_regime,
 )
 
 
+def _is_integer(value) -> bool:
+    """An integer, and not a bool, which ``numbers.Integral`` admits too."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_seed(seed: int) -> None:
     # an integer: um_seed would truncate a float that numpy's SeedSequence refuses
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+    if not (_is_integer(seed) and 0 <= seed < 2**64):
         raise ParameterError(f"seed = {seed!r} must be a 64-bit unsigned integer")
 
 
@@ -104,12 +109,12 @@ class TrajectoryConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tau < 0.0:
-            raise ParameterError(f"tau = {self.tau!r} must be >= 0")
-        if not 1 <= self.n_per_series <= MAX_SERIES_LENGTH:
-            raise ParameterError(
-                f"n_per_series = {self.n_per_series} must lie in [1, {MAX_SERIES_LENGTH}]"
-            )
+        if not 0.0 <= self.tau < math.inf:  # NaN fails too
+            raise ParameterError(f"tau = {self.tau!r} must be finite and >= 0")
+        for name in ("n_per_series", "m_series"):
+            if not _is_integer(getattr(self, name)):
+                raise ParameterError(f"{name} = {getattr(self, name)!r} must be an integer")
+        _validate_series_args(self.n_per_series)
         if self.m_series < 1:
             raise ParameterError(f"m_series = {self.m_series} must be >= 1")
         _check_seed(self.seed)
@@ -321,9 +326,7 @@ def _numpy_advance(
         stream[:] = _stream_words(bit_generator.state["state"])
 
 
-_LIBRARY = _kernel.load()
-_KERNEL = None if _LIBRARY is None else _LIBRARY.um_advance_rows
-_SEED = None if _LIBRARY is None else _LIBRARY.um_seed
+_kernel.load()  # builds, loads or warns at import, not in the first run; then cached
 _FLOAT64, _INT64, _UINT64 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.uint64)
 
 
@@ -332,10 +335,11 @@ def _streams(seeds: list[int]) -> np.ndarray:
 
     Row i holds the four words (``_stream_words``) of
     ``PCG64(seeds[i]).state["state"]``.  ``um_seed`` hashes the seeds into
-    them where the library loaded, and numpy where it did not.
+    them where ``_kernel.load()`` gives the library, and numpy where it does not.
     """
     streams = np.empty((len(seeds), 4), dtype=np.uint64)
-    if _SEED is None:
+    library = _kernel.load()
+    if library is None:
         from numpy.random import PCG64
 
         for stream, seed in zip(streams, seeds):
@@ -343,7 +347,7 @@ def _streams(seeds: list[int]) -> np.ndarray:
     else:
         words = np.array(seeds, dtype=np.uint64)
         uint64 = ctypes.c_uint64
-        _SEED(uint64.from_buffer(words), len(seeds), uint64.from_buffer(streams))
+        library.um_seed(uint64.from_buffer(words), len(seeds), uint64.from_buffer(streams))
     return streams
 
 
@@ -357,6 +361,7 @@ def _compiled_advance(
 ) -> None:
     """``_numpy_advance`` compiled from ``_kernel.c``, with the same doubles, streams and errors.
 
+    It runs only where ``_kernel.load()``, the one switch, gives the library.
     The kernel runs each run of up to eight rows as a group of two packed
     vectors of four rows per component, stepped side by side (in the AVX2 or
     the baseline copy of that loop, which the loader picks for the host); a
@@ -385,15 +390,12 @@ def _compiled_advance(
     ):
         raise ValueError("kernel buffers do not match the series: shapes or dtypes differ")
     double, int64, uint64 = ctypes.c_double, ctypes.c_int64, ctypes.c_uint64
-    stop = _KERNEL(
+    stop = _kernel.load().um_advance_rows(
         double.from_buffer(state), double.from_buffer(constants), n, series, rows,
         uint64.from_buffer(streams), double.from_buffer(c2_sq), int64.from_buffer(n_plus),
     )
     if stop < rows:
         _numpy_advance(state[stop:], constants, n, streams[stop:], c2_sq[stop:], n_plus[stop:])
-
-
-_advance = _numpy_advance if _KERNEL is None else _compiled_advance
 
 
 def _best_guesses(n_plus: np.ndarray, n: int, params: PovmParams) -> np.ndarray:
@@ -413,9 +415,9 @@ def simulate_replicates(
     for bit: ``config.seed`` itself is not used.  Replicates share the
     config, so it is built and validated once however many seeds there are.
 
-    All rows and all series run in one ``_advance`` call; each row draws
-    its uniforms from its own stream, so a row does not depend on the rows
-    beside it.
+    All rows and all series run in one ``_compiled_advance`` call, or
+    ``_numpy_advance`` where ``_kernel.load()`` is None; each row draws its
+    uniforms from its own stream, so a row does not depend on the rows beside it.
     """
     for seed in seeds:
         _check_seed(seed)
@@ -426,7 +428,8 @@ def simulate_replicates(
     amplitudes = np.empty((len(seeds), 4))
     amplitudes[:] = (c1.real, c1.imag, c2.real, c2.imag)
     if len(seeds):  # ctypes maps no empty buffer
-        _advance(amplitudes, _constants(config), n, _streams(seeds), c2_sq, n_plus)
+        advance = _numpy_advance if _kernel.load() is None else _compiled_advance
+        advance(amplitudes, _constants(config), n, _streams(seeds), c2_sq, n_plus)
     return c2_sq, _best_guesses(n_plus, n, config.params)
 
 

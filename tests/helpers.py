@@ -8,10 +8,13 @@ from one fixed state, as the statistical tests sample them.  A kernel
 reads the draws of a seed: the Python loop ``_python_advance`` takes
 numpy's uniforms, ``default_rng(seed).random(...)``, and a stream route
 (``_compiled_advance``, ``_numpy_advance``) takes the PCG64 stream whose
-draws those are (``seeded``).  ``python_route`` puts a test on the route
-that runs without the library.
+draws those are (``seeded``).  ``_kernel.load()`` is the one switch
+between the compiled and the Python routes: ``python_route`` patches it
+to return None, which puts a test on every route that runs without the
+library, and ``stream_route`` is the trajectory route it picks.
 """
 
+import ctypes
 import math
 import re
 import shutil
@@ -20,7 +23,7 @@ import warnings
 import numpy as np
 import pytest
 
-from unsharp_monitor import _kernel, trajectory
+from unsharp_monitor import _kernel
 from unsharp_monitor.povm import (
     DegenerateOutcomeError,
     PovmParams,
@@ -46,24 +49,42 @@ needs_cc = pytest.mark.skipif(
     reason=f"no C compiler: {CC[0]!r} is not on PATH" if CC else "no C compiler: sysconfig names none",
 )
 # the compiled routes are compared with the Python routes only where the
-# library loaded; test_compiled_kernel_is_in_use fails when a compiler is
-# there and it did not
-needs_library = pytest.mark.skipif(
-    trajectory._LIBRARY is None, reason="the compiled library did not load"
-)
-
-# the compiled kernel joins every comparison wherever it loaded;
+# library loaded, and the compiled kernel then joins every comparison;
 # test_compiled_kernel_is_in_use fails when a compiler is there and it did not
+needs_library = pytest.mark.skipif(
+    _kernel.load() is None, reason="the compiled library did not load"
+)
 KERNELS = {"python": _python_advance}
-if trajectory._KERNEL is not None:
+if _kernel.load() is not None:
     KERNELS["compiled"] = _compiled_advance
 
 
+# every entry point of the library
+ENTRY_POINTS = ("um_seed", "um_advance_rows", "um_repr_join", "um_repr_rows", "um_parse_rows")
+
+
+def typed_library(path) -> ctypes.CDLL:
+    """The library built at ``path``, its entry points typed as those of
+    the library ``_kernel.load()`` gives."""
+    library = ctypes.CDLL(str(path))
+    for name in ENTRY_POINTS:
+        typed, entry = getattr(_kernel.load(), name), getattr(library, name)
+        entry.argtypes, entry.restype = typed.argtypes, typed.restype
+    return library
+
+
 def python_route(monkeypatch) -> None:
-    """Run trajectories as they run without the library: numpy seeds each
-    stream and draws its uniforms for the Python loop."""
-    monkeypatch.setattr(trajectory, "_advance", _numpy_advance)
-    monkeypatch.setattr(trajectory, "_SEED", None)
+    """Run every route as it runs without the library: numpy seeds each
+    stream and draws its uniforms for the Python loop, ``float.__repr__``
+    writes the floats and ``float()`` reads them."""
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+
+
+def stream_route():
+    """The stream route ``simulate_replicates`` takes: the compiled kernel
+    where ``_kernel.load()`` gives the library, numpy's draws for the
+    Python loop where it does not."""
+    return _numpy_advance if _kernel.load() is None else _compiled_advance
 
 
 def streams_of(seed: int, rows: int = 1, draws: int = 0) -> np.ndarray:
@@ -168,7 +189,7 @@ def chain_against_reference(state, config, seed):
 
 
 def restarted_series(state, config, seed, reps):
-    """``reps`` series through the kernel in use, each one from ``state``.
+    """``reps`` series through ``stream_route()``, each one from ``state``.
 
     Series i reads draws ``i * n`` to ``(i + 1) * n - 1`` of
     ``default_rng(seed)``, the draws of the i-th of ``reps`` successive
@@ -181,5 +202,5 @@ def restarted_series(state, config, seed, reps):
     amplitudes = np.empty((reps, 4))
     amplitudes[:] = (state.c1.real, state.c1.imag, state.c2.real, state.c2.imag)
     c2_sq, n_plus = np.empty((reps, 1)), np.empty((reps, 1), dtype=np.int64)
-    trajectory._advance(amplitudes, _constants(config), n, streams_of(seed, reps, n), c2_sq, n_plus)
+    stream_route()(amplitudes, _constants(config), n, streams_of(seed, reps, n), c2_sq, n_plus)
     return amplitudes, n_plus[:, 0]

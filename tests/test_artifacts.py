@@ -15,7 +15,6 @@ every field it reads and decline every text ``repr`` never writes.
 """
 
 import contextlib
-import ctypes
 import json
 import math
 import os
@@ -49,7 +48,7 @@ from unsharp_monitor.config import load_run_config
 from unsharp_monitor.spectral import process_readout
 from unsharp_monitor.trajectory import simulate_replicates, simulate_trajectory
 
-from helpers import needs_cc, needs_library
+from helpers import needs_cc, needs_library, python_route, typed_library
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -395,8 +394,8 @@ def test_a_file_raises_one_error_whichever_route_reads_it(tmp_path, monkeypatch,
     path = tmp_path / "trajectory.csv"
     path.write_bytes(b"# config: [1]\n" + artifacts._HEADER + bad_row + b"\n")
     messages = []
-    for parse in (artifacts._PARSE, None):
-        monkeypatch.setattr(artifacts, "_PARSE", parse)
+    for load in (_kernel.load, lambda: None):
+        monkeypatch.setattr(_kernel, "load", load)
         with pytest.raises(ArtifactError) as info:
             read_trajectory_csv(path)
         messages.append(str(info.value))
@@ -698,13 +697,12 @@ def repr_texts(values: np.ndarray) -> list[str]:
 
 
 @contextlib.contextmanager
-def python_writer():
-    """Within the block, float rows and arrays take the ``float.__repr__`` route."""
-    saved, artifacts._WRITER = artifacts._WRITER, None
-    try:
+def python_routes():
+    """Within the block ``_kernel.load()`` returns None, so float rows and
+    arrays take the ``float.__repr__`` route."""
+    with pytest.MonkeyPatch.context() as patch:
+        python_route(patch)
         yield
-    finally:
-        artifacts._WRITER = saved
 
 
 EDGE_DOUBLES = [
@@ -716,13 +714,6 @@ EDGE_DOUBLES = [
 ]
 # the separators between the items of a JSON float array at two indentations
 JSON_SEPARATORS = (",\n  ", ",\n    ")
-
-
-@needs_cc
-def test_compiled_formatter_is_in_use():
-    # with a compiler on PATH, a fallback to float.__repr__ is a failure
-    assert artifacts._LIBRARY is not None
-    assert artifacts._WRITER is artifacts._LIBRARY
 
 
 # a byte no entry point writes, and the bytes kept free past the capacity passed
@@ -765,16 +756,6 @@ def writer_inputs(values: list[float]) -> tuple[np.ndarray, np.ndarray]:
     return array, np.array([array, -array[::-1]])
 
 
-def typed_copy(path: Path) -> ctypes.CDLL:
-    """The library at ``path``, its entry points typed as ``artifacts._LIBRARY``'s."""
-    library = ctypes.CDLL(str(path))
-    for name in ("um_repr_join", "um_repr_rows", "um_parse_rows"):
-        typed = getattr(artifacts._LIBRARY, name)
-        getattr(library, name).argtypes = typed.argtypes
-        getattr(library, name).restype = typed.restype
-    return library
-
-
 # rows as write_trajectory_csv writes them, and their doubles
 PARSED_TEXT = (
     b"1,0.5,-0.0,nan,-inf\n2,1e-05,1e+16,123.0,0.1\n"
@@ -799,10 +780,10 @@ def raw_parse(library, text: bytes) -> tuple[int, np.ndarray]:
 def test_the_writer_needs_room_for_the_worst_case(values):
     # into the worst case the raw calls write the Python route's text, and
     # into one byte less nothing
-    library = artifacts._LIBRARY
+    library = _kernel.load()
     values, columns = writer_inputs(values)
     separators = (",", *JSON_SEPARATORS)
-    with python_writer():
+    with python_routes():
         joined = [artifacts._joined(values, separator) for separator in separators]
         rows = artifacts._csv_rows(*columns)
     for separator, text in zip(separators, joined):
@@ -827,7 +808,7 @@ def test_a_writer_that_refuses_its_buffer_raises(monkeypatch):
 @needs_library
 def test_the_writer_checks_its_sizes_without_overflow():
     # sizes whose worst case overflows int64 are refused before a byte is read
-    library = artifacts._LIBRARY
+    library = _kernel.load()
     value, out = np.array([0.5]), np.full(SLACK, UNWRITTEN, dtype=np.uint8)
     huge, top = 2**62, 2**63 - 1
     for n, sep_len in [(-1, 1), (1, -1), (1, top), (huge, 100), (top, 1)]:
@@ -857,7 +838,7 @@ def test_compiled_texts_are_float_repr(values):
     columns = (array, -array, array[::-1], np.roll(array, 1))
     payload = {"array": array, "nested": [array]}  # at two indentations
     rows, text = artifacts._csv_rows(*columns), dump_json(payload)
-    with python_writer():
+    with python_routes():
         assert rows == artifacts._csv_rows(*columns)
         assert text == dump_json(payload)
     assert text == reference_json(payload).encode()
@@ -886,7 +867,7 @@ def test_compiled_texts_match_float_repr_at_every_binary_exponent():
     assert artifacts._joined(values, ",") == ",".join(repr_texts(values)).encode()
     columns = exponents.reshape(2, -1)
     rows = artifacts._csv_rows(*columns, *-columns)
-    with python_writer():
+    with python_routes():
         assert rows == artifacts._csv_rows(*columns, *-columns)
 
 
@@ -897,7 +878,7 @@ def test_compiled_texts_copy_what_the_pointer_cannot_read():
     swapped = values.ravel().astype(">f8")
     assert artifacts._joined(swapped, ",") == ",".join(repr_texts(values.ravel())).encode()
     rows = artifacts._csv_rows(values[:, 1], swapped[:3], values[0, :3].astype(">f8"))
-    with python_writer():
+    with python_routes():
         expected = artifacts._csv_rows(values[:, 1], swapped[:3], values[0, :3])
     assert rows == expected
     with pytest.raises(ValueError, match=r"expected a 1-d array, got shape \(3, 4\)"):
@@ -915,7 +896,7 @@ def test_rows_are_numbered_across_every_digit_count():
     # 100,001 rows: the row number crosses every digit boundary up to 10^5
     column = np.random.default_rng(20261019).normal(size=100_001)
     rows = artifacts._csv_rows(column)
-    with python_writer():
+    with python_routes():
         assert rows == artifacts._csv_rows(column)
     lines = rows.splitlines()
     assert len(lines) == len(column)
@@ -939,7 +920,7 @@ def test_the_portable_product_writes_and_reads_as_the_python_routes(
     # the library built without unsigned __int128, as a compiler without it
     # builds it: umul128's portable body does every product.  The Python
     # routes' bytes are joined from the shared texts, as those routes join them
-    library = typed_copy(portable_library)
+    library = typed_library(portable_library)
     values, texts, negated = random_doubles
     columns = np.array([values, -values, values[::-1], np.roll(values, 1)])
     column_texts = (texts, negated, texts[::-1], texts[-1:] + texts[:-1])
@@ -971,7 +952,7 @@ def test_a_non_finite_float_array_is_quoted_as_json_safe_quotes_it():
     expected = reference_json(payload).encode()
     assert b'"nan"' in expected and b'"-inf"' in expected
     assert dump_json(payload) == expected
-    with python_writer():
+    with python_routes():
         assert dump_json(payload) == expected
 
 
@@ -1164,15 +1145,14 @@ SANITIZED = """
 import ctypes, json, sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
-from unsharp_monitor import artifacts, trajectory
+from unsharp_monitor import _kernel, artifacts, trajectory
 from unsharp_monitor.config import load_run_config
 from unsharp_monitor.povm import PovmParams, StateError
 library = ctypes.CDLL(sys.argv[2])
 for name in ("um_seed", "um_advance_rows", "um_repr_join", "um_repr_rows", "um_parse_rows"):
-    typed, entry = getattr(artifacts._LIBRARY, name), getattr(library, name)
+    typed, entry = getattr(_kernel.load(), name), getattr(library, name)
     entry.argtypes, entry.restype = typed.argtypes, typed.restype
-artifacts._WRITER, artifacts._PARSE = library, library.um_parse_rows
-trajectory._KERNEL, trajectory._SEED = library.um_advance_rows, library.um_seed
+_kernel.load = lambda: library
 inputs = json.load(sys.stdin)
 values = np.array(inputs["bits"], dtype=np.uint64).view(np.float64)
 rows = [artifacts._compiled_rows(f"1,{text},0.5,0.5,0.5\\n".encode()) for text in inputs["texts"]]
@@ -1285,7 +1265,7 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(
     ]
     expected_edited = []
     for text in edited:
-        rows, out = raw_parse(artifacts._LIBRARY, text.encode())
+        rows, out = raw_parse(_kernel.load(), text.encode())
         expected_edited.append([rows, repr(out[:max(rows, 0)].tolist())])
     expected = [artifacts._compiled_rows(f"1,{text},0.5,0.5,0.5\n".encode()) for text in texts]
     replicates = []
@@ -1360,9 +1340,9 @@ def test_a_fig3_file_takes_the_compiled_route(tmp_path, monkeypatch, fig3_artifa
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(path, record.m, record.t, record.c2_sq, record.g2, processed, echo)
     expected_echo, expected = reference_read(path)
-    calls = []
-    parse = artifacts._PARSE
-    monkeypatch.setattr(artifacts, "_PARSE", lambda *args: calls.append(args) or parse(*args))
+    calls, library = [], _kernel.load()
+    parse = library.um_parse_rows
+    monkeypatch.setattr(library, "um_parse_rows", lambda *args: calls.append(args) or parse(*args))
 
     def refuse(*args):
         raise AssertionError("the float() route ran")

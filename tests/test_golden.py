@@ -2,12 +2,12 @@
 
 Rerun-vs-rerun tests cannot see a change that shifts a float in every run
 alike; these digests can.  A change to the simulation or analysis code
-must leave them untouched.  The preset and ``analyze`` pins hold for both
-float writers, the compiled one and ``float.__repr__``, the ``analyze``
-pins for both row readers, the compiled parse and ``float()``, and the
-preset pins and the 9-seed sweep pin for both trajectory routes, the
-compiled kernel with its own draws and the Python loop on numpy's
-(``helpers.python_route``).
+must leave them untouched.  The preset, ``analyze`` and 9-seed sweep
+pins hold in both of the program's configurations: the compiled library,
+and the Python routes that run where ``_kernel.load()`` returns None
+(``all_python``: the Python loop on numpy's draws, ``float.__repr__`` and
+``float()``).  The ``analyze`` pins also hold where the compiled parse
+declines a file with CRLF line endings, for ``float()`` to read.
 
 The digests of ``spectrum.json`` and of the processed readout columns
 depend on numpy's FFT output, so a numpy upgrade that changes the FFT's
@@ -20,10 +20,10 @@ import json
 
 import pytest
 
-from unsharp_monitor import artifacts, cli
+from unsharp_monitor import _kernel, artifacts, cli
 from unsharp_monitor.cli import main
 
-from helpers import python_route
+from helpers import ENTRY_POINTS, python_route
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -97,38 +97,31 @@ def test_simulate_preset_artifacts_are_pinned(tmp_path, preset):
     assert digests(out) == SIMULATE_DIGESTS[preset]
 
 
-def python_writer_only(monkeypatch) -> None:
-    """Route every float row and array through ``float.__repr__``; a call
-    into the compiled writer fails the test."""
-    monkeypatch.setattr(artifacts, "_WRITER", None)
-    if artifacts._LIBRARY is not None:
-        for name in ("um_repr_join", "um_repr_rows"):
+def all_python(monkeypatch) -> None:
+    """Run every route as it runs without the library (``python_route``);
+    a call into any entry point of the library that loaded fails the test."""
+    library = _kernel.load()
+    python_route(monkeypatch)
+    if library is not None:
+        for name in ENTRY_POINTS:
 
             def refuse(*args, name=name):
-                raise AssertionError(f"{name} ran on the float.__repr__ route")
+                raise AssertionError(f"{name} ran on the Python routes")
 
-            monkeypatch.setattr(artifacts._LIBRARY, name, refuse)
-
-
-@pytest.mark.parametrize("preset", sorted(SIMULATE_DIGESTS))
-def test_simulate_preset_artifacts_are_pinned_with_float_repr(tmp_path, monkeypatch, preset):
-    python_writer_only(monkeypatch)
-    out = tmp_path / preset
-    assert main(["simulate", "--preset", preset, "--seed", SEED, "--out-dir", str(out)]) == 0
-    assert digests(out) == SIMULATE_DIGESTS[preset]
+            monkeypatch.setattr(library, name, refuse)
 
 
 @pytest.mark.parametrize("preset", sorted(SIMULATE_DIGESTS))
 def test_simulate_preset_artifacts_are_pinned_with_the_python_loop(tmp_path, monkeypatch, preset):
-    python_route(monkeypatch)
+    all_python(monkeypatch)
     out = tmp_path / preset
     assert main(["simulate", "--preset", preset, "--seed", SEED, "--out-dir", str(out)]) == 0
     assert digests(out) == SIMULATE_DIGESTS[preset]
 
 
 # how analyze reads the CSV: the compiled parse where the library loaded;
-# float() with the parse unloaded; float() on a copy with "\r\n" line
-# endings, which the compiled parse declines
+# float() on the Python routes, which also simulate and write; float() on a
+# copy with "\r\n" line endings, which the compiled parse declines
 @pytest.mark.parametrize(
     "preset, read",
     [
@@ -138,12 +131,12 @@ def test_simulate_preset_artifacts_are_pinned_with_the_python_loop(tmp_path, mon
     ],
 )
 def test_analyze_artifacts_are_pinned(tmp_path, monkeypatch, preset, read):
+    if read == "float":
+        all_python(monkeypatch)
     sim = tmp_path / "sim"
     assert main(["simulate", "--preset", preset, "--seed", SEED, "--out-dir", str(sim)]) == 0
     csv = sim / "trajectory.csv"
-    if read == "float":
-        monkeypatch.setattr(artifacts, "_PARSE", None)
-    elif read == "crlf":
+    if read == "crlf":
         csv = sim / "crlf.csv"
         csv.write_bytes((sim / "trajectory.csv").read_bytes().replace(b"\n", b"\r\n"))
     calls, parse_rows = [], artifacts._parse_rows
@@ -152,16 +145,6 @@ def test_analyze_artifacts_are_pinned(tmp_path, monkeypatch, preset, read):
     assert main(["analyze", str(csv), "--out-dir", str(out)]) == 0
     if read != "compiled":
         assert calls == [1]  # the float() route read the rows
-    assert {name: sha256(out / name) for name in ANALYZE_DIGESTS[preset]} == ANALYZE_DIGESTS[preset]
-
-
-@pytest.mark.parametrize("preset", sorted(ANALYZE_DIGESTS))
-def test_analyze_artifacts_are_pinned_with_float_repr(tmp_path, monkeypatch, preset):
-    sim = tmp_path / "sim"
-    assert main(["simulate", "--preset", preset, "--seed", SEED, "--out-dir", str(sim)]) == 0
-    python_writer_only(monkeypatch)
-    out = tmp_path / "analyze"
-    assert main(["analyze", str(sim / "trajectory.csv"), "--out-dir", str(out)]) == 0
     assert {name: sha256(out / name) for name in ANALYZE_DIGESTS[preset]} == ANALYZE_DIGESTS[preset]
 
 
@@ -183,7 +166,7 @@ def test_sweep_csv_is_pinned(tmp_path):
 @pytest.mark.parametrize("loop", ["compiled", "python"])
 def test_sweep_csv_of_lane_groups_is_pinned(tmp_path, monkeypatch, capsys, loop, batch):
     if loop == "python":
-        python_route(monkeypatch)
+        all_python(monkeypatch)
     if batch == "per-point":
         # a budget of one sample reads each point out on its own
         monkeypatch.setattr(cli, "_READOUT_SAMPLES", 1)

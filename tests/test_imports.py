@@ -58,7 +58,7 @@ COMMANDS = """
 import json, sys, numpy
 lazy = ("numpy.random", "numpy.ma")
 eager = {name: name in sys.modules for name in lazy}
-from unsharp_monitor import cli, trajectory
+from unsharp_monitor import _kernel, cli
 out = sys.argv[1]
 codes = [
     cli.main(["simulate", "--preset", "fig3", "--out-dir", out + "/simulate"]),
@@ -67,7 +67,7 @@ codes = [
     cli.main(["analyze", out + "/simulate/trajectory.csv", "--out-dir", out + "/analyze"]),
 ]
 print(json.dumps({
-    "eager": eager, "codes": codes, "compiled": trajectory._KERNEL is not None,
+    "eager": eager, "codes": codes, "compiled": _kernel.load() is not None,
     "loaded": {name: name in sys.modules for name in lazy},
 }))
 """

@@ -23,7 +23,6 @@ the compiled kernel is built once, cached, and in use wherever a C
 compiler is.
 """
 
-import ctypes
 import json
 import math
 import os
@@ -80,6 +79,7 @@ from helpers import (
     run_kernel,
     seeded,
     streams_of,
+    typed_library,
 )
 
 
@@ -725,7 +725,6 @@ def test_streams_are_numpys_pcg64_seeded_through_seed_sequence():
     random = np.random.default_rng(20261019).integers(0, 2**64, 10**4, dtype=np.uint64)
     seeds = EDGE_SEEDS + random.tolist()
     streams = _streams(seeds)
-    assert trajectory._SEED is not None
     seeded_words, counts, drawn_words = [], [], []
     for seed in seeds:
         bit_generator = np.random.PCG64(seed)
@@ -743,13 +742,9 @@ def test_streams_are_numpys_pcg64_seeded_through_seed_sequence():
 
 
 def use_library(monkeypatch, path) -> None:
-    """Run the compiled route on the kernel and seeding of the build at ``path``."""
-    library = ctypes.CDLL(str(path))
-    for name in ("um_seed", "um_advance_rows"):
-        typed, entry = getattr(trajectory._LIBRARY, name), getattr(library, name)
-        entry.argtypes, entry.restype = typed.argtypes, typed.restype
-    monkeypatch.setattr(trajectory, "_KERNEL", library.um_advance_rows)
-    monkeypatch.setattr(trajectory, "_SEED", library.um_seed)
+    """Run the compiled routes on the build at ``path``."""
+    library = typed_library(path)
+    monkeypatch.setattr(_kernel, "load", lambda: library)
 
 
 # seventeen seeds: two groups of eight and a lone row, and each shorter
@@ -802,7 +797,7 @@ def test_the_baseline_clone_runs_as_the_default_build(baseline_library, monkeypa
         assert repr(baseline_result) == repr(result) and baseline_streams == streams
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 3.5])
+@pytest.mark.parametrize("seed", [-1, 2**64, 3.5, True])
 def test_replicates_reject_seeds_outside_64_bits(seed):
     config = quiet_config(params=PovmParams(0.5, 0.5), tau=0.0, n_per_series=1, m_series=1)
     with pytest.raises(ParameterError, match=rf"^seed = {seed} must be a 64-bit unsigned"):
@@ -811,16 +806,13 @@ def test_replicates_reject_seeds_outside_64_bits(seed):
 
 @needs_cc
 def test_compiled_kernel_is_in_use():
-    # with a compiler on PATH, a fallback to the Python loop is a failure
-    assert trajectory._KERNEL is not None
-    assert trajectory._KERNEL is trajectory._LIBRARY.um_advance_rows
-    assert trajectory._SEED is trajectory._LIBRARY.um_seed
-    assert trajectory._advance is _compiled_advance
+    # with a compiler on PATH, a fallback to the Python routes (the loop,
+    # float.__repr__ and float()) is a failure
+    assert _kernel.load() is not None
     assert _kernel.library_path().is_file()
 
 
-# prints whether the compiled kernel is in use, whether the artifact floats
-# are written by float.__repr__ and parsed by float(), whether the process
+# prints whether the compiled library is in use, whether the process
 # computed the power-of-ten table, the cached library's path, the fig1
 # preset's first |c2|^2 values, and those values as written in a JSON array
 # and in CSV rows
@@ -847,9 +839,7 @@ with warnings.catch_warnings():
 c2_sq = trajectory.simulate_trajectory(config).c2_sq
 print(json.dumps({
     "package": trajectory.__file__,
-    "compiled": trajectory._advance is trajectory._compiled_advance,
-    "python_writer": artifacts._WRITER is None,
-    "python_rows": artifacts._PARSE is None,
+    "compiled": _kernel.load() is not None,
     "table_computed": bool(tables),
     "library": str(_kernel.library_path()),
     "c2_sq": c2_sq.tolist(),
@@ -900,7 +890,7 @@ def test_a_second_interpreter_loads_the_cached_library(tmp_path):
     root = package_copy(tmp_path)
     cache = root / "unsharp_monitor" / "__pycache__"
     first = probe(root)
-    assert first["compiled"] and not first["python_writer"] and not first["python_rows"]
+    assert first["compiled"]
     library = Path(first["library"])
     assert library.parent == cache
     built = library.stat()
@@ -980,7 +970,6 @@ def test_without_a_build_the_python_loop_runs(tmp_path, case, reason):
             source.write("#error this source is broken\n")
     result = probe(root, case)
     assert not result["compiled"]
-    assert result["python_writer"] and result["python_rows"]
     assert not Path(result["library"]).is_file()
     # one line says so, and why, however many modules load the library
     (line,) = [line for line in result["stderr"].splitlines() if UNAVAILABLE in line]

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from unsharp_monitor import trajectory
 from unsharp_monitor.povm import (
     LEVEL_ONE,
     ParameterError,
@@ -40,6 +39,7 @@ from helpers import (
     restarted_series,
     run_kernel,
     seeded,
+    stream_route,
     streams_of,
 )
 
@@ -62,6 +62,22 @@ class TestConfigValidation:
             quiet_config(**{**good, "seed": -1})
         with pytest.raises(StateError):
             quiet_config(**{**good, "initial_state": StateVector(1.0, 1.0)})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tau", math.inf), ("tau", math.nan), ("n_per_series", 25.5), ("m_series", 8.5),
+            ("n_per_series", True), ("m_series", True), ("seed", True),
+        ],
+        ids=["inf-tau", "nan-tau", "float-n", "float-m", "bool-n", "bool-m", "bool-seed"],
+    )
+    def test_rejects_what_a_run_cannot_take(self, field, value):
+        # each of these once constructed, and the run then failed with
+        # math's domain error, a p_plus excursion, ctypes' ArgumentError or
+        # a TypeError, or ran the bool as 1
+        good = dict(params=PovmParams(0.46, 0.54), tau=0.002, n_per_series=25, m_series=8)
+        with pytest.raises(ParameterError, match=rf"^{field} = {value!r} must be "):
+            quiet_config(**{**good, field: value})
 
     @pytest.mark.filterwarnings("ignore::unsharp_monitor.trajectory.SeriesBoundWarning")
     def test_coarse_spacing_warns(self):
@@ -152,7 +168,7 @@ class TestSimulateStep:
         assert np.array_equal(c2_sq[0], c2_sq[1]) and np.array_equal(g2[0], g2[1])
         # the state the step leaves behind, which no public run returns
         runs = [
-            run_kernel(trajectory._advance, state.c1, state.c2, cfg, streams_of(53))
+            run_kernel(stream_route(), state.c1, state.c2, cfg, streams_of(53))
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -286,7 +302,7 @@ class TestSimulateTrajectory:
         stream = streams_of(12)
         c1, c2 = LEVEL_ONE.c1, LEVEL_ONE.c2
         for _ in range(2000):
-            c1, c2, _, _ = run_kernel(trajectory._advance, c1, c2, cfg, stream)
+            c1, c2, _, _ = run_kernel(stream_route(), c1, c2, cfg, stream)
             assert abs(StateVector(c1, c2).norm_sq - 1.0) <= 1e-9
 
     def test_zeno_pinning_with_projective_measurements(self):
