@@ -30,8 +30,8 @@ time:
   ``write_json``, ``write_report_json`` and ``write_trajectory_csv`` hand
   ``_write_bytes`` a view of the buffer, and only ``dump_json`` copies it
   into ``bytes``, for ``report``, which decodes it once to print.  A float
-  array that holds a non-finite value is written item by item instead,
-  through ``json_safe``, which quotes that value.  Where ``_kernel.load()``,
+  array that holds a non-finite value is left to ``json``, through
+  ``json_safe``, which quotes that value.  Where ``_kernel.load()``,
   the one switch, returns None (no library loaded) a float part is its text
   joined from one ``float.__repr__`` call per float and encoded, which
   gives the same bytes, and is copied in as bytes are.
@@ -48,13 +48,15 @@ time:
   doubles.  It raises at the first bad line and names it, so every error
   text is ``float()``'s.
 
-JSON goes through a small emitter, ``dump_json``, because
-``json.dumps(..., indent=2)`` cannot use CPython's C encoder; its output must
-equal ``json.dumps(json_safe(payload), indent=2) + "\\n"``, encoded, byte
-for byte, which the tests check against that expression.  A scalar or key
-is spelled by the functions ``json`` itself calls for it, with no
-``json.dumps`` call each: ``encode_basestring_ascii`` for a string,
-``int.__repr__`` and ``float.__repr__``.
+A JSON body must equal ``json.dumps(json_safe(payload), indent=2) + "\\n"``,
+encoded, byte for byte, which the tests check against that expression.
+``_json_body`` makes one ``json.dumps(..., indent=2)`` call, on the payload
+with each finite float array replaced by a private marker string, and
+splits its text at the markers.  At each split goes the array's float part,
+indented two spaces deeper than the marker's line, so ``json`` lays out
+every bracket, key and scalar and the compiled writer every float of an
+array.  Where a string in the payload spells the marker, the split finds
+more markers than arrays, and the body is that expression's text itself.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ import math
 import os
 import stat
 import threading
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -259,65 +260,52 @@ def _csv_rows(*columns: Any) -> bytes:
     return bytes(_assemble([_rows_part(*columns)]))
 
 
-def _json_scalar(value: Any) -> bytes:
-    """``json.dumps(json_safe(value))`` of a scalar or a key, as ASCII bytes."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value).encode()
-    if value is None:
-        return b"null"
-    if isinstance(value, (bool, np.bool_)):
-        return b"true" if value else b"false"
-    if isinstance(value, (int, np.integer)):
-        return int.__repr__(int(value)).encode()
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        text = float.__repr__(value)
-        # json_safe writes a non-finite float as the string of its repr
-        return (text if math.isfinite(value) else encode_basestring_ascii(text)).encode()
-    return json.dumps(json_safe(value)).encode()  # json's own TypeError for any other object
+_MARKER = "__unsharp_monitor_float_array__"  # stands in for a float array in json's text
+_MARKER_JSON = json.dumps(_MARKER)
 
 
-def _json_parts(value: Any, newline: str, parts: list[_Part]) -> None:
-    """Append ``value``'s text, as ``json.dumps(json_safe(value), indent=2)``
-    spells it at the indentation that ``newline`` carries, to ``parts`` as
-    ``_assemble``'s parts: ASCII bytes, and a float part per float array."""
-    inner = newline + "  "
-    # a float array in one call; one that holds a non-finite value takes the
-    # list route below, where json_safe writes that value as a string
-    if (
-        isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f"
-        and len(value) and np.isfinite(value).all()
-    ):
-        parts += (b"[", inner.encode(), _join_part(value, "," + inner), newline.encode(), b"]")
-        return
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
+def _marked(value: Any, arrays: list[np.ndarray]) -> Any:
+    """``json_safe(value)``, but each finite, non-empty 1-d float array is
+    ``_MARKER``, appended to ``arrays`` in the order ``json`` writes it.
+
+    A dict key that is not a string raises TypeError, where ``json`` would
+    convert it.  A plain string, int, None or finite float is returned as is,
+    without a ``json_safe`` call each.
+    """
+    kind = type(value)
+    if kind is str or kind is int or value is None or (kind is float and math.isfinite(value)):
+        return value
     if isinstance(value, dict):
         if not all(isinstance(key, str) for key in value):
             raise TypeError(f"JSON object keys must be str, got {list(value)!r}")
-        brackets, items = b"{}", [(_json_scalar(key) + b": ", item) for key, item in value.items()]
-    elif isinstance(value, (list, tuple)):
-        brackets, items = b"[]", [(b"", item) for item in value]
-    else:
-        parts.append(_json_scalar(value))
-        return
-    if not items:
-        parts.append(brackets)
-        return
-    indent = inner.encode()
-    opener, comma = brackets[:1] + indent, b"," + indent
-    for key, item in items:
-        parts += (opener, key)
-        _json_parts(item, inner, parts)
-        opener = comma
-    parts.append(newline.encode() + brackets[1:])
+        return {key: _marked(item, arrays) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_marked(item, arrays) for item in value]
+    if isinstance(value, np.ndarray):
+        # one that holds a non-finite value is written item by item, where
+        # json_safe quotes that value
+        if value.ndim == 1 and value.dtype.kind == "f" and len(value) and np.isfinite(value).all():
+            arrays.append(value)
+            return _MARKER
+        return _marked(value.tolist(), arrays)
+    return json_safe(value)
 
 
 def _json_body(payload: Any) -> memoryview:
     """``dump_json``'s bytes, as ``_assemble``'s view."""
+    arrays: list[np.ndarray] = []
+    pieces = json.dumps(_marked(payload, arrays), indent=2).split(_MARKER_JSON)
+    if len(pieces) != len(arrays) + 1:  # a string in the payload spells the marker
+        return _assemble([(json.dumps(json_safe(payload), indent=2) + "\n").encode()])
     parts: list[_Part] = []
-    _json_parts(payload, "\n", parts)
-    parts.append(b"\n")
+    for before, values in zip(pieces, arrays):
+        line = before[before.rfind("\n") + 1 :]  # the text of the marker's line before it
+        newline = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        inner = newline + "  "
+        parts += (
+            (before + "[" + inner).encode(), _join_part(values, "," + inner), (newline + "]").encode()
+        )
+    parts.append((pieces[-1] + "\n").encode())
     return _assemble(parts)
 
 

@@ -27,8 +27,8 @@ class HamiltonianSpec:
     t_r: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.t_r <= 0.0:
-            raise ParameterError(f"t_r = {self.t_r!r} must be > 0")
+        if not 0.0 < self.t_r < math.inf:  # NaN fails too
+            raise ParameterError(f"t_r = {self.t_r!r} must be finite and > 0")
 
     @property
     def omega_r(self) -> float:
@@ -44,8 +44,8 @@ def rotation_half_angles(tau: float, spec: HamiltonianSpec) -> tuple[float, floa
 
 def propagator(tau: float, spec: HamiltonianSpec) -> np.ndarray:
     """2x2 unitary for evolving over a time tau; determinant one."""
-    if tau < 0.0:
-        raise ParameterError(f"tau = {tau!r} must be >= 0")
+    if not 0.0 <= tau < math.inf:  # NaN fails too
+        raise ParameterError(f"tau = {tau!r} must be finite and >= 0")
     cos_half, sin_half = rotation_half_angles(tau, spec)
     return np.array(
         [[cos_half, -1.0j * sin_half], [-1.0j * sin_half, cos_half]],
@@ -55,8 +55,8 @@ def propagator(tau: float, spec: HamiltonianSpec) -> np.ndarray:
 
 def evolve(state: StateVector, tau: float, spec: HamiltonianSpec) -> StateVector:
     """Evolve a state for a time tau under the resonant driving."""
-    if tau < 0.0:
-        raise ParameterError(f"tau = {tau!r} must be >= 0")
+    if not 0.0 <= tau < math.inf:  # NaN fails too
+        raise ParameterError(f"tau = {tau!r} must be finite and >= 0")
     cos_half, sin_half = rotation_half_angles(tau, spec)
     c1, c2 = state.c1, state.c2
     return StateVector(

@@ -142,8 +142,8 @@ def min_n_level_resolution(params: PovmParams) -> int:
 
 def level_resolution_time(params: PovmParams, tau: float) -> float:
     """Measurement time needed to discriminate the levels, tau * 4 p0 (1-p0) / (3 dp^2)."""
-    if tau < 0.0:
-        raise ParameterError(f"tau = {tau!r} must be >= 0")
+    if not 0.0 <= tau < math.inf:  # NaN fails too
+        raise ParameterError(f"tau = {tau!r} must be finite and >= 0")
     numerator = 4.0 * params.p0 * (1.0 - params.p0)
     if params.dp == 0.0:
         if numerator == 0.0:
@@ -160,8 +160,8 @@ def fuzziness(t_lr: float, t_r: float) -> float:
     oscillations with a noisy readout); around one the readout tracks the
     oscillations.
     """
-    if t_r <= 0.0:
-        raise ParameterError(f"t_r = {t_r!r} must be > 0")
+    if not 0.0 < t_r < math.inf:  # NaN fails too
+        raise ParameterError(f"t_r = {t_r!r} must be finite and > 0")
     return 3.0 * math.pi * t_lr / t_r
 
 
@@ -190,10 +190,10 @@ def nbound(params: PovmParams, tau: float, t_r: float, n: int) -> NBoundResult:
     """
     if n < 1:
         raise ParameterError(f"series length n = {n} must be >= 1")
-    if tau < 0.0:
-        raise ParameterError(f"tau = {tau!r} must be >= 0")
-    if t_r <= 0.0:
-        raise ParameterError(f"t_r = {t_r!r} must be > 0")
+    if not 0.0 <= tau < math.inf:  # NaN fails too
+        raise ParameterError(f"tau = {tau!r} must be finite and >= 0")
+    if not 0.0 < t_r < math.inf:  # NaN fails too
+        raise ParameterError(f"t_r = {t_r!r} must be finite and > 0")
     gap = max(
         abs(params.u2_plus - params.u1_plus),
         abs(params.u2_minus - params.u1_minus),

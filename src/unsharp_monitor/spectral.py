@@ -373,7 +373,7 @@ def classify_regime(f: float, f_lo: float = F_LO, f_hi: float = F_HI) -> str:
     The thresholds are conventions, only f around one is physically singled
     out, hence they are configurable.
     """
-    if f < 0.0:
+    if not f >= 0.0:  # NaN fails too
         raise ParameterError(f"fuzziness f = {f!r} must be >= 0")
     if not 0.0 <= f_lo <= f_hi:
         raise ParameterError(f"need 0 <= f_lo <= f_hi, got ({f_lo!r}, {f_hi!r})")

@@ -88,6 +88,9 @@ def reference_json(payload) -> str:
 @example(np.array([[1.0, 2.0], [3.0, math.inf]]))
 @example({"n": np.arange(3), "x": np.float64(0.5)})
 @example({"p": np.array([0.1, -0.0, math.nan, math.inf]), "q": np.array([0.1, 1e-05])})
+@example(np.array([0.1, -0.0, 1e16]))
+@example([np.array([0.5]), "x", np.array([1.0, 2.0])])
+@example({"a": {"b": {"c": np.array([5e-324, 0.1])}}, "d": np.array([1.0])})
 def test_dump_json_is_the_json_module_text(payload):
     assert dump_json(payload) == reference_json(payload).encode()
 
@@ -95,6 +98,26 @@ def test_dump_json_is_the_json_module_text(payload):
 def test_dump_json_rejects_keys_json_would_convert():
     with pytest.raises(TypeError):
         dump_json({1: 0.5})
+
+
+@pytest.mark.parametrize("payload", [{"a": {None: 1}}, [{1: 0.5}], {"a": [np.array([0.5]), {0.5: "x"}]}])
+def test_dump_json_rejects_nested_keys_json_would_convert(payload):
+    with pytest.raises(TypeError):
+        dump_json(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"a": artifacts._MARKER, "b": np.array([0.5, 1.0])},
+        {artifacts._MARKER: np.array([0.5])},
+        [np.array([0.25]), '"' + artifacts._MARKER],  # its JSON text ends in the marker's
+        [artifacts._MARKER],
+    ],
+    ids=["value", "key", "suffix", "no-array"],
+)
+def test_dump_json_of_a_string_that_spells_the_marker(payload):
+    assert dump_json(payload) == reference_json(payload).encode()
 
 
 def reference_rows(m, t, c2_sq, g2, g2_processed) -> list[str]:

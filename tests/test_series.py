@@ -32,6 +32,8 @@ from unsharp_monitor.series import (
     sigma_g2,
     variance_r,
 )
+from unsharp_monitor.rabi import HamiltonianSpec, evolve, propagator
+from unsharp_monitor.spectral import classify_regime
 from unsharp_monitor.trajectory import TrajectoryConfig
 
 from helpers import random_params, random_state
@@ -385,3 +387,31 @@ class TestRegimeParams:
             evaluate_regime(PovmParams.from_p0_dp(0.5, -0.3), 0.002, 25).nbound_tier
             == "violated"
         )
+
+
+NAN, PARAMS = math.nan, PovmParams(0.46, 0.54)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: HamiltonianSpec(t_r=NAN),
+        lambda: propagator(NAN, HamiltonianSpec()),
+        lambda: propagator(math.inf, HamiltonianSpec()),
+        lambda: evolve(UNIFORM, NAN, HamiltonianSpec()),
+        lambda: level_resolution_time(PARAMS, NAN),
+        lambda: fuzziness(0.5, NAN),
+        lambda: nbound(PARAMS, NAN, 1.0, 25),
+        lambda: nbound(PARAMS, 0.002, NAN, 25),
+        lambda: classify_regime(NAN),
+    ],
+    ids=[
+        "spec-t_r", "propagator-tau", "propagator-inf-tau", "evolve-tau",
+        "level_resolution_time-tau", "fuzziness-t_r", "nbound-tau", "nbound-t_r",
+        "classify_regime-f",
+    ],
+)
+def test_range_guards_refuse_nan(call):
+    # each guard is written so that a comparison with NaN, always false, fails it
+    with pytest.raises(ParameterError):
+        call()
