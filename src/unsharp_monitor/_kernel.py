@@ -3,10 +3,13 @@
 The library holds the measurement kernel (``um_advance_rows`` in
 ``_kernel.c``, which ``trajectory`` runs; it draws each row's uniforms
 from the PCG64 stream ``um_seed`` seeds, returns the row where it stopped
-and leaves the errors to the Python loop), and the artifact float writer
+and leaves the errors to the Python loop), the artifact float writer
 (``um_repr_rows`` and ``um_repr_join``) and trajectory-CSV row parser
-(``um_parse_rows``) in ``_repr.c``, which ``artifacts`` runs.  Both
-sources include ``HEADERS``.  It is built on first use by the one command
+(``um_parse_rows``) in ``_repr.c``, which ``artifacts`` runs, and the
+readout's passes between numpy's FFTs (``um_weigh_rows``, ``um_cut_rows``
+and ``um_real_rows`` in ``_readout.c``, which ``spectral`` runs; each
+returns -1 where it declines).  The first two sources include
+``HEADERS``.  It is built on first use by the one command
 ``compile_command`` spells (``sysconfig``'s ``CC``, ``FLAGS``, and
 ``pow10_table`` as a macro) and cached in this package's ``__pycache__/``
 under a name keyed on the bytes of the sources, the headers and this
@@ -19,11 +22,12 @@ A build deletes the libraries that older sources left in the cache.
 ``load`` returns None, and says why in one line on stderr, when there is
 no compiler, the build fails (the line names the compiler's first error)
 or the cache directory cannot be written.  It is the one switch: every
-route of ``trajectory`` and ``artifacts`` calls ``_kernel.load()`` where
-it is chosen, so patching it moves them all.  Where it returns None,
-``trajectory`` runs its Python loop, which gives the same doubles, and
-``artifacts`` formats with ``float.__repr__`` and parses with ``float()``,
-which give the same text and the same doubles.
+route of ``trajectory``, ``artifacts`` and ``spectral`` calls
+``_kernel.load()`` where it is chosen, so patching it moves them all.
+Where it returns None, ``trajectory`` runs its Python loop, which gives
+the same doubles, ``artifacts`` formats with ``float.__repr__`` and
+parses with ``float()``, which give the same text and the same doubles,
+and ``spectral`` runs its numpy helpers, which give the same doubles.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import zlib
 from collections.abc import Iterable
 from pathlib import Path
 
-SOURCES = tuple(Path(__file__).with_name(name) for name in ("_kernel.c", "_repr.c"))
+SOURCES = tuple(Path(__file__).with_name(name) for name in ("_kernel.c", "_repr.c", "_readout.c"))
 # included by the sources, which find it beside themselves
 HEADERS = (Path(__file__).with_name("_umul128.h"),)
 # -ffp-contract=off rounds every multiply and add on its own, as Python
@@ -204,5 +208,34 @@ def load() -> ctypes.CDLL | None:
         ctypes.c_int64,  # len
         ctypes.c_void_p,  # out, C-contiguous doubles
         ctypes.c_int64,  # capacity, in doubles
+    )
+    # the readout's passes; each returns -1 where it declines
+    library.um_weigh_rows.restype = ctypes.c_int64  # or 0
+    library.um_weigh_rows.argtypes = (
+        ctypes.c_void_p,  # coefficients, rows x m complex
+        ctypes.c_void_p,  # power, rows x m
+        ctypes.c_int64,  # rows
+        ctypes.c_int64,  # m
+        ctypes.c_void_p,  # scratch, m // 2 doubles
+        ctypes.c_void_p,  # index, rows int64, written
+        ctypes.c_void_p,  # significant, rows bools, written
+        ctypes.c_void_p,  # floors, rows doubles, written
+        ctypes.c_void_p,  # weights, rows x m, written; NULL with the filter off
+        ctypes.c_void_p,  # kept, rows x m complex, written; NULL with the filter off
+    )
+    library.um_cut_rows.restype = ctypes.c_int64  # or the rows without a peak
+    library.um_cut_rows.argtypes = (
+        ctypes.c_void_p,  # kept, rows x m complex, truncated in place
+        ctypes.c_void_p,  # kept_power, rows x m; NULL: cut at index as given
+        ctypes.c_int64,  # rows
+        ctypes.c_int64,  # m
+        ctypes.c_void_p,  # index, rows int64, written from kept_power, else read
+    )
+    library.um_real_rows.restype = ctypes.c_int64  # or 0
+    library.um_real_rows.argtypes = (
+        ctypes.c_void_p,  # values, rows x m complex, the inverse FFT
+        ctypes.c_int64,  # rows
+        ctypes.c_int64,  # m
+        ctypes.c_void_p,  # out, rows x m, written
     )
     return library

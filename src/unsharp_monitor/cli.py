@@ -21,6 +21,7 @@ from .config import (
     SWEEP_AXES,
     SWEEP_BASE_KEYS,
     ConfigError,
+    RunBase,
     RunConfig,
     bool_field,
     build_report,
@@ -31,7 +32,8 @@ from .config import (
     int_field,
     load_run_config,
     read_json_object,
-    run_config_from_dict,
+    run_base_from_dict,
+    run_config_at,
     seed_field,
 )
 from .povm import ParameterError, StateError
@@ -210,13 +212,13 @@ class _SimulatedPoint(NamedTuple):
 
 
 def _sweep_point(
-    base: dict[str, Any],
+    base: RunBase,
     point: dict[str, Any],
     index: int,
     base_seed: int,
     replicates: int,
 ) -> _SimulatedPoint:
-    config = run_config_from_dict({**base, **point})
+    config = run_config_at(base, point)
     report = build_report(config)
     seeds = [derive_seed(base_seed, index, replicate) for replicate in range(replicates)]
     c2_sq, g2 = simulate_replicates(config.trajectory, seeds)
@@ -307,10 +309,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
 
     # a bad base value is wrong for every point: stop on it here, so that a
-    # point is skipped below only for its own axis values
+    # point is skipped below only for its own axis values.  The base is
+    # parsed once, here, then checked at a valid stand-in point for what only
+    # a whole config checks (t_r against a frequency axis, f_lo <= f_hi)
+    run_base = run_base_from_dict(base)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        run_config_from_dict({**base, **_STAND_IN_POINT})
+        run_config_at(run_base, _STAND_IN_POINT)
 
     points = [
         dict(zip(SWEEP_AXES, values))
@@ -320,7 +325,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows, simulated = [], []
     for index, point in enumerate(points):
         try:
-            simulated.append(_sweep_point(base, point, index, base_seed, replicates))
+            simulated.append(_sweep_point(run_base, point, index, base_seed, replicates))
         except (ConfigError, ParameterError, StateError) as exc:
             print(f"warning: skipping grid point {index} {point}: {exc}", file=sys.stderr)
             continue

@@ -7,7 +7,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .povm import ParameterError, PovmParams, StateError, StateVector, ensure_normalized
 from .rabi import HamiltonianSpec
@@ -220,21 +220,31 @@ def check_frequency_axis(m: int, dt: float, spec: HamiltonianSpec, spacing: str 
         )
 
 
-def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
-    """Build and validate a RunConfig from a plain dict (the file schema)."""
-    check_keys(data, _ALLOWED_KEYS)
-    params = _parse_params(data)
-    if 3.0 * params.dp**2 == 0.0:  # also |dp| so small that dp**2 underflows
-        raise ConfigError(
-            "dp", f"dp = {params.dp!r} carries no information; the readout is undefined"
-        )
+class RunBase(NamedTuple):
+    """A run config's entries other than the four ``SWEEP_AXES``, validated:
+    what every point of a sweep shares."""
 
+    spec: HamiltonianSpec
+    initial_state: StateVector
+    m_series: int
+    seed: int
+    wiener: bool
+    truncation: bool
+    f_lo: float
+    f_hi: float
+    out_dir: str | None
+
+
+def run_base_from_dict(data: dict[str, Any]) -> RunBase:
+    """Check the keys of ``data`` (the file schema) and validate its entries
+    other than the four ``SWEEP_AXES`` and p1/p2, which it may lack;
+    ``RunConfig`` checks f_lo <= f_hi."""
+    check_keys(data, _ALLOWED_KEYS)
     spec = HamiltonianSpec(t_r=float_field(data, "t_r", 1.0, positive=True))
 
     state_raw = data.get("initial_state")
     initial_state = StateVector(1.0, 0.0) if state_raw is None else _parse_initial_state(state_raw)
 
-    tau = float_field(data, "tau", positive=True)
     m_series = int_field(data, "m_series", 0)
     if m_series < MIN_SAMPLES:
         raise ConfigError(
@@ -243,31 +253,58 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
     if m_series > MAX_M_SERIES:
         raise ConfigError("m_series", f"must be <= {MAX_M_SERIES}, got {m_series}")
 
-    try:
-        trajectory = TrajectoryConfig(
-            params=params,
-            tau=tau,
-            n_per_series=int_field(data, "n_per_series", 0),
-            m_series=m_series,
-            initial_state=initial_state,
-            spec=spec,
-            seed=seed_field(data),
-        )
-    except ParameterError as exc:
-        raise ConfigError("n_per_series", str(exc)) from exc
-    check_frequency_axis(m_series, trajectory.delta_t, spec)
-
     out_dir = data.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("out_dir", f"must be a path string or null, got {out_dir!r}")
-    return RunConfig(
-        trajectory=trajectory,
+    return RunBase(
+        spec=spec,
+        initial_state=initial_state,
+        m_series=m_series,
+        seed=seed_field(data),
         wiener=bool_field(data, "wiener"),
         truncation=bool_field(data, "truncation"),
         f_lo=float_field(data, "f_lo", F_LO),
         f_hi=float_field(data, "f_hi", F_HI),
         out_dir=out_dir,
     )
+
+
+def run_config_at(base: RunBase, axes: dict[str, Any]) -> RunConfig:
+    """The RunConfig of ``base`` at the point ``axes`` gives: p0 and dp (or
+    p1 and p2), tau and n_per_series; ``axes``' other entries are unread."""
+    params = _parse_params(axes)
+    if 3.0 * params.dp**2 == 0.0:  # also |dp| so small that dp**2 underflows
+        raise ConfigError(
+            "dp", f"dp = {params.dp!r} carries no information; the readout is undefined"
+        )
+    tau = float_field(axes, "tau", positive=True)
+    try:
+        trajectory = TrajectoryConfig(
+            params=params,
+            tau=tau,
+            n_per_series=int_field(axes, "n_per_series", 0),
+            m_series=base.m_series,
+            initial_state=base.initial_state,
+            spec=base.spec,
+            seed=base.seed,
+        )
+    except ParameterError as exc:
+        raise ConfigError("n_per_series", str(exc)) from exc
+    check_frequency_axis(base.m_series, trajectory.delta_t, base.spec)
+    return RunConfig(
+        trajectory=trajectory,
+        wiener=base.wiener,
+        truncation=base.truncation,
+        f_lo=base.f_lo,
+        f_hi=base.f_hi,
+        out_dir=base.out_dir,
+    )
+
+
+def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
+    """Build and validate a RunConfig from a plain dict (the file schema):
+    its base entries first, then its axes."""
+    return run_config_at(run_base_from_dict(data), data)
 
 
 def read_json_object(path: str | Path) -> dict[str, Any]:

@@ -48,8 +48,9 @@ def _clamp_probability(p: float, what: str) -> float:
 class StateVector:
     """Pure state c1|1> + c2|2>; may be transiently unnormalized.
 
-    The zero vector is rejected at construction.  All operations in this
-    package treat instances as immutable values.
+    The zero vector and a non-finite amplitude are rejected at
+    construction.  All operations in this package treat instances as
+    immutable values.
     """
 
     c1: complex
@@ -60,6 +61,10 @@ class StateVector:
         object.__setattr__(self, "c2", complex(self.c2))
         if self.norm_sq == 0.0:
             raise StateError("state vector must not be the zero vector")
+        if not (cmath.isfinite(self.c1) and cmath.isfinite(self.c2)):
+            raise StateError(
+                f"state vector amplitudes must be finite, got ({self.c1!r}, {self.c2!r})"
+            )
 
     @property
     def norm_sq(self) -> float:

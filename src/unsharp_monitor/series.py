@@ -78,7 +78,9 @@ def best_guess(r: float, params: PovmParams) -> float:
 
     Anchored so that r = p1 maps to 0 and r = p2 maps to 1.  The value is
     not clamped to [0, 1]; for weak measurements single readouts scatter
-    far outside that interval.
+    far outside that interval.  ``r`` is not checked: it is elementwise
+    arithmetic, so a NaN in ``r`` gives NaN in that place, on an array as
+    on a float.
     """
     if params.dp == 0.0:
         raise ParameterError("best guess is undefined for p1 == p2 (dp = 0)")
@@ -160,6 +162,8 @@ def fuzziness(t_lr: float, t_r: float) -> float:
     oscillations with a noisy readout); around one the readout tracks the
     oscillations.
     """
+    if not t_lr >= 0.0:  # NaN fails too
+        raise ParameterError(f"t_lr = {t_lr!r} must be >= 0")
     if not 0.0 < t_r < math.inf:  # NaN fails too
         raise ParameterError(f"t_r = {t_r!r} must be finite and > 0")
     return 3.0 * math.pi * t_lr / t_r

@@ -19,6 +19,18 @@ spacing, so a row gives the same doubles alone or in a batch.
 ``row_correlations`` gives the Pearson coefficient of each row of one
 array with the same row of another, and ``row_medians`` each row's
 median, as ``np.median`` gives it.
+
+``process_readouts`` runs the per-row arithmetic between the two FFTs as
+three compiled passes where ``_kernel.load()`` gives the library:
+``um_weigh_rows`` (peak, significance, noise floor, Wiener weights and
+the weighting, on the coefficients and their power), ``um_cut_rows`` (the
+kept peak and the truncation, on numpy's |kept|^2) and ``um_real_rows``
+(the x M, the real part and the check that it is real, on numpy's
+inverse FFT).  Each gives the numpy helpers' doubles bit for bit, and
+declines, where numpy would warn or raise or meets a value that is not
+finite, for those helpers to run on the same arrays; they also run where
+an array is not C-contiguous, the one layout the passes read.  The FFTs,
+the twist and ``np.abs`` are numpy's on both routes.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernel
 from .povm import ParameterError
 
 # the fewest samples a readout takes
@@ -133,9 +146,23 @@ def _spectra(x: np.ndarray) -> np.ndarray:
     return _phases(m)[0] * np.fft.fft(x, axis=1) / m
 
 
-def _synthesized(coefficients: np.ndarray) -> np.ndarray:
+def _synthesized(library, coefficients: np.ndarray) -> np.ndarray:
+    """The samples of each row of ``coefficients``: the inverse FFT, then
+    ``_real`` with ``library``, which may be None."""
     m = coefficients.shape[1]
-    values = np.fft.ifft(coefficients * _phases(m)[1], axis=1) * m
+    return _real(library, np.fft.ifft(coefficients * _phases(m)[1], axis=1))
+
+
+def _real(library, values: np.ndarray) -> np.ndarray:
+    """The real part of the inverse FFT ``values`` times M, checked to be
+    real: by ``um_real_rows`` where ``library`` is given, ``values`` is
+    C-contiguous (the layout the pass reads) and the pass does not
+    decline, else by numpy."""
+    if library is not None and values.flags.c_contiguous:
+        real = np.empty(values.shape)
+        if not library.um_real_rows(values.ctypes.data, *values.shape, real.ctypes.data):
+            return real
+    values = values * values.shape[1]
     top = np.max(np.abs(values.real), axis=1)
     scale = np.where(top > 1.0, top, 1.0)  # max(1.0, top), a NaN top included
     worst = np.max(np.abs(values.imag), axis=1)
@@ -197,8 +224,55 @@ def _truncated(coefficients: np.ndarray, index: np.ndarray) -> np.ndarray:
 def _raw(coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Power, main peak index, significance and noise floor of each row."""
     power = np.abs(coefficients) ** 2
+    return power, *_weighed(None, coefficients, power, wiener=False)[:3]
+
+
+def _weighed(library, coefficients: np.ndarray, power: np.ndarray, wiener: bool):
+    """Main peak index, significance and noise floor of each row of
+    ``power``, then the Wiener weights and the weighted coefficients, or,
+    with the filter off, None and ``coefficients`` themselves: by
+    ``um_weigh_rows`` where ``library`` is given, both arrays are
+    C-contiguous and the pass does not decline, else by numpy."""
+    rows, m = power.shape
+    if library is not None and coefficients.flags.c_contiguous and power.flags.c_contiguous:
+        index, significant = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=bool)
+        floors, scratch = np.empty(rows), np.empty(m // 2)
+        weights = np.empty((rows, m)) if wiener else None
+        kept = np.empty((rows, m), dtype=complex) if wiener else coefficients
+        declined = library.um_weigh_rows(
+            coefficients.ctypes.data, power.ctypes.data, rows, m, scratch.ctypes.data,
+            index.ctypes.data, significant.ctypes.data, floors.ctypes.data,
+            weights.ctypes.data if wiener else None, kept.ctypes.data if wiener else None,
+        )
+        if not declined:
+            return index, significant, floors, weights, kept
     index = _peaks(power)
-    return power, index, _significant(power, index), _noise_floors(power)
+    significant, floors = _significant(power, index), _noise_floors(power)
+    if not wiener:
+        return index, significant, floors, None, coefficients
+    weights = _wiener_weights(power, floors)
+    return index, significant, floors, weights, coefficients * weights
+
+
+def _cut(library, kept: np.ndarray, kept_power: np.ndarray | None, index: np.ndarray):
+    """``kept`` truncated at each row's main peak, that of ``kept_power``
+    or, where it is None, ``index``, and the number of rows without one:
+    by ``um_cut_rows`` where ``library`` is given, the arrays are
+    C-contiguous and the pass does not decline, else by numpy.  The pass
+    cuts ``kept`` in place unless ``kept_power`` is None, when ``kept`` is
+    the raw coefficients and it cuts a copy."""
+    readable = kept_power is None or kept_power.flags.c_contiguous
+    if library is not None and kept.flags.c_contiguous and readable:
+        cut = kept.copy() if kept_power is None else kept
+        kept_index = index if kept_power is None else np.empty_like(index)
+        missing = library.um_cut_rows(
+            cut.ctypes.data, None if kept_power is None else kept_power.ctypes.data,
+            *cut.shape, kept_index.ctypes.data,
+        )
+        if missing >= 0:
+            return cut, missing
+    kept_index = index if kept_power is None else _peaks(kept_power)
+    return _truncated(kept, kept_index), np.count_nonzero(kept_index == 0)
 
 
 def _record(dt: float, coefficients, power, index, significant, floors, weights) -> SpectrumRecord:
@@ -233,7 +307,7 @@ def power_spectrum(sequence, dt: float) -> SpectrumRecord:
 
 def synthesize(record: SpectrumRecord) -> np.ndarray:
     """Evaluate the coefficient expansion back on the sample grid."""
-    return _synthesized(record.coefficients[None])[0]
+    return _synthesized(None, record.coefficients[None])[0]
 
 
 def main_peak(record: SpectrumRecord) -> PeakInfo:
@@ -298,20 +372,21 @@ def process_readouts(readouts, wiener: bool = True, truncation: bool = True) -> 
     row's mean (as that bin gives it) in every sample, and truncation,
     finding no peak, skips the row with the batch's usual warning.
     ``analyze`` refuses such a g2 instead, and exits with code 2.
+
+    Between the FFTs, the library's passes run where it loaded (see the
+    module docstring); one that declines leaves its step to numpy, which
+    warns or raises as it would alone, once.
     """
     coefficients = _spectra(_samples(readouts, ndim=2))
-    power, index, significant, floors = _raw(coefficients)
-    weights = None
-    kept, kept_index = coefficients, index
-    if wiener:
-        weights = _wiener_weights(power, floors)
-        kept = coefficients * weights
-        kept_index = _peaks(np.abs(kept) ** 2)
+    power = np.abs(coefficients) ** 2
+    library = _kernel.load()
+    index, significant, floors, weights, kept = _weighed(library, coefficients, power, wiener)
     if truncation:
-        if not kept_index.all():
+        kept, missing = _cut(library, kept, np.abs(kept) ** 2 if wiener else None, index)
+        if missing:
             warnings.warn(_NO_PEAK, UserWarning, stacklevel=2)
-        kept = _truncated(kept, kept_index)
-    return Readouts(coefficients, power, index, significant, floors, weights, _synthesized(kept))
+    processed = _synthesized(library, kept)
+    return Readouts(coefficients, power, index, significant, floors, weights, processed)
 
 
 def process_readout(

@@ -41,6 +41,7 @@ seeds therefore reproduce identical records bit for bit.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import numbers
 import warnings
@@ -153,9 +154,10 @@ class TrajectoryConfig:
         """Series spacing n_per_series * tau between recorded samples."""
         return self.n_per_series * self.tau
 
-    @property
+    @functools.cached_property
     def regime(self) -> RegimeParams:
-        """Derived time scales and bound diagnostics (requires dp != 0)."""
+        """Derived time scales and bound diagnostics (requires dp != 0),
+        evaluated on first use and kept: the config never changes."""
         return evaluate_regime(self.params, self.tau, self.n_per_series, self.spec.t_r)
 
 

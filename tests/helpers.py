@@ -60,7 +60,10 @@ if _kernel.load() is not None:
 
 
 # every entry point of the library
-ENTRY_POINTS = ("um_seed", "um_advance_rows", "um_repr_join", "um_repr_rows", "um_parse_rows")
+ENTRY_POINTS = (
+    "um_seed", "um_advance_rows", "um_repr_join", "um_repr_rows", "um_parse_rows",
+    "um_weigh_rows", "um_cut_rows", "um_real_rows",
+)
 
 
 def typed_library(path) -> ctypes.CDLL:
@@ -76,7 +79,8 @@ def typed_library(path) -> ctypes.CDLL:
 def python_route(monkeypatch) -> None:
     """Run every route as it runs without the library: numpy seeds each
     stream and draws its uniforms for the Python loop, ``float.__repr__``
-    writes the floats and ``float()`` reads them."""
+    writes the floats, ``float()`` reads them and numpy's helpers run the
+    readout between its FFTs."""
     monkeypatch.setattr(_kernel, "load", lambda: None)
 
 

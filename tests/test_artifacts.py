@@ -15,6 +15,7 @@ every field it reads and decline every text ``repr`` never writes.
 """
 
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -24,6 +25,7 @@ import struct
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +47,10 @@ from unsharp_monitor.artifacts import (
     write_trajectory_csv,
 )
 from unsharp_monitor.config import load_run_config
-from unsharp_monitor.spectral import process_readout
+from unsharp_monitor.spectral import process_readout, process_readouts
 from unsharp_monitor.trajectory import simulate_replicates, simulate_trajectory
 
-from helpers import needs_cc, needs_library, python_route, typed_library
+from helpers import ENTRY_POINTS, needs_cc, needs_library, python_route, typed_library
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -1163,20 +1165,24 @@ def test_the_eight_digit_step_reads_and_declines_as_float_and_the_rule_do():
 # each call is given, on values whose texts are all REPR_MAX long; and the
 # buffer and out of um_parse_rows on each text of a byte-edit corpus and on
 # rows whose last digits end within 8 bytes of the buffer's end, where the
-# 8-digit step's load nearest that end is checked
+# 8-digit step's load nearest that end is checked; and the readout's passes
+# (um_weigh_rows, um_cut_rows, um_real_rows) in process_readouts on 1, 2 and
+# 64 rows of an odd and an even M, whose scratch, per-row and rows x M
+# buffers are numpy arrays of exactly their size, and on a batch whose NaN
+# row the weighing declines after it has written the row before
 SANITIZED = """
-import ctypes, json, sys
+import ctypes, hashlib, json, sys, warnings
 import numpy as np
 sys.path.insert(0, sys.argv[1])
-from unsharp_monitor import _kernel, artifacts, trajectory
+from unsharp_monitor import _kernel, artifacts, spectral, trajectory
 from unsharp_monitor.config import load_run_config
 from unsharp_monitor.povm import PovmParams, StateError
+inputs = json.load(sys.stdin)
 library = ctypes.CDLL(sys.argv[2])
-for name in ("um_seed", "um_advance_rows", "um_repr_join", "um_repr_rows", "um_parse_rows"):
+for name in inputs["entry_points"]:
     typed, entry = getattr(_kernel.load(), name), getattr(library, name)
     entry.argtypes, entry.restype = typed.argtypes, typed.restype
 _kernel.load = lambda: library
-inputs = json.load(sys.stdin)
 values = np.array(inputs["bits"], dtype=np.uint64).view(np.float64)
 rows = [artifacts._compiled_rows(f"1,{text},0.5,0.5,0.5\\n".encode()) for text in inputs["texts"]]
 replicates = []
@@ -1208,6 +1214,19 @@ def parsed(text):
     rows = library.um_parse_rows(buffer.ctypes.data, buffer.size, out.ctypes.data, out.size)
     return [rows, repr(out[:max(rows, 0)].tolist())]
 
+# each readout's arrays as one SHA-256, and what each pass returned
+passes = []
+for name in ("um_weigh_rows", "um_cut_rows", "um_real_rows"):
+    entry = getattr(library, name)
+    setattr(library, name, lambda *args, entry=entry: passes.append(entry(*args)) or passes[-1])
+readouts = []
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    for x in inputs["readouts"]:
+        result = spectral.process_readouts(np.array(x))
+        data = b"".join(field.tobytes() for field in result if field is not None)
+        readouts.append(hashlib.sha256(data).hexdigest())
+
 # the writers' bytes as JSON strings
 print(json.dumps({
     "longest": [
@@ -1221,6 +1240,8 @@ print(json.dumps({
     "decimals": [None if row is None else repr(row[0, 1]) for row in rows],
     "replicates": repr(replicates),
     "stopped": stopped,
+    "readouts": readouts,
+    "passes": passes,
 }))
 """
 
@@ -1273,12 +1294,27 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(
         if len(data) > 16:
             edited.append(data.decode("ascii"))
     edited += end_of_buffer_rows()
+    # noisy tones of M = 25 and 64 on 1, 2 and 64 rows, then two rows whose
+    # second holds a NaN
+    readouts = []
+    for m in (25, 64):
+        x = 0.5 + 0.5 * np.cos(2 * math.pi * 3 * np.arange(1, m + 1) / m) + rng.normal(size=(64, m))
+        readouts += [x[:rows] for rows in (1, 2, 64)]
+    readouts.append(np.where(np.arange(2 * 25).reshape(2, 25) == 30, math.nan, readouts[0][:1]))
     inputs = {
         "bits": values.view(np.uint64).tolist(), "texts": texts,
         "separators": [",", *JSON_SEPARATORS], "parsed": PARSED_TEXT.decode(),
         "seeds": seeds, "counts": [2, 8, 9, len(seeds)], "longest": [1, 2, 7, 100],
-        "edited": edited,
+        "edited": edited, "entry_points": ENTRY_POINTS,
+        "readouts": [x.tolist() for x in readouts],
     }
+    expected_readouts = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for x in readouts:
+            result = process_readouts(x)
+            data = b"".join(field.tobytes() for field in result if field is not None)
+            expected_readouts.append(hashlib.sha256(data).hexdigest())
     separators = inputs["separators"]
     assert len(repr(-2.2250738585072014e-308)) == _kernel.REPR_MAX
     longest = [np.full(n, -2.2250738585072014e-308) for n in inputs["longest"]]
@@ -1316,6 +1352,9 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(
         assert result["stopped"] == ["p_plus = 4.0 lies outside [0, 1] beyond float slack"] * 2
         assert result["longest"] == expected_longest
         assert result["edited"] == expected_edited
+        assert result["readouts"] == expected_readouts
+        # every pass ran on the six batches, and each declined the NaN batch
+        assert result["passes"] == [0, 0, 0] * 6 + [-1, -1, -1]
     if missing:
         pytest.skip(f"the other sanitizer passed; {missing}")
 

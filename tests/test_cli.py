@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from unsharp_monitor import artifacts, cli
+from unsharp_monitor import artifacts, cli, trajectory
 from unsharp_monitor.artifacts import (
     TRAJECTORY_COLUMNS,
     ArtifactError,
@@ -32,6 +32,8 @@ from unsharp_monitor.config import (
 from unsharp_monitor.povm import ParameterError
 from unsharp_monitor.spectral import process_readout
 from unsharp_monitor.trajectory import SeriesBoundWarning
+
+from helpers import python_route
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -703,6 +705,34 @@ class TestAnalyze:
         assert err.count("\n") == 1
         assert not (tmp_path / "an").exists()
 
+    @pytest.mark.parametrize("route", ["compiled", "python"])
+    def test_a_g2_whose_readout_overflows_is_rejected(self, tmp_path, capsys, monkeypatch, route):
+        # a pulse of 10 * 1e154 in 10 series: every power |a_l|^2 is a finite
+        # 1e308, and 3 x their median overflows.  The compiled pass declines
+        # it, and numpy raises, as it does on the Python route
+        if route == "python":
+            python_route(monkeypatch)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "m_series": 10}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", config, "--out-dir", out]) == 0
+        csv = out / "trajectory.csv"
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        column = TRAJECTORY_COLUMNS.index("g2")
+        for row in range(3, len(lines)):
+            fields = lines[row].split(",")
+            fields[column] = "1e155" if row == 3 else "0.0"
+            lines[row] = ",".join(fields)
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["analyze", csv, "--out-dir", tmp_path / "an"]) == 2
+        err = capsys.readouterr().err
+        message = "g2 too large for a spectrum: overflow encountered in multiply"
+        assert err == f"error: {csv}: {message}\n"
+        assert not (tmp_path / "an").exists()
+
 
 def read_sweep(path):
     header = None
@@ -971,6 +1001,20 @@ class TestSweep:
             ]) == 0
         assert [w.category for w in record] == [SeriesBoundWarning]
         assert record[0].filename.endswith("config.py")
+
+    def test_a_sweep_parses_its_base_once_and_each_regime_once(self, tmp_path, monkeypatch):
+        bases, regimes = [], []
+        parse, evaluate = cli.run_base_from_dict, trajectory.evaluate_regime
+        monkeypatch.setattr(cli, "run_base_from_dict", lambda *a: bases.append(a) or parse(*a))
+        monkeypatch.setattr(
+            trajectory, "evaluate_regime", lambda *a: regimes.append(a) or evaluate(*a)
+        )
+        assert run([
+            "sweep", "--p0", "0.5", "--dp", "0.08,0.3", "--tau", "0.002", "--n", "5,25",
+            "--m", "16", "--out-dir", tmp_path,
+        ]) == 0
+        # the stand-in point and the four points each evaluate their regime once
+        assert (len(bases), len(regimes)) == (1, 5)
 
     def test_grid_spec_file(self, tmp_path):
         spec = tmp_path / "grid.json"

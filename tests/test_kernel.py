@@ -431,9 +431,11 @@ def test_rows_of_a_call_are_bitwise_the_python_loop(states, p1, p2, tau, n, m_se
 # scales it to the zero vector on "-", which u >= 1 reads; a state of norm
 # 2 gives p_plus = 4 and a NaN state p_plus = NaN, both excursions, and a
 # state whose |c1|^2 underflows gives p_plus = 0, which every u reads "-"
-# (StateVector refuses it, so it stands in with the two amplitudes only)
+# (StateVector refuses the NaN state and this one, so each stands in with
+# the two amplitudes only)
 LANE_CONFIG = {"params": PovmParams(1.0, 0.0), "tau": 0.0, "n_per_series": 3, "m_series": 2}
-HEALTHY, LARGE, NOT_A_NUMBER = StateVector(1.0, 0.0), StateVector(2.0, 0.0), StateVector(math.nan, 0.0)
+HEALTHY, LARGE = StateVector(1.0, 0.0), StateVector(2.0, 0.0)
+NOT_A_NUMBER = SimpleNamespace(c1=complex(math.nan), c2=0j)
 VANISHING = SimpleNamespace(c1=1e-200 + 0j, c2=0j)
 
 

@@ -309,3 +309,14 @@ class TestStateVector:
     def test_zero_vector_rejected(self):
         with pytest.raises(StateError):
             StateVector(0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "c1, c2",
+        [
+            (math.nan, 0.0), (0.0, math.nan), (complex(1.0, math.nan), 0.0),
+            (math.inf, 0.0), (0.6, complex(0.0, -math.inf)),
+        ],
+    )
+    def test_non_finite_amplitude_rejected(self, c1, c2):
+        with pytest.raises(StateError, match="must be finite"):
+            StateVector(c1, c2)

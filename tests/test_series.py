@@ -401,13 +401,16 @@ NAN, PARAMS = math.nan, PovmParams(0.46, 0.54)
         lambda: evolve(UNIFORM, NAN, HamiltonianSpec()),
         lambda: level_resolution_time(PARAMS, NAN),
         lambda: fuzziness(0.5, NAN),
+        lambda: fuzziness(NAN, 1.0),
+        lambda: fuzziness(-1.0, 1.0),
         lambda: nbound(PARAMS, NAN, 1.0, 25),
         lambda: nbound(PARAMS, 0.002, NAN, 25),
         lambda: classify_regime(NAN),
     ],
     ids=[
         "spec-t_r", "propagator-tau", "propagator-inf-tau", "evolve-tau",
-        "level_resolution_time-tau", "fuzziness-t_r", "nbound-tau", "nbound-t_r",
+        "level_resolution_time-tau", "fuzziness-t_r", "fuzziness-t_lr",
+        "fuzziness-negative-t_lr", "nbound-tau", "nbound-t_r",
         "classify_regime-f",
     ],
 )

@@ -1,5 +1,9 @@
 """DFT bookkeeping, Wiener filtering, truncation, and regime classification."""
 
+import contextlib
+import copy
+import functools
+import itertools
 import math
 import warnings
 
@@ -9,9 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from unsharp_monitor import _kernel
 from unsharp_monitor.povm import ParameterError
 from unsharp_monitor.spectral import (
     AnalysisError,
+    _cut,
+    _real,
+    _spectra,
+    _weighed,
     classify_regime,
     main_peak,
     power_spectrum,
@@ -21,6 +30,8 @@ from unsharp_monitor.spectral import (
     wiener_filter,
 )
 from unsharp_monitor.spectral import process_readouts, row_correlations, row_medians
+
+from helpers import needs_library, python_route
 
 DT = 0.05
 
@@ -434,6 +445,225 @@ class TestBatchedReadout:
         assert result.processed.shape == (48, 200)
         assert result.peak_index.tolist() == [6] * 48
         assert np.array_equal(result.processed[17], process_readout(x[17], DT)[1])
+
+
+# ---- the library's readout passes (_readout.c) against the numpy helpers ----
+
+PASSES = ("um_weigh_rows", "um_cut_rows", "um_real_rows")
+# ROW_KINDS without "nan", whose rows every pass declines, and with rows of
+# zeros (a top of 0, so the Wiener filter passes every bin through); rows
+# whose power has two equal largest bins ("tie") join at the M of tie_rows()
+COMPILED_KINDS = ("noise", "tone", "constant", "zero", "passthrough", "lattice", "tiny")
+
+
+@functools.cache
+def tie_rows() -> dict[int, np.ndarray]:
+    """Readouts of small integers whose power has its largest value in two
+    bins of 1..M/2 and is not flat, the first of 300 seeded draws that has
+    one, for the M of 6 to 20 where one is found; built once."""
+    ties = {}
+    for m in range(6, 21):
+        rng = np.random.default_rng(m)
+        for _ in range(300):
+            x = rng.integers(-3, 4, size=m).astype(float)
+            searched = (np.abs(_spectra(x[None])) ** 2)[0, 1 : m // 2 + 1]
+            top = searched.max()
+            if top - searched.min() > 1e-15 and np.count_nonzero(searched == top) > 1:
+                ties[m] = x
+                break
+    return ties
+
+
+def compiled_row(kind: str, m: int, seed: int) -> np.ndarray:
+    if kind == "zero":
+        return np.zeros(m)
+    if kind == "tie":
+        return tie_rows()[m]
+    return readout_row(kind, m, seed)
+
+
+@st.composite
+def compiled_batches(draw) -> np.ndarray:
+    """1 to 16 readouts of COMPILED_KINDS, and "tie" where M has one, of M from 4 up."""
+    m = draw(st.sampled_from(sorted(tie_rows())) | st.integers(4, 300))
+    kinds = (*COMPILED_KINDS, "tie") if m in tie_rows() else COMPILED_KINDS
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(kinds), st.integers(0, 2**32)), min_size=1, max_size=16
+    ))
+    return np.array([compiled_row(kind, m, seed) for kind, seed in rows])
+
+
+def as_bytes(values):
+    """Arrays as their dtype, shape and bytes, an error as its type and text."""
+    if isinstance(values, Exception):
+        return type(values), str(values)
+    if isinstance(values, (tuple, list)):
+        return [as_bytes(value) for value in values]
+    if isinstance(values, np.ndarray):
+        return values.dtype.str, values.shape, values.tobytes()
+    return values
+
+
+def outcome(call, *args):
+    """``as_bytes`` of what ``call(*args)`` returns or raises, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call(*args)
+        except (AnalysisError, FloatingPointError) as error:
+            result = error
+    return as_bytes(result), [(w.category, str(w.message)) for w in caught]
+
+
+@contextlib.contextmanager
+def spied_passes():
+    """What each readout pass of the library returns, in order, as (name, value)."""
+    library, returned = _kernel.load(), []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in PASSES:
+
+            def spy(*args, name=name, entry=getattr(library, name)):
+                returned.append((name, entry(*args)))
+                return returned[-1][1]
+
+            patch.setattr(library, name, spy)
+        yield returned
+
+
+def python_outcome(call, *args):
+    with pytest.MonkeyPatch.context() as patch:
+        python_route(patch)
+        return outcome(call, *args)
+
+
+SETTINGS = list(itertools.product((True, False), repeat=2))  # (wiener, truncation)
+MAX = np.finfo(float).max
+# a 16-bin row of power whose top quartile's median f, the noise floor, is
+# 10001.5 ulps of the largest double: its bin at MAX has signal MAX - f,
+# which rounds up by half an ulp, and signal + f overflows
+FLOOR_ROW = np.ones(16)
+FLOOR_ROW[7:9], FLOOR_ROW[3] = 10001.5 * 2.0**971, MAX
+
+
+@needs_library
+class TestCompiledReadout:
+    @settings(max_examples=60, deadline=None)
+    @given(x=compiled_batches())
+    @example(x=np.array([compiled_row(kind, 64, 5) for kind in COMPILED_KINDS]))
+    @example(x=np.array([compiled_row(kind, 301, 6) for kind in COMPILED_KINDS] * 8))
+    @example(x=np.zeros((1, 4)))
+    @example(x=np.array([compiled_row("tie", m, 0) for m in [min(tie_rows())]]))
+    def test_the_passes_give_the_python_routes_arrays(self, x):
+        for wiener, truncation in SETTINGS:
+            with spied_passes() as returned:
+                compiled = outcome(process_readouts, x, wiener, truncation)
+            # each pass ran once, and none declined
+            assert [name for name, _ in returned] == [*PASSES[: 1 + truncation], "um_real_rows"]
+            assert all(value >= 0 for _, value in returned)
+            assert compiled == python_outcome(process_readouts, x, wiener, truncation)
+
+    # the passes on arrays of few values, whose rows hold ties, flat
+    # stretches and zeros, and on inverse FFTs with an imaginary part
+    # within and beyond the bound
+    @settings(max_examples=100, deadline=None)
+    @given(
+        power=st.integers(1, 3).flatmap(lambda rows: st.integers(4, 24).flatmap(
+            lambda m: arrays(
+                np.float64, (rows, m), elements=st.sampled_from([0.0, 1e-30, 0.25, 1.0, 3.0]),
+            )
+        )),
+        signs=st.integers(0, 2**32),
+        residual=st.sampled_from([0.0, 1e-12, 1e-3]),
+    )
+    def test_each_pass_gives_the_numpy_helpers_doubles(self, power, signs, residual):
+        rng = np.random.default_rng(signs)
+        coefficients = (np.sqrt(power) * rng.choice([1, -1, 1j, -1j], power.shape)).astype(complex)
+        library = _kernel.load()
+        for wiener in (True, False):
+            with spied_passes() as returned:
+                weighed = outcome(_weighed, library, coefficients, power, wiener)
+            assert returned == [("um_weigh_rows", 0)]
+            assert weighed == outcome(_weighed, None, coefficients, power, wiener)
+        index, _, _, _, kept = _weighed(None, coefficients, power, True)
+        for kept_power in (np.abs(kept) ** 2, None):
+            cut = outcome(_cut, library, kept.copy(), kept_power, index)
+            assert cut == outcome(_cut, None, kept.copy(), kept_power, index)
+        values = coefficients + 1j * residual * rng.normal(size=power.shape)
+        assert outcome(_real, library, values) == outcome(_real, None, values)
+
+    def test_argmax_ties_are_covered(self):
+        # the FFT's rounding decides which M have one (6, 8, 12 and 16 with
+        # numpy 2.4); the property above draws those M
+        assert tie_rows()
+
+    def test_any_memory_layout_gives_the_python_routes_arrays(self):
+        # the passes read C-contiguous rows; a Fortran-ordered batch makes
+        # Fortran-ordered coefficients, which numpy's helpers read instead
+        x = np.array([compiled_row(kind, 64, 9) for kind in COMPILED_KINDS])
+        expected = outcome(process_readouts, x, True, True)
+        strided = (np.repeat(x, 2, axis=1)[:, ::2], np.repeat(x, 2, axis=0)[::2])
+        for layout in (np.asfortranarray(x), *strided):
+            assert outcome(process_readouts, layout, True, True) == expected
+            assert python_outcome(process_readouts, layout, True, True) == expected
+
+    # rows the weighing pass declines: a NaN sample, a power that overflows
+    # to inf, a pulse whose every power is a finite 1e308 (so 3 x median
+    # overflows where M / 2 is odd, and the middle pair's sum where it is
+    # even), each after a row the pass has written
+    @pytest.mark.parametrize("errstate", ["warn", "raise"])
+    @pytest.mark.parametrize(
+        "case, row",
+        [
+            ("nan", np.where(np.arange(32) == 5, math.nan, 1.0)),
+            ("inf-power", np.where(np.arange(32) == 5, 1e200, 1.0)),
+            ("three-median", np.where(np.arange(10) == 0, 1e155, 0.0)),
+            ("median-pair", np.where(np.arange(8) == 0, 8e154, 0.0)),
+        ],
+    )
+    def test_a_declined_readout_is_the_python_routes(self, case, row, errstate):
+        x = np.array([tone(len(row), 2), row])
+        for wiener, truncation in SETTINGS:
+            with np.errstate(over=errstate, invalid=errstate), spied_passes() as returned:
+                compiled = outcome(process_readouts, x, wiener, truncation)
+            with np.errstate(over=errstate, invalid=errstate):
+                python = python_outcome(process_readouts, x, wiener, truncation)
+            # the same arrays or error, and each warning as often as numpy gives it
+            assert compiled == python
+            # the pass declined, or numpy raised before it ran
+            weighings = [value for name, value in returned if name == "um_weigh_rows"]
+            assert weighings == [-1] if errstate == "warn" else weighings in ([], [-1])
+
+    # a pass declines on its own: the weighing on a signal + floor that
+    # overflows, the cut on a kept power that is not finite, the synthesis
+    # on an x M that overflows and on an imaginary part beyond the bound
+    @pytest.mark.parametrize("errstate", ["warn", "raise"])
+    @pytest.mark.parametrize("case", ["signal-plus-floor", "kept-power", "times-m", "residual"])
+    def test_a_declining_pass_leaves_its_step_to_numpy(self, case, errstate):
+        library = _kernel.load()
+        if case == "signal-plus-floor":
+            call, args = _weighed, (np.sqrt(FLOOR_ROW[None]).astype(complex), FLOOR_ROW[None], True)
+        elif case == "kept-power":
+            kept = np.ones((2, 16), dtype=complex)
+            kept_power = np.where(np.arange(32).reshape(2, 16) == 20, math.inf, 1.0)
+            call, args = _cut, (kept, kept_power, np.array([3, 4]))
+        else:
+            values = np.full((2, 16), 1.0 + 0j)
+            values[1, 3] = MAX / 16 * 2.0 if case == "times-m" else 1.0 + 1e-3j
+            call, args = _real, (values,)
+        with np.errstate(over=errstate, invalid=errstate):
+            with spied_passes() as returned:
+                compiled = outcome(call, library, *copy.deepcopy(args))
+            numpy = outcome(call, None, *copy.deepcopy(args))
+        assert len(returned) == 1 and returned[0][1] == -1
+        assert compiled == numpy
+        if case in ("signal-plus-floor", "times-m"):
+            operation = "add" if case == "signal-plus-floor" else "multiply"
+            message = f"overflow encountered in {operation}"
+            expected = [(RuntimeWarning, message)] if errstate == "warn" else []
+            assert numpy[1] == expected
+            assert errstate == "warn" or numpy[0] == (FloatingPointError, message)
+        if case == "residual":
+            assert numpy[0][0] is AnalysisError
 
 
 class TestClassifyRegime:
