@@ -28,6 +28,10 @@ Where it returns None, ``trajectory`` runs its Python loop, which gives
 the same doubles, ``artifacts`` formats with ``float.__repr__`` and
 parses with ``float()``, which give the same text and the same doubles,
 and ``spectral`` runs its numpy helpers, which give the same doubles.
+
+``ENTRY_POINTS``, the one declaration of the library's interface, gives
+each entry point's types; ``open_library`` types every entry of a build
+at any path, the cached one ``load`` gives and each build the tests make.
 """
 
 from __future__ import annotations
@@ -151,6 +155,86 @@ def pow10_table() -> list[int]:
     return table + [_top_bits(p, POW10_BITS) for p in powers[:POW10_MAX_Q + 1]]
 
 
+_DOUBLES, _INT64S = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
+_UINT64S, _INT64, _ADDRESS = ctypes.POINTER(ctypes.c_uint64), ctypes.c_int64, ctypes.c_void_p
+
+# every entry point: (return type, argument types).  A buffer's note gives
+# its shape and says "written" where the call writes it; an address is a
+# C-contiguous array's
+ENTRY_POINTS = {
+    "um_seed": (None, (
+        _UINT64S,  # seeds, rows
+        _INT64,  # rows
+        _UINT64S,  # streams, rows x 4, written
+    )),
+    "um_advance_rows": (_INT64, (  # the row it stopped in, or rows
+        _DOUBLES,  # state, rows x 4
+        _DOUBLES,  # constants
+        _INT64,  # n
+        _INT64,  # series
+        _INT64,  # rows
+        _UINT64S,  # streams, rows x 4, advanced
+        _DOUBLES,  # c2_sq, rows x series, written
+        _INT64S,  # n_plus, rows x series, written
+    )),
+    "um_repr_join": (_INT64, (  # the bytes written, or -1 where capacity is short
+        _ADDRESS,  # x, doubles
+        _INT64,  # n
+        ctypes.c_char_p,  # sep
+        _INT64,  # sep_len
+        _ADDRESS,  # out, written
+        _INT64,  # capacity, at least (REPR_MAX + sep_len) * n
+    )),
+    "um_repr_rows": (_INT64, (  # the bytes written, or -1 where capacity is short
+        _ADDRESS,  # columns, width x n doubles
+        _INT64,  # n
+        _INT64,  # width
+        _ADDRESS,  # out, written
+        _INT64,  # capacity, at least (INDEX_MAX + 1 + width * (REPR_MAX + 1)) * n
+    )),
+    "um_parse_rows": (_INT64, (  # the rows read, or -1 where it declines
+        _ADDRESS,  # buf, the data rows' bytes
+        _INT64,  # len
+        _ADDRESS,  # out, doubles, written
+        _INT64,  # capacity, in doubles
+    )),
+    "um_weigh_rows": (_INT64, (  # 0, or -1 where it declines
+        _ADDRESS,  # coefficients, rows x m complex
+        _ADDRESS,  # power, rows x m
+        _INT64,  # rows
+        _INT64,  # m
+        _ADDRESS,  # scratch, m // 2 doubles
+        _ADDRESS,  # index, rows int64, written
+        _ADDRESS,  # significant, rows bools, written
+        _ADDRESS,  # floors, rows doubles, written
+        _ADDRESS,  # weights, rows x m, written; NULL with the filter off
+        _ADDRESS,  # kept, rows x m complex, written; NULL with the filter off
+    )),
+    "um_cut_rows": (_INT64, (  # the rows without a peak, or -1 where it declines
+        _ADDRESS,  # kept, rows x m complex, truncated in place
+        _ADDRESS,  # kept_power, rows x m; NULL: cut at index as given
+        _INT64,  # rows
+        _INT64,  # m
+        _ADDRESS,  # index, rows int64, written from kept_power, else read
+    )),
+    "um_real_rows": (_INT64, (  # 0, or -1 where it declines
+        _ADDRESS,  # values, rows x m complex, the inverse FFT
+        _INT64,  # rows
+        _INT64,  # m
+        _ADDRESS,  # out, rows x m, written
+    )),
+}
+
+
+def open_library(path: str | os.PathLike) -> ctypes.CDLL:
+    """The library built at ``path``, every entry point of ``ENTRY_POINTS`` typed."""
+    library = ctypes.CDLL(str(path))
+    for name, (restype, argtypes) in ENTRY_POINTS.items():
+        entry = getattr(library, name)
+        entry.restype, entry.argtypes = restype, argtypes
+    return library
+
+
 @functools.cache
 def load() -> ctypes.CDLL | None:
     """The cached library, typed, built first if need be; None, said on stderr, if unavailable.
@@ -161,81 +245,8 @@ def load() -> ctypes.CDLL | None:
         path = library_path()
         if not path.is_file():
             _build(path)
-        library = ctypes.CDLL(str(path))
+        return open_library(path)
     except OSError as error:
         message = f"compiled library unavailable ({error}); the Python routes run, slower"
         print(f"warning: {message}", file=sys.stderr)
         return None
-    double_p, int64_p = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
-    uint64_p = ctypes.POINTER(ctypes.c_uint64)
-    library.um_seed.restype = None
-    library.um_seed.argtypes = (
-        uint64_p,  # seeds, rows
-        ctypes.c_int64,  # rows
-        uint64_p,  # streams, rows x 4, written
-    )
-    library.um_advance_rows.restype = ctypes.c_int64  # the row it stopped in, or rows
-    library.um_advance_rows.argtypes = (
-        double_p,  # state, rows x 4
-        double_p,  # constants
-        ctypes.c_int64,  # n
-        ctypes.c_int64,  # series
-        ctypes.c_int64,  # rows
-        uint64_p,  # streams, rows x 4, advanced
-        double_p,  # c2_sq, rows x series
-        int64_p,  # n_plus, rows x series
-    )
-    library.um_repr_join.restype = ctypes.c_int64
-    library.um_repr_join.argtypes = (
-        ctypes.c_void_p,  # x, C-contiguous doubles
-        ctypes.c_int64,  # n
-        ctypes.c_char_p,  # sep
-        ctypes.c_int64,  # sep_len
-        ctypes.c_void_p,  # out
-        ctypes.c_int64,  # capacity, at least (REPR_MAX + sep_len) * n
-    )
-    library.um_repr_rows.restype = ctypes.c_int64
-    library.um_repr_rows.argtypes = (
-        ctypes.c_void_p,  # columns, width x n C-contiguous doubles
-        ctypes.c_int64,  # n
-        ctypes.c_int64,  # width
-        ctypes.c_void_p,  # out
-        ctypes.c_int64,  # capacity, at least (INDEX_MAX + 1 + width * (REPR_MAX + 1)) * n
-    )
-    library.um_parse_rows.restype = ctypes.c_int64
-    library.um_parse_rows.argtypes = (
-        ctypes.c_void_p,  # buf, the data rows' bytes
-        ctypes.c_int64,  # len
-        ctypes.c_void_p,  # out, C-contiguous doubles
-        ctypes.c_int64,  # capacity, in doubles
-    )
-    # the readout's passes; each returns -1 where it declines
-    library.um_weigh_rows.restype = ctypes.c_int64  # or 0
-    library.um_weigh_rows.argtypes = (
-        ctypes.c_void_p,  # coefficients, rows x m complex
-        ctypes.c_void_p,  # power, rows x m
-        ctypes.c_int64,  # rows
-        ctypes.c_int64,  # m
-        ctypes.c_void_p,  # scratch, m // 2 doubles
-        ctypes.c_void_p,  # index, rows int64, written
-        ctypes.c_void_p,  # significant, rows bools, written
-        ctypes.c_void_p,  # floors, rows doubles, written
-        ctypes.c_void_p,  # weights, rows x m, written; NULL with the filter off
-        ctypes.c_void_p,  # kept, rows x m complex, written; NULL with the filter off
-    )
-    library.um_cut_rows.restype = ctypes.c_int64  # or the rows without a peak
-    library.um_cut_rows.argtypes = (
-        ctypes.c_void_p,  # kept, rows x m complex, truncated in place
-        ctypes.c_void_p,  # kept_power, rows x m; NULL: cut at index as given
-        ctypes.c_int64,  # rows
-        ctypes.c_int64,  # m
-        ctypes.c_void_p,  # index, rows int64, written from kept_power, else read
-    )
-    library.um_real_rows.restype = ctypes.c_int64  # or 0
-    library.um_real_rows.argtypes = (
-        ctypes.c_void_p,  # values, rows x m complex, the inverse FFT
-        ctypes.c_int64,  # rows
-        ctypes.c_int64,  # m
-        ctypes.c_void_p,  # out, rows x m, written
-    )
-    return library

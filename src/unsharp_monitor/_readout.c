@@ -51,8 +51,7 @@
 
 #define INLINE static inline __attribute__((always_inline))
 
-/* spectral's _FLAT_TOL and _NOISE_FLOOR_REL, and _real's bound on the
-   imaginary part */
+/* spectral's _FLAT_TOL, _NOISE_FLOOR_REL and _RESIDUAL_REL */
 #define FLAT_TOL 1e-15
 #define NOISE_FLOOR_REL 1e-12
 #define RESIDUAL_REL 1e-9

@@ -28,9 +28,8 @@ kept peak and the truncation, on numpy's |kept|^2) and ``um_real_rows``
 (the x M, the real part and the check that it is real, on numpy's
 inverse FFT).  Each gives the numpy helpers' doubles bit for bit, and
 declines, where numpy would warn or raise or meets a value that is not
-finite, for those helpers to run on the same arrays; they also run where
-an array is not C-contiguous, the one layout the passes read.  The FFTs,
-the twist and ``np.abs`` are numpy's on both routes.
+finite, for those helpers to run on the same arrays.  The FFTs, the
+twist and ``np.abs`` are numpy's on both routes.
 """
 
 from __future__ import annotations
@@ -50,8 +49,11 @@ from .povm import ParameterError
 MIN_SAMPLES = 4
 # the default regime thresholds on the fuzziness f (classify_regime)
 F_LO, F_HI = 0.3, 5.0
+# tolerances of the flat test, the filter's passthrough and the real check;
+# _readout.c spells them FLAT_TOL, NOISE_FLOOR_REL and RESIDUAL_REL
 _FLAT_TOL = 1e-15
 _NOISE_FLOOR_REL = 1e-12
+_RESIDUAL_REL = 1e-9
 _NO_PEAK = "no main peak found; truncation skipped"
 
 
@@ -129,8 +131,9 @@ def _phases(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _samples(values, ndim: int, dt: float | None = None) -> np.ndarray:
-    """``values`` as an ``ndim``-d float array, checked, and ``dt`` checked if given."""
-    x = np.asarray(values, dtype=float)
+    """``values`` as a C-contiguous ``ndim``-d float array, the layout numpy's
+    FFTs keep and the passes read, checked, and ``dt`` checked if given."""
+    x = np.asarray(values, dtype=float, order="C")
     if x.ndim != ndim or x.shape[-1] < MIN_SAMPLES or x.size == 0:
         what = "sequence" if ndim == 1 else "array of readouts, one per row,"
         raise AnalysisError(
@@ -155,10 +158,9 @@ def _synthesized(library, coefficients: np.ndarray) -> np.ndarray:
 
 def _real(library, values: np.ndarray) -> np.ndarray:
     """The real part of the inverse FFT ``values`` times M, checked to be
-    real: by ``um_real_rows`` where ``library`` is given, ``values`` is
-    C-contiguous (the layout the pass reads) and the pass does not
-    decline, else by numpy."""
-    if library is not None and values.flags.c_contiguous:
+    real: by ``um_real_rows`` where ``library`` is given and the pass does
+    not decline, else by numpy."""
+    if library is not None:
         real = np.empty(values.shape)
         if not library.um_real_rows(values.ctypes.data, *values.shape, real.ctypes.data):
             return real
@@ -166,7 +168,7 @@ def _real(library, values: np.ndarray) -> np.ndarray:
     top = np.max(np.abs(values.real), axis=1)
     scale = np.where(top > 1.0, top, 1.0)  # max(1.0, top), a NaN top included
     worst = np.max(np.abs(values.imag), axis=1)
-    broken = worst > 1e-9 * scale
+    broken = worst > _RESIDUAL_REL * scale
     if broken.any():
         raise AnalysisError(
             f"synthesis is not real: residual imaginary part {worst[broken][0]:.3e} "
@@ -231,10 +233,10 @@ def _weighed(library, coefficients: np.ndarray, power: np.ndarray, wiener: bool)
     """Main peak index, significance and noise floor of each row of
     ``power``, then the Wiener weights and the weighted coefficients, or,
     with the filter off, None and ``coefficients`` themselves: by
-    ``um_weigh_rows`` where ``library`` is given, both arrays are
-    C-contiguous and the pass does not decline, else by numpy."""
+    ``um_weigh_rows`` where ``library`` is given and the pass does not
+    decline, else by numpy."""
     rows, m = power.shape
-    if library is not None and coefficients.flags.c_contiguous and power.flags.c_contiguous:
+    if library is not None:
         index, significant = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=bool)
         floors, scratch = np.empty(rows), np.empty(m // 2)
         weights = np.empty((rows, m)) if wiener else None
@@ -257,12 +259,11 @@ def _weighed(library, coefficients: np.ndarray, power: np.ndarray, wiener: bool)
 def _cut(library, kept: np.ndarray, kept_power: np.ndarray | None, index: np.ndarray):
     """``kept`` truncated at each row's main peak, that of ``kept_power``
     or, where it is None, ``index``, and the number of rows without one:
-    by ``um_cut_rows`` where ``library`` is given, the arrays are
-    C-contiguous and the pass does not decline, else by numpy.  The pass
-    cuts ``kept`` in place unless ``kept_power`` is None, when ``kept`` is
-    the raw coefficients and it cuts a copy."""
-    readable = kept_power is None or kept_power.flags.c_contiguous
-    if library is not None and kept.flags.c_contiguous and readable:
+    by ``um_cut_rows`` where ``library`` is given and the pass does not
+    decline, else by numpy.  The pass cuts ``kept`` in place unless
+    ``kept_power`` is None, when ``kept`` is the raw coefficients and it
+    cuts a copy."""
+    if library is not None:
         cut = kept.copy() if kept_power is None else kept
         kept_index = index if kept_power is None else np.empty_like(index)
         missing = library.um_cut_rows(

@@ -14,7 +14,6 @@ to return None, which puts a test on every route that runs without the
 library, and ``stream_route`` is the trajectory route it picks.
 """
 
-import ctypes
 import math
 import re
 import shutil
@@ -57,23 +56,6 @@ needs_library = pytest.mark.skipif(
 KERNELS = {"python": _python_advance}
 if _kernel.load() is not None:
     KERNELS["compiled"] = _compiled_advance
-
-
-# every entry point of the library
-ENTRY_POINTS = (
-    "um_seed", "um_advance_rows", "um_repr_join", "um_repr_rows", "um_parse_rows",
-    "um_weigh_rows", "um_cut_rows", "um_real_rows",
-)
-
-
-def typed_library(path) -> ctypes.CDLL:
-    """The library built at ``path``, its entry points typed as those of
-    the library ``_kernel.load()`` gives."""
-    library = ctypes.CDLL(str(path))
-    for name in ENTRY_POINTS:
-        typed, entry = getattr(_kernel.load(), name), getattr(library, name)
-        entry.argtypes, entry.restype = typed.argtypes, typed.restype
-    return library
 
 
 def python_route(monkeypatch) -> None:

@@ -50,7 +50,7 @@ from unsharp_monitor.config import load_run_config
 from unsharp_monitor.spectral import process_readout, process_readouts
 from unsharp_monitor.trajectory import simulate_replicates, simulate_trajectory
 
-from helpers import ENTRY_POINTS, needs_cc, needs_library, python_route, typed_library
+from helpers import needs_cc, needs_library, python_route
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -945,7 +945,7 @@ def test_the_portable_product_writes_and_reads_as_the_python_routes(
     # the library built without unsigned __int128, as a compiler without it
     # builds it: umul128's portable body does every product.  The Python
     # routes' bytes are joined from the shared texts, as those routes join them
-    library = typed_library(portable_library)
+    library = _kernel.open_library(portable_library)
     values, texts, negated = random_doubles
     columns = np.array([values, -values, values[::-1], np.roll(values, 1)])
     column_texts = (texts, negated, texts[::-1], texts[-1:] + texts[:-1])
@@ -1171,17 +1171,14 @@ def test_the_eight_digit_step_reads_and_declines_as_float_and_the_rule_do():
 # buffers are numpy arrays of exactly their size, and on a batch whose NaN
 # row the weighing declines after it has written the row before
 SANITIZED = """
-import ctypes, hashlib, json, sys, warnings
+import hashlib, json, sys, warnings
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 from unsharp_monitor import _kernel, artifacts, spectral, trajectory
 from unsharp_monitor.config import load_run_config
 from unsharp_monitor.povm import PovmParams, StateError
 inputs = json.load(sys.stdin)
-library = ctypes.CDLL(sys.argv[2])
-for name in inputs["entry_points"]:
-    typed, entry = getattr(_kernel.load(), name), getattr(library, name)
-    entry.argtypes, entry.restype = typed.argtypes, typed.restype
+library = _kernel.open_library(sys.argv[2])
 _kernel.load = lambda: library
 values = np.array(inputs["bits"], dtype=np.uint64).view(np.float64)
 rows = [artifacts._compiled_rows(f"1,{text},0.5,0.5,0.5\\n".encode()) for text in inputs["texts"]]
@@ -1305,7 +1302,7 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(
         "bits": values.view(np.uint64).tolist(), "texts": texts,
         "separators": [",", *JSON_SEPARATORS], "parsed": PARSED_TEXT.decode(),
         "seeds": seeds, "counts": [2, 8, 9, len(seeds)], "longest": [1, 2, 7, 100],
-        "edited": edited, "entry_points": ENTRY_POINTS,
+        "edited": edited,
         "readouts": [x.tolist() for x in readouts],
     }
     expected_readouts = []

@@ -23,7 +23,7 @@ import pytest
 from unsharp_monitor import _kernel, artifacts, cli
 from unsharp_monitor.cli import main
 
-from helpers import ENTRY_POINTS, python_route
+from helpers import python_route
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -103,7 +103,7 @@ def all_python(monkeypatch) -> None:
     library = _kernel.load()
     python_route(monkeypatch)
     if library is not None:
-        for name in ENTRY_POINTS:
+        for name in _kernel.ENTRY_POINTS:
 
             def refuse(*args, name=name):
                 raise AssertionError(f"{name} ran on the Python routes")

@@ -79,7 +79,6 @@ from helpers import (
     run_kernel,
     seeded,
     streams_of,
-    typed_library,
 )
 
 
@@ -745,7 +744,7 @@ def test_streams_are_numpys_pcg64_seeded_through_seed_sequence():
 
 def use_library(monkeypatch, path) -> None:
     """Run the compiled routes on the build at ``path``."""
-    library = typed_library(path)
+    library = _kernel.open_library(path)
     monkeypatch.setattr(_kernel, "load", lambda: library)
 
 
@@ -812,6 +811,16 @@ def test_compiled_kernel_is_in_use():
     # float.__repr__ and float()) is a failure
     assert _kernel.load() is not None
     assert _kernel.library_path().is_file()
+
+
+def test_the_table_types_every_entry_point_of_the_sources():
+    # an entry point is a function the sources define at file scope, not
+    # static, named um_*; each is declared in _kernel.ENTRY_POINTS, which
+    # names nothing else
+    text = "".join(source.read_text(encoding="utf-8") for source in _kernel.SOURCES)
+    definitions = re.findall(r"^([^\s#/*;{}][^;{}\n]*?)\b(um_\w+)\s*\([^;{}]*\)\s*\{", text, re.M)
+    defined = {name for head, name in definitions if not {"static", "INLINE"} & set(head.split())}
+    assert defined == set(_kernel.ENTRY_POINTS)
 
 
 # prints whether the compiled library is in use, whether the process

@@ -5,6 +5,7 @@ import copy
 import functools
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from unsharp_monitor import _kernel
+from unsharp_monitor import _kernel, spectral
 from unsharp_monitor.povm import ParameterError
 from unsharp_monitor.spectral import (
     AnalysisError,
@@ -543,6 +544,14 @@ MAX = np.finfo(float).max
 # which rounds up by half an ulp, and signal + f overflows
 FLOOR_ROW = np.ones(16)
 FLOOR_ROW[7:9], FLOOR_ROW[3] = 10001.5 * 2.0**971, MAX
+
+
+def test_the_passes_use_the_python_routes_thresholds():
+    # _readout.c spells each threshold of the numpy helpers as a macro
+    (source,) = [path for path in _kernel.SOURCES if path.name == "_readout.c"]
+    macros = dict(re.findall(r"^#define (\w+) (\S+)$", source.read_text(encoding="utf-8"), re.M))
+    for name in ("FLAT_TOL", "NOISE_FLOOR_REL", "RESIDUAL_REL"):
+        assert float(macros[name]) == getattr(spectral, f"_{name}"), name
 
 
 @needs_library
