@@ -248,18 +248,6 @@ def _assemble(parts: list[_Part]) -> memoryview:
     return view[: at + len(text)]
 
 
-def _joined(values: Any, separator: str) -> bytes:
-    """The ``float.__repr__`` text of each element of a 1-d array, joined by
-    ``separator``, as ASCII bytes."""
-    return bytes(_assemble([_join_part(values, separator)]))
-
-
-def _csv_rows(*columns: Any) -> bytes:
-    """The CSV rows ``r,v1,...,vk\\n`` for r = 1..M, as ASCII bytes: each
-    row's number and ``float.__repr__`` of the values in ``columns`` beside it."""
-    return bytes(_assemble([_rows_part(*columns)]))
-
-
 _MARKER = "__unsharp_monitor_float_array__"  # stands in for a float array in json's text
 _MARKER_JSON = json.dumps(_MARKER)
 

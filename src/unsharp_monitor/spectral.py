@@ -30,12 +30,26 @@ inverse FFT).  Each gives the numpy helpers' doubles bit for bit, and
 declines, where numpy would warn or raise or meets a value that is not
 finite, for those helpers to run on the same arrays.  The FFTs, the
 twist and ``np.abs`` are numpy's on both routes.
+
+``process_readouts`` and ``row_correlations`` keep their L x M
+intermediates per thread, from call to call, on both routes: the weighted
+coefficients, their power |kept|^2 and the untwisted coefficients the
+inverse FFT reads, whose memory the correlations reuse for their stacked
+pairs and the pairs' squares.  Each is an array of exactly the batch's
+shape, made anew when the shape changes, and a batch whose complex array
+exceeds ``_KEPT_MAX`` (4 MiB) keeps none.  The arrays either function
+returns are never kept: they are the caller's own, and no later call
+writes them.  Made fresh on every call, the intermediates of a sweep's
+48 x 200 batch faulted some 155 pages back in per call, as the allocator
+hands freed memory of that size back to the system; kept, an in-process
+``sweep`` op of that batch faults 0.1 pages once warm.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -55,6 +69,12 @@ _FLAT_TOL = 1e-15
 _NOISE_FLOOR_REL = 1e-12
 _RESIDUAL_REL = 1e-9
 _NO_PEAK = "no main peak found; truncation skipped"
+# A batch whose complex L x M array exceeds this many bytes keeps no
+# scratch: four times the 1 MiB at which a sweep reads its points out
+# (cli._READOUT_SAMPLES), so that a batch of a million samples does not
+# hold its 40 MB of scratch for good.
+_KEPT_MAX = 4 << 20
+_kept = threading.local()  # .scratch: the thread's _Scratch, of its last batch's shape
 
 
 class AnalysisError(ValueError):
@@ -103,6 +123,14 @@ class Readouts(NamedTuple):
     processed: np.ndarray  # L x M
 
 
+class _Scratch(NamedTuple):
+    """One batch's intermediates, each an L x M array of exactly its size."""
+
+    kept: np.ndarray  # complex: the weighted coefficients, or the correlations' pairs
+    power: np.ndarray  # |kept|^2
+    untwisted: np.ndarray  # complex: the inverse FFT's input, or the pairs' squares
+
+
 class PeakInfo(NamedTuple):
     index: int | None
     frequency: float | None
@@ -144,16 +172,39 @@ def _samples(values, ndim: int, dt: float | None = None) -> np.ndarray:
     return x
 
 
+def _scratch(shape: tuple[int, int]) -> _Scratch:
+    """The thread's scratch for a batch of ``shape``: the arrays of the last
+    batch of that shape, else new ones, which a batch above ``_KEPT_MAX``
+    does not keep."""
+    scratch = getattr(_kept, "scratch", None)
+    if scratch is None or scratch.power.shape != shape:
+        scratch = _Scratch(np.empty(shape, complex), np.empty(shape), np.empty(shape, complex))
+        if scratch.kept.nbytes <= _KEPT_MAX:
+            _kept.scratch = scratch
+    return scratch
+
+
 def _spectra(x: np.ndarray) -> np.ndarray:
-    m = x.shape[1]
-    return _phases(m)[0] * np.fft.fft(x, axis=1) / m
+    """The twist times numpy's FFT of each row, over M, in the FFT's array."""
+    coefficients = np.fft.fft(x, axis=1)
+    np.multiply(_phases(x.shape[1])[0], coefficients, out=coefficients)
+    coefficients /= x.shape[1]
+    return coefficients
+
+
+def _power(coefficients: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|coefficients|^2, into ``out`` if given; a finite value whose square
+    overflows warns "overflow encountered in square"."""
+    power = np.abs(coefficients, out=out)
+    return np.square(power, out=power)
 
 
 def _synthesized(library, coefficients: np.ndarray) -> np.ndarray:
     """The samples of each row of ``coefficients``: the inverse FFT, then
     ``_real`` with ``library``, which may be None."""
-    m = coefficients.shape[1]
-    return _real(library, np.fft.ifft(coefficients * _phases(m)[1], axis=1))
+    untwisted = _scratch(coefficients.shape).untwisted
+    np.multiply(coefficients, _phases(coefficients.shape[1])[1], out=untwisted)
+    return _real(library, np.fft.ifft(untwisted, axis=1))
 
 
 def _real(library, values: np.ndarray) -> np.ndarray:
@@ -225,7 +276,7 @@ def _truncated(coefficients: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 def _raw(coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Power, main peak index, significance and noise floor of each row."""
-    power = np.abs(coefficients) ** 2
+    power = _power(coefficients)
     return power, *_weighed(None, coefficients, power, wiener=False)[:3]
 
 
@@ -234,13 +285,14 @@ def _weighed(library, coefficients: np.ndarray, power: np.ndarray, wiener: bool)
     ``power``, then the Wiener weights and the weighted coefficients, or,
     with the filter off, None and ``coefficients`` themselves: by
     ``um_weigh_rows`` where ``library`` is given and the pass does not
-    decline, else by numpy."""
+    decline, else by numpy.  The weighted coefficients are the thread's
+    scratch."""
     rows, m = power.shape
     if library is not None:
         index, significant = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=bool)
         floors, scratch = np.empty(rows), np.empty(m // 2)
         weights = np.empty((rows, m)) if wiener else None
-        kept = np.empty((rows, m), dtype=complex) if wiener else coefficients
+        kept = _scratch(power.shape).kept if wiener else coefficients
         declined = library.um_weigh_rows(
             coefficients.ctypes.data, power.ctypes.data, rows, m, scratch.ctypes.data,
             index.ctypes.data, significant.ctypes.data, floors.ctypes.data,
@@ -253,7 +305,8 @@ def _weighed(library, coefficients: np.ndarray, power: np.ndarray, wiener: bool)
     if not wiener:
         return index, significant, floors, None, coefficients
     weights = _wiener_weights(power, floors)
-    return index, significant, floors, weights, coefficients * weights
+    kept = np.multiply(coefficients, weights, out=_scratch(power.shape).kept)
+    return index, significant, floors, weights, kept
 
 
 def _cut(library, kept: np.ndarray, kept_power: np.ndarray | None, index: np.ndarray):
@@ -262,9 +315,12 @@ def _cut(library, kept: np.ndarray, kept_power: np.ndarray | None, index: np.nda
     by ``um_cut_rows`` where ``library`` is given and the pass does not
     decline, else by numpy.  The pass cuts ``kept`` in place unless
     ``kept_power`` is None, when ``kept`` is the raw coefficients and it
-    cuts a copy."""
+    cuts a copy in the thread's scratch."""
     if library is not None:
-        cut = kept.copy() if kept_power is None else kept
+        cut = kept
+        if kept_power is None:
+            cut = _scratch(kept.shape).kept
+            np.copyto(cut, kept)
         kept_index = index if kept_power is None else np.empty_like(index)
         missing = library.um_cut_rows(
             cut.ctypes.data, None if kept_power is None else kept_power.ctypes.data,
@@ -376,14 +432,18 @@ def process_readouts(readouts, wiener: bool = True, truncation: bool = True) -> 
 
     Between the FFTs, the library's passes run where it loaded (see the
     module docstring); one that declines leaves its step to numpy, which
-    warns or raises as it would alone, once.
+    warns or raises as it would alone, once.  The weighted coefficients,
+    their power and the untwisted coefficients are the thread's kept
+    scratch, up to a batch of ``_KEPT_MAX`` bytes of complex samples; the
+    seven arrays returned are made fresh on every call.
     """
     coefficients = _spectra(_samples(readouts, ndim=2))
-    power = np.abs(coefficients) ** 2
+    power = _power(coefficients)
     library = _kernel.load()
     index, significant, floors, weights, kept = _weighed(library, coefficients, power, wiener)
     if truncation:
-        kept, missing = _cut(library, kept, np.abs(kept) ** 2 if wiener else None, index)
+        kept_power = _power(kept, _scratch(kept.shape).power) if wiener else None
+        kept, missing = _cut(library, kept, kept_power, index)
         if missing:
             warnings.warn(_NO_PEAK, UserWarning, stacklevel=2)
     processed = _synthesized(library, kept)
@@ -426,11 +486,27 @@ def row_correlations(x, y) -> np.ndarray:
     in ``np.corrcoef``'s order (row means, the product of the centred pair
     with its transpose, the 1/(M-1) factor, division by each standard
     deviation in turn, clipping), so every coefficient is the double
-    ``np.corrcoef(x[i], y[i])[0, 1]`` gives.
+    ``np.corrcoef(x[i], y[i])[0, 1]`` gives.  A row is constant where its
+    ``np.std`` is 0, as ``np.std`` takes it: the centred values squared,
+    summed, / M, square-rooted, so a row whose deviations' squares
+    underflow counts as constant too.  ``x`` and ``y`` must be 2-d arrays
+    of one shape.  The stacked pairs and their squares are the thread's
+    kept scratch, in the memory of ``process_readouts``'; the coefficients
+    returned are made fresh.
     """
-    pairs = np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)], axis=1)
-    undefined = (pairs.std(axis=2) == 0.0).any(axis=1) | np.isnan(pairs).any(axis=(1, 2))
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ValueError(f"need two 2-d arrays of one shape, got {x.shape} and {y.shape}")
+    rows, m = x.shape
+    scratch = _scratch(x.shape)
+    pairs = scratch.kept.view(float).reshape(rows, 2, m)
+    pairs[:, 0], pairs[:, 1] = x, y
+    undefined = np.isnan(pairs).any(axis=(1, 2))
     pairs -= pairs.mean(axis=2)[:, :, None]
+    # each std as np.std takes it from the centred pairs: the sum of the
+    # squares, / M, sqrt
+    squares = np.square(pairs, out=scratch.untwisted.view(float).reshape(rows, 2, m))
+    undefined |= (np.sqrt(squares.sum(axis=2) / m) == 0.0).any(axis=1)
     c = np.matmul(pairs, pairs.transpose(0, 2, 1))
     c *= np.true_divide(1, pairs.shape[2] - 1)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -721,6 +721,16 @@ def repr_texts(values: np.ndarray) -> list[str]:
     return list(map(float.__repr__, values.tolist()))
 
 
+def joined(values, separator: str) -> bytes:
+    """The writer's bytes for the texts of a 1-d array joined by ``separator``."""
+    return bytes(artifacts._assemble([artifacts._join_part(values, separator)]))
+
+
+def csv_rows(*columns) -> bytes:
+    """The writer's bytes for the numbered CSV rows of ``columns``."""
+    return bytes(artifacts._assemble([artifacts._rows_part(*columns)]))
+
+
 @contextlib.contextmanager
 def python_routes():
     """Within the block ``_kernel.load()`` returns None, so float rows and
@@ -809,12 +819,12 @@ def test_the_writer_needs_room_for_the_worst_case(values):
     values, columns = writer_inputs(values)
     separators = (",", *JSON_SEPARATORS)
     with python_routes():
-        joined = [artifacts._joined(values, separator) for separator in separators]
-        rows = artifacts._csv_rows(*columns)
-    for separator, text in zip(separators, joined):
-        assert raw_join(library, values, separator) == artifacts._joined(values, separator) == text
+        texts = [joined(values, separator) for separator in separators]
+        rows = csv_rows(*columns)
+    for separator, text in zip(separators, texts):
+        assert raw_join(library, values, separator) == joined(values, separator) == text
         assert raw_join(library, values, separator, short=1) is None
-    assert raw_rows(library, columns) == artifacts._csv_rows(*columns) == rows
+    assert raw_rows(library, columns) == csv_rows(*columns) == rows
     assert raw_rows(library, columns, short=1) is None
 
 
@@ -825,9 +835,9 @@ def test_a_writer_that_refuses_its_buffer_raises(monkeypatch):
     values, columns = writer_inputs(EDGE_DOUBLES)
     monkeypatch.setattr(_kernel, "REPR_MAX", _kernel.REPR_MAX - 1)
     with pytest.raises(RuntimeError, match="^the float writer wrote nothing"):
-        artifacts._joined(values, ",")
+        joined(values, ",")
     with pytest.raises(RuntimeError, match="^the float writer wrote nothing"):
-        artifacts._csv_rows(*columns)
+        csv_rows(*columns)
 
 
 @needs_library
@@ -859,12 +869,12 @@ def test_compiled_texts_are_float_repr(values):
     array = np.array(values, dtype=float)
     texts = repr_texts(array)
     for separator in (",", *JSON_SEPARATORS):
-        assert artifacts._joined(array, separator) == separator.join(texts).encode()
+        assert joined(array, separator) == separator.join(texts).encode()
     columns = (array, -array, array[::-1], np.roll(array, 1))
     payload = {"array": array, "nested": [array]}  # at two indentations
-    rows, text = artifacts._csv_rows(*columns), dump_json(payload)
+    rows, text = csv_rows(*columns), dump_json(payload)
     with python_routes():
-        assert rows == artifacts._csv_rows(*columns)
+        assert rows == csv_rows(*columns)
         assert text == dump_json(payload)
     assert text == reference_json(payload).encode()
 
@@ -889,40 +899,40 @@ def test_compiled_texts_match_float_repr_at_every_binary_exponent():
         [1e21, 1e22, 1e23, 2e22, 9e22],
     ])
     values = np.concatenate([exponents, -exponents, patterns.view(np.float64), short])
-    assert artifacts._joined(values, ",") == ",".join(repr_texts(values)).encode()
+    assert joined(values, ",") == ",".join(repr_texts(values)).encode()
     columns = exponents.reshape(2, -1)
-    rows = artifacts._csv_rows(*columns, *-columns)
+    rows = csv_rows(*columns, *-columns)
     with python_routes():
-        assert rows == artifacts._csv_rows(*columns, *-columns)
+        assert rows == csv_rows(*columns, *-columns)
 
 
 @needs_library
 def test_compiled_texts_copy_what_the_pointer_cannot_read():
     values = np.arange(12.0).reshape(3, 4) / 7
-    assert artifacts._joined(values[:, 1], ",") == ",".join(repr_texts(values[:, 1])).encode()
+    assert joined(values[:, 1], ",") == ",".join(repr_texts(values[:, 1])).encode()
     swapped = values.ravel().astype(">f8")
-    assert artifacts._joined(swapped, ",") == ",".join(repr_texts(values.ravel())).encode()
-    rows = artifacts._csv_rows(values[:, 1], swapped[:3], values[0, :3].astype(">f8"))
+    assert joined(swapped, ",") == ",".join(repr_texts(values.ravel())).encode()
+    rows = csv_rows(values[:, 1], swapped[:3], values[0, :3].astype(">f8"))
     with python_routes():
-        expected = artifacts._csv_rows(values[:, 1], swapped[:3], values[0, :3])
+        expected = csv_rows(values[:, 1], swapped[:3], values[0, :3])
     assert rows == expected
     with pytest.raises(ValueError, match=r"expected a 1-d array, got shape \(3, 4\)"):
-        artifacts._joined(values, ",")
+        joined(values, ",")
     with pytest.raises(ValueError, match="inhomogeneous"):  # numpy's own error
-        artifacts._csv_rows(np.arange(3.0), np.arange(4.0))
+        csv_rows(np.arange(3.0), np.arange(4.0))
     with pytest.raises(ValueError, match="columns of one length"):
-        artifacts._csv_rows(np.arange(12).reshape(3, 4), values)
+        csv_rows(np.arange(12).reshape(3, 4), values)
     with pytest.raises(ValueError, match="columns of one length"):
-        artifacts._csv_rows()
+        csv_rows()
 
 
 @needs_library
 def test_rows_are_numbered_across_every_digit_count():
     # 100,001 rows: the row number crosses every digit boundary up to 10^5
     column = np.random.default_rng(20261019).normal(size=100_001)
-    rows = artifacts._csv_rows(column)
+    rows = csv_rows(column)
     with python_routes():
-        assert rows == artifacts._csv_rows(column)
+        assert rows == csv_rows(column)
     lines = rows.splitlines()
     assert len(lines) == len(column)
     assert all(line.startswith(f"{r},".encode()) for r, line in enumerate(lines, start=1))
@@ -1167,9 +1177,12 @@ def test_the_eight_digit_step_reads_and_declines_as_float_and_the_rule_do():
 # rows whose last digits end within 8 bytes of the buffer's end, where the
 # 8-digit step's load nearest that end is checked; and the readout's passes
 # (um_weigh_rows, um_cut_rows, um_real_rows) in process_readouts on 1, 2 and
-# 64 rows of an odd and an even M, whose scratch, per-row and rows x M
-# buffers are numpy arrays of exactly their size, and on a batch whose NaN
-# row the weighing declines after it has written the row before
+# 64 rows of an odd and an even M, on 64 rows again, into the rows x M
+# arrays the thread kept from the call before, and on 2 rows after them,
+# into new ones of the smaller shape, whose scratch, per-row and rows x M
+# buffers, the kept ones too, are numpy arrays of exactly their size, and
+# on a batch whose NaN row the weighing declines after it has written the
+# row before
 SANITIZED = """
 import hashlib, json, sys, warnings
 import numpy as np
@@ -1205,6 +1218,12 @@ for count, large in ((5, 3), (13, 6)):
         stopped.append(str(error))
 longest = [np.full(n, -2.2250738585072014e-308) for n in inputs["longest"]]
 
+def joined(values, separator):
+    return bytes(artifacts._assemble([artifacts._join_part(values, separator)]))
+
+def csv_rows(*columns):
+    return bytes(artifacts._assemble([artifacts._rows_part(*columns)]))
+
 def parsed(text):
     buffer = np.frombuffer(text.encode(), dtype=np.uint8).copy()
     out = np.empty((text.count("\\n"), 5))
@@ -1216,28 +1235,31 @@ passes = []
 for name in ("um_weigh_rows", "um_cut_rows", "um_real_rows"):
     entry = getattr(library, name)
     setattr(library, name, lambda *args, entry=entry: passes.append(entry(*args)) or passes[-1])
-readouts = []
+readouts, kept, scratch = [], [], None
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     for x in inputs["readouts"]:
         result = spectral.process_readouts(np.array(x))
         data = b"".join(field.tobytes() for field in result if field is not None)
         readouts.append(hashlib.sha256(data).hexdigest())
+        kept.append(spectral._kept.scratch is scratch)
+        scratch = spectral._kept.scratch
 
 # the writers' bytes as JSON strings
 print(json.dumps({
     "longest": [
-        [artifacts._joined(x, separator).decode() for separator in inputs["separators"]]
-        + [artifacts._csv_rows(x, x, x, x).decode()] for x in longest
+        [joined(x, separator).decode() for separator in inputs["separators"]]
+        + [csv_rows(x, x, x, x).decode()] for x in longest
     ],
     "edited": [parsed(text) for text in inputs["edited"]],
-    "joined": [artifacts._joined(values, separator).decode() for separator in inputs["separators"]],
-    "rows": artifacts._csv_rows(values, -values, values[::-1], np.roll(values, 1)).decode(),
+    "joined": [joined(values, separator).decode() for separator in inputs["separators"]],
+    "rows": csv_rows(values, -values, values[::-1], np.roll(values, 1)).decode(),
     "parsed": repr(artifacts._compiled_rows(inputs["parsed"].encode()).tolist()),
     "decimals": [None if row is None else repr(row[0, 1]) for row in rows],
     "replicates": repr(replicates),
     "stopped": stopped,
     "readouts": readouts,
+    "kept": kept,
     "passes": passes,
 }))
 """
@@ -1273,7 +1295,7 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(
     # test_any_byte_edit_of_the_csv_exits_0_or_2, of more than 16 bytes each,
     # then the rows whose digits end near the end of the buffer
     record, processed, _, _ = fig3_artifacts
-    body = artifacts._csv_rows(record.t, record.c2_sq, record.g2, processed)
+    body = csv_rows(record.t, record.c2_sq, record.g2, processed)
     lines, alphabet = body.splitlines(keepends=True), b'0123456789.,-+eE\n\r#:{}"nai '
     edits = np.random.default_rng(20261020)
     edited = []
@@ -1291,12 +1313,12 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(
         if len(data) > 16:
             edited.append(data.decode("ascii"))
     edited += end_of_buffer_rows()
-    # noisy tones of M = 25 and 64 on 1, 2 and 64 rows, then two rows whose
-    # second holds a NaN
+    # noisy tones of M = 25 and 64 on 1, 2 and 64 rows, on the 64 in
+    # reverse and on 2 of them, then two rows whose second holds a NaN
     readouts = []
     for m in (25, 64):
         x = 0.5 + 0.5 * np.cos(2 * math.pi * 3 * np.arange(1, m + 1) / m) + rng.normal(size=(64, m))
-        readouts += [x[:rows] for rows in (1, 2, 64)]
+        readouts += [x[:rows] for rows in (1, 2, 64)] + [x[::-1], x[1:3]]
     readouts.append(np.where(np.arange(2 * 25).reshape(2, 25) == 30, math.nan, readouts[0][:1]))
     inputs = {
         "bits": values.view(np.uint64).tolist(), "texts": texts,
@@ -1316,8 +1338,8 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(
     assert len(repr(-2.2250738585072014e-308)) == _kernel.REPR_MAX
     longest = [np.full(n, -2.2250738585072014e-308) for n in inputs["longest"]]
     expected_longest = [
-        [artifacts._joined(x, separator).decode() for separator in separators]
-        + [artifacts._csv_rows(x, x, x, x).decode()] for x in longest
+        [joined(x, separator).decode() for separator in separators]
+        + [csv_rows(x, x, x, x).decode()] for x in longest
     ]
     expected_edited = []
     for text in edited:
@@ -1338,9 +1360,9 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(
         assert run.returncode == 0, run.stderr
         result = json.loads(run.stdout)
         assert result["joined"] == [
-            artifacts._joined(values, separator).decode() for separator in separators
+            joined(values, separator).decode() for separator in separators
         ]
-        assert result["rows"] == artifacts._csv_rows(
+        assert result["rows"] == csv_rows(
             values, -values, values[::-1], np.roll(values, 1)
         ).decode()
         assert result["parsed"] == repr(PARSED)
@@ -1350,8 +1372,10 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(
         assert result["longest"] == expected_longest
         assert result["edited"] == expected_edited
         assert result["readouts"] == expected_readouts
-        # every pass ran on the six batches, and each declined the NaN batch
-        assert result["passes"] == [0, 0, 0] * 6 + [-1, -1, -1]
+        # the repeated shape wrote into the arrays kept from the call before
+        assert result["kept"] == [False, False, False, True, False] * 2 + [False]
+        # every pass ran on the ten batches, and each declined the NaN batch
+        assert result["passes"] == [0, 0, 0] * 10 + [-1, -1, -1]
     if missing:
         pytest.skip(f"the other sanitizer passed; {missing}")
 

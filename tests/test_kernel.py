@@ -855,7 +855,7 @@ print(json.dumps({
     "library": str(_kernel.library_path()),
     "c2_sq": c2_sq.tolist(),
     "json": artifacts.dump_json(c2_sq).decode(),
-    "rows": artifacts._csv_rows(c2_sq, -c2_sq).decode(),
+    "rows": bytes(artifacts._assemble([artifacts._rows_part(c2_sq, -c2_sq)])).decode(),
 }))
 """
 

@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -594,6 +595,7 @@ class TestCompiledReadout:
             assert returned == [("um_weigh_rows", 0)]
             assert weighed == outcome(_weighed, None, coefficients, power, wiener)
         index, _, _, _, kept = _weighed(None, coefficients, power, True)
+        kept = kept.copy()  # the thread's scratch, which the cut with no power writes
         for kept_power in (np.abs(kept) ** 2, None):
             cut = outcome(_cut, library, kept.copy(), kept_power, index)
             assert cut == outcome(_cut, None, kept.copy(), kept_power, index)
@@ -606,8 +608,8 @@ class TestCompiledReadout:
         assert tie_rows()
 
     def test_any_memory_layout_gives_the_python_routes_arrays(self):
-        # the passes read C-contiguous rows; a Fortran-ordered batch makes
-        # Fortran-ordered coefficients, which numpy's helpers read instead
+        # the passes read C-contiguous rows; a Fortran-ordered or strided
+        # batch is copied to C order first, so it runs the passes too
         x = np.array([compiled_row(kind, 64, 9) for kind in COMPILED_KINDS])
         expected = outcome(process_readouts, x, True, True)
         strided = (np.repeat(x, 2, axis=1)[:, ::2], np.repeat(x, 2, axis=0)[::2])
@@ -673,6 +675,96 @@ class TestCompiledReadout:
             assert errstate == "warn" or numpy[0] == (FloatingPointError, message)
         if case == "residual":
             assert numpy[0][0] is AnalysisError
+
+
+# ---- the batch scratch each thread keeps from call to call ----
+
+
+@pytest.fixture(params=[pytest.param("compiled", marks=needs_library), "python"])
+def route(request, monkeypatch):
+    """The readout with every pass of the library, or with numpy's helpers alone."""
+    if request.param == "python":
+        python_route(monkeypatch)
+    return request.param
+
+
+def noisy_tones(seed: int, rows: int = 48) -> np.ndarray:
+    """A sweep's batch: rows of a tone in noise, 200 samples each."""
+    rng = np.random.default_rng(seed)
+    return 0.5 + 0.5 * tone(200, 6) + rng.normal(scale=0.3, size=(rows, 200))
+
+
+class TestKeptScratch:
+    @pytest.mark.parametrize("wiener, truncation", SETTINGS)
+    def test_later_calls_leave_the_returned_arrays_alone(self, route, wiener, truncation):
+        first = process_readouts(noisy_tones(1), wiener, truncation)
+        returned, kept = as_bytes(list(first)), spectral._kept.scratch
+        for field in first:
+            assert field is None or not any(np.shares_memory(field, a) for a in kept)
+        process_readouts(noisy_tones(2), wiener, truncation)
+        row_correlations(noisy_tones(3), first.processed)
+        assert as_bytes(list(first)) == returned
+        # a call on another thread writes a scratch of its own
+        other = {}
+
+        def call():
+            other["result"] = process_readouts(noisy_tones(4), wiener, truncation)
+            other["scratch"] = spectral._kept.scratch
+
+        thread = threading.Thread(target=call)
+        thread.start()
+        thread.join()
+        assert as_bytes(list(first)) == returned
+        assert not any(a is b for a in other["scratch"] for b in spectral._kept.scratch)
+        expected = process_readouts(noisy_tones(4), wiener, truncation)
+        assert as_bytes(list(other["result"])) == as_bytes(list(expected))
+
+    def test_a_repeated_shape_makes_no_new_scratch(self, route, monkeypatch):
+        process_readouts(noisy_tones(1))
+        kept = spectral._kept.scratch
+        assert [(a.shape, a.dtype) for a in kept] == [
+            ((48, 200), complex), ((48, 200), float), ((48, 200), complex)
+        ]
+        process_readouts(noisy_tones(2), wiener=False)
+        row_correlations(noisy_tones(3), noisy_tones(4))
+        process_readouts(noisy_tones(5))
+        assert all(a is b for a, b in zip(spectral._kept.scratch, kept, strict=True))
+        # a new shape gets arrays of exactly its size, and a batch above
+        # the cap keeps none
+        process_readouts(noisy_tones(6, rows=5))
+        smaller = spectral._kept.scratch
+        assert [a.shape for a in smaller] == [(5, 200)] * 3
+        monkeypatch.setattr(spectral, "_KEPT_MAX", 5 * 200 * 16)
+        process_readouts(noisy_tones(7, rows=6))
+        row_correlations(noisy_tones(8, rows=6), noisy_tones(9, rows=6))
+        assert all(a is b for a, b in zip(spectral._kept.scratch, smaller, strict=True))
+
+    @pytest.mark.parametrize("kind", ["constant", "nan", "inf", "tiny"])
+    def test_correlations_of_undefined_rows(self, route, kind):
+        # the row beside a noisy one and beside its own reversal, and a
+        # noisy row beside one whose squares underflow, after a readout of
+        # the same shape has written the scratch
+        noise = noisy_tones(10, rows=3)
+        row = {
+            "constant": np.full(200, 0.1),
+            "nan": np.where(np.arange(200) == 17, math.nan, noise[0]),
+            "inf": np.where(np.arange(200) == 17, math.inf, noise[0]),
+            "tiny": noise[0] * 1e-170,  # the squares of its deviations underflow to 0
+        }[kind]
+        x = np.array([noise[1], row, noise[2], row, row[::-1], noise[1]])
+        y = np.array([noise[2], noise[1], row, row[::-1], row, noise[1] * 1e-170])
+        process_readouts(noisy_tones(11, rows=len(x)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            r = row_correlations(x, y)
+            expected = [reference_pearson(a, b) for a, b in zip(x, y)]
+        assert np.isnan(r[1:]).all() and not np.isnan(r[0])
+        assert as_bytes(r) == as_bytes(np.array(expected))
+
+    def test_correlations_need_two_arrays_of_one_2d_shape(self):
+        for x, y in [(np.zeros((2, 8)), np.zeros((3, 8))), (np.zeros(8), np.zeros(8))]:
+            with pytest.raises(ValueError, match="need two 2-d arrays of one shape"):
+                row_correlations(x, y)
 
 
 class TestClassifyRegime:
