@@ -212,10 +212,10 @@ ENTRY_POINTS = {
     )),
     "um_cut_rows": (_INT64, (  # the rows without a peak, or -1 where it declines
         _ADDRESS,  # kept, rows x m complex, truncated in place
-        _ADDRESS,  # kept_power, rows x m; NULL: cut at index as given
+        _ADDRESS,  # kept_power, rows x m
         _INT64,  # rows
         _INT64,  # m
-        _ADDRESS,  # index, rows int64, written from kept_power, else read
+        _ADDRESS,  # index, rows int64, written: the main peaks of kept_power
     )),
     "um_real_rows": (_INT64, (  # 0, or -1 where it declines
         _ADDRESS,  # values, rows x m complex, the inverse FFT

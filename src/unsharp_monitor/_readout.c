@@ -9,9 +9,9 @@
  *                  main peak, its significance and the noise floor, and,
  *                  with the filter on, the Wiener weights and the weighted
  *                  coefficients;
- *   um_cut_rows    after numpy's |kept|^2 of those (or on the raw peaks,
- *                  with the filter off): each row's kept peak, and the
- *                  truncation above twice it, in place;
+ *   um_cut_rows    on numpy's |kept|^2 of those (the raw power, with the
+ *                  filter off): each row's kept peak, and the truncation
+ *                  above twice it, in place;
  *   um_real_rows   on numpy's inverse FFT: the x M, the real part, and the
  *                  check that the imaginary part is only rounding.
  *
@@ -223,27 +223,25 @@ int64_t um_weigh_rows(const double *coefficients, const double *power, int64_t r
     return 0;
 }
 
-/* index: rows values, the kept peaks, written from kept_power (rows x m),
-   or, where kept_power is NULL, read: the peaks to cut at.  Returns the
-   number of rows without a peak, which pass uncut */
+/* index: rows values, written: the main peaks of kept_power (rows x m),
+   which kept is cut at.  Returns the number of rows without one, uncut */
 int64_t um_cut_rows(double *kept, const double *kept_power, int64_t rows, int64_t m,
                     int64_t *index)
 {
     const int64_t half = m / 2;
     int64_t missing = 0;
 
-    for (int64_t r = 0; kept_power && r < rows; r++) {
+    for (int64_t r = 0; r < rows; r++) {
         index[r] = main_peak(kept_power + m * r, half);
         if (index[r] < 0)
             return -1;
+        missing += index[r] == 0;
     }
     for (int64_t r = 0; r < rows; r++) {
         const int64_t keep = 2 * index[r];
         double *k = kept + 2 * m * r;
-        if (!keep) {
-            missing++;
+        if (!keep)
             continue;
-        }
         /* _truncated: zero the bins strictly between 2 peak and m - 2 peak */
         for (int64_t l = 0; l < m; l++) {
             const int cut = l > keep && l < m - keep;

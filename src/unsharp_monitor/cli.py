@@ -111,6 +111,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise ArtifactError(
             f"{args.csv}: need at least {MIN_SAMPLES} data rows for a spectrum, got {rows}"
         )
+    echo = echo or {}
+    if "m_series" in echo and int_field(echo, "m_series", 0) != rows:
+        # a cut or padded file would be analyzed, and echoed, as the run it is not
+        message = f"the echo gives {echo['m_series']!r}, but {args.csv} has {rows} data rows"
+        raise ConfigError("m_series", message)
     finite = np.isfinite(columns["g2"])
     if not finite.all():
         # one non-finite G2 would turn the whole processed readout into NaN
@@ -119,7 +124,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             f"{args.csv}: g2 must be finite, got {float(columns['g2'][first])!r}"
             f" in series m = {columns['m'][first]}"
         )
-    echo = echo or {}
     spec = HamiltonianSpec(float_field(echo, "t_r", 1.0, positive=True))
     if "n_per_series" in echo and "tau" in echo:
         n = int_field(echo, "n_per_series", 0)
@@ -323,16 +327,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ]
 
     rows, simulated = [], []
-    for index, point in enumerate(points):
-        try:
-            simulated.append(_sweep_point(run_base, point, index, base_seed, replicates))
-        except (ConfigError, ParameterError, StateError) as exc:
-            print(f"warning: skipping grid point {index} {point}: {exc}", file=sys.stderr)
-            continue
-        if len(simulated) * simulated[-1].g2.size >= _READOUT_SAMPLES:
-            rows += _sweep_rows(simulated, base_seed, replicates)
-            simulated = []
-    rows += _sweep_rows(simulated, base_seed, replicates)
+    try:
+        for index, point in enumerate(points):
+            try:
+                simulated.append(_sweep_point(run_base, point, index, base_seed, replicates))
+            except (ConfigError, ParameterError, StateError) as exc:
+                print(f"warning: skipping grid point {index} {point}: {exc}", file=sys.stderr)
+                continue
+            if len(simulated) * simulated[-1].g2.size >= _READOUT_SAMPLES:
+                rows += _sweep_rows(simulated, base_seed, replicates)
+                simulated = []
+        rows += _sweep_rows(simulated, base_seed, replicates)
+    except MemoryError as exc:
+        # every point shares both counts, so no point would fit
+        message = f"{replicates} replicates x m_series = {run_base.m_series} samples per point"
+        raise ConfigError("seeds_per_point", f"{message} cannot be allocated") from exc
     skipped = len(points) - len(rows)
     out_dir = _out_dir(args.out_dir)
     echo = {"grid": grid, "base": base, "seed": base_seed, "seeds_per_point": replicates}

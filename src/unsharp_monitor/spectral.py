@@ -24,12 +24,12 @@ median, as ``np.median`` gives it.
 three compiled passes where ``_kernel.load()`` gives the library:
 ``um_weigh_rows`` (peak, significance, noise floor, Wiener weights and
 the weighting, on the coefficients and their power), ``um_cut_rows`` (the
-kept peak and the truncation, on numpy's |kept|^2) and ``um_real_rows``
-(the x M, the real part and the check that it is real, on numpy's
-inverse FFT).  Each gives the numpy helpers' doubles bit for bit, and
-declines, where numpy would warn or raise or meets a value that is not
-finite, for those helpers to run on the same arrays.  The FFTs, the
-twist and ``np.abs`` are numpy's on both routes.
+kept peak and the truncation, on numpy's |kept|^2, the raw power with the
+filter off) and ``um_real_rows`` (the x M, the real part and the check
+that it is real, on numpy's inverse FFT).  Each gives the numpy helpers'
+doubles bit for bit, and declines, where numpy would warn or raise or
+meets a value that is not finite, for those helpers to run on the same
+arrays.  The FFTs, the twist and ``np.abs`` are numpy's on both routes.
 
 ``process_readouts`` and ``row_correlations`` keep their L x M
 intermediates per thread, from call to call, on both routes: the weighted
@@ -47,6 +47,7 @@ hands freed memory of that size back to the system; kept, an in-process
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import threading
@@ -126,7 +127,7 @@ class Readouts(NamedTuple):
 class _Scratch(NamedTuple):
     """One batch's intermediates, each an L x M array of exactly its size."""
 
-    kept: np.ndarray  # complex: the weighted coefficients, or the correlations' pairs
+    kept: np.ndarray  # complex: the coefficients the cut writes, or the correlations' pairs
     power: np.ndarray  # |kept|^2
     untwisted: np.ndarray  # complex: the inverse FFT's input, or the pairs' squares
 
@@ -207,13 +208,18 @@ def _synthesized(library, coefficients: np.ndarray) -> np.ndarray:
     return _real(library, np.fft.ifft(untwisted, axis=1))
 
 
+def _address(a: np.ndarray | None) -> int | None:
+    """``a.ctypes.data`` without making ``a.ctypes`` (None for None); ``a`` must be writable."""
+    return None if a is None else ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
 def _real(library, values: np.ndarray) -> np.ndarray:
     """The real part of the inverse FFT ``values`` times M, checked to be
     real: by ``um_real_rows`` where ``library`` is given and the pass does
     not decline, else by numpy."""
     if library is not None:
         real = np.empty(values.shape)
-        if not library.um_real_rows(values.ctypes.data, *values.shape, real.ctypes.data):
+        if not library.um_real_rows(_address(values), *values.shape, _address(real)):
             return real
     values = values * values.shape[1]
     top = np.max(np.abs(values.real), axis=1)
@@ -294,9 +300,9 @@ def _weighed(library, coefficients: np.ndarray, power: np.ndarray, wiener: bool)
         weights = np.empty((rows, m)) if wiener else None
         kept = _scratch(power.shape).kept if wiener else coefficients
         declined = library.um_weigh_rows(
-            coefficients.ctypes.data, power.ctypes.data, rows, m, scratch.ctypes.data,
-            index.ctypes.data, significant.ctypes.data, floors.ctypes.data,
-            weights.ctypes.data if wiener else None, kept.ctypes.data if wiener else None,
+            _address(coefficients), _address(power), rows, m, _address(scratch),
+            _address(index), _address(significant), _address(floors),
+            _address(weights), _address(kept) if wiener else None,
         )
         if not declined:
             return index, significant, floors, weights, kept
@@ -309,27 +315,19 @@ def _weighed(library, coefficients: np.ndarray, power: np.ndarray, wiener: bool)
     return index, significant, floors, weights, kept
 
 
-def _cut(library, kept: np.ndarray, kept_power: np.ndarray | None, index: np.ndarray):
-    """``kept`` truncated at each row's main peak, that of ``kept_power``
-    or, where it is None, ``index``, and the number of rows without one:
-    by ``um_cut_rows`` where ``library`` is given and the pass does not
-    decline, else by numpy.  The pass cuts ``kept`` in place unless
-    ``kept_power`` is None, when ``kept`` is the raw coefficients and it
-    cuts a copy in the thread's scratch."""
+def _cut(library, kept: np.ndarray, kept_power: np.ndarray):
+    """``kept`` truncated at each row's main peak in ``kept_power``, and the
+    number of rows without one: by ``um_cut_rows``, in place, where
+    ``library`` is given and the pass does not decline, else by numpy."""
     if library is not None:
-        cut = kept
-        if kept_power is None:
-            cut = _scratch(kept.shape).kept
-            np.copyto(cut, kept)
-        kept_index = index if kept_power is None else np.empty_like(index)
-        missing = library.um_cut_rows(
-            cut.ctypes.data, None if kept_power is None else kept_power.ctypes.data,
-            *cut.shape, kept_index.ctypes.data,
-        )
+        index = np.empty(len(kept), dtype=np.int64)
+        missing = library.um_cut_rows(_address(kept), _address(kept_power), *kept.shape,
+                                      _address(index))
         if missing >= 0:
-            return cut, missing
-    kept_index = index if kept_power is None else _peaks(kept_power)
-    return _truncated(kept, kept_index), np.count_nonzero(kept_index == 0)
+            return kept, missing
+    with np.errstate(invalid="ignore"):  # an all-inf raw row warned in _weighed's search
+        index = _peaks(kept_power)
+    return _truncated(kept, index), np.count_nonzero(index == 0)
 
 
 def _record(dt: float, coefficients, power, index, significant, floors, weights) -> SpectrumRecord:
@@ -442,8 +440,11 @@ def process_readouts(readouts, wiener: bool = True, truncation: bool = True) -> 
     library = _kernel.load()
     index, significant, floors, weights, kept = _weighed(library, coefficients, power, wiener)
     if truncation:
-        kept_power = _power(kept, _scratch(kept.shape).power) if wiener else None
-        kept, missing = _cut(library, kept, kept_power, index)
+        scratch = _scratch(kept.shape)
+        if not wiener:  # the cut writes kept: here a copy of the returned coefficients
+            kept = scratch.kept
+            np.copyto(kept, coefficients)
+        kept, missing = _cut(library, kept, _power(kept, scratch.power) if wiener else power)
         if missing:
             warnings.warn(_NO_PEAK, UserWarning, stacklevel=2)
     processed = _synthesized(library, kept)

@@ -1176,13 +1176,16 @@ def test_the_eight_digit_step_reads_and_declines_as_float_and_the_rule_do():
 # buffer and out of um_parse_rows on each text of a byte-edit corpus and on
 # rows whose last digits end within 8 bytes of the buffer's end, where the
 # 8-digit step's load nearest that end is checked; and the readout's passes
-# (um_weigh_rows, um_cut_rows, um_real_rows) in process_readouts on 1, 2 and
-# 64 rows of an odd and an even M, on 64 rows again, into the rows x M
-# arrays the thread kept from the call before, and on 2 rows after them,
-# into new ones of the smaller shape, whose scratch, per-row and rows x M
-# buffers, the kept ones too, are numpy arrays of exactly their size, and
-# on a batch whose NaN row the weighing declines after it has written the
-# row before
+# (um_weigh_rows, um_cut_rows, um_real_rows) in process_readouts at each
+# (wiener, truncation) setting, so the cut runs on the weighted coefficients
+# and, with the filter off, on a scratch copy of the raw ones at the raw
+# power's peaks: on 1, 2 and 64 rows of an odd and an even M, on 64 rows
+# again, into the rows x M arrays the thread kept from the call before, and
+# on 2 rows after them, into new ones of the smaller shape, whose scratch,
+# per-row and rows x M buffers, the kept ones too, are numpy arrays of
+# exactly their size, and on a batch whose NaN row the weighing declines
+# after it has written the row before
+SETTINGS = [(True, True), (True, False), (False, True), (False, False)]  # (wiener, truncation)
 SANITIZED = """
 import hashlib, json, sys, warnings
 import numpy as np
@@ -1239,11 +1242,12 @@ readouts, kept, scratch = [], [], None
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     for x in inputs["readouts"]:
-        result = spectral.process_readouts(np.array(x))
-        data = b"".join(field.tobytes() for field in result if field is not None)
-        readouts.append(hashlib.sha256(data).hexdigest())
-        kept.append(spectral._kept.scratch is scratch)
-        scratch = spectral._kept.scratch
+        for wiener, truncation in inputs["settings"]:
+            result = spectral.process_readouts(np.array(x), wiener, truncation)
+            data = b"".join(field.tobytes() for field in result if field is not None)
+            readouts.append(hashlib.sha256(data).hexdigest())
+            kept.append(spectral._kept.scratch is scratch)
+            scratch = spectral._kept.scratch
 
 # the writers' bytes as JSON strings
 print(json.dumps({
@@ -1325,15 +1329,16 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(
         "separators": [",", *JSON_SEPARATORS], "parsed": PARSED_TEXT.decode(),
         "seeds": seeds, "counts": [2, 8, 9, len(seeds)], "longest": [1, 2, 7, 100],
         "edited": edited,
-        "readouts": [x.tolist() for x in readouts],
+        "readouts": [x.tolist() for x in readouts], "settings": SETTINGS,
     }
     expected_readouts = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for x in readouts:
-            result = process_readouts(x)
-            data = b"".join(field.tobytes() for field in result if field is not None)
-            expected_readouts.append(hashlib.sha256(data).hexdigest())
+            for wiener, truncation in SETTINGS:
+                result = process_readouts(x, wiener, truncation)
+                data = b"".join(field.tobytes() for field in result if field is not None)
+                expected_readouts.append(hashlib.sha256(data).hexdigest())
     separators = inputs["separators"]
     assert len(repr(-2.2250738585072014e-308)) == _kernel.REPR_MAX
     longest = [np.full(n, -2.2250738585072014e-308) for n in inputs["longest"]]
@@ -1372,10 +1377,16 @@ def test_the_library_runs_clean_under_the_undefined_behaviour_sanitizer(
         assert result["longest"] == expected_longest
         assert result["edited"] == expected_edited
         assert result["readouts"] == expected_readouts
-        # the repeated shape wrote into the arrays kept from the call before
-        assert result["kept"] == [False, False, False, True, False] * 2 + [False]
-        # every pass ran on the ten batches, and each declined the NaN batch
-        assert result["passes"] == [0, 0, 0] * 10 + [-1, -1, -1]
+        # the repeated shape, and each batch's later settings, wrote into
+        # the arrays kept from the call before
+        first = [False, False, False, True, False] * 2 + [False]
+        later = (False, True, True, True)
+        assert result["kept"] == [kept or again for kept in first for again in later]
+        # every pass ran at each setting of the ten batches (the cut where
+        # truncation is on), and each declined the NaN batch
+        passes = [[0] * (2 + truncation) for _, truncation in SETTINGS] * 10
+        passes += [[-1] * (2 + truncation) for _, truncation in SETTINGS]
+        assert result["passes"] == [value for values in passes for value in values]
     if missing:
         pytest.skip(f"the other sanitizer passed; {missing}")
 

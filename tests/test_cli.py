@@ -500,6 +500,22 @@ class TestAnalyze:
         assert err == f"error: {csv}: need at least 4 data rows for a spectrum, got {rows}\n"
         assert not (tmp_path / "an").exists()
 
+    @pytest.mark.parametrize("rows", [4, 47])
+    def test_rows_that_differ_from_the_echoed_m_series_rejected(
+        self, tmp_path, small_config, capsys, rows
+    ):
+        # a file cut short would be analyzed, and echoed, as the run of 48 series
+        run(["simulate", "--config", small_config, "--out-dir", tmp_path])
+        csv = tmp_path / "trajectory.csv"
+        lines = csv.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        csv.write_text("".join(lines[: header + 1 + rows]), encoding="utf-8")
+        assert run(["analyze", csv, "--out-dir", tmp_path / "an"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config field 'm_series': the echo gives 48, but {csv} has {rows} data rows\n"
+        )
+        assert not (tmp_path / "an").exists()
+
     def test_malformed_csv_reports_line_number(self, tmp_path, capsys):
         csv = tmp_path / "broken.csv"
         csv.write_text(
@@ -885,6 +901,23 @@ class TestSweep:
             "--m", "48", "--seeds-per-point", value, "--out-dir", tmp_path,
         ]) == 2
         assert "config field 'seeds_per_point':" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("where", ["simulate_replicates", "process_readouts"])
+    def test_a_point_that_cannot_be_allocated_is_named(self, tmp_path, capsys, monkeypatch, where):
+        # as numpy fails a point of 10**6 seeds x 10**6 series, which no test allocates
+        def unallocatable(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array of shape (10**6, 10**6)")
+
+        monkeypatch.setattr(cli, where, unallocatable)
+        assert run([
+            "sweep", "--p0", "0.5", "--dp", "0.1", "--tau", "0.002", "--n", "5",
+            "--m", "16", "--seeds-per-point", "3", "--out-dir", tmp_path,
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "error: config field 'seeds_per_point': 3 replicates x m_series = 16 samples"
+            " per point cannot be allocated\n"
+        )
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_derived_seeds_are_distinct(self):

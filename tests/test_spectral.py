@@ -432,6 +432,17 @@ class TestBatchedReadout:
         assert result.peak_index.tolist() == [3, 0, 5]
         assert np.max(np.abs(result.processed[1] - 0.5)) < 1e-12
 
+    def test_the_raw_cut_adds_no_warning(self, route):
+        # with the filter off the cut searches the power the weighing has
+        # searched, so a row whose searched power is all inf warns as often
+        # with the cut as without it
+        x = np.array([tone(32, 2), np.where(np.arange(32) == 5, 1e200, 1.0)])
+        cut, uncut = (outcome(process_readouts, x, False, on) for on in (True, False))
+        assert cut[1] == uncut[1] == [
+            (RuntimeWarning, "overflow encountered in square"),
+            (RuntimeWarning, "invalid value encountered in subtract"),
+        ]
+
     @pytest.mark.parametrize("shape", [(0, 8), (3, 3), (8,), (2, 2, 8)])
     def test_bad_shapes_rejected(self, shape):
         with pytest.raises(AnalysisError):
@@ -594,13 +605,33 @@ class TestCompiledReadout:
                 weighed = outcome(_weighed, library, coefficients, power, wiener)
             assert returned == [("um_weigh_rows", 0)]
             assert weighed == outcome(_weighed, None, coefficients, power, wiener)
-        index, _, _, _, kept = _weighed(None, coefficients, power, True)
-        kept = kept.copy()  # the thread's scratch, which the cut with no power writes
-        for kept_power in (np.abs(kept) ** 2, None):
-            cut = outcome(_cut, library, kept.copy(), kept_power, index)
-            assert cut == outcome(_cut, None, kept.copy(), kept_power, index)
+        # the cut of the weighted coefficients, and, as with the filter off,
+        # of the raw ones at the peaks of the raw power
+        kept = _weighed(None, coefficients, power, True)[4]
+        for cut, kept_power in ((kept, np.abs(kept) ** 2), (coefficients, power)):
+            compiled = outcome(_cut, library, cut.copy(), kept_power)
+            assert compiled == outcome(_cut, None, cut.copy(), kept_power)
         values = coefficients + 1j * residual * rng.normal(size=power.shape)
         assert outcome(_real, library, values) == outcome(_real, None, values)
+
+    def test_the_cut_finds_the_weighings_peaks_in_the_raw_power(self):
+        # with the filter off, the cut searches the power the weighing
+        # searched: the same peaks, and the rows without one uncut and counted
+        library = _kernel.load()
+        x = np.array([tone(200, 3), np.full(200, 0.5), *noisy_tones(1, rows=2), np.zeros(200)])
+        coefficients = _spectra(x)
+        power = np.abs(coefficients) ** 2
+        with spied_passes() as returned:
+            index = _weighed(library, coefficients, power, False)[0]
+        assert returned == [("um_weigh_rows", 0)]
+        kept, cut_index = coefficients.copy(), np.full(len(x), -1, dtype=np.int64)
+        missing = library.um_cut_rows(
+            kept.ctypes.data, power.ctypes.data, *x.shape, cut_index.ctypes.data
+        )
+        assert missing == 2
+        assert cut_index.tolist() == index.tolist() == [3, 0, 6, 6, 0]
+        assert kept.tobytes() == spectral._truncated(coefficients, index).tobytes()
+        assert kept[[1, 4]].tobytes() == coefficients[[1, 4]].tobytes()
 
     def test_argmax_ties_are_covered(self):
         # the FFT's rounding decides which M have one (6, 8, 12 and 16 with
@@ -656,7 +687,7 @@ class TestCompiledReadout:
         elif case == "kept-power":
             kept = np.ones((2, 16), dtype=complex)
             kept_power = np.where(np.arange(32).reshape(2, 16) == 20, math.inf, 1.0)
-            call, args = _cut, (kept, kept_power, np.array([3, 4]))
+            call, args = _cut, (kept, kept_power)
         else:
             values = np.full((2, 16), 1.0 + 0j)
             values[1, 3] = MAX / 16 * 2.0 if case == "times-m" else 1.0 + 1e-3j
